@@ -368,11 +368,16 @@ impl SignalBoard {
     /// Returns `true` if the value actually changed (edges, not levels,
     /// populate the trace ring).
     pub fn drive(&mut self, name: &str, at: Time, value: Word) -> bool {
-        let changed = self
-            .signals
-            .entry(name.to_string())
-            .or_default()
-            .drive(at, value);
+        // Timers and IRQ lines re-drive known signals every event; only a
+        // signal's creation allocates its name.
+        let changed = match self.signals.get_mut(name) {
+            Some(sig) => sig.drive(at, value),
+            None => self
+                .signals
+                .entry(name.to_string())
+                .or_default()
+                .drive(at, value),
+        };
         if changed {
             self.trace.push(name, SignalChange { at, value });
         }
@@ -427,6 +432,35 @@ impl SignalBoard {
                 r.change,
             )
         })
+    }
+
+    /// The architectural edge counter ([`TraceStats::next_seq`]): it
+    /// advances exactly when a drive changes some signal's value, so two
+    /// equal readings on one timeline bracket a span with no edge.
+    pub fn next_seq(&self) -> u64 {
+        self.trace.next_seq
+    }
+
+    /// The name behind each edge driven since the edge counter read `seq`,
+    /// oldest first (a signal that changed twice is named twice). `None`
+    /// when the ring no longer holds every one of those edges — evicted
+    /// under a small budget, or `seq` is not from this timeline — and the
+    /// caller has to look at every signal instead.
+    pub fn changed_since(&self, seq: u64) -> Option<impl Iterator<Item = &str>> {
+        let records = &self.trace.records;
+        let n = usize::try_from(self.trace.next_seq.checked_sub(seq)?).ok()?;
+        let start = records.len().checked_sub(n)?;
+        // Sequence numbers in the ring strictly increase, so `n` records
+        // starting at `seq` and ending below `next_seq` are exactly the span.
+        if records.get(start).is_some_and(|r| r.seq != seq) {
+            return None;
+        }
+        let names = &self.trace.names;
+        Some(
+            records
+                .range(start..)
+                .map(move |r| names[r.name_id as usize].as_str()),
+        )
     }
 
     /// Trace-store occupancy and counters.
@@ -628,6 +662,25 @@ mod tests {
             .collect();
         full.extend(b.recent("x").iter().map(|c| c.value));
         assert_eq!(full, (1..=10).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn changed_since_names_the_edges_or_admits_it_cannot() {
+        let mut b = SignalBoard::new();
+        b.set_trace_budget(3 * TRACE_RECORD_BYTES);
+        b.drive("a", Time::from_ns(1), 1);
+        let seen = b.next_seq();
+        assert_eq!(b.changed_since(seen).unwrap().count(), 0);
+        b.drive("b", Time::from_ns(2), 1);
+        b.drive("a", Time::from_ns(3), 1); // level, not an edge
+        b.drive("a", Time::from_ns(4), 0);
+        let names: Vec<&str> = b.changed_since(seen).unwrap().collect();
+        assert_eq!(names, vec!["b", "a"]);
+        // Two more edges push the span's first record out of the ring.
+        b.drive("b", Time::from_ns(5), 0);
+        b.drive("b", Time::from_ns(6), 1);
+        assert!(b.changed_since(seen).is_none(), "evicted: cannot tell");
+        assert!(b.changed_since(b.next_seq() + 1).is_none(), "future seq");
     }
 
     #[test]

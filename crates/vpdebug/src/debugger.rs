@@ -23,7 +23,7 @@ use mpsoc_obs::metrics::{Gauge, MetricsRegistry};
 use mpsoc_platform::isa::Word;
 use mpsoc_platform::periph::mailbox_reg;
 use mpsoc_platform::platform::{Access, AccessKind, Originator, StepKind};
-use mpsoc_platform::{Core, Platform, Time};
+use mpsoc_platform::{Core, Platform, StepEvent, Time};
 
 use crate::error::{Error, Result};
 use crate::stimulus::{StimulusKind, StimulusLog, StimulusRecord};
@@ -76,6 +76,16 @@ pub enum Watchpoint {
     },
 }
 
+impl Watchpoint {
+    /// Whether this is an access watchpoint that `a` trips.
+    fn hit_by(&self, a: &Access) -> bool {
+        matches!(self, Watchpoint::Access { lo, hi, kind, origin }
+            if (*lo..=*hi).contains(&a.addr)
+                && kind.is_none_or(|k| k == a.kind)
+                && origin.matches(a.originator))
+    }
+}
+
 /// A breakpoint: core reaches a program counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Breakpoint {
@@ -119,7 +129,13 @@ pub struct Debugger {
     pub(crate) breakpoints: Vec<Breakpoint>,
     pub(crate) watchpoints: Vec<Watchpoint>,
     pub(crate) trace: TraceBuffer,
+    /// Signal values as of the last signal-edge bookkeeping (a missing name
+    /// reads 0): what signal watchpoints compare against.
     pub(crate) prev_signals: std::collections::BTreeMap<String, Word>,
+    /// The board's edge counter at that bookkeeping; while it reads the
+    /// same a step skips the bookkeeping. `None` after anything that can
+    /// change signals without advancing it (a restore).
+    pub(crate) signals_seen: Option<u64>,
     /// Auto-checkpoint state for time travel; `None` until
     /// [`enable_time_travel`](Debugger::enable_time_travel).
     pub(crate) time_travel: Option<crate::timetravel::TimeTravel>,
@@ -144,6 +160,7 @@ impl Debugger {
             watchpoints: Vec::new(),
             trace: TraceBuffer::new(4096),
             prev_signals: std::collections::BTreeMap::new(),
+            signals_seen: None,
             time_travel: None,
             stimulus: StimulusLog::new(),
             stim_cursor: 0,
@@ -169,8 +186,12 @@ impl Debugger {
         }
     }
 
-    /// The underlying platform (mutable, e.g. for program loading).
+    /// The underlying platform (mutable, e.g. for program loading, a by-hand
+    /// `restore_image`, fault hooks). The caller may change signals behind
+    /// the debugger's back, so the next step re-evaluates every signal
+    /// watchpoint instead of trusting the edge counter.
     pub fn platform_mut(&mut self) -> &mut Platform {
+        self.signals_seen = None;
         &mut self.platform
     }
 
@@ -288,7 +309,9 @@ impl Debugger {
     /// the auto-checkpoint hook — the replay primitive of time travel
     /// (replay must reproduce the original run's evaluation order exactly,
     /// including the early returns that skip the signal-edge bookkeeping,
-    /// without re-capturing checkpoints that already exist).
+    /// without re-capturing checkpoints that already exist). Host cost: the
+    /// platform step, O(accesses) for the trace entry and the access
+    /// watchpoints, O(edges) of signal bookkeeping.
     pub(crate) fn step_evaluated(&mut self) -> Result<Option<Stop>> {
         self.apply_due_stimuli()?;
         let event = match self.platform.step() {
@@ -298,68 +321,84 @@ impl Debugger {
         if event.is_idle() {
             return Ok(Some(Stop::Finished));
         }
+        let stop = self.access_stop(&event);
         self.trace.record(&event);
+        self.platform.recycle(event);
+        // A breakpoint or access watchpoint returns before the signal-edge
+        // bookkeeping: an edge driven in this step is reported by the next.
+        Ok(stop?.or_else(|| self.signal_stop()))
+    }
+
+    /// The breakpoint or access watchpoint `event` hits, if any.
+    fn access_stop(&self, event: &StepEvent) -> Result<Option<Stop>> {
         // Breakpoints: the *next* pc of the executing core.
         if let StepKind::Instr { core, .. } = event.kind {
             let pc = self.platform.core(core).map_err(Error::from)?.pc();
-            for (i, b) in self.breakpoints.iter().enumerate() {
-                if b.core == core && b.pc == pc {
-                    return Ok(Some(Stop::Breakpoint { index: i, core, pc }));
-                }
+            let hit = |b: &Breakpoint| b.core == core && b.pc == pc;
+            if let Some(index) = self.breakpoints.iter().position(hit) {
+                return Ok(Some(Stop::Breakpoint { index, core, pc }));
             }
         }
         // Access watchpoints, in *access* order: a step can perform several
-        // accesses (a DMA completion performs hundreds — each word is a
-        // read then a write), and the stop must report the temporally first
-        // faulting access, not the lowest-numbered watchpoint. Iterating
-        // watchpoint-major here used to let a write watchpoint with a lower
-        // index shadow an earlier read's faulting address, an asymmetry a
-        // GDB stop reply (`T05watch:ADDR;` vs `rwatch:`) makes user-visible.
+        // accesses (a DMA completion hundreds — each word a read then a
+        // write), and the stop must report the temporally first faulting
+        // access, not the lowest-numbered watchpoint — a GDB stop reply
+        // (`T05watch:ADDR;` vs `rwatch:`) makes the difference user-visible.
         for a in &event.accesses {
-            for (i, wp) in self.watchpoints.iter().enumerate() {
-                if let Watchpoint::Access {
-                    lo,
-                    hi,
-                    kind,
-                    origin,
-                } = wp
-                {
-                    if a.addr >= *lo
-                        && a.addr <= *hi
-                        && kind.is_none_or(|k| k == a.kind)
-                        && origin.matches(a.originator)
-                    {
-                        return Ok(Some(Stop::Watchpoint {
-                            index: i,
-                            access: Some(*a),
-                        }));
+            if let Some(index) = self.watchpoints.iter().position(|wp| wp.hit_by(a)) {
+                let access = Some(*a);
+                return Ok(Some(Stop::Watchpoint { index, access }));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Signal watchpoints, edge-triggered against the values seen at the
+    /// last bookkeeping, then that bookkeeping: the signals that changed are
+    /// refreshed in place. Skipped while the board's edge counter has not
+    /// moved — no edge, nothing to compare or refresh.
+    fn signal_stop(&mut self) -> Option<Stop> {
+        let board = self.platform.signals();
+        let seq = board.next_seq();
+        if self.signals_seen == Some(seq) {
+            return None;
+        }
+        // The highest-numbered watchpoint whose signal changed wins.
+        let fires = |wp: &Watchpoint| match wp {
+            Watchpoint::Signal { name, value } => {
+                let cur = board.value(name);
+                let prev = self.prev_signals.get(name).copied().unwrap_or(0);
+                cur != prev && value.is_none_or(|v| v == cur)
+            }
+            Watchpoint::Access { .. } => false,
+        };
+        let hit = self.watchpoints.iter().rposition(fires);
+        match self.signals_seen.and_then(|seen| board.changed_since(seen)) {
+            Some(changed) => {
+                for name in changed {
+                    let value = board.value(name);
+                    match self.prev_signals.get_mut(name) {
+                        Some(v) => *v = value,
+                        None => {
+                            self.prev_signals.insert(name.to_string(), value);
+                        }
                     }
                 }
             }
-        }
-        // Signal watchpoints: edge-triggered against the last seen values.
-        let mut hit = None;
-        for (i, wp) in self.watchpoints.iter().enumerate() {
-            if let Watchpoint::Signal { name, value } = wp {
-                let cur = self.platform.signals().value(name);
-                let prev = self.prev_signals.get(name).copied().unwrap_or(0);
-                if cur != prev && value.is_none_or(|v| v == cur) {
-                    hit = Some(Stop::Watchpoint {
-                        index: i,
-                        access: None,
-                    });
-                }
+            // After a restore, or when the board's trace ring has already
+            // evicted some of the edges: every signal, from scratch.
+            None => {
+                self.prev_signals = board
+                    .iter()
+                    .map(|(name, sig)| (name.to_string(), sig.value()))
+                    .collect();
             }
         }
-        for (name, _) in self.prev_signals.clone() {
-            let v = self.platform.signals().value(&name);
-            self.prev_signals.insert(name, v);
-        }
-        for name in self.platform.signals().names() {
-            let v = self.platform.signals().value(&name);
-            self.prev_signals.insert(name, v);
-        }
-        Ok(hit)
+        self.signals_seen = Some(seq);
+        hit.map(|index| Stop::Watchpoint {
+            index,
+            access: None,
+        })
     }
 
     /// Replays stimulus records due at the current step: every unapplied
@@ -382,41 +421,27 @@ impl Debugger {
     /// Applies one stimulus to the platform (shared by live injection and
     /// replay, so both perturb the platform identically).
     fn apply_stimulus(&mut self, kind: &StimulusKind) -> Result<()> {
-        match kind {
-            StimulusKind::MailboxPush { page, value } => self
-                .platform
-                .debug_periph_write(*page, mailbox_reg::DATA, *value)
-                .map_err(Error::from),
-            StimulusKind::SignalWrite { name, value } => {
-                self.platform.debug_drive_signal(name, *value);
-                Ok(())
+        let p = &mut self.platform;
+        match *kind {
+            StimulusKind::MailboxPush { page, value } => {
+                p.debug_periph_write(page, mailbox_reg::DATA, value)?
             }
-            StimulusKind::IrqPost { core, irq } => self
-                .platform
-                .debug_post_irq(*core, *irq)
-                .map_err(Error::from),
+            StimulusKind::SignalWrite { ref name, value } => p.debug_drive_signal(name, value),
+            StimulusKind::IrqPost { core, irq } => p.debug_post_irq(core, irq)?,
             StimulusKind::DmaDescriptor {
                 page,
                 src,
                 dst,
                 len,
             } => {
-                use mpsoc_platform::periph::dma_reg;
-                self.platform
-                    .debug_periph_write(*page, dma_reg::SRC, *src)?;
-                self.platform
-                    .debug_periph_write(*page, dma_reg::DST, *dst)?;
-                self.platform
-                    .debug_periph_write(*page, dma_reg::LEN, *len)?;
-                self.platform
-                    .debug_periph_write(*page, dma_reg::CTRL, 1)
-                    .map_err(Error::from)
+                use mpsoc_platform::periph::dma_reg::{CTRL, DST, LEN, SRC};
+                for (reg, value) in [(SRC, src), (DST, dst), (LEN, len), (CTRL, 1)] {
+                    p.debug_periph_write(page, reg, value)?;
+                }
             }
-            StimulusKind::MemPoke { addr, value } => self
-                .platform
-                .debug_write(*addr, *value)
-                .map_err(Error::from),
+            StimulusKind::MemPoke { addr, value } => p.debug_write(addr, value)?,
         }
+        Ok(())
     }
 
     /// Applies a stimulus now and records it: drops any not-yet-applied
@@ -515,6 +540,8 @@ impl Debugger {
     /// considered already applied (they describe the past of the timeline
     /// the platform is resuming).
     pub fn set_stimulus_log(&mut self, log: StimulusLog) {
+        // Installed after a by-hand restore as a rule: re-evaluate in full.
+        self.signals_seen = None;
         let cur = self.platform.steps();
         self.stim_cursor = log.records().partition_point(|r| r.step <= cur);
         self.stimulus = log;
@@ -550,35 +577,13 @@ impl Debugger {
     ///
     /// [`Error::Platform`] for a bad core id.
     pub fn label_history(&self, core: usize) -> Result<Vec<(Time, String)>> {
-        let program = self.platform.core(core)?.program().clone();
-        // Build pc -> label(s) map from the trace's pc history.
-        let mut by_pc: std::collections::BTreeMap<u32, Vec<String>> =
-            std::collections::BTreeMap::new();
-        // Programs do not expose their full label table directly; recover
-        // it by probing all pcs seen in the trace.
-        let mut entries = Vec::new();
-        for (at, pc) in self.trace.pc_history(core) {
-            if let std::collections::btree_map::Entry::Vacant(v) = by_pc.entry(pc) {
-                let labels: Vec<String> = known_labels(&program)
-                    .into_iter()
-                    .filter(|(_, addr)| *addr == pc)
-                    .map(|(n, _)| n)
-                    .collect();
-                v.insert(labels);
-            }
-            for l in &by_pc[&pc] {
-                entries.push((at, l.clone()));
-            }
-        }
-        Ok(entries)
+        let labels = self.platform.core(core)?.program().labels_snapshot();
+        let entered = |pc| labels.iter().filter(move |(_, addr)| *addr == pc);
+        let history = self.trace.pc_history(core).into_iter();
+        Ok(history
+            .flat_map(|(at, pc)| entered(pc).map(move |(name, _)| (at, name.clone())))
+            .collect())
     }
-}
-
-/// All labels of a program. The `Program` type intentionally hides its
-/// table; this helper probes the names recorded at assembly time through
-/// the public lookup, using the trace's addresses as candidates.
-fn known_labels(program: &mpsoc_platform::isa::Program) -> Vec<(String, u32)> {
-    program.labels_snapshot()
 }
 
 #[cfg(test)]
@@ -701,6 +706,97 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(dbg.signal("timer0.tick"), 1);
+    }
+
+    /// A platform whose core 0 spins forever, for tests that drive signals
+    /// from outside.
+    fn spinning() -> Debugger {
+        let mut dbg = Debugger::new(platform());
+        let prog = assemble("spin: addi r1, r1, 1\njmp spin").unwrap();
+        dbg.platform_mut().load_program(0, prog, 0).unwrap();
+        dbg
+    }
+
+    fn signal_watch(dbg: &mut Debugger, name: &str) -> usize {
+        dbg.add_watchpoint(Watchpoint::Signal {
+            name: name.into(),
+            value: None,
+        })
+    }
+
+    #[test]
+    fn by_hand_restore_onto_the_same_edge_count_still_fires() {
+        // Two timelines with one edge each: "x" went to 1 in the image, to 2
+        // in the live session. The edge counter reads the same on both.
+        let mut donor = spinning();
+        donor.inject_signal_write("x", 1).unwrap();
+        let image = donor.platform_mut().capture().unwrap();
+
+        let mut dbg = spinning();
+        dbg.inject_signal_write("x", 2).unwrap();
+        assert_eq!(dbg.step().unwrap(), None); // bookkeeping now holds x = 2
+        let seq = dbg.trace_stats().next_seq;
+        dbg.platform_mut().restore_image(&image).unwrap();
+        assert_eq!(dbg.trace_stats().next_seq, seq, "same edge count");
+        assert_eq!(dbg.signal("x"), 1, "different value");
+        let wp = signal_watch(&mut dbg, "x");
+        assert_eq!(
+            dbg.step().unwrap(),
+            Some(Stop::Watchpoint {
+                index: wp,
+                access: None
+            }),
+            "the restore changed x behind the debugger's back"
+        );
+        assert_eq!(dbg.step().unwrap(), None, "reported once");
+    }
+
+    #[test]
+    fn edge_in_a_step_that_stops_early_is_reported_by_the_next() {
+        // The breakpoint step returns before the signal-edge bookkeeping,
+        // so an edge that lands in it surfaces one step late — including for
+        // a watchpoint added while stopped there.
+        let mut dbg = spinning();
+        dbg.add_breakpoint(0, 0); // the jmp's target: hit by every 2nd step
+        assert_eq!(dbg.step().unwrap(), None);
+        dbg.inject_signal_write("x", 7).unwrap();
+        assert!(matches!(
+            dbg.step().unwrap(),
+            Some(Stop::Breakpoint { index: 0, .. })
+        ));
+        let wp = signal_watch(&mut dbg, "x");
+        assert_eq!(
+            dbg.step().unwrap(),
+            Some(Stop::Watchpoint {
+                index: wp,
+                access: None
+            })
+        );
+        assert!(
+            matches!(dbg.step().unwrap(), Some(Stop::Breakpoint { .. })),
+            "the edge is reported once"
+        );
+    }
+
+    #[test]
+    fn bookkeeping_survives_an_evicted_signal_ring() {
+        // With no room in the platform's signal-trace ring the debugger
+        // cannot ask which signals changed and falls back to all of them.
+        let mut dbg = spinning();
+        dbg.platform_mut().set_trace_budget(0);
+        let wp = signal_watch(&mut dbg, "x");
+        assert_eq!(dbg.step().unwrap(), None);
+        dbg.inject_signal_write("y", 1).unwrap();
+        assert_eq!(dbg.step().unwrap(), None, "y is not watched");
+        dbg.inject_signal_write("x", 1).unwrap();
+        assert_eq!(
+            dbg.step().unwrap(),
+            Some(Stop::Watchpoint {
+                index: wp,
+                access: None
+            })
+        );
+        assert_eq!(dbg.step().unwrap(), None);
     }
 
     #[test]

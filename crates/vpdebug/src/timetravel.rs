@@ -39,18 +39,18 @@
 //! base once none of its deltas remain.
 //!
 //! Each checkpoint also carries the host-side debugger state that must
-//! rewind with it: the trace buffer, the signal-edge bookkeeping, and the
-//! stimulus-log cursor (see [`crate::stimulus`]) — so replay re-applies
-//! recorded external injections exactly once, at the steps they originally
-//! happened.
+//! rewind with it, O(signals) at most: the trace buffer's *position* (see
+//! [`crate::trace`] for what history survives a rewind), the signal-edge
+//! bookkeeping, and the stimulus-log cursor (see [`crate::stimulus`]) — so
+//! replay re-applies recorded external injections exactly once, at the
+//! steps they originally happened.
 
 use mpsoc_platform::isa::Word;
-use mpsoc_platform::BaseImage;
+use mpsoc_platform::{BaseImage, Platform};
 use std::collections::BTreeMap;
 
 use crate::debugger::{Debugger, Stop};
 use crate::error::{Error, Result};
-use crate::trace::TraceBuffer;
 
 /// The platform-state part of a checkpoint: one of the ring's full base
 /// images, or a delta against one of them.
@@ -74,8 +74,9 @@ pub(crate) struct Checkpoint {
     /// Bytes this checkpoint occupies in the ring (full image size for the
     /// base entry).
     pub(crate) bytes: usize,
-    /// Trace buffer as of the checkpoint.
-    pub(crate) trace: TraceBuffer,
+    /// Trace-buffer position as of the checkpoint
+    /// ([`TraceBuffer::position`](crate::trace::TraceBuffer)).
+    pub(crate) trace_pos: u64,
     /// Signal-edge bookkeeping as of the checkpoint.
     pub(crate) prev_signals: BTreeMap<String, Word>,
     /// Stimulus-log cursor as of the checkpoint (records applied so far).
@@ -107,6 +108,27 @@ pub struct TimeTravel {
     /// Checkpoints, sorted ascending by step. At least one entry is a
     /// [`CheckpointImage::Base`].
     pub(crate) checkpoints: Vec<Checkpoint>,
+}
+
+/// A [`Checkpoint`] of `$dbg`'s debugger-side state around `$image`. A macro:
+/// it borrows field by field, so `time_travel` may be mutably held meanwhile.
+macro_rules! checkpoint_now {
+    ($dbg:expr, $image:expr, $bytes:expr) => {
+        Checkpoint {
+            step: $dbg.platform.steps(),
+            image: $image,
+            bytes: $bytes,
+            trace_pos: $dbg.trace.position(),
+            prev_signals: $dbg.prev_signals.clone(),
+            stim_applied: $dbg.stim_cursor,
+        }
+    };
+}
+
+/// Captures and validates a fresh base image at `platform`'s current step.
+fn capture_base(platform: &mut Platform) -> Result<BaseImage> {
+    let image = platform.capture().map_err(Error::from)?;
+    BaseImage::new(image).map_err(Error::from)
 }
 
 impl TimeTravel {
@@ -160,11 +182,9 @@ impl TimeTravel {
             if i == self.cur_base || self.bases[i].is_none() {
                 continue;
             }
-            let in_use = self.base_referenced(i)
-                || self
-                    .checkpoints
-                    .iter()
-                    .any(|c| matches!(c.image, CheckpointImage::Base(b) if b == i));
+            let in_use = self.checkpoints.iter().any(|c| {
+                matches!(c.image, CheckpointImage::Base(b) | CheckpointImage::Delta(b, _) if b == i)
+            });
             if !in_use {
                 self.bases[i] = None;
             }
@@ -198,7 +218,7 @@ impl Debugger {
     /// [`Error::Platform`] if the platform cannot be captured (a registered
     /// peripheral without snapshot support).
     pub fn enable_time_travel(&mut self, interval: u64, max_checkpoints: usize) -> Result<()> {
-        let base = self.capture_base()?;
+        let base = capture_base(&mut self.platform)?;
         let budget = max_checkpoints.max(1).saturating_mul(base.len_bytes());
         self.install_time_travel(interval, budget, base);
         Ok(())
@@ -212,32 +232,14 @@ impl Debugger {
     ///
     /// As [`enable_time_travel`](Debugger::enable_time_travel).
     pub fn enable_time_travel_bytes(&mut self, interval: u64, budget_bytes: usize) -> Result<()> {
-        let base = self.capture_base()?;
+        let base = capture_base(&mut self.platform)?;
         self.install_time_travel(interval, budget_bytes.max(1), base);
         Ok(())
     }
 
-    /// Captures and validates a fresh base image at the current step.
-    fn capture_base(&mut self) -> Result<BaseImage> {
-        let image = self.platform.capture().map_err(Error::from)?;
-        BaseImage::new(image).map_err(Error::from)
-    }
-
-    /// A [`Checkpoint`] of the current debugger-side state around `image`.
-    fn checkpoint_now(&self, image: CheckpointImage, bytes: usize) -> Checkpoint {
-        Checkpoint {
-            step: self.platform.steps(),
-            image,
-            bytes,
-            trace: self.trace.clone(),
-            prev_signals: self.prev_signals.clone(),
-            stim_applied: self.stim_cursor,
-        }
-    }
-
     fn install_time_travel(&mut self, interval: u64, budget_bytes: usize, base: BaseImage) {
         let rebase_every = self.time_travel.as_ref().map_or(0, |tt| tt.rebase_every);
-        let cp = self.checkpoint_now(CheckpointImage::Base(0), base.len_bytes());
+        let cp = checkpoint_now!(self, CheckpointImage::Base(0), base.len_bytes());
         self.time_travel = Some(TimeTravel {
             interval: interval.max(1),
             budget_bytes,
@@ -272,21 +274,20 @@ impl Debugger {
         }
     }
 
+    /// The retained checkpoints, oldest first; none when time travel is off.
+    fn retained(&self) -> impl Iterator<Item = &Checkpoint> {
+        self.time_travel.iter().flat_map(|tt| &tt.checkpoints)
+    }
+
     /// The step indices of the retained *full-base* checkpoints
     /// (ascending). A subset of [`checkpoint_steps`](Debugger::checkpoint_steps);
     /// more than one entry means [`set_rebase_every`](Debugger::set_rebase_every)
     /// has split the ring into delta chains.
     pub fn base_steps(&self) -> Vec<u64> {
-        self.time_travel
-            .as_ref()
-            .map(|tt| {
-                tt.checkpoints
-                    .iter()
-                    .filter(|c| matches!(c.image, CheckpointImage::Base(_)))
-                    .map(|c| c.step)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.retained()
+            .filter(|c| matches!(c.image, CheckpointImage::Base(_)))
+            .map(|c| c.step)
+            .collect()
     }
 
     /// Disables time travel and drops every checkpoint.
@@ -298,20 +299,14 @@ impl Debugger {
     /// The step indices of the currently retained checkpoints (ascending).
     /// Empty when time travel is disabled.
     pub fn checkpoint_steps(&self) -> Vec<u64> {
-        self.time_travel
-            .as_ref()
-            .map(|tt| tt.checkpoints.iter().map(|c| c.step).collect())
-            .unwrap_or_default()
+        self.retained().map(|c| c.step).collect()
     }
 
     /// Bytes currently held by the checkpoint ring (base image plus
     /// deltas); 0 when time travel is disabled. Also reported on the
     /// `vpdebug.ring_bytes` gauge when a metrics registry is attached.
     pub fn ring_bytes(&self) -> usize {
-        self.time_travel
-            .as_ref()
-            .map(TimeTravel::ring_bytes)
-            .unwrap_or_default()
+        self.time_travel.as_ref().map_or(0, TimeTravel::ring_bytes)
     }
 
     /// Drops every retained checkpoint in favour of a fresh *base* at the
@@ -327,27 +322,24 @@ impl Debugger {
     pub fn rebase_checkpoints(&mut self) -> Result<()> {
         if let Some(tt) = &self.time_travel {
             let (interval, budget) = (tt.interval, tt.budget_bytes);
-            let base = self.capture_base()?;
+            let base = capture_base(&mut self.platform)?;
             self.install_time_travel(interval, budget, base);
         }
         Ok(())
     }
 
     /// Captures a checkpoint now if one is due (called by
-    /// [`step`](Debugger::step) before executing). Due means: time travel
-    /// is on, no checkpoint exists at the current step already (replay must
-    /// not duplicate), and the nearest checkpoint at or below the current
-    /// step is at least `interval` steps old.
+    /// [`step`](Debugger::step) before executing): time travel is on and the
+    /// nearest checkpoint at or below the current step — replay must not
+    /// duplicate one *at* it — is at least `interval` steps old.
     pub(crate) fn auto_checkpoint(&mut self) -> Result<()> {
         let Some(tt) = &self.time_travel else {
             return Ok(());
         };
         let cur = self.platform.steps();
-        if tt.checkpoints.iter().any(|c| c.step == cur) {
-            return Ok(());
-        }
-        let due = match tt.checkpoints.iter().rev().find(|c| c.step <= cur) {
-            Some(c) => cur >= c.step + tt.interval,
+        let at_or_below = tt.checkpoints.partition_point(|c| c.step <= cur);
+        let due = match at_or_below.checked_sub(1) {
+            Some(i) => cur >= tt.checkpoints[i].step + tt.interval,
             None => true,
         };
         if due {
@@ -361,34 +353,26 @@ impl Debugger {
     /// a fresh full base starting a new chain — keeping the list sorted and
     /// the ring within its byte budget.
     fn take_checkpoint(&mut self) -> Result<()> {
-        let tt = self
-            .time_travel
-            .as_ref()
-            .expect("take_checkpoint requires time travel enabled");
+        let Some(tt) = &mut self.time_travel else {
+            return Err(Error::TimeTravelDisabled);
+        };
         let rebase_due = tt.rebase_every > 0 && tt.deltas_since_rebase >= tt.rebase_every;
-        let cp = if rebase_due {
+        let (image, bytes) = if rebase_due {
             // `capture` also re-anchors the platform's internal delta
             // baseline, so later `capture_delta` calls chain on this base.
-            let base = self.capture_base()?;
+            let base = capture_base(&mut self.platform)?;
             let bytes = base.len_bytes();
-            let tt = self.time_travel.as_mut().expect("checked above");
             tt.bases.push(Some(base));
-            let idx = tt.bases.len() - 1;
-            tt.cur_base = idx;
+            tt.cur_base = tt.bases.len() - 1;
             tt.deltas_since_rebase = 0;
-            self.checkpoint_now(CheckpointImage::Base(idx), bytes)
+            (CheckpointImage::Base(tt.cur_base), bytes)
         } else {
             let delta = self.platform.capture_delta().map_err(Error::from)?;
             let bytes = delta.len();
-            let tt = self.time_travel.as_mut().expect("checked above");
-            let chain = tt.cur_base;
             tt.deltas_since_rebase += 1;
-            self.checkpoint_now(CheckpointImage::Delta(chain, delta), bytes)
+            (CheckpointImage::Delta(tt.cur_base, delta), bytes)
         };
-        let tt = self
-            .time_travel
-            .as_mut()
-            .expect("take_checkpoint requires time travel enabled");
+        let cp = checkpoint_now!(self, image, bytes);
         let pos = tt.checkpoints.partition_point(|c| c.step < cp.step);
         tt.checkpoints.insert(pos, cp);
         tt.evict_to_budget();
@@ -406,15 +390,12 @@ impl Debugger {
     /// [`Error::TimeTravelDisabled`] when time travel is not enabled;
     /// [`Error::Platform`] if the platform cannot be captured.
     pub fn take_checkpoint_now(&mut self) -> Result<bool> {
-        let Some(tt) = &self.time_travel else {
-            return Err(Error::TimeTravelDisabled);
-        };
         let cur = self.platform.steps();
-        if tt.checkpoints.iter().any(|c| c.step == cur) {
-            return Ok(false);
+        let fresh = !self.retained().any(|c| c.step == cur);
+        if fresh {
+            self.take_checkpoint()?;
         }
-        self.take_checkpoint()?;
-        Ok(true)
+        Ok(fresh)
     }
 
     /// Travels to the state exactly after `target` platform steps: restores
@@ -428,7 +409,7 @@ impl Debugger {
     /// [`Error::Platform`] for an unrestorable image (never expected for
     /// images the debugger captured itself).
     pub fn rewind_to_step(&mut self, target: u64) -> Result<bool> {
-        let Some(tt) = &self.time_travel else {
+        let Some(tt) = &mut self.time_travel else {
             return Ok(false);
         };
         let pos = tt.checkpoints.partition_point(|c| c.step <= target);
@@ -450,15 +431,15 @@ impl Debugger {
                 *b
             }
         };
-        self.trace = cp.trace.clone();
-        self.prev_signals = cp.prev_signals.clone();
+        self.trace.rewind_to(cp.trace_pos);
+        self.prev_signals.clone_from(&cp.prev_signals);
+        // The restore changed signals without regard to the edge counter.
+        self.signals_seen = None;
         self.stim_cursor = cp.stim_applied;
         // The restore re-anchored the platform's delta baseline onto the
         // restored chain's base; new deltas must name it.
-        if let Some(tt) = &mut self.time_travel {
-            tt.cur_base = restored_chain;
-            tt.deltas_since_rebase = 0;
-        }
+        tt.cur_base = restored_chain;
+        tt.deltas_since_rebase = 0;
         while self.platform.steps() < target {
             let _ = self.step_evaluated()?;
         }
@@ -497,17 +478,10 @@ impl Debugger {
     /// As [`rewind_to_step`](Debugger::rewind_to_step).
     pub fn reverse_continue(&mut self) -> Result<Option<Stop>> {
         let cur = self.platform.steps();
-        let Some(tt) = &self.time_travel else {
+        let Some(first) = self.retained().next().map(|c| c.step) else {
             return Ok(None);
         };
-        let Some(first) = tt.checkpoints.first() else {
-            return Ok(None);
-        };
-        if first.step >= cur {
-            return Ok(None);
-        }
-        let first_step = first.step;
-        if !self.rewind_to_step(first_step)? {
+        if first >= cur || !self.rewind_to_step(first)? {
             return Ok(None);
         }
         let mut last: Option<(u64, Stop)> = None;
@@ -522,20 +496,11 @@ impl Debugger {
                 Some(s) => last = Some((at, s)),
             }
         }
-        match last {
-            Some((at, s)) => {
-                self.rewind_to_step(at)?;
-                Ok(Some(s))
-            }
-            None => {
-                // Pass 1 already replayed back to `cur`; the state is
-                // bit-identical to where we started.
-                while self.platform.steps() < cur {
-                    let _ = self.step_evaluated()?;
-                }
-                Ok(None)
-            }
+        // With no earlier stop, pass 1 already replayed back to `cur`.
+        if let Some((at, _)) = &last {
+            self.rewind_to_step(*at)?;
         }
+        Ok(last.map(|(_, stop)| stop))
     }
 }
 
@@ -671,6 +636,48 @@ mod tests {
         // checkpoint at or before it — including the base.
         assert!(dbg.rewind_to_step(1).unwrap());
         assert_eq!(dbg.platform().steps(), 1);
+    }
+
+    #[test]
+    fn checkpoint_footprint_ignores_the_trace() {
+        use super::{Checkpoint, CheckpointImage};
+        // A checkpoint is its image plus O(signals) of host state, whatever
+        // the trace buffer's capacity or fill: it stores a position.
+        let footprints = |capacity: usize| -> Vec<(u64, usize, u64, usize)> {
+            let mut dbg = debugger();
+            dbg.trace = crate::trace::TraceBuffer::new(capacity);
+            dbg.enable_time_travel(5, 64).unwrap();
+            for _ in 0..60 {
+                dbg.step().unwrap();
+            }
+            let tt = dbg.time_travel.as_ref().unwrap();
+            tt.checkpoints
+                .iter()
+                .map(|c| {
+                    let image = match &c.image {
+                        CheckpointImage::Base(_) => c.bytes,
+                        CheckpointImage::Delta(_, delta) => delta.capacity(),
+                    };
+                    (c.step, image, c.trace_pos, c.prev_signals.len())
+                })
+                .collect()
+        };
+        let small = footprints(4);
+        assert_eq!(small.len(), 12);
+        assert_eq!(small, footprints(1 << 16));
+        assert!(small.iter().all(|&(step, _, pos, _)| pos == step));
+        // No room for a trace buffer (ring + counters) beside the rest.
+        assert!(std::mem::size_of::<Checkpoint>() <= 96);
+    }
+
+    #[test]
+    fn taking_a_checkpoint_without_time_travel_is_an_error() {
+        let mut dbg = debugger();
+        assert_eq!(
+            dbg.take_checkpoint_now(),
+            Err(crate::Error::TimeTravelDisabled)
+        );
+        assert!(!dbg.rewind_to_step(0).unwrap());
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //! [`TraceBuffer`] is a bounded ring of [`TraceEntry`]s recorded from
 //! platform step events, with query helpers for the two histories the
 //! paper names: per-core control flow and per-address access streams.
+//!
+//! ## History through a rewind
+//!
+//! A time-travel checkpoint stores the buffer's *position*, never its
+//! contents: a rewind pops the entries recorded after the checkpoint and
+//! deterministic replay records them again. After a rewind the buffer holds
+//! what a forward-only run holds at that step, short only of older entries
+//! the ring had already evicted while the run was further ahead. A rewind
+//! behind every retained entry, or a jump to a checkpoint ahead of the
+//! current position, restarts history there ([`TraceBuffer::dropped`] then
+//! counts everything before it).
 
 use mpsoc_obs::event::Event;
 use mpsoc_obs::export::chrome_trace;
@@ -43,6 +54,8 @@ pub struct TraceEntry {
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     entries: Ring<TraceEntry>,
+    /// Entries recorded on the current timeline, retained or not.
+    recorded: u64,
 }
 
 impl TraceBuffer {
@@ -55,6 +68,7 @@ impl TraceBuffer {
         assert!(capacity > 0, "trace capacity must be non-zero");
         TraceBuffer {
             entries: Ring::new(capacity),
+            recorded: 0,
         }
     }
 
@@ -77,6 +91,25 @@ impl TraceBuffer {
             irq,
             accesses: event.accesses.clone(),
         });
+        self.recorded += 1;
+    }
+
+    /// What a checkpoint stores and a rewind returns to: entries recorded.
+    pub(crate) fn position(&self) -> u64 {
+        self.recorded
+    }
+
+    /// Returns to a checkpointed [`position`](Self::position): entries
+    /// recorded after it are popped; when they do not reach back that far,
+    /// or it lies ahead, history restarts there.
+    pub(crate) fn rewind_to(&mut self, position: u64) {
+        while self.recorded > position && self.entries.pop_back().is_some() {
+            self.recorded -= 1;
+        }
+        if self.recorded != position {
+            self.entries.clear();
+            self.recorded = position;
+        }
     }
 
     /// Number of retained entries.
@@ -89,9 +122,10 @@ impl TraceBuffer {
         self.entries.is_empty()
     }
 
-    /// Entries dropped due to capacity.
+    /// Entries of the current timeline no longer retained: evicted at
+    /// capacity, or preceding the checkpoint history restarted at.
     pub fn dropped(&self) -> u64 {
-        self.entries.dropped()
+        self.recorded - self.entries.len() as u64
     }
 
     /// All retained entries, oldest first.
@@ -218,6 +252,43 @@ mod tests {
         assert_eq!(buf.dropped(), 2);
         let pcs: Vec<u32> = buf.pc_history(0).into_iter().map(|(_, pc)| pc).collect();
         assert_eq!(pcs, vec![2, 3]); // only the most recent survive
+    }
+
+    fn pcs(buf: &TraceBuffer) -> Vec<u32> {
+        buf.entries().filter_map(|e| e.pc).collect()
+    }
+
+    #[test]
+    fn rewind_pops_what_was_recorded_after_the_position() {
+        let src = "movi r1, 1\nmovi r2, 2\nmovi r3, 3\nmovi r4, 4\nhalt";
+        let full = traced_run(src, 16);
+        let mut buf = full.clone();
+        assert_eq!(buf.position(), 5);
+        buf.rewind_to(2);
+        assert_eq!((buf.position(), buf.dropped()), (2, 0));
+        assert_eq!(pcs(&buf), vec![0, 1]);
+        assert!(buf.entries().eq(full.entries().take(2)));
+    }
+
+    #[test]
+    fn rewind_does_not_bring_evicted_entries_back() {
+        // Capacity 3 of 5 recorded: pcs 2,3,4 retained. Back to position 4:
+        // a forward-only run would hold 1,2,3 there; pc 1 stays evicted.
+        let mut buf = traced_run("movi r1, 1\nmovi r2, 2\nmovi r3, 3\nmovi r4, 4\nhalt", 3);
+        buf.rewind_to(4);
+        assert_eq!(pcs(&buf), vec![2, 3]);
+        assert_eq!((buf.position(), buf.dropped()), (4, 2));
+    }
+
+    #[test]
+    fn rewind_past_the_window_or_ahead_restarts_history() {
+        let mut buf = traced_run("movi r1, 1\nmovi r2, 2\nmovi r3, 3\nmovi r4, 4\nhalt", 2);
+        buf.rewind_to(1); // older than every retained entry (pcs 3, 4)
+        assert!(buf.is_empty());
+        assert_eq!((buf.position(), buf.dropped()), (1, 1));
+        buf.rewind_to(9); // a checkpoint ahead of the current position
+        assert!(buf.is_empty());
+        assert_eq!((buf.position(), buf.dropped()), (9, 9));
     }
 
     #[test]

@@ -58,6 +58,7 @@ stage "cargo test --workspace" cargo test --workspace -q
 stage "delta checkpoint round-trip" cargo test -q --test delta_roundtrip
 stage "exploration engine cross-layer equivalence" cargo test -q --test explore_equivalence
 stage "bounded trace store vs unbounded oracle" cargo test -q --test trace_equivalence
+stage "debugger vs every-signal reference evaluator" cargo test -q --test debugger_equivalence
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "bench smoke (sim_fastpath)" \
   cargo run --release -q -p mpsoc-bench --bin sim_fastpath -- --smoke
@@ -72,5 +73,14 @@ stage "joint mapping x topology DSE (E13 smoke)" \
 # them as artifacts).
 stage "headless platform suite (mpsoc-test)" \
   cargo run --release -q -p mpsoc-apps --bin mpsoc-test
+# The layered benchmark (benchmark/, a workspace of its own). The smoke
+# profile runs the output checks and expected.json pins of all seven
+# workloads in a few seconds, prints "not a measurement" and emits no rates;
+# results land in benchmark/out/ (CI uploads results-seed1.json). Its unit
+# tests cover the statistics, span and generator code.
+stage "benchmark smoke (output checks, not a measurement)" \
+  bash benchmark/run.sh run --smoke
+stage "benchmark unit tests" \
+  cargo test --release -q --manifest-path benchmark/Cargo.toml
 
 echo "verify: OK"
