@@ -2,10 +2,8 @@
 //! GDB server — the workloads the rest of the suite measures, packaged
 //! behind one name-based registry.
 //!
-//! Three of the four platforms used to live next to their experiments
-//! (`mpsoc-bench`); they are built here now so the `mpsoc-test` runner and
-//! `mpsoc-gdb` server can load them without dragging the benchmark suite
-//! in, and `mpsoc-bench` re-exports them so its callers are unaffected:
+//! Built here so the `mpsoc-test` runner, the `mpsoc-gdb` server, the
+//! experiments and the integration tests all load the same platforms:
 //!
 //! * [`build_car_radio`] — control-dominated dual-tuner audio chain,
 //!   4 heterogeneous cores, 48 peripherals (Section II's VP extreme).

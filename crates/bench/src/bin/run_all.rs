@@ -1,8 +1,5 @@
-//! Regenerates every experiment of EXPERIMENTS.md in order.
-//!
-//! With `--smoke`, additionally runs the simulator fast-path benchmark in
-//! its seconds-scale smoke profile (writing `target/BENCH_simulator.json`)
-//! so CI exercises the whole suite end to end.
+//! Regenerates every experiment of EXPERIMENTS.md in order (`--smoke`
+//! shrinks the E13 sweep to its CI size).
 use mpsoc_bench::experiments as e;
 
 fn main() {
@@ -25,11 +22,4 @@ fn main() {
     let e13 = e::e13_joint_dse(smoke);
     println!("{e13}");
     std::fs::write("target/E13_joint_dse.json", e13.to_json()).expect("writes Pareto artifact");
-    if smoke {
-        let report = mpsoc_bench::sim_fastpath::run(&mpsoc_bench::sim_fastpath::Config::smoke());
-        print!("{report}");
-        std::fs::write("target/BENCH_simulator.json", report.to_json())
-            .expect("writes benchmark report");
-        println!("wrote target/BENCH_simulator.json");
-    }
 }

@@ -11,4 +11,3 @@
 
 pub mod experiments;
 pub mod microbench;
-pub mod sim_fastpath;

@@ -228,37 +228,6 @@ pub fn calibrate_task_work(
     Ok(calibrated)
 }
 
-/// [`explore_parallel`] over a calibration-re-costed model (see
-/// [`calibrate_task_work`]): per-task work estimates come from measurements
-/// taken on a platform at the region of interest. Passing a captured
-/// snapshot as `prefix` ([`PrefixSource::Warm`]) skips re-simulating the
-/// prefix — the snapshot warm start — while returning an [`Exploration`]
-/// bit-identical to the cold path at every `threads` value.
-///
-/// # Errors
-///
-/// As [`calibrate_task_work`] and [`explore_parallel`].
-///
-/// [`PrefixSource::Warm`]: mpsoc_platform::PrefixSource::Warm
-pub fn explore_parallel_profiled(
-    model: &CicModel,
-    deadline_cycles: u64,
-    max_cores: usize,
-    max_workers: usize,
-    threads: usize,
-    prefix: &mpsoc_platform::PrefixSource<'_>,
-    profile_addr: u32,
-) -> Result<Exploration> {
-    let calibrated = calibrate_task_work(model, prefix, profile_addr)?;
-    explore_parallel(
-        &calibrated,
-        deadline_cycles,
-        max_cores,
-        max_workers,
-        threads,
-    )
-}
-
 /// Maps and translates the model onto one candidate architecture.
 fn evaluate_candidate(
     model: &CicModel,
@@ -414,11 +383,11 @@ mod tests {
             vec![300, 500, 150]
         );
         // Warm equals cold, bit for bit, at every thread count.
+        let cold_m = calibrate_task_work(&m, &cold, 0x100).unwrap();
         for deadline in [600u64, 1_000, 2_000] {
-            let reference = explore_parallel_profiled(&m, deadline, 4, 4, 1, &cold, 0x100).unwrap();
+            let reference = explore_parallel(&cold_m, deadline, 4, 4, 1).unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let warm_e =
-                    explore_parallel_profiled(&m, deadline, 4, 4, threads, &warm, 0x100).unwrap();
+                let warm_e = explore_parallel(&calibrated, deadline, 4, 4, threads).unwrap();
                 assert_eq!(reference, warm_e, "deadline {deadline}, {threads} threads");
             }
         }

@@ -54,9 +54,7 @@ pub use crate::selftimed::{
     run_self_timed, run_self_timed_observed, SelfTimedConfig, SelfTimedResult, TimeModel,
     VaryingTimes, WcetTimes,
 };
-pub use crate::sizing::{
-    minimal_capacities_profiled, minimal_capacities_sweep, profile_actor_wcets,
-};
+pub use crate::sizing::{minimal_capacities_sweep, profile_actor_wcets};
 pub use crate::ttrigger::{
     run_time_triggered, time_triggered_experiment, StaticSchedule, TimeTriggeredResult,
 };

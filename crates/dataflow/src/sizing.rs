@@ -10,10 +10,10 @@
 //! already relies on), the result is identical to the serial search at any
 //! thread count.
 //!
-//! The profiled variants re-cost actor WCETs from profile counters measured
-//! on a simulated platform, positioned via an [`mpsoc_explore::Prefix`] —
-//! cold (re-simulate the prefix) or warm (restore a snapshot), with
-//! bit-identical results either way.
+//! [`profile_actor_wcets`] re-costs actor WCETs from profile counters
+//! measured on a simulated platform, positioned via an
+//! [`mpsoc_explore::Prefix`] — cold (re-simulate the prefix) or warm
+//! (restore a snapshot), with bit-identical results either way.
 
 use crate::buffer::{is_wait_free, required_capacities};
 use crate::error::{Error, Result};
@@ -125,25 +125,6 @@ pub fn profile_actor_wcets(graph: &Graph, prefix: &Prefix<'_>, profile_addr: u32
         }
     }
     Ok(profiled)
-}
-
-/// [`minimal_capacities_sweep`] over a profile-re-costed graph (see
-/// [`profile_actor_wcets`]): the snapshot warm-started buffer-sizing
-/// search.
-///
-/// # Errors
-///
-/// As [`profile_actor_wcets`] and [`minimal_capacities_sweep`].
-pub fn minimal_capacities_profiled(
-    graph: &Graph,
-    prefix: &Prefix<'_>,
-    profile_addr: u32,
-    iterations: u64,
-    threads: usize,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Vec<u32>> {
-    let profiled = profile_actor_wcets(graph, prefix, profile_addr)?;
-    minimal_capacities_sweep(&profiled, iterations, threads, metrics)
 }
 
 #[cfg(test)]

@@ -59,8 +59,7 @@ pub use crate::anno::{take_annotations, Annotations};
 pub use crate::arch::{ArchModel, Pe, PeClass};
 pub use crate::error::{Error, Result};
 pub use crate::mapping::{
-    anneal, anneal_multi, anneal_multi_profiled, evaluate, list_schedule, profile_task_costs,
-    Mapping, Slot,
+    anneal, anneal_multi, evaluate, list_schedule, profile_task_costs, Mapping, Slot,
 };
 pub use crate::mvp::{simulate_mvp, MvpApp, MvpResult, RtClass};
 pub use crate::taskgraph::{coarsen, extract_task_graph, Task, TaskEdge, TaskGraph};

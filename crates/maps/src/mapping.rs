@@ -329,34 +329,6 @@ pub fn profile_task_costs(
     Ok(profiled)
 }
 
-/// [`anneal_multi`] over a profile-re-costed graph (see
-/// [`profile_task_costs`]): the exploration's cost model comes from
-/// measurements taken on a platform at the region of interest instead of
-/// static estimates. Passing a captured snapshot as `prefix`
-/// ([`PrefixSource::Warm`]) skips re-simulating the prefix entirely — the
-/// snapshot warm start — while returning a mapping bit-identical to the
-/// cold path at every `threads` value.
-///
-/// # Errors
-///
-/// As [`profile_task_costs`] and [`anneal_multi`].
-///
-/// [`PrefixSource::Warm`]: mpsoc_platform::PrefixSource::Warm
-#[allow(clippy::too_many_arguments)]
-pub fn anneal_multi_profiled(
-    graph: &TaskGraph,
-    arch: &ArchModel,
-    seed: u64,
-    iters: u64,
-    starts: usize,
-    threads: usize,
-    prefix: &mpsoc_platform::PrefixSource<'_>,
-    profile_addr: u32,
-) -> Result<Mapping> {
-    let profiled = profile_task_costs(graph, prefix, profile_addr)?;
-    anneal_multi(&profiled, arch, seed, iters, starts, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,10 +497,10 @@ mod tests {
             vec![55, 40, 90, 15]
         );
         // ...and warm equals cold, bit for bit, at every thread count.
-        let reference = anneal_multi_profiled(&g, &arch, 7, 200, 6, 1, &cold, 0x100).unwrap();
+        let cold_g = profile_task_costs(&g, &cold, 0x100).unwrap();
+        let reference = anneal_multi(&cold_g, &arch, 7, 200, 6, 1).unwrap();
         for threads in [1, 2, 4, 8] {
-            let warm_m =
-                anneal_multi_profiled(&g, &arch, 7, 200, 6, threads, &warm, 0x100).unwrap();
+            let warm_m = anneal_multi(&profiled, &arch, 7, 200, 6, threads).unwrap();
             assert_eq!(
                 reference, warm_m,
                 "warm start at {threads} threads must match the cold reference"

@@ -214,8 +214,7 @@ impl Default for InterconnectConfig {
 /// Both produce bit-identical simulations — the linear scan is kept as the
 /// executable specification of the tie-break order (cores before
 /// peripherals before DMA, lower ids first) and serves as the oracle in the
-/// scheduler-equivalence tests and as the pre-optimization baseline in the
-/// `sim_fastpath` benchmarks.
+/// scheduler-equivalence tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// O(log n) event calendar: a binary heap of ready times with lazy
@@ -1057,12 +1056,6 @@ impl Platform {
         std::collections::binary_heap::PeekMut::pop(top);
     }
 
-    /// The time of the next pending event (the ready time of whatever
-    /// [`step`](Platform::step) would run), if any work remains.
-    pub fn next_event_time(&mut self) -> Option<Time> {
-        self.peek_decision().map(|(t, _)| t)
-    }
-
     /// Advances the simulation by one atomic step (one instruction, one
     /// peripheral event, or one DMA completion — whichever is earliest).
     ///
@@ -1080,12 +1073,9 @@ impl Platform {
         self.step_observed(None)
     }
 
-    /// [`step`](Platform::step) with an optional event sink: structured
-    /// events (instruction retirements per core, IRQ deliveries, peripheral
-    /// events, DMA completions) are emitted under category `"platform"`,
-    /// timestamped in nanoseconds of simulated time. Passing `None` is
-    /// exactly [`step`](Platform::step).
-    pub fn step_observed(&mut self, mut sink: Option<&mut dyn EventSink>) -> Result<StepEvent> {
+    /// [`step`](Platform::step) with an optional event sink (see
+    /// [`run_until_with`](Platform::run_until_with)).
+    fn step_observed(&mut self, mut sink: Option<&mut dyn EventSink>) -> Result<StepEvent> {
         self.steps += 1;
         let Some((t, actor)) = self.peek_decision() else {
             return Ok(StepEvent {
@@ -1733,47 +1723,14 @@ impl Platform {
     // -- run helpers --------------------------------------------------------
 
     /// Steps until `deadline` (exclusive), all work completes, or a fault.
+    /// `visit` is called with each step's event, whose buffers are then
+    /// recycled internally — the steady-state loop performs no allocation
+    /// at all. Returns the number of steps executed.
     ///
-    /// Returns the events executed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first fault.
-    pub fn run_until(&mut self, deadline: Time) -> Result<Vec<StepEvent>> {
-        self.run_until_observed(deadline, None)
-    }
-
-    /// [`run_until`](Platform::run_until) with an optional event sink (see
-    /// [`step_observed`](Platform::step_observed)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first fault.
-    pub fn run_until_observed(
-        &mut self,
-        deadline: Time,
-        mut sink: Option<&mut dyn EventSink>,
-    ) -> Result<Vec<StepEvent>> {
-        let mut events = Vec::new();
-        // One scheduler decision per step: the peek that checks the
-        // deadline is the same decision the step executes.
-        while let Some((t, actor)) = self.peek_decision() {
-            if t >= deadline {
-                break;
-            }
-            self.steps += 1;
-            let ev = self.exec_actor(t, actor)?;
-            self.observe_step(&ev, mpsoc_obs::event::reborrow_sink(&mut sink));
-            events.push(ev);
-        }
-        self.now = self.now.max(deadline);
-        Ok(events)
-    }
-
-    /// Streaming variant of [`run_until`](Platform::run_until): `visit` is
-    /// called with each step's event, whose buffers are then recycled
-    /// internally — the steady-state loop performs no allocation at all.
-    /// Returns the number of steps executed.
+    /// With a `sink`, structured events (instruction retirements per core,
+    /// IRQ deliveries, peripheral events, DMA completions) are emitted
+    /// under category `"platform"`, timestamped in nanoseconds of simulated
+    /// time.
     ///
     /// # Errors
     ///
@@ -1811,7 +1768,7 @@ impl Platform {
     }
 
     /// [`run_to_completion`](Platform::run_to_completion) with an optional
-    /// event sink (see [`step_observed`](Platform::step_observed)).
+    /// event sink (see [`run_until_with`](Platform::run_until_with)).
     ///
     /// # Errors
     ///
@@ -2048,7 +2005,7 @@ mod tests {
         let isr = prog.label("isr").unwrap();
         p.load_program(0, prog, 0).unwrap();
         p.core_mut(0).unwrap().set_irq_vector(Some(isr));
-        p.run_until(Time::from_us(3)).unwrap();
+        p.run_until_with(Time::from_us(3), None, |_| {}).unwrap();
         let ticks = p.debug_read(0x30).unwrap();
         assert!(ticks >= 4, "expected >=4 timer ticks, got {ticks}");
     }

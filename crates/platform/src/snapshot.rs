@@ -476,7 +476,7 @@ fn save_dirty_pages(ram: &Ram, base: &[Word], compress: bool, w: &mut Writer) {
         // Adaptive encoding: cost the run list first (4 B per token, 8 B
         // per literal word) and fall back to one raw literal run whenever
         // RLE would not be strictly smaller — so no page ever encodes
-        // larger than its raw form (asserted by the bench suite).
+        // larger than its raw form (asserted in `tests/delta_roundtrip.rs`).
         let mut runs: Vec<(usize, usize, bool)> = Vec::new();
         let mut rle_cost = 0usize;
         let mut i = 0;

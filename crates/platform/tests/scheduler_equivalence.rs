@@ -174,8 +174,11 @@ fn calendar_matches_scan_reference_on_random_workloads() {
         let mut cal = build(&spec, SchedulerMode::Calendar);
         let mut scan = build(&spec, SchedulerMode::ScanReference);
         let deadline = Time::from_us(40);
-        let ev_cal = cal.run_until(deadline).expect("calendar run succeeds");
-        let ev_scan = scan.run_until(deadline).expect("scan run succeeds");
+        let (mut ev_cal, mut ev_scan) = (Vec::new(), Vec::new());
+        cal.run_until_with(deadline, None, |ev| ev_cal.push(ev.clone()))
+            .expect("calendar run succeeds");
+        scan.run_until_with(deadline, None, |ev| ev_scan.push(ev.clone()))
+            .expect("scan run succeeds");
         assert_eq!(
             ev_cal.len(),
             ev_scan.len(),

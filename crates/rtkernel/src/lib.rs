@@ -51,7 +51,6 @@ pub use crate::admission::{AdmissionConfig, AdmissionController};
 pub use crate::error::{Error, Result};
 pub use crate::sched::{simulate, Policy, SimConfig, SimResult};
 pub use crate::sweep::{
-    policy_grid, profile_workload, sweep_policies, sweep_policies_profiled, PolicyCandidate,
-    PolicySweep,
+    policy_grid, profile_workload, sweep_policies, PolicyCandidate, PolicySweep,
 };
 pub use crate::task::{TaskId, TaskSpec, Workload};

@@ -149,25 +149,6 @@ pub fn profile_workload(
     Ok(profiled)
 }
 
-/// [`sweep_policies`] over a profile-re-costed workload (see
-/// [`profile_workload`]): the snapshot warm-started policy sweep.
-///
-/// # Errors
-///
-/// As [`profile_workload`] and [`sweep_policies`].
-pub fn sweep_policies_profiled(
-    workload: &Workload,
-    base: &SimConfig,
-    boosts: &[f64],
-    threads: usize,
-    prefix: &Prefix<'_>,
-    profile_addr: u32,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<PolicySweep> {
-    let profiled = profile_workload(workload, prefix, profile_addr)?;
-    sweep_policies(&profiled, base, boosts, threads, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

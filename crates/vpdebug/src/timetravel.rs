@@ -636,6 +636,28 @@ mod tests {
         // checkpoint at or before it — including the base.
         assert!(dbg.rewind_to_step(1).unwrap());
         assert_eq!(dbg.platform().steps(), 1);
+
+        // What XOR+RLE delta pages buy: under one budget sized to evict
+        // about half the raw (whole-page) deltas, the compressed encoding
+        // retains strictly more checkpoints.
+        let ring = |compress: bool, budget: usize| {
+            let mut dbg = debugger();
+            dbg.platform_mut().set_delta_compression(compress);
+            dbg.enable_time_travel_bytes(3, budget).unwrap();
+            for _ in 0..120 {
+                dbg.step().unwrap();
+            }
+            dbg
+        };
+        let raw_total = ring(false, usize::MAX).ring_bytes();
+        let budget = base_bytes + (raw_total - base_bytes) / 2;
+        let raw_kept = ring(false, budget).checkpoint_steps().len();
+        let compressed_kept = ring(true, budget).checkpoint_steps().len();
+        assert!(
+            compressed_kept > raw_kept,
+            "compressed deltas must fit more checkpoints in {budget}B \
+             (raw {raw_kept} vs compressed {compressed_kept})"
+        );
     }
 
     #[test]

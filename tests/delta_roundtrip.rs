@@ -12,9 +12,9 @@
 //! thread count, and the delta fault campaign must equal the full-image
 //! campaign verdict for verdict.
 
-use mpsoc_bench::sim_fastpath::{build_car_radio, build_jpeg};
-use mpsoc_suite::cic::explore::{calibrate_task_work, explore_parallel_profiled};
-use mpsoc_suite::maps::mapping::{anneal_multi_profiled, profile_task_costs};
+use mpsoc_suite::apps::testbed::{build_car_radio, build_jpeg};
+use mpsoc_suite::cic::explore::{calibrate_task_work, explore_parallel};
+use mpsoc_suite::maps::mapping::{anneal_multi, profile_task_costs};
 use mpsoc_suite::obs::rng::XorShift64Star;
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{
@@ -85,6 +85,27 @@ fn delta_restore_is_bit_identical_for_random_run_lengths() {
             run_steps(&mut p, 400);
             let mut base =
                 BaseImage::new(p.capture().expect("base captures")).expect("base decodes");
+            // What makes the delta path worth having: a representative
+            // working set costs at most a quarter of the full image, and
+            // the adaptive page encoder (raw literal run whenever XOR+RLE
+            // would not win) never encodes larger than raw pages.
+            run_steps(&mut p, 256);
+            let delta = p.capture_delta().expect("delta captures");
+            p.set_delta_compression(false);
+            let raw = p.capture_delta().expect("raw delta captures");
+            p.set_delta_compression(true);
+            assert!(
+                delta.len() * 4 <= base.image().len(),
+                "delta {}B exceeds 25% of the full image {}B",
+                delta.len(),
+                base.image().len()
+            );
+            assert!(
+                delta.len() <= raw.len(),
+                "adaptive delta {}B encodes larger than raw {}B",
+                delta.len(),
+                raw.len()
+            );
             for _ in 0..3 {
                 run_steps(&mut p, rng.u64_in(1, 300));
                 assert_delta_equals_full(&mut p, &base, 400);
@@ -272,20 +293,15 @@ fn warm_started_dse_matches_cold_at_every_thread_count() {
             .collect(),
     };
     let arch = mpsoc_suite::maps::arch::ArchModel::homogeneous(3);
+    let warm_graph = profile_task_costs(&graph, &warm, 0x100).expect("warm profile reads");
     assert_eq!(
-        profile_task_costs(&graph, &warm, 0x100)
-            .expect("warm profile reads")
-            .tasks
-            .iter()
-            .map(|t| t.cost)
-            .collect::<Vec<_>>(),
+        warm_graph.tasks.iter().map(|t| t.cost).collect::<Vec<_>>(),
         vec![310, 520, 140, 60]
     );
-    let cold_map =
-        anneal_multi_profiled(&graph, &arch, 7, 300, 6, 1, &cold, 0x100).expect("cold anneal");
+    let cold_graph = profile_task_costs(&graph, &cold, 0x100).expect("cold profile reads");
+    let cold_map = anneal_multi(&cold_graph, &arch, 7, 300, 6, 1).expect("cold anneal");
     for threads in [1, 2, 4, 8] {
-        let warm_map = anneal_multi_profiled(&graph, &arch, 7, 300, 6, threads, &warm, 0x100)
-            .expect("warm anneal");
+        let warm_map = anneal_multi(&warm_graph, &arch, 7, 300, 6, threads).expect("warm anneal");
         assert_eq!(cold_map, warm_map, "anneal diverged at {threads} threads");
     }
 
@@ -315,20 +331,15 @@ fn warm_started_dse_matches_cold_at_every_thread_count() {
         vec![chan("a", 0, 1), chan("b", 1, 2)],
     )
     .expect("cic model builds");
+    let warm_model = calibrate_task_work(&model, &warm, 0x100).expect("warm calibration reads");
     assert_eq!(
-        calibrate_task_work(&model, &warm, 0x100)
-            .expect("warm calibration reads")
-            .tasks
-            .iter()
-            .map(|t| t.work)
-            .collect::<Vec<_>>(),
+        warm_model.tasks.iter().map(|t| t.work).collect::<Vec<_>>(),
         vec![310, 520, 140]
     );
-    let cold_e =
-        explore_parallel_profiled(&model, 1_200, 4, 4, 1, &cold, 0x100).expect("cold explore");
+    let cold_model = calibrate_task_work(&model, &cold, 0x100).expect("cold calibration reads");
+    let cold_e = explore_parallel(&cold_model, 1_200, 4, 4, 1).expect("cold explore");
     for threads in [1, 2, 4, 8] {
-        let warm_e = explore_parallel_profiled(&model, 1_200, 4, 4, threads, &warm, 0x100)
-            .expect("warm explore");
+        let warm_e = explore_parallel(&warm_model, 1_200, 4, 4, threads).expect("warm explore");
         assert_eq!(cold_e, warm_e, "explore diverged at {threads} threads");
     }
 }

@@ -11,7 +11,8 @@
 //! change to the engine's seed splitting, chunking, or merge order cannot
 //! silently de-synchronise one layer from the others.
 
-use mpsoc_suite::explore::Prefix;
+use mpsoc_suite::explore::{Prefix, PREFIX_STEPS_COUNTER, WARM_HITS_COUNTER};
+use mpsoc_suite::obs::MetricsRegistry;
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{Platform, PlatformBuilder};
 use mpsoc_suite::platform::time::Frequency;
@@ -55,6 +56,14 @@ fn warm_image(build: &dyn Fn() -> mpsoc_suite::platform::Result<Platform>, steps
     p.capture().unwrap()
 }
 
+/// The engine's own counters must prove what each prefix did: the cold one
+/// re-simulated its `steps`, the warm one restored and simulated nothing.
+fn assert_prefix_counters(cold: &MetricsRegistry, warm: &MetricsRegistry, steps: u64) {
+    assert!(cold.counter(PREFIX_STEPS_COUNTER).get() >= steps);
+    assert_eq!(warm.counter(PREFIX_STEPS_COUNTER).get(), 0);
+    assert!(warm.counter(WARM_HITS_COUNTER).get() > 0);
+}
+
 // ---------------------------------------------------------------------------
 // maps: multi-start annealing
 // ---------------------------------------------------------------------------
@@ -62,7 +71,7 @@ fn warm_image(build: &dyn Fn() -> mpsoc_suite::platform::Result<Platform>, steps
 mod maps_flow {
     use super::*;
     use mpsoc_suite::maps::arch::ArchModel;
-    use mpsoc_suite::maps::mapping::{anneal_multi, anneal_multi_profiled};
+    use mpsoc_suite::maps::mapping::{anneal_multi, profile_task_costs};
     use mpsoc_suite::maps::taskgraph::{Task, TaskEdge, TaskGraph};
 
     fn diamond(costs: [u64; 4]) -> TaskGraph {
@@ -110,9 +119,11 @@ mod maps_flow {
         let warm = PrefixSource::Warm { image: &image };
         let g = diamond([37, 91, 64, 22]);
         let arch = ArchModel::homogeneous(3);
-        let reference = anneal_multi_profiled(&g, &arch, 7, 200, 6, 1, &cold, 0x100).unwrap();
+        let cold_g = profile_task_costs(&g, &cold, 0x100).unwrap();
+        let warm_g = profile_task_costs(&g, &warm, 0x100).unwrap();
+        let reference = anneal_multi(&cold_g, &arch, 7, 200, 6, 1).unwrap();
         for threads in THREADS {
-            let m = anneal_multi_profiled(&g, &arch, 7, 200, 6, threads, &warm, 0x100).unwrap();
+            let m = anneal_multi(&warm_g, &arch, 7, 200, 6, threads).unwrap();
             assert_eq!(m, reference, "maps warm start at {threads} threads");
         }
     }
@@ -124,9 +135,7 @@ mod maps_flow {
 
 mod cic_flow {
     use super::*;
-    use mpsoc_suite::cic::{
-        explore_parallel, explore_parallel_profiled, CicChannel, CicModel, CicTask,
-    };
+    use mpsoc_suite::cic::{calibrate_task_work, explore_parallel, CicChannel, CicModel, CicTask};
 
     fn model() -> CicModel {
         let unit = mpsoc_suite::minic::parse(
@@ -180,9 +189,11 @@ mod cic_flow {
         };
         let warm = PrefixSource::Warm { image: &image };
         let m = model();
-        let reference = explore_parallel_profiled(&m, 1_200, 4, 4, 1, &cold, 0x100).unwrap();
+        let cold_m = calibrate_task_work(&m, &cold, 0x100).unwrap();
+        let warm_m = calibrate_task_work(&m, &warm, 0x100).unwrap();
+        let reference = explore_parallel(&cold_m, 1_200, 4, 4, 1).unwrap();
         for threads in THREADS {
-            let e = explore_parallel_profiled(&m, 1_200, 4, 4, threads, &warm, 0x100).unwrap();
+            let e = explore_parallel(&warm_m, 1_200, 4, 4, threads).unwrap();
             assert_eq!(e, reference, "cic warm start at {threads} threads");
         }
     }
@@ -196,7 +207,7 @@ mod rtkernel_flow {
     use super::*;
     use mpsoc_suite::rtkernel::sched::{Policy, SimConfig};
     use mpsoc_suite::rtkernel::task::{TaskSpec, Workload};
-    use mpsoc_suite::rtkernel::{sweep_policies, sweep_policies_profiled};
+    use mpsoc_suite::rtkernel::{profile_workload, sweep_policies};
 
     fn workload() -> Workload {
         let mut w = Workload::new();
@@ -237,17 +248,20 @@ mod rtkernel_flow {
             steps,
         };
         let warm_src = PrefixSource::Warm { image: &image };
-        let cold = Prefix::source(&cold_src);
-        let warm = Prefix::source(&warm_src);
+        let (cold_reg, warm_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let cold = Prefix::source(&cold_src).metrics(&cold_reg);
+        let warm = Prefix::source(&warm_src).metrics(&warm_reg);
         let w = workload();
         let cfg = base_cfg();
         let boosts = [1.2, 1.5];
-        let reference = sweep_policies_profiled(&w, &cfg, &boosts, 1, &cold, 0x100, None).unwrap();
+        let cold_w = profile_workload(&w, &cold, 0x100).unwrap();
+        let warm_w = profile_workload(&w, &warm, 0x100).unwrap();
+        let reference = sweep_policies(&cold_w, &cfg, &boosts, 1, None).unwrap();
         for threads in THREADS {
-            let s =
-                sweep_policies_profiled(&w, &cfg, &boosts, threads, &warm, 0x100, None).unwrap();
+            let s = sweep_policies(&warm_w, &cfg, &boosts, threads, None).unwrap();
             assert_eq!(s, reference, "rtkernel warm start at {threads} threads");
         }
+        assert_prefix_counters(&cold_reg, &warm_reg, steps);
     }
 }
 
@@ -259,7 +273,7 @@ mod dataflow_flow {
     use super::*;
     use mpsoc_suite::dataflow::buffer::minimal_capacities;
     use mpsoc_suite::dataflow::graph::{ActorKind, Graph};
-    use mpsoc_suite::dataflow::{minimal_capacities_profiled, minimal_capacities_sweep};
+    use mpsoc_suite::dataflow::{minimal_capacities_sweep, profile_actor_wcets};
 
     fn batching(cons: u32) -> Graph {
         let mut g = Graph::new();
@@ -302,14 +316,18 @@ mod dataflow_flow {
             steps,
         };
         let warm_src = PrefixSource::Warm { image: &image };
-        let cold = Prefix::source(&cold_src);
-        let warm = Prefix::source(&warm_src);
+        let (cold_reg, warm_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let cold = Prefix::source(&cold_src).metrics(&cold_reg);
+        let warm = Prefix::source(&warm_src).metrics(&warm_reg);
         let g = batching(3);
-        let reference = minimal_capacities_profiled(&g, &cold, 0x100, 20, 1, None).unwrap();
+        let cold_g = profile_actor_wcets(&g, &cold, 0x100).unwrap();
+        let warm_g = profile_actor_wcets(&g, &warm, 0x100).unwrap();
+        let reference = minimal_capacities_sweep(&cold_g, 20, 1, None).unwrap();
         for threads in THREADS {
-            let caps = minimal_capacities_profiled(&g, &warm, 0x100, 20, threads, None).unwrap();
+            let caps = minimal_capacities_sweep(&warm_g, 20, threads, None).unwrap();
             assert_eq!(caps, reference, "dataflow warm start at {threads} threads");
         }
+        assert_prefix_counters(&cold_reg, &warm_reg, steps);
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! [`snapshot`]: mpsoc_suite::platform::snapshot
 
-use mpsoc_bench::sim_fastpath::{build_car_radio, build_jpeg};
+use mpsoc_suite::apps::testbed::{build_car_radio, build_jpeg};
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{
     InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,

@@ -11,8 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpsoc_bench::sim_fastpath::build_car_radio;
-use mpsoc_suite::apps::testbed::build_e12;
+use mpsoc_suite::apps::testbed::{build_car_radio, build_e12};
 use mpsoc_suite::obs::rng::XorShift64Star;
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{Platform, PlatformBuilder, SchedulerMode, StepKind};
@@ -118,6 +117,7 @@ fn bounded_store_is_invisible_on_car_radio() {
     let mut bounded = build(TraceMode::default());
     let mut oracle = build(TraceMode::Unbounded);
 
+    let mut first_round_bytes = 0;
     for round in 0..40 {
         let a = bounded.run(500).expect("bounded run");
         let b = oracle.run(500).expect("oracle run");
@@ -127,6 +127,10 @@ fn bounded_store_is_invisible_on_car_radio() {
             oracle.platform().state_checksum(),
             "round {round}: state checksums diverged"
         );
+        if round == 0 {
+            let img = bounded.platform_mut().capture().expect("bounded captures");
+            first_round_bytes = img.len();
+        }
         if matches!(a, Stop::Finished) {
             break;
         }
@@ -141,6 +145,13 @@ fn bounded_store_is_invisible_on_car_radio() {
     assert_eq!(
         img_b, img_o,
         "images must be byte-identical: history is checkpoint-excluded in both modes"
+    );
+    // Images are O(platform): 40x the history, retired through the ring
+    // rather than serialized, must not grow the image.
+    assert!(
+        img_b.len() <= 2 * first_round_bytes,
+        "image grew with history: {first_round_bytes}B after one round, {}B after all",
+        img_b.len()
     );
 }
 
