@@ -823,11 +823,13 @@ use mpsoc_apps::testbed::build_e12 as e12_platform;
 
 /// Runs E12: checkpoint the fault-target platform mid-flight (DMA transfer
 /// in progress, computation under way), sweep a 240-fault campaign at 1, 2
-/// and 4 worker threads, and require the verdict tables to be
-/// bit-identical.
+/// and 4 worker threads through `run_campaign_delta` — the runner the
+/// layered benchmark measures — and require the verdict tables to be
+/// bit-identical, to each other and to one single-thread pass of the
+/// full-restore oracle `run_campaign`.
 pub fn e12_faults() -> E12Faults {
     use mpsoc_vpdebug::campaign::{
-        generate_faults, run_campaign, CampaignConfig, FaultSpace, Verdict,
+        generate_faults, run_campaign, run_campaign_delta, CampaignConfig, FaultSpace, Verdict,
     };
 
     let (mut p, timer, mb, dma) = e12_platform();
@@ -860,9 +862,15 @@ pub fn e12_faults() -> E12Faults {
         detect_addr: 0x210,
         threads,
     };
-    let t1 = run_campaign(&image, &faults, cfg(1), None).expect("campaign runs");
-    let t2 = run_campaign(&image, &faults, cfg(2), None).expect("campaign runs");
-    let t4 = run_campaign(&image, &faults, cfg(4), None).expect("campaign runs");
+    let sweep =
+        |threads| run_campaign_delta(&image, &faults, cfg(threads), None).expect("campaign runs");
+    let (t1, t2, t4) = (sweep(1), sweep(2), sweep(4));
+    let oracle = run_campaign(&image, &faults, cfg(1), None).expect("oracle campaign runs");
+    assert_eq!(
+        t1.verdict_table(),
+        oracle.verdict_table(),
+        "reset_to_base rollback must classify exactly like a full restore per trial"
+    );
     let thread_invariant =
         t1.verdict_table() == t2.verdict_table() && t1.verdict_table() == t4.verdict_table();
 

@@ -265,8 +265,10 @@ impl<'a> Prefix<'a> {
         }
     }
 
-    /// A prefix backed by a decoded [`BaseImage`], rewound in place via
-    /// [`Platform::reset_to_base`] (the O(dirty-state) delta fast path).
+    /// A prefix backed by a decoded [`BaseImage`]: platforms are hydrated
+    /// from it ([`BaseImage::hydrate`]) and rewound in place via
+    /// [`Platform::reset_to_base`] (the O(dirty-state) delta fast path) —
+    /// neither hashes or re-decodes the image the base validated.
     #[must_use]
     pub fn base(base: &'a BaseImage) -> Self {
         Prefix {
@@ -312,7 +314,7 @@ impl<'a> Prefix<'a> {
                 Ok(p)
             }
             PrefixKind::Base(base) => {
-                let p = Platform::from_image(base.image())?;
+                let p = base.hydrate()?;
                 self.bump(WARM_HITS_COUNTER, 1);
                 Ok(p)
             }

@@ -136,6 +136,11 @@ impl Ram {
         }
     }
 
+    /// The words, given up by value (the dirty bitmap is dropped).
+    pub(crate) fn into_words(self) -> Vec<Word> {
+        self.words
+    }
+
     #[inline]
     fn mark_page(&mut self, page: usize) {
         self.dirty[page / 64] |= 1u64 << (page % 64);

@@ -47,6 +47,19 @@
 //!   platform still sits on the same base, by full copy otherwise.
 //! * [`Platform::reset_to_base`] is the degenerate delta (no dirty pages):
 //!   the fault-campaign rollback primitive.
+//!
+//! ## Where integrity is checked
+//!
+//! Bytes are hashed once, where they enter: [`BaseImage::new`],
+//! [`Platform::restore_image`] / [`Platform::from_image`] and
+//! [`Platform::restore_delta`] each verify the frame's FNV-1a checksum with
+//! a single pass over the payload and keep the verified value (a full
+//! image's checksum *is* its base mark); [`Platform::capture`] hashes its
+//! payload once, while sealing it. A [`BaseImage`] owns its validated bytes
+//! privately and immutably, so nothing downstream re-checks them:
+//! [`Platform::reset_to_base`] and [`BaseImage::hydrate`] decode the small
+//! state straight from that payload — every structural check of the decoder
+//! still runs — touch no clean RAM page and hash no image byte.
 
 use crate::cache::Cache;
 use crate::core::Core;
@@ -55,9 +68,9 @@ use crate::interconnect::{load_interconnect, Interconnect};
 use crate::isa::{Reg, Word};
 use crate::mem::{Ram, PAGE_WORDS};
 use crate::periph::{periph_from_kind, Peripheral};
-use crate::platform::{PendingDma, Platform, SchedulerMode};
+use crate::platform::{PendingDma, Platform, PlatformBuilder, SchedulerMode};
 use crate::signal::SignalBoard;
-use crate::time::Time;
+use crate::time::{Frequency, Time};
 use mpsoc_snapshot::{fnv1a64, fnv1a64_with, Image, Reader, SnapResult, Snapshot, Writer};
 
 /// Magic number of a platform checkpoint image (`b"MPSS"`, little-endian).
@@ -333,7 +346,8 @@ fn decode_image(payload: &[u8]) -> SnapResult<DecodedImage> {
 
 /// Decodes only the small (non-RAM) state of a full image payload, jumping
 /// over the RAM block recorded in `ram_range` — O(small state) regardless
-/// of memory size. Used by [`Platform::reset_to_base`].
+/// of memory size, and no hash: the payload is a [`BaseImage`]'s, validated
+/// when it was built. Used by [`Platform::reset_to_base`].
 fn decode_small(payload: &[u8], ram_range: (usize, usize)) -> SnapResult<SmallState> {
     let mut r = Reader::new(payload);
     let pre = decode_prefix(&mut r)?;
@@ -358,8 +372,11 @@ fn decode_small(payload: &[u8], ram_range: (usize, usize)) -> SnapResult<SmallSt
 /// (so the small state can be re-decoded without touching the RAM bytes).
 ///
 /// Construction validates the image exactly like
-/// [`Platform::restore_image`] would; a `BaseImage` is therefore always
-/// internally consistent.
+/// [`Platform::restore_image`] would — frame, checksum (the image's one
+/// hash), full decode — and the bytes are private and immutable afterwards;
+/// a `BaseImage` is therefore always internally consistent, and rollbacks
+/// ([`Platform::reset_to_base`]) and hydration ([`BaseImage::hydrate`])
+/// read it without re-validating.
 pub struct BaseImage {
     image: Vec<u8>,
     checksum: u64,
@@ -386,25 +403,41 @@ impl BaseImage {
     /// [`Error::Snapshot`] for anything [`Platform::restore_image`] would
     /// reject.
     pub fn new(image: Vec<u8>) -> Result<Self> {
-        let payload = Image::open_as(
+        let (payload, checksum) = Image::open_as(
             &image,
             PLATFORM_IMAGE_MAGIC,
             PLATFORM_IMAGE_VERSION,
             IMAGE_WHAT,
         )
         .map_err(snap_err)?;
-        let checksum = fnv1a64(payload);
         let d = decode_image(payload).map_err(snap_err)?;
-        let shared = d.shared.as_slice().to_vec();
-        let locals = d.locals.iter().map(|l| l.as_slice().to_vec()).collect();
-        let ram_range = d.ram_range;
         Ok(BaseImage {
             image,
             checksum,
-            shared,
-            locals,
-            ram_range,
+            shared: d.shared.into_words(),
+            locals: d.locals.into_iter().map(Ram::into_words).collect(),
+            ram_range: d.ram_range,
         })
+    }
+
+    /// A new platform in exactly this image's state — what
+    /// [`Platform::from_image`] gives for the same bytes, without hashing
+    /// or RAM-decoding them again: the small state is decoded from the
+    /// validated payload and RAM is copied from the decoded words. The
+    /// platform sits on this base, so its rollbacks take the in-place path.
+    ///
+    /// # Errors
+    ///
+    /// As [`Platform::reset_to_base`].
+    pub fn hydrate(&self) -> Result<Platform> {
+        let mut p = scaffold()?;
+        p.reset_to_base(self)?;
+        Ok(p)
+    }
+
+    /// The payload [`BaseImage::new`] validated.
+    fn payload(&self) -> &[u8] {
+        &self.image[Image::HEADER_LEN..]
     }
 
     /// The sealed full image these deltas are relative to.
@@ -433,6 +466,17 @@ impl BaseImage {
                 .zip(&self.locals)
                 .all(|(l, b)| l.len() as usize == b.len())
     }
+}
+
+/// Minimal throwaway platform for a restore to overwrite: every field is
+/// replaced by the image's.
+fn scaffold() -> Result<Platform> {
+    PlatformBuilder::new()
+        .cores(1, Frequency::mhz(1))
+        .shared_words(1)
+        .local_words(0)
+        .cache(None)
+        .build()
 }
 
 /// Word length of page `page` in a RAM of `total` words (the last page may
@@ -686,18 +730,18 @@ impl Platform {
         self.locals.save(&mut w);
         self.save_small_suffix(&mut w)?;
         w.put_u32(PAGE_WORDS as u32);
-        let payload = w.into_bytes();
-        self.base_mark = Some(fnv1a64(&payload));
+        let (image, checksum) = Image::seal_hashed(
+            PLATFORM_IMAGE_MAGIC,
+            PLATFORM_IMAGE_VERSION,
+            &w.into_bytes(),
+        );
+        self.base_mark = Some(checksum);
         self.shared.clear_dirty();
         for l in &mut self.locals {
             l.clear_dirty();
         }
         self.snapshot_base_words();
-        Ok(Image::seal(
-            PLATFORM_IMAGE_MAGIC,
-            PLATFORM_IMAGE_VERSION,
-            &payload,
-        ))
+        Ok(image)
     }
 
     /// The post-RAM ("suffix") component states: caches, interconnect,
@@ -779,7 +823,7 @@ impl Platform {
     /// Decodes and validates `delta` against `base` — everything that can
     /// fail, before anything is committed.
     fn decode_delta(base: &BaseImage, delta: &[u8]) -> Result<DecodedDelta> {
-        let payload = Image::open_as(
+        let (payload, _) = Image::open_as(
             delta,
             PLATFORM_DELTA_MAGIC,
             PLATFORM_DELTA_VERSION,
@@ -862,21 +906,18 @@ impl Platform {
     /// Rolls the platform back to `base` exactly — the degenerate delta
     /// with zero dirty pages, and the fault-campaign rollback primitive:
     /// O(small state + currently-dirty pages) when the platform is still on
-    /// this base, instead of decoding the full RAM block every trial.
+    /// this base — no clean page is touched, the RAM block is not decoded,
+    /// and no image byte is hashed: the payload was validated once, by
+    /// [`BaseImage::new`]. A platform on another base (or none) is rebuilt
+    /// from the base's decoded words by full copy.
     ///
     /// # Errors
     ///
-    /// [`Error::Snapshot`] if the base image fails re-validation (only
-    /// possible through memory corruption of the [`BaseImage`] itself).
+    /// [`Error::Snapshot`] if the small state fails to decode. The decoder
+    /// keeps every structural check, but [`BaseImage::new`] already decoded
+    /// these same private bytes, so this is not expected for any `base`.
     pub fn reset_to_base(&mut self, base: &BaseImage) -> Result<()> {
-        let payload = Image::open_as(
-            base.image(),
-            PLATFORM_IMAGE_MAGIC,
-            PLATFORM_IMAGE_VERSION,
-            IMAGE_WHAT,
-        )
-        .map_err(snap_err)?;
-        let small = decode_small(payload, base.ram_range).map_err(snap_err)?;
+        let small = decode_small(base.payload(), base.ram_range).map_err(snap_err)?;
         self.commit_small(small);
         self.commit_ram(base, &[], &[]);
         self.rebuild_calendar();
@@ -957,11 +998,12 @@ impl Platform {
     /// Enables or disables XOR + run-length compression of delta dirty
     /// pages (on by default).
     ///
-    /// Both settings produce valid v2 deltas that restore identically; off
-    /// writes each page as one literal run at the raw v1 cost. The knob
-    /// exists so the byte saving can be measured — the benches run the
-    /// time-travel ring both ways and assert compression fits strictly more
-    /// checkpoints into the same byte budget.
+    /// Both settings produce valid deltas that restore identically; off
+    /// writes each page as one literal run at the raw cost. The knob exists
+    /// so the byte saving can be measured — `checkpoint_ring_is_byte_bounded`
+    /// in `vpdebug/src/timetravel.rs` runs the time-travel ring both ways
+    /// and asserts compression fits strictly more checkpoints into the same
+    /// byte budget.
     pub fn set_delta_compression(&mut self, on: bool) {
         self.delta_compress = on;
     }
@@ -984,7 +1026,7 @@ impl Platform {
     /// [`Error::Snapshot`] for a corrupt, truncated, or version-mismatched
     /// image, or one referencing an unknown peripheral kind.
     pub fn restore_image(&mut self, image: &[u8]) -> Result<()> {
-        let payload = Image::open_as(
+        let (payload, checksum) = Image::open_as(
             image,
             PLATFORM_IMAGE_MAGIC,
             PLATFORM_IMAGE_VERSION,
@@ -995,7 +1037,7 @@ impl Platform {
         self.commit_small(d.small);
         self.shared = d.shared;
         self.locals = d.locals;
-        self.base_mark = Some(fnv1a64(payload));
+        self.base_mark = Some(checksum);
         self.snapshot_base_words();
         self.rebuild_calendar();
         Ok(())
@@ -1009,15 +1051,7 @@ impl Platform {
     ///
     /// [`Error::Snapshot`] as for [`restore_image`](Platform::restore_image).
     pub fn from_image(image: &[u8]) -> Result<Platform> {
-        use crate::platform::PlatformBuilder;
-        use crate::time::Frequency;
-        // Minimal throwaway scaffold; restore_image replaces every field.
-        let mut p = PlatformBuilder::new()
-            .cores(1, Frequency::mhz(1))
-            .shared_words(1)
-            .local_words(0)
-            .cache(None)
-            .build()?;
+        let mut p = scaffold()?;
         p.restore_image(image)?;
         Ok(p)
     }
@@ -1342,6 +1376,56 @@ mod tests {
             p.step().unwrap();
         }
         p.reset_to_base(&base).unwrap();
+        assert_eq!(p.state_checksum(), mark);
+    }
+
+    #[test]
+    fn nothing_unvalidated_becomes_a_base_image() {
+        // `reset_to_base` trusts a `BaseImage`'s bytes, so the constructor
+        // is the integrity boundary: any single corrupted byte — every
+        // header byte, a seeded sample of payload bytes — must stop there.
+        let mut p = counter_platform(SchedulerMode::Calendar);
+        for _ in 0..7 {
+            p.step().unwrap();
+        }
+        let image = p.capture().unwrap();
+        let header = mpsoc_snapshot::Image::HEADER_LEN;
+        let mut rng = mpsoc_obs::XorShift64Star::new(0xB0DE);
+        let sampled: Vec<usize> = (0..256)
+            .map(|_| rng.usize_in(header, image.len() - 1))
+            .collect();
+        for i in (0..header).chain(sampled) {
+            let mut bad = image.clone();
+            bad[i] ^= rng.u64_in(1, 255) as u8;
+            assert!(
+                super::BaseImage::new(bad).is_err(),
+                "byte {i} corrupted, image still accepted"
+            );
+        }
+
+        // The identity deltas chain against is the header's checksum field,
+        // which is the hash of the payload — computed once per boundary.
+        let base = super::BaseImage::new(image.clone()).unwrap();
+        let stored = u64::from_le_bytes(image[header - 8..header].try_into().unwrap());
+        assert_eq!(base.checksum(), stored);
+        assert_eq!(base.checksum(), mpsoc_snapshot::fnv1a64(&image[header..]));
+
+        // `capture` left the same value as the platform's base mark: the
+        // delta names it, and restores in place against the base.
+        for _ in 0..9 {
+            p.step().unwrap();
+        }
+        let mark = p.state_checksum();
+        let delta = p.capture_delta().unwrap();
+        let delta_payload = mpsoc_snapshot::Image::open(
+            &delta,
+            super::PLATFORM_DELTA_MAGIC,
+            super::PLATFORM_DELTA_VERSION,
+        )
+        .unwrap();
+        assert_eq!(delta_payload[..8], base.checksum().to_le_bytes());
+        p.step().unwrap();
+        p.restore_delta(&base, &delta).unwrap();
         assert_eq!(p.state_checksum(), mark);
     }
 

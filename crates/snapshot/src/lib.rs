@@ -187,13 +187,21 @@ impl Image {
     /// Wrap `payload` in a frame carrying `magic`, `version`, its length,
     /// and its FNV-1a 64 checksum.
     pub fn seal(magic: u32, version: u16, payload: &[u8]) -> Vec<u8> {
+        Self::seal_hashed(magic, version, payload).0
+    }
+
+    /// Like [`Image::seal`], also returning the payload checksum written
+    /// into the header — the one hash a seal costs, for owners that use it
+    /// as the image's identity.
+    pub fn seal_hashed(magic: u32, version: u16, payload: &[u8]) -> (Vec<u8>, u64) {
+        let checksum = fnv1a64(payload);
         let mut out = Vec::with_capacity(Self::HEADER_LEN + payload.len());
         out.extend_from_slice(&magic.to_le_bytes());
         out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(&checksum.to_le_bytes());
         out.extend_from_slice(payload);
-        out
+        (out, checksum)
     }
 
     /// Validate the frame of `image` (magic, version, length, checksum)
@@ -203,7 +211,7 @@ impl Image {
     /// owners of a format should prefer [`Image::open_as`] so the error
     /// names which decoder refused the stale image.
     pub fn open(image: &[u8], magic: u32, version: u16) -> SnapResult<&[u8]> {
-        Self::open_as(image, magic, version, "image")
+        Self::open_as(image, magic, version, "image").map(|(payload, _)| payload)
     }
 
     /// Like [`Image::open`], but a version mismatch carries `what` — the
@@ -211,12 +219,16 @@ impl Image {
     /// with `concat!("platform full image (", file!(), ")")`) — so stale
     /// images fail with a clearly located error instead of a silent
     /// misparse further into the payload.
+    ///
+    /// Returns the payload together with its checksum — the header field,
+    /// just verified against the one hash an open costs — so a caller that
+    /// keys on it never hashes the payload again.
     pub fn open_as<'a>(
         image: &'a [u8],
         magic: u32,
         version: u16,
         what: &'static str,
-    ) -> SnapResult<&'a [u8]> {
+    ) -> SnapResult<(&'a [u8], u64)> {
         let mut r = Reader::new(image);
         let found_magic = r.get_u32()?;
         if found_magic != magic {
@@ -241,7 +253,7 @@ impl Image {
         if stored != computed {
             return Err(SnapError::ChecksumMismatch { stored, computed });
         }
-        Ok(payload)
+        Ok((payload, computed))
     }
 }
 
@@ -289,6 +301,15 @@ mod tests {
         let payload = b"platform state bytes".to_vec();
         let image = Image::seal(MAGIC, 3, &payload);
         assert_eq!(Image::open(&image, MAGIC, 3).unwrap(), payload.as_slice());
+        // Both directions surface the one checksum the frame carries.
+        let (sealed, sum) = Image::seal_hashed(MAGIC, 3, &payload);
+        assert_eq!(sealed, image);
+        assert_eq!(sum, fnv1a64(&payload));
+        assert_eq!(sealed[14..22], sum.to_le_bytes());
+        assert_eq!(
+            Image::open_as(&image, MAGIC, 3, "test").unwrap(),
+            (payload.as_slice(), sum)
+        );
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //! run to a verdict, and classify the outcome. Rollback is free — the next
 //! trial just rehydrates the image again.
 //!
-//! [`run_campaign_delta`] is the fast path over the same contract: each
-//! worker hydrates **one** platform and rolls back between trials with
-//! [`Platform::reset_to_base`], which only rewrites the RAM pages the
-//! previous trial dirtied — O(dirty state) per trial instead of O(memory).
-//! Both runners produce bit-identical reports for the same inputs.
+//! [`run_campaign_delta`] is the fast path over the same contract: the
+//! image is validated — hashed and decoded — once per campaign, into a
+//! [`BaseImage`]; the golden run and each worker hydrate a platform from it
+//! ([`BaseImage::hydrate`]) and workers roll back between trials with
+//! [`Platform::reset_to_base`], which re-decodes the small component state,
+//! rewrites only the RAM pages the previous trial dirtied, and hashes
+//! nothing — O(dirty state) per trial instead of O(memory).
+//! Both runners produce bit-identical reports for the same inputs;
+//! [`run_campaign`] stays as the oracle the fast path is checked against.
+//!
+//! Either runner first checks that [`CampaignConfig::detect_addr`] and the
+//! output region are readable RAM on the hydrated platform
+//! ([`Error::CampaignAddress`] otherwise), so a mistyped address is an
+//! error, not a campaign that reports every fault undetected.
 //!
 //! Everything is deterministic by construction:
 //!
@@ -299,7 +308,7 @@ fn finish_trial(
     let (steps, clean) = run_budget(p, cfg.budget_steps);
     let verdict = if !clean {
         Verdict::Crash
-    } else if p.debug_read(cfg.detect_addr).unwrap_or(0) != 0 {
+    } else if p.debug_read(cfg.detect_addr).map_err(Error::from)? != 0 {
         Verdict::Detected
     } else if p
         .region_checksum(cfg.output_addr, cfg.output_words)
@@ -329,15 +338,31 @@ fn run_trial(
     finish_trial(&mut p, spec, cfg, golden)
 }
 
-/// Validates the fault-free baseline and returns the golden output
-/// checksum.
-fn golden_baseline(image: &[u8], cfg: CampaignConfig) -> Result<u64> {
-    let mut golden_p = Platform::from_image(image).map_err(Error::from)?;
+/// Checks that every address `cfg` reads verdicts from is readable RAM on
+/// `p`. The memory map is fixed for a platform's lifetime, so once per
+/// campaign covers every trial.
+fn check_addresses(p: &Platform, cfg: CampaignConfig) -> Result<()> {
+    let readable = |what, addr: u32| match p.debug_read(addr) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(Error::CampaignAddress { what, addr }),
+    };
+    readable("detect_addr", cfg.detect_addr)?;
+    // A region running off the address space fails at the peripheral
+    // window on the way there, so the saturated address is never reached.
+    (0..cfg.output_words)
+        .try_for_each(|i| readable("output region", cfg.output_addr.saturating_add(i)))
+}
+
+/// Validates the campaign addresses and the fault-free baseline on
+/// `golden_p`, a platform freshly hydrated from the campaign image, and
+/// returns the golden output checksum.
+fn golden_baseline(mut golden_p: Platform, cfg: CampaignConfig) -> Result<u64> {
+    check_addresses(&golden_p, cfg)?;
     let (_, clean) = run_budget(&mut golden_p, cfg.budget_steps);
     if !clean {
         return Err(Error::Platform("golden run crashed".into()));
     }
-    if golden_p.debug_read(cfg.detect_addr).unwrap_or(0) != 0 {
+    if golden_p.debug_read(cfg.detect_addr).map_err(Error::from)? != 0 {
         return Err(Error::Platform(
             "golden run self-detected an error; baseline is unhealthy".into(),
         ));
@@ -371,13 +396,15 @@ fn bump_counters(m: &MetricsRegistry, report: &CampaignReport) {
 /// [`Error::Platform`] if the image is corrupt, a fault targets a
 /// non-existent component, or the golden (fault-free) run itself crashes or
 /// self-detects — the campaign is only meaningful over a healthy baseline.
+/// [`Error::CampaignAddress`] if `cfg.detect_addr` or a word of the output
+/// region is not readable RAM on the image's platform.
 pub fn run_campaign(
     image: &[u8],
     faults: &[FaultSpec],
     cfg: CampaignConfig,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<CampaignReport> {
-    let golden = golden_baseline(image, cfg)?;
+    let golden = golden_baseline(Platform::from_image(image).map_err(Error::from)?, cfg)?;
     let outcomes: Vec<FaultOutcome> = mpsoc_explore::Sweep::new(cfg.threads)
         .run(faults.len(), |i| run_trial(image, faults[i], cfg, golden))
         .into_iter()
@@ -396,12 +423,14 @@ pub fn run_campaign(
 
 /// Runs a full campaign exactly like [`run_campaign`] — same golden run,
 /// same verdicts, bit-identical [`CampaignReport`] — but with O(dirty
-/// state) rollback: each engine worker hydrates **one** platform and the
-/// shared [`mpsoc_explore::Prefix`] resets it to the [`BaseImage`] between
-/// trials ([`Platform::reset_to_base`]), rewriting only the RAM pages the
-/// previous trial touched instead of decoding the whole image again. On
-/// sparse-write workloads this makes per-trial rollback cost proportional
-/// to what the trial did, not to how much memory the platform has.
+/// state) rollback: `image` is hashed and decoded once, into a
+/// [`BaseImage`] that the golden run and each engine worker hydrate **one**
+/// platform from; the shared [`mpsoc_explore::Prefix`] resets it to the
+/// base between trials ([`Platform::reset_to_base`]), rewriting only the
+/// RAM pages the previous trial touched instead of checksumming and
+/// decoding the whole image again. On sparse-write workloads this makes
+/// per-trial rollback cost proportional to what the trial did, not to how
+/// much memory the platform has.
 ///
 /// # Errors
 ///
@@ -412,8 +441,8 @@ pub fn run_campaign_delta(
     cfg: CampaignConfig,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<CampaignReport> {
-    let golden = golden_baseline(image, cfg)?;
     let base = BaseImage::new(image.to_vec()).map_err(Error::from)?;
+    let golden = golden_baseline(base.hydrate().map_err(Error::from)?, cfg)?;
     let mut prefix = mpsoc_explore::Prefix::base(&base);
     if let Some(m) = metrics {
         prefix = prefix.metrics(m);
@@ -567,6 +596,61 @@ mod tests {
                 "delta campaign at {threads} threads must match the full runner"
             );
             assert_eq!(full.verdict_table(), delta.verdict_table());
+        }
+    }
+
+    #[test]
+    fn unmapped_campaign_addresses_are_typed_errors() {
+        // 2048 shared words: 0x800 is the first unmapped word. A mistyped
+        // detect flag used to read as "never detected" (coverage 0 %).
+        let image = fault_site_image();
+        let faults = [FaultSpec {
+            id: 0,
+            kind: FaultKind::RegFlip {
+                core: 0,
+                reg: 1,
+                bit: 2,
+            },
+        }];
+        let bad_detect = CampaignConfig {
+            detect_addr: 0x800,
+            ..config(1)
+        };
+        let bad_output = CampaignConfig {
+            output_addr: 0x7F8,
+            output_words: 16,
+            ..config(1)
+        };
+        let wrapping_output = CampaignConfig {
+            output_addr: u32::MAX - 1,
+            output_words: 4,
+            ..config(1)
+        };
+        for runner in [run_campaign, run_campaign_delta] {
+            assert_eq!(
+                runner(&image, &faults, bad_detect, None),
+                Err(Error::CampaignAddress {
+                    what: "detect_addr",
+                    addr: 0x800
+                })
+            );
+            assert_eq!(
+                runner(&image, &faults, bad_output, None),
+                Err(Error::CampaignAddress {
+                    what: "output region",
+                    addr: 0x800
+                })
+            );
+            assert!(matches!(
+                runner(&image, &faults, wrapping_output, None),
+                Err(Error::CampaignAddress {
+                    what: "output region",
+                    ..
+                })
+            ));
+            // No faults: still an error, not a vacuous report.
+            assert!(runner(&image, &[], bad_detect, None).is_err());
+            assert!(runner(&image, &faults, config(1), None).is_ok());
         }
     }
 

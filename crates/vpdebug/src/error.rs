@@ -20,6 +20,16 @@ pub enum Error {
     ///
     /// [`Debugger::enable_time_travel`]: crate::Debugger::enable_time_travel
     TimeTravelDisabled,
+    /// A fault campaign's [`detect_addr`] or a word of its output region
+    /// is not readable RAM on the platform the campaign image hydrates to.
+    ///
+    /// [`detect_addr`]: crate::campaign::CampaignConfig::detect_addr
+    CampaignAddress {
+        /// Which configured address: `"detect_addr"` or `"output region"`.
+        what: &'static str,
+        /// The first offending word address.
+        addr: u32,
+    },
 }
 
 impl fmt::Display for Error {
@@ -29,6 +39,10 @@ impl fmt::Display for Error {
             Error::Script { line: 0, msg } => write!(f, "script: {msg}"),
             Error::Script { line, msg } => write!(f, "script line {line}: {msg}"),
             Error::TimeTravelDisabled => write!(f, "time travel is not enabled"),
+            Error::CampaignAddress { what, addr } => write!(
+                f,
+                "campaign config: {what} word {addr:#x} is not readable RAM on this platform"
+            ),
         }
     }
 }

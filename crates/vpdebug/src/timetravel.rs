@@ -420,7 +420,7 @@ impl Debugger {
         let restored_chain = match &cp.image {
             CheckpointImage::Base(b) => {
                 self.platform
-                    .restore_image(tt.base_image(*b).image())
+                    .reset_to_base(tt.base_image(*b))
                     .map_err(Error::from)?;
                 *b
             }

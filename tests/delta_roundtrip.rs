@@ -119,6 +119,74 @@ fn delta_restore_is_bit_identical_for_random_run_lengths() {
     }
 }
 
+/// The complexity claim behind campaign rollback: `reset_to_base` costs
+/// O(small state + dirty pages), not O(image). Two platforms that differ
+/// only in shared-RAM size (256×) run the same program, dirty the same
+/// pages, and must roll back in comparable time. A rollback that hashed,
+/// decoded or copied the RAM block again would be ~250× slower on the
+/// large one; the 8× bound leaves two orders of magnitude either side, so
+/// it holds in debug builds and on a noisy shared host.
+#[test]
+fn reset_to_base_cost_is_independent_of_ram_size() {
+    const SMALL_WORDS: u32 = 4096;
+    const RESETS: usize = 300;
+    let build = |shared_words: u32| {
+        let mut p = PlatformBuilder::new()
+            .cores(2, Frequency::mhz(100))
+            .shared_words(shared_words)
+            .local_words(64)
+            .build()
+            .expect("platform builds");
+        // Stores to two pages, forever.
+        let prog = assemble(
+            "movi r1, 0x40\nmovi r2, 0x400\n\
+             loop: addi r5, r5, 1\nst r5, r1, 0\nst r5, r2, 0\nbne r5, r0, loop",
+        )
+        .expect("program assembles");
+        p.load_program(0, prog, 0).expect("program loads");
+        run_steps(&mut p, 50);
+        let base = BaseImage::new(p.capture().expect("base captures")).expect("base decodes");
+        (p, base)
+    };
+    let (mut small, small_base) = build(SMALL_WORDS);
+    let (mut large, large_base) = build(SMALL_WORDS * 256);
+    assert!(large_base.len_bytes() > 200 * small_base.len_bytes());
+
+    // Interleaved, so host noise lands on both sides alike.
+    let mut times = [Vec::with_capacity(RESETS), Vec::with_capacity(RESETS)];
+    for round in 0..RESETS {
+        for (side, (p, base)) in [(&mut small, &small_base), (&mut large, &large_base)]
+            .into_iter()
+            .enumerate()
+        {
+            run_steps(p, 40);
+            if round == 0 {
+                let delta = p.capture_delta().expect("delta captures");
+                assert!(
+                    (100..4096).contains(&delta.len()),
+                    "side {side}: the dirty set must be a few pages, delta is {}B",
+                    delta.len()
+                );
+            }
+            let t0 = std::time::Instant::now();
+            p.reset_to_base(base).expect("rollback succeeds");
+            times[side].push(t0.elapsed());
+        }
+    }
+    let restored = Platform::from_image(large_base.image()).expect("base restores");
+    assert_eq!(large.state_checksum(), restored.state_checksum());
+
+    let [small_us, large_us] = times.map(|mut t| {
+        t.sort();
+        t[RESETS / 2].as_secs_f64() * 1e6
+    });
+    assert!(
+        large_us <= 8.0 * small_us,
+        "median reset_to_base: {large_us:.1} us with 256x the RAM vs {small_us:.1} us — \
+         rollback cost must not scale with image size"
+    );
+}
+
 /// A mesh platform with a periodic timer interrupting core 0 and a DMA
 /// engine streaming through the NoC — the awkward-state testbed.
 fn build_mesh_dma_platform() -> (Platform, usize) {

@@ -15,32 +15,47 @@ use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{
     InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,
 };
-use mpsoc_suite::platform::{Frequency, Time};
+use mpsoc_suite::platform::{BaseImage, Frequency, Time};
 use mpsoc_suite::vpdebug::{Debugger, OriginFilter, Stop, Watchpoint};
 
-/// Restores `image` into a fresh platform and steps it in lockstep with
-/// the original for up to `steps` steps, requiring the identical event
-/// stream and identical final checksums.
+/// Restores `image` into a fresh platform — and hydrates a second one from
+/// the image's validated [`BaseImage`], the path that neither re-hashes nor
+/// RAM-decodes the bytes — and steps both in lockstep with the original for
+/// up to `steps` steps, requiring the identical event stream and identical
+/// final checksums.
 fn assert_identical_continuation(mut original: Platform, image: &[u8], steps: u64) {
     let mut restored = Platform::from_image(image).expect("image restores");
+    let mut hydrated = BaseImage::new(image.to_vec())
+        .expect("image validates")
+        .hydrate()
+        .expect("base hydrates");
     assert_eq!(
         original.state_checksum(),
         restored.state_checksum(),
         "restored platform must start from the captured state"
     );
+    assert_eq!(
+        hydrated.capture().expect("hydrated platform captures"),
+        image,
+        "a platform hydrated from the base must hold the image's state, byte for byte"
+    );
     for i in 0..steps {
         let ea = original.step().expect("original steps");
         let eb = restored.step().expect("restored steps");
+        let ec = hydrated.step().expect("hydrated steps");
         assert_eq!(ea, eb, "step {i} diverged after restore");
+        assert_eq!(ea, ec, "step {i} diverged after hydrating from the base");
         let done = ea.is_idle();
         original.recycle(ea);
         restored.recycle(eb);
+        hydrated.recycle(ec);
         if done {
             break;
         }
     }
     assert_eq!(original.now(), restored.now());
     assert_eq!(original.state_checksum(), restored.state_checksum());
+    assert_eq!(original.state_checksum(), hydrated.state_checksum());
 }
 
 /// The headline property, over three real workloads — including the
