@@ -629,6 +629,13 @@ mod tests {
     }
 
     #[test]
+    fn oversized_sum_range_aborts_the_script_not_the_process() {
+        let v = run_script("huge", "platform race\nexpect sum 0 0xffffffff == 0\n");
+        assert_eq!(v.failures.len(), 1);
+        assert!(v.failures[0].contains("reply limit"), "{:?}", v.failures);
+    }
+
+    #[test]
     fn inject_poke_applies_and_logs() {
         let v = run_script(
             "poke",

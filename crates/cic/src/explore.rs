@@ -13,6 +13,7 @@ use crate::archfile::{ArchInfo, PeClass};
 use crate::error::{Error, Result};
 use crate::model::CicModel;
 use crate::translator::{auto_map, translate};
+use mpsoc_explore::Prefix;
 
 /// One evaluated candidate platform.
 #[derive(Clone, Debug, PartialEq)]
@@ -191,36 +192,27 @@ pub fn explore_parallel(
 /// platform.
 ///
 /// The platform is positioned at the region of interest via `prefix` —
-/// re-simulated from scratch or restored from a snapshot
-/// ([`PrefixSource::Warm`], the warm start) — and the word at
-/// `profile_addr + t` is read for task `t`. A positive word replaces the
-/// task's declared [`work`](crate::model::CicTask::work) estimate; zero or
-/// negative words leave it untouched. A snapshot restore is bit-identical
-/// to having simulated the prefix, so warm and cold sources yield the same
-/// calibrated model.
+/// re-simulated from scratch ([`Prefix::cold`]) or restored from a snapshot
+/// ([`Prefix::base`], the warm start) — and the word at `profile_addr + t`
+/// is read for task `t`. A positive word replaces the task's declared
+/// [`work`](crate::model::CicTask::work) estimate; zero or negative words
+/// leave it untouched. A snapshot restore is bit-identical to having
+/// simulated the prefix, so both kinds yield the same calibrated model.
 ///
 /// # Errors
 ///
 /// [`Error::Exec`] when the prefix cannot be materialized or a calibration
 /// word is outside the platform's address map.
-///
-/// [`PrefixSource::Warm`]: mpsoc_platform::PrefixSource::Warm
 pub fn calibrate_task_work(
     model: &CicModel,
-    prefix: &mpsoc_platform::PrefixSource<'_>,
+    prefix: &Prefix<'_>,
     profile_addr: u32,
 ) -> Result<CicModel> {
-    let p = prefix
-        .materialize()
-        .map_err(|e| Error::Exec(format!("calibration prefix: {e}")))?;
+    let words = prefix
+        .profile_words(profile_addr, model.tasks.len())
+        .map_err(|e| Error::Exec(format!("task calibration: {e}")))?;
     let mut calibrated = model.clone();
-    for (t, task) in calibrated.tasks.iter_mut().enumerate() {
-        let addr = profile_addr
-            .checked_add(t as u32)
-            .ok_or_else(|| Error::Exec("calibration address overflow".into()))?;
-        let w = p
-            .debug_read(addr)
-            .map_err(|e| Error::Exec(format!("calibration word for task {t}: {e}")))?;
+    for (task, &w) in calibrated.tasks.iter_mut().zip(&words) {
         if w > 0 {
             task.work = w as u64;
         }
@@ -346,7 +338,7 @@ mod tests {
     fn profiled_sweep_warm_start_matches_cold() {
         use mpsoc_platform::isa::assemble;
         use mpsoc_platform::platform::PlatformBuilder;
-        use mpsoc_platform::{Frequency, PrefixSource};
+        use mpsoc_platform::{BaseImage, Frequency};
 
         // A calibration run that deposits measured per-task work at 0x100.
         let build = || -> mpsoc_platform::Result<mpsoc_platform::Platform> {
@@ -364,16 +356,13 @@ mod tests {
             Ok(p)
         };
         let steps = 10;
-        let cold = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
+        let cold = Prefix::cold(&build, steps);
         let mut p = build().unwrap();
         for _ in 0..steps {
             p.step().unwrap();
         }
-        let image = p.capture().unwrap();
-        let warm = PrefixSource::Warm { image: &image };
+        let base = BaseImage::new(p.capture().unwrap()).unwrap();
+        let warm = Prefix::base(&base);
 
         let m = model();
         // Calibration really replaces the declared work estimates.

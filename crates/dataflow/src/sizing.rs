@@ -107,18 +107,11 @@ pub fn minimal_capacities_sweep(
 /// [`Error::Config`] when the prefix cannot be materialized or a profile
 /// word is outside the platform's address map.
 pub fn profile_actor_wcets(graph: &Graph, prefix: &Prefix<'_>, profile_addr: u32) -> Result<Graph> {
-    let platform = prefix
-        .materialize()
-        .map_err(|e| Error::Config(format!("profile prefix: {e}")))?;
+    let words = prefix
+        .profile_words(profile_addr, graph.actors().len())
+        .map_err(|e| Error::Config(format!("actor profile: {e}")))?;
     let mut profiled = graph.clone();
-    for a in 0..graph.actors().len() {
-        let addr = u32::try_from(a)
-            .ok()
-            .and_then(|a| profile_addr.checked_add(a))
-            .ok_or_else(|| Error::Config(format!("profile address overflow for actor {a}")))?;
-        let word = platform
-            .debug_read(addr)
-            .map_err(|e| Error::Config(format!("profile word for actor {a}: {e}")))?;
+    for (a, &word) in words.iter().enumerate() {
         if word > 0 {
             let phases = graph.actors()[a].phases();
             profiled.set_actor_wcet(ActorId(a), &vec![word as u64; phases])?;

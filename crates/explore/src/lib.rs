@@ -11,10 +11,10 @@
 //! * [`Sweep`] fans trials out over chunked [`std::thread::scope`] workers and
 //!   merges results **in index order** — output is bit-identical at any
 //!   thread count, including the serial path.
-//! * [`Prefix`] unifies snapshot warm starts
-//!   ([`PrefixSource::Cold`]/[`PrefixSource::Warm`]) with
-//!   [`Platform::reset_to_base`] delta rollback, so a sweep positions each
-//!   worker at the region of interest without caring how it got there.
+//! * [`Prefix`] positions each worker at the region of interest — by
+//!   re-simulating ([`Prefix::cold`]) or from a shared [`BaseImage`]
+//!   ([`Prefix::base`], hydrate once and roll back with
+//!   [`Platform::reset_to_base`]) — without the sweep caring which.
 //! * Budget ([`Sweep::max_trials`]) and early-stop ([`Sweep::run_until`])
 //!   hooks keep long sweeps bounded without sacrificing determinism, and an
 //!   optional [`MetricsRegistry`] receives `explore.trials`,
@@ -26,7 +26,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mpsoc_obs::{MetricsRegistry, XorShift64Star};
-use mpsoc_platform::{BaseImage, Platform, PrefixSource};
+use mpsoc_platform::isa::Word;
+use mpsoc_platform::{BaseImage, Platform};
 
 /// Counter bumped once per evaluated trial.
 pub const TRIALS_COUNTER: &str = "explore.trials";
@@ -234,21 +235,25 @@ impl std::fmt::Debug for Sweep<'_> {
     }
 }
 
+/// The platform factory of a cold prefix.
+type BuildPlatform<'a> = &'a (dyn Fn() -> mpsoc_platform::Result<Platform> + Sync);
+
 enum PrefixKind<'a> {
-    /// Cold build-and-step or warm image restore.
-    Source(&'a PrefixSource<'a>),
-    /// Delta rollback against a decoded base image.
+    /// Build a platform and step it `steps` times.
+    Cold {
+        build: BuildPlatform<'a>,
+        steps: u64,
+    },
+    /// Hydrate from, and roll back to, a validated base image.
     Base(&'a BaseImage),
 }
 
 /// A reusable simulation prefix: how a sweep positions a [`Platform`] at the
 /// region of interest before (and between) trials.
 ///
-/// Unifies the two warm-start mechanisms in the suite: snapshot prefixes
-/// ([`PrefixSource::Cold`] rebuilds and re-steps, [`PrefixSource::Warm`]
-/// decodes a captured image) and delta rollback
-/// ([`Platform::reset_to_base`] against a [`BaseImage`], the campaign fast
-/// path). Both restore paths are bit-identical to having simulated the
+/// Two kinds: [`Prefix::cold`] rebuilds and re-steps, [`Prefix::base`]
+/// restores a [`BaseImage`] captured there (the snapshot warm start and the
+/// campaign rollback). A restore is bit-identical to having simulated the
 /// prefix, so sweeps built on either give identical results.
 pub struct Prefix<'a> {
     kind: PrefixKind<'a>,
@@ -256,11 +261,13 @@ pub struct Prefix<'a> {
 }
 
 impl<'a> Prefix<'a> {
-    /// A prefix backed by a [`PrefixSource`] (cold rebuild or warm image).
+    /// A prefix that calls `build` (which must be deterministic for cold and
+    /// base prefixes to agree) and steps the platform `steps` times to reach
+    /// the region of interest.
     #[must_use]
-    pub fn source(source: &'a PrefixSource<'a>) -> Self {
+    pub fn cold(build: BuildPlatform<'a>, steps: u64) -> Self {
         Prefix {
-            kind: PrefixKind::Source(source),
+            kind: PrefixKind::Cold { build, steps },
             metrics: None,
         }
     }
@@ -268,7 +275,9 @@ impl<'a> Prefix<'a> {
     /// A prefix backed by a decoded [`BaseImage`]: platforms are hydrated
     /// from it ([`BaseImage::hydrate`]) and rewound in place via
     /// [`Platform::reset_to_base`] (the O(dirty-state) delta fast path) —
-    /// neither hashes or re-decodes the image the base validated.
+    /// neither hashes or re-decodes the image the base validated. A caller
+    /// holding image bytes builds the base once ([`BaseImage::new`]) and
+    /// shares it with every worker.
     #[must_use]
     pub fn base(base: &'a BaseImage) -> Self {
         Prefix {
@@ -288,7 +297,7 @@ impl<'a> Prefix<'a> {
     /// True if this prefix restores state instead of re-simulating it.
     #[must_use]
     pub fn is_warm(&self) -> bool {
-        !matches!(self.kind, PrefixKind::Source(PrefixSource::Cold { .. }))
+        matches!(self.kind, PrefixKind::Base(_))
     }
 
     fn bump(&self, name: &str, amount: u64) {
@@ -301,16 +310,16 @@ impl<'a> Prefix<'a> {
     ///
     /// # Errors
     ///
-    /// Whatever the platform factory, prefix simulation, or image decode
+    /// Whatever the platform factory, prefix simulation, or base hydration
     /// reports.
     pub fn materialize(&self) -> mpsoc_platform::Result<Platform> {
         match self.kind {
-            PrefixKind::Source(source) => {
-                let p = source.materialize()?;
-                match source {
-                    PrefixSource::Cold { steps, .. } => self.bump(PREFIX_STEPS_COUNTER, *steps),
-                    PrefixSource::Warm { .. } => self.bump(WARM_HITS_COUNTER, 1),
+            PrefixKind::Cold { build, steps } => {
+                let mut p = build()?;
+                for _ in 0..steps {
+                    p.step()?;
                 }
+                self.bump(PREFIX_STEPS_COUNTER, steps);
                 Ok(p)
             }
             PrefixKind::Base(base) => {
@@ -322,11 +331,9 @@ impl<'a> Prefix<'a> {
     }
 
     /// Returns `platform` to the region of interest after a trial perturbed
-    /// it.
-    ///
-    /// Warm prefixes restore in place ([`Platform::reset_to_base`] or a full
-    /// image restore); a cold prefix has nothing to restore from and
-    /// re-materializes from scratch.
+    /// it: a base prefix rolls back in place
+    /// ([`Platform::reset_to_base`]); a cold prefix has nothing to restore
+    /// from and re-materializes from scratch.
     ///
     /// # Errors
     ///
@@ -336,26 +343,43 @@ impl<'a> Prefix<'a> {
             PrefixKind::Base(base) => {
                 platform.reset_to_base(base)?;
                 self.bump(WARM_HITS_COUNTER, 1);
-                Ok(())
             }
-            PrefixKind::Source(PrefixSource::Warm { image }) => {
-                platform.restore_image(image)?;
-                self.bump(WARM_HITS_COUNTER, 1);
-                Ok(())
-            }
-            PrefixKind::Source(PrefixSource::Cold { .. }) => {
-                *platform = self.materialize()?;
-                Ok(())
-            }
+            PrefixKind::Cold { .. } => *platform = self.materialize()?,
         }
+        Ok(())
+    }
+
+    /// Materializes the prefix and reads the `n` words at `addr..addr + n` —
+    /// the measured profile every flow's re-costing step starts from.
+    ///
+    /// # Errors
+    ///
+    /// As [`materialize`](Prefix::materialize);
+    /// [`mpsoc_platform::Error::UnmappedAddress`] for a word outside the
+    /// platform's RAM windows, [`mpsoc_platform::Error::Config`] for a range
+    /// running past the 32-bit address space.
+    pub fn profile_words(&self, addr: u32, n: usize) -> mpsoc_platform::Result<Vec<Word>> {
+        let end = u32::try_from(n)
+            .ok()
+            .and_then(|n| addr.checked_add(n))
+            .ok_or_else(|| {
+                mpsoc_platform::Error::Config(format!(
+                    "{n} profile words at {addr:#x} run past the address space"
+                ))
+            })?;
+        let platform = self.materialize()?;
+        let mut words = Vec::with_capacity(n);
+        for a in addr..end {
+            words.push(platform.debug_read(a)?);
+        }
+        Ok(words)
     }
 }
 
 impl std::fmt::Debug for Prefix<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self.kind {
-            PrefixKind::Source(PrefixSource::Cold { .. }) => "Cold",
-            PrefixKind::Source(PrefixSource::Warm { .. }) => "Warm",
+            PrefixKind::Cold { .. } => "Cold",
             PrefixKind::Base(_) => "Base",
         };
         f.debug_struct("Prefix")

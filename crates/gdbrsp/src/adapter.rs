@@ -11,7 +11,7 @@ use mpsoc_platform::platform::AccessKind;
 use mpsoc_vpdebug::{Debugger, OriginFilter, Stop, Watchpoint};
 
 use crate::error::{Error, Result};
-use crate::target::{StopReason, Target, WatchKind};
+use crate::target::{StopReason, Target, WatchKind, MAX_READ_WORDS};
 
 /// Register count exposed over RSP: r0..r15 plus the pc pseudo-register.
 pub const NUM_REGS: usize = Reg::COUNT + 1;
@@ -161,6 +161,19 @@ fn parse_num(s: &str) -> Result<i64> {
     Ok(if neg { -v } else { v })
 }
 
+/// The word addresses `addr..addr + len` of a memory transfer.
+fn word_range(addr: u32, len: usize) -> Result<std::ops::Range<u32>> {
+    u32::try_from(len)
+        .ok()
+        .and_then(|len| addr.checked_add(len))
+        .map(|end| addr..end)
+        .ok_or_else(|| {
+            Error::Packet(format!(
+                "{len} words from {addr:#x} run past the address space"
+            ))
+        })
+}
+
 impl Target for DebugTarget {
     fn num_cores(&self) -> usize {
         self.dbg.platform().num_cores()
@@ -187,18 +200,21 @@ impl Target for DebugTarget {
     }
 
     fn read_mem(&self, addr: u32, len: u32) -> Result<Vec<u64>> {
+        if len > MAX_READ_WORDS {
+            return Err(Error::Packet(format!(
+                "read of {len} words exceeds the {MAX_READ_WORDS}-word reply limit"
+            )));
+        }
         let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            out.push(self.dbg.read_mem(addr + i)? as u64);
+        for a in word_range(addr, len as usize)? {
+            out.push(self.dbg.read_mem(a)? as u64);
         }
         Ok(out)
     }
 
     fn write_mem(&mut self, addr: u32, values: &[u64]) -> Result<()> {
-        for (i, &v) in values.iter().enumerate() {
-            self.dbg
-                .platform_mut()
-                .debug_write(addr + i as u32, v as Word)?;
+        for (a, &v) in word_range(addr, values.len())?.zip(values) {
+            self.dbg.platform_mut().debug_write(a, v as Word)?;
         }
         Ok(())
     }

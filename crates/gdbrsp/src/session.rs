@@ -386,7 +386,11 @@ fn split_addr_len(s: &str) -> Result<(u32, u32)> {
     let (a, l) = s
         .split_once(',')
         .ok_or_else(|| Error::Packet(format!("expected addr,len in {s:?}")))?;
-    Ok((parse_hex_u64(a)? as u32, parse_hex_u64(l)? as u32))
+    let word = |h: &str| {
+        u32::try_from(parse_hex_u64(h)?)
+            .map_err(|_| Error::Packet(format!("{h:?} is wider than 32 bits")))
+    };
+    Ok((word(a)?, word(l)?))
 }
 
 #[cfg(test)]
@@ -443,6 +447,35 @@ mod tests {
         assert_eq!(roundtrip(&mut s, "qsThreadInfo"), "l");
         assert_eq!(roundtrip(&mut s, "T1"), "OK");
         assert_eq!(roundtrip(&mut s, "T9"), "E01");
+    }
+
+    #[test]
+    fn oversized_or_wrapping_memory_requests_get_an_error_reply() {
+        use crate::packet::MAX_PAYLOAD;
+        use crate::target::MAX_READ_WORDS;
+        // RAM larger than one reply can carry, so only the bound refuses.
+        let p = PlatformBuilder::new()
+            .cores(1, Frequency::mhz(100))
+            .shared_words(MAX_READ_WORDS + 8)
+            .cache(None)
+            .build()
+            .unwrap();
+        let mut s = Session::new(DebugTarget::new(Debugger::new(p)));
+        // One word past what a reply packet can carry, the whole address
+        // space, a range wrapping past it, an address wider than 32 bits.
+        for cmd in [
+            format!("m0,{:x}", MAX_READ_WORDS + 1),
+            "m0,ffffffff".into(),
+            "mffffffff,2".into(),
+            "m100000000,1".into(),
+            format!("Mffffffff,2:{}", "00".repeat(16)),
+        ] {
+            assert_eq!(roundtrip(&mut s, &cmd), "E01", "{cmd}");
+        }
+        // The session is still serving, the largest legitimate read included.
+        assert_eq!(roundtrip(&mut s, "m40,1"), "00".repeat(8));
+        let full = roundtrip(&mut s, &format!("m0,{MAX_READ_WORDS:x}"));
+        assert_eq!(full.len(), MAX_PAYLOAD);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! exactly the surface a live debugger attach does.
 
 use crate::error::Result;
+use crate::packet::MAX_PAYLOAD;
+
+/// Most words one [`Target::read_mem`] returns: a word is 16 hex digits on
+/// the wire, and the reply must fit one packet of [`MAX_PAYLOAD`] bytes.
+pub const MAX_READ_WORDS: u32 = (MAX_PAYLOAD / 16) as u32;
 
 /// Watchpoint flavours, in GDB `Z` packet order: `Z2` = write, `Z3` =
 /// read, `Z4` = access (either).
@@ -86,7 +91,8 @@ pub trait Target {
     ///
     /// # Errors
     ///
-    /// For an unmapped address anywhere in the range.
+    /// For an unmapped address anywhere in the range, or a `len` above
+    /// [`MAX_READ_WORDS`].
     fn read_mem(&self, addr: u32, len: u32) -> Result<Vec<u64>>;
 
     /// Writes consecutive words starting at word address `addr`.

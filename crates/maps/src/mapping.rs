@@ -10,6 +10,7 @@
 use crate::arch::ArchModel;
 use crate::error::{Error, Result};
 use crate::taskgraph::TaskGraph;
+use mpsoc_explore::Prefix;
 
 /// One scheduled task instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -292,36 +293,27 @@ pub fn anneal_multi(
 /// Re-costs `graph` from measured profile data on a simulated platform.
 ///
 /// The platform is positioned at the region of interest via `prefix` —
-/// either re-simulated from scratch or restored from a snapshot
-/// ([`PrefixSource::Warm`], the warm start) — and the word at
-/// `profile_addr + t` is read for every task `t`. A positive word replaces
-/// the task's static cost estimate; zero or negative words (no measurement)
-/// leave the estimate untouched. Because a snapshot restore is
-/// bit-identical to having simulated the prefix, warm and cold sources
-/// yield the same re-costed graph.
+/// re-simulated from scratch ([`Prefix::cold`]) or restored from a snapshot
+/// ([`Prefix::base`], the warm start) — and the word at `profile_addr + t`
+/// is read for every task `t`. A positive word replaces the task's static
+/// cost estimate; zero or negative words (no measurement) leave the
+/// estimate untouched. Because a snapshot restore is bit-identical to
+/// having simulated the prefix, both kinds yield the same re-costed graph.
 ///
 /// # Errors
 ///
 /// [`Error::Config`] when the prefix cannot be materialized or a profile
 /// word is outside the platform's address map.
-///
-/// [`PrefixSource::Warm`]: mpsoc_platform::PrefixSource::Warm
 pub fn profile_task_costs(
     graph: &TaskGraph,
-    prefix: &mpsoc_platform::PrefixSource<'_>,
+    prefix: &Prefix<'_>,
     profile_addr: u32,
 ) -> Result<TaskGraph> {
-    let p = prefix
-        .materialize()
-        .map_err(|e| Error::Config(format!("profile prefix: {e}")))?;
+    let words = prefix
+        .profile_words(profile_addr, graph.tasks.len())
+        .map_err(|e| Error::Config(format!("task profile: {e}")))?;
     let mut profiled = graph.clone();
-    for (t, task) in profiled.tasks.iter_mut().enumerate() {
-        let addr = profile_addr
-            .checked_add(t as u32)
-            .ok_or_else(|| Error::Config("profile address overflow".into()))?;
-        let w = p
-            .debug_read(addr)
-            .map_err(|e| Error::Config(format!("profile word for task {t}: {e}")))?;
+    for (task, &w) in profiled.tasks.iter_mut().zip(&words) {
         if w > 0 {
             task.cost = w as u64;
         }
@@ -458,7 +450,7 @@ mod tests {
     fn profiled_anneal_warm_start_matches_cold() {
         use mpsoc_platform::isa::assemble;
         use mpsoc_platform::platform::PlatformBuilder;
-        use mpsoc_platform::{Frequency, PrefixSource};
+        use mpsoc_platform::{BaseImage, Frequency};
 
         // A measurement run that deposits per-task cycle counts at 0x100.
         let build = || -> mpsoc_platform::Result<mpsoc_platform::Platform> {
@@ -476,17 +468,14 @@ mod tests {
             Ok(p)
         };
         let steps = 12;
-        let cold = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
+        let cold = Prefix::cold(&build, steps);
         // The warm start: capture once at the region of interest.
         let mut p = build().unwrap();
         for _ in 0..steps {
             p.step().unwrap();
         }
-        let image = p.capture().unwrap();
-        let warm = PrefixSource::Warm { image: &image };
+        let base = BaseImage::new(p.capture().unwrap()).unwrap();
+        let warm = Prefix::base(&base);
 
         let g = diamond([37, 91, 64, 22]);
         let arch = ArchModel::homogeneous(3);

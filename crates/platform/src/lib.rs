@@ -71,5 +71,5 @@ pub use crate::signal::{
     EventSinkSpill, Signal, SignalBoard, SignalChange, TraceMode, TraceRecord, TraceSpill,
     TraceStats, DEFAULT_TRACE_BUDGET, TRACE_RECORD_BYTES,
 };
-pub use crate::snapshot::{BaseImage, PrefixSource};
+pub use crate::snapshot::BaseImage;
 pub use crate::time::{Cycles, Frequency, Time};

@@ -501,7 +501,6 @@ impl PlatformBuilder {
             base_mark: None,
             base_shared: Vec::new(),
             base_locals: Vec::new(),
-            delta_compress: true,
         })
     }
 }
@@ -559,14 +558,11 @@ pub struct Platform {
     /// first capture). `restore_delta` uses it to prove its in-place RAM
     /// fast path is rolling back from the right baseline.
     pub(crate) base_mark: Option<u64>,
-    /// The base image's shared-RAM words — the XOR baseline for compressed
-    /// delta pages. Empty before the first capture.
+    /// The base image's shared-RAM words — the XOR baseline for delta
+    /// pages. Empty before the first capture.
     pub(crate) base_shared: Vec<crate::isa::Word>,
     /// Per-core base local-RAM words (same role as `base_shared`).
     pub(crate) base_locals: Vec<Vec<crate::isa::Word>>,
-    /// Whether `capture_delta` run-length compresses XOR'd pages (default)
-    /// or writes each page as one literal run at raw cost.
-    pub(crate) delta_compress: bool,
 }
 
 impl Platform {

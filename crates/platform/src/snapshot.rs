@@ -493,16 +493,14 @@ type DeltaPages = Vec<(usize, Vec<Word>)>;
 /// Each page is `put_u32(page)` followed by tokens until the page length is
 /// covered: low bit `0` encodes a run of `token >> 1` words equal to the
 /// base (nothing follows), low bit `1` a literal run of `token >> 1`
-/// XOR-against-base words. With `compress` off, a page is a single literal
-/// run covering all of it — still valid v2 wire format, at v1's raw cost —
-/// which is what [`Platform::set_delta_compression`] toggles so the two
-/// encodings can be compared under the same byte budget.
+/// XOR-against-base words.
 ///
-/// With `compress` on, the encoder is *adaptive per page*: it costs the
-/// XOR+RLE token stream and emits the raw single-literal-run form instead
-/// whenever RLE would not be strictly smaller (e.g. a page rewritten
-/// wholesale, or word-alternating damage where every token buys nothing).
-fn save_dirty_pages(ram: &Ram, base: &[Word], compress: bool, w: &mut Writer) {
+/// The encoder costs the run list first (4 B per token, 8 B per literal
+/// word) and emits one literal run covering the whole page whenever the run
+/// list would not be strictly smaller (a page rewritten wholesale, or
+/// word-alternating damage where every token buys nothing) — so no page
+/// ever encodes larger than `8 + 8 * len` bytes.
+fn save_dirty_pages(ram: &Ram, base: &[Word], w: &mut Writer) {
     let xor = |v: Word, b: Word| ((v as u64) ^ (b as u64)) as Word;
     w.put_u32(ram.dirty_page_count() as u32);
     for page in ram.dirty_pages() {
@@ -510,17 +508,6 @@ fn save_dirty_pages(ram: &Ram, base: &[Word], compress: bool, w: &mut Writer) {
         let words = ram.page_words(page);
         let start = page * PAGE_WORDS;
         let base_word = |i: usize| base.get(start + i).copied().unwrap_or(0);
-        if !compress {
-            w.put_u32(((words.len() as u32) << 1) | 1);
-            for (i, &v) in words.iter().enumerate() {
-                w.put_i64(xor(v, base_word(i)));
-            }
-            continue;
-        }
-        // Adaptive encoding: cost the run list first (4 B per token, 8 B
-        // per literal word) and fall back to one raw literal run whenever
-        // RLE would not be strictly smaller — so no page ever encodes
-        // larger than its raw form (asserted in `tests/delta_roundtrip.rs`).
         let mut runs: Vec<(usize, usize, bool)> = Vec::new();
         let mut rle_cost = 0usize;
         let mut i = 0;
@@ -536,11 +523,7 @@ fn save_dirty_pages(ram: &Ram, base: &[Word], compress: bool, w: &mut Writer) {
         }
         let raw_cost = 4 + 8 * words.len();
         if rle_cost >= raw_cost {
-            w.put_u32(((words.len() as u32) << 1) | 1);
-            for (k, &v) in words.iter().enumerate() {
-                w.put_i64(xor(v, base_word(k)));
-            }
-            continue;
+            runs = vec![(0, words.len(), false)];
         }
         for (lo, hi, same) in runs {
             let run = (hi - lo) as u32;
@@ -635,65 +618,6 @@ fn rebuild_ram(baseline: &[Word], pages: &[(usize, Vec<Word>)]) -> Ram {
         ram.write_page(*page, words);
     }
     ram
-}
-
-/// Where a design-space-exploration worker gets the simulation prefix it
-/// profiles: re-simulate it from scratch ([`Cold`](PrefixSource::Cold)) or
-/// rehydrate a captured image ([`Warm`](PrefixSource::Warm)). The warm path
-/// is the snapshot warm start: every worker skips straight to the region of
-/// interest, paying one image decode instead of the whole prefix — and
-/// because a restore is bit-identical to having simulated, both paths give
-/// the exploration identical profile data.
-pub enum PrefixSource<'a> {
-    /// Build a platform and step it `steps` times to reach the region of
-    /// interest.
-    Cold {
-        /// Platform factory (must be deterministic for warm/cold equality).
-        build: &'a (dyn Fn() -> Result<Platform> + Sync),
-        /// Steps to simulate before profiling.
-        steps: u64,
-    },
-    /// Restore a full image captured at the region of interest.
-    Warm {
-        /// Image from [`Platform::capture`].
-        image: &'a [u8],
-    },
-}
-
-impl std::fmt::Debug for PrefixSource<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrefixSource::Cold { steps, .. } => f
-                .debug_struct("PrefixSource::Cold")
-                .field("steps", steps)
-                .finish_non_exhaustive(),
-            PrefixSource::Warm { image } => f
-                .debug_struct("PrefixSource::Warm")
-                .field("bytes", &image.len())
-                .finish(),
-        }
-    }
-}
-
-impl PrefixSource<'_> {
-    /// Produces a platform positioned at the region of interest.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the factory, the prefix simulation, or the image decode
-    /// reports.
-    pub fn materialize(&self) -> Result<Platform> {
-        match self {
-            PrefixSource::Cold { build, steps } => {
-                let mut p = build()?;
-                for _ in 0..*steps {
-                    p.step()?;
-                }
-                Ok(p)
-            }
-            PrefixSource::Warm { image } => Platform::from_image(image),
-        }
-    }
 }
 
 impl Platform {
@@ -807,11 +731,11 @@ impl Platform {
         w.put_u64(self.dma_seq);
         self.cores.save(&mut w);
         self.save_small_suffix(&mut w)?;
-        save_dirty_pages(&self.shared, &self.base_shared, self.delta_compress, &mut w);
+        save_dirty_pages(&self.shared, &self.base_shared, &mut w);
         w.put_u32(self.locals.len() as u32);
         for (i, l) in self.locals.iter().enumerate() {
             let b = self.base_locals.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            save_dirty_pages(l, b, self.delta_compress, &mut w);
+            save_dirty_pages(l, b, &mut w);
         }
         Ok(Image::seal(
             PLATFORM_DELTA_MAGIC,
@@ -993,19 +917,6 @@ impl Platform {
     fn snapshot_base_words(&mut self) {
         self.base_shared = self.shared.as_slice().to_vec();
         self.base_locals = self.locals.iter().map(|l| l.as_slice().to_vec()).collect();
-    }
-
-    /// Enables or disables XOR + run-length compression of delta dirty
-    /// pages (on by default).
-    ///
-    /// Both settings produce valid deltas that restore identically; off
-    /// writes each page as one literal run at the raw cost. The knob exists
-    /// so the byte saving can be measured — `checkpoint_ring_is_byte_bounded`
-    /// in `vpdebug/src/timetravel.rs` runs the time-travel ring both ways
-    /// and asserts compression fits strictly more checkpoints into the same
-    /// byte budget.
-    pub fn set_delta_compression(&mut self, on: bool) {
-        self.delta_compress = on;
     }
 
     /// Restores this platform in place from an image produced by
@@ -1447,71 +1358,87 @@ mod tests {
     }
 
     #[test]
-    fn compressed_and_raw_deltas_restore_identically() {
-        let mut p = counter_platform(SchedulerMode::Calendar);
-        for _ in 0..6 {
-            p.step().unwrap();
-        }
-        let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
-        for _ in 0..9 {
-            p.step().unwrap();
-        }
-        // Dirty a full page where only a handful of words actually differ
-        // from the base — the sparse-write shape deltas are made for.
-        let mut pattern = vec![0i64; 64];
-        pattern[5] = 123;
-        pattern[6] = -9;
-        pattern[40] = 1;
-        p.load_shared(0x200, &pattern).unwrap();
-        let compressed = p.capture_delta().unwrap();
-        p.set_delta_compression(false);
-        let raw = p.capture_delta().unwrap();
-        p.set_delta_compression(true);
-        let mark = p.state_checksum();
-        assert!(
-            compressed.len() < raw.len(),
-            "XOR+RLE must beat raw pages: {} vs {} bytes",
-            compressed.len(),
-            raw.len()
-        );
-        for delta in [&compressed, &raw] {
-            let mut restored = Platform::from_image(base.image()).unwrap();
-            restored.restore_delta(&base, delta).unwrap();
-            assert_eq!(restored.state_checksum(), mark);
-        }
-    }
+    fn no_page_encodes_larger_than_raw_and_every_page_round_trips() {
+        use super::{load_dirty_pages, save_dirty_pages, Reader, Writer};
+        use crate::isa::Word;
+        use crate::mem::{Ram, PAGE_WORDS};
 
-    #[test]
-    fn dense_pages_fall_back_to_raw_encoding() {
-        // A page damaged everywhere except isolated single words is RLE's
-        // worst case: every `same` token buys back exactly its own cost.
-        // The adaptive encoder must emit the raw single-literal-run form,
-        // so the compressed capture is byte-for-byte the raw capture — and
-        // never larger, which is the invariant the bench suite asserts.
-        let mut p = counter_platform(SchedulerMode::Calendar);
-        for _ in 0..6 {
-            p.step().unwrap();
+        // Encodes `pages` written over `base`; checks the size bound and the
+        // round trip, and returns the bytes.
+        let encode = |base: &[Word], pages: &[(usize, Vec<Word>)]| -> Vec<u8> {
+            let mut ram = Ram::from_words(base.to_vec());
+            for (page, words) in pages {
+                ram.write_page(*page, words);
+            }
+            let mut w = Writer::new();
+            save_dirty_pages(&ram, base, &mut w);
+            let bytes = w.into_bytes();
+            let raw: usize = pages.iter().map(|(_, words)| 8 + 8 * words.len()).sum();
+            assert!(
+                bytes.len() <= 4 + raw,
+                "{} B > raw {} B",
+                bytes.len(),
+                4 + raw
+            );
+            let mut r = Reader::new(&bytes);
+            assert_eq!(load_dirty_pages(&mut r, base).unwrap(), pages);
+            r.finish().unwrap();
+            bytes
+        };
+        let mut rng = mpsoc_obs::XorShift64Star::new(0x5EED);
+        let random_words = |rng: &mut mpsoc_obs::XorShift64Star, n: usize| -> Vec<Word> {
+            (0..n).map(|_| rng.next_u64() as Word).collect()
+        };
+
+        // Sparse: a handful of words differ — the shape deltas are made for.
+        let base = random_words(&mut rng, PAGE_WORDS);
+        let mut sparse = base.clone();
+        for i in [5, 6, 40] {
+            sparse[i] ^= 0x55;
         }
-        let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
-        let mut pattern = vec![7i64; 64];
-        pattern[10] = 0;
-        pattern[20] = 0;
-        pattern[30] = 0;
-        p.load_shared(0x200, &pattern).unwrap();
-        let compressed = p.capture_delta().unwrap();
-        p.set_delta_compression(false);
-        let raw = p.capture_delta().unwrap();
-        p.set_delta_compression(true);
-        assert_eq!(
-            compressed.len(),
-            raw.len(),
-            "dense page must fall back to the raw form"
-        );
-        let mark = p.state_checksum();
-        for delta in [&compressed, &raw] {
-            let mut restored = Platform::from_image(base.image()).unwrap();
-            restored.restore_delta(&base, delta).unwrap();
-            assert_eq!(restored.state_checksum(), mark);
+        let bytes = encode(&base, &[(0, sparse)]);
+        assert!(bytes.len() < 4 + 8 + 8 * PAGE_WORDS, "{} B", bytes.len());
+
+        // Dense: damaged everywhere except isolated words, where every
+        // zero-run token buys back exactly its own cost. The run list ties
+        // with the raw form, so the page must be one literal run.
+        let mut dense: Vec<Word> = base.iter().map(|b| b ^ 7).collect();
+        for i in [10, 20, 30] {
+            dense[i] = base[i];
+        }
+        let mut raw = Writer::new();
+        raw.put_u32(1);
+        raw.put_u32(0);
+        raw.put_u32(((PAGE_WORDS as u32) << 1) | 1);
+        for (v, b) in dense.iter().zip(&base) {
+            raw.put_i64(v ^ b);
+        }
+        assert_eq!(encode(&base, &[(0, dense)]), raw.into_bytes());
+
+        // Random RAM sizes (partial last page included), random dirty
+        // subsets, damage density from "rewritten unchanged" to "every word".
+        for _ in 0..300 {
+            let total = rng.usize_in(1, 4 * PAGE_WORDS);
+            let base = random_words(&mut rng, total);
+            let mut pages = Vec::new();
+            for (page, chunk) in base.chunks(PAGE_WORDS).enumerate() {
+                if rng.u64_in(0, 1) == 0 {
+                    continue;
+                }
+                let density = rng.u64_in(0, 8);
+                let words = chunk
+                    .iter()
+                    .map(|&b| {
+                        if rng.u64_in(1, 8) <= density {
+                            b ^ (rng.u64_in(1, 255) as Word)
+                        } else {
+                            b
+                        }
+                    })
+                    .collect();
+                pages.push((page, words));
+            }
+            encode(&base, &pages);
         }
     }
 

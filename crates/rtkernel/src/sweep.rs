@@ -130,18 +130,11 @@ pub fn profile_workload(
     prefix: &Prefix<'_>,
     profile_addr: u32,
 ) -> Result<Workload> {
-    let platform = prefix
-        .materialize()
-        .map_err(|e| Error::Config(format!("profile prefix: {e}")))?;
+    let words = prefix
+        .profile_words(profile_addr, workload.tasks().len())
+        .map_err(|e| Error::Config(format!("task profile: {e}")))?;
     let mut profiled = workload.clone();
-    for (t, spec) in profiled.tasks_mut().iter_mut().enumerate() {
-        let addr = u32::try_from(t)
-            .ok()
-            .and_then(|t| profile_addr.checked_add(t))
-            .ok_or_else(|| Error::Config(format!("profile address overflow for task {t}")))?;
-        let word = platform
-            .debug_read(addr)
-            .map_err(|e| Error::Config(format!("profile word for task {t}: {e}")))?;
+    for (spec, &word) in profiled.tasks_mut().iter_mut().zip(&words) {
         if word > 0 {
             spec.serial_work = word as u64;
         }

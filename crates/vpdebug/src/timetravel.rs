@@ -11,32 +11,21 @@
 //!
 //! The ring stores **one base image plus deltas**: the first checkpoint is
 //! a full [`Platform::capture`](mpsoc_platform::Platform::capture) (which
-//! also clears the RAM dirty bitmaps), and every later auto-checkpoint is a
+//! also clears the RAM dirty bitmaps), and every later checkpoint is a
 //! [`capture_delta`](mpsoc_platform::Platform::capture_delta) — only the
 //! RAM pages written since the base, plus the small component states. On a
 //! sparse-write workload a delta is a few percent of a full image, so
-//! checkpointing drops from O(memory) to O(dirty state) per interval.
+//! checkpointing drops from O(memory) to O(dirty state) per interval, and
+//! a rewind restores the base plus at most one delta.
 //!
 //! Retention is bounded by **bytes, not count** (a delta and a full image
-//! can differ by 100x, so a count bound says nothing about memory):
-//! when the ring exceeds its byte budget the oldest delta is evicted and
-//! the rewind horizon moves forward. The current base image and the newest
-//! checkpoint are never evicted — the base because every later delta needs
-//! it, the newest so the budget can never strand the debugger without a
-//! recent rewind target. Attach a metrics registry
-//! ([`Debugger::attach_metrics`]) to watch occupancy on the
-//! `vpdebug.ring_bytes` gauge.
-//!
-//! ## Delta chains
-//!
-//! Against one ancient base, deltas grow without bound — every page the
-//! workload ever dirtied stays in every later delta. With
-//! [`Debugger::set_rebase_every`] the ring *re-bases* after every `n`
-//! deltas: a fresh full image is captured, becomes the chain base, and
-//! subsequent deltas cover only pages dirtied since it. The ring then
-//! holds several delta chains; a rewind still restores at most one base
-//! plus one delta (no chain walking), and eviction frees an old chain's
-//! base once none of its deltas remain.
+//! can differ by 100x, so a count bound says nothing about memory): when
+//! the ring exceeds its byte budget the oldest delta is popped, O(1), and
+//! the rewind horizon moves forward. The base image and the newest
+//! checkpoint are never evicted — the base because every delta needs it,
+//! the newest so the budget can never strand the debugger without a recent
+//! rewind target. Attach a metrics registry ([`Debugger::attach_metrics`])
+//! to watch occupancy on the `vpdebug.ring_bytes` gauge.
 //!
 //! Each checkpoint also carries the host-side debugger state that must
 //! rewind with it, O(signals) at most: the trace buffer's *position* (see
@@ -47,33 +36,21 @@
 
 use mpsoc_platform::isa::Word;
 use mpsoc_platform::{BaseImage, Platform};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::debugger::{Debugger, Stop};
 use crate::error::{Error, Result};
 
-/// The platform-state part of a checkpoint: one of the ring's full base
-/// images, or a delta against one of them.
-#[derive(Clone, Debug)]
-pub(crate) enum CheckpointImage {
-    /// This checkpoint *is* base `.0` in [`TimeTravel::bases`].
-    Base(usize),
-    /// A delta image chained against base `.0` in [`TimeTravel::bases`].
-    Delta(usize, Vec<u8>),
-}
-
-/// One auto-checkpoint: the platform image (base or delta) plus the
-/// debugger-side state that must travel with it.
+/// One checkpoint: the platform image (the ring's base, or a delta against
+/// it) plus the debugger-side state that must travel with it.
 #[derive(Clone, Debug)]
 pub(crate) struct Checkpoint {
     /// Platform step count at capture time (the checkpoint sits *before*
     /// the step with this index executes).
     pub(crate) step: u64,
-    /// Platform state: the base, or a delta against it.
-    pub(crate) image: CheckpointImage,
-    /// Bytes this checkpoint occupies in the ring (full image size for the
-    /// base entry).
-    pub(crate) bytes: usize,
+    /// Platform state as a delta against [`TimeTravel::base`]; `None` for
+    /// the base checkpoint, whose state is the base image itself.
+    pub(crate) delta: Option<Vec<u8>>,
     /// Trace-buffer position as of the checkpoint
     /// ([`TraceBuffer::position`](crate::trace::TraceBuffer)).
     pub(crate) trace_pos: u64,
@@ -83,6 +60,13 @@ pub(crate) struct Checkpoint {
     pub(crate) stim_applied: usize,
 }
 
+impl Checkpoint {
+    /// Ring bytes this checkpoint owns (the base image is counted apart).
+    fn delta_bytes(&self) -> usize {
+        self.delta.as_ref().map_or(0, Vec::len)
+    }
+}
+
 /// Auto-checkpoint configuration and storage, owned by a [`Debugger`] once
 /// [`Debugger::enable_time_travel`] is called.
 #[derive(Debug)]
@@ -90,34 +74,25 @@ pub struct TimeTravel {
     /// Steps between auto-checkpoints.
     pub(crate) interval: u64,
     /// Maximum retained checkpoint bytes (oldest delta evicted first; the
-    /// current base and the newest checkpoint are exempt).
+    /// base and the newest checkpoint are exempt).
     pub(crate) budget_bytes: usize,
-    /// After this many consecutive deltas the ring captures a fresh full
-    /// base and chains subsequent deltas against it; `0` disables periodic
-    /// re-basing (the classic single-base ring).
-    pub(crate) rebase_every: usize,
-    /// Base images the deltas chain against. Slots become `None` once
-    /// evicted — indices must stay stable because every delta names its
-    /// base by index.
-    pub(crate) bases: Vec<Option<BaseImage>>,
-    /// Index of the base the platform's internal delta baseline currently
-    /// chains against (the base most recently captured or restored).
-    pub(crate) cur_base: usize,
-    /// Deltas captured since the last full base (drives `rebase_every`).
-    pub(crate) deltas_since_rebase: usize,
-    /// Checkpoints, sorted ascending by step. At least one entry is a
-    /// [`CheckpointImage::Base`].
-    pub(crate) checkpoints: Vec<Checkpoint>,
+    /// The full image every delta is relative to.
+    pub(crate) base: BaseImage,
+    /// The base checkpoint (`delta` is `None`): the oldest rewind target.
+    pub(crate) base_checkpoint: Checkpoint,
+    /// Delta checkpoints, sorted ascending by step.
+    pub(crate) deltas: VecDeque<Checkpoint>,
+    /// Bytes retained: the base image plus every delta in `deltas`.
+    pub(crate) bytes: usize,
 }
 
-/// A [`Checkpoint`] of `$dbg`'s debugger-side state around `$image`. A macro:
+/// A [`Checkpoint`] of `$dbg`'s debugger-side state around `$delta`. A macro:
 /// it borrows field by field, so `time_travel` may be mutably held meanwhile.
 macro_rules! checkpoint_now {
-    ($dbg:expr, $image:expr, $bytes:expr) => {
+    ($dbg:expr, $delta:expr) => {
         Checkpoint {
             step: $dbg.platform.steps(),
-            image: $image,
-            bytes: $bytes,
+            delta: $delta,
             trace_pos: $dbg.trace.position(),
             prev_signals: $dbg.prev_signals.clone(),
             stim_applied: $dbg.stim_cursor,
@@ -132,73 +107,41 @@ fn capture_base(platform: &mut Platform) -> Result<BaseImage> {
 }
 
 impl TimeTravel {
-    /// Total bytes currently retained by the ring.
-    pub(crate) fn ring_bytes(&self) -> usize {
-        self.checkpoints.iter().map(|c| c.bytes).sum()
+    /// The retained checkpoints, oldest first.
+    fn checkpoints(&self) -> impl Iterator<Item = &Checkpoint> {
+        std::iter::once(&self.base_checkpoint).chain(&self.deltas)
     }
 
-    /// The base image at slot `i`. Eviction and pruning never drop a base
-    /// that a retained checkpoint still references, so the slot is alive.
-    pub(crate) fn base_image(&self, i: usize) -> &BaseImage {
-        self.bases[i]
-            .as_ref()
-            .expect("a retained checkpoint keeps its base alive")
-    }
-
-    /// Whether any retained *delta* checkpoint chains against base `i`.
-    fn base_referenced(&self, i: usize) -> bool {
-        self.checkpoints
-            .iter()
-            .any(|c| matches!(c.image, CheckpointImage::Delta(b, _) if b == i))
-    }
-
-    /// Evicts oldest-first until within budget. The newest checkpoint is
-    /// never evicted; a base entry is only evicted once no retained delta
-    /// chains against it and it is not the platform's current chain base
-    /// (its slot is then freed too).
-    fn evict_to_budget(&mut self) {
-        while self.ring_bytes() > self.budget_bytes {
-            let last = self.checkpoints.len().saturating_sub(1);
-            let victim = (0..last).find(|&i| match self.checkpoints[i].image {
-                CheckpointImage::Delta(..) => true,
-                CheckpointImage::Base(b) => b != self.cur_base && !self.base_referenced(b),
-            });
-            match victim {
-                Some(i) => {
-                    if let CheckpointImage::Base(b) = self.checkpoints[i].image {
-                        self.bases[b] = None;
-                    }
-                    self.checkpoints.remove(i);
-                }
-                None => break, // nothing evictable left; keep what remains
-            }
+    /// The newest retained checkpoint at or before `step`.
+    fn at_or_before(&self, step: u64) -> Option<&Checkpoint> {
+        let after = self.deltas.partition_point(|c| c.step <= step);
+        match after.checked_sub(1) {
+            Some(i) => self.deltas.get(i),
+            None => Some(&self.base_checkpoint).filter(|c| c.step <= step),
         }
     }
 
-    /// Frees base slots no retained checkpoint references any more. The
-    /// current chain base is always kept — the next delta will need it.
-    fn prune_bases(&mut self) {
-        for i in 0..self.bases.len() {
-            if i == self.cur_base || self.bases[i].is_none() {
-                continue;
-            }
-            let in_use = self.checkpoints.iter().any(|c| {
-                matches!(c.image, CheckpointImage::Base(b) | CheckpointImage::Delta(b, _) if b == i)
-            });
-            if !in_use {
-                self.bases[i] = None;
+    /// Inserts a delta checkpoint in step order, then pops the oldest
+    /// deltas until the ring is within budget or only the newest is left.
+    fn push_delta(&mut self, cp: Checkpoint) {
+        self.bytes += cp.delta_bytes();
+        let pos = self.deltas.partition_point(|c| c.step < cp.step);
+        self.deltas.insert(pos, cp);
+        while self.bytes > self.budget_bytes && self.deltas.len() > 1 {
+            if let Some(oldest) = self.deltas.pop_front() {
+                self.bytes -= oldest.delta_bytes();
             }
         }
     }
 
     /// Drops checkpoints describing a future past `step` (they became lies
-    /// when state at `step` was mutated). The current chain base is always
-    /// kept — without it no future delta is restorable.
+    /// when state at `step` was mutated). The base is always kept — without
+    /// it no future delta is restorable.
     pub(crate) fn drop_checkpoints_after(&mut self, step: u64) {
-        let cur = self.cur_base;
-        self.checkpoints
-            .retain(|c| c.step <= step || matches!(c.image, CheckpointImage::Base(b) if b == cur));
-        self.prune_bases();
+        let keep = self.deltas.partition_point(|c| c.step <= step);
+        for dropped in self.deltas.drain(keep..) {
+            self.bytes -= dropped.delta_bytes();
+        }
     }
 }
 
@@ -238,56 +181,20 @@ impl Debugger {
     }
 
     fn install_time_travel(&mut self, interval: u64, budget_bytes: usize, base: BaseImage) {
-        let rebase_every = self.time_travel.as_ref().map_or(0, |tt| tt.rebase_every);
-        let cp = checkpoint_now!(self, CheckpointImage::Base(0), base.len_bytes());
         self.time_travel = Some(TimeTravel {
             interval: interval.max(1),
             budget_bytes,
-            rebase_every,
-            bases: vec![Some(base)],
-            cur_base: 0,
-            deltas_since_rebase: 0,
-            checkpoints: vec![cp],
+            bytes: base.len_bytes(),
+            base,
+            base_checkpoint: checkpoint_now!(self, None),
+            deltas: VecDeque::new(),
         });
         self.update_ring_gauge();
     }
 
-    /// Enables delta-chain re-basing: after `every` consecutive delta
-    /// checkpoints the ring captures a fresh *full* base and chains
-    /// subsequent deltas against it. On long runs this bounds delta size —
-    /// against a single ancient base a delta eventually approaches the full
-    /// image as pages keep diverging, while a re-based chain's deltas only
-    /// cover pages dirtied since the last rebase. `0` restores the classic
-    /// single-base ring. The setting survives
-    /// [`rebase_checkpoints`](Debugger::rebase_checkpoints).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::TimeTravelDisabled`] when time travel is not enabled.
-    pub fn set_rebase_every(&mut self, every: usize) -> Result<()> {
-        match &mut self.time_travel {
-            Some(tt) => {
-                tt.rebase_every = every;
-                Ok(())
-            }
-            None => Err(Error::TimeTravelDisabled),
-        }
-    }
-
     /// The retained checkpoints, oldest first; none when time travel is off.
     fn retained(&self) -> impl Iterator<Item = &Checkpoint> {
-        self.time_travel.iter().flat_map(|tt| &tt.checkpoints)
-    }
-
-    /// The step indices of the retained *full-base* checkpoints
-    /// (ascending). A subset of [`checkpoint_steps`](Debugger::checkpoint_steps);
-    /// more than one entry means [`set_rebase_every`](Debugger::set_rebase_every)
-    /// has split the ring into delta chains.
-    pub fn base_steps(&self) -> Vec<u64> {
-        self.retained()
-            .filter(|c| matches!(c.image, CheckpointImage::Base(_)))
-            .map(|c| c.step)
-            .collect()
+        self.time_travel.iter().flat_map(TimeTravel::checkpoints)
     }
 
     /// Disables time travel and drops every checkpoint.
@@ -306,7 +213,7 @@ impl Debugger {
     /// deltas); 0 when time travel is disabled. Also reported on the
     /// `vpdebug.ring_bytes` gauge when a metrics registry is attached.
     pub fn ring_bytes(&self) -> usize {
-        self.time_travel.as_ref().map_or(0, TimeTravel::ring_bytes)
+        self.time_travel.as_ref().map_or(0, |tt| tt.bytes)
     }
 
     /// Drops every retained checkpoint in favour of a fresh *base* at the
@@ -337,45 +244,23 @@ impl Debugger {
             return Ok(());
         };
         let cur = self.platform.steps();
-        let at_or_below = tt.checkpoints.partition_point(|c| c.step <= cur);
-        let due = match at_or_below.checked_sub(1) {
-            Some(i) => cur >= tt.checkpoints[i].step + tt.interval,
-            None => true,
-        };
+        let due = tt
+            .at_or_before(cur)
+            .is_none_or(|c| cur >= c.step.saturating_add(tt.interval));
         if due {
             self.take_checkpoint()?;
         }
         Ok(())
     }
 
-    /// Captures a checkpoint at the current step — a delta against the
-    /// current chain base, or (when `rebase_every` deltas have accumulated)
-    /// a fresh full base starting a new chain — keeping the list sorted and
-    /// the ring within its byte budget.
+    /// Captures a delta checkpoint at the current step, keeping the deltas
+    /// sorted and the ring within its byte budget.
     fn take_checkpoint(&mut self) -> Result<()> {
         let Some(tt) = &mut self.time_travel else {
             return Err(Error::TimeTravelDisabled);
         };
-        let rebase_due = tt.rebase_every > 0 && tt.deltas_since_rebase >= tt.rebase_every;
-        let (image, bytes) = if rebase_due {
-            // `capture` also re-anchors the platform's internal delta
-            // baseline, so later `capture_delta` calls chain on this base.
-            let base = capture_base(&mut self.platform)?;
-            let bytes = base.len_bytes();
-            tt.bases.push(Some(base));
-            tt.cur_base = tt.bases.len() - 1;
-            tt.deltas_since_rebase = 0;
-            (CheckpointImage::Base(tt.cur_base), bytes)
-        } else {
-            let delta = self.platform.capture_delta().map_err(Error::from)?;
-            let bytes = delta.len();
-            tt.deltas_since_rebase += 1;
-            (CheckpointImage::Delta(tt.cur_base, delta), bytes)
-        };
-        let cp = checkpoint_now!(self, image, bytes);
-        let pos = tt.checkpoints.partition_point(|c| c.step < cp.step);
-        tt.checkpoints.insert(pos, cp);
-        tt.evict_to_budget();
+        let delta = self.platform.capture_delta().map_err(Error::from)?;
+        tt.push_delta(checkpoint_now!(self, Some(delta)));
         self.update_ring_gauge();
         Ok(())
     }
@@ -399,8 +284,8 @@ impl Debugger {
     }
 
     /// Travels to the state exactly after `target` platform steps: restores
-    /// the nearest checkpoint at or before `target` (base + one delta — no
-    /// delta chain walking), then deterministically re-executes forward.
+    /// the nearest checkpoint at or before `target` (the base plus at most
+    /// one delta), then deterministically re-executes forward.
     /// Returns `false` (platform untouched) when time travel is off or
     /// every retained checkpoint lies beyond `target`.
     ///
@@ -409,37 +294,22 @@ impl Debugger {
     /// [`Error::Platform`] for an unrestorable image (never expected for
     /// images the debugger captured itself).
     pub fn rewind_to_step(&mut self, target: u64) -> Result<bool> {
-        let Some(tt) = &mut self.time_travel else {
+        let Some(tt) = &self.time_travel else {
             return Ok(false);
         };
-        let pos = tt.checkpoints.partition_point(|c| c.step <= target);
-        if pos == 0 {
+        let Some(cp) = tt.at_or_before(target) else {
             return Ok(false);
+        };
+        match &cp.delta {
+            None => self.platform.reset_to_base(&tt.base),
+            Some(delta) => self.platform.restore_delta(&tt.base, delta),
         }
-        let cp = &tt.checkpoints[pos - 1];
-        let restored_chain = match &cp.image {
-            CheckpointImage::Base(b) => {
-                self.platform
-                    .reset_to_base(tt.base_image(*b))
-                    .map_err(Error::from)?;
-                *b
-            }
-            CheckpointImage::Delta(b, delta) => {
-                self.platform
-                    .restore_delta(tt.base_image(*b), delta)
-                    .map_err(Error::from)?;
-                *b
-            }
-        };
+        .map_err(Error::from)?;
         self.trace.rewind_to(cp.trace_pos);
         self.prev_signals.clone_from(&cp.prev_signals);
         // The restore changed signals without regard to the edge counter.
         self.signals_seen = None;
         self.stim_cursor = cp.stim_applied;
-        // The restore re-anchored the platform's delta baseline onto the
-        // restored chain's base; new deltas must name it.
-        tt.cur_base = restored_chain;
-        tt.deltas_since_rebase = 0;
         while self.platform.steps() < target {
             let _ = self.step_evaluated()?;
         }
@@ -506,6 +376,7 @@ impl Debugger {
 
 #[cfg(test)]
 mod tests {
+    use super::Checkpoint;
     use crate::debugger::{Debugger, Stop, Watchpoint};
     use mpsoc_platform::isa::assemble;
     use mpsoc_platform::platform::{AccessKind, PlatformBuilder};
@@ -636,33 +507,76 @@ mod tests {
         // checkpoint at or before it — including the base.
         assert!(dbg.rewind_to_step(1).unwrap());
         assert_eq!(dbg.platform().steps(), 1);
+    }
 
-        // What XOR+RLE delta pages buy: under one budget sized to evict
-        // about half the raw (whole-page) deltas, the compressed encoding
-        // retains strictly more checkpoints.
-        let ring = |compress: bool, budget: usize| {
-            let mut dbg = debugger();
-            dbg.platform_mut().set_delta_compression(compress);
-            dbg.enable_time_travel_bytes(3, budget).unwrap();
-            for _ in 0..120 {
-                dbg.step().unwrap();
-            }
-            dbg
+    #[test]
+    fn saturated_ring_evicts_oldest_deltas_and_still_rewinds_exactly() {
+        // Strided stores dirty one page after another, so deltas grow while
+        // a checkpoint per step keeps the ring evicting.
+        let build = || {
+            let mut p = PlatformBuilder::new()
+                .cores(1, Frequency::mhz(100))
+                .shared_words(1024)
+                .local_words(64)
+                .cache(None)
+                .build()
+                .unwrap();
+            let prog = assemble(
+                "movi r3, 0x3ff\nloop: addi r1, r1, 7\nand r2, r1, r3\n\
+                 st r1, r2, 0\njmp loop",
+            )
+            .unwrap();
+            p.load_program(0, prog, 0).unwrap();
+            Debugger::new(p)
         };
-        let raw_total = ring(false, usize::MAX).ring_bytes();
-        let budget = base_bytes + (raw_total - base_bytes) / 2;
-        let raw_kept = ring(false, budget).checkpoint_steps().len();
-        let compressed_kept = ring(true, budget).checkpoint_steps().len();
-        assert!(
-            compressed_kept > raw_kept,
-            "compressed deltas must fit more checkpoints in {budget}B \
-             (raw {raw_kept} vs compressed {compressed_kept})"
-        );
+        const STEPS: u64 = 3000;
+        // Size the budget from the first and the (largest) final delta of
+        // the run: the base plus about eight final deltas.
+        let mut probe = build();
+        probe
+            .enable_time_travel_bytes(u64::MAX, usize::MAX)
+            .unwrap();
+        let base_bytes = probe.ring_bytes();
+        probe.step().unwrap();
+        probe.take_checkpoint_now().unwrap();
+        let first_delta = probe.ring_bytes() - base_bytes;
+        for _ in 1..STEPS {
+            probe.step().unwrap();
+        }
+        probe.take_checkpoint_now().unwrap();
+        let last_delta = probe.ring_bytes() - base_bytes - first_delta;
+        assert!(first_delta < last_delta, "deltas grow");
+        let budget = base_bytes + last_delta * 17 / 2;
+
+        let mut dbg = build();
+        dbg.enable_time_travel_bytes(1, budget).unwrap();
+        let mut checksums = vec![dbg.platform().state_checksum()];
+        for done in 1..=STEPS {
+            dbg.step().unwrap();
+            checksums.push(dbg.platform().state_checksum());
+            let tt = dbg.time_travel.as_ref().unwrap();
+            let held: usize = tt.deltas.iter().map(Checkpoint::delta_bytes).sum();
+            assert_eq!(dbg.ring_bytes(), base_bytes + held, "after {done} steps");
+            assert!(dbg.ring_bytes() <= budget, "after {done} steps");
+            let steps = dbg.checkpoint_steps();
+            assert_eq!(steps[0], 0, "the base is never evicted");
+            assert_eq!(steps.last(), Some(&(done - 1)), "the newest is retained");
+            assert!(steps.windows(2).all(|w| w[0] < w[1]));
+        }
+        let retained = dbg.checkpoint_steps().len();
+        assert!((8..=10).contains(&retained), "retained {retained}");
+        // Back through every retained delta and past the horizon, where
+        // only the base is left to replay from.
+        for back in 1..=12 {
+            assert!(dbg.step_back().unwrap(), "step_back #{back}");
+            let at = dbg.platform().steps();
+            assert_eq!(at, STEPS - back);
+            assert_eq!(dbg.platform().state_checksum(), checksums[at as usize]);
+        }
     }
 
     #[test]
     fn checkpoint_footprint_ignores_the_trace() {
-        use super::{Checkpoint, CheckpointImage};
         // A checkpoint is its image plus O(signals) of host state, whatever
         // the trace buffer's capacity or fill: it stores a position.
         let footprints = |capacity: usize| -> Vec<(u64, usize, u64, usize)> {
@@ -673,13 +587,9 @@ mod tests {
                 dbg.step().unwrap();
             }
             let tt = dbg.time_travel.as_ref().unwrap();
-            tt.checkpoints
-                .iter()
+            tt.checkpoints()
                 .map(|c| {
-                    let image = match &c.image {
-                        CheckpointImage::Base(_) => c.bytes,
-                        CheckpointImage::Delta(_, delta) => delta.capacity(),
-                    };
+                    let image = c.delta.as_ref().map_or(tt.base.len_bytes(), Vec::capacity);
                     (c.step, image, c.trace_pos, c.prev_signals.len())
                 })
                 .collect()
@@ -732,87 +642,6 @@ mod tests {
         dbg.platform_mut().inject_reg_flip(0, 1, 3).unwrap();
         dbg.rebase_checkpoints().unwrap();
         assert_eq!(dbg.checkpoint_steps(), vec![10]);
-    }
-
-    #[test]
-    fn rebase_every_bounds_delta_chains() {
-        let mut dbg = debugger();
-        dbg.enable_time_travel(3, usize::MAX).unwrap();
-        dbg.set_rebase_every(2).unwrap();
-        for _ in 0..30 {
-            dbg.step().unwrap();
-        }
-        // Checkpoints land every 3 steps; every third one is a fresh base.
-        let bases = dbg.base_steps();
-        assert_eq!(bases, vec![0, 9, 18, 27]);
-        // Between consecutive bases there are at most `rebase_every` deltas.
-        let steps = dbg.checkpoint_steps();
-        for w in bases.windows(2) {
-            let deltas = steps.iter().filter(|&&s| s > w[0] && s < w[1]).count();
-            assert!(deltas <= 2, "chain {w:?} holds {deltas} deltas");
-        }
-    }
-
-    #[test]
-    fn rewind_across_chain_boundaries_is_bit_identical() {
-        let mut dbg = debugger();
-        dbg.enable_time_travel(3, usize::MAX).unwrap();
-        dbg.set_rebase_every(2).unwrap();
-        let mut checksums = vec![dbg.platform().state_checksum()];
-        for _ in 0..30 {
-            dbg.step().unwrap();
-            checksums.push(dbg.platform().state_checksum());
-        }
-        // Rewind targets across every chain: on a base, mid-chain, and
-        // between a chain's last delta and the next base.
-        for &target in &[27u64, 20, 14, 10, 8, 4, 1] {
-            assert!(dbg.rewind_to_step(target).unwrap(), "rewind to {target}");
-            assert_eq!(dbg.platform().steps(), target);
-            assert_eq!(
-                dbg.platform().state_checksum(),
-                checksums[target as usize],
-                "state at step {target} must match the forward run"
-            );
-        }
-        // Forward replay out of the oldest chain reproduces the future.
-        for _ in 0..29 {
-            dbg.step().unwrap();
-        }
-        assert_eq!(dbg.platform().state_checksum(), checksums[30]);
-    }
-
-    #[test]
-    fn eviction_frees_whole_chains_but_keeps_current_base() {
-        let mut dbg = debugger();
-        // Probe one delta's size with an unbounded ring.
-        dbg.enable_time_travel(3, usize::MAX).unwrap();
-        let base_bytes = dbg.ring_bytes();
-        for _ in 0..6 {
-            dbg.step().unwrap();
-        }
-        let delta_bytes = dbg.ring_bytes() - base_bytes;
-
-        // Re-run with chains on and room for about two bases + two deltas:
-        // old chains (deltas first, then their base) must be evicted whole.
-        let mut dbg = debugger();
-        let budget = 2 * base_bytes + 2 * delta_bytes;
-        dbg.enable_time_travel_bytes(3, budget).unwrap();
-        dbg.set_rebase_every(2).unwrap();
-        for _ in 0..40 {
-            dbg.step().unwrap();
-        }
-        assert!(
-            dbg.ring_bytes() <= budget,
-            "ring {}B exceeds budget {budget}B",
-            dbg.ring_bytes()
-        );
-        let steps = dbg.checkpoint_steps();
-        assert!(steps.windows(2).all(|w| w[0] < w[1]));
-        assert!(!dbg.base_steps().is_empty(), "a chain base is retained");
-        // The newest chain still rewinds exactly.
-        let newest_base = *dbg.base_steps().last().unwrap();
-        assert!(dbg.rewind_to_step(newest_base + 1).unwrap());
-        assert_eq!(dbg.platform().steps(), newest_base + 1);
     }
 
     #[test]

@@ -66,12 +66,9 @@ stage "tracked files intact" check_tracked_files
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo build --release" cargo build --release
-stage "cargo test" cargo test -q
+# A superset of tier-1's `cargo test -q`: the root package's tests/ (delta
+# round-trip, exploration/trace/debugger equivalence, ...) run here once.
 stage "cargo test --workspace" cargo test --workspace -q
-stage "delta checkpoint round-trip" cargo test -q --test delta_roundtrip
-stage "exploration engine cross-layer equivalence" cargo test -q --test explore_equivalence
-stage "bounded trace store vs unbounded oracle" cargo test -q --test trace_equivalence
-stage "debugger vs every-signal reference evaluator" cargo test -q --test debugger_equivalence
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
 # The joint mapping x topology sweep over generated .soc platforms; writes

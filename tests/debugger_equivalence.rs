@@ -321,11 +321,10 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(name: &str, seed: u64, interval: u64, rebase_every: usize) -> Self {
+    fn new(name: &str, seed: u64, interval: u64) -> Self {
         let mut dbg = Debugger::new(testbed::by_name(name).expect("known testbed"));
         dbg.enable_time_travel_bytes(interval, usize::MAX)
             .expect("time travel enables");
-        dbg.set_rebase_every(rebase_every).expect("time travel on");
         let reference = Reference::new(testbed::by_name(name).expect("known testbed"), interval);
         Pair {
             dbg,
@@ -442,7 +441,7 @@ fn session(name: &str, seed: u64, ops: usize) {
     let c = pilot(name, 4_000);
     let mut rng = XorShift64Star::new(seed);
     let interval = rng.u64_in(5, 120);
-    let mut pair = Pair::new(name, seed, interval, rng.usize_in(0, 4));
+    let mut pair = Pair::new(name, seed, interval);
     random_conditions(&mut pair, &mut rng, &c);
     let mut watched_after_break = false;
     for _ in 0..ops {
@@ -522,7 +521,7 @@ fn seeded_sessions_match_the_reference_on_e12() {
 fn sessions_match_with_an_evicted_signal_ring() {
     let c = pilot("car_radio", 4_000);
     let mut rng = XorShift64Star::new(0x0E71C7);
-    let mut pair = Pair::new("car_radio", 0x0E71C7, 40, 0);
+    let mut pair = Pair::new("car_radio", 0x0E71C7, 40);
     pair.dbg.platform_mut().set_trace_budget(0);
     for name in &c.signals {
         pair.add_watchpoint(Watchpoint::Signal {

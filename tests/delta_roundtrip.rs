@@ -14,13 +14,14 @@
 
 use mpsoc_suite::apps::testbed::{build_car_radio, build_jpeg};
 use mpsoc_suite::cic::explore::{calibrate_task_work, explore_parallel};
+use mpsoc_suite::explore::Prefix;
 use mpsoc_suite::maps::mapping::{anneal_multi, profile_task_costs};
 use mpsoc_suite::obs::rng::XorShift64Star;
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{
     InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,
 };
-use mpsoc_suite::platform::{BaseImage, Frequency, PrefixSource, Time};
+use mpsoc_suite::platform::{BaseImage, Frequency, Time};
 use mpsoc_suite::vpdebug::campaign::{
     generate_faults, run_campaign, run_campaign_delta, CampaignConfig, FaultSpace,
 };
@@ -86,25 +87,14 @@ fn delta_restore_is_bit_identical_for_random_run_lengths() {
             let mut base =
                 BaseImage::new(p.capture().expect("base captures")).expect("base decodes");
             // What makes the delta path worth having: a representative
-            // working set costs at most a quarter of the full image, and
-            // the adaptive page encoder (raw literal run whenever XOR+RLE
-            // would not win) never encodes larger than raw pages.
+            // working set costs at most a quarter of the full image.
             run_steps(&mut p, 256);
             let delta = p.capture_delta().expect("delta captures");
-            p.set_delta_compression(false);
-            let raw = p.capture_delta().expect("raw delta captures");
-            p.set_delta_compression(true);
             assert!(
                 delta.len() * 4 <= base.image().len(),
                 "delta {}B exceeds 25% of the full image {}B",
                 delta.len(),
                 base.image().len()
-            );
-            assert!(
-                delta.len() <= raw.len(),
-                "adaptive delta {}B encodes larger than raw {}B",
-                delta.len(),
-                raw.len()
             );
             for _ in 0..3 {
                 run_steps(&mut p, rng.u64_in(1, 300));
@@ -332,14 +322,12 @@ fn warm_started_dse_matches_cold_at_every_thread_count() {
         Ok(p)
     };
     let steps = 14;
-    let cold = PrefixSource::Cold {
-        build: &build,
-        steps,
-    };
+    let cold = Prefix::cold(&build, steps);
     let mut p = build().expect("profile platform builds");
     run_steps(&mut p, steps);
-    let image = p.capture().expect("profile platform captures");
-    let warm = PrefixSource::Warm { image: &image };
+    let base = BaseImage::new(p.capture().expect("profile platform captures"))
+        .expect("profile image decodes");
+    let warm = Prefix::base(&base);
 
     // MAPS: a diamond task graph, re-costed from the profile.
     let graph = mpsoc_suite::maps::taskgraph::TaskGraph {

@@ -6,8 +6,8 @@
 //! campaigns (`vpdebug`) — now fans out through
 //! [`mpsoc_suite::explore::Sweep`]. The engine promises bit-identical
 //! results at any thread count and promises that a snapshot warm start
-//! ([`PrefixSource::Warm`] / [`Prefix`]) equals re-simulating the prefix
-//! cold. This test pins both promises **for all five flows at once**, so a
+//! ([`Prefix::base`]) equals re-simulating the prefix cold
+//! ([`Prefix::cold`]). This test pins both promises **for all five flows at once**, so a
 //! change to the engine's seed splitting, chunking, or merge order cannot
 //! silently de-synchronise one layer from the others.
 
@@ -16,7 +16,7 @@ use mpsoc_suite::obs::MetricsRegistry;
 use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{Platform, PlatformBuilder};
 use mpsoc_suite::platform::time::Frequency;
-use mpsoc_suite::platform::PrefixSource;
+use mpsoc_suite::platform::BaseImage;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -46,14 +46,14 @@ fn profile_platform(
     (build, steps)
 }
 
-/// Captures a snapshot at `steps` for the warm counterpart of a cold
+/// Captures a base image at `steps` for the warm counterpart of a cold
 /// prefix.
-fn warm_image(build: &dyn Fn() -> mpsoc_suite::platform::Result<Platform>, steps: u64) -> Vec<u8> {
+fn warm_base(build: &dyn Fn() -> mpsoc_suite::platform::Result<Platform>, steps: u64) -> BaseImage {
     let mut p = build().unwrap();
     for _ in 0..steps {
         p.step().unwrap();
     }
-    p.capture().unwrap()
+    BaseImage::new(p.capture().unwrap()).unwrap()
 }
 
 /// The engine's own counters must prove what each prefix did: the cold one
@@ -111,12 +111,9 @@ mod maps_flow {
     #[test]
     fn profiled_anneal_warm_equals_cold() {
         let (build, steps) = profile_platform(&[55, 40, 90, 15]);
-        let image = warm_image(&build, steps);
-        let cold = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
-        let warm = PrefixSource::Warm { image: &image };
+        let base = warm_base(&build, steps);
+        let cold = Prefix::cold(&build, steps);
+        let warm = Prefix::base(&base);
         let g = diamond([37, 91, 64, 22]);
         let arch = ArchModel::homogeneous(3);
         let cold_g = profile_task_costs(&g, &cold, 0x100).unwrap();
@@ -182,12 +179,9 @@ mod cic_flow {
     #[test]
     fn profiled_explore_warm_equals_cold() {
         let (build, steps) = profile_platform(&[300, 500, 150]);
-        let image = warm_image(&build, steps);
-        let cold = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
-        let warm = PrefixSource::Warm { image: &image };
+        let base = warm_base(&build, steps);
+        let cold = Prefix::cold(&build, steps);
+        let warm = Prefix::base(&base);
         let m = model();
         let cold_m = calibrate_task_work(&m, &cold, 0x100).unwrap();
         let warm_m = calibrate_task_work(&m, &warm, 0x100).unwrap();
@@ -242,15 +236,10 @@ mod rtkernel_flow {
     #[test]
     fn profiled_policy_sweep_warm_equals_cold() {
         let (build, steps) = profile_platform(&[120, 35, 60]);
-        let image = warm_image(&build, steps);
-        let cold_src = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
-        let warm_src = PrefixSource::Warm { image: &image };
+        let base = warm_base(&build, steps);
         let (cold_reg, warm_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
-        let cold = Prefix::source(&cold_src).metrics(&cold_reg);
-        let warm = Prefix::source(&warm_src).metrics(&warm_reg);
+        let cold = Prefix::cold(&build, steps).metrics(&cold_reg);
+        let warm = Prefix::base(&base).metrics(&warm_reg);
         let w = workload();
         let cfg = base_cfg();
         let boosts = [1.2, 1.5];
@@ -310,15 +299,10 @@ mod dataflow_flow {
     fn profiled_sizing_warm_equals_cold() {
         // Profile words re-cost src/f/snk; 0 leaves the sink untouched.
         let (build, steps) = profile_platform(&[10, 35, 0]);
-        let image = warm_image(&build, steps);
-        let cold_src = PrefixSource::Cold {
-            build: &build,
-            steps,
-        };
-        let warm_src = PrefixSource::Warm { image: &image };
+        let base = warm_base(&build, steps);
         let (cold_reg, warm_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
-        let cold = Prefix::source(&cold_src).metrics(&cold_reg);
-        let warm = Prefix::source(&warm_src).metrics(&warm_reg);
+        let cold = Prefix::cold(&build, steps).metrics(&cold_reg);
+        let warm = Prefix::base(&base).metrics(&warm_reg);
         let g = batching(3);
         let cold_g = profile_actor_wcets(&g, &cold, 0x100).unwrap();
         let warm_g = profile_actor_wcets(&g, &warm, 0x100).unwrap();
