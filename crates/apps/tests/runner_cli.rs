@@ -87,6 +87,36 @@ fn passing_suite_exits_zero_with_clean_reports() {
 }
 
 #[test]
+fn runaway_nesting_in_a_script_file_is_a_located_failure_not_a_crash() {
+    let dir = scratch_dir("deep");
+    let script = dir.join("deep.mts");
+    std::fs::write(
+        &script,
+        format!("platform race\nassert a {}1\n", "!".repeat(400_000)),
+    )
+    .expect("script writes");
+    let junit = dir.join("junit.xml");
+    let json = dir.join("verdicts.json");
+
+    let out = run(&[
+        script.to_str().unwrap(),
+        "--junit",
+        junit.to_str().unwrap(),
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    // A stack overflow ends the process by signal: no exit code, no report.
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let xml = std::fs::read_to_string(&junit).expect("junit written");
+    assert!(
+        xml.contains("line 2: expression nests deeper than 64 levels at column 66 "),
+        "{xml}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn no_scripts_found_is_an_error() {
     let dir = scratch_dir("empty");
     let out = run(&[dir.to_str().unwrap()]);

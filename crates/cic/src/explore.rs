@@ -63,95 +63,22 @@ fn platform_cost(arch: &ArchInfo) -> f64 {
 
 /// Explores SMP targets with 1..=`max_cores` cores and Cell-like targets
 /// with 1..=`max_workers` SPEs, returning every candidate and the cheapest
-/// one whose estimated iteration time is at most `deadline_cycles`.
-///
-/// # Errors
-///
-/// [`Error::Mapping`] if the sweep bounds are zero; mapping/translation
-/// errors propagate (they indicate an over-constrained model).
-pub fn explore(
-    model: &CicModel,
-    deadline_cycles: u64,
-    max_cores: usize,
-    max_workers: usize,
-) -> Result<Exploration> {
-    explore_observed(
-        model,
-        deadline_cycles,
-        max_cores,
-        max_workers,
-        &mut mpsoc_obs::event::ObsCtx::none(),
-    )
-}
-
-/// [`explore`] with an observability context: bumps the
-/// `cic.candidates_evaluated` counter and emits one instant per candidate
-/// (category `"cic"`, sweep index as the timestamp, estimated cycles as the
-/// argument). Passing [`mpsoc_obs::event::ObsCtx::none`] is exactly
-/// [`explore`].
-///
-/// # Errors
-///
-/// Same conditions as [`explore`].
-pub fn explore_observed(
-    model: &CicModel,
-    deadline_cycles: u64,
-    max_cores: usize,
-    max_workers: usize,
-    obs: &mut mpsoc_obs::event::ObsCtx<'_>,
-) -> Result<Exploration> {
-    if max_cores == 0 || max_workers == 0 {
-        return Err(Error::Mapping("exploration bounds must be non-zero".into()));
-    }
-    let evaluated = obs.metrics.map(|r| r.counter("cic.candidates_evaluated"));
-    let mut candidates = Vec::new();
-    let mut archs: Vec<ArchInfo> = (1..=max_cores).map(ArchInfo::smp_like).collect();
-    archs.extend((1..=max_workers).map(ArchInfo::cell_like));
-    for (i, arch) in archs.into_iter().enumerate() {
-        let mapping = auto_map(model, &arch)?;
-        let t = translate(model, &arch, &mapping)?;
-        if let Some(c) = &evaluated {
-            c.inc();
-        }
-        obs.emit(|| {
-            mpsoc_obs::event::Event::instant(i as u64, arch.name.clone(), "cic", 0)
-                .with_arg("est_cycles", t.est_cycles)
-        });
-        candidates.push(Candidate {
-            est_cycles: t.est_cycles,
-            cost: platform_cost(&arch),
-            meets_deadline: t.est_cycles <= deadline_cycles,
-            arch,
-        });
-    }
-    let best = candidates
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.meets_deadline)
-        .min_by(|(_, a), (_, b)| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("costs are finite")
-                .then(a.est_cycles.cmp(&b.est_cycles))
-        })
-        .map(|(i, _)| i);
-    Ok(Exploration { candidates, best })
-}
-
-/// [`explore`] with the candidate sweep fanned out through the shared
-/// [`mpsoc_explore::Sweep`] engine.
+/// one whose estimated iteration time is at most `deadline_cycles`. The
+/// candidate sweep fans out through the shared [`mpsoc_explore::Sweep`]
+/// engine.
 ///
 /// Candidate evaluation (auto-map + translate) is independent per
 /// architecture, so the sweep parallelises embarrassingly. Candidates keep
 /// their sweep indices, errors are reported in sweep order, and the winner
-/// is selected by the same fixed `(cost, est_cycles, index)` order as the
-/// serial sweep — the returned [`Exploration`] is **bit-identical to
-/// [`explore`]** for any `threads >= 1`.
+/// is selected by a fixed `(cost, est_cycles, index)` order — the returned
+/// [`Exploration`] is **bit-identical for any `threads >= 1`**, and at
+/// `threads == 1` the sweep runs inline in index order.
 ///
 /// # Errors
 ///
-/// Same conditions as [`explore`], with ties in error reporting broken by
-/// sweep index.
+/// [`Error::Mapping`] if the sweep bounds are zero; mapping/translation
+/// errors propagate (they indicate an over-constrained model), with ties
+/// in error reporting broken by sweep index.
 pub fn explore_parallel(
     model: &CicModel,
     deadline_cycles: u64,
@@ -169,7 +96,7 @@ pub fn explore_parallel(
         .run(n, |i| evaluate_candidate(model, &archs[i], deadline_cycles));
 
     // Index-ordered merge: the first failing candidate's error is the one
-    // the serial sweep would have hit first.
+    // a one-thread sweep hits first.
     let mut candidates = Vec::with_capacity(n);
     for r in results {
         candidates.push(r?);
@@ -294,8 +221,8 @@ mod tests {
     #[test]
     fn tight_deadline_needs_bigger_platform() {
         let m = model();
-        let loose = explore(&m, 2_000, 4, 4).unwrap();
-        let tight = explore(&m, 900, 4, 4).unwrap();
+        let loose = explore_parallel(&m, 2_000, 4, 4, 1).unwrap();
+        let tight = explore_parallel(&m, 900, 4, 4, 1).unwrap();
         let loose_best = loose.best_candidate().expect("loose is feasible");
         let tight_best = tight.best_candidate().expect("tight is feasible");
         assert!(
@@ -309,7 +236,7 @@ mod tests {
     #[test]
     fn infeasible_deadline_has_no_winner() {
         let m = model();
-        let e = explore(&m, 10, 3, 3).unwrap();
+        let e = explore_parallel(&m, 10, 3, 3, 1).unwrap();
         assert!(e.best.is_none());
         assert_eq!(e.candidates.len(), 6);
         assert!(e.candidates.iter().all(|c| !c.meets_deadline));
@@ -318,7 +245,7 @@ mod tests {
     #[test]
     fn best_is_cheapest_feasible() {
         let m = model();
-        let e = explore(&m, 1_500, 4, 4).unwrap();
+        let e = explore_parallel(&m, 1_500, 4, 4, 1).unwrap();
         let best = e.best_candidate().unwrap();
         for c in &e.candidates {
             if c.meets_deadline {
@@ -330,7 +257,7 @@ mod tests {
     #[test]
     fn bounds_validated() {
         let m = model();
-        assert!(explore(&m, 100, 0, 1).is_err());
+        assert!(explore_parallel(&m, 100, 0, 1, 1).is_err());
         assert!(explore_parallel(&m, 100, 1, 0, 2).is_err());
     }
 
@@ -386,10 +313,10 @@ mod tests {
     fn parallel_sweep_is_thread_count_invariant() {
         let m = model();
         for deadline in [10u64, 900, 1_500, 2_000] {
-            let serial = explore(&m, deadline, 4, 4).unwrap();
-            for threads in [1usize, 2, 3, 4, 8] {
+            let one = explore_parallel(&m, deadline, 4, 4, 1).unwrap();
+            for threads in [2usize, 4, 8] {
                 let par = explore_parallel(&m, deadline, 4, 4, threads).unwrap();
-                assert_eq!(par, serial, "deadline {deadline}, {threads} threads");
+                assert_eq!(par, one, "deadline {deadline}, {threads} threads");
             }
         }
     }

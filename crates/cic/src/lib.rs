@@ -62,9 +62,6 @@ pub mod translator;
 pub use crate::archfile::{parse_arch_file, ArchInfo, InterconnectKind, MemoryModel, PeInfo};
 pub use crate::error::{Error, Result};
 pub use crate::executor::{execute, RunOutput};
-pub use crate::explore::{calibrate_task_work, explore, explore_parallel, Candidate, Exploration};
+pub use crate::explore::{calibrate_task_work, explore_parallel, Candidate, Exploration};
 pub use crate::model::{from_dataflow, CicChannel, CicModel, CicTask};
 pub use crate::translator::{auto_map, execute_translation, translate, Op, PeProgram, Translation};
-// The sweep machinery now lives in the shared exploration engine;
-// re-export it so callers of the old private idiom have one canonical home.
-pub use mpsoc_explore::{split_seeds, Sweep};

@@ -172,11 +172,6 @@ impl CicModel {
         }
         Ok(order)
     }
-
-    /// Task index by name.
-    pub fn task_by_name(&self, name: &str) -> Option<usize> {
-        self.tasks.iter().position(|t| t.name == name)
-    }
 }
 
 /// Builds a CIC model automatically from a CSDF graph — Figure 2's

@@ -294,12 +294,6 @@ impl<'a> Prefix<'a> {
         self
     }
 
-    /// True if this prefix restores state instead of re-simulating it.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        matches!(self.kind, PrefixKind::Base(_))
-    }
-
     fn bump(&self, name: &str, amount: u64) {
         if let Some(m) = self.metrics {
             m.counter(name).add(amount);

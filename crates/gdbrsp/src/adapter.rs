@@ -64,11 +64,6 @@ impl DebugTarget {
         &mut self.dbg
     }
 
-    /// Unwraps back into the debugger.
-    pub fn into_debugger(self) -> Debugger {
-        self.dbg
-    }
-
     /// Re-installs every breakpoint and watchpoint into the debugger's
     /// condition tables. Watchpoints are added in registration order, so a
     /// [`Stop::Watchpoint`] index is an index into `self.watches`.
@@ -131,7 +126,7 @@ impl DebugTarget {
     /// name — to its page.
     fn resolve_page(&self, which: &str) -> Result<usize> {
         if let Ok(page) = parse_num(which) {
-            return Ok(page as usize);
+            return Ok(page);
         }
         let p = self.dbg.platform();
         // Pages are allocated densely from 0; probe until a gap.
@@ -146,19 +141,31 @@ impl DebugTarget {
     }
 }
 
-/// Parses a decimal or `0x` hex number (monitor-command convention).
-fn parse_num(s: &str) -> Result<i64> {
+/// Parses a decimal or `0x` hex number, optionally negative, into `T` —
+/// the one number syntax `monitor` commands and `.mts` scripts share.
+/// Narrowing is checked: an address, pc, core, irq, page or length that
+/// does not fit `T` is an error, never an alias of its low bits.
+///
+/// # Errors
+///
+/// [`Error::Packet`] quoting `s` if it is not a number or does not fit `T`.
+pub fn parse_num<T: TryFrom<i128>>(s: &str) -> Result<T> {
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, s),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16)
-    } else {
-        body.parse::<i64>()
+    let magnitude = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => body.parse::<u64>(),
     }
     .map_err(|_| Error::Packet(format!("bad number {s:?}")))?;
-    Ok(if neg { -v } else { v })
+    let v = i128::from(magnitude);
+    T::try_from(if neg { -v } else { v }).map_err(|_| {
+        Error::Packet(format!(
+            "number {s} is out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
 }
 
 /// The word addresses `addr..addr + len` of a memory transfer.
@@ -309,13 +316,13 @@ impl Target for DebugTarget {
                 ))
             }
             ["time-travel", interval, max_cp] => {
-                let (iv, cp) = (parse_num(interval)?, parse_num(max_cp)?);
-                if iv <= 0 || cp <= 0 {
+                let (iv, cp) = (parse_num::<u64>(interval)?, parse_num::<usize>(max_cp)?);
+                if iv == 0 || cp == 0 {
                     return Err(Error::Packet(
                         "time-travel wants two positive numbers".into(),
                     ));
                 }
-                self.dbg.enable_time_travel(iv as u64, cp as usize)?;
+                self.dbg.enable_time_travel(iv, cp)?;
                 Ok(format!(
                     "time travel on: checkpoint every {iv} steps, ~{cp} retained\n"
                 ))
@@ -337,13 +344,13 @@ impl Target for DebugTarget {
                 Ok(format!("recorded signal write {name}\n"))
             }
             ["stimulus-record", "irq", core, irq] => {
-                let (c, i) = (parse_num(core)?, parse_num(irq)?);
-                self.dbg.inject_irq(c as usize, i as u32)?;
+                let (c, i) = (parse_num::<usize>(core)?, parse_num::<u32>(irq)?);
+                self.dbg.inject_irq(c, i)?;
                 Ok(format!("recorded irq {i} to core {c}\n"))
             }
             ["stimulus-record", "poke", addr, value] => {
-                let a = parse_num(addr)?;
-                self.dbg.inject_mem_poke(a as u32, parse_num(value)?)?;
+                let a = parse_num::<u32>(addr)?;
+                self.dbg.inject_mem_poke(a, parse_num(value)?)?;
                 Ok(format!("recorded poke at {a:#x}\n"))
             }
             ["stimulus-record", "dma", which, src, dst, len] => {
@@ -509,6 +516,38 @@ mod tests {
             out.contains(&format!("{}B", 2 * mpsoc_platform::TRACE_RECORD_BYTES)),
             "{out}"
         );
+    }
+
+    #[test]
+    fn numbers_parse_checked_into_the_type_asked_for() {
+        assert_eq!(parse_num::<i64>("-0x10").unwrap(), -16);
+        assert_eq!(parse_num::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(parse_num::<u32>("0XFFFFFFFF").unwrap(), u32::MAX);
+        assert_eq!(parse_num::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert!(parse_num::<i64>("0x8000000000000000").is_err());
+        for (bad, why) in [
+            ("0x100000000", "out of range for u32"),
+            ("-1", "out of range for u32"),
+            ("0x", "bad number"),
+            ("--5", "bad number"),
+            ("12ab", "bad number"),
+            ("", "bad number"),
+        ] {
+            let e = parse_num::<u32>(bad).unwrap_err().to_string();
+            assert!(e.contains(why) && e.contains(bad), "{bad:?}: {e}");
+        }
+        // Every narrow field of a monitor command is checked the same way.
+        let mut t = target();
+        for cmd in [
+            "stimulus-record poke -4294967168 41",
+            "stimulus-record irq 0 0x100000001",
+            "stimulus-record irq -1 1",
+            "time-travel -4 16",
+            "time-travel 4 0",
+        ] {
+            assert!(t.monitor(cmd).is_err(), "{cmd}");
+        }
+        assert_eq!(t.read_mem(0x80, 1).unwrap(), vec![0]);
     }
 
     #[test]

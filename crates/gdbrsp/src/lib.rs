@@ -66,7 +66,7 @@ pub mod session;
 pub mod target;
 pub mod transport;
 
-pub use crate::adapter::{DebugTarget, NUM_REGS, PC_REG};
+pub use crate::adapter::{parse_num, DebugTarget, NUM_REGS, PC_REG};
 pub use crate::error::{Error, Result};
 pub use crate::packet::{encode_packet, Framer, Item};
 pub use crate::session::{Session, DEFAULT_CONT_BUDGET};

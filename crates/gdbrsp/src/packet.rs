@@ -147,11 +147,6 @@ impl Framer {
     pub fn push_bytes(&mut self, bytes: &[u8]) -> Vec<Result<Item>> {
         bytes.iter().filter_map(|&b| self.push(b)).collect()
     }
-
-    /// Whether the framer is mid-packet (bytes are buffered).
-    pub fn mid_packet(&self) -> bool {
-        self.state != State::Idle
-    }
 }
 
 impl Default for Framer {

@@ -63,11 +63,6 @@ impl<T: Target> Session<T> {
         &self.target
     }
 
-    /// The wrapped target, mutably.
-    pub fn target_mut(&mut self) -> &mut T {
-        &mut self.target
-    }
-
     /// Whether the client detached or killed the session.
     pub fn finished(&self) -> bool {
         self.finished
@@ -557,6 +552,18 @@ mod tests {
         let reply = roundtrip(&mut s, &format!("qRcmd,{bad}"));
         let text = String::from_utf8(from_hex(&reply).unwrap()).unwrap();
         assert!(text.starts_with("error:"), "{text}");
+    }
+
+    #[test]
+    fn monitor_poke_wider_than_32_bits_is_refused_not_aliased() {
+        let mut s = session();
+        let cmd = to_hex(b"stimulus-record poke 0x100000080 41");
+        let reply = roundtrip(&mut s, &format!("qRcmd,{cmd}"));
+        let text = String::from_utf8(from_hex(&reply).unwrap()).unwrap();
+        assert!(text.starts_with("error:"), "{text}");
+        assert!(text.contains("0x100000080"), "{text}");
+        // Word 0x80 is untouched and the session answers the next packet.
+        assert_eq!(roundtrip(&mut s, "m80,1"), "00".repeat(8));
     }
 
     #[test]

@@ -63,6 +63,3 @@ pub use crate::mapping::{
 };
 pub use crate::mvp::{simulate_mvp, MvpApp, MvpResult, RtClass};
 pub use crate::taskgraph::{coarsen, extract_task_graph, Task, TaskEdge, TaskGraph};
-// The multi-start machinery now lives in the shared exploration engine;
-// re-export it so callers of the old private idiom have one canonical home.
-pub use mpsoc_explore::{split_seeds, Sweep};

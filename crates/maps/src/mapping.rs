@@ -164,37 +164,6 @@ pub fn list_schedule(graph: &TaskGraph, arch: &ArchModel) -> Result<Mapping> {
 ///
 /// Propagates validation errors from [`evaluate`].
 pub fn anneal(graph: &TaskGraph, arch: &ArchModel, seed: u64, iters: u64) -> Result<Mapping> {
-    anneal_observed(
-        graph,
-        arch,
-        seed,
-        iters,
-        &mut mpsoc_obs::event::ObsCtx::none(),
-    )
-}
-
-/// [`anneal`] with an observability context: bumps the
-/// `maps.candidates_evaluated` and `maps.moves_accepted` counters and emits
-/// an `"improved"` instant (category `"maps"`, move index as timestamp,
-/// makespan as the argument) whenever a move beats the best mapping so far.
-/// Passing [`mpsoc_obs::event::ObsCtx::none`] is exactly [`anneal`].
-///
-/// # Errors
-///
-/// Propagates validation errors from [`evaluate`].
-pub fn anneal_observed(
-    graph: &TaskGraph,
-    arch: &ArchModel,
-    seed: u64,
-    iters: u64,
-    obs: &mut mpsoc_obs::event::ObsCtx<'_>,
-) -> Result<Mapping> {
-    let metrics = obs.metrics.map(|r| {
-        (
-            r.counter("maps.candidates_evaluated"),
-            r.counter("maps.moves_accepted"),
-        )
-    });
     let mut current = list_schedule(graph, arch)?;
     if graph.tasks.is_empty() || arch.len() < 2 {
         return Ok(current);
@@ -221,25 +190,15 @@ pub fn anneal_observed(
         let mut trial = current.assignment.clone();
         trial[task] = new_pe;
         let cand = evaluate(graph, arch, &trial)?;
-        if let Some((evaluated, _)) = &metrics {
-            evaluated.inc();
-        }
         let delta = cand.makespan as f64 - current.makespan as f64;
         let accept = delta <= 0.0 || {
             let p = (-delta / temp).exp();
             (next() % 1_000_000) as f64 / 1_000_000.0 < p
         };
         if accept {
-            if let Some((_, accepted)) = &metrics {
-                accepted.inc();
-            }
             current = cand;
             if current.makespan < best.makespan {
                 best = current.clone();
-                obs.emit(|| {
-                    mpsoc_obs::event::Event::instant(i, "improved", "maps", 0)
-                        .with_arg("makespan", best.makespan)
-                });
             }
         }
     }

@@ -19,15 +19,6 @@
 use crate::arch::ArchModel;
 use crate::error::{Error, Result};
 use crate::taskgraph::TaskGraph;
-use mpsoc_obs::event::{Event, ObsCtx};
-use mpsoc_obs::metrics::Counter;
-
-/// Cached `mvp.*` counter handles (resolved once per simulation).
-struct MvpMetrics {
-    tasks_executed: Counter,
-    jobs_completed: Counter,
-    deadline_misses: Counter,
-}
 
 /// Real-time class of an application (the paper's annotation set: latency,
 /// period, PE preferences are carried by the task graph).
@@ -133,28 +124,6 @@ fn prio(app: &MvpApp) -> (u8, u8) {
 /// [`Error::Config`] for assignment mismatches or a job/app set that cannot
 /// make progress.
 pub fn simulate_mvp(arch: &ArchModel, apps: &[MvpApp]) -> Result<MvpResult> {
-    simulate_mvp_observed(arch, apps, &mut ObsCtx::none())
-}
-
-/// [`simulate_mvp`] with an observability context: every scheduled task
-/// becomes a begin/end span on its PE's track (category `"maps"`, name
-/// `app.task`), and the `mvp.tasks_executed` / `mvp.jobs_completed` /
-/// `mvp.deadline_misses` counters are maintained. Timestamps are simulated
-/// cycles. Passing [`ObsCtx::none`] is exactly [`simulate_mvp`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_mvp`].
-pub fn simulate_mvp_observed(
-    arch: &ArchModel,
-    apps: &[MvpApp],
-    obs: &mut ObsCtx<'_>,
-) -> Result<MvpResult> {
-    let metrics = obs.metrics.map(|r| MvpMetrics {
-        tasks_executed: r.counter("mvp.tasks_executed"),
-        jobs_completed: r.counter("mvp.jobs_completed"),
-        deadline_misses: r.counter("mvp.deadline_misses"),
-    });
     for a in apps {
         if a.assignment.len() != a.graph.tasks.len() {
             return Err(Error::Config(format!(
@@ -252,26 +221,6 @@ pub fn simulate_mvp_observed(
         result.end_time = result.end_time.max(end);
         insts[idx].done = true;
         remaining -= 1;
-        if let Some(m) = &metrics {
-            m.tasks_executed.inc();
-        }
-        obs.emit(|| {
-            Event::begin(
-                start,
-                format!("{}.{}", app.name, app.graph.tasks[ti].name),
-                "maps",
-                pe as u32,
-            )
-            .with_arg("job", ji as u64)
-        });
-        obs.emit(|| {
-            Event::end(
-                end,
-                format!("{}.{}", app.name, app.graph.tasks[ti].name),
-                "maps",
-                pe as u32,
-            )
-        });
         // Wake successors of this job.
         for e in app.graph.succs(ti) {
             let arrival = end + arch.comm_cycles(pe, app.assignment[e.to], e.volume);
@@ -295,20 +244,8 @@ pub fn simulate_mvp_observed(
                 RtClass::BestEffort => None,
             };
             match deadline {
-                Some(d) if latency > d => {
-                    stats.missed += 1;
-                    if let Some(m) = &metrics {
-                        m.deadline_misses.inc();
-                    }
-                    obs.emit(|| {
-                        Event::instant(job_end[ai][ji], "deadline_miss", "maps", pe as u32)
-                            .with_arg("latency", latency)
-                    });
-                }
+                Some(d) if latency > d => stats.missed += 1,
                 _ => stats.met += 1,
-            }
-            if let Some(m) = &metrics {
-                m.jobs_completed.inc();
             }
         }
     }

@@ -47,11 +47,6 @@ impl SymbolTable {
         matches!(self.get(name).map(|s| s.kind), Some(SymbolKind::Array(_)))
     }
 
-    /// Whether `name` denotes a pointer.
-    pub fn is_pointer(&self, name: &str) -> bool {
-        matches!(self.get(name).map(|s| s.kind), Some(SymbolKind::Pointer))
-    }
-
     /// Iterates all visible symbols (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
         self.symbols.values()

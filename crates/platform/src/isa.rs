@@ -154,14 +154,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Creates a program directly from instructions (no labels).
-    pub fn from_instrs<I: IntoIterator<Item = Instr>>(instrs: I) -> Self {
-        Program {
-            instrs: instrs.into_iter().collect(),
-            labels: HashMap::new(),
-        }
-    }
-
     /// The instruction at `pc`, if in range.
     pub fn fetch(&self, pc: u32) -> Option<Instr> {
         self.instrs.get(pc as usize).copied()

@@ -157,16 +157,6 @@ impl<S: EventSink> EventSinkSpill<S> {
     pub fn sink(&self) -> &S {
         &self.sink
     }
-
-    /// The wrapped sink, mutably.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Unwraps the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
 }
 
 impl<S: EventSink + Send> TraceSpill for EventSinkSpill<S> {
@@ -466,11 +456,6 @@ impl SignalBoard {
     /// Trace-store occupancy and counters.
     pub fn trace_stats(&self) -> TraceStats {
         self.trace.stats()
-    }
-
-    /// Current retention policy.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.trace.mode
     }
 
     /// Switches the retention policy. Shrinking the budget (or leaving

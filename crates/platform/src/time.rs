@@ -62,11 +62,6 @@ impl Time {
         self.0 / 1_000
     }
 
-    /// Time expressed in fractional microseconds.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: Time) -> Time {
         Time(self.0.saturating_add(d.0))
@@ -206,11 +201,6 @@ impl Frequency {
     /// The frequency in kilohertz.
     pub fn as_khz(self) -> u64 {
         self.khz
-    }
-
-    /// The frequency in megahertz (fractional).
-    pub fn as_mhz_f64(self) -> f64 {
-        self.khz as f64 / 1_000.0
     }
 
     /// Duration of one clock period.

@@ -91,27 +91,6 @@ pub struct TaskStats {
     pub worst_response: u64,
 }
 
-impl TaskStats {
-    /// Mean response time over completed jobs.
-    pub fn mean_response(&self) -> f64 {
-        let done = self.met + self.missed;
-        if done == 0 {
-            0.0
-        } else {
-            self.total_response as f64 / done as f64
-        }
-    }
-
-    /// Deadline miss ratio over released jobs.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.released == 0 {
-            0.0
-        } else {
-            self.missed as f64 / self.released as f64
-        }
-    }
-}
-
 /// Aggregate simulation result.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimResult {

@@ -70,11 +70,6 @@ impl Writer {
         self.put_u64(v as u64);
     }
 
-    /// Append raw bytes with no length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
     /// Append a UTF-8 string as `u64` length + bytes.
     pub fn put_str(&mut self, v: &str) {
         self.put_u64(v.len() as u64);

@@ -8,13 +8,6 @@ use std::fmt;
 pub enum Error {
     /// An underlying platform error (bad core id, unmapped address, …).
     Platform(String),
-    /// A script parse or evaluation error.
-    Script {
-        /// 1-based script line (0 when raised at evaluation time).
-        line: usize,
-        /// Reason.
-        msg: String,
-    },
     /// A time-travel operation was requested but time travel is not
     /// enabled ([`Debugger::enable_time_travel`] was never called).
     ///
@@ -36,8 +29,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Platform(m) => write!(f, "platform: {m}"),
-            Error::Script { line: 0, msg } => write!(f, "script: {msg}"),
-            Error::Script { line, msg } => write!(f, "script line {line}: {msg}"),
             Error::TimeTravelDisabled => write!(f, "time travel is not enabled"),
             Error::CampaignAddress { what, addr } => write!(
                 f,

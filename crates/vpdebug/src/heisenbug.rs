@@ -171,16 +171,15 @@ pub fn run_race(iters: i64, mode: DebugMode) -> Result<RaceReport> {
                     break;
                 }
             }
-            Some(Stop::Fault(msg)) => return Err(Error::Script { line: 0, msg }),
+            Some(Stop::Fault(msg)) => return Err(Error::Platform(msg)),
             Some(_) => {}
             None => {}
         }
         steps += 1;
         if steps > 10_000_000 {
-            return Err(Error::Script {
-                line: 0,
-                msg: "race scenario did not terminate".to_string(),
-            });
+            return Err(Error::Platform(
+                "race scenario did not terminate".to_string(),
+            ));
         }
     }
     let final_value = dbg.read_mem(COUNTER_ADDR)?;

@@ -7,15 +7,15 @@
 //! *consistent view* of all cores, peripherals, and signals, and supports
 //! *scriptable system-level assertions* and *trace histories*. This crate
 //! is that debugger, built on the deterministic
-//! [`mpsoc-platform`](mpsoc_platform) simulator:
+//! [`mpsoc-platform`](mpsoc_platform) simulator (the assertion language
+//! itself is the `assert` line of `mpsoc-apps`' `.mts` test scripts, which
+//! reads platform state through the inspection API here):
 //!
 //! * [`debugger`] — run control, breakpoints, memory/signal/peripheral
 //!   access watchpoints, non-intrusive inspection, and (for contrast) the
 //!   intrusive single-core halt of real-hardware debugging.
 //! * [`trace`] — bounded execution/access history with per-core and
 //!   per-address queries.
-//! * [`script`] — the TCL-flavoured assertion language for system-level
-//!   software assertions *"without changing the software code"*.
 //! * [`heisenbug`] — the reproducible demonstration that intrusive
 //!   debugging makes a shared-memory race vanish while virtual-platform
 //!   suspension reproduces it bit-exactly (experiment E9).
@@ -56,7 +56,6 @@ pub mod campaign;
 pub mod debugger;
 pub mod error;
 pub mod heisenbug;
-pub mod script;
 pub mod stimulus;
 pub mod timetravel;
 pub mod trace;
@@ -70,11 +69,6 @@ pub use crate::error::{Error, Result};
 pub use crate::heisenbug::{
     build_race_platform, load_race_programs, run_race, DebugMode, RaceReport,
 };
-pub use crate::script::{ScriptEngine, Violation};
 pub use crate::stimulus::{StimulusKind, StimulusLog, StimulusRecord};
 pub use crate::timetravel::TimeTravel;
 pub use crate::trace::{TraceBuffer, TraceEntry};
-// The campaign fan-out machinery now lives in the shared exploration
-// engine; re-export it so callers of the old private idiom have one
-// canonical home.
-pub use mpsoc_explore::{split_seeds, Sweep};

@@ -11,12 +11,12 @@
 //! cargo run --example heisenbug_hunt
 //! ```
 
+use mpsoc_suite::apps::testrunner::run_script;
 use mpsoc_suite::platform::platform::AccessKind;
 use mpsoc_suite::vpdebug::debugger::{Debugger, Stop, Watchpoint};
 use mpsoc_suite::vpdebug::heisenbug::{
     build_race_platform, run_locked, run_race, DebugMode, COUNTER_ADDR,
 };
-use mpsoc_suite::vpdebug::script::ScriptEngine;
 use mpsoc_suite::vpdebug::OriginFilter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -85,24 +85,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("phase 4: no duplicate-write window in the retained trace"),
     }
 
-    // Bonus: the same defect caught without touching the software, via a
-    // system-level script assertion (monotonicity of the counter).
-    let mut dbg = Debugger::new(build_race_platform(50)?);
-    let mut engine = ScriptEngine::new();
-    engine.load("assert counter_bounded mem(0x40) <= 100")?;
-    let mut last_ok = 0i64;
-    loop {
-        match dbg.step()? {
-            Some(Stop::Finished) => break,
-            Some(_) | None => {
-                if engine.check(&dbg)?.is_empty() {
-                    last_ok = dbg.read_mem(COUNTER_ADDR)?;
-                }
-            }
-        }
+    // Bonus: the invariant checked without touching the software, by a
+    // standing system-level assertion in a four-line test script.
+    let verdict = run_script(
+        "race_invariant",
+        "platform race\nassert counter_bounded mem(0x40) <= 400\nrun\nexpect stop exited\n",
+    );
+    if !verdict.passed() {
+        return Err(verdict.failures.join("; ").into());
     }
     println!(
-        "script assertion held throughout (final counter {last_ok} <= 100: the race *loses* updates, never gains)",
+        "script assertion held after every step (counter <= 400: the race *loses* updates, never gains)",
     );
 
     // Phase 4b: remove the root cause — guard the RMW with the hardware

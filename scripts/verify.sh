@@ -62,6 +62,17 @@ doc_deny_warnings() {
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 }
 
+run_examples() {
+  # clippy --all-targets only proves examples compile; these two drive
+  # the `.mts` assertion path and the three `*_observed` entry points, so
+  # run them and fail on a non-zero exit (observe_jpeg writes the
+  # git-ignored trace.json).
+  local ex
+  for ex in heisenbug_hunt observe_jpeg; do
+    cargo run --release -q --example "$ex" >/dev/null
+  done
+}
+
 stage "tracked files intact" check_tracked_files
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
@@ -81,6 +92,7 @@ stage "joint mapping x topology DSE (E13 smoke)" \
 # them as artifacts).
 stage "headless platform suite (mpsoc-test)" \
   cargo run --release -q -p mpsoc-apps --bin mpsoc-test
+stage "examples run (heisenbug_hunt, observe_jpeg)" run_examples
 # The layered benchmark (benchmark/, a workspace of its own). The smoke
 # profile runs the output checks and expected.json pins of all seven
 # workloads in a few seconds, prints "not a measurement" and emits no rates;
