@@ -6,6 +6,15 @@
 //! a HEFT-style list scheduler (fast, deterministic) and a seeded
 //! simulated-annealing refinement (slower, usually better on irregular
 //! graphs); the E5 ablation bench compares them.
+//!
+//! Both share one list-scheduling recurrence (`Index::place`) over one
+//! index built once per call: an execution-cycle table per (task, PE) and
+//! predecessor lists with both communication costs pre-multiplied, so a
+//! schedule costs `tasks + edges` integer steps and no allocation.
+//! [`evaluate`] runs the recurrence recording [`Slot`]s; [`list_schedule`]
+//! asks it for the earliest finish of a task on every PE; [`anneal`] moves
+//! one task of one assignment in place, asks for the makespan only, and
+//! materialises a single [`Mapping`] — the best assignment's — at the end.
 
 use crate::arch::ArchModel;
 use crate::error::{Error, Result};
@@ -36,6 +45,200 @@ pub struct Mapping {
     pub makespan: u64,
 }
 
+/// An incoming edge of a task, with the transfer already costed both ways.
+struct Pred {
+    from: usize,
+    /// [`ArchModel::comm_cycles`] when producer and consumer share a PE.
+    local: u64,
+    /// [`ArchModel::comm_cycles`] when they do not.
+    remote: u64,
+}
+
+/// What the recurrence reads of a (graph, architecture) pair.
+struct Index {
+    pes: usize,
+    /// `exec[task * pes + pe]` = [`ArchModel::exec_cycles`].
+    exec: Vec<u64>,
+    /// `preds[pred_start[t]..pred_start[t + 1]]` are task `t`'s incoming edges.
+    pred_start: Vec<usize>,
+    preds: Vec<Pred>,
+}
+
+/// The recurrence's working state, reused from one schedule to the next.
+struct Scratch {
+    pe_free: Vec<u64>,
+    /// `end[t]` is written before any successor reads it (edges run forward),
+    /// so it needs no reset between schedules.
+    end: Vec<u64>,
+}
+
+impl Index {
+    /// Builds the index, validating the edges on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] naming the first edge that is not `from < to <
+    /// tasks.len()`: the recurrence visits tasks in index order and reads a
+    /// predecessor's end time, which only a forward edge has by then.
+    fn new(graph: &TaskGraph, arch: &ArchModel) -> Result<Self> {
+        let n = graph.tasks.len();
+        let pes = arch.len();
+        let mut pred_start = vec![0usize; n + 1];
+        for e in &graph.edges {
+            if e.from >= e.to || e.to >= n {
+                return Err(Error::Config(format!(
+                    "edge {} -> {} of a {n}-task graph: need from < to < {n}",
+                    e.from, e.to
+                )));
+            }
+            pred_start[e.to + 1] += 1;
+        }
+        for t in 0..n {
+            pred_start[t + 1] += pred_start[t];
+        }
+        let mut by_consumer: Vec<_> = graph.edges.iter().collect();
+        by_consumer.sort_by_key(|e| e.to);
+        let preds = by_consumer
+            .into_iter()
+            .map(|e| Pred {
+                from: e.from,
+                // The cost depends only on whether the two PEs are the same.
+                local: arch.comm_cycles(0, 0, e.volume),
+                remote: arch.comm_cycles(0, 1, e.volume),
+            })
+            .collect();
+        let exec = graph
+            .tasks
+            .iter()
+            .flat_map(|t| (0..pes).map(move |pe| arch.exec_cycles(pe, t.cost, t.pref)))
+            .collect();
+        Ok(Index {
+            pes,
+            exec,
+            pred_start,
+            preds,
+        })
+    }
+
+    fn tasks(&self) -> usize {
+        self.pred_start.len() - 1
+    }
+
+    fn scratch(&self) -> Scratch {
+        Scratch {
+            pe_free: vec![0; self.pes],
+            end: vec![0; self.tasks()],
+        }
+    }
+
+    /// Task `t`'s incoming edges and its execution cycles on every PE.
+    #[inline]
+    fn task(&self, t: usize) -> (&[Pred], &[u64]) {
+        (
+            &self.preds[self.pred_start[t]..self.pred_start[t + 1]],
+            &self.exec[t * self.pes..(t + 1) * self.pes],
+        )
+    }
+
+    /// The list-scheduling recurrence: `(start, finish)` of a task (one
+    /// [`Index::task`]) on `pe`, where it starts as soon as the PE is free and
+    /// all predecessor data has arrived (communication is charged between
+    /// distinct PEs). Every predecessor must already be placed in
+    /// `assignment` and `s.end`.
+    #[inline]
+    fn place(
+        (preds, exec): (&[Pred], &[u64]),
+        pe: usize,
+        assignment: &[usize],
+        s: &Scratch,
+    ) -> (u64, u64) {
+        let mut ready = 0u64;
+        for p in preds {
+            let comm = if assignment[p.from] == pe {
+                p.local
+            } else {
+                p.remote
+            };
+            ready = ready.max(s.end[p.from] + comm);
+        }
+        let start = ready.max(s.pe_free[pe]);
+        (start, start + exec[pe])
+    }
+
+    /// Schedules `assignment` (one in-range PE per task) in task order —
+    /// topological by the edge check of [`Index::new`] — handing every slot
+    /// to `record`, and returns the makespan.
+    #[inline]
+    fn schedule(&self, assignment: &[usize], s: &mut Scratch, mut record: impl FnMut(Slot)) -> u64 {
+        s.pe_free.fill(0);
+        let mut makespan = 0;
+        for (task, &pe) in assignment.iter().enumerate() {
+            let (start, end) = Self::place(self.task(task), pe, assignment, s);
+            s.pe_free[pe] = end;
+            s.end[task] = end;
+            makespan = makespan.max(end);
+            record(Slot {
+                task,
+                pe,
+                start,
+                end,
+            });
+        }
+        makespan
+    }
+
+    fn makespan(&self, assignment: &[usize], s: &mut Scratch) -> u64 {
+        self.schedule(assignment, s, |_| {})
+    }
+
+    fn mapping(&self, assignment: &[usize], s: &mut Scratch) -> Mapping {
+        let mut schedule = Vec::with_capacity(assignment.len());
+        let makespan = self.schedule(assignment, s, |slot| schedule.push(slot));
+        Mapping {
+            assignment: assignment.to_vec(),
+            schedule,
+            makespan,
+        }
+    }
+
+    /// The HEFT assignment: tasks in decreasing upward rank, each on the PE
+    /// that minimises its earliest finish time (the lowest such PE on ties).
+    fn eft_assignment(&self, graph: &TaskGraph, arch: &ArchModel, s: &mut Scratch) -> Vec<usize> {
+        let n = self.tasks();
+        // Upward rank (computed in reverse topological order) over the
+        // average execution cost across PEs.
+        let mut rank = vec![0f64; n];
+        for t in (0..n).rev() {
+            let exec = self.task(t).1;
+            let avg_cost = exec.iter().map(|&c| c as f64).sum::<f64>() / self.pes as f64;
+            let succ_max = graph
+                .succs(t)
+                .map(|e| e.volume as f64 * arch.comm_cost_remote as f64 + rank[e.to])
+                .fold(0f64, f64::max);
+            rank[t] = avg_cost + succ_max;
+        }
+        // Rank order is a topological order: costs are non-negative, so a
+        // producer never ranks below its consumer, and on a tie the stable
+        // sort keeps `from < to`. Every predecessor is placed before `place`
+        // reads it.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| rank[b].partial_cmp(&rank[a]).expect("ranks are finite"));
+
+        let mut assignment = vec![usize::MAX; n];
+        s.pe_free.fill(0);
+        for &t in &order {
+            let (pe, finish) = (0..self.pes)
+                .map(|pe| (pe, Self::place(self.task(t), pe, &assignment, s).1))
+                .min_by_key(|&(_, finish)| finish)
+                .expect("at least one PE");
+            assignment[t] = pe;
+            s.pe_free[pe] = finish;
+            s.end[t] = finish;
+        }
+        assignment
+    }
+}
+
 /// Evaluates `assignment` by topological list scheduling: every task starts
 /// as soon as its PE is free and all predecessor data has arrived
 /// (communication is charged between distinct PEs).
@@ -43,7 +246,8 @@ pub struct Mapping {
 /// # Errors
 ///
 /// [`Error::Config`] if the assignment length does not match the graph or
-/// references a nonexistent PE.
+/// references a nonexistent PE, or if an edge of the graph is not
+/// `from < to < tasks.len()` (tasks are scheduled in index order).
 pub fn evaluate(graph: &TaskGraph, arch: &ArchModel, assignment: &[usize]) -> Result<Mapping> {
     if assignment.len() != graph.tasks.len() {
         return Err(Error::Config(format!(
@@ -55,35 +259,8 @@ pub fn evaluate(graph: &TaskGraph, arch: &ArchModel, assignment: &[usize]) -> Re
     if let Some(&pe) = assignment.iter().find(|&&pe| pe >= arch.len()) {
         return Err(Error::Config(format!("assignment references PE {pe}")));
     }
-    let n = graph.tasks.len();
-    let mut pe_free = vec![0u64; arch.len()];
-    let mut end = vec![0u64; n];
-    let mut schedule = Vec::with_capacity(n);
-    // Tasks are topologically ordered by construction of TaskGraph.
-    for t in 0..n {
-        let pe = assignment[t];
-        let mut ready = 0u64;
-        for e in graph.preds(t) {
-            let arrival = end[e.from] + arch.comm_cycles(assignment[e.from], pe, e.volume);
-            ready = ready.max(arrival);
-        }
-        let start = ready.max(pe_free[pe]);
-        let dur = arch.exec_cycles(pe, graph.tasks[t].cost, graph.tasks[t].pref);
-        let finish = start + dur;
-        pe_free[pe] = finish;
-        end[t] = finish;
-        schedule.push(Slot {
-            task: t,
-            pe,
-            start,
-            end: finish,
-        });
-    }
-    Ok(Mapping {
-        assignment: assignment.to_vec(),
-        makespan: end.into_iter().max().unwrap_or(0),
-        schedule,
-    })
+    let index = Index::new(graph, arch)?;
+    Ok(index.mapping(assignment, &mut index.scratch()))
 }
 
 /// HEFT-style list scheduling: tasks in decreasing upward rank, each
@@ -91,68 +268,12 @@ pub fn evaluate(graph: &TaskGraph, arch: &ArchModel, assignment: &[usize]) -> Re
 ///
 /// # Errors
 ///
-/// Propagates [`evaluate`] errors (internal bug guard only — inputs are
-/// validated up front).
+/// [`Error::Config`] for a graph with a malformed edge (see [`evaluate`]).
 pub fn list_schedule(graph: &TaskGraph, arch: &ArchModel) -> Result<Mapping> {
-    if graph.tasks.is_empty() {
-        return Ok(Mapping::default());
-    }
-    let n = graph.tasks.len();
-    // Average execution cost across PEs for ranking.
-    let avg_cost: Vec<f64> = graph
-        .tasks
-        .iter()
-        .map(|t| {
-            (0..arch.len())
-                .map(|pe| arch.exec_cycles(pe, t.cost, t.pref) as f64)
-                .sum::<f64>()
-                / arch.len() as f64
-        })
-        .collect();
-    // Upward rank (computed in reverse topological order).
-    let mut rank = vec![0f64; n];
-    for t in (0..n).rev() {
-        let succ_max = graph
-            .succs(t)
-            .map(|e| e.volume as f64 * arch.comm_cost_remote as f64 + rank[e.to])
-            .fold(0f64, f64::max);
-        rank[t] = avg_cost[t] + succ_max;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| rank[b].partial_cmp(&rank[a]).expect("ranks are finite"));
-
-    // Greedy EFT assignment. We must still respect topological readiness,
-    // so track end times as tasks get placed; rank order is a topological
-    // order for DAGs with positive costs.
-    let mut assignment = vec![usize::MAX; n];
-    let mut pe_free = vec![0u64; arch.len()];
-    let mut end = vec![0u64; n];
-    for &t in &order {
-        let mut best: Option<(u64, usize, u64)> = None; // (finish, pe, start)
-        for (pe, &free) in pe_free.iter().enumerate() {
-            let mut ready = 0u64;
-            for e in graph.preds(t) {
-                // Unplaced predecessors (possible under rank ties) are
-                // treated optimistically as local.
-                let (pend, ppe) = if assignment[e.from] == usize::MAX {
-                    (0, pe)
-                } else {
-                    (end[e.from], assignment[e.from])
-                };
-                ready = ready.max(pend + arch.comm_cycles(ppe, pe, e.volume));
-            }
-            let start = ready.max(free);
-            let finish = start + arch.exec_cycles(pe, graph.tasks[t].cost, graph.tasks[t].pref);
-            if best.is_none_or(|(bf, _, _)| finish < bf) {
-                best = Some((finish, pe, start));
-            }
-        }
-        let (finish, pe, _start) = best.expect("at least one PE");
-        assignment[t] = pe;
-        pe_free[pe] = finish;
-        end[t] = finish;
-    }
-    evaluate(graph, arch, &assignment)
+    let index = Index::new(graph, arch)?;
+    let mut scratch = index.scratch();
+    let assignment = index.eft_assignment(graph, arch, &mut scratch);
+    Ok(index.mapping(&assignment, &mut scratch))
 }
 
 /// Deterministic simulated annealing over assignments, starting from the
@@ -162,13 +283,17 @@ pub fn list_schedule(graph: &TaskGraph, arch: &ArchModel) -> Result<Mapping> {
 ///
 /// # Errors
 ///
-/// Propagates validation errors from [`evaluate`].
+/// [`Error::Config`] for a graph with a malformed edge (see [`evaluate`]).
 pub fn anneal(graph: &TaskGraph, arch: &ArchModel, seed: u64, iters: u64) -> Result<Mapping> {
-    let mut current = list_schedule(graph, arch)?;
+    let index = Index::new(graph, arch)?;
+    let mut scratch = index.scratch();
+    let mut assignment = index.eft_assignment(graph, arch, &mut scratch);
     if graph.tasks.is_empty() || arch.len() < 2 {
-        return Ok(current);
+        return Ok(index.mapping(&assignment, &mut scratch));
     }
-    let mut best = current.clone();
+    let mut current = index.makespan(&assignment, &mut scratch);
+    let mut best = current;
+    let mut best_assignment = assignment.clone();
     let mut rng = seed
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407)
@@ -179,30 +304,33 @@ pub fn anneal(graph: &TaskGraph, arch: &ArchModel, seed: u64, iters: u64) -> Res
         rng ^= rng >> 27;
         rng.wrapping_mul(0x2545F4914F6CDD1D)
     };
-    let t0 = (current.makespan as f64 / 10.0).max(1.0);
+    let t0 = (current as f64 / 10.0).max(1.0);
     for i in 0..iters {
         let temp = t0 * (1.0 - i as f64 / iters as f64) + 1e-9;
         let task = (next() % graph.tasks.len() as u64) as usize;
         let new_pe = (next() % arch.len() as u64) as usize;
-        if current.assignment[task] == new_pe {
+        let old_pe = assignment[task];
+        if old_pe == new_pe {
             continue;
         }
-        let mut trial = current.assignment.clone();
-        trial[task] = new_pe;
-        let cand = evaluate(graph, arch, &trial)?;
-        let delta = cand.makespan as f64 - current.makespan as f64;
+        assignment[task] = new_pe;
+        let cand = index.makespan(&assignment, &mut scratch);
+        let delta = cand as f64 - current as f64;
         let accept = delta <= 0.0 || {
             let p = (-delta / temp).exp();
             (next() % 1_000_000) as f64 / 1_000_000.0 < p
         };
         if accept {
             current = cand;
-            if current.makespan < best.makespan {
-                best = current.clone();
+            if current < best {
+                best = current;
+                best_assignment.copy_from_slice(&assignment);
             }
+        } else {
+            assignment[task] = old_pe;
         }
     }
-    Ok(best)
+    Ok(index.mapping(&best_assignment, &mut scratch))
 }
 
 /// Deterministic multi-start annealing, optionally parallel.
@@ -283,8 +411,9 @@ pub fn profile_task_costs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::PeClass;
+    use crate::arch::{Pe, PeClass};
     use crate::taskgraph::{Task, TaskEdge};
+    use mpsoc_obs::XorShift64Star;
 
     fn diamond(costs: [u64; 4]) -> TaskGraph {
         TaskGraph {
@@ -477,6 +606,276 @@ mod tests {
         let arch = ArchModel::homogeneous(2);
         let m = list_schedule(&g, &arch).unwrap();
         assert_eq!(m.makespan, 0);
+    }
+
+    /// `evaluate`, `list_schedule`, `anneal` and `anneal_multi` must all
+    /// reject the diamond plus the edge `from -> to`, naming the edge.
+    fn assert_edge_rejected(from: usize, to: usize) {
+        let arch = ArchModel::homogeneous(2);
+        let mut g = diamond([10, 20, 30, 40]);
+        g.edges.push(TaskEdge {
+            from,
+            to,
+            volume: 1,
+        });
+        let results = [
+            evaluate(&g, &arch, &[0, 1, 0, 1]),
+            list_schedule(&g, &arch),
+            anneal(&g, &arch, 3, 50),
+            anneal_multi(&g, &arch, 3, 50, 2, 1),
+        ];
+        for r in results {
+            match r {
+                Err(Error::Config(m)) => {
+                    assert!(m.contains(&format!("edge {from} -> {to}")), "{m}")
+                }
+                other => panic!("edge {from} -> {to}: expected Error::Config, got {other:?}"),
+            }
+        }
+    }
+
+    /// The parent indexed `end[7]` out of bounds and panicked.
+    #[test]
+    fn edge_from_a_missing_task_is_rejected() {
+        assert_edge_rejected(7, 3);
+    }
+
+    /// The parent never visited task 9, so the edge was silently ignored.
+    #[test]
+    fn edge_to_a_missing_task_is_rejected() {
+        assert_edge_rejected(1, 9);
+        // Also when there is no task to schedule at all.
+        let g = TaskGraph {
+            tasks: Vec::new(),
+            edges: vec![TaskEdge {
+                from: 0,
+                to: 1,
+                volume: 1,
+            }],
+        };
+        assert!(list_schedule(&g, &ArchModel::homogeneous(2)).is_err());
+    }
+
+    /// The parent read an end time of 0 for a producer it had not scheduled
+    /// yet and under-reported the makespan.
+    #[test]
+    fn backward_and_self_edges_are_rejected() {
+        assert_edge_rejected(2, 1);
+        assert_edge_rejected(2, 2);
+    }
+
+    // ---- The parent commit's implementation, kept as the oracle. --------
+
+    /// `evaluate` as it was before the index: `TaskGraph::preds` filters every
+    /// edge per task, `exec_cycles` / `comm_cycles` are recomputed per visit.
+    fn evaluate_reference(graph: &TaskGraph, arch: &ArchModel, assignment: &[usize]) -> Mapping {
+        let n = graph.tasks.len();
+        let mut pe_free = vec![0u64; arch.len()];
+        let mut end = vec![0u64; n];
+        let mut schedule = Vec::with_capacity(n);
+        for t in 0..n {
+            let pe = assignment[t];
+            let mut ready = 0u64;
+            for e in graph.preds(t) {
+                let arrival = end[e.from] + arch.comm_cycles(assignment[e.from], pe, e.volume);
+                ready = ready.max(arrival);
+            }
+            let start = ready.max(pe_free[pe]);
+            let dur = arch.exec_cycles(pe, graph.tasks[t].cost, graph.tasks[t].pref);
+            let finish = start + dur;
+            pe_free[pe] = finish;
+            end[t] = finish;
+            schedule.push(Slot {
+                task: t,
+                pe,
+                start,
+                end: finish,
+            });
+        }
+        Mapping {
+            assignment: assignment.to_vec(),
+            makespan: end.into_iter().max().unwrap_or(0),
+            schedule,
+        }
+    }
+
+    /// `list_schedule` as it was, unplaced-predecessor branch included.
+    fn list_schedule_reference(graph: &TaskGraph, arch: &ArchModel) -> Mapping {
+        if graph.tasks.is_empty() {
+            return Mapping::default();
+        }
+        let n = graph.tasks.len();
+        let avg_cost: Vec<f64> = graph
+            .tasks
+            .iter()
+            .map(|t| {
+                (0..arch.len())
+                    .map(|pe| arch.exec_cycles(pe, t.cost, t.pref) as f64)
+                    .sum::<f64>()
+                    / arch.len() as f64
+            })
+            .collect();
+        let mut rank = vec![0f64; n];
+        for t in (0..n).rev() {
+            let succ_max = graph
+                .succs(t)
+                .map(|e| e.volume as f64 * arch.comm_cost_remote as f64 + rank[e.to])
+                .fold(0f64, f64::max);
+            rank[t] = avg_cost[t] + succ_max;
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| rank[b].partial_cmp(&rank[a]).expect("ranks are finite"));
+        let mut assignment = vec![usize::MAX; n];
+        let mut pe_free = vec![0u64; arch.len()];
+        let mut end = vec![0u64; n];
+        for &t in &order {
+            let mut best: Option<(u64, usize, u64)> = None;
+            for (pe, &free) in pe_free.iter().enumerate() {
+                let mut ready = 0u64;
+                for e in graph.preds(t) {
+                    let (pend, ppe) = if assignment[e.from] == usize::MAX {
+                        (0, pe)
+                    } else {
+                        (end[e.from], assignment[e.from])
+                    };
+                    ready = ready.max(pend + arch.comm_cycles(ppe, pe, e.volume));
+                }
+                let start = ready.max(free);
+                let finish = start + arch.exec_cycles(pe, graph.tasks[t].cost, graph.tasks[t].pref);
+                if best.is_none_or(|(bf, _, _)| finish < bf) {
+                    best = Some((finish, pe, start));
+                }
+            }
+            let (finish, pe, _start) = best.expect("at least one PE");
+            assignment[t] = pe;
+            pe_free[pe] = finish;
+            end[t] = finish;
+        }
+        evaluate_reference(graph, arch, &assignment)
+    }
+
+    /// `anneal` as it was: a cloned assignment and a full `Mapping` per
+    /// examined move.
+    fn anneal_reference(graph: &TaskGraph, arch: &ArchModel, seed: u64, iters: u64) -> Mapping {
+        let mut current = list_schedule_reference(graph, arch);
+        if graph.tasks.is_empty() || arch.len() < 2 {
+            return current;
+        }
+        let mut best = current.clone();
+        let mut rng = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+            | 1;
+        let mut next = || {
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545F4914F6CDD1D)
+        };
+        let t0 = (current.makespan as f64 / 10.0).max(1.0);
+        for i in 0..iters {
+            let temp = t0 * (1.0 - i as f64 / iters as f64) + 1e-9;
+            let task = (next() % graph.tasks.len() as u64) as usize;
+            let new_pe = (next() % arch.len() as u64) as usize;
+            if current.assignment[task] == new_pe {
+                continue;
+            }
+            let mut trial = current.assignment.clone();
+            trial[task] = new_pe;
+            let cand = evaluate_reference(graph, arch, &trial);
+            let delta = cand.makespan as f64 - current.makespan as f64;
+            let accept = delta <= 0.0 || {
+                let p = (-delta / temp).exp();
+                (next() % 1_000_000) as f64 / 1_000_000.0 < p
+            };
+            if accept {
+                current = cand;
+                if current.makespan < best.makespan {
+                    best = current.clone();
+                }
+            }
+        }
+        best
+    }
+
+    /// A random DAG of 1..=24 tasks (costs and volumes including 0, random
+    /// class preferences) and a random architecture of 1..=9 PEs (mixed
+    /// classes, speeds such as 1.5 so the `ceil` in `exec_cycles` matters,
+    /// local communication sometimes free).
+    fn random_case(rng: &mut XorShift64Star) -> (TaskGraph, ArchModel) {
+        let pref = |rng: &mut XorShift64Star| match rng.usize_in(0, 3) {
+            3 => None,
+            c => Some(PeClass::ALL[c]),
+        };
+        let n = rng.usize_in(1, 24);
+        let tasks = (0..n)
+            .map(|i| Task {
+                name: format!("t{i}"),
+                cost: if rng.chance_pct(10) {
+                    0
+                } else {
+                    rng.u64_in(1, 2_000)
+                },
+                pref: pref(rng),
+                stmts: Vec::new(),
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for to in 1..n {
+            for from in 0..to {
+                if rng.chance_pct(18) {
+                    let volume = if rng.chance_pct(20) {
+                        0
+                    } else {
+                        rng.u64_in(1, 64)
+                    };
+                    edges.push(TaskEdge { from, to, volume });
+                }
+            }
+        }
+        // Edge order is not consumer order in general.
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.usize_in(0, i));
+        }
+        let pes = (0..rng.usize_in(1, 9))
+            .map(|i| Pe {
+                name: format!("pe{i}"),
+                class: PeClass::ALL[rng.usize_in(0, 2)],
+                speed: [0.5, 1.0, 1.5, 2.0, 3.0][rng.usize_in(0, 4)],
+            })
+            .collect();
+        let arch = ArchModel::new(pes, rng.u64_in(0, 20), rng.u64_in(0, 2)).unwrap();
+        (TaskGraph { tasks, edges }, arch)
+    }
+
+    #[test]
+    fn index_matches_the_reference_on_random_graphs() {
+        let mut rng = XorShift64Star::new(0x5EED_0017);
+        for case in 0..300 {
+            let (g, arch) = random_case(&mut rng);
+            let what = format!("case {case}: {} tasks, {} PEs", g.tasks.len(), arch.len());
+            let assignment: Vec<usize> = (0..g.tasks.len())
+                .map(|_| rng.usize_in(0, arch.len() - 1))
+                .collect();
+            assert_eq!(
+                evaluate(&g, &arch, &assignment).unwrap(),
+                evaluate_reference(&g, &arch, &assignment),
+                "evaluate, {what}"
+            );
+            assert_eq!(
+                list_schedule(&g, &arch).unwrap(),
+                list_schedule_reference(&g, &arch),
+                "list_schedule, {what}"
+            );
+            let seed = rng.next_u64();
+            for iters in [0, 1, 50, 600] {
+                assert_eq!(
+                    anneal(&g, &arch, seed, iters).unwrap(),
+                    anneal_reference(&g, &arch, seed, iters),
+                    "anneal seed {seed:#x} iters {iters}, {what}"
+                );
+            }
+        }
     }
 }
 

@@ -2,19 +2,23 @@
 //!
 //! The paper's road-works complaint is that the platform is a *fixed*
 //! artifact the mapping flow must target; here the platform itself becomes
-//! a sweepable axis. Each trial of the sweep:
+//! a sweepable axis. Trial `i` of the sweep is mapping
+//! `i % mappings_per_topology` of topology `i / mappings_per_topology`:
 //!
-//! 1. derives a topology seed and a mapping seed from the trial index,
-//! 2. generates a `.soc` description ([`crate::generate::generate`]) and
-//!    parses it back (every trial round-trips the language front end),
-//! 3. derives the coarse MAPS architecture model and anneals a mapping of
-//!    the fixed multimedia-style workload graph onto it,
-//! 4. scores the trial as (makespan, area, power) using the deterministic
-//!    integer cost model.
+//! 1. a topology seed and a mapping seed derive from those two indices,
+//! 2. the topology is generated as a `.soc` description
+//!    ([`crate::generate::generate`]), parsed back and budget-checked (every
+//!    topology round-trips the language front end — once, shared by its
+//!    mappings), and yields the coarse MAPS architecture model and the
+//!    (area, power) figures of the deterministic integer cost model,
+//! 3. each mapping seed anneals a mapping of the fixed multimedia-style
+//!    workload graph onto that model,
+//! 4. the trial scores as (makespan, area, power).
 //!
-//! Trials run on [`mpsoc_explore::Sweep`] — seed-split fan-out, fixed-order
-//! merge — so the resulting Pareto front is bit-identical at any thread
-//! count; `tests/explore_equivalence.rs` pins 1/2/4/8.
+//! Topologies run on [`mpsoc_explore::Sweep`] — seed-split fan-out,
+//! fixed-order merge — and their trials are flattened in trial order, so the
+//! resulting Pareto front is bit-identical at any thread count;
+//! `tests/explore_equivalence.rs` pins 1/2/4/8.
 
 use crate::compile::SocMetrics;
 use crate::error::{Error, Result};
@@ -261,42 +265,56 @@ pub fn pareto_front(trials: &[JointTrial]) -> Vec<JointTrial> {
 /// fails to evaluate — both indicate a generator/workload bug, and the
 /// sweep reports rather than panics.
 pub fn joint_sweep(cfg: &JointConfig) -> Result<JointReport> {
+    let trials = joint_trials(cfg)?;
+    Ok(JointReport {
+        master_seed: cfg.master_seed,
+        trials: trials.len(),
+        topologies: cfg.topologies,
+        mappings_per_topology: cfg.mappings_per_topology,
+        front: pareto_front(&trials),
+    })
+}
+
+/// Every design point of the sweep, in trial order: trial `i` is mapping
+/// `i % mappings_per_topology` of topology `i / mappings_per_topology`.
+fn joint_trials(cfg: &JointConfig) -> Result<Vec<JointTrial>> {
     let topo_seeds = split_seeds(cfg.master_seed, cfg.topologies);
     let map_seeds = split_seeds(
         cfg.master_seed ^ 0x9E37_79B9_7F4A_7C15,
         cfg.mappings_per_topology,
     );
     let graph = workload();
-    let n = cfg.topologies * cfg.mappings_per_topology;
-    let results: Vec<Result<JointTrial>> = Sweep::new(cfg.threads).run(n, |i| {
-        let topo_seed = topo_seeds[i / cfg.mappings_per_topology];
-        let mapping_seed = map_seeds[i % cfg.mappings_per_topology];
-        let src = generate(topo_seed);
-        let desc = parse(&src)?;
-        desc.check_budget()?;
-        let arch = desc.arch_model();
-        let mapping = mpsoc_maps::anneal(&graph, &arch, mapping_seed, cfg.anneal_iters)
-            .map_err(|e| Error::new(0, 0, format!("mapping failed: {e}")))?;
-        let m: SocMetrics = desc.metrics();
-        Ok(JointTrial {
-            topology_seed: topo_seed,
-            mapping_seed,
-            platform: desc.name.clone(),
-            cores: m.cores,
-            makespan: mapping.makespan,
-            area_mmm2: m.area_mmm2,
-            power_uw: m.power_uw,
+    // One front-end pass per topology; its mappings share the result.
+    let per_topology: Result<Vec<Vec<JointTrial>>> = Sweep::new(cfg.threads)
+        .run(cfg.topologies, |t| {
+            let topo_seed = topo_seeds[t];
+            let src = generate(topo_seed);
+            let desc = parse(&src)?;
+            desc.check_budget()?;
+            let arch = desc.arch_model();
+            let m: SocMetrics = desc.metrics();
+            map_seeds
+                .iter()
+                .map(|&mapping_seed| {
+                    let mapping = mpsoc_maps::anneal(&graph, &arch, mapping_seed, cfg.anneal_iters)
+                        .map_err(|e| Error::new(0, 0, format!("mapping failed: {e}")))?;
+                    Ok(JointTrial {
+                        topology_seed: topo_seed,
+                        mapping_seed,
+                        platform: desc.name.clone(),
+                        cores: m.cores,
+                        makespan: mapping.makespan,
+                        area_mmm2: m.area_mmm2,
+                        power_uw: m.power_uw,
+                    })
+                })
+                .collect()
         })
-    });
-    let trials: Vec<JointTrial> = results.into_iter().collect::<Result<_>>()?;
-    let front = pareto_front(&trials);
-    Ok(JointReport {
-        master_seed: cfg.master_seed,
-        trials: n,
-        topologies: cfg.topologies,
-        mappings_per_topology: cfg.mappings_per_topology,
-        front,
-    })
+        .into_iter()
+        .collect();
+    // Topology-major is trial order, so the first error above is the first
+    // by trial index.
+    Ok(per_topology?.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -328,6 +346,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The parent commit's sweep, kept as the oracle: one trial per
+    /// (topology, mapping), each through the whole `.soc` front end.
+    fn joint_trials_reference(cfg: &JointConfig) -> Result<Vec<JointTrial>> {
+        let topo_seeds = split_seeds(cfg.master_seed, cfg.topologies);
+        let map_seeds = split_seeds(
+            cfg.master_seed ^ 0x9E37_79B9_7F4A_7C15,
+            cfg.mappings_per_topology,
+        );
+        let graph = workload();
+        let n = cfg.topologies * cfg.mappings_per_topology;
+        let results: Vec<Result<JointTrial>> = Sweep::new(cfg.threads).run(n, |i| {
+            let topo_seed = topo_seeds[i / cfg.mappings_per_topology];
+            let mapping_seed = map_seeds[i % cfg.mappings_per_topology];
+            let src = generate(topo_seed);
+            let desc = parse(&src)?;
+            desc.check_budget()?;
+            let arch = desc.arch_model();
+            let mapping = mpsoc_maps::anneal(&graph, &arch, mapping_seed, cfg.anneal_iters)
+                .map_err(|e| Error::new(0, 0, format!("mapping failed: {e}")))?;
+            let m: SocMetrics = desc.metrics();
+            Ok(JointTrial {
+                topology_seed: topo_seed,
+                mapping_seed,
+                platform: desc.name.clone(),
+                cores: m.cores,
+                makespan: mapping.makespan,
+                area_mmm2: m.area_mmm2,
+                power_uw: m.power_uw,
+            })
+        });
+        results.into_iter().collect()
+    }
+
+    #[test]
+    fn per_topology_front_end_matches_the_per_trial_reference() {
+        let smoke = JointConfig::smoke();
+        let reference = joint_trials_reference(&smoke).expect("reference runs");
+        for threads in [1, 2, 4] {
+            let cfg = JointConfig { threads, ..smoke };
+            assert_eq!(
+                joint_trials(&cfg).expect("sweep runs"),
+                reference,
+                "threads={threads}"
+            );
+            let report = joint_sweep(&cfg).expect("sweep runs");
+            assert_eq!(report.trials, reference.len());
+            assert_eq!(report.front, pareto_front(&reference));
+        }
+        // More mappings than the smoke profile's two, and an uneven split.
+        let cfg = JointConfig {
+            topologies: 5,
+            mappings_per_topology: 3,
+            anneal_iters: 40,
+            threads: 2,
+            ..smoke
+        };
+        assert_eq!(joint_trials(&cfg), joint_trials_reference(&cfg));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! characteristics of time-sharing systems"*, and calls for *"scheduling
 //! algorithms that can in a reactive way mitigate multiple requests for
 //! parallel computing resources as well \[as\] sequential computing
-//! resources"*. This module provides a deterministic tick-driven simulator
-//! of exactly that design space:
+//! resources"*. This module provides a deterministic tick-quantised
+//! simulator of exactly that design space:
 //!
 //! * [`Policy::TimeShared`] — the conventional baseline: every core is
 //!   preemptively multiplexed over all runnable jobs; migrating or switching
@@ -18,6 +18,16 @@
 //!
 //! Experiment E2 compares deadline-miss behaviour of the two policies on
 //! mixed workloads.
+//!
+//! Time advances tick by tick while any core runs a job, and straight to the
+//! next release (or the horizon) after a tick in which none did. That is
+//! exact, not an approximation. A tick that assigns no core retires no work,
+//! so it changes no job's phase, gang or deadline and no core's affinity; the
+//! only jobs it retires are zero-work ones released in that very tick, which
+//! no policy ever gives a core. The next tick therefore sees the same
+//! runnable set, in the same order, and assigns nothing again — until a
+//! release, and releases fire only on the tick a task's `next` names. The
+//! skipped ticks would have produced no statistic, counter or event.
 
 use crate::error::{Error, Result};
 use crate::task::{TaskId, Workload};
@@ -189,52 +199,140 @@ pub fn simulate_observed(
     cfg: &SimConfig,
     obs: &mut ObsCtx<'_>,
 ) -> Result<SimResult> {
-    let metrics = obs.metrics.map(|r| SchedMetrics {
-        jobs_released: r.counter("sched.jobs_released"),
-        jobs_completed: r.counter("sched.jobs_completed"),
-        deadline_misses: r.counter("sched.deadline_misses"),
-        context_switches: r.counter("sched.context_switches"),
-    });
-    if cfg.cores == 0 {
-        return Err(Error::Config("need at least one core".into()));
+    let mut sim = Sim::new(workload, cfg, obs)?;
+    let mut now = 0;
+    while now < cfg.horizon {
+        now = if sim.tick(now, obs) {
+            now + 1
+        } else {
+            // No core ran: every tick before the next release repeats this
+            // one (see the module documentation).
+            sim.next_release_after(now).unwrap_or(cfg.horizon)
+        };
     }
-    if cfg.speed == 0 {
-        return Err(Error::Config("core speed must be non-zero".into()));
-    }
-    if cfg.horizon == 0 {
-        return Err(Error::Config("horizon must be non-zero".into()));
-    }
-    let (ts_cores, boost) = match cfg.policy {
-        Policy::TimeShared => (cfg.cores, 1.0),
-        Policy::Hybrid { ts_cores, boost } => {
-            if ts_cores == 0 || ts_cores > cfg.cores {
-                return Err(Error::Config(format!(
-                    "hybrid time-shared pool of {ts_cores} cores does not fit {} cores",
-                    cfg.cores
-                )));
-            }
-            if boost < 1.0 {
-                return Err(Error::Config("boost must be >= 1.0".into()));
-            }
-            (ts_cores, boost)
+    Ok(sim.finish(obs))
+}
+
+/// The state of one simulation: what ticks carry from one to the next, and
+/// the per-tick buffers, cleared rather than reallocated.
+struct Sim<'a> {
+    workload: &'a Workload,
+    cfg: &'a SimConfig,
+    ts_cores: usize,
+    boost: f64,
+    metrics: Option<SchedMetrics>,
+    result: SimResult,
+    jobs: Vec<Job>,
+    /// Per task: the tick of its next release and the jobs released so far.
+    next_release: Vec<(u64, usize)>,
+    /// Last job `(task, seq)` seen by each core, for switch accounting.
+    core_last: Vec<Option<(usize, usize)>>,
+    seq_counter: usize,
+    /// `assignment[core]` = index into `jobs` of the job it runs this tick.
+    assignment: Vec<Option<usize>>,
+    /// Indices into `jobs` in scheduling order.
+    order: Vec<usize>,
+    /// Candidate cores of the pool being handed out.
+    free: Vec<usize>,
+    space_free: Vec<bool>,
+    /// Per job: work retired this tick, and the cores that retired it.
+    progress: Vec<u64>,
+    strands: Vec<u32>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(workload: &'a Workload, cfg: &'a SimConfig, obs: &ObsCtx<'_>) -> Result<Self> {
+        let metrics = obs.metrics.map(|r| SchedMetrics {
+            jobs_released: r.counter("sched.jobs_released"),
+            jobs_completed: r.counter("sched.jobs_completed"),
+            deadline_misses: r.counter("sched.deadline_misses"),
+            context_switches: r.counter("sched.context_switches"),
+        });
+        if cfg.cores == 0 {
+            return Err(Error::Config("need at least one core".into()));
         }
-    };
+        if cfg.speed == 0 {
+            return Err(Error::Config("core speed must be non-zero".into()));
+        }
+        if cfg.horizon == 0 {
+            return Err(Error::Config("horizon must be non-zero".into()));
+        }
+        let (ts_cores, boost) = match cfg.policy {
+            Policy::TimeShared => (cfg.cores, 1.0),
+            Policy::Hybrid { ts_cores, boost } => {
+                if ts_cores == 0 || ts_cores > cfg.cores {
+                    return Err(Error::Config(format!(
+                        "hybrid time-shared pool of {ts_cores} cores does not fit {} cores",
+                        cfg.cores
+                    )));
+                }
+                if boost < 1.0 {
+                    return Err(Error::Config("boost must be >= 1.0".into()));
+                }
+                (ts_cores, boost)
+            }
+        };
+        Ok(Sim {
+            workload,
+            cfg,
+            ts_cores,
+            boost,
+            metrics,
+            result: SimResult {
+                tasks: vec![TaskStats::default(); workload.len()],
+                ..SimResult::default()
+            },
+            jobs: Vec::new(),
+            next_release: workload
+                .tasks()
+                .iter()
+                .map(|t| (t.arrival, 0usize))
+                .collect(),
+            core_last: vec![None; cfg.cores],
+            seq_counter: 0,
+            assignment: vec![None; cfg.cores],
+            order: Vec::new(),
+            free: Vec::new(),
+            space_free: Vec::new(),
+            progress: Vec::new(),
+            strands: Vec::new(),
+        })
+    }
 
-    let mut result = SimResult {
-        tasks: vec![TaskStats::default(); workload.len()],
-        ..SimResult::default()
-    };
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut next_release: Vec<(u64, usize)> = workload
-        .tasks()
-        .iter()
-        .map(|t| (t.arrival, 0usize))
-        .collect();
-    // last job seen by each core, for switch accounting.
-    let mut core_last: Vec<Option<(usize, usize)>> = vec![None; cfg.cores]; // (task, seq)
-    let mut seq_counter = 0usize;
+    /// The earliest release still pending after tick `now`, if any. A task
+    /// whose `next` is not after `now` has stopped releasing: releases fire
+    /// on `next == now` only, and only a periodic task moves `next` on.
+    fn next_release_after(&self, now: u64) -> Option<u64> {
+        self.workload
+            .tasks()
+            .iter()
+            .zip(&self.next_release)
+            .filter(|(spec, &(next, count))| count < spec.jobs && next > now)
+            .map(|(_, &(next, _))| next)
+            .min()
+    }
 
-    for now in 0..cfg.horizon {
+    /// Simulates tick `now`. Returns whether any core ran a job.
+    fn tick(&mut self, now: u64, obs: &mut ObsCtx<'_>) -> bool {
+        let Sim {
+            workload,
+            cfg,
+            ts_cores,
+            boost,
+            ref metrics,
+            ref mut result,
+            ref mut jobs,
+            ref mut next_release,
+            ref mut core_last,
+            ref mut seq_counter,
+            ref mut assignment,
+            ref mut order,
+            ref mut free,
+            ref mut space_free,
+            ref mut progress,
+            ref mut strands,
+        } = *self;
+
         // 1. Release jobs.
         for (tid, spec) in workload.tasks().iter().enumerate() {
             let (ref mut next, ref mut count) = next_release[tid];
@@ -249,11 +347,11 @@ pub fn simulate_observed(
                     priority: spec.priority,
                     phase: Phase::Serial,
                     gang: Vec::new(),
-                    seq: seq_counter,
+                    seq: *seq_counter,
                 });
-                seq_counter += 1;
+                *seq_counter += 1;
                 result.tasks[tid].released += 1;
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics {
                     m.jobs_released.inc();
                 }
                 obs.emit(|| {
@@ -268,11 +366,13 @@ pub fn simulate_observed(
             }
         }
 
-        // 2. Build this tick's core assignment: assignment[core] = job seq.
-        let mut assignment: Vec<Option<usize>> = vec![None; cfg.cores];
-        // Deterministic job order.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| {
+        // 2. Build this tick's core assignment.
+        assignment.fill(None);
+        // Deterministic job order; `seq` is unique, so the key is a total
+        // order and the in-place sort is as deterministic as a stable one.
+        order.clear();
+        order.extend(0..jobs.len());
+        order.sort_unstable_by_key(|&i| {
             (
                 std::cmp::Reverse(jobs[i].priority),
                 jobs[i].abs_deadline,
@@ -282,8 +382,9 @@ pub fn simulate_observed(
 
         match cfg.policy {
             Policy::TimeShared => {
-                let mut free: Vec<usize> = (0..cfg.cores).collect();
-                for &ji in &order {
+                free.clear();
+                free.extend(0..cfg.cores);
+                for &ji in order.iter() {
                     let want = match jobs[ji].phase_now() {
                         Phase::Serial => 1,
                         Phase::Parallel => jobs[ji].width,
@@ -300,9 +401,10 @@ pub fn simulate_observed(
                     }
                 }
             }
-            Policy::Hybrid { ts_cores, .. } => {
+            Policy::Hybrid { .. } => {
                 // Space pool: cores [ts_cores..). Keep existing gangs.
-                let mut space_free: Vec<bool> = vec![true; cfg.cores];
+                space_free.clear();
+                space_free.resize(cfg.cores, true);
                 for (ji, job) in jobs.iter_mut().enumerate() {
                     if job.phase_now() == Phase::Parallel && !job.gang.is_empty() {
                         for &c in &job.gang {
@@ -314,13 +416,12 @@ pub fn simulate_observed(
                     }
                 }
                 // Grant new gangs reactively, in priority order.
-                for &ji in &order {
+                for &ji in order.iter() {
                     if jobs[ji].phase_now() == Phase::Parallel && jobs[ji].gang.is_empty() {
-                        let free_now: Vec<usize> =
-                            (ts_cores..cfg.cores).filter(|&c| space_free[c]).collect();
-                        if free_now.len() >= jobs[ji].width {
-                            let gang: Vec<usize> =
-                                free_now.into_iter().take(jobs[ji].width).collect();
+                        free.clear();
+                        free.extend((ts_cores..cfg.cores).filter(|&c| space_free[c]));
+                        if free.len() >= jobs[ji].width {
+                            let gang = free[..jobs[ji].width].to_vec();
                             for &c in &gang {
                                 assignment[c] = Some(ji);
                                 space_free[c] = false;
@@ -332,11 +433,11 @@ pub fn simulate_observed(
                 // Time-shared pool runs serial phases (and parallel jobs
                 // still waiting for a gang make no progress — the cost of
                 // space sharing, also modelled).
-                let mut free_ts: Vec<usize> =
-                    (0..ts_cores).filter(|&c| assignment[c].is_none()).collect();
-                for &ji in &order {
+                free.clear();
+                free.extend((0..ts_cores).filter(|&c| assignment[c].is_none()));
+                for &ji in order.iter() {
                     if jobs[ji].phase_now() == Phase::Serial {
-                        if let Some(c) = free_ts.pop() {
+                        if let Some(c) = free.pop() {
                             assignment[c] = Some(ji);
                         } else {
                             break;
@@ -347,10 +448,14 @@ pub fn simulate_observed(
         }
 
         // 3. Execute the tick.
-        let mut progress: Vec<u64> = vec![0; jobs.len()];
-        let mut strands: Vec<u32> = vec![0; jobs.len()];
+        progress.clear();
+        progress.resize(jobs.len(), 0);
+        strands.clear();
+        strands.resize(jobs.len(), 0);
+        let mut ran = false;
         for c in 0..cfg.cores {
             let Some(ji) = assignment[c] else { continue };
+            ran = true;
             let key = (jobs[ji].task.0, jobs[ji].seq);
             let mut budget = if c < ts_cores {
                 (cfg.speed as f64 * boost) as u64
@@ -359,7 +464,7 @@ pub fn simulate_observed(
             };
             if core_last[c] != Some(key) {
                 result.switches += 1;
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics {
                     m.context_switches.inc();
                 }
                 let pay = cfg.switch_overhead.min(budget);
@@ -405,14 +510,14 @@ pub fn simulate_observed(
                     stats.met += 1;
                 } else {
                     stats.missed += 1;
-                    if let Some(m) = &metrics {
+                    if let Some(m) = metrics {
                         m.deadline_misses.inc();
                     }
                     obs.emit(|| {
                         Event::instant(now + 1, "deadline_miss", "rtkernel", j.task.0 as u32)
                     });
                 }
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics {
                     m.jobs_completed.inc();
                 }
                 obs.emit(|| {
@@ -434,35 +539,40 @@ pub fn simulate_observed(
                 i += 1;
             }
         }
+        ran
     }
 
-    // Jobs unfinished at the horizon with expired deadlines have missed.
-    // Their spans are closed at the horizon so every Begin has an End.
-    for j in &jobs {
-        if j.abs_deadline < cfg.horizon {
-            result.tasks[j.task.0].missed += 1;
-            if let Some(m) = &metrics {
-                m.deadline_misses.inc();
+    /// Closes the books at the horizon.
+    fn finish(mut self, obs: &mut ObsCtx<'_>) -> SimResult {
+        // Jobs unfinished at the horizon with expired deadlines have missed.
+        // Their spans are closed at the horizon so every Begin has an End.
+        for j in &self.jobs {
+            if j.abs_deadline < self.cfg.horizon {
+                self.result.tasks[j.task.0].missed += 1;
+                if let Some(m) = &self.metrics {
+                    m.deadline_misses.inc();
+                }
             }
+            obs.emit(|| {
+                Event::end(
+                    self.cfg.horizon,
+                    self.workload.tasks()[j.task.0].name.clone(),
+                    "rtkernel",
+                    j.task.0 as u32,
+                )
+                .with_arg("unfinished", 1)
+            });
         }
-        obs.emit(|| {
-            Event::end(
-                cfg.horizon,
-                workload.tasks()[j.task.0].name.clone(),
-                "rtkernel",
-                j.task.0 as u32,
-            )
-            .with_arg("unfinished", 1)
-        });
+        self.result.end_tick = self.cfg.horizon;
+        self.result
     }
-    result.end_tick = cfg.horizon;
-    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::TaskSpec;
+    use mpsoc_obs::XorShift64Star;
 
     fn cfg(policy: Policy) -> SimConfig {
         SimConfig {
@@ -710,6 +820,153 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// The parent commit's driver, kept as the oracle: the same tick body
+    /// for every tick of the horizon, no jump. The parent allocated the
+    /// per-tick buffers afresh; here each tick finds them full of values no
+    /// tick leaves behind, so one the body forgot to clear shows.
+    fn simulate_every_tick(
+        workload: &Workload,
+        cfg: &SimConfig,
+        obs: &mut ObsCtx<'_>,
+    ) -> Result<SimResult> {
+        let mut sim = Sim::new(workload, cfg, obs)?;
+        for now in 0..cfg.horizon {
+            sim.assignment.fill(Some(usize::MAX));
+            sim.order = vec![usize::MAX; 3];
+            sim.free = vec![usize::MAX; 3];
+            sim.space_free = vec![false; cfg.cores + 3];
+            sim.progress = vec![u64::MAX / 2; sim.jobs.len() + 3];
+            sim.strands = vec![1_000; sim.jobs.len() + 3];
+            sim.tick(now, obs);
+        }
+        Ok(sim.finish(obs))
+    }
+
+    /// A seeded workload for [`skipping_idle_ticks_changes_nothing`]: every
+    /// shape of task the jump has to get right, then random ones.
+    fn jump_workload(rng: &mut XorShift64Star, cores: usize, horizon: u64) -> Workload {
+        let mut w = Workload::new();
+        // One-shot, late arrival: nothing runs before it.
+        w.push(TaskSpec::sequential("late", rng.u64_in(1, 300), 60).with_arrival(horizon / 2));
+        // A zero-work job retires in its release tick, on no core.
+        w.push(
+            TaskSpec::sequential("empty", 0, 5)
+                .with_period(rng.u64_in(1, 40), 4)
+                .with_arrival(rng.u64_in(0, horizon)),
+        );
+        // Never runs: no core can help it. Not periodic, so the second job
+        // never comes and the task's `next` stays at the arrival tick.
+        let mut stuck =
+            TaskSpec::parallel("width0", 0, 50, 1, 30).with_arrival(rng.u64_in(0, horizon));
+        stuck.width = 0;
+        stuck.jobs = 2;
+        w.push(stuck);
+        // Wider than the machine (never gets a hybrid gang).
+        w.push(TaskSpec::parallel("wide", 20, 400, cores + 1, 90).with_period(70, 3));
+        // The same, for a job that does run.
+        let mut once = TaskSpec::sequential("once", 40, 50).with_arrival(rng.u64_in(0, 20));
+        once.jobs = 3;
+        w.push(once);
+        // A release in the very last tick.
+        w.push(TaskSpec::sequential("last", 15, 10).with_arrival(horizon - 1));
+        for i in 0..rng.usize_in(0, 4) {
+            let mut t = TaskSpec::parallel(
+                format!("r{i}"),
+                rng.u64_in(0, 120),
+                rng.u64_in(0, 600),
+                rng.usize_in(1, cores + 1),
+                rng.u64_in(1, 150),
+            )
+            .with_arrival(rng.u64_in(0, horizon))
+            .with_priority(rng.u64_in(0, 3) as u8);
+            if rng.chance_pct(60) {
+                t = t.with_period(rng.u64_in(1, 200), rng.usize_in(0, 6));
+            }
+            w.push(t);
+        }
+        w
+    }
+
+    #[test]
+    fn zero_work_job_retires_in_its_release_tick() {
+        let mut w = Workload::new();
+        w.push(
+            TaskSpec::sequential("empty", 0, 5)
+                .with_arrival(40)
+                .with_period(10, 3),
+        );
+        for policy in [
+            Policy::TimeShared,
+            Policy::Hybrid {
+                ts_cores: 2,
+                boost: 1.0,
+            },
+        ] {
+            let r = simulate(&w, &cfg(policy)).unwrap();
+            assert_eq!(
+                r.tasks[0],
+                TaskStats {
+                    released: 3,
+                    met: 3,
+                    missed: 0,
+                    total_response: 3,
+                    worst_response: 1,
+                }
+            );
+            assert_eq!((r.busy_ticks, r.switches), (0, 0));
+        }
+    }
+
+    #[test]
+    fn skipping_idle_ticks_changes_nothing() {
+        use mpsoc_obs::metrics::MetricsRegistry;
+        use mpsoc_obs::ring::RingSink;
+
+        let observe = |run: &dyn Fn(&mut ObsCtx<'_>) -> Result<SimResult>| {
+            let reg = MetricsRegistry::new();
+            let mut sink = RingSink::new(1 << 14);
+            let result = run(&mut ObsCtx::new(&mut sink, &reg)).unwrap();
+            assert_eq!(sink.dropped(), 0);
+            let counters = [
+                "sched.jobs_released",
+                "sched.jobs_completed",
+                "sched.deadline_misses",
+                "sched.context_switches",
+            ]
+            .map(|name| reg.counter(name).get());
+            (result, counters, sink.events().to_vec())
+        };
+        let mut rng = XorShift64Star::new(0x71C4_0017);
+        for case in 0..60 {
+            let cores = rng.usize_in(1, 5);
+            let horizon = if case % 10 == 0 {
+                1
+            } else {
+                rng.u64_in(2, 700)
+            };
+            let w = jump_workload(&mut rng, cores, horizon);
+            let mut policies = vec![Policy::TimeShared];
+            for ts_cores in 1..=cores {
+                for boost in [1.0, 1.5, 2.0] {
+                    policies.push(Policy::Hybrid { ts_cores, boost });
+                }
+            }
+            for policy in policies {
+                let cfg = SimConfig {
+                    cores,
+                    speed: rng.u64_in(1, 12),
+                    switch_overhead: rng.u64_in(0, 3),
+                    horizon,
+                    policy,
+                };
+                let jumping = observe(&|obs| simulate_observed(&w, &cfg, obs));
+                let every_tick = observe(&|obs| simulate_every_tick(&w, &cfg, obs));
+                assert_eq!(jumping, every_tick, "case {case}, {cfg:?}");
+                assert_eq!(simulate(&w, &cfg).unwrap(), every_tick.0);
+            }
+        }
     }
 
     #[test]

@@ -80,6 +80,11 @@ stage "cargo build --release" cargo build --release
 # A superset of tier-1's `cargo test -q`: the root package's tests/ (delta
 # round-trip, exploration/trace/debugger equivalence, ...) run here once.
 stage "cargo test --workspace" cargo test --workspace -q
+# The DSE inner loops are tested against the implementations they replaced,
+# comparing u64 arithmetic and f64 -> u64 casts: the stage above panics on an
+# overflow that the release profile, which every number comes from, wraps.
+stage "DSE differential tests (release)" \
+  cargo test --release -q -p mpsoc-maps -p mpsoc-rtkernel -p mpsoc-pdl
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
 # The joint mapping x topology sweep over generated .soc platforms; writes
