@@ -16,7 +16,7 @@
 
 use crate::error::{Error, Result};
 use crate::isa::Word;
-use crate::signal::SignalBoard;
+use crate::signal::{SignalBoard, SignalHandle};
 use crate::time::Time;
 
 /// A side effect requested by a peripheral, executed by the platform.
@@ -102,6 +102,14 @@ pub trait Peripheral: std::fmt::Debug + Send {
     fn transfer_done(&mut self, _now: Time, _signals: &mut SignalBoard) -> Option<(usize, u32)> {
         None
     }
+
+    /// Hook invoked *instead of* [`transfer_done`](Peripheral::transfer_done)
+    /// when the platform could not perform a transfer this device started
+    /// (its source or destination range does not resolve): nothing was
+    /// copied, and the device must fall idle again without counting a
+    /// completion or requesting its IRQ. The default ignores the
+    /// notification.
+    fn transfer_faulted(&mut self, _now: Time, _signals: &mut SignalBoard) {}
 
     /// Stable type tag identifying this peripheral in checkpoint images,
     /// or `None` if the device cannot be checkpointed. The built-in
@@ -193,9 +201,9 @@ fn bad_reg(name: &str, offset: u32) -> Error {
 #[derive(Debug, Clone)]
 pub struct Timer {
     name: String,
-    /// Cached `"<name>.tick"` — the signal is driven on every expiry, so
-    /// the name must not be re-formatted in the hot loop.
-    tick_sig: String,
+    /// `"<name>.tick"`, driven on every expiry: formatted once, and
+    /// resolved to the board's id for it once per board.
+    tick_sig: SignalHandle,
     period_ns: u64,
     enabled: bool,
     count: u64,
@@ -225,7 +233,7 @@ impl Timer {
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         Timer {
-            tick_sig: format!("{name}.tick"),
+            tick_sig: SignalHandle::new(format!("{name}.tick")),
             name,
             period_ns: 1_000,
             enabled: false,
@@ -311,7 +319,7 @@ impl Peripheral for Timer {
         });
         // Pulse the tick line so signal watchpoints can trigger on it.
         ctx.signals
-            .drive(&self.tick_sig, ctx.now, self.count as Word);
+            .drive_handle(&mut self.tick_sig, ctx.now, self.count as Word);
         self.next_fire = Some(ctx.now + Time::from_ns(self.period_ns));
     }
 
@@ -383,8 +391,8 @@ impl Peripheral for Timer {
 #[derive(Debug, Clone)]
 pub struct Mailbox {
     name: String,
-    /// Cached `"<name>.avail"` — driven on every push/pop.
-    avail_sig: String,
+    /// `"<name>.avail"`, driven on every push/pop.
+    avail_sig: SignalHandle,
     fifo: std::collections::VecDeque<Word>,
     capacity: usize,
     drops: u64,
@@ -420,7 +428,7 @@ impl Mailbox {
         assert!(capacity > 0, "mailbox capacity must be non-zero");
         let name = name.into();
         Mailbox {
-            avail_sig: format!("{name}.avail"),
+            avail_sig: SignalHandle::new(format!("{name}.avail")),
             name,
             fifo: std::collections::VecDeque::with_capacity(capacity),
             capacity,
@@ -442,7 +450,7 @@ impl Peripheral for Mailbox {
             mailbox_reg::DATA => {
                 let v = self.fifo.pop_front().unwrap_or(0);
                 ctx.signals
-                    .drive(&self.avail_sig, ctx.now, self.fifo.len() as Word);
+                    .drive_handle(&mut self.avail_sig, ctx.now, self.fifo.len() as Word);
                 v
             }
             mailbox_reg::COUNT => self.fifo.len() as Word,
@@ -463,7 +471,7 @@ impl Peripheral for Mailbox {
                     let was_empty = self.fifo.is_empty();
                     self.fifo.push_back(value);
                     ctx.signals
-                        .drive(&self.avail_sig, ctx.now, self.fifo.len() as Word);
+                        .drive_handle(&mut self.avail_sig, ctx.now, self.fifo.len() as Word);
                     if was_empty {
                         if let Some(core) = self.notify_core {
                             ctx.effects.push(Effect::RaiseIrq {
@@ -571,8 +579,8 @@ impl Peripheral for Mailbox {
 #[derive(Debug, Clone)]
 pub struct Semaphore {
     name: String,
-    /// Cached `"<name>.held"` — driven on every acquire/release.
-    held_sig: String,
+    /// `"<name>.held"`, driven on every acquire/release.
+    held_sig: SignalHandle,
     count: u64,
     acquires: u64,
     contentions: u64,
@@ -597,7 +605,7 @@ impl Semaphore {
     pub fn new(name: impl Into<String>, count: u64) -> Self {
         let name = name.into();
         Semaphore {
-            held_sig: format!("{name}.held"),
+            held_sig: SignalHandle::new(format!("{name}.held")),
             name,
             count,
             acquires: 0,
@@ -623,7 +631,7 @@ impl Peripheral for Semaphore {
                 if !self.stuck && self.count > 0 {
                     self.count -= 1;
                     self.acquires += 1;
-                    ctx.signals.drive(&self.held_sig, ctx.now, 1);
+                    ctx.signals.drive_handle(&mut self.held_sig, ctx.now, 1);
                     1
                 } else {
                     self.contentions += 1;
@@ -642,7 +650,7 @@ impl Peripheral for Semaphore {
         match offset {
             semaphore_reg::RELEASE => {
                 self.count += 1;
-                ctx.signals.drive(&self.held_sig, ctx.now, 0);
+                ctx.signals.drive_handle(&mut self.held_sig, ctx.now, 0);
             }
             semaphore_reg::INIT => {
                 self.count = u64::try_from(value).map_err(|_| Error::BadRegisterValue {
@@ -713,12 +721,14 @@ impl Peripheral for Semaphore {
 /// Starting a transfer emits [`Effect::DmaCopy`]; the platform performs the
 /// timed copy (its accesses are attributed to the DMA, so Section VII's
 /// *"peripheral access watchpoints"* can catch a DMA writing a shared
-/// resource) and calls [`Dma::complete`] when done.
+/// resource) and calls [`Dma::complete`] when done. A transfer whose range
+/// does not resolve copies nothing: the completion step returns the fault
+/// and the engine falls idle (no completion counted, no IRQ).
 #[derive(Debug, Clone)]
 pub struct Dma {
     name: String,
-    /// Cached `"<name>.busy"` — driven on every start/completion.
-    busy_sig: String,
+    /// `"<name>.busy"`, driven on every start/completion.
+    busy_sig: SignalHandle,
     page: usize,
     src: u32,
     dst: u32,
@@ -754,7 +764,7 @@ impl Dma {
     pub fn new(name: impl Into<String>, page: usize) -> Self {
         let name = name.into();
         Dma {
-            busy_sig: format!("{name}.busy"),
+            busy_sig: SignalHandle::new(format!("{name}.busy")),
             name,
             page,
             src: 0,
@@ -772,10 +782,16 @@ impl Dma {
     /// transfer's completion time. Returns the completion IRQ to raise, if
     /// any.
     pub fn complete(&mut self, now: Time, signals: &mut SignalBoard) -> Option<(usize, u32)> {
-        self.busy = false;
+        self.release(now, signals);
         self.completed += 1;
-        signals.drive(&self.busy_sig, now, 0);
         self.core.map(|c| (c, self.irq))
+    }
+
+    /// Drops the in-flight transfer: the engine accepts start commands
+    /// again and `"<name>.busy"` falls at `now`.
+    fn release(&mut self, now: Time, signals: &mut SignalBoard) {
+        self.busy = false;
+        signals.drive_handle(&mut self.busy_sig, now, 0);
     }
 
     /// Number of completed transfers.
@@ -818,7 +834,7 @@ impl Peripheral for Dma {
             dma_reg::CTRL => {
                 if value & 1 != 0 && !self.busy && !self.stuck && self.len > 0 {
                     self.busy = true;
-                    ctx.signals.drive(&self.busy_sig, ctx.now, 1);
+                    ctx.signals.drive_handle(&mut self.busy_sig, ctx.now, 1);
                     ctx.effects.push(Effect::DmaCopy {
                         page: self.page,
                         src: self.src,
@@ -840,6 +856,10 @@ impl Peripheral for Dma {
 
     fn transfer_done(&mut self, now: Time, signals: &mut SignalBoard) -> Option<(usize, u32)> {
         self.complete(now, signals)
+    }
+
+    fn transfer_faulted(&mut self, now: Time, signals: &mut SignalBoard) {
+        self.release(now, signals);
     }
 
     fn snapshot(&self) -> Vec<(u32, Word)> {
@@ -1070,6 +1090,59 @@ mod tests {
         assert_eq!(irq, Some((2, 2)));
         assert_eq!(sb.value("dma0.busy"), 0);
         assert_eq!(d.completed(), 1);
+    }
+
+    #[test]
+    fn dma_fault_releases_without_completing() {
+        let (mut sb, mut fx) = ctx_parts();
+        let mut d = Dma::new("dma0", 7);
+        let mut ctx = PeriphCtx {
+            now: Time::ZERO,
+            signals: &mut sb,
+            effects: &mut fx,
+        };
+        d.write(dma_reg::LEN, 4, &mut ctx).unwrap();
+        d.write(dma_reg::CORE, 2, &mut ctx).unwrap();
+        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
+        d.transfer_faulted(Time::from_ns(500), ctx.signals);
+        assert_eq!(d.read(dma_reg::BUSY, &mut ctx).unwrap(), 0);
+        assert_eq!(ctx.signals.value("dma0.busy"), 0);
+        assert_eq!(d.completed(), 0);
+        // The next start command is accepted again.
+        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
+        assert_eq!(ctx.effects.len(), 2);
+    }
+
+    #[test]
+    fn a_peripheral_moved_between_boards_drives_the_right_signal_on_each() {
+        // Board `a` meets "decoy" first, so "t.tick" resolves to id 1 there
+        // and to id 0 on `b`, where id 1 is a different signal altogether:
+        // a handle that trusted its cached id would drive the wrong wire.
+        let (mut a, mut b) = (SignalBoard::new(), SignalBoard::new());
+        a.drive("decoy", Time::ZERO, 9);
+        b.drive("t.tick", Time::ZERO, 0);
+        b.drive("other", Time::ZERO, 7);
+        let mut fx = Vec::new();
+        let mut t = Timer::new("t");
+        let mut fire = |t: &mut Timer, board: &mut SignalBoard, ns| {
+            let mut ctx = PeriphCtx {
+                now: Time::from_ns(ns),
+                signals: board,
+                effects: &mut fx,
+            };
+            t.on_event(&mut ctx);
+        };
+        fire(&mut t, &mut a, 1);
+        fire(&mut t, &mut b, 2);
+        fire(&mut t, &mut a, 3);
+        fire(&mut t, &mut b, 4);
+        assert_eq!(a.value("t.tick"), 3);
+        assert_eq!(b.value("t.tick"), 4);
+        assert_eq!((a.value("decoy"), b.value("other")), (9, 7));
+        assert_eq!(a.names(), ["decoy", "t.tick"]);
+        assert_eq!(b.names(), ["other", "t.tick"]);
+        assert_eq!(a.recent("t.tick").len(), 2);
+        assert_eq!(b.recent("t.tick").len(), 2);
     }
 
     #[test]

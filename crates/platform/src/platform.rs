@@ -43,6 +43,9 @@ struct PlatformMetrics {
     trace_ring_bytes: Gauge,
     trace_spilled: Gauge,
     trace_evicted: Gauge,
+    /// What the three `trace.*` gauges currently hold, as
+    /// `(ring_bytes, spilled, evicted)`.
+    trace_published: Option<(u64, u64, u64)>,
 }
 
 impl PlatformMetrics {
@@ -58,16 +61,25 @@ impl PlatformMetrics {
             trace_ring_bytes: registry.gauge("trace.ring_bytes"),
             trace_spilled: registry.gauge("trace.spilled"),
             trace_evicted: registry.gauge("trace.evicted"),
+            trace_published: None,
         }
     }
 
     /// Pushes the signal-trace store's occupancy and counters onto the
     /// `trace.*` gauges — the same numbers the gdbrsp `trace-stats`
-    /// monitor command reports.
-    fn publish_trace(&self, stats: &TraceStats) {
-        self.trace_ring_bytes.set(stats.ring_bytes as u64);
-        self.trace_spilled.set(stats.spilled);
-        self.trace_evicted.set(stats.evicted);
+    /// monitor command reports. Called after every step, but the gauges
+    /// (a store and a `fetch_max` each) are only written when a number
+    /// moved: an edge was driven, a record evicted, a restore truncated the
+    /// ring. Re-setting a gauge to what it holds changes neither its value
+    /// nor its high-water mark.
+    fn publish_trace(&mut self, stats: &TraceStats) {
+        let now = (stats.ring_bytes as u64, stats.spilled, stats.evicted);
+        if self.trace_published != Some(now) {
+            self.trace_published = Some(now);
+            self.trace_ring_bytes.set(now.0);
+            self.trace_spilled.set(now.1);
+            self.trace_evicted.set(now.2);
+        }
     }
 }
 
@@ -217,23 +229,26 @@ impl Default for InterconnectConfig {
 /// scheduler-equivalence tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
-    /// O(log n) event calendar: a binary heap of ready times with lazy
-    /// invalidation, keyed by per-actor generation counters.
+    /// Cores are scanned, events are heaped: the earliest running core is
+    /// found by reading every core's status and ready time in id order
+    /// (a step changes them in place, so there is nothing to keep in
+    /// sync); peripheral events and DMA completions — many actors, few of
+    /// them due — sit in a binary heap with lazy invalidation, keyed by
+    /// per-page generation counters.
     #[default]
     Calendar,
     /// The original O(cores + peripherals + DMA) scan over all actors.
     ScanReference,
 }
 
-// Actor classes in calendar keys; their numeric order *is* the documented
+// Event classes in calendar keys; their numeric order *is* the documented
 // tie-break order at equal times.
-const CLASS_CORE: u8 = 0;
-const CLASS_PERIPH: u8 = 1;
-const CLASS_DMA: u8 = 2;
+const CLASS_PERIPH: u8 = 0;
+const CLASS_DMA: u8 = 1;
 
 /// One heap entry: ordered by `(at, class, id)` so popping the minimum
-/// reproduces exactly the linear scan's "earliest time, cores before
-/// peripherals before DMA, lower ids first" decision. `gen` identifies the
+/// reproduces exactly the linear scan's "earliest time, peripherals before
+/// DMA, lower ids first" decision among events. `gen` identifies the
 /// calendar generation that pushed the entry; entries from older
 /// generations are stale and skipped on pop (lazy invalidation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -244,48 +259,25 @@ struct CalKey {
     gen: u64,
 }
 
-/// The event calendar: a min-heap of ready times plus the bookkeeping for
-/// lazy invalidation.
+/// The event calendar: a min-heap of the times at which peripheral events
+/// and DMA completions are due, plus the bookkeeping for lazy invalidation.
+/// Cores are not in it — [`Platform::calendar_peek`] scans them.
 ///
-/// Instead of removing entries when an actor's state changes (which a
-/// binary heap cannot do cheaply), the actor is marked *dirty*; before the
-/// next scheduling decision every dirty actor gets its generation counter
+/// Instead of removing an entry when a peripheral's state changes (which a
+/// binary heap cannot do cheaply), the page is marked *dirty*; before the
+/// next scheduling decision every dirty page gets its generation counter
 /// bumped (invalidating all of its existing entries) and one fresh entry
 /// pushed. Stale entries surface at the heap top eventually and are popped
 /// without effect.
 #[derive(Debug, Default)]
 struct Calendar {
     heap: BinaryHeap<Reverse<CalKey>>,
-    core_gen: Vec<u64>,
-    core_dirty: Vec<bool>,
-    dirty_cores: Vec<u32>,
     periph_gen: Vec<u64>,
     periph_dirty: Vec<bool>,
     dirty_periphs: Vec<u32>,
 }
 
 impl Calendar {
-    fn new(num_cores: usize) -> Self {
-        Calendar {
-            heap: BinaryHeap::new(),
-            core_gen: vec![0; num_cores],
-            core_dirty: vec![false; num_cores],
-            dirty_cores: Vec::new(),
-            periph_gen: Vec::new(),
-            periph_dirty: Vec::new(),
-            dirty_periphs: Vec::new(),
-        }
-    }
-
-    /// Marks core `id`'s calendar entry as stale (re-examined before the
-    /// next scheduling decision).
-    fn mark_core(&mut self, id: usize) {
-        if !self.core_dirty[id] {
-            self.core_dirty[id] = true;
-            self.dirty_cores.push(id as u32);
-        }
-    }
-
     /// Marks peripheral `page` stale, growing the per-page bookkeeping on
     /// first sight of a new page.
     fn mark_periph(&mut self, page: usize) {
@@ -494,7 +486,7 @@ impl PlatformBuilder {
             steps: 0,
             metrics: None,
             scheduler: self.scheduler,
-            calendar: Calendar::new(n),
+            calendar: Calendar::default(),
             dma_seq: 0,
             access_pool: Vec::new(),
             scratch_effects: Vec::new(),
@@ -587,7 +579,7 @@ impl Platform {
     /// events). Handles are resolved once here, so the steady-state cost is
     /// one relaxed atomic add per counted event.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        let m = PlatformMetrics::new(registry);
+        let mut m = PlatformMetrics::new(registry);
         m.publish_trace(&self.signals.trace_stats());
         self.metrics = Some(m);
     }
@@ -612,11 +604,6 @@ impl Platform {
     ///
     /// [`Error::NoSuchCore`] if `id` is out of range.
     pub fn core_mut(&mut self, id: usize) -> Result<&mut Core> {
-        if id < self.cores.len() {
-            // The caller may change anything about the core (status, clock,
-            // ready time), so its calendar entry must be rebuilt.
-            self.calendar.mark_core(id);
-        }
         self.cores.get_mut(id).ok_or(Error::NoSuchCore(id))
     }
 
@@ -833,16 +820,13 @@ impl Platform {
     }
 
     /// Discards the entire event calendar and rebuilds it from the current
-    /// actor state: every core and peripheral page is marked dirty (the next
-    /// refresh re-examines it) and every in-flight DMA completion is
-    /// re-pushed at its original finish time. Used by the `snapshot` module
-    /// after a restore, because the calendar is derived state that is never
+    /// actor state: every peripheral page is marked dirty (the next refresh
+    /// re-examines it) and every in-flight DMA completion is re-pushed at
+    /// its original finish time. Used by the `snapshot` module after a
+    /// restore, because the calendar is derived state that is never
     /// serialized.
     pub(crate) fn rebuild_calendar(&mut self) {
-        self.calendar = Calendar::new(self.cores.len());
-        for id in 0..self.cores.len() {
-            self.calendar.mark_core(id);
-        }
+        self.calendar = Calendar::default();
         for page in 0..self.periphs.len() {
             self.calendar.mark_periph(page);
         }
@@ -889,30 +873,16 @@ impl Platform {
                 consider(t, Actor::Periph(page));
             }
         }
-        for d in &self.pending_dma {
-            consider(d.finish, Actor::Dma(d.seq));
+        for (i, d) in self.pending_dma.iter().enumerate() {
+            consider(d.finish, Actor::Dma(i));
         }
         best
     }
 
-    /// Rebuilds the calendar entries of every dirty actor: bump its
-    /// generation (invalidating old entries) and push one fresh entry if it
-    /// is currently schedulable.
+    /// Rebuilds the calendar entry of every dirty peripheral page: bump its
+    /// generation (invalidating old entries) and push one fresh entry if the
+    /// device has an event pending.
     fn calendar_refresh(&mut self) {
-        while let Some(id) = self.calendar.dirty_cores.pop() {
-            let id = id as usize;
-            self.calendar.core_dirty[id] = false;
-            self.calendar.core_gen[id] += 1;
-            let c = &self.cores[id];
-            if c.status() == CoreStatus::Running {
-                self.calendar.heap.push(Reverse(CalKey {
-                    at: c.next_ready(),
-                    class: CLASS_CORE,
-                    id: id as u64,
-                    gen: self.calendar.core_gen[id],
-                }));
-            }
-        }
         while let Some(page) = self.calendar.dirty_periphs.pop() {
             let page = page as usize;
             self.calendar.periph_dirty[page] = false;
@@ -928,49 +898,54 @@ impl Platform {
         }
     }
 
-    /// Calendar-mode peek: refresh dirty actors, then pop stale heap
+    /// The earliest pending event: refresh dirty pages, then pop stale heap
     /// entries until the top is valid. A current-generation entry whose
-    /// actor state nonetheless drifted (which would mean a missed dirty
-    /// mark) is healed by re-marking and retrying, so the calendar can
-    /// never act on a wrong time.
-    fn calendar_peek(&mut self) -> Option<(Time, Actor)> {
+    /// device nonetheless drifted (which would mean a missed dirty mark) is
+    /// healed by re-marking and retrying, so the calendar can never act on
+    /// a wrong time.
+    fn calendar_event(&mut self) -> Option<(Time, Actor)> {
         loop {
             self.calendar_refresh();
             let &Reverse(k) = self.calendar.heap.peek()?;
-            match k.class {
-                CLASS_CORE => {
-                    let id = k.id as usize;
-                    if self.calendar.core_gen[id] == k.gen {
-                        let c = &self.cores[id];
-                        if c.status() == CoreStatus::Running && c.next_ready() == k.at {
-                            return Some((k.at, Actor::Core(id)));
-                        }
-                        self.calendar.heap.pop();
-                        self.calendar.mark_core(id);
-                        continue;
+            if k.class == CLASS_PERIPH {
+                let page = k.id as usize;
+                if self.calendar.periph_gen[page] == k.gen {
+                    if self.periphs.get(page).and_then(|p| p.next_event()) == Some(k.at) {
+                        return Some((k.at, Actor::Periph(page)));
                     }
+                    self.calendar.heap.pop();
+                    self.calendar.mark_periph(page);
+                    continue;
                 }
-                CLASS_PERIPH => {
-                    let page = k.id as usize;
-                    if self.calendar.periph_gen[page] == k.gen {
-                        if self.periphs.get(page).and_then(|p| p.next_event()) == Some(k.at) {
-                            return Some((k.at, Actor::Periph(page)));
-                        }
-                        self.calendar.heap.pop();
-                        self.calendar.mark_periph(page);
-                        continue;
-                    }
-                }
-                _ => {
-                    // DMA completions are scheduled once with a fixed finish
-                    // time and removed only on execution, so any entry whose
-                    // transfer is still pending is valid.
-                    if self.pending_dma.iter().any(|d| d.seq == k.id) {
-                        return Some((k.at, Actor::Dma(k.id)));
-                    }
-                }
+            } else if let Some(i) = self.pending_dma.iter().position(|d| d.seq == k.id) {
+                // DMA completions are scheduled once with a fixed finish
+                // time and removed only on execution, so any entry whose
+                // transfer is still pending is valid.
+                return Some((k.at, Actor::Dma(i)));
             }
             self.calendar.heap.pop();
+        }
+    }
+
+    /// Calendar-mode decision: the earliest running core against the
+    /// earliest event. The core scan is [`next_actor_scan`]'s — id order,
+    /// strict `<`, so the lowest id wins a tie — and a core wins an equal
+    /// time against an event (class order). It reads `Core::status` and
+    /// `Core::next_ready` as they are now, so nothing that wakes, halts,
+    /// stalls or re-clocks a core has to tell the scheduler.
+    ///
+    /// [`next_actor_scan`]: Platform::next_actor_scan
+    fn calendar_peek(&mut self) -> Option<(Time, Actor)> {
+        let event = self.calendar_event();
+        let mut core: Option<(Time, Actor)> = None;
+        for (id, c) in self.cores.iter().enumerate() {
+            if c.status() == CoreStatus::Running && core.is_none_or(|(t, _)| c.next_ready() < t) {
+                core = Some((c.next_ready(), Actor::Core(id)));
+            }
+        }
+        match (core, event) {
+            (Some((ct, _)), Some((et, _))) if et < ct => event,
+            _ => core.or(event),
         }
     }
 
@@ -982,41 +957,20 @@ impl Platform {
         }
     }
 
-    /// Retires the heap-top entry of the core that just executed: updates
-    /// it **in place** to the core's new ready time (one sift via
-    /// [`PeekMut`](std::collections::binary_heap::PeekMut) instead of a
-    /// pop + push + dirty-list round trip), or removes it if the core is no
-    /// longer runnable.
+    /// Retires the heap-top entry of the peripheral whose internal event
+    /// just ran: updates it **in place** to the device's next event time
+    /// (one sift via [`PeekMut`](std::collections::binary_heap::PeekMut)
+    /// instead of a pop + push + dirty-list round trip), or removes it if
+    /// none is pending.
     ///
-    /// Sound because the executed decision is still the heap top: entries
-    /// pushed *during* execution (DMA completions) carry `at >= now` and
-    /// the highest class, so they can never sort above it. If the core was
-    /// additionally dirtied mid-step (e.g. it raised an IRQ on itself
-    /// through a peripheral write), the next refresh bumps its generation
+    /// Sound because the executed decision is still the heap top: the only
+    /// entries pushed *during* execution are DMA completions, which carry
+    /// `at >= now` and the higher class, so they can never sort above it
+    /// (and a core step pushes nothing else either, so an event that is due
+    /// stays on top however many core steps run first). If the device was
+    /// additionally dirtied mid-step, the next refresh bumps its generation
     /// and pushes a fresh entry; the in-place one then goes stale and is
     /// dropped lazily, exactly like any other invalidated entry.
-    fn retire_core_entry(&mut self, id: usize) {
-        if self.scheduler != SchedulerMode::Calendar {
-            return;
-        }
-        let Some(mut top) = self.calendar.heap.peek_mut() else {
-            return;
-        };
-        debug_assert!(
-            top.0.class == CLASS_CORE && top.0.id == id as u64,
-            "executed core entry must still be the heap top"
-        );
-        let c = &self.cores[id];
-        if c.status() == CoreStatus::Running {
-            top.0.at = c.next_ready();
-        } else {
-            std::collections::binary_heap::PeekMut::pop(top);
-        }
-    }
-
-    /// [`retire_core_entry`](Platform::retire_core_entry) for a peripheral
-    /// whose internal event just ran: reschedule the top entry at the
-    /// device's next event time, or remove it if none is pending.
     fn retire_periph_entry(&mut self, page: usize) {
         if self.scheduler != SchedulerMode::Calendar {
             return;
@@ -1065,6 +1019,9 @@ impl Platform {
     /// [`Error::LocalityViolation`], [`Error::DivideByZero`],
     /// [`Error::PcOutOfRange`]); the offending core is left in
     /// [`CoreStatus::Faulted`] and the rest of the platform remains usable.
+    /// A DMA transfer whose source or destination range does not resolve
+    /// returns [`Error::UnmappedAddress`] from its completion step: nothing
+    /// is copied and the engine falls idle, ready for the next transfer.
     pub fn step(&mut self) -> Result<StepEvent> {
         self.step_observed(None)
     }
@@ -1086,20 +1043,13 @@ impl Platform {
     }
 
     /// Executes one already-scheduled decision (the actor/time pair just
-    /// returned by [`peek_decision`](Platform::peek_decision), whose
-    /// calendar entry is still the heap top; execution retires or
-    /// reschedules that entry in place).
+    /// returned by [`peek_decision`](Platform::peek_decision); an event's
+    /// calendar entry is still the heap top, and execution retires or
+    /// reschedules it in place).
     fn exec_actor(&mut self, t: Time, actor: Actor) -> Result<StepEvent> {
         self.now = self.now.max(t);
         match actor {
-            Actor::Core(id) => {
-                let r = self.step_core(id);
-                // Whatever happened — retired, halted, slept, faulted — the
-                // core's calendar entry is rescheduled in place (and on the
-                // fault path, before the error propagates).
-                self.retire_core_entry(id);
-                r
-            }
+            Actor::Core(id) => self.step_core(id),
             Actor::Periph(page) => {
                 let mut effects = std::mem::take(&mut self.scratch_effects);
                 {
@@ -1123,29 +1073,31 @@ impl Platform {
                     accesses: Vec::new(),
                 })
             }
-            Actor::Dma(seq) => {
-                self.retire_dma_entry(seq);
-                let i = self
-                    .pending_dma
-                    .iter()
-                    .position(|d| d.seq == seq)
-                    .expect("scheduled DMA completion exists");
+            Actor::Dma(i) => {
                 let d = self.pending_dma.remove(i);
+                self.retire_dma_entry(d.seq);
+                self.calendar.mark_periph(d.page);
                 let mut accesses = self.take_accesses();
                 // Perform the functional copy now, emitting the access
                 // trail attributed to the DMA engine. The whole range is
                 // decoded and bounds-checked once, not per word.
-                self.dma_copy(&d, &mut accesses)?;
+                if let Err(e) = self.dma_copy(&d, &mut accesses) {
+                    // Nothing was copied. The transfer is gone either way,
+                    // so the engine must not stay busy waiting for it.
+                    if let Some(dma) = self.periphs.get_mut(d.page) {
+                        dma.transfer_faulted(self.now, &mut self.signals);
+                    }
+                    self.recycle_accesses(accesses);
+                    return Err(e);
+                }
                 // Tell the engine it is done; deliver its completion IRQ.
                 let mut irq_req = None;
                 if let Some(dma) = self.periphs.get_mut(d.page) {
                     irq_req = dma.transfer_done(self.now, &mut self.signals);
                 }
-                self.calendar.mark_periph(d.page);
                 if let Some((core, irq)) = irq_req {
                     if let Some(c) = self.cores.get_mut(core) {
                         c.post_irq(irq, self.now);
-                        self.calendar.mark_core(core);
                     }
                 }
                 if let Some(m) = &self.metrics {
@@ -1170,7 +1122,10 @@ impl Platform {
     /// steady-state stepping allocation-free. Entirely optional — dropping
     /// the event instead is always correct, just slower.
     pub fn recycle(&mut self, ev: StepEvent) {
-        let mut v = ev.accesses;
+        self.recycle_accesses(ev.accesses);
+    }
+
+    fn recycle_accesses(&mut self, mut v: Vec<Access>) {
         if self.access_pool.len() < 8 && v.capacity() > 0 {
             v.clear();
             self.access_pool.push(v);
@@ -1178,17 +1133,15 @@ impl Platform {
     }
 
     /// Metrics + event fan-out for one completed step.
-    fn observe_step(&self, ev: &StepEvent, sink: Option<&mut dyn EventSink>) {
+    fn observe_step(&mut self, ev: &StepEvent, sink: Option<&mut dyn EventSink>) {
         let ts = ev.at.as_ps() / 1_000; // simulated nanoseconds
-        if let StepKind::Instr { irq_taken, .. } = &ev.kind {
-            if let Some(m) = &self.metrics {
+        if let Some(m) = &mut self.metrics {
+            if let StepKind::Instr { irq_taken, .. } = &ev.kind {
                 m.instr_retired.inc();
                 if irq_taken.is_some() {
                     m.irq_delivered.inc();
                 }
             }
-        }
-        if let Some(m) = &self.metrics {
             m.publish_trace(&self.signals.trace_stats());
         }
         let Some(sink) = sink else { return };
@@ -1671,7 +1624,6 @@ impl Platform {
                 Effect::RaiseIrq { core, irq } => {
                     if let Some(c) = self.cores.get_mut(core) {
                         c.post_irq(irq, self.now);
-                        self.calendar.mark_core(core);
                     }
                 }
                 Effect::DmaCopy {
@@ -1793,9 +1745,9 @@ impl Platform {
 enum Actor {
     Core(usize),
     Periph(usize),
-    /// A pending DMA completion, identified by its schedule sequence number
-    /// (see [`PendingDma::seq`]).
-    Dma(u64),
+    /// A pending DMA completion, identified by its position in
+    /// `pending_dma` when the decision was made.
+    Dma(usize),
 }
 
 /// Which RAM a DMA range resolved to.
@@ -2084,6 +2036,90 @@ mod tests {
         p.run_to_completion(10_000).unwrap();
         for i in 0..8 {
             assert_eq!(p.debug_read(200 + i).unwrap(), (i + 1) as Word);
+        }
+    }
+
+    #[test]
+    fn dma_range_fault_releases_the_engine() {
+        for mode in [SchedulerMode::Calendar, SchedulerMode::ScanReference] {
+            let mut p = PlatformBuilder::new()
+                .cores(1, Frequency::mhz(100))
+                .shared_words(1024)
+                .cache(None)
+                .scheduler(mode)
+                .build()
+                .unwrap();
+            let page = p.add_dma("dma0");
+            p.load_shared(100, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+            let reg = |r| periph_addr(page, r);
+            // First transfer: 64 words from 1000 run off the 1 024-word RAM.
+            // Second: a valid 8-word copy, kicked once BUSY reads 0 again.
+            let prog = assemble(&format!(
+                "movi r1, {core}\nst r0, r1, 0\n\
+                 movi r1, {src}\nmovi r2, 1000\nst r2, r1, 0\n\
+                 movi r1, {dst}\nmovi r2, 200\nst r2, r1, 0\n\
+                 movi r1, {len}\nmovi r2, 64\nst r2, r1, 0\n\
+                 movi r1, {ctrl}\nmovi r2, 1\nst r2, r1, 0\n\
+                 movi r3, {busy}\n\
+                 wait1: ld r2, r3, 0\nbne r2, r0, wait1\n\
+                 movi r1, {src}\nmovi r2, 100\nst r2, r1, 0\n\
+                 movi r1, {len}\nmovi r2, 8\nst r2, r1, 0\n\
+                 movi r1, {ctrl}\nmovi r2, 1\nst r2, r1, 0\n\
+                 wait2: ld r2, r3, 0\nbne r2, r0, wait2\n\
+                 halt",
+                core = reg(dma_reg::CORE),
+                src = reg(dma_reg::SRC),
+                dst = reg(dma_reg::DST),
+                len = reg(dma_reg::LEN),
+                ctrl = reg(dma_reg::CTRL),
+                busy = reg(dma_reg::BUSY),
+            ))
+            .unwrap();
+            p.load_program(0, prog, 0).unwrap();
+
+            let busy_reg = |p: &Platform| {
+                let regs = p.peripheral_snapshot(page).unwrap();
+                regs.iter().find(|(o, _)| *o == dma_reg::BUSY).unwrap().1
+            };
+            let mut faults = 0;
+            let mut completions = 0;
+            for _ in 0..10_000 {
+                match p.step() {
+                    Ok(ev) if ev.is_idle() => break,
+                    Ok(ev) => {
+                        if matches!(ev.kind, StepKind::DmaComplete { .. }) {
+                            completions += 1;
+                            assert_eq!(ev.accesses.len(), 16, "{mode:?}: 8 reads + 8 writes");
+                        }
+                        p.recycle(ev);
+                    }
+                    Err(e) => {
+                        faults += 1;
+                        assert_eq!(e, Error::UnmappedAddress { addr: 0x400 }, "{mode:?}");
+                        // The engine is idle again, as of the fault time,
+                        // and nobody was told a transfer completed.
+                        assert_eq!(busy_reg(&p), 0, "{mode:?}: BUSY after the fault");
+                        let busy = p.signals().get("dma0.busy").unwrap();
+                        assert_eq!(busy.value(), 0, "{mode:?}");
+                        assert_eq!(busy.last_change().unwrap().at, p.now(), "{mode:?}");
+                        assert_eq!(p.core(0).unwrap().irq_pending(), 0, "{mode:?}");
+                        assert_eq!(p.core(0).unwrap().status(), CoreStatus::Running);
+                        assert!(!p.dma_in_flight(page));
+                    }
+                }
+            }
+            assert_eq!(faults, 1, "{mode:?}: the fault is reported exactly once");
+            assert_eq!(
+                completions, 1,
+                "{mode:?}: only the valid transfer completes"
+            );
+            assert_eq!(p.core(0).unwrap().status(), CoreStatus::Halted, "{mode:?}");
+            assert_eq!(busy_reg(&p), 0);
+            for i in 0..8 {
+                assert_eq!(p.debug_read(200 + i).unwrap(), (i + 1) as Word, "{mode:?}");
+            }
+            // The one completion IRQ (default IRQ 2, no vector: stays pending).
+            assert_eq!(p.core(0).unwrap().irq_pending(), 1 << 2, "{mode:?}");
         }
     }
 

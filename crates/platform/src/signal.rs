@@ -25,15 +25,38 @@
 //!   spill target.
 //!
 //! What stays architectural — and therefore in checkpoint images — is
-//! O(platform): each signal's current value, its most recent edge (the
-//! minimal window watchpoint semantics need), and the trace sequence
-//! counter. A restore reconciles the live ring against the restored
+//! O(platform): each *driven* signal's name, current value and most recent
+//! edge (the minimal window watchpoint semantics need), and the trace
+//! sequence counter. A restore reconciles the live ring against the restored
 //! sequence counter (records from the restored point's future are
 //! truncated; deterministic replay re-records them identically), and the
 //! eviction frontier dedups re-spills, so time-travel rewinds neither lose
 //! nor duplicate history.
+//!
+//! ## One name table
+//!
+//! A board stores each signal name once, in a host-side intern table that
+//! maps it to a dense id. The table is monotonic and survives restores, so
+//! an id means the same name for the whole life of the board; everything
+//! else — the signal slots, the ring records, a debugger's last-seen values
+//! — is indexed by id. Which ids exist is *not* architectural (a rewind
+//! keeps names the restored state never drove); which slots are filled is:
+//! [`SignalBoard::iter`], [`SignalBoard::names`] and the image encoding
+//! walk the table in name order over driven signals only, so the bytes of a
+//! checkpoint do not depend on the order names were first seen in.
+//!
+//! [`SignalBoard::drive`] interns the name and drives by id — the one
+//! implementation external stimuli, replay and tests go through. The
+//! built-in peripherals drive on every event or register access and hold a
+//! [`SignalHandle`] instead: the name plus the id it last resolved to.
+//! **Soundness rule:** an id is only a hint. [`SignalBoard::drive_handle`]
+//! trusts it only if this board's table has that very name under that id
+//! (one short string compare) and re-interns otherwise, so a handle stays
+//! correct on any board it meets — the empty board of a unit test, the
+//! board of a platform the peripheral was moved to, a peripheral rebuilt
+//! from an image with an unresolved handle.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::isa::Word;
@@ -209,6 +232,36 @@ impl fmt::Display for TraceStats {
     }
 }
 
+/// What a board keeps per signal name it has met, indexed by id.
+#[derive(Clone, Debug)]
+struct Slot {
+    name: String,
+    /// `None` until the signal is driven (and again after a restore to a
+    /// state that never drove it). Only filled slots are architectural.
+    signal: Option<Signal>,
+}
+
+/// A peripheral's reference to one of its own signals: the name, plus the
+/// id that name resolved to on the board it was last driven on. The id is a
+/// hint [`SignalBoard::drive_handle`] re-checks, never an authority (see the
+/// module docs), so a handle may be created before any board exists and
+/// moved between boards freely.
+#[derive(Clone, Debug)]
+pub struct SignalHandle {
+    name: String,
+    id: u32,
+}
+
+impl SignalHandle {
+    /// A handle for signal `name`, not yet resolved on any board.
+    pub fn new(name: impl Into<String>) -> Self {
+        SignalHandle {
+            name: name.into(),
+            id: u32::MAX,
+        }
+    }
+}
+
 /// The shared trace store: the ring tier plus the spill frontier. Only
 /// `next_seq` is architectural; everything else is host-side observability
 /// that survives checkpoint restores (like an attached metrics registry).
@@ -216,10 +269,6 @@ impl fmt::Display for TraceStats {
 struct TraceStore {
     mode: TraceMode,
     records: VecDeque<TraceRecord>,
-    /// Interned names, id → name. Host-side and monotonic: ids stay stable
-    /// across restores for the whole session.
-    names: Vec<String>,
-    ids: BTreeMap<String, u32>,
     /// Next sequence number (architectural — serialized in v3 images).
     next_seq: u64,
     /// Eviction frontier: every seq below it has already left the ring
@@ -252,8 +301,6 @@ impl Clone for TraceStore {
         TraceStore {
             mode: self.mode,
             records: self.records.clone(),
-            names: self.names.clone(),
-            ids: self.ids.clone(),
             next_seq: self.next_seq,
             evict_mark: self.evict_mark,
             spilled: self.spilled,
@@ -264,32 +311,23 @@ impl Clone for TraceStore {
 }
 
 impl TraceStore {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn push(&mut self, name: &str, change: SignalChange) {
-        let name_id = self.intern(name);
+    /// Appends one edge of signal `name_id`; `slots` (the board's id → name
+    /// table) names whatever the push evicts into the spill sink.
+    fn push(&mut self, name_id: u32, change: SignalChange, slots: &[Slot]) {
         self.records.push_back(TraceRecord {
             seq: self.next_seq,
             name_id,
             change,
         });
         self.next_seq += 1;
-        self.enforce_budget();
+        self.enforce_budget(slots);
     }
 
     fn ring_bytes(&self) -> usize {
         self.records.len() * TRACE_RECORD_BYTES
     }
 
-    fn enforce_budget(&mut self) {
+    fn enforce_budget(&mut self, slots: &[Slot]) {
         let TraceMode::Bounded { budget_bytes } = self.mode else {
             return;
         };
@@ -302,7 +340,7 @@ impl TraceStore {
                 self.evict_mark = rec.seq + 1;
                 if let Some(sink) = self.sink.as_mut() {
                     self.spilled += 1;
-                    sink.record(rec.seq, &self.names[rec.name_id as usize], rec.change);
+                    sink.record(rec.seq, &slots[rec.name_id as usize].name, rec.change);
                 }
             }
         }
@@ -342,7 +380,14 @@ impl TraceStore {
 /// peripherals need no registration step.
 #[derive(Clone, Debug, Default)]
 pub struct SignalBoard {
-    signals: BTreeMap<String, Signal>,
+    /// The intern table: one slot per signal name the board has met, the
+    /// name stored once, the index being the signal's id. Host-side and
+    /// monotonic — ids stay stable across restores for the whole life of
+    /// the board.
+    slots: Vec<Slot>,
+    /// Every id, ordered by the name it stands for: the lookup index, and
+    /// the iteration order of everything that walks signals by name.
+    by_name: Vec<u32>,
     trace: TraceStore,
 }
 
@@ -353,45 +398,105 @@ impl SignalBoard {
         Self::default()
     }
 
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|&id| self.slots[id as usize].name.as_str().cmp(name))
+    }
+
+    /// The id of `name`, interning it (with an empty slot) on first sight;
+    /// only then is `name` turned into a `String` (moved, if it is one).
+    fn intern(&mut self, name: impl AsRef<str> + Into<String>) -> u32 {
+        match self.position(name.as_ref()) {
+            Ok(i) => self.by_name[i],
+            Err(i) => {
+                let id = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    name: name.into(),
+                    signal: None,
+                });
+                self.by_name.insert(i, id);
+                id
+            }
+        }
+    }
+
+    fn drive_id(&mut self, id: u32, at: Time, value: Word) -> bool {
+        let changed = self.slots[id as usize]
+            .signal
+            .get_or_insert_with(Signal::default)
+            .drive(at, value);
+        if changed {
+            self.trace.push(id, SignalChange { at, value }, &self.slots);
+        }
+        changed
+    }
+
     /// Drives `name` to `value` at time `at`.
     ///
     /// Returns `true` if the value actually changed (edges, not levels,
     /// populate the trace ring).
     pub fn drive(&mut self, name: &str, at: Time, value: Word) -> bool {
-        // Timers and IRQ lines re-drive known signals every event; only a
-        // signal's creation allocates its name.
-        let changed = match self.signals.get_mut(name) {
-            Some(sig) => sig.drive(at, value),
-            None => self
-                .signals
-                .entry(name.to_string())
-                .or_default()
-                .drive(at, value),
-        };
-        if changed {
-            self.trace.push(name, SignalChange { at, value });
+        let id = self.intern(name);
+        self.drive_id(id, at, value)
+    }
+
+    /// [`drive`](SignalBoard::drive) for a caller that drives the same
+    /// signal over and over: no name lookup while `handle` keeps meeting
+    /// the board that resolved it, and the same result on any other board
+    /// (the handle is re-resolved there — see the module docs).
+    pub fn drive_handle(&mut self, handle: &mut SignalHandle, at: Time, value: Word) -> bool {
+        if self.slots.get(handle.id as usize).map(|s| &s.name) != Some(&handle.name) {
+            handle.id = self.intern(handle.name.as_str());
         }
-        changed
+        self.drive_id(handle.id, at, value)
+    }
+
+    /// The id `name` is interned under, if this board has met it. Ids are
+    /// host-side: stable for the life of this board (restores included),
+    /// meaningless on any other.
+    pub fn id(&self, name: &str) -> Option<u32> {
+        self.position(name).ok().map(|i| self.by_name[i])
+    }
+
+    fn signal_at(&self, id: u32) -> Option<&Signal> {
+        self.slots.get(id as usize)?.signal.as_ref()
     }
 
     /// Current value of `name` (0 if the signal was never driven).
     pub fn value(&self, name: &str) -> Word {
-        self.signals.get(name).map_or(0, |s| s.value())
+        self.get(name).map_or(0, Signal::value)
+    }
+
+    /// Current value of the signal interned under `id` (0 if it was never
+    /// driven, or no such id exists).
+    pub fn value_at(&self, id: u32) -> Word {
+        self.signal_at(id).map_or(0, Signal::value)
+    }
+
+    /// The current value behind every id this board has handed out, in id
+    /// order (0 where the signal was never driven).
+    pub fn values(&self) -> impl Iterator<Item = Word> + '_ {
+        self.slots
+            .iter()
+            .map(|s| s.signal.as_ref().map_or(0, Signal::value))
     }
 
     /// The signal object, if it exists.
     pub fn get(&self, name: &str) -> Option<&Signal> {
-        self.signals.get(name)
+        self.signal_at(self.id(name)?)
     }
 
     /// Iterates over `(name, signal)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Signal)> {
-        self.signals.iter().map(|(n, s)| (n.as_str(), s))
+        self.by_name.iter().filter_map(|&id| {
+            let slot = &self.slots[id as usize];
+            Some((slot.name.as_str(), slot.signal.as_ref()?))
+        })
     }
 
     /// Names of all known signals, in order.
     pub fn names(&self) -> Vec<String> {
-        self.signals.keys().cloned().collect()
+        self.iter().map(|(name, _)| name.to_string()).collect()
     }
 
     // -- trace store --------------------------------------------------------
@@ -401,7 +506,7 @@ impl SignalBoard {
     /// bounded mode it is the recent window (older edges live in the spill
     /// sink, if one is attached).
     pub fn recent(&self, name: &str) -> Vec<SignalChange> {
-        let Some(&id) = self.trace.ids.get(name) else {
+        let Some(id) = self.id(name) else {
             return Vec::new();
         };
         self.trace
@@ -418,7 +523,7 @@ impl SignalBoard {
         self.trace.records.iter().map(|r| {
             (
                 r.seq,
-                self.trace.names[r.name_id as usize].as_str(),
+                self.slots[r.name_id as usize].name.as_str(),
                 r.change,
             )
         })
@@ -431,12 +536,13 @@ impl SignalBoard {
         self.trace.next_seq
     }
 
-    /// The name behind each edge driven since the edge counter read `seq`,
-    /// oldest first (a signal that changed twice is named twice). `None`
-    /// when the ring no longer holds every one of those edges — evicted
-    /// under a small budget, or `seq` is not from this timeline — and the
-    /// caller has to look at every signal instead.
-    pub fn changed_since(&self, seq: u64) -> Option<impl Iterator<Item = &str>> {
+    /// The id (see [`id`](SignalBoard::id)) behind each edge driven since
+    /// the edge counter read `seq`, oldest first (a signal that changed
+    /// twice is yielded twice). `None` when the ring no longer holds every
+    /// one of those edges — evicted under a small budget, or `seq` is not
+    /// from this timeline — and the caller has to look at every signal
+    /// instead.
+    pub fn changed_since(&self, seq: u64) -> Option<impl Iterator<Item = u32> + '_> {
         let records = &self.trace.records;
         let n = usize::try_from(self.trace.next_seq.checked_sub(seq)?).ok()?;
         let start = records.len().checked_sub(n)?;
@@ -445,12 +551,7 @@ impl SignalBoard {
         if records.get(start).is_some_and(|r| r.seq != seq) {
             return None;
         }
-        let names = &self.trace.names;
-        Some(
-            records
-                .range(start..)
-                .map(move |r| names[r.name_id as usize].as_str()),
-        )
+        Some(records.range(start..).map(|r| r.name_id))
     }
 
     /// Trace-store occupancy and counters.
@@ -462,7 +563,7 @@ impl SignalBoard {
     /// [`TraceMode::Unbounded`]) evicts immediately down to the new budget.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.trace.mode = mode;
-        self.trace.enforce_budget();
+        self.trace.enforce_budget(&self.slots);
     }
 
     /// Convenience for `set_trace_mode(TraceMode::Bounded { budget_bytes })`.
@@ -483,18 +584,26 @@ impl SignalBoard {
         self.trace.sink.take()
     }
 
-    /// Adopts the architectural half of a restored board (signal values,
-    /// last edges, sequence counter) while keeping this board's host-side
-    /// trace tier (mode, ring, intern table, counters, spill sink), with
-    /// the ring reconciled to the restored sequence counter — the
-    /// checkpoint-restore hook.
+    /// Adopts the architectural half of a restored board (which signals are
+    /// driven, their values and last edges, the sequence counter) while
+    /// keeping this board's host-side half (name table, and the trace
+    /// tier's mode, ring, counters and spill sink), with the ring
+    /// reconciled to the restored sequence counter — the checkpoint-restore
+    /// hook. Every slot is emptied first and re-filled by *name*: the
+    /// restored board's ids are its own.
     ///
     /// Ring contents are only meaningful when the restored image comes from
     /// this platform's own timeline (the time-travel rewind case); after
     /// restoring a foreign image, treat the ring as garbage until the next
     /// wrap.
     pub(crate) fn adopt(&mut self, restored: SignalBoard) {
-        self.signals = restored.signals;
+        for slot in &mut self.slots {
+            slot.signal = None;
+        }
+        for (name, sig) in restored.iter() {
+            let id = self.intern(name);
+            self.slots[id as usize].signal = Some(*sig);
+        }
         self.trace.rewind_to(restored.trace.next_seq);
     }
 }
@@ -528,14 +637,14 @@ impl mpsoc_snapshot::Snapshot for Signal {
 }
 
 impl mpsoc_snapshot::Snapshot for SignalBoard {
-    // BTreeMap iteration is name-ordered, so the encoding is a
-    // deterministic function of board contents — and O(signals), never
-    // O(steps): the trace ring is host-side state and stays out of the
-    // image, except for the sequence counter that restores reconcile
-    // against.
+    // Driven signals in name order, so the encoding is a deterministic
+    // function of architectural board contents — not of the order names
+    // were interned in — and O(signals), never O(steps): the name table and
+    // the trace ring are host-side state and stay out of the image, except
+    // for the sequence counter that restores reconcile against.
     fn save(&self, w: &mut mpsoc_snapshot::Writer) {
-        w.put_u64(self.signals.len() as u64);
-        for (name, sig) in &self.signals {
+        w.put_u64(self.iter().count() as u64);
+        for (name, sig) in self.iter() {
             w.put_str(name);
             sig.save(w);
         }
@@ -543,15 +652,13 @@ impl mpsoc_snapshot::Snapshot for SignalBoard {
     }
     fn load(r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<Self> {
         let n = r.get_len(1)?;
-        let mut signals = BTreeMap::new();
+        let mut board = SignalBoard::new();
+        board.slots.reserve(n);
+        board.by_name.reserve(n);
         for _ in 0..n {
-            let name = r.get_str()?;
-            signals.insert(name, Signal::load(r)?);
+            let id = board.intern(r.get_str()?);
+            board.slots[id as usize].signal = Some(Signal::load(r)?);
         }
-        let mut board = SignalBoard {
-            signals,
-            trace: TraceStore::default(),
-        };
         board.trace.next_seq = r.get_u64()?;
         Ok(board)
     }
@@ -650,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn changed_since_names_the_edges_or_admits_it_cannot() {
+    fn changed_since_identifies_the_edges_or_admits_it_cannot() {
         let mut b = SignalBoard::new();
         b.set_trace_budget(3 * TRACE_RECORD_BYTES);
         b.drive("a", Time::from_ns(1), 1);
@@ -659,8 +766,8 @@ mod tests {
         b.drive("b", Time::from_ns(2), 1);
         b.drive("a", Time::from_ns(3), 1); // level, not an edge
         b.drive("a", Time::from_ns(4), 0);
-        let names: Vec<&str> = b.changed_since(seen).unwrap().collect();
-        assert_eq!(names, vec!["b", "a"]);
+        let ids: Vec<u32> = b.changed_since(seen).unwrap().collect();
+        assert_eq!(ids, vec![b.id("b").unwrap(), b.id("a").unwrap()]);
         // Two more edges push the span's first record out of the ring.
         b.drive("b", Time::from_ns(5), 0);
         b.drive("b", Time::from_ns(6), 1);
@@ -734,15 +841,396 @@ mod tests {
     impl SignalBoard {
         /// Test helper standing in for "values as they were at seq 8".
         fn drive_raw_for_test(&mut self) {
-            self.signals.insert(
-                "x".into(),
-                Signal {
+            let id = self.intern("x");
+            self.slots[id as usize].signal = Some(Signal {
+                value: 7,
+                last_change: Some(SignalChange {
+                    at: Time::from_ns(7),
                     value: 7,
-                    last_change: Some(SignalChange {
-                        at: Time::from_ns(7),
-                        value: 7,
-                    }),
-                },
+                }),
+            });
+        }
+    }
+
+    /// The board this module had before signals were interned: one
+    /// `BTreeMap<String, Signal>`, the trace store keeping its own name
+    /// table, every operation by name. Kept verbatim as the oracle for
+    /// [`interned_board_matches_the_by_name_reference`].
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        #[derive(Default)]
+        struct TraceStore {
+            mode: TraceMode,
+            records: VecDeque<TraceRecord>,
+            names: Vec<String>,
+            ids: BTreeMap<String, u32>,
+            next_seq: u64,
+            evict_mark: u64,
+            spilled: u64,
+            evicted: u64,
+            sink: Option<Box<dyn TraceSpill>>,
+        }
+
+        impl TraceStore {
+            fn intern(&mut self, name: &str) -> u32 {
+                if let Some(&id) = self.ids.get(name) {
+                    return id;
+                }
+                let id = self.names.len() as u32;
+                self.names.push(name.to_string());
+                self.ids.insert(name.to_string(), id);
+                id
+            }
+
+            fn push(&mut self, name: &str, change: SignalChange) {
+                let name_id = self.intern(name);
+                self.records.push_back(TraceRecord {
+                    seq: self.next_seq,
+                    name_id,
+                    change,
+                });
+                self.next_seq += 1;
+                self.enforce_budget();
+            }
+
+            fn ring_bytes(&self) -> usize {
+                self.records.len() * TRACE_RECORD_BYTES
+            }
+
+            fn enforce_budget(&mut self) {
+                let TraceMode::Bounded { budget_bytes } = self.mode else {
+                    return;
+                };
+                while self.ring_bytes() > budget_bytes {
+                    let Some(rec) = self.records.pop_front() else {
+                        break;
+                    };
+                    self.evicted += 1;
+                    if rec.seq >= self.evict_mark {
+                        self.evict_mark = rec.seq + 1;
+                        if let Some(sink) = self.sink.as_mut() {
+                            self.spilled += 1;
+                            sink.record(rec.seq, &self.names[rec.name_id as usize], rec.change);
+                        }
+                    }
+                }
+            }
+
+            fn rewind_to(&mut self, next_seq: u64) {
+                while self.records.back().is_some_and(|r| r.seq >= next_seq) {
+                    self.records.pop_back();
+                }
+                self.next_seq = next_seq;
+            }
+        }
+
+        #[derive(Default)]
+        pub(super) struct RefBoard {
+            signals: BTreeMap<String, Signal>,
+            trace: TraceStore,
+        }
+
+        impl RefBoard {
+            pub(super) fn drive(&mut self, name: &str, at: Time, value: Word) -> bool {
+                let changed = match self.signals.get_mut(name) {
+                    Some(sig) => sig.drive(at, value),
+                    None => self
+                        .signals
+                        .entry(name.to_string())
+                        .or_default()
+                        .drive(at, value),
+                };
+                if changed {
+                    self.trace.push(name, SignalChange { at, value });
+                }
+                changed
+            }
+
+            pub(super) fn value(&self, name: &str) -> Word {
+                self.signals.get(name).map_or(0, |s| s.value())
+            }
+
+            pub(super) fn get(&self, name: &str) -> Option<&Signal> {
+                self.signals.get(name)
+            }
+
+            pub(super) fn iter(&self) -> impl Iterator<Item = (&str, &Signal)> {
+                self.signals.iter().map(|(n, s)| (n.as_str(), s))
+            }
+
+            pub(super) fn names(&self) -> Vec<String> {
+                self.signals.keys().cloned().collect()
+            }
+
+            pub(super) fn recent(&self, name: &str) -> Vec<SignalChange> {
+                let Some(&id) = self.trace.ids.get(name) else {
+                    return Vec::new();
+                };
+                self.trace
+                    .records
+                    .iter()
+                    .filter(|r| r.name_id == id)
+                    .map(|r| r.change)
+                    .collect()
+            }
+
+            pub(super) fn trace_records(&self) -> impl Iterator<Item = (u64, &str, SignalChange)> {
+                self.trace.records.iter().map(|r| {
+                    (
+                        r.seq,
+                        self.trace.names[r.name_id as usize].as_str(),
+                        r.change,
+                    )
+                })
+            }
+
+            pub(super) fn next_seq(&self) -> u64 {
+                self.trace.next_seq
+            }
+
+            pub(super) fn changed_since(&self, seq: u64) -> Option<impl Iterator<Item = &str>> {
+                let records = &self.trace.records;
+                let n = usize::try_from(self.trace.next_seq.checked_sub(seq)?).ok()?;
+                let start = records.len().checked_sub(n)?;
+                if records.get(start).is_some_and(|r| r.seq != seq) {
+                    return None;
+                }
+                let names = &self.trace.names;
+                Some(
+                    records
+                        .range(start..)
+                        .map(move |r| names[r.name_id as usize].as_str()),
+                )
+            }
+
+            pub(super) fn trace_stats(&self) -> TraceStats {
+                TraceStats {
+                    ring_records: self.trace.records.len(),
+                    ring_bytes: self.trace.ring_bytes(),
+                    budget_bytes: match self.trace.mode {
+                        TraceMode::Bounded { budget_bytes } => Some(budget_bytes),
+                        TraceMode::Unbounded => None,
+                    },
+                    spilled: self.trace.spilled,
+                    evicted: self.trace.evicted,
+                    next_seq: self.trace.next_seq,
+                }
+            }
+
+            pub(super) fn set_trace_mode(&mut self, mode: TraceMode) {
+                self.trace.mode = mode;
+                self.trace.enforce_budget();
+            }
+
+            pub(super) fn attach_trace_spill(&mut self, sink: Box<dyn TraceSpill>) {
+                self.trace.sink = Some(sink);
+            }
+
+            pub(super) fn adopt(&mut self, restored: RefBoard) {
+                self.signals = restored.signals;
+                self.trace.rewind_to(restored.trace.next_seq);
+            }
+
+            pub(super) fn save(&self, w: &mut mpsoc_snapshot::Writer) {
+                use mpsoc_snapshot::Snapshot;
+                w.put_u64(self.signals.len() as u64);
+                for (name, sig) in &self.signals {
+                    w.put_str(name);
+                    sig.save(w);
+                }
+                w.put_u64(self.trace.next_seq);
+            }
+
+            pub(super) fn load(r: &mut mpsoc_snapshot::Reader<'_>) -> RefBoard {
+                use mpsoc_snapshot::Snapshot;
+                let n = r.get_len(1).unwrap();
+                let mut signals = BTreeMap::new();
+                for _ in 0..n {
+                    let name = r.get_str().unwrap();
+                    signals.insert(name, Signal::load(r).unwrap());
+                }
+                let mut board = RefBoard {
+                    signals,
+                    trace: TraceStore::default(),
+                };
+                board.trace.next_seq = r.get_u64().unwrap();
+                board
+            }
+        }
+    }
+
+    /// Everything observable about a board, names resolved, for comparison
+    /// with the same reading of the reference.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        signals: Vec<(String, Word, Option<SignalChange>)>,
+        names: Vec<String>,
+        records: Vec<(u64, String, SignalChange)>,
+        stats: TraceStats,
+        image: Vec<u8>,
+    }
+
+    /// Reads an [`Observed`] off either board: the two share method names,
+    /// not a trait.
+    macro_rules! observe {
+        ($board:expr) => {{
+            let b = $board;
+            let mut w = mpsoc_snapshot::Writer::new();
+            b.save(&mut w);
+            Observed {
+                signals: b
+                    .iter()
+                    .map(|(n, s)| (n.to_string(), s.value(), s.last_change()))
+                    .collect(),
+                names: b.names(),
+                records: b
+                    .trace_records()
+                    .map(|(seq, n, c)| (seq, n.to_string(), c))
+                    .collect(),
+                stats: b.trace_stats(),
+                image: w.into_bytes(),
+            }
+        }};
+    }
+
+    /// Seeded differential test against the by-name board this module used
+    /// to be: random names, levels and edges through `drive` and through
+    /// handles (resolved on this board, on another, or not at all), budgets
+    /// small enough to evict, a spill sink, and `adopt` of an older image of
+    /// the same timeline and of a foreign board with other names.
+    #[test]
+    fn interned_board_matches_the_by_name_reference() {
+        use mpsoc_obs::rng::XorShift64Star;
+        use mpsoc_snapshot::Snapshot;
+
+        const POOL: [&str; 10] = [
+            "irq.core0",
+            "dma0.busy",
+            "timer0.tick",
+            "a",
+            "b",
+            "mb.avail",
+            "zz.last",
+            "0.first",
+            "lock.held",
+            "timer1.tick",
+        ];
+        for seed in 1..=24u64 {
+            let mut rng = XorShift64Star::new(seed);
+            let (mut new, mut old) = (SignalBoard::new(), reference::RefBoard::default());
+            let (spill_new, spill_old) = (VecSpill::default(), VecSpill::default());
+            if rng.chance_pct(70) {
+                new.attach_trace_spill(Box::new(spill_new.clone()));
+                old.attach_trace_spill(Box::new(spill_old.clone()));
+            }
+            // Handles as peripherals hold them: one per pool name, plus a
+            // second board they sometimes visit in between.
+            let mut handles: Vec<SignalHandle> =
+                POOL.iter().map(|n| SignalHandle::new(*n)).collect();
+            let mut elsewhere = SignalBoard::new();
+            let mut images: Vec<Vec<u8>> = Vec::new();
+            let mut seen_seq = 0;
+            let mut now = 0u64;
+            for op in 0..400 {
+                let ctx = format!("seed {seed} op {op}");
+                now += rng.u64_in(0, 3);
+                let at = Time::from_ns(now);
+                match rng.usize_in(0, 19) {
+                    0..=7 => {
+                        let name = POOL[rng.usize_in(0, POOL.len() - 1)];
+                        let value = rng.i64_in(0, 2);
+                        assert_eq!(
+                            new.drive(name, at, value),
+                            old.drive(name, at, value),
+                            "{ctx}"
+                        );
+                    }
+                    8..=13 => {
+                        let i = rng.usize_in(0, POOL.len() - 1);
+                        let value = rng.i64_in(0, 2);
+                        if rng.chance_pct(20) {
+                            // The handle meets a board with other ids first.
+                            elsewhere.drive("filler", at, op);
+                            elsewhere.drive_handle(&mut handles[i], at, value);
+                        }
+                        assert_eq!(
+                            new.drive_handle(&mut handles[i], at, value),
+                            old.drive(POOL[i], at, value),
+                            "{ctx}"
+                        );
+                    }
+                    14 => {
+                        let mode = match rng.usize_in(0, 3) {
+                            0 => TraceMode::Unbounded,
+                            _ => TraceMode::Bounded {
+                                budget_bytes: rng.usize_in(0, 12) * TRACE_RECORD_BYTES,
+                            },
+                        };
+                        new.set_trace_mode(mode);
+                        old.set_trace_mode(mode);
+                    }
+                    15 | 16 => {
+                        let mut w = mpsoc_snapshot::Writer::new();
+                        new.save(&mut w);
+                        images.push(w.into_bytes());
+                    }
+                    17 if !images.is_empty() => {
+                        // Rewind onto an earlier point of this timeline.
+                        let image = &images[rng.usize_in(0, images.len() - 1)];
+                        let mut r = mpsoc_snapshot::Reader::new(image);
+                        new.adopt(SignalBoard::load(&mut r).unwrap());
+                        r.finish().unwrap();
+                        old.adopt(reference::RefBoard::load(&mut mpsoc_snapshot::Reader::new(
+                            image,
+                        )));
+                    }
+                    18 => {
+                        // A foreign image: other names, another timeline.
+                        let (mut f_new, mut f_old) =
+                            (SignalBoard::new(), reference::RefBoard::default());
+                        for k in 0..rng.usize_in(0, 4) {
+                            let name = ["foreign.x", "a", "timer0.tick", "y"][k];
+                            let value = rng.i64_in(0, 3);
+                            f_new.drive(name, at, value);
+                            f_old.drive(name, at, value);
+                        }
+                        new.adopt(f_new);
+                        old.adopt(f_old);
+                    }
+                    _ => {
+                        let since_new: Option<Vec<String>> = new
+                            .changed_since(seen_seq)
+                            .map(|ids| ids.map(|id| new.slots[id as usize].name.clone()).collect());
+                        let since_old: Option<Vec<String>> = old
+                            .changed_since(seen_seq)
+                            .map(|names| names.map(str::to_string).collect());
+                        assert_eq!(since_new, since_old, "{ctx}: changed_since({seen_seq})");
+                        seen_seq = new.next_seq();
+                    }
+                }
+                assert_eq!(observe!(&new), observe!(&old), "{ctx}");
+                assert_eq!(new.next_seq(), old.next_seq(), "{ctx}");
+                for name in POOL.iter().chain(&["foreign.x", "y", "never"]) {
+                    assert_eq!(new.value(name), old.value(name), "{ctx}: {name}");
+                    assert_eq!(
+                        new.get(name).map(|s| (s.value(), s.last_change())),
+                        old.get(name).map(|s| (s.value(), s.last_change())),
+                        "{ctx}: {name}"
+                    );
+                    assert_eq!(new.recent(name), old.recent(name), "{ctx}: {name}");
+                    let id_value = new.id(name).map_or(0, |id| new.value_at(id));
+                    assert_eq!(id_value, old.value(name), "{ctx}: {name} by id");
+                }
+                let by_id: Vec<Word> = new.values().collect();
+                let by_name: Vec<Word> = new.slots.iter().map(|s| old.value(&s.name)).collect();
+                assert_eq!(by_id, by_name, "{ctx}: values()");
+            }
+            assert_eq!(
+                *spill_new.0.lock().unwrap(),
+                *spill_old.0.lock().unwrap(),
+                "seed {seed}: spilled records"
             );
         }
     }

@@ -129,9 +129,10 @@ pub struct Debugger {
     pub(crate) breakpoints: Vec<Breakpoint>,
     pub(crate) watchpoints: Vec<Watchpoint>,
     pub(crate) trace: TraceBuffer,
-    /// Signal values as of the last signal-edge bookkeeping (a missing name
-    /// reads 0): what signal watchpoints compare against.
-    pub(crate) prev_signals: std::collections::BTreeMap<String, Word>,
+    /// Signal values as of the last signal-edge bookkeeping, indexed by the
+    /// platform board's signal id (a missing id reads 0): what signal
+    /// watchpoints compare against.
+    pub(crate) prev_signals: Vec<Word>,
     /// The board's edge counter at that bookkeeping; while it reads the
     /// same a step skips the bookkeeping. `None` after anything that can
     /// change signals without advancing it (a restore).
@@ -159,7 +160,7 @@ impl Debugger {
             breakpoints: Vec::new(),
             watchpoints: Vec::new(),
             trace: TraceBuffer::new(4096),
-            prev_signals: std::collections::BTreeMap::new(),
+            prev_signals: Vec::new(),
             signals_seen: None,
             time_travel: None,
             stimulus: StimulusLog::new(),
@@ -364,34 +365,34 @@ impl Debugger {
             return None;
         }
         // The highest-numbered watchpoint whose signal changed wins.
+        let prev = &mut self.prev_signals;
         let fires = |wp: &Watchpoint| match wp {
             Watchpoint::Signal { name, value } => {
-                let cur = board.value(name);
-                let prev = self.prev_signals.get(name).copied().unwrap_or(0);
-                cur != prev && value.is_none_or(|v| v == cur)
+                // A name the board has never met was never driven: 0 -> 0.
+                board.id(name).is_some_and(|id| {
+                    let cur = board.value_at(id);
+                    let was = prev.get(id as usize).copied().unwrap_or(0);
+                    cur != was && value.is_none_or(|v| v == cur)
+                })
             }
             Watchpoint::Access { .. } => false,
         };
         let hit = self.watchpoints.iter().rposition(fires);
         match self.signals_seen.and_then(|seen| board.changed_since(seen)) {
             Some(changed) => {
-                for name in changed {
-                    let value = board.value(name);
-                    match self.prev_signals.get_mut(name) {
-                        Some(v) => *v = value,
-                        None => {
-                            self.prev_signals.insert(name.to_string(), value);
-                        }
+                for id in changed {
+                    let slot = id as usize;
+                    if prev.len() <= slot {
+                        prev.resize(slot + 1, 0);
                     }
+                    prev[slot] = board.value_at(id);
                 }
             }
             // After a restore, or when the board's trace ring has already
             // evicted some of the edges: every signal, from scratch.
             None => {
-                self.prev_signals = board
-                    .iter()
-                    .map(|(name, sig)| (name.to_string(), sig.value()))
-                    .collect();
+                prev.clear();
+                prev.extend(board.values());
             }
         }
         self.signals_seen = Some(seq);

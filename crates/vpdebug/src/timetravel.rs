@@ -36,7 +36,7 @@
 
 use mpsoc_platform::isa::Word;
 use mpsoc_platform::{BaseImage, Platform};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::debugger::{Debugger, Stop};
 use crate::error::{Error, Result};
@@ -54,8 +54,9 @@ pub(crate) struct Checkpoint {
     /// Trace-buffer position as of the checkpoint
     /// ([`TraceBuffer::position`](crate::trace::TraceBuffer)).
     pub(crate) trace_pos: u64,
-    /// Signal-edge bookkeeping as of the checkpoint.
-    pub(crate) prev_signals: BTreeMap<String, Word>,
+    /// Signal-edge bookkeeping as of the checkpoint: last-seen values by
+    /// signal id, one flat copy.
+    pub(crate) prev_signals: Vec<Word>,
     /// Stimulus-log cursor as of the checkpoint (records applied so far).
     pub(crate) stim_applied: usize,
 }

@@ -85,6 +85,11 @@ stage "cargo test --workspace" cargo test --workspace -q
 # overflow that the release profile, which every number comes from, wraps.
 stage "DSE differential tests (release)" \
   cargo test --release -q -p mpsoc-maps -p mpsoc-rtkernel -p mpsoc-pdl
+# The scheduler's retire paths are guarded by debug_assert!s ("the executed
+# entry is still the heap top") that the release profile compiles out, so the
+# scheduler-equivalence and signal-board differential tests must pass in both.
+stage "platform differential tests (release)" \
+  cargo test --release -q -p mpsoc-platform
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
 # The joint mapping x topology sweep over generated .soc platforms; writes
