@@ -282,21 +282,27 @@ impl mpsoc_snapshot::Snapshot for Core {
         self.pre_debug.save(w);
     }
     fn load(r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<Self> {
-        Ok(Core {
-            id: r.get_usize()?,
-            regs: <[Word; Reg::COUNT]>::load(r)?,
-            pc: r.get_u32()?,
-            status: CoreStatus::load(r)?,
-            freq: Frequency::load(r)?,
-            program: Program::load(r)?,
-            irq_pending: r.get_u32()?,
-            irq_enabled: r.get_bool()?,
-            irq_vector: Option::<u32>::load(r)?,
-            saved_pc: r.get_u32()?,
-            retired: r.get_u64()?,
-            next_ready: Time::load(r)?,
-            pre_debug: Option::<CoreStatus>::load(r)?,
-        })
+        let mut c = Core::new(0, Frequency::mhz(1));
+        c.load_into(r)?;
+        Ok(c)
+    }
+    // Every field, in wire order; the program decodes into the instruction
+    // and label buffers the core already owns.
+    fn load_into(&mut self, r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<()> {
+        self.id = r.get_usize()?;
+        self.regs.load_into(r)?;
+        self.pc = r.get_u32()?;
+        self.status = CoreStatus::load(r)?;
+        self.freq = Frequency::load(r)?;
+        self.program.load_into(r)?;
+        self.irq_pending = r.get_u32()?;
+        self.irq_enabled = r.get_bool()?;
+        self.irq_vector = Option::<u32>::load(r)?;
+        self.saved_pc = r.get_u32()?;
+        self.retired = r.get_u64()?;
+        self.next_ready = Time::load(r)?;
+        self.pre_debug = Option::<CoreStatus>::load(r)?;
+        Ok(())
     }
 }
 

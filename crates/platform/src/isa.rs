@@ -150,7 +150,10 @@ impl Instr {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
-    labels: HashMap<String, u32>,
+    /// The symbol table, strictly ascending by address then name — the
+    /// order it travels in on the wire, so a checkpoint writes and reads it
+    /// as it stands.
+    labels: Vec<(String, u32)>,
 }
 
 impl Program {
@@ -176,16 +179,15 @@ impl Program {
 
     /// Resolves a label to its instruction address.
     pub fn label(&self, name: &str) -> Option<u32> {
-        self.labels.get(name).copied()
+        let (_, addr) = self.labels.iter().find(|(n, _)| n == name)?;
+        Some(*addr)
     }
 
     /// Every `(label, address)` pair, sorted by address then name — the
     /// program's symbol table, used by debuggers for function-execution
     /// histories.
     pub fn labels_snapshot(&self) -> Vec<(String, u32)> {
-        let mut v: Vec<(String, u32)> = self.labels.iter().map(|(n, a)| (n.clone(), *a)).collect();
-        v.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        v
+        self.labels.clone()
     }
 }
 
@@ -331,16 +333,27 @@ fn save_branch(w: &mut mpsoc_snapshot::Writer, op: u8, a: Reg, b: Reg, target: u
 }
 
 impl mpsoc_snapshot::Snapshot for Program {
-    // Labels are serialized via the sorted symbol table so the encoding is
-    // independent of `HashMap` iteration order (determinism requirement).
     fn save(&self, w: &mut mpsoc_snapshot::Writer) {
         self.instrs.save(w);
-        self.labels_snapshot().save(w);
+        self.labels.save(w);
     }
     fn load(r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<Self> {
-        let instrs = Vec::<Instr>::load(r)?;
-        let labels: HashMap<String, u32> = Vec::<(String, u32)>::load(r)?.into_iter().collect();
-        Ok(Program { instrs, labels })
+        let mut p = Program::default();
+        p.load_into(r)?;
+        Ok(p)
+    }
+    fn load_into(&mut self, r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<()> {
+        self.instrs.load_into(r)?;
+        self.labels.load_into(r)?;
+        // The order is the type's invariant (equality and the encoding
+        // depend on it), so a table that breaks it is not a program.
+        let ascending = |w: &[(String, u32)]| (w[0].1, &w[0].0) < (w[1].1, &w[1].0);
+        if !self.labels.windows(2).all(ascending) {
+            return Err(mpsoc_snapshot::SnapError::Malformed(
+                "program labels are not strictly ascending by address, then name".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -417,6 +430,8 @@ pub fn assemble(src: &str) -> Result<Program> {
         }
         instrs.push(parse_instr(rest, &labels, lineno + 1)?);
     }
+    let mut labels: Vec<(String, u32)> = labels.into_iter().collect();
+    labels.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
     Ok(Program { instrs, labels })
 }
 

@@ -73,3 +73,61 @@ pub use crate::signal::{
 };
 pub use crate::snapshot::BaseImage;
 pub use crate::time::{Cycles, Frequency, Time};
+
+/// The unit tests' allocator: the system allocator, counting allocations
+/// per thread, so a test can assert that a code path allocates nothing (a
+/// warm restore's decode, `snapshot::tests`).
+#[cfg(test)]
+pub(crate) mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        // Const-initialized and without a destructor: touching it from
+        // inside the allocator neither allocates nor registers anything.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bump() {
+        // A thread being torn down has no counter left; nobody is asking.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the counter is plain
+    // thread-local data and never touches the heap (see `ALLOCATIONS`).
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            bump();
+            // SAFETY: `layout` is the caller's, passed on as is.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator with
+            // this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            bump();
+            // SAFETY: as `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            bump();
+            // SAFETY: as `dealloc`; `new_size` is the caller's.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// How many times `f` allocated (or grew an allocation) on this thread.
+    pub(crate) fn allocations(f: impl FnOnce()) -> u64 {
+        let before = ALLOCATIONS.get();
+        f();
+        ALLOCATIONS.get() - before
+    }
+}

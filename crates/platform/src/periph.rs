@@ -126,7 +126,11 @@ pub trait Peripheral: std::fmt::Debug + Send {
     fn snap_save(&self, _w: &mut mpsoc_snapshot::Writer) {}
 
     /// Restores state previously written by
-    /// [`snap_save`](Peripheral::snap_save).
+    /// [`snap_save`](Peripheral::snap_save), replacing **all** of the
+    /// device's state whatever it held before: the platform restores over a
+    /// device of the same kind and name that an earlier restore left behind
+    /// — possibly one a failed decode stopped half-way through — and the
+    /// result must equal a restore over a newly built device.
     ///
     /// # Errors
     ///
@@ -522,8 +526,10 @@ impl Peripheral for Mailbox {
 
     fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
         use mpsoc_snapshot::Snapshot as _;
-        let queued: Vec<Word> = self.fifo.iter().copied().collect();
-        queued.save(w);
+        w.put_usize(self.fifo.len());
+        for &word in &self.fifo {
+            w.put_i64(word);
+        }
         w.put_usize(self.capacity);
         w.put_u64(self.drops);
         self.notify_core.save(w);
@@ -536,16 +542,18 @@ impl Peripheral for Mailbox {
         r: &mut mpsoc_snapshot::Reader<'_>,
     ) -> mpsoc_snapshot::SnapResult<()> {
         use mpsoc_snapshot::Snapshot as _;
-        let queued = Vec::<Word>::load(r)?;
+        let queued = r.get_len(8)?;
+        self.fifo.clear();
+        for _ in 0..queued {
+            self.fifo.push_back(r.get_i64()?);
+        }
         let capacity = r.get_usize()?;
-        if capacity == 0 || queued.len() > capacity {
+        if capacity == 0 || queued > capacity {
             return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-                "mailbox `{}`: {} queued words exceed capacity {capacity}",
-                self.name,
-                queued.len()
+                "mailbox `{}`: {queued} queued words exceed capacity {capacity}",
+                self.name
             )));
         }
-        self.fifo = queued.into();
         self.capacity = capacity;
         self.drops = r.get_u64()?;
         self.notify_core = Option::<usize>::load(r)?;

@@ -493,6 +493,7 @@ impl PlatformBuilder {
             base_mark: None,
             base_shared: Vec::new(),
             base_locals: Vec::new(),
+            restore_scratch: None,
         })
     }
 }
@@ -555,6 +556,11 @@ pub struct Platform {
     pub(crate) base_shared: Vec<crate::isa::Word>,
     /// Per-core base local-RAM words (same role as `base_shared`).
     pub(crate) base_locals: Vec<Vec<crate::isa::Word>>,
+    /// The cores, caches, peripherals, … the last restore replaced: the
+    /// next restore decodes into their buffers (see the `snapshot` module).
+    /// `None` until the first restore; boxed so a platform that never
+    /// restores carries one pointer.
+    pub(crate) restore_scratch: Option<Box<crate::snapshot::SmallState>>,
 }
 
 impl Platform {

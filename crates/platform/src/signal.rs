@@ -596,7 +596,7 @@ impl SignalBoard {
     /// this platform's own timeline (the time-travel rewind case); after
     /// restoring a foreign image, treat the ring as garbage until the next
     /// wrap.
-    pub(crate) fn adopt(&mut self, restored: SignalBoard) {
+    pub(crate) fn adopt(&mut self, restored: &SignalBoard) {
         for slot in &mut self.slots {
             slot.signal = None;
         }
@@ -817,7 +817,7 @@ mod tests {
         let mut restored = SignalBoard::new();
         restored.trace.next_seq = 8;
         restored.drive_raw_for_test();
-        b.adopt(restored);
+        b.adopt(&restored);
         assert_eq!(b.trace_stats().next_seq, 8);
         for i in 8..10i64 {
             b.drive("x", Time::from_ns(i as u64 + 1), i + 1);
@@ -1180,7 +1180,7 @@ mod tests {
                         // Rewind onto an earlier point of this timeline.
                         let image = &images[rng.usize_in(0, images.len() - 1)];
                         let mut r = mpsoc_snapshot::Reader::new(image);
-                        new.adopt(SignalBoard::load(&mut r).unwrap());
+                        new.adopt(&SignalBoard::load(&mut r).unwrap());
                         r.finish().unwrap();
                         old.adopt(reference::RefBoard::load(&mut mpsoc_snapshot::Reader::new(
                             image,
@@ -1196,7 +1196,7 @@ mod tests {
                             f_new.drive(name, at, value);
                             f_old.drive(name, at, value);
                         }
-                        new.adopt(f_new);
+                        new.adopt(&f_new);
                         old.adopt(f_old);
                     }
                     _ => {

@@ -52,19 +52,55 @@
 //!
 //! Bytes are hashed once, where they enter: [`BaseImage::new`],
 //! [`Platform::restore_image`] / [`Platform::from_image`] and
-//! [`Platform::restore_delta`] each verify the frame's FNV-1a checksum with
-//! a single pass over the payload and keep the verified value (a full
+//! [`Platform::restore_delta`] each verify the frame's checksum — the
+//! word-wise one of [`mpsoc_snapshot::Image`], eight bytes per multiply —
+//! with a single pass over the payload and keep the verified value (a full
 //! image's checksum *is* its base mark); [`Platform::capture`] hashes its
 //! payload once, while sealing it. A [`BaseImage`] owns its validated bytes
 //! privately and immutably, so nothing downstream re-checks them:
 //! [`Platform::reset_to_base`] and [`BaseImage::hydrate`] decode the small
 //! state straight from that payload — every structural check of the decoder
-//! still runs — touch no clean RAM page and hash no image byte.
+//! still runs — touch no clean RAM page and hash no image byte. The frame
+//! checksum is not [`Platform::state_checksum`]: that one is FNV-1a over
+//! architectural state, its values are pinned outside this crate, and it
+//! does not change with an image version.
+//!
+//! ## What a restore allocates
+//!
+//! A restore pays for what changed, not for what exists. The small state is
+//! decoded by one pair of functions, `decode_prefix` / `decode_suffix`,
+//! *into* a `SmallState` ([`Snapshot::load_into`]): every core keeps its
+//! register file, its program's instruction vector and its label strings,
+//! every cache its one flat vector of ways, and a peripheral whose kind and
+//! name match the one already in that slot is `snap_restore`d in place —
+//! any other is rebuilt, as are the interconnect and the decoded signal
+//! board, the two parts still built anew. The state decoded into is the
+//! platform's *scratch*: the `SmallState` its previous restore replaced,
+//! kept (boxed, one pointer in [`Platform`]) instead of dropped. A restore
+//! decodes into the scratch, validates it, and only then swaps it with the
+//! live fields, so
+//!
+//! * a failed decode still leaves the platform untouched — it wrote to the
+//!   scratch only;
+//! * it cannot leak into a later restore either: the next decode overwrites
+//!   the scratch in full, because every `load_into` and every
+//!   `snap_restore` replaces all of its target whatever that held — which
+//!   is also why a differently shaped scratch (another core count, another
+//!   peripheral on the page) is harmless;
+//! * from a platform's second restore on one base on, `restore_delta` and
+//!   `reset_to_base` allocate nothing for cores, programs, labels, caches or
+//!   unchanged peripherals (a unit test counts);
+//! * a fresh decode — [`Platform::restore_image`] on a new platform,
+//!   [`BaseImage::new`] — is the same code over an empty scratch, not a
+//!   second decoder.
+//!
+//! `tests/restore_in_place.rs` holds one long-lived platform to a freshly
+//! built one through seeded sequences of all of the above.
 
 use crate::cache::Cache;
 use crate::core::Core;
 use crate::error::{Error, Result};
-use crate::interconnect::{load_interconnect, Interconnect};
+use crate::interconnect::{load_interconnect, Bus, Interconnect};
 use crate::isa::{Reg, Word};
 use crate::mem::{Ram, PAGE_WORDS};
 use crate::periph::{periph_from_kind, Peripheral};
@@ -89,7 +125,12 @@ pub const PLATFORM_IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"MPSS");
 /// O(platform), not O(steps). The full record lives in the host-side trace
 /// ring / spill tiers (see [`crate::signal`]), which are deliberately not
 /// checkpointed.
-pub const PLATFORM_IMAGE_VERSION: u16 = 3;
+///
+/// v4 changes no payload byte: the *frame* checksum went from byte-serial
+/// FNV-1a to the word-wise checksum of [`mpsoc_snapshot::Image`], and the
+/// bump is what makes a v3 image fail as a located version mismatch instead
+/// of a checksum mismatch.
+pub const PLATFORM_IMAGE_VERSION: u16 = 4;
 
 /// Magic number of a platform *delta* checkpoint (`b"MPSD"`, little-endian).
 pub const PLATFORM_DELTA_MAGIC: u32 = u32::from_le_bytes(*b"MPSD");
@@ -105,7 +146,10 @@ pub const PLATFORM_DELTA_MAGIC: u32 = u32::from_le_bytes(*b"MPSD");
 /// v3 tracks the full-image v3 signal encoding (value + last edge + trace
 /// sequence counter instead of unbounded history), so a delta is
 /// O(platform + dirty pages) no matter how long the run.
-pub const PLATFORM_DELTA_VERSION: u16 = 3;
+///
+/// v4 tracks full-image v4: same payload, the frame's checksum function
+/// changed (and with it the base checksum a delta names its base by).
+pub const PLATFORM_DELTA_VERSION: u16 = 4;
 
 /// Version-mismatch context for full images (see [`Image::open_as`]): a
 /// stale image is refused with an error naming this decoder and file.
@@ -159,10 +203,11 @@ fn load_pending_dma(r: &mut Reader<'_>) -> SnapResult<PendingDma> {
 
 /// The non-RAM component states of a platform image — everything that is
 /// cheap enough to serialize in full on every checkpoint, delta or not.
-/// The fields before the RAM block in the image layout ("prefix") and the
-/// ones after it ("suffix") are decoded by [`decode_small`], which can skip
-/// the RAM block when a caller only needs the small state.
-struct SmallState {
+/// The fields before the RAM block in the image layout are decoded by
+/// [`decode_prefix`], the ones after it by [`decode_suffix`]; both decode
+/// *into* a state, over whatever it held.
+#[derive(Debug)]
+pub(crate) struct SmallState {
     scheduler: SchedulerMode,
     enforce_locality: bool,
     local_latency_cycles: u64,
@@ -180,13 +225,40 @@ struct SmallState {
 }
 
 impl SmallState {
+    /// A state with nothing in it to reuse: decoding into it is the fresh
+    /// decode (a platform's first restore, [`BaseImage::new`]).
+    fn empty() -> Self {
+        SmallState {
+            scheduler: SchedulerMode::default(),
+            enforce_locality: false,
+            local_latency_cycles: 0,
+            cache_hit_cycles: 0,
+            shared_words: 0,
+            now: Time::ZERO,
+            steps: 0,
+            dma_seq: 0,
+            cores: Vec::new(),
+            caches: Vec::new(),
+            interconnect: Box::new(Bus::new(Time::ZERO, Time::ZERO)),
+            signals: SignalBoard::new(),
+            pending_dma: Vec::new(),
+            periphs: Vec::new(),
+        }
+    }
+
     /// Cross-field consistency of the non-RAM state: the simulator indexes
-    /// locals and caches by core id.
+    /// cores, locals and caches by core id.
     fn validate(&self) -> SnapResult<()> {
         if self.cores.is_empty() {
             return Err(mpsoc_snapshot::SnapError::Malformed(
                 "image holds zero cores".into(),
             ));
+        }
+        if let Some((i, c)) = (self.cores.iter().enumerate()).find(|(i, c)| c.id() != *i) {
+            return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+                "core at position {i} carries id {}",
+                c.id()
+            )));
         }
         if self.caches.len() != self.cores.len() {
             return Err(mpsoc_snapshot::SnapError::Malformed(format!(
@@ -199,83 +271,63 @@ impl SmallState {
     }
 }
 
-/// Every decoded component of a platform image, validated and ready to be
-/// committed into a [`Platform`]. Decoding into this intermediate first
-/// keeps [`Platform::restore_image`] atomic: a corrupt image leaves the
-/// platform untouched.
-struct DecodedImage {
-    small: SmallState,
-    shared: Ram,
-    locals: Vec<Ram>,
-    /// Byte offsets of the RAM block (shared + locals) within the payload.
-    ram_range: (usize, usize),
+/// Decodes the fields that precede the RAM block in the image layout.
+fn decode_prefix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
+    s.scheduler = load_scheduler(r)?;
+    s.enforce_locality = r.get_bool()?;
+    s.local_latency_cycles = r.get_u64()?;
+    s.cache_hit_cycles = r.get_u64()?;
+    s.shared_words = r.get_u32()?;
+    s.now = Time::load(r)?;
+    s.steps = r.get_u64()?;
+    s.dma_seq = r.get_u64()?;
+    s.cores.load_into(r)
 }
 
-/// Fields that precede the RAM block in the image layout.
-struct Prefix {
-    scheduler: SchedulerMode,
-    enforce_locality: bool,
-    local_latency_cycles: u64,
-    cache_hit_cycles: u64,
-    shared_words: u32,
-    now: Time,
-    steps: u64,
-    dma_seq: u64,
-    cores: Vec<Core>,
-}
-
-fn decode_prefix(r: &mut Reader<'_>) -> SnapResult<Prefix> {
-    Ok(Prefix {
-        scheduler: load_scheduler(r)?,
-        enforce_locality: r.get_bool()?,
-        local_latency_cycles: r.get_u64()?,
-        cache_hit_cycles: r.get_u64()?,
-        shared_words: r.get_u32()?,
-        now: Time::load(r)?,
-        steps: r.get_u64()?,
-        dma_seq: r.get_u64()?,
-        cores: Vec::<Core>::load(r)?,
-    })
-}
-
-/// Fields that follow the RAM block in the image layout.
-struct Suffix {
-    caches: Vec<Option<Cache>>,
-    interconnect: Box<dyn Interconnect>,
-    signals: SignalBoard,
-    pending_dma: Vec<PendingDma>,
-    periphs: Vec<Box<dyn Peripheral>>,
-}
-
-fn decode_suffix(r: &mut Reader<'_>) -> SnapResult<Suffix> {
-    let caches = Vec::<Option<Cache>>::load(r)?;
-    let interconnect = load_interconnect(r)?;
-    let signals = SignalBoard::load(r)?;
+/// Decodes the fields that follow the RAM block in the image layout. The
+/// interconnect and the signal board are built anew; everything else reuses
+/// what `s` holds.
+fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
+    s.caches.load_into(r)?;
+    s.interconnect = load_interconnect(r)?;
+    s.signals = SignalBoard::load(r)?;
     let n_dma = r.get_len(8)?;
-    let mut pending_dma = Vec::with_capacity(n_dma);
+    s.pending_dma.clear();
     for _ in 0..n_dma {
-        pending_dma.push(load_pending_dma(r)?);
+        s.pending_dma.push(load_pending_dma(r)?);
     }
     let n_periph = r.get_len(2)?;
-    let mut periphs: Vec<Box<dyn Peripheral>> = Vec::with_capacity(n_periph);
+    s.periphs.truncate(n_periph);
     for page in 0..n_periph {
         let kind = r.get_u8()?;
-        let name = r.get_str()?;
-        let mut p =
-            periph_from_kind(kind, &name, page).ok_or(mpsoc_snapshot::SnapError::BadTag {
-                what: "peripheral kind",
-                tag: u64::from(kind),
-            })?;
-        p.snap_restore(r)?;
-        periphs.push(p);
+        let name_len = r.get_len(1)?;
+        let name = r.get_bytes(name_len)?;
+        // Kind and name are all `periph_from_kind` takes besides the page,
+        // which is the slot: a device they match is the one a fresh decode
+        // would build, and `snap_restore` replaces the rest of it.
+        match s.periphs.get_mut(page) {
+            Some(p) if p.snap_kind() == Some(kind) && p.name().as_bytes() == name => {
+                p.snap_restore(r)?;
+            }
+            slot => {
+                let name = std::str::from_utf8(name).map_err(|e| {
+                    mpsoc_snapshot::SnapError::Malformed(format!("invalid UTF-8 string: {e}"))
+                })?;
+                let mut p = periph_from_kind(kind, name, page).ok_or(
+                    mpsoc_snapshot::SnapError::BadTag {
+                        what: "peripheral kind",
+                        tag: u64::from(kind),
+                    },
+                )?;
+                p.snap_restore(r)?;
+                match slot {
+                    Some(slot) => *slot = p,
+                    None => s.periphs.push(p),
+                }
+            }
+        }
     }
-    Ok(Suffix {
-        caches,
-        interconnect,
-        signals,
-        pending_dma,
-        periphs,
-    })
+    Ok(())
 }
 
 /// Rejects a `page_words` trailer that does not match this build's
@@ -290,37 +342,29 @@ fn check_page_words(found: u32) -> SnapResult<()> {
     Ok(())
 }
 
-fn assemble_small(pre: Prefix, suf: Suffix) -> SmallState {
-    SmallState {
-        scheduler: pre.scheduler,
-        enforce_locality: pre.enforce_locality,
-        local_latency_cycles: pre.local_latency_cycles,
-        cache_hit_cycles: pre.cache_hit_cycles,
-        shared_words: pre.shared_words,
-        now: pre.now,
-        steps: pre.steps,
-        dma_seq: pre.dma_seq,
-        cores: pre.cores,
-        caches: suf.caches,
-        interconnect: suf.interconnect,
-        signals: suf.signals,
-        pending_dma: suf.pending_dma,
-        periphs: suf.periphs,
-    }
+/// The RAM of a decoded full image; its small state went into the
+/// [`SmallState`] handed to [`decode_image`].
+struct DecodedRam {
+    shared: Ram,
+    locals: Vec<Ram>,
+    /// Byte offsets of the RAM block (shared + locals) within the payload.
+    ram_range: (usize, usize),
 }
 
-fn decode_image(payload: &[u8]) -> SnapResult<DecodedImage> {
+/// Decodes and validates a full image payload: the small state into
+/// `small`, RAM into the return value. Nothing of a [`Platform`] is touched,
+/// which keeps [`Platform::restore_image`] atomic.
+fn decode_image(payload: &[u8], small: &mut SmallState) -> SnapResult<DecodedRam> {
     let mut r = Reader::new(payload);
-    let pre = decode_prefix(&mut r)?;
+    decode_prefix(&mut r, small)?;
     let ram_start = r.position();
     let shared = <Ram as Snapshot>::load(&mut r)?;
     let locals = Vec::<Ram>::load(&mut r)?;
     let ram_end = r.position();
-    let suf = decode_suffix(&mut r)?;
+    decode_suffix(&mut r, small)?;
     check_page_words(r.get_u32()?)?;
     r.finish()?;
 
-    let small = assemble_small(pre, suf);
     small.validate()?;
     if locals.len() != small.cores.len() {
         return Err(mpsoc_snapshot::SnapError::Malformed(format!(
@@ -336,8 +380,7 @@ fn decode_image(payload: &[u8]) -> SnapResult<DecodedImage> {
             small.shared_words
         )));
     }
-    Ok(DecodedImage {
-        small,
+    Ok(DecodedRam {
         shared,
         locals,
         ram_range: (ram_start, ram_end),
@@ -348,21 +391,23 @@ fn decode_image(payload: &[u8]) -> SnapResult<DecodedImage> {
 /// over the RAM block recorded in `ram_range` — O(small state) regardless
 /// of memory size, and no hash: the payload is a [`BaseImage`]'s, validated
 /// when it was built. Used by [`Platform::reset_to_base`].
-fn decode_small(payload: &[u8], ram_range: (usize, usize)) -> SnapResult<SmallState> {
+fn decode_small(
+    payload: &[u8],
+    ram_range: (usize, usize),
+    small: &mut SmallState,
+) -> SnapResult<()> {
     let mut r = Reader::new(payload);
-    let pre = decode_prefix(&mut r)?;
+    decode_prefix(&mut r, small)?;
     if r.position() != ram_range.0 {
         return Err(mpsoc_snapshot::SnapError::Malformed(
             "recorded RAM block offset does not match the payload".into(),
         ));
     }
     r.skip(ram_range.1 - ram_range.0)?;
-    let suf = decode_suffix(&mut r)?;
+    decode_suffix(&mut r, small)?;
     check_page_words(r.get_u32()?)?;
     r.finish()?;
-    let small = assemble_small(pre, suf);
-    small.validate()?;
-    Ok(small)
+    small.validate()
 }
 
 /// A full platform image held in the form delta operations need: the sealed
@@ -410,7 +455,7 @@ impl BaseImage {
             IMAGE_WHAT,
         )
         .map_err(snap_err)?;
-        let d = decode_image(payload).map_err(snap_err)?;
+        let d = decode_image(payload, &mut SmallState::empty()).map_err(snap_err)?;
         Ok(BaseImage {
             image,
             checksum,
@@ -589,9 +634,9 @@ fn load_dirty_pages(r: &mut Reader<'_>, base: &[Word]) -> SnapResult<DeltaPages>
     Ok(pages)
 }
 
-/// A fully decoded delta image, ready to commit.
+/// The RAM pages of a decoded delta image, ready to commit; its small state
+/// went into the [`SmallState`] handed to [`Platform::decode_delta`].
 struct DecodedDelta {
-    small: SmallState,
     shared_pages: DeltaPages,
     local_pages: Vec<DeltaPages>,
 }
@@ -746,7 +791,11 @@ impl Platform {
 
     /// Decodes and validates `delta` against `base` — everything that can
     /// fail, before anything is committed.
-    fn decode_delta(base: &BaseImage, delta: &[u8]) -> Result<DecodedDelta> {
+    fn decode_delta(
+        base: &BaseImage,
+        delta: &[u8],
+        small: &mut SmallState,
+    ) -> Result<DecodedDelta> {
         let (payload, _) = Image::open_as(
             delta,
             PLATFORM_DELTA_MAGIC,
@@ -763,8 +812,8 @@ impl Platform {
             )));
         }
         check_page_words(r.get_u32().map_err(snap_err)?).map_err(snap_err)?;
-        let pre = decode_prefix(&mut r).map_err(snap_err)?;
-        let suf = decode_suffix(&mut r).map_err(snap_err)?;
+        decode_prefix(&mut r, small).map_err(snap_err)?;
+        decode_suffix(&mut r, small).map_err(snap_err)?;
         let shared_pages = load_dirty_pages(&mut r, &base.shared).map_err(snap_err)?;
         let n_locals = r.get_u32().map_err(snap_err)? as usize;
         if n_locals != base.locals.len() {
@@ -778,7 +827,6 @@ impl Platform {
             local_pages.push(load_dirty_pages(&mut r, b).map_err(snap_err)?);
         }
         r.finish().map_err(snap_err)?;
-        let small = assemble_small(pre, suf);
         small.validate().map_err(snap_err)?;
         if small.cores.len() != base.locals.len() {
             return Err(Error::Snapshot(format!(
@@ -795,7 +843,6 @@ impl Platform {
             )));
         }
         Ok(DecodedDelta {
-            small,
             shared_pages,
             local_pages,
         })
@@ -820,8 +867,7 @@ impl Platform {
     /// [`Error::Snapshot`] for a corrupt delta, one chained against a
     /// different base, or a page-granularity mismatch.
     pub fn restore_delta(&mut self, base: &BaseImage, delta: &[u8]) -> Result<()> {
-        let d = Self::decode_delta(base, delta)?;
-        self.commit_small(d.small);
+        let d = self.restore_small(|small| Self::decode_delta(base, delta, small))?;
         self.commit_ram(base, &d.shared_pages, &d.local_pages);
         self.rebuild_calendar();
         Ok(())
@@ -841,38 +887,51 @@ impl Platform {
     /// keeps every structural check, but [`BaseImage::new`] already decoded
     /// these same private bytes, so this is not expected for any `base`.
     pub fn reset_to_base(&mut self, base: &BaseImage) -> Result<()> {
-        let small = decode_small(base.payload(), base.ram_range).map_err(snap_err)?;
-        self.commit_small(small);
+        self.restore_small(|small| {
+            decode_small(base.payload(), base.ram_range, small).map_err(snap_err)
+        })?;
         self.commit_ram(base, &[], &[]);
         self.rebuild_calendar();
         Ok(())
     }
 
-    /// Commits decoded small state into the platform (infallible half of a
-    /// restore).
+    /// The small-state half of every restore: `decode` fills the scratch
+    /// state — what this platform's previous restore replaced, or an empty
+    /// one the first time — and validates it; only if that succeeds is the
+    /// scratch swapped with the live fields (infallible), so a failed decode
+    /// leaves the platform untouched, and the state a successful one
+    /// replaced becomes the buffers the next restore decodes into instead
+    /// of being dropped.
     ///
-    /// The signal board is *adopted*, not replaced: the image carries only
+    /// The signal board is *adopted*, not swapped: the image carries only
     /// architectural signal state (values, last edges, trace sequence
     /// counter), so the live board keeps its host-side trace tier — ring,
     /// spill sink, budget, counters — reconciled to the restored sequence
     /// counter. An in-place time-travel rewind therefore keeps the recent
     /// window from before the checkpoint, and deterministic replay
     /// re-records the truncated future identically without re-spilling.
-    fn commit_small(&mut self, s: SmallState) {
-        self.scheduler = s.scheduler;
-        self.enforce_locality = s.enforce_locality;
-        self.local_latency_cycles = s.local_latency_cycles;
-        self.cache_hit_cycles = s.cache_hit_cycles;
-        self.shared_words = s.shared_words;
-        self.now = s.now;
-        self.steps = s.steps;
-        self.dma_seq = s.dma_seq;
-        self.cores = s.cores;
-        self.caches = s.caches;
-        self.interconnect = s.interconnect;
-        self.signals.adopt(s.signals);
-        self.pending_dma = s.pending_dma;
-        self.periphs = s.periphs;
+    fn restore_small<T>(&mut self, decode: impl FnOnce(&mut SmallState) -> Result<T>) -> Result<T> {
+        use std::mem::swap;
+        let mut s = (self.restore_scratch.take()).unwrap_or_else(|| Box::new(SmallState::empty()));
+        let decoded = decode(&mut s);
+        if decoded.is_ok() {
+            self.scheduler = s.scheduler;
+            self.enforce_locality = s.enforce_locality;
+            self.local_latency_cycles = s.local_latency_cycles;
+            self.cache_hit_cycles = s.cache_hit_cycles;
+            self.shared_words = s.shared_words;
+            self.now = s.now;
+            self.steps = s.steps;
+            self.dma_seq = s.dma_seq;
+            swap(&mut self.cores, &mut s.cores);
+            swap(&mut self.caches, &mut s.caches);
+            swap(&mut self.interconnect, &mut s.interconnect);
+            self.signals.adopt(&s.signals);
+            swap(&mut self.pending_dma, &mut s.pending_dma);
+            swap(&mut self.periphs, &mut s.periphs);
+        }
+        self.restore_scratch = Some(s);
+        decoded
     }
 
     /// Rebuilds RAM as *base + delta pages* and leaves the dirty bitmaps
@@ -944,8 +1003,7 @@ impl Platform {
             IMAGE_WHAT,
         )
         .map_err(snap_err)?;
-        let d = decode_image(payload).map_err(snap_err)?;
-        self.commit_small(d.small);
+        let d = self.restore_small(|small| decode_image(payload, small).map_err(snap_err))?;
         self.shared = d.shared;
         self.locals = d.locals;
         self.base_mark = Some(checksum);
@@ -971,14 +1029,22 @@ impl Platform {
     /// registers/PCs/programs, and all memories). Two platforms that report
     /// the same checksum after the same number of steps are, for divergence
     /// detection purposes, in the same state.
+    ///
+    /// The value is the FNV-1a of that state's wire encoding; RAM — nearly
+    /// all of it — is streamed through the hash word by word rather than
+    /// encoded into a buffer first.
     pub fn state_checksum(&self) -> u64 {
         let mut w = Writer::new();
         self.now.save(&mut w);
         w.put_u64(self.steps);
         self.cores.save(&mut w);
-        self.shared.save(&mut w);
-        self.locals.save(&mut w);
-        fnv1a64(&w.into_bytes())
+        let hash_ram = |h: u64, ram: &Ram| {
+            let h = fnv1a64_with(h, &(ram.as_slice().len() as u64).to_le_bytes());
+            (ram.as_slice().iter()).fold(h, |h, word| fnv1a64_with(h, &word.to_le_bytes()))
+        };
+        let h = hash_ram(fnv1a64(&w.into_bytes()), &self.shared);
+        let h = fnv1a64_with(h, &(self.locals.len() as u64).to_le_bytes());
+        self.locals.iter().fold(h, hash_ram)
     }
 
     /// FNV-1a checksum of the `words`-long memory region at word address
@@ -1089,6 +1155,22 @@ impl Platform {
         };
         self.inject_mem_flip(src + word % len, bit)?;
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+impl Platform {
+    /// [`state_checksum`](Platform::state_checksum) as it was before it
+    /// streamed RAM through the hash: everything encoded into one buffer,
+    /// then hashed. Kept as the reference the streamed value must equal.
+    fn state_checksum_buffered(&self) -> u64 {
+        let mut w = Writer::new();
+        self.now.save(&mut w);
+        w.put_u64(self.steps);
+        self.cores.save(&mut w);
+        self.shared.save(&mut w);
+        self.locals.save(&mut w);
+        fnv1a64(&w.into_bytes())
     }
 }
 
@@ -1319,7 +1401,12 @@ mod tests {
         let base = super::BaseImage::new(image.clone()).unwrap();
         let stored = u64::from_le_bytes(image[header - 8..header].try_into().unwrap());
         assert_eq!(base.checksum(), stored);
-        assert_eq!(base.checksum(), mpsoc_snapshot::fnv1a64(&image[header..]));
+        let sealed_again = mpsoc_snapshot::Image::seal_hashed(
+            super::PLATFORM_IMAGE_MAGIC,
+            super::PLATFORM_IMAGE_VERSION,
+            &image[header..],
+        );
+        assert_eq!(sealed_again, (image.clone(), stored));
 
         // `capture` left the same value as the platform's base mark: the
         // delta names it, and restores in place against the base.
@@ -1447,7 +1534,10 @@ mod tests {
         // Reseal a valid image/delta payload under every stale version
         // (v0..current) — each must be refused at the frame, naming the
         // found and expected versions and the refusing decoder, never
-        // misparsed into the platform.
+        // misparsed into the platform. v3 is the case a version bump alone
+        // decides: its payload is today's, byte for byte.
+        assert_eq!(super::PLATFORM_IMAGE_VERSION, 4);
+        assert_eq!(super::PLATFORM_DELTA_VERSION, 4);
         let mut p = counter_platform(SchedulerMode::Calendar);
         for _ in 0..5 {
             p.step().unwrap();
@@ -1498,6 +1588,190 @@ mod tests {
         }
         assert_eq!(p.state_checksum(), before, "rejections must not mutate");
         p.restore_delta(&base, &delta).unwrap();
+    }
+
+    #[test]
+    fn streamed_state_checksum_equals_the_buffered_one() {
+        // The suite's testbeds at several points of their runs (built by the
+        // library build of this crate behind `mpsoc-apps`, so only their
+        // image bytes cross into this test build), then shapes they lack:
+        // zero-length local stores, one core, no cache.
+        for name in ["car_radio", "jpeg", "e12"] {
+            let mut donor = mpsoc_apps::testbed::by_name(name).unwrap();
+            for steps in [0, 1, 300, 5000] {
+                while donor.steps() < steps {
+                    let ev = donor.step().unwrap();
+                    donor.recycle(ev);
+                }
+                let p = Platform::from_image(&donor.capture().unwrap()).unwrap();
+                assert_eq!(p.steps(), donor.steps());
+                assert_eq!(
+                    p.state_checksum(),
+                    p.state_checksum_buffered(),
+                    "{name}@{steps}"
+                );
+                // And the value itself did not move: the donor is the
+                // library build's streaming implementation.
+                assert_eq!(p.state_checksum(), donor.state_checksum(), "{name}@{steps}");
+            }
+        }
+        let mut rng = mpsoc_obs::XorShift64Star::new(0x57A7E);
+        for (cores, local_words) in [(1, 0), (3, 0), (2, 64), (5, 1)] {
+            let mut p = PlatformBuilder::new()
+                .cores(cores, Frequency::mhz(100))
+                .shared_words(rng.u64_in(1, 700) as u32)
+                .local_words(local_words)
+                .cache(None)
+                .build()
+                .unwrap();
+            for _ in 0..40 {
+                let addr = rng.u64_in(0, u64::from(p.shared_words) - 1) as u32;
+                p.debug_write(addr, rng.next_u64() as i64).unwrap();
+            }
+            assert_eq!(p.state_checksum(), p.state_checksum_buffered());
+        }
+    }
+
+    #[test]
+    fn a_warm_restore_allocates_only_for_the_interconnect_and_the_signals() {
+        use super::{decode_prefix, decode_suffix, load_interconnect, Reader, SmallState};
+        use super::{Cache, SignalBoard, Snapshot};
+        use crate::alloc_count::allocations;
+        // car_radio: four programs with labels, four caches, 48 peripherals
+        // of all four kinds, mailboxes holding words, signals driven.
+        let mut donor = mpsoc_apps::testbed::by_name("car_radio").unwrap();
+        for _ in 0..3000 {
+            let ev = donor.step().unwrap();
+            donor.recycle(ev);
+        }
+        // The first restore builds everything; the second leaves what the
+        // first built — this shape — as the third's buffers.
+        let mut p = Platform::from_image(&donor.capture().unwrap()).unwrap();
+        let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
+        for _ in 0..300 {
+            let ev = p.step().unwrap();
+            p.recycle(ev);
+        }
+        let delta = p.capture_delta().unwrap();
+        p.restore_delta(&base, &delta).unwrap();
+        p.reset_to_base(&base).unwrap();
+
+        let payload = &delta[mpsoc_snapshot::Image::HEADER_LEN..];
+        let mut scratch: Box<SmallState> = p.restore_scratch.take().unwrap();
+        let mut r = Reader::new(payload);
+        r.skip(8 + 4).unwrap();
+        // Cores, programs, labels.
+        assert_eq!(
+            allocations(|| decode_prefix(&mut r, &mut scratch).unwrap()),
+            0
+        );
+        assert!(scratch.cores.iter().all(|c| !c.program().is_empty()));
+        // Caches, pending DMA, peripherals: the suffix allocates exactly
+        // what the two parts it builds anew allocate on their own.
+        let mut again = r.clone();
+        let suffix = allocations(|| decode_suffix(&mut r, &mut scratch).unwrap());
+        Vec::<Option<Cache>>::load(&mut again).unwrap();
+        let built_anew = allocations(|| {
+            drop(load_interconnect(&mut again).unwrap());
+            drop(SignalBoard::load(&mut again).unwrap());
+        });
+        assert!(built_anew > 0);
+        assert_eq!(suffix, built_anew);
+        assert_eq!(scratch.periphs.len(), 48);
+        assert!(scratch.caches.iter().all(Option::is_some));
+    }
+
+    /// Re-seals `payload` as a full image or a delta of the current version.
+    fn reseal(delta: bool, payload: &[u8]) -> Vec<u8> {
+        let (magic, version) = if delta {
+            (super::PLATFORM_DELTA_MAGIC, super::PLATFORM_DELTA_VERSION)
+        } else {
+            (super::PLATFORM_IMAGE_MAGIC, super::PLATFORM_IMAGE_VERSION)
+        };
+        mpsoc_snapshot::Image::seal(magic, version, payload)
+    }
+
+    #[test]
+    fn misplaced_core_ids_and_empty_cache_sets_are_refused_everywhere() {
+        use super::{decode_prefix, Ram, Reader, SmallState, Snapshot};
+        // Both images carry a valid frame, and the parent's decoder and
+        // `validate` took both; the first step then indexed `cores[99]`
+        // (the scan scheduler steps `Core::id`), or asked a set with no
+        // ways for a victim.
+        let mut p = counter_platform(SchedulerMode::ScanReference);
+        for _ in 0..6 {
+            p.step().unwrap();
+        }
+        let image = p.capture().unwrap();
+        let base = super::BaseImage::new(image.clone()).unwrap();
+        p.step().unwrap();
+        let delta = p.capture_delta().unwrap();
+        let header = mpsoc_snapshot::Image::HEADER_LEN;
+
+        // Where the second core's id and the cache block sit in a payload
+        // whose prefix starts at `prefix_at` and whose RAM block, if it has
+        // one, follows the cores.
+        let landmarks = |payload: &[u8], prefix_at: usize, has_ram: bool| {
+            let mut r = Reader::new(payload);
+            r.skip(prefix_at).unwrap();
+            let mut one_core = Reader::new(payload);
+            one_core.skip(prefix_at + 46 + 8).unwrap();
+            crate::core::Core::load(&mut one_core).unwrap();
+            decode_prefix(&mut r, &mut SmallState::empty()).unwrap();
+            if has_ram {
+                <Ram as Snapshot>::load(&mut r).unwrap();
+                Vec::<Ram>::load(&mut r).unwrap();
+            }
+            (one_core.position(), r.position())
+        };
+        let mut hostile: Vec<(bool, Vec<u8>, &str)> = Vec::new();
+        for (is_delta, sealed, prefix_at) in [(false, &image, 0), (true, &delta, 12)] {
+            let payload = &sealed[header..];
+            let (core1_id_at, caches_at) = landmarks(payload, prefix_at, !is_delta);
+
+            let mut bad_id = payload.to_vec();
+            assert_eq!(bad_id[core1_id_at..core1_id_at + 8], 1u64.to_le_bytes());
+            bad_id[core1_id_at..core1_id_at + 8].copy_from_slice(&99u64.to_le_bytes());
+            hostile.push((
+                is_delta,
+                reseal(is_delta, &bad_id),
+                "position 1 carries id 99",
+            ));
+
+            // The first cache: `caches` count, `Some` tag, set count, then
+            // per set a way count and that many (all invalid, one byte
+            // each) ways — rewritten as the same number of empty sets.
+            let mut r = Reader::new(payload);
+            r.skip(caches_at + 8 + 1).unwrap();
+            let sets = r.get_usize().unwrap();
+            let table_at = r.position();
+            for _ in 0..sets {
+                Vec::<Option<(u32, u64)>>::load(&mut r).unwrap();
+            }
+            let mut no_ways = payload[..table_at].to_vec();
+            no_ways.extend(std::iter::repeat_n(0u8, sets * 8));
+            no_ways.extend_from_slice(&payload[r.position()..]);
+            hostile.push((is_delta, reseal(is_delta, &no_ways), "associativity 0"));
+        }
+
+        let mut target = counter_platform(SchedulerMode::Calendar);
+        target.restore_image(&image).unwrap();
+        let before = target.capture().unwrap();
+        let refused = |r: crate::error::Result<()>, needle: &str| match r {
+            Err(crate::error::Error::Snapshot(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a snapshot error naming `{needle}`, got {other:?}"),
+        };
+        for (is_delta, bytes, needle) in &hostile {
+            if *is_delta {
+                refused(target.restore_delta(&base, bytes), needle);
+            } else {
+                refused(target.restore_image(bytes), needle);
+                refused(Platform::from_image(bytes).map(drop), needle);
+                refused(super::BaseImage::new(bytes.clone()).map(drop), needle);
+            }
+            assert_eq!(target.capture().unwrap(), before, "`{needle}` left a mark");
+        }
+        assert_eq!(hostile.len(), 4);
     }
 
     #[test]

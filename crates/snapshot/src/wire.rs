@@ -5,6 +5,10 @@
 //! alignment — so that the byte stream is a pure deterministic function of
 //! the encoded values and the decoder is trivially auditable. Everything
 //! multi-byte is little-endian; lengths are `u64` prefixes.
+//!
+//! The scalar accessors are `#[inline]`: each is a bounds check and a copy,
+//! called once per field from `Snapshot` impls in other crates, where a
+//! call per field was a fifth of a delta capture.
 
 use crate::error::{SnapError, SnapResult};
 
@@ -36,36 +40,43 @@ impl Writer {
     }
 
     /// Append a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a bool as one byte (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Append a `u16` little-endian.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u32` little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64` little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `i64` little-endian (two's complement).
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `usize` widened to `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -91,6 +102,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -121,6 +133,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> SnapResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(SnapError::Truncated {
@@ -134,11 +147,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> SnapResult<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a bool; any byte other than 0 or 1 is malformed.
+    #[inline]
     pub fn get_bool(&mut self) -> SnapResult<bool> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -151,18 +166,21 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u16` little-endian.
+    #[inline]
     pub fn get_u16(&mut self) -> SnapResult<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Read a `u32` little-endian.
+    #[inline]
     pub fn get_u32(&mut self) -> SnapResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a `u64` little-endian.
+    #[inline]
     pub fn get_u64(&mut self) -> SnapResult<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -171,11 +189,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an `i64` little-endian (two's complement).
+    #[inline]
     pub fn get_i64(&mut self) -> SnapResult<i64> {
         Ok(self.get_u64()? as i64)
     }
 
     /// Read a `u64` and narrow it to `usize`.
+    #[inline]
     pub fn get_usize(&mut self) -> SnapResult<usize> {
         let v = self.get_u64()?;
         usize::try_from(v)
@@ -203,9 +223,14 @@ impl<'a> Reader<'a> {
 
     /// Read a `u64`-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> SnapResult<String> {
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// [`get_str`](Reader::get_str) borrowing from the buffer, for a decoder
+    /// that copies into a `String` it already owns.
+    pub(crate) fn get_str_ref(&mut self) -> SnapResult<&'a str> {
         let n = self.get_len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(n)?)
             .map_err(|e| SnapError::Malformed(format!("invalid UTF-8 string: {e}")))
     }
 }

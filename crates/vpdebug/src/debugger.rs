@@ -188,11 +188,15 @@ impl Debugger {
     }
 
     /// The underlying platform (mutable, e.g. for program loading, a by-hand
-    /// `restore_image`, fault hooks). The caller may change signals behind
-    /// the debugger's back, so the next step re-evaluates every signal
-    /// watchpoint instead of trusting the edge counter.
+    /// `restore_image`, fault hooks). The caller may change signals — or the
+    /// step count — behind the debugger's back, so the next step
+    /// re-evaluates every signal watchpoint instead of trusting the edge
+    /// counter, and searches the checkpoint ring for whether one is due.
     pub fn platform_mut(&mut self) -> &mut Platform {
         self.signals_seen = None;
+        if let Some(tt) = &mut self.time_travel {
+            tt.forget_due_bound();
+        }
         &mut self.platform
     }
 

@@ -32,7 +32,15 @@ pub const STIMULUS_LOG_MAGIC: u32 = u32::from_le_bytes(*b"MPST");
 ///
 /// v2 adds two record kinds: DMA descriptor writes (tag 3) and debugger
 /// memory pokes (tag 4). v1 logs are rejected, never reinterpreted.
-pub const STIMULUS_LOG_VERSION: u16 = 2;
+///
+/// v3 changes no payload byte: the frame's checksum went word-wise (see
+/// [`mpsoc_snapshot::Image`]), and the bump makes a v2 log fail as a
+/// located version mismatch instead of a checksum mismatch.
+pub const STIMULUS_LOG_VERSION: u16 = 3;
+
+/// Version-mismatch context (see [`Image::open_as`]): a stale log is
+/// refused with an error naming this decoder and file.
+const LOG_WHAT: &str = concat!("stimulus log (", file!(), ")");
 
 /// One kind of external injection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,7 +235,9 @@ impl StimulusLog {
     /// records out of step order.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let snap = |e: SnapError| Error::Platform(format!("stimulus log: {e}"));
-        let payload = Image::open(bytes, STIMULUS_LOG_MAGIC, STIMULUS_LOG_VERSION).map_err(snap)?;
+        let (payload, _) =
+            Image::open_as(bytes, STIMULUS_LOG_MAGIC, STIMULUS_LOG_VERSION, LOG_WHAT)
+                .map_err(snap)?;
         let mut r = Reader::new(payload);
         let n = r.get_len(9).map_err(snap)?;
         let mut records = Vec::with_capacity(n);
@@ -287,13 +297,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_logs_are_rejected_not_reinterpreted() {
+    fn stale_logs_are_rejected_with_located_errors_not_reinterpreted() {
+        // v2 is the case the version alone decides: its payload is today's.
+        assert_eq!(STIMULUS_LOG_VERSION, 3);
         let log = StimulusLog::new();
         let payload = Image::open(&log.to_bytes(), STIMULUS_LOG_MAGIC, STIMULUS_LOG_VERSION)
             .unwrap()
             .to_vec();
-        let downgraded = Image::seal(STIMULUS_LOG_MAGIC, 1, &payload);
-        assert!(StimulusLog::from_bytes(&downgraded).is_err());
+        for stale in 0..STIMULUS_LOG_VERSION {
+            let downgraded = Image::seal(STIMULUS_LOG_MAGIC, stale, &payload);
+            let msg = StimulusLog::from_bytes(&downgraded)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                msg.contains(&format!("v{stale}"))
+                    && msg.contains(&format!("v{STIMULUS_LOG_VERSION}")),
+                "log v{stale}: error must name both versions: {msg}"
+            );
+            assert!(
+                msg.contains("stimulus log (") && msg.contains("stimulus.rs"),
+                "log v{stale}: error must locate the refusing decoder: {msg}"
+            );
+        }
     }
 
     #[test]

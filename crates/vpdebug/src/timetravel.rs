@@ -27,6 +27,21 @@
 //! rewind target. Attach a metrics registry ([`Debugger::attach_metrics`])
 //! to watch occupancy on the `vpdebug.ring_bytes` gauge.
 //!
+//! A step does not search the ring to learn that no checkpoint is due: the
+//! last search left the step before which none can be (the nearest
+//! checkpoint at or below the current step, plus the interval), and until
+//! that step is reached [`Debugger::step`] compares one integer. The rule
+//! is still "the nearest checkpoint at or below this step is at least
+//! `interval` steps old"; the bound is forgotten by everything that could
+//! make it lie — a rewind, a by-hand restore behind
+//! [`Debugger::platform_mut`], dropped checkpoints, a fresh ring.
+//!
+//! What a checkpoint and a rewind cost is the platform's side of the story
+//! (`mpsoc_platform::snapshot`): a delta is sealed with a word-wise frame
+//! checksum, and a restore decodes into the state the previous restore
+//! replaced, so stepping back and forth over one base allocates next to
+//! nothing.
+//!
 //! Each checkpoint also carries the host-side debugger state that must
 //! rewind with it, O(signals) at most: the trace buffer's *position* (see
 //! [`crate::trace`] for what history survives a rewind), the signal-edge
@@ -85,6 +100,13 @@ pub struct TimeTravel {
     pub(crate) deltas: VecDeque<Checkpoint>,
     /// Bytes retained: the base image plus every delta in `deltas`.
     pub(crate) bytes: usize,
+    /// No auto-checkpoint is due while the platform's step count is below
+    /// this: what [`Debugger::auto_checkpoint`] learnt the last time it
+    /// searched the ring, so that most steps compare one integer instead of
+    /// searching. 0 — a bound that holds nothing back — whenever the ring
+    /// or the step count may have changed under it (see
+    /// [`forget_due_bound`](TimeTravel::forget_due_bound)).
+    pub(crate) not_due_before: u64,
 }
 
 /// A [`Checkpoint`] of `$dbg`'s debugger-side state around `$delta`. A macro:
@@ -122,6 +144,19 @@ impl TimeTravel {
         }
     }
 
+    /// Forgets [`not_due_before`](TimeTravel::not_due_before), so the next
+    /// step searches the ring again. For everything that can make a
+    /// checkpoint due *earlier* than the bound says: the step count moving
+    /// backwards (a rewind, a by-hand restore behind
+    /// [`Debugger::platform_mut`]) or checkpoints being dropped
+    /// ([`drop_checkpoints_after`](TimeTravel::drop_checkpoints_after)).
+    /// Taking a checkpoint is not among them: one taken by hand is newer
+    /// than the one the bound came from, one taken because it was due finds
+    /// the bound already reached, and an eviction never pops the newest.
+    pub(crate) fn forget_due_bound(&mut self) {
+        self.not_due_before = 0;
+    }
+
     /// Inserts a delta checkpoint in step order, then pops the oldest
     /// deltas until the ring is within budget or only the newest is left.
     fn push_delta(&mut self, cp: Checkpoint) {
@@ -139,6 +174,7 @@ impl TimeTravel {
     /// when state at `step` was mutated). The base is always kept — without
     /// it no future delta is restorable.
     pub(crate) fn drop_checkpoints_after(&mut self, step: u64) {
+        self.forget_due_bound();
         let keep = self.deltas.partition_point(|c| c.step <= step);
         for dropped in self.deltas.drain(keep..) {
             self.bytes -= dropped.delta_bytes();
@@ -189,6 +225,7 @@ impl Debugger {
             base,
             base_checkpoint: checkpoint_now!(self, None),
             deltas: VecDeque::new(),
+            not_due_before: 0,
         });
         self.update_ring_gauge();
     }
@@ -240,15 +277,26 @@ impl Debugger {
     /// [`step`](Debugger::step) before executing): time travel is on and the
     /// nearest checkpoint at or below the current step — replay must not
     /// duplicate one *at* it — is at least `interval` steps old.
+    ///
+    /// The ring is searched only when the step count reaches the bound the
+    /// last search left: while steps only advance and no checkpoint leaves
+    /// the ring, the nearest checkpoint at or below a later step is no
+    /// older than the one found then, so nothing is due before it is
+    /// `interval` steps old.
     pub(crate) fn auto_checkpoint(&mut self) -> Result<()> {
-        let Some(tt) = &self.time_travel else {
+        let Some(tt) = &mut self.time_travel else {
             return Ok(());
         };
         let cur = self.platform.steps();
-        let due = tt
+        if cur < tt.not_due_before {
+            return Ok(());
+        }
+        let due_at = tt
             .at_or_before(cur)
-            .is_none_or(|c| cur >= c.step.saturating_add(tt.interval));
-        if due {
+            .map_or(0, |c| c.step.saturating_add(tt.interval));
+        if cur < due_at {
+            tt.not_due_before = due_at;
+        } else {
             self.take_checkpoint()?;
         }
         Ok(())
@@ -295,9 +343,10 @@ impl Debugger {
     /// [`Error::Platform`] for an unrestorable image (never expected for
     /// images the debugger captured itself).
     pub fn rewind_to_step(&mut self, target: u64) -> Result<bool> {
-        let Some(tt) = &self.time_travel else {
+        let Some(tt) = &mut self.time_travel else {
             return Ok(false);
         };
+        tt.forget_due_bound();
         let Some(cp) = tt.at_or_before(target) else {
             return Ok(false);
         };
@@ -510,26 +559,29 @@ mod tests {
         assert_eq!(dbg.platform().steps(), 1);
     }
 
+    /// One core storing at a stride for ever: it dirties one page after
+    /// another, so deltas grow with the step count.
+    fn strided_store_debugger() -> Debugger {
+        let mut p = PlatformBuilder::new()
+            .cores(1, Frequency::mhz(100))
+            .shared_words(1024)
+            .local_words(64)
+            .cache(None)
+            .build()
+            .unwrap();
+        let prog = assemble(
+            "movi r3, 0x3ff\nloop: addi r1, r1, 7\nand r2, r1, r3\n\
+             st r1, r2, 0\njmp loop",
+        )
+        .unwrap();
+        p.load_program(0, prog, 0).unwrap();
+        Debugger::new(p)
+    }
+
     #[test]
     fn saturated_ring_evicts_oldest_deltas_and_still_rewinds_exactly() {
-        // Strided stores dirty one page after another, so deltas grow while
-        // a checkpoint per step keeps the ring evicting.
-        let build = || {
-            let mut p = PlatformBuilder::new()
-                .cores(1, Frequency::mhz(100))
-                .shared_words(1024)
-                .local_words(64)
-                .cache(None)
-                .build()
-                .unwrap();
-            let prog = assemble(
-                "movi r3, 0x3ff\nloop: addi r1, r1, 7\nand r2, r1, r3\n\
-                 st r1, r2, 0\njmp loop",
-            )
-            .unwrap();
-            p.load_program(0, prog, 0).unwrap();
-            Debugger::new(p)
-        };
+        // Deltas grow while a checkpoint per step keeps the ring evicting.
+        let build = strided_store_debugger;
         const STEPS: u64 = 3000;
         // Size the budget from the first and the (largest) final delta of
         // the run: the base plus about eight final deltas.
@@ -573,6 +625,156 @@ mod tests {
             let at = dbg.platform().steps();
             assert_eq!(at, STEPS - back);
             assert_eq!(dbg.platform().state_checksum(), checksums[at as usize]);
+        }
+    }
+
+    /// [`Debugger::step`] deciding as it did before it kept a bound: search
+    /// the ring before every step. The reference the remembered bound is
+    /// compared against.
+    fn step_searching(dbg: &mut Debugger) -> Option<Stop> {
+        if let Some(tt) = &dbg.time_travel {
+            let cur = dbg.platform.steps();
+            let due = tt
+                .at_or_before(cur)
+                .is_none_or(|c| cur >= c.step.saturating_add(tt.interval));
+            if due {
+                dbg.take_checkpoint().unwrap();
+            }
+        }
+        dbg.step_evaluated().unwrap()
+    }
+
+    #[test]
+    fn remembered_due_bound_takes_the_checkpoints_a_search_every_step_takes() {
+        // Strided stores dirty one page after another, so deltas grow, with
+        // a signal watchpoint armed so `run` stops early now and then. The
+        // ring is enabled over and over with intervals and budgets from
+        // "retains everything" down to "evicts all but the newest". A stale
+        // bound shows where the ring evicts: after a rewind past the oldest
+        // retained delta only the base is at or before the current step, a
+        // checkpoint is due at once, and being early, hence small, it fits.
+        let build = || {
+            let mut dbg = strided_store_debugger();
+            dbg.add_watchpoint(Watchpoint::Signal {
+                name: "host.flag".into(),
+                value: None,
+            });
+            dbg
+        };
+        let base_len = {
+            let mut probe = build();
+            probe.enable_time_travel_bytes(1, usize::MAX).unwrap();
+            probe.ring_bytes()
+        };
+        // One operation on both debuggers — `reference` tells it which one
+        // it has — then what must agree: the stop it reported, the retained
+        // checkpoints, the ring's bytes, the step count (returned).
+        type Op<'a> = &'a mut dyn FnMut(&mut Debugger, bool) -> Option<Stop>;
+        fn both(new: &mut Debugger, old: &mut Debugger, op: Op<'_>) -> u64 {
+            assert_eq!(op(new, false), op(old, true));
+            assert_eq!(new.checkpoint_steps(), old.checkpoint_steps());
+            assert_eq!(new.ring_bytes(), old.ring_bytes());
+            assert_eq!(new.platform.steps(), old.platform.steps());
+            new.platform.steps()
+        }
+        let searching = |d: &mut Debugger, reference: bool| match reference {
+            true => step_searching(d),
+            false => d.step().unwrap(),
+        };
+
+        // The rewind case by construction, since the draw below meets it
+        // only by luck: a budget of two and a half late deltas leaves the
+        // ring, 400 steps in, holding its newest two; a rewind to step 100
+        // lands in the gap behind them, where the rule wants a checkpoint at
+        // once — and an early delta is small enough to stay.
+        let late_delta = {
+            let mut probe = build();
+            probe
+                .enable_time_travel_bytes(u64::MAX, usize::MAX)
+                .unwrap();
+            assert_eq!(probe.run(400).unwrap(), Stop::Budget);
+            probe.take_checkpoint_now().unwrap();
+            probe.ring_bytes() - base_len
+        };
+        let (mut new, mut old) = (build(), build());
+        both(&mut new, &mut old, &mut |d, _| {
+            d.enable_time_travel_bytes(8, base_len + late_delta * 5 / 2)
+                .unwrap();
+            None
+        });
+        for _ in 0..400 {
+            both(&mut new, &mut old, &mut |d, reference| {
+                searching(d, reference)
+            });
+        }
+        assert_eq!(old.checkpoint_steps(), [0, 384, 392]);
+        both(&mut new, &mut old, &mut |d, _| {
+            assert!(d.rewind_to_step(100).unwrap());
+            None
+        });
+        both(&mut new, &mut old, &mut |d, reference| {
+            searching(d, reference)
+        });
+        assert_eq!(old.checkpoint_steps(), [0, 100, 384, 392]);
+
+        let mut rng = mpsoc_obs::XorShift64Star::new(0xD0E);
+        for session in 0..24 {
+            let (mut new, mut old) = (build(), build());
+            let mut cur = 0;
+            for op in 0..150 {
+                // Time travel goes on first, and again soon after it went
+                // off; what else happens is drawn.
+                let pick = match new.time_travel {
+                    None if op == 0 || rng.u64_in(0, 2) == 0 => 99,
+                    None => rng.u64_in(0, 49),
+                    Some(_) => rng.u64_in(0, 99),
+                };
+                let arg = rng.u64_in(0, 40);
+                let back_to = rng.u64_in(0, cur);
+                let interval = [1, 2, 7, 16, u64::MAX][rng.usize_in(0, 4)];
+                let budget = [1, base_len + 1500, base_len + 6000, usize::MAX][rng.usize_in(0, 3)];
+                let mut quietly = |f: &mut dyn FnMut(&mut Debugger)| {
+                    both(&mut new, &mut old, &mut |d, _| {
+                        f(d);
+                        None
+                    })
+                };
+                cur = match pick {
+                    0..=19 => both(&mut new, &mut old, &mut |d, reference| {
+                        searching(d, reference)
+                    }),
+                    20..=49 => both(&mut new, &mut old, &mut |d, reference| match reference {
+                        true => Some(
+                            (0..arg)
+                                .find_map(|_| step_searching(d))
+                                .unwrap_or(Stop::Budget),
+                        ),
+                        false => Some(d.run(arg).unwrap()),
+                    }),
+                    50..=61 => quietly(&mut |d| assert!(d.step_back().is_ok())),
+                    62..=75 => quietly(&mut |d| assert!(d.rewind_to_step(back_to).is_ok())),
+                    76..=83 if session % 2 == 0 => quietly(&mut |d| match arg % 3 {
+                        0 => d.inject_mem_poke(0x90, arg as i64).unwrap(),
+                        1 => d.inject_signal_write("host.flag", arg as i64).unwrap(),
+                        _ => d.inject_irq(0, 2).unwrap(),
+                    }),
+                    // By hand, behind the debugger's back: onto the ring's
+                    // own base image, the one by-hand restore that leaves
+                    // the deltas restorable. (In sessions of its own: it
+                    // does not rewind the stimulus cursor, and an injection
+                    // after it would log out of step order.)
+                    76..=83 => quietly(&mut |d| {
+                        if let Some(tt) = &d.time_travel {
+                            let image = tt.base.image().to_vec();
+                            d.platform_mut().restore_image(&image).unwrap();
+                        }
+                    }),
+                    84..=93 => quietly(&mut |d| drop(d.take_checkpoint_now())),
+                    94..=95 => quietly(&mut |d| d.rebase_checkpoints().unwrap()),
+                    96 => quietly(&mut |d| d.disable_time_travel()),
+                    _ => quietly(&mut |d| d.enable_time_travel_bytes(interval, budget).unwrap()),
+                };
+            }
         }
     }
 

@@ -63,14 +63,20 @@ doc_deny_warnings() {
 }
 
 run_examples() {
-  # clippy --all-targets only proves examples compile; these two drive
-  # the `.mts` assertion path and the three `*_observed` entry points, so
-  # run them and fail on a non-zero exit (observe_jpeg writes the
-  # git-ignored trace.json).
+  # clippy --all-targets only proves examples compile; these drive the
+  # `.mts` assertion path, the three `*_observed` entry points and — the
+  # one example that rewinds — the checkpoint ring, so run them and fail
+  # on a non-zero exit (observe_jpeg writes the git-ignored trace.json).
   local ex
-  for ex in heisenbug_hunt observe_jpeg; do
+  for ex in heisenbug_hunt observe_jpeg time_travel; do
     cargo run --release -q --example "$ex" >/dev/null
   done
+}
+
+platform_release_tests() {
+  cargo test --release -q -p mpsoc-snapshot -p mpsoc-platform -p mpsoc-vpdebug
+  cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
+    --test debugger_equivalence --test restore_in_place
 }
 
 stage "tracked files intact" check_tracked_files
@@ -88,8 +94,10 @@ stage "DSE differential tests (release)" \
 # The scheduler's retire paths are guarded by debug_assert!s ("the executed
 # entry is still the heap top") that the release profile compiles out, so the
 # scheduler-equivalence and signal-board differential tests must pass in both.
-stage "platform differential tests (release)" \
-  cargo test --release -q -p mpsoc-platform
+# So must the checkpoint code — frame checksum, in-place restore, the ring's
+# due check — which is only ever measured in release: its crates' tests and
+# the root package's three round-trip / equivalence suites over it.
+stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
 # The joint mapping x topology sweep over generated .soc platforms; writes
@@ -102,7 +110,7 @@ stage "joint mapping x topology DSE (E13 smoke)" \
 # them as artifacts).
 stage "headless platform suite (mpsoc-test)" \
   cargo run --release -q -p mpsoc-apps --bin mpsoc-test
-stage "examples run (heisenbug_hunt, observe_jpeg)" run_examples
+stage "examples run (heisenbug/observe/time_travel)" run_examples
 # The layered benchmark (benchmark/, a workspace of its own). The smoke
 # profile runs the output checks and expected.json pins of all seven
 # workloads in a few seconds, prints "not a measurement" and emits no rates;
