@@ -34,13 +34,6 @@ impl<T> Ring<T> {
         self.items.push_back(item);
     }
 
-    /// Removes and returns the newest element — the un-push a consumer needs
-    /// to rewind its history. The eviction count is untouched: what the ring
-    /// evicted stays evicted.
-    pub fn pop_back(&mut self) -> Option<T> {
-        self.items.pop_back()
-    }
-
     /// Number of items currently held.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -75,11 +68,6 @@ impl<T> Ring<T> {
     /// Removes and returns all retained items, oldest-first.
     pub fn drain(&mut self) -> Vec<T> {
         self.items.drain(..).collect()
-    }
-
-    /// Drops all retained items (the eviction count is kept).
-    pub fn clear(&mut self) {
-        self.items.clear();
     }
 }
 
@@ -182,18 +170,6 @@ mod tests {
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         assert_eq!(ring.as_slice(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn pop_back_unpushes_but_does_not_unevict() {
-        let mut ring = Ring::new(2);
-        for i in 1..=3 {
-            ring.push(i);
-        }
-        assert_eq!(ring.pop_back(), Some(3));
-        assert_eq!(ring.pop_back(), Some(2));
-        assert_eq!(ring.pop_back(), None);
-        assert_eq!(ring.dropped(), 1);
     }
 
     #[test]

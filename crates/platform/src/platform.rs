@@ -488,7 +488,11 @@ impl PlatformBuilder {
             scheduler: self.scheduler,
             calendar: Calendar::default(),
             dma_seq: 0,
-            access_pool: Vec::new(),
+            event: StepEvent {
+                at: Time::ZERO,
+                kind: StepKind::Idle,
+                accesses: Vec::new(),
+            },
             scratch_effects: Vec::new(),
             base_mark: None,
             base_shared: Vec::new(),
@@ -541,9 +545,11 @@ pub struct Platform {
     calendar: Calendar,
     /// Next DMA schedule sequence number (see [`PendingDma::seq`]).
     pub(crate) dma_seq: u64,
-    /// Recycled `Access` buffers: [`recycle`](Platform::recycle) returns a
-    /// step's vector here; the next step reuses it instead of allocating.
-    access_pool: Vec<Vec<Access>>,
+    /// What the last step did, written in place by the step itself: host-side
+    /// scratch, never captured, hashed or restored. Its `accesses` buffer is
+    /// reused from step to step ([`step`](Platform::step) moves it out,
+    /// [`recycle`](Platform::recycle) moves it back).
+    event: StepEvent,
     /// Recycled peripheral-effect buffer for the step/access hot paths.
     scratch_effects: Vec<Effect>,
     /// Payload checksum of the base image the RAM dirty bitmaps are
@@ -1029,31 +1035,67 @@ impl Platform {
     /// returns [`Error::UnmappedAddress`] from its completion step: nothing
     /// is copied and the engine falls idle, ready for the next transfer.
     pub fn step(&mut self) -> Result<StepEvent> {
+        self.step_in_place()?;
+        Ok(StepEvent {
+            at: self.event.at,
+            kind: self.event.kind.clone(),
+            accesses: std::mem::take(&mut self.event.accesses),
+        })
+    }
+
+    /// [`step`](Platform::step) for hot loops: the event stays in the
+    /// platform, where the step wrote it, to be read through
+    /// [`last_event`](Platform::last_event). `step` is this plus a move of
+    /// the access buffer out, [`recycle`](Platform::recycle) the move back.
+    ///
+    /// # Errors
+    ///
+    /// As [`step`](Platform::step); `last_event` is unspecified after one.
+    pub fn step_in_place(&mut self) -> Result<()> {
         self.step_observed(None)
     }
 
-    /// [`step`](Platform::step) with an optional event sink (see
-    /// [`run_until_with`](Platform::run_until_with)).
-    fn step_observed(&mut self, mut sink: Option<&mut dyn EventSink>) -> Result<StepEvent> {
+    /// What the last successful [`step_in_place`](Platform::step_in_place)
+    /// did, until the next step ([`step`](Platform::step) takes the accesses
+    /// with it).
+    ///
+    /// ```
+    /// # use mpsoc_platform::{isa::assemble, platform::{PlatformBuilder, StepKind}};
+    /// let mut p = PlatformBuilder::new().build().unwrap();
+    /// let prog = assemble("movi r1, 7\nst r1, r1, 0\nhalt").unwrap();
+    /// p.load_program(0, prog, 0).unwrap();
+    /// p.step_in_place().unwrap();
+    /// p.step_in_place().unwrap();
+    /// assert!(matches!(p.last_event().kind, StepKind::Instr { pc: 1, .. }));
+    /// assert_eq!(p.last_event().accesses[0].addr, 7);
+    /// assert_eq!(p.core(0).unwrap().pc(), 2); // readable beside the event
+    /// ```
+    pub fn last_event(&self) -> &StepEvent {
+        &self.event
+    }
+
+    /// [`step_in_place`](Platform::step_in_place) with an optional event
+    /// sink (see [`run_until_with`](Platform::run_until_with)).
+    fn step_observed(&mut self, sink: Option<&mut dyn EventSink>) -> Result<()> {
         self.steps += 1;
         let Some((t, actor)) = self.peek_decision() else {
-            return Ok(StepEvent {
-                at: self.now,
-                kind: StepKind::Idle,
-                accesses: Vec::new(),
-            });
+            self.event.at = self.now;
+            self.event.kind = StepKind::Idle;
+            self.event.accesses.clear();
+            return Ok(());
         };
-        let ev = self.exec_actor(t, actor)?;
-        self.observe_step(&ev, mpsoc_obs::event::reborrow_sink(&mut sink));
-        Ok(ev)
+        self.exec_actor(t, actor)?;
+        self.observe_step(sink);
+        Ok(())
     }
 
     /// Executes one already-scheduled decision (the actor/time pair just
     /// returned by [`peek_decision`](Platform::peek_decision); an event's
     /// calendar entry is still the heap top, and execution retires or
-    /// reschedules it in place).
-    fn exec_actor(&mut self, t: Time, actor: Actor) -> Result<StepEvent> {
+    /// reschedules it in place), writing what it did into `self.event`.
+    fn exec_actor(&mut self, t: Time, actor: Actor) -> Result<()> {
         self.now = self.now.max(t);
+        self.event.accesses.clear();
         match actor {
             Actor::Core(id) => self.step_core(id),
             Actor::Periph(page) => {
@@ -1073,27 +1115,26 @@ impl Platform {
                 if let Some(m) = &self.metrics {
                     m.periph_events.inc();
                 }
-                Ok(StepEvent {
-                    at: self.now,
-                    kind: StepKind::PeriphEvent { page },
-                    accesses: Vec::new(),
-                })
+                self.event.at = self.now;
+                self.event.kind = StepKind::PeriphEvent { page };
+                Ok(())
             }
             Actor::Dma(i) => {
                 let d = self.pending_dma.remove(i);
                 self.retire_dma_entry(d.seq);
                 self.calendar.mark_periph(d.page);
-                let mut accesses = self.take_accesses();
                 // Perform the functional copy now, emitting the access
                 // trail attributed to the DMA engine. The whole range is
                 // decoded and bounds-checked once, not per word.
-                if let Err(e) = self.dma_copy(&d, &mut accesses) {
+                let mut accesses = std::mem::take(&mut self.event.accesses);
+                let copied = self.dma_copy(&d, &mut accesses);
+                self.event.accesses = accesses;
+                if let Err(e) = copied {
                     // Nothing was copied. The transfer is gone either way,
                     // so the engine must not stay busy waiting for it.
                     if let Some(dma) = self.periphs.get_mut(d.page) {
                         dma.transfer_faulted(self.now, &mut self.signals);
                     }
-                    self.recycle_accesses(accesses);
                     return Err(e);
                 }
                 // Tell the engine it is done; deliver its completion IRQ.
@@ -1109,37 +1150,26 @@ impl Platform {
                 if let Some(m) = &self.metrics {
                     m.dma_words.add(d.len as u64);
                 }
-                Ok(StepEvent {
-                    at: self.now,
-                    kind: StepKind::DmaComplete { page: d.page },
-                    accesses,
-                })
+                self.event.at = self.now;
+                self.event.kind = StepKind::DmaComplete { page: d.page };
+                Ok(())
             }
         }
     }
 
-    /// Pops a recycled `Access` buffer, or starts an empty one
-    /// (`Vec::new` does not allocate until first push).
-    fn take_accesses(&mut self) -> Vec<Access> {
-        self.access_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a finished step's buffers to the platform for reuse, making
-    /// steady-state stepping allocation-free. Entirely optional — dropping
-    /// the event instead is always correct, just slower.
+    /// Hands the access buffer of an event [`step`](Platform::step)
+    /// returned back to the platform, so the next step does not allocate
+    /// one. Entirely optional — dropping the event instead is always
+    /// correct, just slower.
     pub fn recycle(&mut self, ev: StepEvent) {
-        self.recycle_accesses(ev.accesses);
-    }
-
-    fn recycle_accesses(&mut self, mut v: Vec<Access>) {
-        if self.access_pool.len() < 8 && v.capacity() > 0 {
-            v.clear();
-            self.access_pool.push(v);
+        if ev.accesses.capacity() > self.event.accesses.capacity() {
+            self.event.accesses = ev.accesses;
         }
     }
 
     /// Metrics + event fan-out for one completed step.
-    fn observe_step(&mut self, ev: &StepEvent, sink: Option<&mut dyn EventSink>) {
+    fn observe_step(&mut self, sink: Option<&mut dyn EventSink>) {
+        let ev = &self.event;
         let ts = ev.at.as_ps() / 1_000; // simulated nanoseconds
         if let Some(m) = &mut self.metrics {
             if let StepKind::Instr { irq_taken, .. } = &ev.kind {
@@ -1178,9 +1208,8 @@ impl Platform {
         }
     }
 
-    fn step_core(&mut self, id: usize) -> Result<StepEvent> {
+    fn step_core(&mut self, id: usize) -> Result<()> {
         let start = self.now;
-        let mut accesses = self.take_accesses();
 
         // Front end: one borrow of the core covers interrupt delivery,
         // fetch (the program table holds pre-decoded instructions, so
@@ -1289,7 +1318,7 @@ impl Platform {
                         self.cores[id].set_reg(d, v);
                         cycles += cy;
                         wall_extra += wall;
-                        accesses.push(Access {
+                        self.event.accesses.push(Access {
                             originator: Originator::Core(id),
                             kind: AccessKind::Read,
                             addr,
@@ -1310,7 +1339,7 @@ impl Platform {
                     Ok((cy, wall)) => {
                         cycles += cy;
                         wall_extra += wall;
-                        accesses.push(Access {
+                        self.event.accesses.push(Access {
                             originator: Originator::Core(id),
                             kind: AccessKind::Write,
                             addr,
@@ -1357,16 +1386,14 @@ impl Platform {
         let done = start + freq.cycles_to_time(cycles) + wall_extra;
         core.set_next_ready(done);
 
-        Ok(StepEvent {
-            at: done,
-            kind: StepKind::Instr {
-                core: id,
-                pc,
-                instr,
-                irq_taken,
-            },
-            accesses,
-        })
+        self.event.at = done;
+        self.event.kind = StepKind::Instr {
+            core: id,
+            pc,
+            instr,
+            irq_taken,
+        };
+        Ok(())
     }
 
     /// Resolves a DMA range `[addr, addr + len)` to one RAM and a starting
@@ -1677,9 +1704,9 @@ impl Platform {
     // -- run helpers --------------------------------------------------------
 
     /// Steps until `deadline` (exclusive), all work completes, or a fault.
-    /// `visit` is called with each step's event, whose buffers are then
-    /// recycled internally — the steady-state loop performs no allocation
-    /// at all. Returns the number of steps executed.
+    /// `visit` is called with each step's event where the step wrote it
+    /// ([`last_event`](Platform::last_event)) — the steady-state loop
+    /// performs no allocation at all. Returns the number of steps executed.
     ///
     /// With a `sink`, structured events (instruction retirements per core,
     /// IRQ deliveries, peripheral events, DMA completions) are emitted
@@ -1701,10 +1728,9 @@ impl Platform {
                 break;
             }
             self.steps += 1;
-            let ev = self.exec_actor(t, actor)?;
-            self.observe_step(&ev, mpsoc_obs::event::reborrow_sink(&mut sink));
-            visit(&ev);
-            self.recycle(ev);
+            self.exec_actor(t, actor)?;
+            self.observe_step(mpsoc_obs::event::reborrow_sink(&mut sink));
+            visit(&self.event);
             n += 1;
         }
         self.now = self.now.max(deadline);
@@ -1734,12 +1760,10 @@ impl Platform {
         mut sink: Option<&mut dyn EventSink>,
     ) -> Result<u64> {
         for n in 0..max_steps {
-            let ev = self.step_observed(mpsoc_obs::event::reborrow_sink(&mut sink))?;
-            if ev.is_idle() {
+            self.step_observed(mpsoc_obs::event::reborrow_sink(&mut sink))?;
+            if self.event.is_idle() {
                 return Ok(n);
             }
-            // The events are not returned, so their buffers can be reused.
-            self.recycle(ev);
         }
         Err(Error::Config(format!(
             "program did not finish within {max_steps} steps"

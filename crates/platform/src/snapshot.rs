@@ -20,8 +20,9 @@
 //!   runs from one image.
 //!
 //! What is deliberately **not** serialized: attached metrics handles (host
-//! observability, not simulated state), recycled scratch buffers, the
-//! event calendar (derived state, rebuilt from actor state on restore),
+//! observability, not simulated state), host-side scratch (the last
+//! step's event and its access buffer, the effects buffer), the event
+//! calendar (derived state, rebuilt from actor state on restore),
 //! the RAM dirty bitmaps (meaningful only relative to a live base), and —
 //! since image v3 — the signal trace ring and spill tier (host
 //! observability; only each signal's value, last edge, and the trace

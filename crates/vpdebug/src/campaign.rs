@@ -282,16 +282,13 @@ fn apply_fault(p: &mut Platform, kind: FaultKind) -> mpsoc_platform::Result<bool
 fn run_budget(p: &mut Platform, budget: u64) -> (u64, bool) {
     let mut steps = 0;
     while steps < budget {
-        match p.step() {
-            Ok(ev) => {
-                if ev.is_idle() {
-                    break;
-                }
-                p.recycle(ev);
-                steps += 1;
-            }
-            Err(_) => return (steps, false),
+        if p.step_in_place().is_err() {
+            return (steps, false);
         }
+        if p.last_event().is_idle() {
+            break;
+        }
+        steps += 1;
     }
     (steps, true)
 }

@@ -315,20 +315,20 @@ impl Debugger {
     /// (replay must reproduce the original run's evaluation order exactly,
     /// including the early returns that skip the signal-edge bookkeeping,
     /// without re-capturing checkpoints that already exist). Host cost: the
-    /// platform step, O(accesses) for the trace entry and the access
-    /// watchpoints, O(edges) of signal bookkeeping.
+    /// platform step in place, O(accesses) to copy it into the trace rings
+    /// and try the access watchpoints, O(edges) of signal bookkeeping; no
+    /// allocation.
     pub(crate) fn step_evaluated(&mut self) -> Result<Option<Stop>> {
         self.apply_due_stimuli()?;
-        let event = match self.platform.step() {
-            Ok(e) => e,
-            Err(e) => return Ok(Some(Stop::Fault(e.to_string()))),
-        };
+        if let Err(e) = self.platform.step_in_place() {
+            return Ok(Some(Stop::Fault(e.to_string())));
+        }
+        let event = self.platform.last_event();
         if event.is_idle() {
             return Ok(Some(Stop::Finished));
         }
-        let stop = self.access_stop(&event);
-        self.trace.record(&event);
-        self.platform.recycle(event);
+        let stop = self.access_stop(event);
+        self.trace.record(event);
         // A breakpoint or access watchpoint returns before the signal-edge
         // bookkeeping: an edge driven in this step is reported by the next.
         Ok(stop?.or_else(|| self.signal_stop()))

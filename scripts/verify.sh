@@ -76,7 +76,8 @@ run_examples() {
 platform_release_tests() {
   cargo test --release -q -p mpsoc-snapshot -p mpsoc-platform -p mpsoc-vpdebug
   cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
-    --test debugger_equivalence --test restore_in_place
+    --test debugger_equivalence --test restore_in_place \
+    --test step_in_place --test step_allocations
 }
 
 stage "tracked files intact" check_tracked_files
@@ -96,7 +97,8 @@ stage "DSE differential tests (release)" \
 # scheduler-equivalence and signal-board differential tests must pass in both.
 # So must the checkpoint code — frame checksum, in-place restore, the ring's
 # due check — which is only ever measured in release: its crates' tests and
-# the root package's three round-trip / equivalence suites over it.
+# the root package's three round-trip / equivalence suites over it. And so
+# must the in-place step and the trace rings (step_in_place, step_allocations).
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12

@@ -538,7 +538,7 @@ fn sessions_match_with_an_evicted_signal_ring() {
 }
 
 fn entries(dbg: &Debugger) -> Vec<TraceEntry> {
-    dbg.trace().entries().cloned().collect()
+    dbg.trace().entries().collect()
 }
 
 /// Runs car_radio forward for `steps` with time travel on, recording the
