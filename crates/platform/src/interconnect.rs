@@ -15,33 +15,72 @@
 //! keeps the simulator fast and deterministic.
 
 use crate::time::Time;
+use mpsoc_snapshot::{Reader, SnapError, SnapResult, Snapshot as _, Writer};
 
-/// An interconnect that can carry a memory transaction from an initiator
-/// (core or DMA) to the shared memory / a remote node.
-///
-/// This trait is sealed in spirit: the platform constructs one of the two
-/// provided implementations from its configuration.
-///
-/// `Send` is required so a whole [`Platform`](crate::Platform) can move
-/// into a background thread — a GDB-RSP server serving a prepared
-/// platform, a campaign worker owning its replica.
-pub trait Interconnect: std::fmt::Debug + Send {
+/// The interconnect carrying memory transactions from an initiator (core or
+/// DMA) to the shared memory / a remote node: one of the two models, chosen
+/// by the platform's configuration.
+#[derive(Debug, Clone)]
+pub enum Interconnect {
+    /// One shared bus.
+    Bus(Bus),
+    /// A 2-D mesh.
+    Mesh(Mesh),
+}
+
+impl Interconnect {
     /// Computes the completion time of a single-word transfer from node
     /// `from` to node `to` that becomes ready at `now`, updating internal
     /// contention state.
-    fn transfer(&mut self, from: usize, to: usize, now: Time) -> Time;
+    pub(crate) fn transfer(&mut self, from: usize, to: usize, now: Time) -> Time {
+        match self {
+            Interconnect::Bus(b) => b.transfer(now),
+            Interconnect::Mesh(m) => m.transfer(from, to, now),
+        }
+    }
 
     /// Total number of transfers carried.
-    fn transfers(&self) -> u64;
+    pub(crate) fn transfers(&self) -> u64 {
+        match self {
+            Interconnect::Bus(b) => b.transfers,
+            Interconnect::Mesh(m) => m.transfers,
+        }
+    }
 
     /// Accumulated queueing delay (waiting for busy resources), summed over
     /// all transfers.
-    fn total_contention(&self) -> Time;
+    pub(crate) fn total_contention(&self) -> Time {
+        match self {
+            Interconnect::Bus(b) => b.contention,
+            Interconnect::Mesh(m) => m.contention,
+        }
+    }
 
     /// Serializes the interconnect — configuration *and* in-flight
-    /// occupancy state (busy-until times) — prefixed with a type tag so
-    /// [`load_interconnect`] can rebuild the trait object.
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer);
+    /// occupancy state (busy-until times) — prefixed with a type tag for
+    /// [`load_interconnect`].
+    pub(crate) fn snap_save(&self, w: &mut Writer) {
+        match self {
+            Interconnect::Bus(b) => {
+                w.put_u8(SNAP_TAG_BUS);
+                b.latency.save(w);
+                b.occupancy.save(w);
+                b.busy_until.save(w);
+                w.put_u64(b.transfers);
+                b.contention.save(w);
+            }
+            Interconnect::Mesh(m) => {
+                w.put_u8(SNAP_TAG_MESH);
+                w.put_usize(m.w);
+                w.put_usize(m.h);
+                m.hop_latency.save(w);
+                m.link_occupancy.save(w);
+                m.links.save(w);
+                w.put_u64(m.transfers);
+                m.contention.save(w);
+            }
+        }
+    }
 }
 
 /// Type tag for a serialized [`Bus`].
@@ -49,19 +88,17 @@ const SNAP_TAG_BUS: u8 = 0;
 /// Type tag for a serialized [`Mesh`].
 const SNAP_TAG_MESH: u8 = 1;
 
-/// Rebuilds a boxed interconnect from the tagged encoding produced by
-/// [`Interconnect::snap_save`].
+/// Rebuilds an interconnect from the tagged encoding a checkpoint image
+/// holds. A bus is built without allocating, a mesh allocates its link
+/// table.
 ///
 /// # Errors
 ///
 /// Returns [`mpsoc_snapshot::SnapError`] on an unknown tag or malformed
 /// payload.
-pub fn load_interconnect(
-    r: &mut mpsoc_snapshot::Reader<'_>,
-) -> mpsoc_snapshot::SnapResult<Box<dyn Interconnect>> {
-    use mpsoc_snapshot::Snapshot as _;
+pub fn load_interconnect(r: &mut Reader<'_>) -> SnapResult<Interconnect> {
     match r.get_u8()? {
-        SNAP_TAG_BUS => Ok(Box::new(Bus {
+        SNAP_TAG_BUS => Ok(Interconnect::Bus(Bus {
             latency: Time::load(r)?,
             occupancy: Time::load(r)?,
             busy_until: Time::load(r)?,
@@ -72,7 +109,7 @@ pub fn load_interconnect(
             let w = r.get_usize()?;
             let h = r.get_usize()?;
             if w == 0 || h == 0 {
-                return Err(mpsoc_snapshot::SnapError::Malformed(
+                return Err(SnapError::Malformed(
                     "mesh dimensions must be non-zero".into(),
                 ));
             }
@@ -80,13 +117,13 @@ pub fn load_interconnect(
             let link_occupancy = Time::load(r)?;
             let links = Vec::<Time>::load(r)?;
             if links.len() != w * h * 4 {
-                return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+                return Err(SnapError::Malformed(format!(
                     "mesh link table has {} entries, expected {}",
                     links.len(),
                     w * h * 4
                 )));
             }
-            Ok(Box::new(Mesh {
+            Ok(Interconnect::Mesh(Mesh {
                 w,
                 h,
                 hop_latency,
@@ -96,7 +133,7 @@ pub fn load_interconnect(
                 contention: Time::load(r)?,
             }))
         }
-        tag => Err(mpsoc_snapshot::SnapError::BadTag {
+        tag => Err(SnapError::BadTag {
             what: "interconnect",
             tag: u64::from(tag),
         }),
@@ -129,33 +166,15 @@ impl Bus {
             contention: Time::ZERO,
         }
     }
-}
 
-impl Interconnect for Bus {
-    fn transfer(&mut self, _from: usize, _to: usize, now: Time) -> Time {
+    /// A transfer ready at `now`, whatever its endpoints: waits for the
+    /// arbiter, occupies the bus, completes one latency later.
+    fn transfer(&mut self, now: Time) -> Time {
         let start = now.max(self.busy_until);
         self.contention += start.saturating_sub(now);
         self.busy_until = start + self.occupancy;
         self.transfers += 1;
         start + self.latency
-    }
-
-    fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    fn total_contention(&self) -> Time {
-        self.contention
-    }
-
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
-        use mpsoc_snapshot::Snapshot as _;
-        w.put_u8(SNAP_TAG_BUS);
-        self.latency.save(w);
-        self.occupancy.save(w);
-        self.busy_until.save(w);
-        w.put_u64(self.transfers);
-        self.contention.save(w);
     }
 }
 
@@ -213,9 +232,8 @@ impl Mesh {
         let (tx, ty) = self.clamp(to);
         fx.abs_diff(tx) + fy.abs_diff(ty)
     }
-}
 
-impl Interconnect for Mesh {
+    /// A transfer from node `from` to node `to` ready at `now`, hop by hop.
     fn transfer(&mut self, from: usize, to: usize, now: Time) -> Time {
         let (mut x, mut y) = self.clamp(from);
         let (tx, ty) = self.clamp(to);
@@ -254,26 +272,6 @@ impl Interconnect for Mesh {
         }
         t
     }
-
-    fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    fn total_contention(&self) -> Time {
-        self.contention
-    }
-
-    fn snap_save(&self, wr: &mut mpsoc_snapshot::Writer) {
-        use mpsoc_snapshot::Snapshot as _;
-        wr.put_u8(SNAP_TAG_MESH);
-        wr.put_usize(self.w);
-        wr.put_usize(self.h);
-        self.hop_latency.save(wr);
-        self.link_occupancy.save(wr);
-        self.links.save(wr);
-        wr.put_u64(self.transfers);
-        self.contention.save(wr);
-    }
 }
 
 #[cfg(test)]
@@ -284,9 +282,17 @@ mod tests {
         Time::from_ps(v)
     }
 
+    fn bus(latency: u64, occupancy: u64) -> Interconnect {
+        Interconnect::Bus(Bus::new(ps(latency), ps(occupancy)))
+    }
+
+    fn mesh(w: usize, h: usize, hop: u64, occupancy: u64) -> Interconnect {
+        Interconnect::Mesh(Mesh::new(w, h, ps(hop), ps(occupancy)))
+    }
+
     #[test]
     fn bus_serializes_back_to_back_transfers() {
-        let mut b = Bus::new(ps(100), ps(50));
+        let mut b = bus(100, 50);
         let t1 = b.transfer(0, 9, Time::ZERO);
         let t2 = b.transfer(1, 9, Time::ZERO);
         assert_eq!(t1, ps(100));
@@ -298,7 +304,7 @@ mod tests {
 
     #[test]
     fn bus_idle_transfer_pays_only_latency() {
-        let mut b = Bus::new(ps(100), ps(50));
+        let mut b = bus(100, 50);
         let t = b.transfer(2, 3, ps(1_000));
         assert_eq!(t, ps(1_100));
         assert_eq!(b.total_contention(), Time::ZERO);
@@ -306,16 +312,16 @@ mod tests {
 
     #[test]
     fn mesh_latency_scales_with_hops() {
-        let mut m = Mesh::new(4, 4, ps(10), ps(5));
+        let m = Mesh::new(4, 4, ps(10), ps(5));
         assert_eq!(m.hops(0, 3), 3);
         assert_eq!(m.hops(0, 15), 6);
-        let t = m.transfer(0, 3, Time::ZERO);
+        let t = Interconnect::Mesh(m).transfer(0, 3, Time::ZERO);
         assert_eq!(t, ps(30)); // 3 hops * 10
     }
 
     #[test]
     fn mesh_disjoint_paths_do_not_contend() {
-        let mut m = Mesh::new(4, 1, ps(10), ps(10));
+        let mut m = mesh(4, 1, 10, 10);
         // 0 -> 1 and 2 -> 3 share no directed link.
         let t1 = m.transfer(0, 1, Time::ZERO);
         let t2 = m.transfer(2, 3, Time::ZERO);
@@ -326,7 +332,7 @@ mod tests {
 
     #[test]
     fn mesh_shared_link_contends() {
-        let mut m = Mesh::new(4, 1, ps(10), ps(10));
+        let mut m = mesh(4, 1, 10, 10);
         // Both go east out of node 0.
         let t1 = m.transfer(0, 1, Time::ZERO);
         let t2 = m.transfer(0, 2, Time::ZERO);
@@ -338,16 +344,16 @@ mod tests {
 
     #[test]
     fn mesh_local_access_pays_router() {
-        let mut m = Mesh::new(2, 2, ps(7), ps(1));
+        let mut m = mesh(2, 2, 7, 1);
         assert_eq!(m.transfer(1, 1, Time::ZERO), ps(7));
     }
 
     #[test]
     fn mesh_clamps_out_of_range_nodes() {
-        let mut m = Mesh::new(2, 2, ps(10), ps(1));
+        let m = Mesh::new(2, 2, ps(10), ps(1));
         // Node 99 behaves as node 3 (the memory controller corner).
         assert_eq!(m.hops(0, 99), 2);
-        let t = m.transfer(0, 99, Time::ZERO);
+        let t = Interconnect::Mesh(m).transfer(0, 99, Time::ZERO);
         assert_eq!(t, ps(20));
     }
 
@@ -355,8 +361,8 @@ mod tests {
     fn bus_beats_mesh_locally_mesh_wins_under_load() {
         // A sanity check of the scalability claim in Section II.A: under
         // heavy parallel traffic the mesh accumulates less contention.
-        let mut bus = Bus::new(ps(20), ps(20));
-        let mut mesh = Mesh::new(4, 4, ps(10), ps(10));
+        let mut bus = bus(20, 20);
+        let mut mesh = mesh(4, 4, 10, 10);
         for i in 0..16usize {
             bus.transfer(i, 15, Time::ZERO);
             mesh.transfer(i, (i + 1) % 16, Time::ZERO);

@@ -5,19 +5,23 @@
 //! memories, semaphores may not be controlled anymore by a single software
 //! stack."* The platform models each of them as a device page of
 //! word-addressed registers (see [`crate::mem::PERIPH_BASE`]), fully
-//! inspectable without side effects via [`Peripheral::snapshot`] — the
+//! inspectable without side effects via
+//! [`Platform::peripheral_snapshot`](crate::Platform::peripheral_snapshot) — the
 //! *"consistent view into the state of all cores and peripherals"* that a
 //! virtual platform provides.
 //!
-//! Peripherals interact with the rest of the platform through a
-//! [`PeriphCtx`]: they drive [signals](crate::signal::SignalBoard) and emit
-//! [`Effect`]s (interrupt requests, DMA transfers) that the platform
-//! executes.
+//! The device set is closed: a page holds one of the four kinds of
+//! `Periph`, the same four the `.soc` language and the checkpoint format
+//! enumerate. A register access or event is handed the time and the
+//! [signal board](crate::signal::SignalBoard) and returns the one
+//! [`Effect`] it has on the rest of the platform (an interrupt request, a
+//! DMA transfer), if any; the platform applies it.
 
 use crate::error::{Error, Result};
 use crate::isa::Word;
 use crate::signal::{SignalBoard, SignalHandle};
 use crate::time::Time;
+use mpsoc_snapshot::{Reader, SnapError, SnapResult, Snapshot as _, Writer};
 
 /// A side effect requested by a peripheral, executed by the platform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,116 +47,160 @@ pub enum Effect {
     },
 }
 
-/// Context handed to peripheral register accesses and event ticks.
-#[derive(Debug)]
-pub struct PeriphCtx<'a> {
-    /// Current simulation time.
-    pub now: Time,
-    /// The platform signal board.
-    pub signals: &'a mut SignalBoard,
-    /// Effects for the platform to execute after the access returns.
-    pub effects: &'a mut Vec<Effect>,
-}
-
 /// A memory-mapped device occupying one peripheral page.
 ///
 /// Register `offset`s are word offsets within the page. Reads may have side
 /// effects (e.g. popping a mailbox); the debugger uses [`snapshot`] instead,
 /// which never perturbs state — the essence of non-intrusive inspection.
 ///
-/// [`snapshot`]: Peripheral::snapshot
-///
-/// `Send` is required so a whole [`Platform`](crate::Platform) can move
-/// into a background thread (debug servers, campaign workers).
-pub trait Peripheral: std::fmt::Debug + Send {
-    /// The peripheral instance name (e.g. `"timer0"`).
-    fn name(&self) -> &str;
+/// [`snapshot`]: Periph::snapshot
+#[derive(Debug, Clone)]
+pub(crate) enum Periph {
+    /// A periodic interval timer.
+    Timer(Timer),
+    /// A bounded inter-core FIFO.
+    Mailbox(Mailbox),
+    /// A counting semaphore.
+    Semaphore(Semaphore),
+    /// A block-copy engine.
+    Dma(Dma),
+}
 
-    /// Reads register `offset` (may have side effects, like hardware).
+/// `$body` with `$dev` bound to the device inside `$periph`, whichever of
+/// the four it is.
+macro_rules! with_device {
+    ($periph:expr, $dev:ident => $body:expr) => {
+        match $periph {
+            Periph::Timer($dev) => $body,
+            Periph::Mailbox($dev) => $body,
+            Periph::Semaphore($dev) => $body,
+            Periph::Dma($dev) => $body,
+        }
+    };
+}
+
+impl Periph {
+    /// The peripheral instance name (e.g. `"timer0"`).
+    pub(crate) fn name(&self) -> &str {
+        with_device!(self, d => &d.name)
+    }
+
+    /// Reads register `offset` at `now` (may have side effects, like
+    /// hardware). No device's read has an effect outside itself and the
+    /// signal board.
     ///
     /// # Errors
     ///
     /// [`Error::BadPeripheralRegister`] if the register does not exist.
-    fn read(&mut self, offset: u32, ctx: &mut PeriphCtx<'_>) -> Result<Word>;
+    pub(crate) fn read(
+        &mut self,
+        offset: u32,
+        now: Time,
+        signals: &mut SignalBoard,
+    ) -> Result<Word> {
+        with_device!(self, d => d.read(offset, now, signals))
+    }
 
-    /// Writes register `offset`.
+    /// Writes register `offset` at `now`; returns the write's effect on the
+    /// rest of the platform, if it has one. A rejected write has none.
     ///
     /// # Errors
     ///
     /// [`Error::BadPeripheralRegister`] if the register does not exist or
     /// [`Error::BadRegisterValue`] if the value is unrepresentable.
-    fn write(&mut self, offset: u32, value: Word, ctx: &mut PeriphCtx<'_>) -> Result<()>;
+    pub(crate) fn write(
+        &mut self,
+        offset: u32,
+        value: Word,
+        now: Time,
+        signals: &mut SignalBoard,
+    ) -> Result<Option<Effect>> {
+        with_device!(self, d => d.write(offset, value, now, signals))
+    }
 
     /// The next instant at which the device needs [`on_event`] to run, if
-    /// any (e.g. the next timer expiry).
+    /// any. Only a timer has internal events: its next expiry.
     ///
-    /// [`on_event`]: Peripheral::on_event
-    fn next_event(&self) -> Option<Time>;
+    /// [`on_event`]: Periph::on_event
+    pub(crate) fn next_event(&self) -> Option<Time> {
+        match self {
+            Periph::Timer(t) => t.next_fire,
+            _ => None,
+        }
+    }
 
-    /// Runs the device's internal event scheduled for `ctx.now`.
-    fn on_event(&mut self, ctx: &mut PeriphCtx<'_>);
+    /// Runs the device's internal event scheduled for `now`.
+    pub(crate) fn on_event(&mut self, now: Time, signals: &mut SignalBoard) -> Option<Effect> {
+        match self {
+            Periph::Timer(t) => t.on_event(now, signals),
+            _ => None,
+        }
+    }
 
     /// A side-effect-free dump of `(offset, value)` register pairs for
     /// debugger inspection.
-    fn snapshot(&self) -> Vec<(u32, Word)>;
-
-    /// Hook invoked by the platform when a transfer this device initiated
-    /// completes. Only DMA-like devices override it; the default ignores
-    /// the notification. Returns `(core, irq)` to raise, if any.
-    fn transfer_done(&mut self, _now: Time, _signals: &mut SignalBoard) -> Option<(usize, u32)> {
-        None
+    pub(crate) fn snapshot(&self) -> Vec<(u32, Word)> {
+        with_device!(self, d => d.snapshot())
     }
 
-    /// Hook invoked *instead of* [`transfer_done`](Peripheral::transfer_done)
-    /// when the platform could not perform a transfer this device started
-    /// (its source or destination range does not resolve): nothing was
-    /// copied, and the device must fall idle again without counting a
-    /// completion or requesting its IRQ. The default ignores the
-    /// notification.
-    fn transfer_faulted(&mut self, _now: Time, _signals: &mut SignalBoard) {}
-
-    /// Stable type tag identifying this peripheral in checkpoint images,
-    /// or `None` if the device cannot be checkpointed. The built-in
-    /// devices all return a tag; custom peripherals opt in by returning
-    /// one registered with the platform's image loader.
-    fn snap_kind(&self) -> Option<u8> {
-        None
+    /// Stable type tag identifying this peripheral's kind in checkpoint
+    /// images.
+    pub(crate) fn snap_kind(&self) -> u8 {
+        match self {
+            Periph::Timer(_) => SNAP_KIND_TIMER,
+            Periph::Mailbox(_) => SNAP_KIND_MAILBOX,
+            Periph::Semaphore(_) => SNAP_KIND_SEMAPHORE,
+            Periph::Dma(_) => SNAP_KIND_DMA,
+        }
     }
 
-    /// Serializes the device's complete internal state (not just the
-    /// register view) for checkpointing. Only called when
-    /// [`snap_kind`](Peripheral::snap_kind) is `Some`; the default writes
-    /// nothing.
-    fn snap_save(&self, _w: &mut mpsoc_snapshot::Writer) {}
-
-    /// Restores state previously written by
-    /// [`snap_save`](Peripheral::snap_save), replacing **all** of the
-    /// device's state whatever it held before: the platform restores over a
-    /// device of the same kind and name that an earlier restore left behind
-    /// — possibly one a failed decode stopped half-way through — and the
-    /// result must equal a restore over a newly built device.
+    /// Rebuilds an empty peripheral of checkpoint kind `kind` named `name`
+    /// on page `page`; its state is then filled by
+    /// [`snap_restore`](Periph::snap_restore).
     ///
     /// # Errors
     ///
-    /// The default errors with [`mpsoc_snapshot::SnapError::Unsupported`];
-    /// devices with a [`snap_kind`](Peripheral::snap_kind) must override it.
-    fn snap_restore(
-        &mut self,
-        _r: &mut mpsoc_snapshot::Reader<'_>,
-    ) -> mpsoc_snapshot::SnapResult<()> {
-        Err(mpsoc_snapshot::SnapError::Unsupported(format!(
-            "peripheral `{}` has no snapshot support",
-            self.name()
-        )))
+    /// [`SnapError::BadTag`] for a kind that is none of the four.
+    pub(crate) fn from_kind(kind: u8, name: &str, page: usize) -> SnapResult<Periph> {
+        Ok(match kind {
+            SNAP_KIND_TIMER => Periph::Timer(Timer::new(name)),
+            // Placeholder capacity; snap_restore overwrites it.
+            SNAP_KIND_MAILBOX => Periph::Mailbox(Mailbox::new(name, 1)),
+            SNAP_KIND_SEMAPHORE => Periph::Semaphore(Semaphore::new(name, 0)),
+            SNAP_KIND_DMA => Periph::Dma(Dma::new(name, page)),
+            _ => {
+                return Err(SnapError::BadTag {
+                    what: "peripheral kind",
+                    tag: u64::from(kind),
+                })
+            }
+        })
     }
 
-    /// Fault-injection hook: wedges the device into a stuck-at state (a
-    /// stuck timer stops firing, a stuck mailbox drops pushes, a stuck
-    /// semaphore never grants, a stuck DMA ignores start commands).
-    /// Returns `true` if the device supports being stuck; the default is a
-    /// no-op returning `false`.
-    fn fault_stick(&mut self) -> bool {
-        false
+    /// Serializes the device's complete internal state (not just the
+    /// register view) for checkpointing.
+    pub(crate) fn snap_save(&self, w: &mut Writer) {
+        with_device!(self, d => d.snap_save(w))
+    }
+
+    /// Restores state previously written by
+    /// [`snap_save`](Periph::snap_save), replacing **all** of the device's
+    /// state whatever it held before: the platform restores over a device
+    /// of the same kind and name that an earlier restore left behind —
+    /// possibly one a failed decode stopped half-way through — and the
+    /// result must equal a restore over a newly built device.
+    pub(crate) fn snap_restore(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
+        with_device!(self, d => d.snap_restore(r))
+    }
+
+    /// Fault injection: wedges the device into a stuck-at state (a stuck
+    /// timer stops firing, a stuck mailbox drops pushes, a stuck semaphore
+    /// never grants, a stuck DMA ignores start commands).
+    pub(crate) fn fault_stick(&mut self) {
+        with_device!(self, d => d.stuck = true);
+        if let Periph::Timer(t) = self {
+            t.next_fire = None;
+        }
     }
 }
 
@@ -164,20 +212,6 @@ pub(crate) const SNAP_KIND_MAILBOX: u8 = 2;
 pub(crate) const SNAP_KIND_SEMAPHORE: u8 = 3;
 /// Checkpoint type tag of [`Dma`].
 pub(crate) const SNAP_KIND_DMA: u8 = 4;
-
-/// Rebuilds an empty peripheral of checkpoint kind `kind` named `name` on
-/// page `page`; its state is then filled by
-/// [`Peripheral::snap_restore`]. Returns `None` for unknown kinds.
-pub(crate) fn periph_from_kind(kind: u8, name: &str, page: usize) -> Option<Box<dyn Peripheral>> {
-    match kind {
-        SNAP_KIND_TIMER => Some(Box::new(Timer::new(name))),
-        // Placeholder capacity; snap_restore overwrites it.
-        SNAP_KIND_MAILBOX => Some(Box::new(Mailbox::new(name, 1))),
-        SNAP_KIND_SEMAPHORE => Some(Box::new(Semaphore::new(name, 0))),
-        SNAP_KIND_DMA => Some(Box::new(Dma::new(name, page))),
-        _ => None,
-    }
-}
 
 fn bad_reg(name: &str, offset: u32) -> Error {
     Error::BadPeripheralRegister {
@@ -248,14 +282,8 @@ impl Timer {
             stuck: false,
         }
     }
-}
 
-impl Peripheral for Timer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read(&mut self, offset: u32, _ctx: &mut PeriphCtx<'_>) -> Result<Word> {
+    fn read(&mut self, offset: u32, _now: Time, _signals: &mut SignalBoard) -> Result<Word> {
         Ok(match offset {
             timer_reg::PERIOD => self.period_ns as Word,
             timer_reg::CTRL => self.enabled as Word,
@@ -266,10 +294,16 @@ impl Peripheral for Timer {
         })
     }
 
-    fn write(&mut self, offset: u32, value: Word, ctx: &mut PeriphCtx<'_>) -> Result<()> {
+    fn write(
+        &mut self,
+        offset: u32,
+        value: Word,
+        now: Time,
+        _signals: &mut SignalBoard,
+    ) -> Result<Option<Effect>> {
         if self.stuck {
             // A wedged device acknowledges the bus cycle but latches nothing.
-            return Ok(());
+            return Ok(None);
         }
         let nonneg = |v: Word| -> Result<u64> {
             u64::try_from(v).map_err(|_| Error::BadRegisterValue {
@@ -293,7 +327,7 @@ impl Peripheral for Timer {
             timer_reg::CTRL => {
                 let enable = value & 1 != 0;
                 if enable && !self.enabled {
-                    self.next_fire = Some(ctx.now + Time::from_ns(self.period_ns));
+                    self.next_fire = Some(now + Time::from_ns(self.period_ns));
                 } else if !enable {
                     self.next_fire = None;
                 }
@@ -304,27 +338,24 @@ impl Peripheral for Timer {
             timer_reg::COUNT => self.count = nonneg(value)?,
             _ => return Err(bad_reg(&self.name, offset)),
         }
-        Ok(())
+        Ok(None)
     }
 
-    fn next_event(&self) -> Option<Time> {
-        self.next_fire
-    }
-
-    fn on_event(&mut self, ctx: &mut PeriphCtx<'_>) {
+    /// The expiry scheduled for `now`: counts it, pulses the tick line,
+    /// re-arms, and requests the tick interrupt.
+    fn on_event(&mut self, now: Time, signals: &mut SignalBoard) -> Option<Effect> {
         if self.stuck {
             self.next_fire = None;
-            return;
+            return None;
         }
         self.count += 1;
-        ctx.effects.push(Effect::RaiseIrq {
+        // Pulse the tick line so signal watchpoints can trigger on it.
+        signals.drive_handle(&mut self.tick_sig, now, self.count as Word);
+        self.next_fire = Some(now + Time::from_ns(self.period_ns));
+        Some(Effect::RaiseIrq {
             core: self.core,
             irq: self.irq,
-        });
-        // Pulse the tick line so signal watchpoints can trigger on it.
-        ctx.signals
-            .drive_handle(&mut self.tick_sig, ctx.now, self.count as Word);
-        self.next_fire = Some(ctx.now + Time::from_ns(self.period_ns));
+        })
     }
 
     fn snapshot(&self) -> Vec<(u32, Word)> {
@@ -337,12 +368,7 @@ impl Peripheral for Timer {
         ]
     }
 
-    fn snap_kind(&self) -> Option<u8> {
-        Some(SNAP_KIND_TIMER)
-    }
-
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_save(&self, w: &mut Writer) {
         w.put_u64(self.period_ns);
         w.put_bool(self.enabled);
         w.put_u64(self.count);
@@ -352,11 +378,7 @@ impl Peripheral for Timer {
         w.put_bool(self.stuck);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mpsoc_snapshot::Reader<'_>,
-    ) -> mpsoc_snapshot::SnapResult<()> {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_restore(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
         self.period_ns = r.get_u64()?;
         self.enabled = r.get_bool()?;
         self.count = r.get_u64()?;
@@ -365,12 +387,6 @@ impl Peripheral for Timer {
         self.next_fire = Option::<Time>::load(r)?;
         self.stuck = r.get_bool()?;
         Ok(())
-    }
-
-    fn fault_stick(&mut self) -> bool {
-        self.stuck = true;
-        self.next_fire = None;
-        true
     }
 }
 
@@ -442,19 +458,12 @@ impl Mailbox {
             stuck: false,
         }
     }
-}
 
-impl Peripheral for Mailbox {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read(&mut self, offset: u32, ctx: &mut PeriphCtx<'_>) -> Result<Word> {
+    fn read(&mut self, offset: u32, now: Time, signals: &mut SignalBoard) -> Result<Word> {
         Ok(match offset {
             mailbox_reg::DATA => {
                 let v = self.fifo.pop_front().unwrap_or(0);
-                ctx.signals
-                    .drive_handle(&mut self.avail_sig, ctx.now, self.fifo.len() as Word);
+                signals.drive_handle(&mut self.avail_sig, now, self.fifo.len() as Word);
                 v
             }
             mailbox_reg::COUNT => self.fifo.len() as Word,
@@ -466,7 +475,13 @@ impl Peripheral for Mailbox {
         })
     }
 
-    fn write(&mut self, offset: u32, value: Word, ctx: &mut PeriphCtx<'_>) -> Result<()> {
+    fn write(
+        &mut self,
+        offset: u32,
+        value: Word,
+        now: Time,
+        signals: &mut SignalBoard,
+    ) -> Result<Option<Effect>> {
         match offset {
             mailbox_reg::DATA => {
                 if self.stuck || self.fifo.len() >= self.capacity {
@@ -474,15 +489,10 @@ impl Peripheral for Mailbox {
                 } else {
                     let was_empty = self.fifo.is_empty();
                     self.fifo.push_back(value);
-                    ctx.signals
-                        .drive_handle(&mut self.avail_sig, ctx.now, self.fifo.len() as Word);
+                    signals.drive_handle(&mut self.avail_sig, now, self.fifo.len() as Word);
                     if was_empty {
-                        if let Some(core) = self.notify_core {
-                            ctx.effects.push(Effect::RaiseIrq {
-                                core,
-                                irq: self.irq,
-                            });
-                        }
+                        let irq = self.irq;
+                        return Ok(self.notify_core.map(|core| Effect::RaiseIrq { core, irq }));
                     }
                 }
             }
@@ -498,14 +508,8 @@ impl Peripheral for Mailbox {
             }
             _ => return Err(bad_reg(&self.name, offset)),
         }
-        Ok(())
+        Ok(None)
     }
-
-    fn next_event(&self) -> Option<Time> {
-        None
-    }
-
-    fn on_event(&mut self, _ctx: &mut PeriphCtx<'_>) {}
 
     fn snapshot(&self) -> Vec<(u32, Word)> {
         vec![
@@ -520,12 +524,7 @@ impl Peripheral for Mailbox {
         ]
     }
 
-    fn snap_kind(&self) -> Option<u8> {
-        Some(SNAP_KIND_MAILBOX)
-    }
-
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_save(&self, w: &mut Writer) {
         w.put_usize(self.fifo.len());
         for &word in &self.fifo {
             w.put_i64(word);
@@ -537,11 +536,7 @@ impl Peripheral for Mailbox {
         w.put_bool(self.stuck);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mpsoc_snapshot::Reader<'_>,
-    ) -> mpsoc_snapshot::SnapResult<()> {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_restore(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
         let queued = r.get_len(8)?;
         self.fifo.clear();
         for _ in 0..queued {
@@ -549,7 +544,7 @@ impl Peripheral for Mailbox {
         }
         let capacity = r.get_usize()?;
         if capacity == 0 || queued > capacity {
-            return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+            return Err(SnapError::Malformed(format!(
                 "mailbox `{}`: {queued} queued words exceed capacity {capacity}",
                 self.name
             )));
@@ -560,11 +555,6 @@ impl Peripheral for Mailbox {
         self.irq = r.get_u32()?;
         self.stuck = r.get_bool()?;
         Ok(())
-    }
-
-    fn fault_stick(&mut self) -> bool {
-        self.stuck = true;
-        true
     }
 }
 
@@ -626,20 +616,14 @@ impl Semaphore {
     pub fn contentions(&self) -> u64 {
         self.contentions
     }
-}
 
-impl Peripheral for Semaphore {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read(&mut self, offset: u32, ctx: &mut PeriphCtx<'_>) -> Result<Word> {
+    fn read(&mut self, offset: u32, now: Time, signals: &mut SignalBoard) -> Result<Word> {
         Ok(match offset {
             semaphore_reg::TRYACQ => {
                 if !self.stuck && self.count > 0 {
                     self.count -= 1;
                     self.acquires += 1;
-                    ctx.signals.drive_handle(&mut self.held_sig, ctx.now, 1);
+                    signals.drive_handle(&mut self.held_sig, now, 1);
                     1
                 } else {
                     self.contentions += 1;
@@ -651,14 +635,20 @@ impl Peripheral for Semaphore {
         })
     }
 
-    fn write(&mut self, offset: u32, value: Word, ctx: &mut PeriphCtx<'_>) -> Result<()> {
+    fn write(
+        &mut self,
+        offset: u32,
+        value: Word,
+        now: Time,
+        signals: &mut SignalBoard,
+    ) -> Result<Option<Effect>> {
         if self.stuck {
-            return Ok(());
+            return Ok(None);
         }
         match offset {
             semaphore_reg::RELEASE => {
                 self.count += 1;
-                ctx.signals.drive_handle(&mut self.held_sig, ctx.now, 0);
+                signals.drive_handle(&mut self.held_sig, now, 0);
             }
             semaphore_reg::INIT => {
                 self.count = u64::try_from(value).map_err(|_| Error::BadRegisterValue {
@@ -669,44 +659,26 @@ impl Peripheral for Semaphore {
             }
             _ => return Err(bad_reg(&self.name, offset)),
         }
-        Ok(())
+        Ok(None)
     }
-
-    fn next_event(&self) -> Option<Time> {
-        None
-    }
-
-    fn on_event(&mut self, _ctx: &mut PeriphCtx<'_>) {}
 
     fn snapshot(&self) -> Vec<(u32, Word)> {
         vec![(semaphore_reg::VALUE, self.count as Word)]
     }
 
-    fn snap_kind(&self) -> Option<u8> {
-        Some(SNAP_KIND_SEMAPHORE)
-    }
-
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
+    fn snap_save(&self, w: &mut Writer) {
         w.put_u64(self.count);
         w.put_u64(self.acquires);
         w.put_u64(self.contentions);
         w.put_bool(self.stuck);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mpsoc_snapshot::Reader<'_>,
-    ) -> mpsoc_snapshot::SnapResult<()> {
+    fn snap_restore(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
         self.count = r.get_u64()?;
         self.acquires = r.get_u64()?;
         self.contentions = r.get_u64()?;
         self.stuck = r.get_bool()?;
         Ok(())
-    }
-
-    fn fault_stick(&mut self) -> bool {
-        self.stuck = true;
-        true
     }
 }
 
@@ -796,8 +768,11 @@ impl Dma {
     }
 
     /// Drops the in-flight transfer: the engine accepts start commands
-    /// again and `"<name>.busy"` falls at `now`.
-    fn release(&mut self, now: Time, signals: &mut SignalBoard) {
+    /// again and `"<name>.busy"` falls at `now`. Called by the platform
+    /// *instead of* [`complete`](Dma::complete) when it could not perform
+    /// the transfer (its source or destination range does not resolve):
+    /// nothing was copied, no completion is counted, no IRQ requested.
+    pub(crate) fn release(&mut self, now: Time, signals: &mut SignalBoard) {
         self.busy = false;
         signals.drive_handle(&mut self.busy_sig, now, 0);
     }
@@ -806,14 +781,8 @@ impl Dma {
     pub fn completed(&self) -> u64 {
         self.completed
     }
-}
 
-impl Peripheral for Dma {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read(&mut self, offset: u32, _ctx: &mut PeriphCtx<'_>) -> Result<Word> {
+    fn read(&mut self, offset: u32, _now: Time, _signals: &mut SignalBoard) -> Result<Word> {
         Ok(match offset {
             dma_reg::SRC => self.src as Word,
             dma_reg::DST => self.dst as Word,
@@ -825,7 +794,13 @@ impl Peripheral for Dma {
         })
     }
 
-    fn write(&mut self, offset: u32, value: Word, ctx: &mut PeriphCtx<'_>) -> Result<()> {
+    fn write(
+        &mut self,
+        offset: u32,
+        value: Word,
+        now: Time,
+        signals: &mut SignalBoard,
+    ) -> Result<Option<Effect>> {
         let addr = |v: Word| -> Result<u32> {
             u32::try_from(v).map_err(|_| Error::BadRegisterValue {
                 peripheral: self.name.clone(),
@@ -842,32 +817,18 @@ impl Peripheral for Dma {
             dma_reg::CTRL => {
                 if value & 1 != 0 && !self.busy && !self.stuck && self.len > 0 {
                     self.busy = true;
-                    ctx.signals.drive_handle(&mut self.busy_sig, ctx.now, 1);
-                    ctx.effects.push(Effect::DmaCopy {
+                    signals.drive_handle(&mut self.busy_sig, now, 1);
+                    return Ok(Some(Effect::DmaCopy {
                         page: self.page,
                         src: self.src,
                         dst: self.dst,
                         len: self.len,
-                    });
+                    }));
                 }
             }
             _ => return Err(bad_reg(&self.name, offset)),
         }
-        Ok(())
-    }
-
-    fn next_event(&self) -> Option<Time> {
-        None
-    }
-
-    fn on_event(&mut self, _ctx: &mut PeriphCtx<'_>) {}
-
-    fn transfer_done(&mut self, now: Time, signals: &mut SignalBoard) -> Option<(usize, u32)> {
-        self.complete(now, signals)
-    }
-
-    fn transfer_faulted(&mut self, now: Time, signals: &mut SignalBoard) {
-        self.release(now, signals);
+        Ok(None)
     }
 
     fn snapshot(&self) -> Vec<(u32, Word)> {
@@ -881,12 +842,7 @@ impl Peripheral for Dma {
         ]
     }
 
-    fn snap_kind(&self) -> Option<u8> {
-        Some(SNAP_KIND_DMA)
-    }
-
-    fn snap_save(&self, w: &mut mpsoc_snapshot::Writer) {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_save(&self, w: &mut Writer) {
         w.put_u32(self.src);
         w.put_u32(self.dst);
         w.put_u32(self.len);
@@ -897,11 +853,7 @@ impl Peripheral for Dma {
         w.put_bool(self.stuck);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mpsoc_snapshot::Reader<'_>,
-    ) -> mpsoc_snapshot::SnapResult<()> {
-        use mpsoc_snapshot::Snapshot as _;
+    fn snap_restore(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
         self.src = r.get_u32()?;
         self.dst = r.get_u32()?;
         self.len = r.get_u32()?;
@@ -912,188 +864,152 @@ impl Peripheral for Dma {
         self.stuck = r.get_bool()?;
         Ok(())
     }
-
-    fn fault_stick(&mut self) -> bool {
-        self.stuck = true;
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx_parts() -> (SignalBoard, Vec<Effect>) {
-        (SignalBoard::new(), Vec::new())
-    }
+    const T0: Time = Time::ZERO;
 
     #[test]
     fn timer_fires_periodically() {
-        let (mut sb, mut fx) = ctx_parts();
+        let mut sb = SignalBoard::new();
         let mut t = Timer::new("timer0");
-        {
-            let mut ctx = PeriphCtx {
-                now: Time::ZERO,
-                signals: &mut sb,
-                effects: &mut fx,
-            };
-            t.write(timer_reg::PERIOD, 100, &mut ctx).unwrap(); // 100 ns
-            t.write(timer_reg::IRQ, 3, &mut ctx).unwrap();
-            t.write(timer_reg::CTRL, 1, &mut ctx).unwrap();
-        }
+        assert_eq!(t.write(timer_reg::PERIOD, 100, T0, &mut sb), Ok(None)); // 100 ns
+        assert_eq!(t.write(timer_reg::IRQ, 3, T0, &mut sb), Ok(None));
+        assert_eq!(t.write(timer_reg::CTRL, 1, T0, &mut sb), Ok(None));
+        let mut t = Periph::Timer(t);
         assert_eq!(t.next_event(), Some(Time::from_ns(100)));
-        {
-            let mut ctx = PeriphCtx {
-                now: Time::from_ns(100),
-                signals: &mut sb,
-                effects: &mut fx,
-            };
-            t.on_event(&mut ctx);
-        }
-        assert_eq!(fx, vec![Effect::RaiseIrq { core: 0, irq: 3 }]);
+        assert_eq!(
+            t.on_event(Time::from_ns(100), &mut sb),
+            Some(Effect::RaiseIrq { core: 0, irq: 3 })
+        );
         assert_eq!(t.next_event(), Some(Time::from_ns(200)));
         assert_eq!(sb.value("timer0.tick"), 1);
     }
 
     #[test]
     fn timer_rejects_zero_period() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut t = Timer::new("t");
-        assert!(t.write(timer_reg::PERIOD, 0, &mut ctx).is_err());
-        assert!(t.write(timer_reg::PERIOD, -5, &mut ctx).is_err());
+        assert!(t.write(timer_reg::PERIOD, 0, T0, &mut sb).is_err());
+        assert!(t.write(timer_reg::PERIOD, -5, T0, &mut sb).is_err());
     }
 
     #[test]
     fn timer_disable_cancels() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
-        let mut t = Timer::new("t");
-        t.write(timer_reg::CTRL, 1, &mut ctx).unwrap();
+        let mut sb = SignalBoard::new();
+        let mut t = Periph::Timer(Timer::new("t"));
+        t.write(timer_reg::CTRL, 1, T0, &mut sb).unwrap();
         assert!(t.next_event().is_some());
-        t.write(timer_reg::CTRL, 0, &mut ctx).unwrap();
+        t.write(timer_reg::CTRL, 0, T0, &mut sb).unwrap();
         assert!(t.next_event().is_none());
     }
 
     #[test]
+    fn only_a_timer_has_events_and_a_stuck_one_has_none() {
+        let mut sb = SignalBoard::new();
+        let mut others = [
+            Periph::Mailbox(Mailbox::new("m", 1)),
+            Periph::Semaphore(Semaphore::new("s", 1)),
+            Periph::Dma(Dma::new("d", 3)),
+        ];
+        for p in &mut others {
+            assert_eq!(p.next_event(), None, "{}", p.name());
+            assert_eq!(p.on_event(T0, &mut sb), None, "{}", p.name());
+        }
+        let mut t = Periph::Timer(Timer::new("t"));
+        t.write(timer_reg::CTRL, 1, T0, &mut sb).unwrap();
+        t.fault_stick();
+        assert_eq!(t.next_event(), None);
+        // A wedged timer latches nothing, so it cannot be re-armed either.
+        assert_eq!(t.write(timer_reg::CTRL, 0, T0, &mut sb), Ok(None));
+        assert_eq!(t.write(timer_reg::CTRL, 1, T0, &mut sb), Ok(None));
+        assert_eq!(t.next_event(), None);
+        assert_eq!(t.on_event(T0, &mut sb), None);
+    }
+
+    #[test]
     fn mailbox_fifo_order_and_drops() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut mb = Mailbox::new("mb0", 2);
-        mb.write(mailbox_reg::DATA, 10, &mut ctx).unwrap();
-        mb.write(mailbox_reg::DATA, 20, &mut ctx).unwrap();
-        mb.write(mailbox_reg::DATA, 30, &mut ctx).unwrap(); // dropped
-        assert_eq!(mb.read(mailbox_reg::COUNT, &mut ctx).unwrap(), 2);
-        assert_eq!(mb.read(mailbox_reg::DROPS, &mut ctx).unwrap(), 1);
-        assert_eq!(mb.read(mailbox_reg::DATA, &mut ctx).unwrap(), 10);
-        assert_eq!(mb.read(mailbox_reg::DATA, &mut ctx).unwrap(), 20);
-        assert_eq!(mb.read(mailbox_reg::DATA, &mut ctx).unwrap(), 0); // empty
+        mb.write(mailbox_reg::DATA, 10, T0, &mut sb).unwrap();
+        mb.write(mailbox_reg::DATA, 20, T0, &mut sb).unwrap();
+        mb.write(mailbox_reg::DATA, 30, T0, &mut sb).unwrap(); // dropped
+        assert_eq!(mb.read(mailbox_reg::COUNT, T0, &mut sb), Ok(2));
+        assert_eq!(mb.read(mailbox_reg::DROPS, T0, &mut sb), Ok(1));
+        assert_eq!(mb.read(mailbox_reg::DATA, T0, &mut sb), Ok(10));
+        assert_eq!(mb.read(mailbox_reg::DATA, T0, &mut sb), Ok(20));
+        assert_eq!(mb.read(mailbox_reg::DATA, T0, &mut sb), Ok(0)); // empty
     }
 
     #[test]
     fn mailbox_notifies_on_first_word() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut mb = Mailbox::new("mb0", 4);
-        mb.write(mailbox_reg::NOTIFY, 1, &mut ctx).unwrap();
-        mb.write(mailbox_reg::DATA, 42, &mut ctx).unwrap();
-        mb.write(mailbox_reg::DATA, 43, &mut ctx).unwrap(); // no second IRQ
-        assert_eq!(ctx.effects, &vec![Effect::RaiseIrq { core: 1, irq: 1 }]);
-        assert_eq!(ctx.signals.value("mb0.avail"), 2);
+        assert_eq!(mb.write(mailbox_reg::NOTIFY, 1, T0, &mut sb), Ok(None));
+        assert_eq!(
+            mb.write(mailbox_reg::DATA, 42, T0, &mut sb),
+            Ok(Some(Effect::RaiseIrq { core: 1, irq: 1 }))
+        );
+        // No second IRQ while the box stays non-empty.
+        assert_eq!(mb.write(mailbox_reg::DATA, 43, T0, &mut sb), Ok(None));
+        assert_eq!(sb.value("mb0.avail"), 2);
     }
 
     #[test]
     fn semaphore_atomic_tryacq() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut s = Semaphore::new("lock0", 1);
-        assert_eq!(s.read(semaphore_reg::TRYACQ, &mut ctx).unwrap(), 1);
-        assert_eq!(s.read(semaphore_reg::TRYACQ, &mut ctx).unwrap(), 0);
+        assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(1));
+        assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(0));
         assert_eq!(s.contentions(), 1);
-        s.write(semaphore_reg::RELEASE, 0, &mut ctx).unwrap();
-        assert_eq!(s.read(semaphore_reg::TRYACQ, &mut ctx).unwrap(), 1);
-        assert_eq!(s.read(semaphore_reg::VALUE, &mut ctx).unwrap(), 0);
+        assert_eq!(s.write(semaphore_reg::RELEASE, 0, T0, &mut sb), Ok(None));
+        assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(1));
+        assert_eq!(s.read(semaphore_reg::VALUE, T0, &mut sb), Ok(0));
     }
 
     #[test]
     fn semaphore_counting_init() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut s = Semaphore::new("s", 0);
-        s.write(semaphore_reg::INIT, 3, &mut ctx).unwrap();
+        assert_eq!(s.write(semaphore_reg::INIT, 3, T0, &mut sb), Ok(None));
         for _ in 0..3 {
-            assert_eq!(s.read(semaphore_reg::TRYACQ, &mut ctx).unwrap(), 1);
+            assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(1));
         }
-        assert_eq!(s.read(semaphore_reg::TRYACQ, &mut ctx).unwrap(), 0);
+        assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(0));
     }
 
     #[test]
     fn dma_start_emits_copy_effect() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
+        let mut sb = SignalBoard::new();
         let mut d = Dma::new("dma0", 7);
-        d.write(dma_reg::SRC, 100, &mut ctx).unwrap();
-        d.write(dma_reg::DST, 200, &mut ctx).unwrap();
-        d.write(dma_reg::LEN, 16, &mut ctx).unwrap();
-        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
+        assert_eq!(d.write(dma_reg::SRC, 100, T0, &mut sb), Ok(None));
+        assert_eq!(d.write(dma_reg::DST, 200, T0, &mut sb), Ok(None));
+        assert_eq!(d.write(dma_reg::LEN, 16, T0, &mut sb), Ok(None));
         assert_eq!(
-            ctx.effects,
-            &vec![Effect::DmaCopy {
+            d.write(dma_reg::CTRL, 1, T0, &mut sb),
+            Ok(Some(Effect::DmaCopy {
                 page: 7,
                 src: 100,
                 dst: 200,
                 len: 16
-            }]
+            }))
         );
-        assert_eq!(d.read(dma_reg::BUSY, &mut ctx).unwrap(), 1);
-        assert_eq!(ctx.signals.value("dma0.busy"), 1);
+        assert_eq!(d.read(dma_reg::BUSY, T0, &mut sb), Ok(1));
+        assert_eq!(sb.value("dma0.busy"), 1);
         // Starting again while busy is ignored.
-        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
-        assert_eq!(ctx.effects.len(), 1);
+        assert_eq!(d.write(dma_reg::CTRL, 1, T0, &mut sb), Ok(None));
     }
 
     #[test]
     fn dma_complete_clears_busy_and_notifies() {
-        let (mut sb, mut fx) = ctx_parts();
+        let mut sb = SignalBoard::new();
         let mut d = Dma::new("dma0", 7);
-        {
-            let mut ctx = PeriphCtx {
-                now: Time::ZERO,
-                signals: &mut sb,
-                effects: &mut fx,
-            };
-            d.write(dma_reg::LEN, 4, &mut ctx).unwrap();
-            d.write(dma_reg::CORE, 2, &mut ctx).unwrap();
-            d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
-        }
+        d.write(dma_reg::LEN, 4, T0, &mut sb).unwrap();
+        d.write(dma_reg::CORE, 2, T0, &mut sb).unwrap();
+        assert!(d.write(dma_reg::CTRL, 1, T0, &mut sb).unwrap().is_some());
         let irq = d.complete(Time::from_ns(500), &mut sb);
         assert_eq!(irq, Some((2, 2)));
         assert_eq!(sb.value("dma0.busy"), 0);
@@ -1102,23 +1018,17 @@ mod tests {
 
     #[test]
     fn dma_fault_releases_without_completing() {
-        let (mut sb, mut fx) = ctx_parts();
+        let mut sb = SignalBoard::new();
         let mut d = Dma::new("dma0", 7);
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
-        d.write(dma_reg::LEN, 4, &mut ctx).unwrap();
-        d.write(dma_reg::CORE, 2, &mut ctx).unwrap();
-        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
-        d.transfer_faulted(Time::from_ns(500), ctx.signals);
-        assert_eq!(d.read(dma_reg::BUSY, &mut ctx).unwrap(), 0);
-        assert_eq!(ctx.signals.value("dma0.busy"), 0);
+        d.write(dma_reg::LEN, 4, T0, &mut sb).unwrap();
+        d.write(dma_reg::CORE, 2, T0, &mut sb).unwrap();
+        assert!(d.write(dma_reg::CTRL, 1, T0, &mut sb).unwrap().is_some());
+        d.release(Time::from_ns(500), &mut sb);
+        assert_eq!(d.read(dma_reg::BUSY, T0, &mut sb), Ok(0));
+        assert_eq!(sb.value("dma0.busy"), 0);
         assert_eq!(d.completed(), 0);
         // The next start command is accepted again.
-        d.write(dma_reg::CTRL, 1, &mut ctx).unwrap();
-        assert_eq!(ctx.effects.len(), 2);
+        assert!(d.write(dma_reg::CTRL, 1, T0, &mut sb).unwrap().is_some());
     }
 
     #[test]
@@ -1130,20 +1040,11 @@ mod tests {
         a.drive("decoy", Time::ZERO, 9);
         b.drive("t.tick", Time::ZERO, 0);
         b.drive("other", Time::ZERO, 7);
-        let mut fx = Vec::new();
         let mut t = Timer::new("t");
-        let mut fire = |t: &mut Timer, board: &mut SignalBoard, ns| {
-            let mut ctx = PeriphCtx {
-                now: Time::from_ns(ns),
-                signals: board,
-                effects: &mut fx,
-            };
-            t.on_event(&mut ctx);
-        };
-        fire(&mut t, &mut a, 1);
-        fire(&mut t, &mut b, 2);
-        fire(&mut t, &mut a, 3);
-        fire(&mut t, &mut b, 4);
+        for ns in 1..=4 {
+            let board = if ns % 2 == 1 { &mut a } else { &mut b };
+            assert!(t.on_event(Time::from_ns(ns), board).is_some());
+        }
         assert_eq!(a.value("t.tick"), 3);
         assert_eq!(b.value("t.tick"), 4);
         assert_eq!((a.value("decoy"), b.value("other")), (9, 7));
@@ -1155,31 +1056,27 @@ mod tests {
 
     #[test]
     fn unknown_registers_rejected() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
-        let mut t = Timer::new("t");
-        assert!(t.read(99, &mut ctx).is_err());
-        let mut mb = Mailbox::new("m", 1);
-        assert!(mb.write(99, 0, &mut ctx).is_err());
+        let mut sb = SignalBoard::new();
+        let mut t = Periph::Timer(Timer::new("t"));
+        assert_eq!(
+            t.read(99, T0, &mut sb),
+            Err(Error::BadPeripheralRegister {
+                peripheral: "t".into(),
+                offset: 99
+            })
+        );
+        let mut mb = Periph::Mailbox(Mailbox::new("m", 1));
+        assert!(mb.write(99, 0, T0, &mut sb).is_err());
     }
 
     #[test]
     fn snapshots_do_not_perturb() {
-        let (mut sb, mut fx) = ctx_parts();
-        let mut ctx = PeriphCtx {
-            now: Time::ZERO,
-            signals: &mut sb,
-            effects: &mut fx,
-        };
-        let mut mb = Mailbox::new("m", 2);
-        mb.write(mailbox_reg::DATA, 5, &mut ctx).unwrap();
+        let mut sb = SignalBoard::new();
+        let mut mb = Periph::Mailbox(Mailbox::new("m", 2));
+        mb.write(mailbox_reg::DATA, 5, T0, &mut sb).unwrap();
         let snap = mb.snapshot();
         assert!(snap.contains(&(mailbox_reg::COUNT, 1)));
         // The word is still there: snapshot did not pop.
-        assert_eq!(mb.read(mailbox_reg::DATA, &mut ctx).unwrap(), 5);
+        assert_eq!(mb.read(mailbox_reg::DATA, T0, &mut sb), Ok(5));
     }
 }

@@ -20,7 +20,7 @@ use crate::error::{Error, Result};
 use crate::interconnect::{Bus, Interconnect, Mesh};
 use crate::isa::{Instr, Program, Reg, Word};
 use crate::mem::{decode, Ram, Region, LOCAL_STRIDE};
-use crate::periph::{Dma, Effect, Mailbox, PeriphCtx, Peripheral, Semaphore, Timer};
+use crate::periph::{Dma, Effect, Mailbox, Periph, Semaphore, Timer};
 use crate::signal::{SignalBoard, TraceMode, TraceSpill, TraceStats};
 use crate::time::{Cycles, Frequency, Time};
 use mpsoc_obs::event::{Event, EventSink};
@@ -441,9 +441,9 @@ impl PlatformBuilder {
             }
         }
         let n = self.core_freqs.len();
-        let interconnect: Box<dyn Interconnect> = match self.interconnect {
+        let interconnect = match self.interconnect {
             InterconnectConfig::Bus { latency, occupancy } => {
-                Box::new(Bus::new(latency, occupancy))
+                Interconnect::Bus(Bus::new(latency, occupancy))
             }
             InterconnectConfig::Mesh {
                 w,
@@ -456,7 +456,7 @@ impl PlatformBuilder {
                         "{w}x{h} mesh too small for {n} cores + memory controller"
                     )));
                 }
-                Box::new(Mesh::new(w, h, hop_latency, link_occupancy))
+                Interconnect::Mesh(Mesh::new(w, h, hop_latency, link_occupancy))
             }
         };
         Ok(Platform {
@@ -493,7 +493,6 @@ impl PlatformBuilder {
                 kind: StepKind::Idle,
                 accesses: Vec::new(),
             },
-            scratch_effects: Vec::new(),
             base_mark: None,
             base_shared: Vec::new(),
             base_locals: Vec::new(),
@@ -532,8 +531,8 @@ pub struct Platform {
     pub(crate) locals: Vec<Ram>,
     pub(crate) caches: Vec<Option<Cache>>,
     pub(crate) cache_hit_cycles: u64,
-    pub(crate) interconnect: Box<dyn Interconnect>,
-    pub(crate) periphs: Vec<Box<dyn Peripheral>>,
+    pub(crate) interconnect: Interconnect,
+    pub(crate) periphs: Vec<Periph>,
     pub(crate) signals: SignalBoard,
     pub(crate) pending_dma: Vec<PendingDma>,
     pub(crate) enforce_locality: bool,
@@ -550,8 +549,6 @@ pub struct Platform {
     /// reused from step to step ([`step`](Platform::step) moves it out,
     /// [`recycle`](Platform::recycle) moves it back).
     event: StepEvent,
-    /// Recycled peripheral-effect buffer for the step/access hot paths.
-    scratch_effects: Vec<Effect>,
     /// Payload checksum of the base image the RAM dirty bitmaps are
     /// relative to (set by `capture`/`restore_image`, `None` before the
     /// first capture). `restore_delta` uses it to prove its in-place RAM
@@ -669,9 +666,9 @@ impl Platform {
         self.signals.detach_trace_spill()
     }
 
-    /// Registers a peripheral; returns its page index (its registers appear
-    /// at [`crate::mem::periph_addr`]`(page, ..)`).
-    pub fn add_peripheral(&mut self, p: Box<dyn Peripheral>) -> usize {
+    /// Puts `p` on the next free page; returns the page index (its
+    /// registers appear at [`crate::mem::periph_addr`]`(page, ..)`).
+    fn add_peripheral(&mut self, p: Periph) -> usize {
         self.periphs.push(p);
         let page = self.periphs.len() - 1;
         self.calendar.mark_periph(page);
@@ -680,23 +677,23 @@ impl Platform {
 
     /// Adds a [`Timer`] named `name`; returns its page.
     pub fn add_timer(&mut self, name: &str) -> usize {
-        self.add_peripheral(Box::new(Timer::new(name)))
+        self.add_peripheral(Periph::Timer(Timer::new(name)))
     }
 
     /// Adds a [`Mailbox`] named `name` with `capacity` words; returns its page.
     pub fn add_mailbox(&mut self, name: &str, capacity: usize) -> usize {
-        self.add_peripheral(Box::new(Mailbox::new(name, capacity)))
+        self.add_peripheral(Periph::Mailbox(Mailbox::new(name, capacity)))
     }
 
     /// Adds a [`Semaphore`] named `name` with initial `count`; returns its page.
     pub fn add_semaphore(&mut self, name: &str, count: u64) -> usize {
-        self.add_peripheral(Box::new(Semaphore::new(name, count)))
+        self.add_peripheral(Periph::Semaphore(Semaphore::new(name, count)))
     }
 
     /// Adds a [`Dma`] engine named `name`; returns its page.
     pub fn add_dma(&mut self, name: &str) -> usize {
         let page = self.periphs.len();
-        self.add_peripheral(Box::new(Dma::new(name, page)))
+        self.add_peripheral(Periph::Dma(Dma::new(name, page)))
     }
 
     /// Debugger register dump of peripheral `page` without side effects.
@@ -765,30 +762,10 @@ impl Platform {
     /// [`Error::UnmappedAddress`] for a nonexistent page, or whatever the
     /// device rejects.
     pub fn debug_periph_write(&mut self, page: usize, offset: u32, value: Word) -> Result<()> {
-        let now = self.now;
-        let mut effects = std::mem::take(&mut self.scratch_effects);
-        let wrote = {
-            let p = match self.periphs.get_mut(page) {
-                Some(p) => p,
-                None => {
-                    self.scratch_effects = effects;
-                    return Err(Error::UnmappedAddress {
-                        addr: crate::mem::periph_addr(page, offset),
-                    });
-                }
-            };
-            let mut ctx = PeriphCtx {
-                now,
-                signals: &mut self.signals,
-                effects: &mut effects,
-            };
-            p.write(offset, value, &mut ctx)
-        };
-        let res = wrote.and_then(|()| self.run_effects(&mut effects));
-        effects.clear(); // discard any effects of a faulted access
-        self.scratch_effects = effects;
-        self.calendar.mark_periph(page);
-        res
+        let addr = crate::mem::periph_addr(page, offset);
+        self.periph_access(page, addr, self.now, |p, now, signals| {
+            Ok(((), p.write(offset, value, now, signals)?))
+        })
     }
 
     /// Posts interrupt `irq` to core `core` as an external stimulus, at the
@@ -844,7 +821,7 @@ impl Platform {
         }
         if self.scheduler == SchedulerMode::Calendar {
             for d in &self.pending_dma {
-                // Same invariant as `run_effects`: scheduled once with a
+                // Same invariant as `apply_effect`: scheduled once with a
                 // fixed finish time, generation 0, removed only on execution.
                 self.calendar.heap.push(Reverse(CalKey {
                     at: d.finish,
@@ -1099,19 +1076,14 @@ impl Platform {
         match actor {
             Actor::Core(id) => self.step_core(id),
             Actor::Periph(page) => {
-                let mut effects = std::mem::take(&mut self.scratch_effects);
-                {
-                    let mut ctx = PeriphCtx {
-                        now: self.now,
-                        signals: &mut self.signals,
-                        effects: &mut effects,
-                    };
-                    self.periphs[page].on_event(&mut ctx);
-                }
-                let res = self.run_effects(&mut effects);
-                self.scratch_effects = effects;
+                // The entry is retired in place, so no dirty mark (and no
+                // `periph_access`): a timer's event changes its next event
+                // and nothing else the calendar holds.
+                let effect = self.periphs[page].on_event(self.now, &mut self.signals);
                 self.retire_periph_entry(page);
-                res?;
+                if let Some(e) = effect {
+                    self.apply_effect(e);
+                }
                 if let Some(m) = &self.metrics {
                     m.periph_events.inc();
                 }
@@ -1132,19 +1104,15 @@ impl Platform {
                 if let Err(e) = copied {
                     // Nothing was copied. The transfer is gone either way,
                     // so the engine must not stay busy waiting for it.
-                    if let Some(dma) = self.periphs.get_mut(d.page) {
-                        dma.transfer_faulted(self.now, &mut self.signals);
+                    if let Some(Periph::Dma(dma)) = self.periphs.get_mut(d.page) {
+                        dma.release(self.now, &mut self.signals);
                     }
                     return Err(e);
                 }
                 // Tell the engine it is done; deliver its completion IRQ.
-                let mut irq_req = None;
-                if let Some(dma) = self.periphs.get_mut(d.page) {
-                    irq_req = dma.transfer_done(self.now, &mut self.signals);
-                }
-                if let Some((core, irq)) = irq_req {
-                    if let Some(c) = self.cores.get_mut(core) {
-                        c.post_irq(irq, self.now);
+                if let Some(Periph::Dma(dma)) = self.periphs.get_mut(d.page) {
+                    if let Some((core, irq)) = dma.complete(self.now, &mut self.signals) {
+                        self.apply_effect(Effect::RaiseIrq { core, irq });
                     }
                 }
                 if let Some(m) = &self.metrics {
@@ -1535,29 +1503,10 @@ impl Platform {
                     m.noc_transfers.inc();
                 }
                 let done = self.interconnect.transfer(core, mem_node, start);
-                let mut effects = std::mem::take(&mut self.scratch_effects);
-                let v = {
-                    let p = match self.periphs.get_mut(page) {
-                        Some(p) => p,
-                        None => {
-                            self.scratch_effects = effects;
-                            return Err(Error::UnmappedAddress { addr });
-                        }
-                    };
-                    let mut ctx = PeriphCtx {
-                        now: done,
-                        signals: &mut self.signals,
-                        effects: &mut effects,
-                    };
-                    p.read(offset, &mut ctx)
-                };
-                let res = v.and_then(|v| self.run_effects(&mut effects).map(|()| v));
-                effects.clear(); // discard any effects of a faulted access
-                self.scratch_effects = effects;
-                // Register reads can re-arm the peripheral (e.g. a mailbox
-                // pop changing its readiness) — rebuild its entry.
-                self.calendar.mark_periph(page);
-                Ok((res?, Cycles::ZERO, done.saturating_sub(start)))
+                let v = self.periph_access(page, addr, done, |p, now, signals| {
+                    Ok((p.read(offset, now, signals)?, None))
+                })?;
+                Ok((v, Cycles::ZERO, done.saturating_sub(start)))
             }
         }
     }
@@ -1596,29 +1545,9 @@ impl Platform {
                     m.noc_transfers.inc();
                 }
                 let done = self.interconnect.transfer(core, mem_node, start);
-                let mut effects = std::mem::take(&mut self.scratch_effects);
-                let wrote = {
-                    let p = match self.periphs.get_mut(page) {
-                        Some(p) => p,
-                        None => {
-                            self.scratch_effects = effects;
-                            return Err(Error::UnmappedAddress { addr });
-                        }
-                    };
-                    let mut ctx = PeriphCtx {
-                        now: done,
-                        signals: &mut self.signals,
-                        effects: &mut effects,
-                    };
-                    p.write(offset, v, &mut ctx)
-                };
-                let res = wrote.and_then(|()| self.run_effects(&mut effects));
-                effects.clear(); // discard any effects of a faulted access
-                self.scratch_effects = effects;
-                // Register writes arm timers, start DMA, etc. — rebuild the
-                // peripheral's calendar entry.
-                self.calendar.mark_periph(page);
-                res?;
+                self.periph_access(page, addr, done, |p, now, signals| {
+                    Ok(((), p.write(offset, v, now, signals)?))
+                })?;
                 Ok((Cycles::ZERO, done.saturating_sub(start)))
             }
         }
@@ -1649,56 +1578,79 @@ impl Platform {
         }
     }
 
-    /// Applies (and drains) queued peripheral effects. The buffer is the
-    /// caller's loan from `scratch_effects`, returned empty.
-    fn run_effects(&mut self, effects: &mut Vec<Effect>) -> Result<()> {
-        for e in effects.drain(..) {
-            match e {
-                Effect::RaiseIrq { core, irq } => {
-                    if let Some(c) = self.cores.get_mut(core) {
-                        c.post_irq(irq, self.now);
-                    }
+    /// One register access to peripheral `page`, reaching the device at
+    /// `at`: looks the page up (`addr` is what an unoccupied one reports as
+    /// unmapped), runs `op` on the device, marks the page's calendar entry
+    /// stale, and applies the effect `op` returned beside its value.
+    ///
+    /// The mark is unconditional — a rejected access leaves it too — so the
+    /// calendar never depends on which registers of which device can move
+    /// its next event (a write arms a timer, a pop changes a mailbox), nor
+    /// on every error path having latched nothing.
+    fn periph_access<T>(
+        &mut self,
+        page: usize,
+        addr: u32,
+        at: Time,
+        op: impl FnOnce(&mut Periph, Time, &mut SignalBoard) -> Result<(T, Option<Effect>)>,
+    ) -> Result<T> {
+        let p = (self.periphs.get_mut(page)).ok_or(Error::UnmappedAddress { addr })?;
+        let res = op(p, at, &mut self.signals);
+        self.calendar.mark_periph(page);
+        let (v, effect) = res?;
+        if let Some(e) = effect {
+            self.apply_effect(e);
+        }
+        Ok(v)
+    }
+
+    /// Executes the one effect a peripheral operation had, as of the
+    /// current step's time.
+    fn apply_effect(&mut self, e: Effect) {
+        match e {
+            Effect::RaiseIrq { core, irq } => {
+                if let Some(c) = self.cores.get_mut(core) {
+                    c.post_irq(irq, self.now);
                 }
-                Effect::DmaCopy {
+            }
+            Effect::DmaCopy {
+                page,
+                src,
+                dst,
+                len,
+            } => {
+                // Charge one interconnect transfer per word moved:
+                // read + write legs, streamed back-to-back.
+                let mem_node = self.cores.len();
+                let mut t = self.now;
+                for _ in 0..len {
+                    t = self.interconnect.transfer(mem_node, mem_node, t);
+                }
+                if let Some(m) = &self.metrics {
+                    m.noc_transfers.add(len as u64);
+                }
+                let seq = self.dma_seq;
+                self.dma_seq += 1;
+                self.pending_dma.push(PendingDma {
+                    finish: t,
                     page,
                     src,
                     dst,
                     len,
-                } => {
-                    // Charge one interconnect transfer per word moved:
-                    // read + write legs, streamed back-to-back.
-                    let mem_node = self.cores.len();
-                    let mut t = self.now;
-                    for _ in 0..len {
-                        t = self.interconnect.transfer(mem_node, mem_node, t);
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.noc_transfers.add(len as u64);
-                    }
-                    let seq = self.dma_seq;
-                    self.dma_seq += 1;
-                    self.pending_dma.push(PendingDma {
-                        finish: t,
-                        page,
-                        src,
-                        dst,
-                        len,
-                        seq,
-                    });
-                    if self.scheduler == SchedulerMode::Calendar {
-                        // Scheduled once with a fixed finish time; no
-                        // generation needed (removed only on execution).
-                        self.calendar.heap.push(Reverse(CalKey {
-                            at: t,
-                            class: CLASS_DMA,
-                            id: seq,
-                            gen: 0,
-                        }));
-                    }
+                    seq,
+                });
+                if self.scheduler == SchedulerMode::Calendar {
+                    // Scheduled once with a fixed finish time; no
+                    // generation needed (removed only on execution).
+                    self.calendar.heap.push(Reverse(CalKey {
+                        at: t,
+                        class: CLASS_DMA,
+                        id: seq,
+                        gen: 0,
+                    }));
                 }
             }
         }
-        Ok(())
     }
 
     // -- run helpers --------------------------------------------------------

@@ -21,7 +21,7 @@
 //!
 //! What is deliberately **not** serialized: attached metrics handles (host
 //! observability, not simulated state), host-side scratch (the last
-//! step's event and its access buffer, the effects buffer), the event
+//! step's event and its access buffer), the event
 //! calendar (derived state, rebuilt from actor state on restore),
 //! the RAM dirty bitmaps (meaningful only relative to a live base), and —
 //! since image v3 — the signal trace ring and spill tier (host
@@ -74,12 +74,13 @@
 //! register file, its program's instruction vector and its label strings,
 //! every cache its one flat vector of ways, and a peripheral whose kind and
 //! name match the one already in that slot is `snap_restore`d in place —
-//! any other is rebuilt, as are the interconnect and the decoded signal
-//! board, the two parts still built anew. The state decoded into is the
-//! platform's *scratch*: the `SmallState` its previous restore replaced,
-//! kept (boxed, one pointer in [`Platform`]) instead of dropped. A restore
-//! decodes into the scratch, validates it, and only then swaps it with the
-//! live fields, so
+//! any other is rebuilt. The interconnect is decoded by value (a bus is
+//! five numbers; a mesh allocates its link table), which leaves the decoded
+//! signal board as the one part still built anew. The state decoded into
+//! is the platform's *scratch*: the `SmallState` its previous restore
+//! replaced, kept (boxed, one pointer in [`Platform`]) instead of dropped.
+//! A restore decodes into the scratch, validates it, and only then swaps it
+//! with the live fields, so
 //!
 //! * a failed decode still leaves the platform untouched — it wrote to the
 //!   scratch only;
@@ -104,7 +105,7 @@ use crate::error::{Error, Result};
 use crate::interconnect::{load_interconnect, Bus, Interconnect};
 use crate::isa::{Reg, Word};
 use crate::mem::{Ram, PAGE_WORDS};
-use crate::periph::{periph_from_kind, Peripheral};
+use crate::periph::Periph;
 use crate::platform::{PendingDma, Platform, PlatformBuilder, SchedulerMode};
 use crate::signal::SignalBoard;
 use crate::time::{Frequency, Time};
@@ -219,10 +220,10 @@ pub(crate) struct SmallState {
     dma_seq: u64,
     cores: Vec<Core>,
     caches: Vec<Option<Cache>>,
-    interconnect: Box<dyn Interconnect>,
+    interconnect: Interconnect,
     signals: SignalBoard,
     pending_dma: Vec<PendingDma>,
-    periphs: Vec<Box<dyn Peripheral>>,
+    periphs: Vec<Periph>,
 }
 
 impl SmallState {
@@ -240,7 +241,7 @@ impl SmallState {
             dma_seq: 0,
             cores: Vec::new(),
             caches: Vec::new(),
-            interconnect: Box::new(Bus::new(Time::ZERO, Time::ZERO)),
+            interconnect: Interconnect::Bus(Bus::new(Time::ZERO, Time::ZERO)),
             signals: SignalBoard::new(),
             pending_dma: Vec::new(),
             periphs: Vec::new(),
@@ -248,7 +249,8 @@ impl SmallState {
     }
 
     /// Cross-field consistency of the non-RAM state: the simulator indexes
-    /// cores, locals and caches by core id.
+    /// cores, locals and caches by core id, and a DMA completion reaches for
+    /// the engine on the transfer's page.
     fn validate(&self) -> SnapResult<()> {
         if self.cores.is_empty() {
             return Err(mpsoc_snapshot::SnapError::Malformed(
@@ -268,6 +270,14 @@ impl SmallState {
                 self.caches.len()
             )));
         }
+        for d in &self.pending_dma {
+            if !matches!(self.periphs.get(d.page), Some(Periph::Dma(_))) {
+                return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+                    "pending DMA transfer names page {}, which holds no DMA engine",
+                    d.page
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -286,8 +296,8 @@ fn decode_prefix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
 }
 
 /// Decodes the fields that follow the RAM block in the image layout. The
-/// interconnect and the signal board are built anew; everything else reuses
-/// what `s` holds.
+/// signal board is built anew (and a mesh's link table with it); everything
+/// else reuses what `s` holds.
 fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
     s.caches.load_into(r)?;
     s.interconnect = load_interconnect(r)?;
@@ -303,23 +313,18 @@ fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
         let kind = r.get_u8()?;
         let name_len = r.get_len(1)?;
         let name = r.get_bytes(name_len)?;
-        // Kind and name are all `periph_from_kind` takes besides the page,
+        // Kind and name are all `Periph::from_kind` takes besides the page,
         // which is the slot: a device they match is the one a fresh decode
         // would build, and `snap_restore` replaces the rest of it.
         match s.periphs.get_mut(page) {
-            Some(p) if p.snap_kind() == Some(kind) && p.name().as_bytes() == name => {
+            Some(p) if p.snap_kind() == kind && p.name().as_bytes() == name => {
                 p.snap_restore(r)?;
             }
             slot => {
                 let name = std::str::from_utf8(name).map_err(|e| {
                     mpsoc_snapshot::SnapError::Malformed(format!("invalid UTF-8 string: {e}"))
                 })?;
-                let mut p = periph_from_kind(kind, name, page).ok_or(
-                    mpsoc_snapshot::SnapError::BadTag {
-                        what: "peripheral kind",
-                        tag: u64::from(kind),
-                    },
-                )?;
+                let mut p = Periph::from_kind(kind, name, page)?;
                 p.snap_restore(r)?;
                 match slot {
                     Some(slot) => *slot = p,
@@ -683,8 +688,9 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`Error::Snapshot`] if a registered peripheral does not support
-    /// checkpointing ([`Peripheral::snap_kind`] returned `None`).
+    /// None: every device of the closed set serializes. The `Result` is
+    /// the signature callers across the workspace (and `benchmark/`)
+    /// already handle.
     pub fn capture(&mut self) -> Result<Vec<u8>> {
         let mut w = Writer::new();
         save_scheduler(self.scheduler, &mut w);
@@ -698,7 +704,7 @@ impl Platform {
         self.cores.save(&mut w);
         self.shared.save(&mut w);
         self.locals.save(&mut w);
-        self.save_small_suffix(&mut w)?;
+        self.save_small_suffix(&mut w);
         w.put_u32(PAGE_WORDS as u32);
         let (image, checksum) = Image::seal_hashed(
             PLATFORM_IMAGE_MAGIC,
@@ -718,7 +724,7 @@ impl Platform {
     /// signals, pending DMA, peripherals. Shared between full and delta
     /// capture — in a delta these are serialized whole because they are
     /// tiny next to RAM.
-    fn save_small_suffix(&self, w: &mut Writer) -> Result<()> {
+    fn save_small_suffix(&self, w: &mut Writer) {
         self.caches.save(w);
         self.interconnect.snap_save(w);
         self.signals.save(w);
@@ -728,17 +734,10 @@ impl Platform {
         }
         w.put_usize(self.periphs.len());
         for p in &self.periphs {
-            let kind = p.snap_kind().ok_or_else(|| {
-                Error::Snapshot(format!(
-                    "peripheral `{}` does not support checkpointing",
-                    p.name()
-                ))
-            })?;
-            w.put_u8(kind);
+            w.put_u8(p.snap_kind());
             w.put_str(p.name());
             p.snap_save(w);
         }
-        Ok(())
     }
 
     /// Serializes the state *changed since the last* [`capture`]
@@ -758,8 +757,7 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`Error::Snapshot`] if no base capture has been taken, or a
-    /// peripheral does not support checkpointing.
+    /// [`Error::Snapshot`] if no base capture has been taken.
     pub fn capture_delta(&self) -> Result<Vec<u8>> {
         let base = self.base_mark.ok_or_else(|| {
             Error::Snapshot("capture_delta needs a prior full capture as base".into())
@@ -776,7 +774,7 @@ impl Platform {
         w.put_u64(self.steps);
         w.put_u64(self.dma_seq);
         self.cores.save(&mut w);
-        self.save_small_suffix(&mut w)?;
+        self.save_small_suffix(&mut w);
         save_dirty_pages(&self.shared, &self.base_shared, &mut w);
         w.put_u32(self.locals.len() as u32);
         for (i, l) in self.locals.iter().enumerate() {
@@ -1094,20 +1092,17 @@ impl Platform {
 
     /// Sticks peripheral `page`: the device stops reacting (a stuck timer
     /// never fires, a stuck mailbox drops pushes, a stuck semaphore never
-    /// grants, a stuck DMA ignores start commands). Returns whether the
-    /// device actually supports the fault.
+    /// grants, a stuck DMA ignores start commands).
     ///
     /// # Errors
     ///
     /// [`Error::NotFound`] if the page is unoccupied.
-    pub fn inject_periph_stick(&mut self, page: usize) -> Result<bool> {
-        let stuck = self
-            .periphs
-            .get_mut(page)
+    pub fn inject_periph_stick(&mut self, page: usize) -> Result<()> {
+        (self.periphs.get_mut(page))
             .ok_or_else(|| Error::NotFound(format!("peripheral page {page}")))?
             .fault_stick();
         self.calendar_mark_periph(page);
-        Ok(stuck)
+        Ok(())
     }
 
     /// Whether the DMA engine at `page` currently has a transfer in
@@ -1179,7 +1174,7 @@ impl Platform {
 mod tests {
     use crate::isa::assemble;
     use crate::platform::{Platform, PlatformBuilder, SchedulerMode, StepEvent};
-    use crate::time::Frequency;
+    use crate::time::{Frequency, Time};
 
     fn counter_platform(mode: SchedulerMode) -> Platform {
         let mut p = PlatformBuilder::new()
@@ -1634,7 +1629,7 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_restore_allocates_only_for_the_interconnect_and_the_signals() {
+    fn a_warm_restore_allocates_only_for_the_signals() {
         use super::{decode_prefix, decode_suffix, load_interconnect, Reader, SmallState};
         use super::{Cache, SignalBoard, Snapshot};
         use crate::alloc_count::allocations;
@@ -1667,19 +1662,29 @@ mod tests {
             0
         );
         assert!(scratch.cores.iter().all(|c| !c.program().is_empty()));
-        // Caches, pending DMA, peripherals: the suffix allocates exactly
-        // what the two parts it builds anew allocate on their own.
+        // Caches, interconnect, pending DMA, peripherals: the suffix
+        // allocates exactly what the signal board, the one part it builds
+        // anew, allocates on its own. The bus is built by value.
         let mut again = r.clone();
         let suffix = allocations(|| decode_suffix(&mut r, &mut scratch).unwrap());
         Vec::<Option<Cache>>::load(&mut again).unwrap();
-        let built_anew = allocations(|| {
-            drop(load_interconnect(&mut again).unwrap());
-            drop(SignalBoard::load(&mut again).unwrap());
-        });
-        assert!(built_anew > 0);
-        assert_eq!(suffix, built_anew);
+        assert_eq!(
+            allocations(|| drop(load_interconnect(&mut again).unwrap())),
+            0
+        );
+        let signals = allocations(|| drop(SignalBoard::load(&mut again).unwrap()));
+        assert!(signals > 0);
+        assert_eq!(suffix, signals);
         assert_eq!(scratch.periphs.len(), 48);
         assert!(scratch.caches.iter().all(Option::is_some));
+
+        // A mesh is its link table and nothing else.
+        let mut w = super::Writer::new();
+        let mesh = crate::interconnect::Mesh::new(3, 3, Time::from_ns(4), Time::from_ns(3));
+        crate::interconnect::Interconnect::Mesh(mesh).snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(allocations(|| drop(load_interconnect(&mut r).unwrap())), 1);
     }
 
     /// Re-seals `payload` as a full image or a delta of the current version.
@@ -1692,58 +1697,138 @@ mod tests {
         mpsoc_snapshot::Image::seal(magic, version, payload)
     }
 
-    #[test]
-    fn misplaced_core_ids_and_empty_cache_sets_are_refused_everywhere() {
-        use super::{decode_prefix, Ram, Reader, SmallState, Snapshot};
-        // Both images carry a valid frame, and the parent's decoder and
-        // `validate` took both; the first step then indexed `cores[99]`
-        // (the scan scheduler steps `Core::id`), or asked a set with no
-        // ways for a victim.
+    /// A frame-valid full image, the base built from it, and a delta one
+    /// step later, of a two-core platform holding a mailbox (page 0) and a
+    /// DMA engine (page 1) with a transfer in flight.
+    fn hostile_fixture() -> (Vec<u8>, super::BaseImage, Vec<u8>) {
+        use crate::periph::dma_reg;
         let mut p = counter_platform(SchedulerMode::ScanReference);
+        p.add_mailbox("mb", 4);
+        let dma = p.add_dma("dma");
+        p.debug_periph_write(dma, dma_reg::LEN, 64).unwrap();
+        p.debug_periph_write(dma, dma_reg::CTRL, 1).unwrap();
         for _ in 0..6 {
             p.step().unwrap();
         }
         let image = p.capture().unwrap();
         let base = super::BaseImage::new(image.clone()).unwrap();
         p.step().unwrap();
-        let delta = p.capture_delta().unwrap();
-        let header = mpsoc_snapshot::Image::HEADER_LEN;
+        assert!(p.dma_in_flight(dma));
+        (image, base, p.capture_delta().unwrap())
+    }
 
-        // Where the second core's id and the cache block sit in a payload
-        // whose prefix starts at `prefix_at` and whose RAM block, if it has
-        // one, follows the cores.
-        let landmarks = |payload: &[u8], prefix_at: usize, has_ram: bool| {
-            let mut r = Reader::new(payload);
-            r.skip(prefix_at).unwrap();
-            let mut one_core = Reader::new(payload);
-            one_core.skip(prefix_at + 46 + 8).unwrap();
-            crate::core::Core::load(&mut one_core).unwrap();
-            decode_prefix(&mut r, &mut SmallState::empty()).unwrap();
-            if has_ram {
-                <Ram as Snapshot>::load(&mut r).unwrap();
-                Vec::<Ram>::load(&mut r).unwrap();
-            }
-            (one_core.position(), r.position())
+    /// Byte offsets of the fields the hostile images rewrite.
+    struct Landmarks {
+        core1_id: usize,
+        caches: usize,
+        interconnect_tag: usize,
+        dma0_page: usize,
+        periph0_kind: usize,
+    }
+
+    /// Finds the [`Landmarks`] of a full-image or delta payload by decoding
+    /// up to each of them.
+    fn landmarks(payload: &[u8], is_delta: bool) -> Landmarks {
+        use super::{decode_prefix, load_interconnect, Cache, Ram, Reader, SmallState, Snapshot};
+        // A delta opens with the base checksum and the page size.
+        let prefix_at = if is_delta { 12 } else { 0 };
+        let mut one_core = Reader::new(payload);
+        one_core.skip(prefix_at + 46 + 8).unwrap();
+        crate::core::Core::load(&mut one_core).unwrap();
+        let mut r = Reader::new(payload);
+        r.skip(prefix_at).unwrap();
+        decode_prefix(&mut r, &mut SmallState::empty()).unwrap();
+        if !is_delta {
+            <Ram as Snapshot>::load(&mut r).unwrap();
+            Vec::<Ram>::load(&mut r).unwrap();
+        }
+        let caches = r.position();
+        Vec::<Option<Cache>>::load(&mut r).unwrap();
+        let interconnect_tag = r.position();
+        load_interconnect(&mut r).unwrap();
+        super::SignalBoard::load(&mut r).unwrap();
+        let pending = r.get_len(8).unwrap();
+        // A transfer is its finish time, then its page.
+        let dma0_page = r.position() + 8;
+        r.skip(pending * 36).unwrap();
+        r.get_len(2).unwrap();
+        Landmarks {
+            core1_id: one_core.position(),
+            caches,
+            interconnect_tag,
+            dma0_page,
+            periph0_kind: r.position(),
+        }
+    }
+
+    /// Every hostile image — `(is a delta, sealed bytes, what the refusal
+    /// must say)` — is a located snapshot error at each decode entry point,
+    /// and none of them leaves a mark on the platform it was offered to.
+    fn assert_refused_everywhere(
+        image: &[u8],
+        base: &super::BaseImage,
+        hostile: &[(bool, Vec<u8>, String)],
+    ) {
+        let mut target = counter_platform(SchedulerMode::Calendar);
+        target.restore_image(image).unwrap();
+        let before = target.capture().unwrap();
+        let refused = |r: crate::error::Result<()>, needle: &str| match r {
+            Err(crate::error::Error::Snapshot(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a snapshot error naming `{needle}`, got {other:?}"),
         };
-        let mut hostile: Vec<(bool, Vec<u8>, &str)> = Vec::new();
-        for (is_delta, sealed, prefix_at) in [(false, &image, 0), (true, &delta, 12)] {
+        for (is_delta, bytes, needle) in hostile {
+            if *is_delta {
+                refused(target.restore_delta(base, bytes), needle);
+            } else {
+                refused(target.restore_image(bytes), needle);
+                refused(Platform::from_image(bytes).map(drop), needle);
+                refused(super::BaseImage::new(bytes.clone()).map(drop), needle);
+                // `reset_to_base` trusts a `BaseImage`; one that got these
+                // bytes past its constructor still cannot get them in.
+                let unvalidated = super::BaseImage {
+                    image: bytes.clone(),
+                    checksum: base.checksum,
+                    shared: base.shared.clone(),
+                    locals: base.locals.clone(),
+                    ram_range: base.ram_range,
+                };
+                refused(target.reset_to_base(&unvalidated), needle);
+            }
+            assert_eq!(target.capture().unwrap(), before, "`{needle}` left a mark");
+        }
+    }
+
+    #[test]
+    fn misplaced_core_ids_and_empty_cache_sets_are_refused_everywhere() {
+        use super::{Reader, Snapshot};
+        // All of these carry a valid frame, and a decoder without the
+        // cross-field checks of `validate` took them; the first step then
+        // indexed `cores[99]` (the scan scheduler steps `Core::id`), or
+        // asked a set with no ways for a victim, or — on the completion of
+        // a transfer naming a page no DMA engine occupies — grew the
+        // calendar to that page: an aborting allocation for page 2^40, an
+        // overflow for `usize::MAX`, a ghost copy for a small one.
+        let (image, base, delta) = hostile_fixture();
+        let header = mpsoc_snapshot::Image::HEADER_LEN;
+        let mut hostile: Vec<(bool, Vec<u8>, String)> = Vec::new();
+        for (is_delta, sealed) in [(false, &image), (true, &delta)] {
             let payload = &sealed[header..];
-            let (core1_id_at, caches_at) = landmarks(payload, prefix_at, !is_delta);
+            let at = landmarks(payload, is_delta);
 
             let mut bad_id = payload.to_vec();
-            assert_eq!(bad_id[core1_id_at..core1_id_at + 8], 1u64.to_le_bytes());
-            bad_id[core1_id_at..core1_id_at + 8].copy_from_slice(&99u64.to_le_bytes());
+            assert_eq!(bad_id[at.core1_id..at.core1_id + 8], 1u64.to_le_bytes());
+            bad_id[at.core1_id..at.core1_id + 8].copy_from_slice(&99u64.to_le_bytes());
             hostile.push((
                 is_delta,
                 reseal(is_delta, &bad_id),
-                "position 1 carries id 99",
+                "position 1 carries id 99".into(),
             ));
 
             // The first cache: `caches` count, `Some` tag, set count, then
             // per set a way count and that many (all invalid, one byte
             // each) ways — rewritten as the same number of empty sets.
             let mut r = Reader::new(payload);
-            r.skip(caches_at + 8 + 1).unwrap();
+            r.skip(at.caches + 8 + 1).unwrap();
             let sets = r.get_usize().unwrap();
             let table_at = r.position();
             for _ in 0..sets {
@@ -1752,27 +1837,57 @@ mod tests {
             let mut no_ways = payload[..table_at].to_vec();
             no_ways.extend(std::iter::repeat_n(0u8, sets * 8));
             no_ways.extend_from_slice(&payload[r.position()..]);
-            hostile.push((is_delta, reseal(is_delta, &no_ways), "associativity 0"));
-        }
+            hostile.push((
+                is_delta,
+                reseal(is_delta, &no_ways),
+                "associativity 0".into(),
+            ));
 
-        let mut target = counter_platform(SchedulerMode::Calendar);
-        target.restore_image(&image).unwrap();
-        let before = target.capture().unwrap();
-        let refused = |r: crate::error::Result<()>, needle: &str| match r {
-            Err(crate::error::Error::Snapshot(msg)) => assert!(msg.contains(needle), "{msg}"),
-            other => panic!("expected a snapshot error naming `{needle}`, got {other:?}"),
-        };
-        for (is_delta, bytes, needle) in &hostile {
-            if *is_delta {
-                refused(target.restore_delta(&base, bytes), needle);
-            } else {
-                refused(target.restore_image(bytes), needle);
-                refused(Platform::from_image(bytes).map(drop), needle);
-                refused(super::BaseImage::new(bytes.clone()).map(drop), needle);
+            // The in-flight transfer, moved from the engine's page (1) to
+            // the mailbox's, to the first unoccupied one, and far away.
+            for page in [0, 2, 1 << 40, u64::MAX] {
+                let mut ghost = payload.to_vec();
+                assert_eq!(ghost[at.dma0_page..at.dma0_page + 8], 1u64.to_le_bytes());
+                ghost[at.dma0_page..at.dma0_page + 8].copy_from_slice(&page.to_le_bytes());
+                hostile.push((
+                    is_delta,
+                    reseal(is_delta, &ghost),
+                    format!("names page {page}, which holds no DMA engine"),
+                ));
             }
-            assert_eq!(target.capture().unwrap(), before, "`{needle}` left a mark");
         }
-        assert_eq!(hostile.len(), 4);
+        assert_eq!(hostile.len(), 12);
+        assert_refused_everywhere(&image, &base, &hostile);
+    }
+
+    #[test]
+    fn device_tags_outside_the_closed_set_are_refused_everywhere() {
+        // Peripheral kinds are 1..=4 and interconnects 0 or 1; the tags on
+        // either side of each range name no device, in any image.
+        let (image, base, delta) = hostile_fixture();
+        let header = mpsoc_snapshot::Image::HEADER_LEN;
+        let mut hostile: Vec<(bool, Vec<u8>, String)> = Vec::new();
+        for (is_delta, sealed) in [(false, &image), (true, &delta)] {
+            let payload = &sealed[header..];
+            let at = landmarks(payload, is_delta);
+            assert_eq!(payload[at.periph0_kind], crate::periph::SNAP_KIND_MAILBOX);
+            assert_eq!(payload[at.interconnect_tag], 0, "a bus");
+            for (offset, tag, what) in [
+                (at.periph0_kind, 0, "peripheral kind"),
+                (at.periph0_kind, 5, "peripheral kind"),
+                (at.interconnect_tag, 2, "interconnect"),
+            ] {
+                let mut bad = payload.to_vec();
+                bad[offset] = tag;
+                hostile.push((
+                    is_delta,
+                    reseal(is_delta, &bad),
+                    format!("bad tag {tag} while decoding {what}"),
+                ));
+            }
+        }
+        assert_eq!(hostile.len(), 6);
+        assert_refused_everywhere(&image, &base, &hostile);
     }
 
     #[test]

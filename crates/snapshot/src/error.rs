@@ -52,9 +52,6 @@ pub enum SnapError {
     },
     /// A decoded value was structurally invalid (e.g. out-of-range length).
     Malformed(String),
-    /// The component cannot be checkpointed (e.g. a custom peripheral
-    /// that does not implement the snapshot hooks).
-    Unsupported(String),
     /// Decoding finished but bytes were left over.
     TrailingBytes(usize),
 }
@@ -92,7 +89,6 @@ impl fmt::Display for SnapError {
             ),
             SnapError::BadTag { what, tag } => write!(f, "bad tag {tag} while decoding {what}"),
             SnapError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
-            SnapError::Unsupported(msg) => write!(f, "cannot checkpoint: {msg}"),
             SnapError::TrailingBytes(n) => {
                 write!(f, "snapshot decoded with {n} trailing bytes left over")
             }

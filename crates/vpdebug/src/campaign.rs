@@ -272,7 +272,7 @@ fn apply_fault(p: &mut Platform, kind: FaultKind) -> mpsoc_platform::Result<bool
         FaultKind::RegFlip { core, reg, bit } => p.inject_reg_flip(core, reg, bit).map(|()| true),
         FaultKind::MemFlip { addr, bit } => p.inject_mem_flip(addr, bit).map(|()| true),
         FaultKind::DroppedFlit { page } => Ok(p.inject_dma_drop_flit(page)),
-        FaultKind::StuckPeriph { page } => p.inject_periph_stick(page),
+        FaultKind::StuckPeriph { page } => p.inject_periph_stick(page).map(|()| true),
         FaultKind::DmaCorrupt { page, word, bit } => p.inject_dma_corrupt_word(page, word, bit),
     }
 }

@@ -8,18 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# rust-toolchain.toml pins 1.95.0. Offline, rustup tries to sync that
-# channel and fails even when the installed stable *is* 1.95.0, so fall
-# back to the installed stable toolchain (as benchmark/run.sh does).
-if [ -n "${RUSTUP_TOOLCHAIN:-}" ]; then
-  toolchain="RUSTUP_TOOLCHAIN=$RUSTUP_TOOLCHAIN"
-elif rustc -V >/dev/null 2>&1; then
-  toolchain="pinned by rust-toolchain.toml"
-else
-  export RUSTUP_TOOLCHAIN=stable
-  toolchain="installed stable (the rust-toolchain.toml pin cannot be resolved offline)"
-fi
-echo "toolchain: $(rustc -V) [$toolchain]"
+# The workspace declares `rust-version = "1.95"` (cargo refuses an older
+# compiler); "green" means green on exactly 1.95.x, so refuse a newer one too.
+echo "toolchain: $(rustc -V)"
+case "$(rustc -V)" in
+  "rustc 1.95."*) ;;
+  *) echo "error: verify.sh needs rustc 1.95.x (rustup default 1.95.0)" >&2; exit 1 ;;
+esac
 
 STAGE_NAMES=()
 STAGE_SECS=()
@@ -77,7 +72,7 @@ platform_release_tests() {
   cargo test --release -q -p mpsoc-snapshot -p mpsoc-platform -p mpsoc-vpdebug
   cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
     --test debugger_equivalence --test restore_in_place \
-    --test step_in_place --test step_allocations
+    --test step_in_place --test step_allocations --test image_golden
 }
 
 stage "tracked files intact" check_tracked_files
@@ -98,7 +93,8 @@ stage "DSE differential tests (release)" \
 # So must the checkpoint code — frame checksum, in-place restore, the ring's
 # due check — which is only ever measured in release: its crates' tests and
 # the root package's three round-trip / equivalence suites over it. And so
-# must the in-place step and the trace rings (step_in_place, step_allocations).
+# must the in-place step and the trace rings (step_in_place, step_allocations)
+# and the pinned image bytes (image_golden).
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
