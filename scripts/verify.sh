@@ -79,8 +79,8 @@ stage "tracked files intact" check_tracked_files
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo build --release" cargo build --release
-# A superset of tier-1's `cargo test -q`: the root package's tests/ (delta
-# round-trip, exploration/trace/debugger equivalence, ...) run here once.
+# The same tests as tier-1's bare `cargo test -q` (`default-members` covers
+# every crate), named explicitly so this stage does not depend on it.
 stage "cargo test --workspace" cargo test --workspace -q
 # The DSE inner loops are tested against the implementations they replaced,
 # comparing u64 arithmetic and f64 -> u64 casts: the stage above panics on an
@@ -97,12 +97,10 @@ stage "DSE differential tests (release)" \
 # and the pinned image bytes (image_golden).
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
-stage "fault-injection campaign (E12)" cargo run --release -q -p mpsoc-bench --bin e12
-# The joint mapping x topology sweep over generated .soc platforms; writes
-# the Pareto-front artifact target/E13_joint_dse.json (uploaded by CI) and
-# asserts the front is bit-identical at 1/2/4/8 threads.
-stage "joint mapping x topology DSE (E13 smoke)" \
-  cargo run --release -q -p mpsoc-bench --bin e13 -- --smoke
+# The paper's claims E1-E13 in release, E13 at its smoke size: fails on any
+# claim not reproduced and writes target/experiments.json (uploaded by CI).
+stage "paper claims (experiments --smoke)" \
+  cargo run --release -q --bin experiments -- --smoke
 # The headless platform suite: scripted debug sessions through the GDB-RSP
 # stack, with JUnit/JSON verdicts under target/mpsoc-test/ (CI uploads
 # them as artifacts).

@@ -20,11 +20,14 @@
 //! | [`gdbrsp`] | VII | GDB Remote Serial Protocol server over `vpdebug` |
 //! | [`apps`] | workloads | JPEG-like, H.264-like, car-radio, generators |
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-claim experiment index (regenerate with
-//! `cargo run -p mpsoc-bench --bin run_all`).
+//! [`experiments`] holds the paper's claims, one experiment each (E1–E13),
+//! and decides a verdict per claim. See `DESIGN.md` for the system
+//! inventory and `EXPERIMENTS.md` for the per-claim index (regenerate with
+//! `cargo run --release --bin experiments`).
 
 #![warn(missing_docs)]
+
+pub mod experiments;
 
 pub use mpsoc_apps as apps;
 pub use mpsoc_cic as cic;

@@ -145,15 +145,6 @@ fn mailbox_message_passing_flow() {
     assert_eq!(p.debug_read(0x30).unwrap(), 15);
 }
 
-/// E2E experiment smoke: every experiment runs and renders.
-#[test]
-fn experiments_render() {
-    use mpsoc_bench::experiments as e;
-    assert!(format!("{}", e::e1_scalability()).contains("E1"));
-    assert!(format!("{}", e::e4_buffers()).contains("E4"));
-    assert!(format!("{}", e::e8_recoder()).contains("E8"));
-}
-
 /// A mesh-NoC platform runs the same software as the bus platform with
 /// identical functional results but different timing — topology is a pure
 /// timing concern (§II.A's scalable interconnect).
