@@ -20,7 +20,8 @@ const JSON_PATH: &str = "target/experiments.json";
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut ids = Vec::new();
-    for arg in std::env::args().skip(1) {
+    for arg in std::env::args_os().skip(1) {
+        let arg = arg.to_string_lossy();
         match IDS.iter().find(|&&id| id == arg) {
             Some(&id) => ids.push(id),
             None if arg == "--smoke" => smoke = true,
