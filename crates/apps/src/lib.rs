@@ -13,8 +13,6 @@
 //!   quantisation, exp-Golomb entropy sizing; plus a ready-made CIC model
 //!   for the retargeting experiment.
 //! * [`audio`] — FIR/biquad/AGC car-radio chain and its CSDF graph.
-//! * [`workload`] — seeded random task DAGs and real-time mixes for the
-//!   parameter sweeps.
 //! * [`testbed`] — the ready-to-debug virtual platforms (car-radio, JPEG,
 //!   race, E12) behind a name registry for `mpsoc-test` and `mpsoc-gdb`.
 //! * [`testrunner`] — the declarative headless test engine: scripts drive
@@ -27,4 +25,3 @@ pub mod h264;
 pub mod jpeg;
 pub mod testbed;
 pub mod testrunner;
-pub mod workload;

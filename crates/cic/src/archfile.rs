@@ -1,25 +1,13 @@
-//! The XML-style architecture information file.
+//! The target architecture a CIC model is translated for.
 //!
 //! Section V: *"Information on the target architecture and the design
 //! constraints is separately described in an xml-style file, called the
-//! architecture information file."* This module defines that format and a
-//! hand-rolled parser for the XML subset it needs (elements, attributes,
-//! self-closing tags, comments) — small enough that a dependency on a full
-//! XML crate is not warranted.
-//!
-//! ```xml
-//! <architecture name="celllike" memory="distributed">
-//!   <!-- one host plus SPE-like workers -->
-//!   <pe name="ppe" class="risc" speed="1.0"/>
-//!   <pe name="spe0" class="dsp" speed="2.0" localwords="16384"/>
-//!   <interconnect kind="dma" latency="200"/>
-//!   <constraint pe="spe0" maxtasks="2"/>
-//! </architecture>
-//! ```
-
-use std::collections::HashMap;
-
-use crate::error::{Error, Result};
+//! architecture information file."* [`ArchInfo`] is the information that
+//! file carries — the memory model, the processing elements and the
+//! interconnect — as a value. The two targets the paper retargets to are
+//! built in: [`ArchInfo::cell_like`] and [`ArchInfo::smp_like`]. The XML
+//! file format itself is not reproduced: no claim, tool or workload of the
+//! suite reads an architecture from a file.
 
 /// Memory organisation of the target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,16 +49,7 @@ pub enum InterconnectKind {
     Bus,
 }
 
-/// A per-PE constraint from the architecture file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Constraint {
-    /// Constrained PE.
-    pub pe: String,
-    /// Maximum number of mapped tasks.
-    pub max_tasks: usize,
-}
-
-/// The parsed architecture information.
+/// The architecture information of one target.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchInfo {
     /// Architecture name.
@@ -83,25 +62,9 @@ pub struct ArchInfo {
     pub interconnect: InterconnectKind,
     /// Per-transfer latency (cycles).
     pub comm_latency: u64,
-    /// Constraints.
-    pub constraints: Vec<Constraint>,
 }
 
 impl ArchInfo {
-    /// PE index by name.
-    pub fn pe_by_name(&self, name: &str) -> Option<usize> {
-        self.pes.iter().position(|p| p.name == name)
-    }
-
-    /// The maximum task count allowed on PE `pe` (usize::MAX if
-    /// unconstrained).
-    pub fn max_tasks(&self, pe: &str) -> usize {
-        self.constraints
-            .iter()
-            .find(|c| c.pe == pe)
-            .map_or(usize::MAX, |c| c.max_tasks)
-    }
-
     /// A built-in Cell-like distributed target: one RISC host (`ppe`) and
     /// `spes` DSP workers with 16 Ki-word local stores, DMA interconnect.
     pub fn cell_like(spes: usize) -> Self {
@@ -125,7 +88,6 @@ impl ArchInfo {
             pes,
             interconnect: InterconnectKind::Dma,
             comm_latency: 200,
-            constraints: Vec::new(),
         }
     }
 
@@ -145,368 +107,13 @@ impl ArchInfo {
                 .collect(),
             interconnect: InterconnectKind::Bus,
             comm_latency: 30,
-            constraints: Vec::new(),
         }
     }
-}
-
-/// A parsed XML element.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Element {
-    name: String,
-    attrs: HashMap<String, String>,
-    children: Vec<Element>,
-    line: usize,
-}
-
-/// Parses an architecture information file.
-///
-/// # Errors
-///
-/// [`Error::ArchFile`] with a line number for syntax errors, unknown
-/// elements/attributes, or missing required fields.
-pub fn parse_arch_file(src: &str) -> Result<ArchInfo> {
-    let root = parse_xml(src)?;
-    if root.name != "architecture" {
-        return Err(Error::ArchFile {
-            line: root.line,
-            msg: format!("expected <architecture>, found <{}>", root.name),
-        });
-    }
-    let name = root
-        .attrs
-        .get("name")
-        .cloned()
-        .unwrap_or_else(|| "unnamed".into());
-    let memory = match root.attrs.get("memory").map(String::as_str) {
-        Some("shared") | None => MemoryModel::Shared,
-        Some("distributed") => MemoryModel::Distributed,
-        Some(other) => {
-            return Err(Error::ArchFile {
-                line: root.line,
-                msg: format!("unknown memory model `{other}`"),
-            })
-        }
-    };
-    let mut pes = Vec::new();
-    let mut interconnect = InterconnectKind::Bus;
-    let mut comm_latency = 30;
-    let mut constraints = Vec::new();
-    for child in &root.children {
-        match child.name.as_str() {
-            "pe" => {
-                let pname = child.attrs.get("name").cloned().ok_or(Error::ArchFile {
-                    line: child.line,
-                    msg: "<pe> needs a name".into(),
-                })?;
-                let class = match child.attrs.get("class").map(String::as_str) {
-                    Some("risc") | None => PeClass::Risc,
-                    Some("dsp") => PeClass::Dsp,
-                    Some(other) => {
-                        return Err(Error::ArchFile {
-                            line: child.line,
-                            msg: format!("unknown PE class `{other}`"),
-                        })
-                    }
-                };
-                let speed = match child.attrs.get("speed") {
-                    Some(s) => s.parse().map_err(|_| Error::ArchFile {
-                        line: child.line,
-                        msg: format!("bad speed `{s}`"),
-                    })?,
-                    None => 1.0,
-                };
-                let local_words = match child.attrs.get("localwords") {
-                    Some(s) => Some(s.parse().map_err(|_| Error::ArchFile {
-                        line: child.line,
-                        msg: format!("bad localwords `{s}`"),
-                    })?),
-                    None => None,
-                };
-                pes.push(PeInfo {
-                    name: pname,
-                    class,
-                    speed,
-                    local_words,
-                });
-            }
-            "interconnect" => {
-                interconnect = match child.attrs.get("kind").map(String::as_str) {
-                    Some("dma") => InterconnectKind::Dma,
-                    Some("bus") | None => InterconnectKind::Bus,
-                    Some(other) => {
-                        return Err(Error::ArchFile {
-                            line: child.line,
-                            msg: format!("unknown interconnect `{other}`"),
-                        })
-                    }
-                };
-                if let Some(l) = child.attrs.get("latency") {
-                    comm_latency = l.parse().map_err(|_| Error::ArchFile {
-                        line: child.line,
-                        msg: format!("bad latency `{l}`"),
-                    })?;
-                }
-            }
-            "constraint" => {
-                let pe = child.attrs.get("pe").cloned().ok_or(Error::ArchFile {
-                    line: child.line,
-                    msg: "<constraint> needs a pe".into(),
-                })?;
-                let max_tasks = child
-                    .attrs
-                    .get("maxtasks")
-                    .ok_or(Error::ArchFile {
-                        line: child.line,
-                        msg: "<constraint> needs maxtasks".into(),
-                    })?
-                    .parse()
-                    .map_err(|_| Error::ArchFile {
-                        line: child.line,
-                        msg: "bad maxtasks".into(),
-                    })?;
-                constraints.push(Constraint { pe, max_tasks });
-            }
-            other => {
-                return Err(Error::ArchFile {
-                    line: child.line,
-                    msg: format!("unknown element <{other}>"),
-                })
-            }
-        }
-    }
-    if pes.is_empty() {
-        return Err(Error::ArchFile {
-            line: root.line,
-            msg: "architecture needs at least one <pe>".into(),
-        });
-    }
-    Ok(ArchInfo {
-        name,
-        memory,
-        pes,
-        interconnect,
-        comm_latency,
-        constraints,
-    })
-}
-
-/// Minimal XML subset parser: one root element, nested elements,
-/// attributes with double-quoted values, `<!-- -->` comments.
-fn parse_xml(src: &str) -> Result<Element> {
-    let mut pos = 0usize;
-    let bytes: Vec<char> = src.chars().collect();
-    let line_of = |pos: usize| bytes[..pos].iter().filter(|&&c| c == '\n').count() + 1;
-
-    fn skip_ws(bytes: &[char], pos: &mut usize) {
-        while *pos < bytes.len() {
-            if bytes[*pos].is_whitespace() {
-                *pos += 1;
-            } else if bytes[*pos..].starts_with(&['<', '!', '-', '-']) {
-                while *pos < bytes.len() && !bytes[*pos..].starts_with(&['-', '-', '>']) {
-                    *pos += 1;
-                }
-                *pos = (*pos + 3).min(bytes.len());
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn parse_element(
-        bytes: &[char],
-        pos: &mut usize,
-        line_of: &dyn Fn(usize) -> usize,
-    ) -> Result<Element> {
-        let err = |pos: usize, msg: String| Error::ArchFile {
-            line: line_of(pos),
-            msg,
-        };
-        skip_ws(bytes, pos);
-        if *pos >= bytes.len() || bytes[*pos] != '<' {
-            return Err(err(*pos, "expected `<`".into()));
-        }
-        let line = line_of(*pos);
-        *pos += 1;
-        let name_start = *pos;
-        while *pos < bytes.len() && (bytes[*pos].is_alphanumeric() || bytes[*pos] == '_') {
-            *pos += 1;
-        }
-        let name: String = bytes[name_start..*pos].iter().collect();
-        if name.is_empty() {
-            return Err(err(*pos, "empty element name".into()));
-        }
-        let mut attrs = HashMap::new();
-        loop {
-            skip_ws(bytes, pos);
-            if *pos >= bytes.len() {
-                return Err(err(*pos, "unterminated tag".into()));
-            }
-            if bytes[*pos] == '/' {
-                if bytes.get(*pos + 1) == Some(&'>') {
-                    *pos += 2;
-                    return Ok(Element {
-                        name,
-                        attrs,
-                        children: Vec::new(),
-                        line,
-                    });
-                }
-                return Err(err(*pos, "stray `/`".into()));
-            }
-            if bytes[*pos] == '>' {
-                *pos += 1;
-                break;
-            }
-            // attribute
-            let astart = *pos;
-            while *pos < bytes.len() && (bytes[*pos].is_alphanumeric() || bytes[*pos] == '_') {
-                *pos += 1;
-            }
-            let aname: String = bytes[astart..*pos].iter().collect();
-            if aname.is_empty() {
-                return Err(err(*pos, format!("bad character `{}` in tag", bytes[*pos])));
-            }
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&'=') {
-                return Err(err(*pos, format!("attribute `{aname}` needs a value")));
-            }
-            *pos += 1;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&'"') {
-                return Err(err(*pos, "attribute values must be double-quoted".into()));
-            }
-            *pos += 1;
-            let vstart = *pos;
-            while *pos < bytes.len() && bytes[*pos] != '"' {
-                *pos += 1;
-            }
-            if *pos >= bytes.len() {
-                return Err(err(*pos, "unterminated attribute value".into()));
-            }
-            let value: String = bytes[vstart..*pos].iter().collect();
-            *pos += 1;
-            attrs.insert(aname, value);
-        }
-        // children until </name>
-        let mut children = Vec::new();
-        loop {
-            skip_ws(bytes, pos);
-            if *pos + 1 < bytes.len() && bytes[*pos] == '<' && bytes[*pos + 1] == '/' {
-                *pos += 2;
-                let cstart = *pos;
-                while *pos < bytes.len() && bytes[*pos] != '>' {
-                    *pos += 1;
-                }
-                let cname: String = bytes[cstart..*pos]
-                    .iter()
-                    .collect::<String>()
-                    .trim()
-                    .to_string();
-                if cname != name {
-                    return Err(err(*pos, format!("</{cname}> closes <{name}>")));
-                }
-                *pos += 1;
-                return Ok(Element {
-                    name,
-                    attrs,
-                    children,
-                    line,
-                });
-            }
-            if *pos >= bytes.len() {
-                return Err(err(*pos, format!("missing </{name}>")));
-            }
-            children.push(parse_element(bytes, pos, line_of)?);
-        }
-    }
-
-    skip_ws(&bytes, &mut pos);
-    let root = parse_element(&bytes, &mut pos, &line_of)?;
-    skip_ws(&bytes, &mut pos);
-    if pos < bytes.len() {
-        return Err(Error::ArchFile {
-            line: line_of(pos),
-            msg: "trailing content after root element".into(),
-        });
-    }
-    Ok(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const CELL: &str = r#"
-<architecture name="cell" memory="distributed">
-  <!-- host -->
-  <pe name="ppe" class="risc" speed="1.0"/>
-  <pe name="spe0" class="dsp" speed="2.0" localwords="16384"/>
-  <pe name="spe1" class="dsp" speed="2.0" localwords="16384"/>
-  <interconnect kind="dma" latency="200"/>
-  <constraint pe="spe0" maxtasks="2"/>
-</architecture>
-"#;
-
-    #[test]
-    fn parses_full_file() {
-        let a = parse_arch_file(CELL).unwrap();
-        assert_eq!(a.name, "cell");
-        assert_eq!(a.memory, MemoryModel::Distributed);
-        assert_eq!(a.pes.len(), 3);
-        assert_eq!(a.pes[1].local_words, Some(16384));
-        assert_eq!(a.interconnect, InterconnectKind::Dma);
-        assert_eq!(a.comm_latency, 200);
-        assert_eq!(a.max_tasks("spe0"), 2);
-        assert_eq!(a.max_tasks("ppe"), usize::MAX);
-    }
-
-    #[test]
-    fn defaults_applied() {
-        let a = parse_arch_file(r#"<architecture><pe name="c0"/></architecture>"#).unwrap();
-        assert_eq!(a.memory, MemoryModel::Shared);
-        assert_eq!(a.pes[0].class, PeClass::Risc);
-        assert!((a.pes[0].speed - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn error_positions_reported() {
-        let bad = "<architecture>\n  <pe class=\"risc\"/>\n</architecture>";
-        let e = parse_arch_file(bad).unwrap_err();
-        match e {
-            Error::ArchFile { line, msg } => {
-                assert_eq!(line, 2);
-                assert!(msg.contains("name"));
-            }
-            other => panic!("unexpected {other}"),
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_elements_and_values() {
-        assert!(parse_arch_file("<architecture><gpu name=\"g\"/></architecture>").is_err());
-        assert!(
-            parse_arch_file("<architecture memory=\"weird\"><pe name=\"x\"/></architecture>")
-                .is_err()
-        );
-        assert!(
-            parse_arch_file("<architecture><pe name=\"x\" class=\"quantum\"/></architecture>")
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn rejects_malformed_xml() {
-        assert!(parse_arch_file("<architecture>").is_err());
-        assert!(parse_arch_file("<architecture></mismatch>").is_err());
-        assert!(parse_arch_file("<architecture><pe name=unquoted/></architecture>").is_err());
-        assert!(parse_arch_file("<a></a><b></b>").is_err());
-    }
-
-    #[test]
-    fn empty_pe_list_rejected() {
-        assert!(parse_arch_file("<architecture></architecture>").is_err());
-    }
 
     #[test]
     fn builtin_targets() {

@@ -2,19 +2,10 @@
 
 use std::fmt;
 
-/// Errors raised by the CIC model, architecture files, and translator.
+/// Errors raised by the CIC model, the translator and the exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A named task/channel/PE/function was not found.
-    NotFound(String),
-    /// The architecture information file is malformed.
-    ArchFile {
-        /// 1-based line.
-        line: usize,
-        /// Reason.
-        msg: String,
-    },
     /// The CIC model is ill-formed.
     Model(String),
     /// A mapping violates a constraint.
@@ -26,10 +17,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::NotFound(n) => write!(f, "`{n}` not found"),
-            Error::ArchFile { line, msg } => {
-                write!(f, "architecture file error at line {line}: {msg}")
-            }
             Error::Model(m) => write!(f, "ill-formed CIC model: {m}"),
             Error::Mapping(m) => write!(f, "invalid mapping: {m}"),
             Error::Exec(m) => write!(f, "execution error: {m}"),

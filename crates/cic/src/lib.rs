@@ -10,7 +10,7 @@
 //! |---|---|
 //! | KPN/UML/dataflow model → automatic CIC generation | [`model::from_dataflow`] |
 //! | Manual CIC (task codes + channels, period/deadline annotations) | [`model`] |
-//! | XML-style architecture information file | [`archfile`] |
+//! | Architecture information (built-in Cell-like and SMP targets) | [`archfile`] |
 //! | Task mapping (manual or automatic) | [`translator::auto_map`] |
 //! | CIC translation to target-executable code + run-time synthesis | [`translator`] |
 //! | Functional reference semantics | [`executor`] |
@@ -59,7 +59,7 @@ pub mod explore;
 pub mod model;
 pub mod translator;
 
-pub use crate::archfile::{parse_arch_file, ArchInfo, InterconnectKind, MemoryModel, PeInfo};
+pub use crate::archfile::{ArchInfo, InterconnectKind, MemoryModel, PeInfo};
 pub use crate::error::{Error, Result};
 pub use crate::executor::{execute, RunOutput};
 pub use crate::explore::{calibrate_task_work, explore_parallel, Candidate, Exploration};

@@ -77,24 +77,19 @@ pub struct Translation {
 }
 
 /// Greedy automatic mapping: heaviest tasks first onto the least-loaded PE
-/// that still satisfies the architecture's `maxtasks` constraints
 /// (speed-normalised load).
 ///
 /// # Errors
 ///
-/// [`Error::Mapping`] if constraints make placement impossible.
+/// [`Error::Mapping`] if the architecture has no PE.
 pub fn auto_map(model: &CicModel, arch: &ArchInfo) -> Result<Vec<usize>> {
     let mut order: Vec<usize> = (0..model.tasks.len()).collect();
     order.sort_by_key(|&t| std::cmp::Reverse((model.tasks[t].work, t)));
     let mut load = vec![0f64; arch.pes.len()];
-    let mut count = vec![0usize; arch.pes.len()];
     let mut mapping = vec![0usize; model.tasks.len()];
     for t in order {
         let mut best: Option<(f64, usize)> = None;
         for (pi, pe) in arch.pes.iter().enumerate() {
-            if count[pi] >= arch.max_tasks(&pe.name) {
-                continue;
-            }
             let new_load = load[pi] + model.tasks[t].work as f64 / pe.speed;
             if best.is_none_or(|(bl, _)| new_load < bl) {
                 best = Some((new_load, pi));
@@ -102,12 +97,11 @@ pub fn auto_map(model: &CicModel, arch: &ArchInfo) -> Result<Vec<usize>> {
         }
         let Some((new_load, pi)) = best else {
             return Err(Error::Mapping(format!(
-                "no PE can accept task `{}` under maxtasks constraints",
-                model.tasks[t].name
+                "architecture `{}` has no PE for task `{}`",
+                arch.name, model.tasks[t].name
             )));
         };
         load[pi] = new_load;
-        count[pi] += 1;
         mapping[t] = pi;
     }
     Ok(mapping)
@@ -117,7 +111,7 @@ pub fn auto_map(model: &CicModel, arch: &ArchInfo) -> Result<Vec<usize>> {
 ///
 /// # Errors
 ///
-/// [`Error::Mapping`] for out-of-range PEs or violated constraints;
+/// [`Error::Mapping`] for a mapping of the wrong length or out-of-range PEs;
 /// [`Error::Model`] is impossible for a validated model.
 pub fn translate(model: &CicModel, arch: &ArchInfo, mapping: &[usize]) -> Result<Translation> {
     if mapping.len() != model.tasks.len() {
@@ -129,16 +123,6 @@ pub fn translate(model: &CicModel, arch: &ArchInfo, mapping: &[usize]) -> Result
     }
     if let Some(&pe) = mapping.iter().find(|&&pe| pe >= arch.pes.len()) {
         return Err(Error::Mapping(format!("mapping references PE {pe}")));
-    }
-    for (pi, pe) in arch.pes.iter().enumerate() {
-        let n = mapping.iter().filter(|&&m| m == pi).count();
-        if n > arch.max_tasks(&pe.name) {
-            return Err(Error::Mapping(format!(
-                "{n} tasks on `{}` exceed maxtasks {}",
-                pe.name,
-                arch.max_tasks(&pe.name)
-            )));
-        }
     }
     let order = model.topo_order()?;
 
@@ -405,22 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_map_balances_and_respects_constraints() {
-        let m = app();
-        let mut arch = ArchInfo::cell_like(2);
-        arch.constraints.push(crate::archfile::Constraint {
-            pe: "spe0".into(),
-            max_tasks: 1,
-        });
-        let map = auto_map(&m, &arch).unwrap();
-        let on_spe0 = map
-            .iter()
-            .filter(|&&pe| arch.pes[pe].name == "spe0")
-            .count();
-        assert!(on_spe0 <= 1);
-    }
-
-    #[test]
     fn same_cic_translates_to_both_targets() {
         let m = app();
         for arch in [ArchInfo::cell_like(3), ArchInfo::smp_like(4)] {
@@ -532,11 +500,5 @@ mod tests {
         let arch = ArchInfo::smp_like(2);
         assert!(translate(&m, &arch, &[0]).is_err());
         assert!(translate(&m, &arch, &[0, 1, 2, 9]).is_err());
-        let mut constrained = ArchInfo::smp_like(2);
-        constrained.constraints.push(crate::archfile::Constraint {
-            pe: "cpu0".into(),
-            max_tasks: 1,
-        });
-        assert!(translate(&m, &constrained, &[0, 0, 1, 1]).is_err());
     }
 }

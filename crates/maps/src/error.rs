@@ -12,15 +12,6 @@ pub enum Error {
     Config(String),
     /// The mini-C front end rejected the input.
     FrontEnd(String),
-    /// Mapping failed to satisfy a hard real-time constraint.
-    Infeasible {
-        /// The application that cannot meet its constraint.
-        app: String,
-        /// The latency achieved by the best mapping found.
-        achieved: u64,
-        /// The required latency.
-        required: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -29,14 +20,6 @@ impl fmt::Display for Error {
             Error::NotFound(n) => write!(f, "`{n}` not found"),
             Error::Config(m) => write!(f, "invalid configuration: {m}"),
             Error::FrontEnd(m) => write!(f, "front end error: {m}"),
-            Error::Infeasible {
-                app,
-                achieved,
-                required,
-            } => write!(
-                f,
-                "no mapping meets `{app}` latency {required} (best {achieved})"
-            ),
         }
     }
 }

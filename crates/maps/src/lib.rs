@@ -4,15 +4,14 @@
 //! Platforms: Road Works Ahead!"* (DATE 2009, Section IV and Figure 1),
 //! takes *"sequential C code"* through dataflow analysis, task-graph
 //! formation, mapping onto a heterogeneous MPSoC, high-level simulation, and
-//! per-PE code generation. This crate implements every stage of that figure:
+//! per-PE code generation. This crate implements the stages of that figure
+//! that a claim or a tool reaches:
 //!
 //! | Figure 1 stage | Module |
 //! |---|---|
-//! | Sequential code + annotations → fine-grained task graphs | [`taskgraph`] |
+//! | Sequential code → fine-grained task graphs | [`taskgraph`] |
 //! | Coarse architecture model (PE classes, comm costs) | [`arch`] |
-//! | Concurrency graph → worst-case multi-app load | [`concurrency`] |
 //! | Task-to-PE mapping (list scheduling, simulated annealing) | [`mapping`] |
-//! | MAPS Virtual Platform (multi-application evaluation) | [`mvp`] |
 //! | Per-PE C code generation with channel primitives | [`codegen`] |
 //! | OSIP: hardware task dispatching vs. software RISC | [`osip`] |
 //!
@@ -45,21 +44,16 @@
 
 #![warn(missing_docs)]
 
-pub mod anno;
 pub mod arch;
 pub mod codegen;
-pub mod concurrency;
 pub mod error;
 pub mod mapping;
-pub mod mvp;
 pub mod osip;
 pub mod taskgraph;
 
-pub use crate::anno::{take_annotations, Annotations};
 pub use crate::arch::{ArchModel, Pe, PeClass};
 pub use crate::error::{Error, Result};
 pub use crate::mapping::{
     anneal, anneal_multi, evaluate, list_schedule, profile_task_costs, Mapping, Slot,
 };
-pub use crate::mvp::{simulate_mvp, MvpApp, MvpResult, RtClass};
 pub use crate::taskgraph::{coarsen, extract_task_graph, Task, TaskEdge, TaskGraph};

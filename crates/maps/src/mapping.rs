@@ -878,98 +878,3 @@ mod tests {
         }
     }
 }
-
-/// Checks a mapping against an application's real-time [`Annotations`]:
-/// the static schedule's makespan must fit the latency bound, and must
-/// also fit the period (otherwise jobs pile up).
-///
-/// This is the admission step of the paper's flow — *"taking into account
-/// real-time requirements"* — executed after mapping rather than during
-/// it, so the caller can fall back to a bigger platform or a different
-/// optimizer on failure.
-///
-/// # Errors
-///
-/// [`Error::Infeasible`] naming the violated bound.
-///
-/// [`Annotations`]: crate::anno::Annotations
-pub fn verify_realtime(
-    app: &str,
-    mapping: &Mapping,
-    anno: &crate::anno::Annotations,
-) -> Result<()> {
-    if let Some(latency) = anno.latency {
-        if mapping.makespan > latency {
-            return Err(Error::Infeasible {
-                app: app.to_string(),
-                achieved: mapping.makespan,
-                required: latency,
-            });
-        }
-    }
-    if let Some(period) = anno.period {
-        if mapping.makespan > period {
-            return Err(Error::Infeasible {
-                app: app.to_string(),
-                achieved: mapping.makespan,
-                required: period,
-            });
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod rt_tests {
-    use super::*;
-    use crate::anno::{take_annotations, Annotations};
-    use crate::arch::ArchModel;
-    use crate::taskgraph::extract_task_graph;
-    use mpsoc_minic::cost::CostModel;
-
-    #[test]
-    fn annotated_app_verifies_end_to_end() {
-        let mut unit = mpsoc_minic::parse(
-            "void app(int n, int out[]) {\n\
-             maps_period(100000);\n\
-             maps_latency(60000);\n\
-             for (i = 0; i < 64; i = i + 1) { out[i] = i * 2; }\n\
-             for (j = 0; j < 64; j = j + 1) { out[j] = out[j] + 1; }\n\
-             }",
-        )
-        .unwrap();
-        let anno = take_annotations(&mut unit, "app").unwrap();
-        let graph = extract_task_graph(&unit, "app", &CostModel::default()).unwrap();
-        let arch = ArchModel::homogeneous(2);
-        let m = list_schedule(&graph, &arch).unwrap();
-        verify_realtime("app", &m, &anno).unwrap();
-        // A latency bound below the makespan is reported infeasible.
-        let tight = Annotations {
-            latency: Some(m.makespan - 1),
-            ..anno
-        };
-        let e = verify_realtime("app", &m, &tight).unwrap_err();
-        assert!(matches!(e, Error::Infeasible { .. }));
-    }
-
-    #[test]
-    fn period_bound_checked_too() {
-        let m = Mapping {
-            assignment: vec![],
-            schedule: vec![],
-            makespan: 500,
-        };
-        let anno = Annotations {
-            period: Some(400),
-            latency: None,
-            pref: None,
-        };
-        assert!(verify_realtime("x", &m, &anno).is_err());
-        let loose = Annotations {
-            period: Some(600),
-            latency: None,
-            pref: None,
-        };
-        assert!(verify_realtime("x", &m, &loose).is_ok());
-    }
-}

@@ -28,7 +28,7 @@ pub struct Task {
     pub name: String,
     /// Estimated cost in reference cycles.
     pub cost: u64,
-    /// Preferred PE class from annotations (None = neutral).
+    /// Preferred PE class (None = class-neutral code).
     pub pref: Option<PeClass>,
     /// Indices of the source statements folded into this task.
     pub stmts: Vec<usize>,
@@ -148,37 +148,6 @@ pub fn extract_task_graph(unit: &Unit, func: &str, model: &CostModel) -> Result<
         }
     }
     Ok(TaskGraph { tasks, edges })
-}
-
-/// Assigns a preferred PE class to tasks whose name matches one of the
-/// `hints` — the paper's *"lightweight C extensions"* by which *"preferred
-/// PE types can be optionally annotated"*. A hint `("dct", PeClass::Dsp)`
-/// marks every task whose source statements call a function whose name
-/// contains `"dct"`.
-pub fn annotate_pe_hints(
-    graph: &mut TaskGraph,
-    unit: &Unit,
-    func: &str,
-    hints: &[(&str, PeClass)],
-) {
-    let Some(f) = unit.function(func) else { return };
-    for task in &mut graph.tasks {
-        for &si in &task.stmts {
-            let mut called = Vec::new();
-            if let Some(s) = f.body.get(si) {
-                mpsoc_minic::ast::visit_exprs(s, &mut |e| {
-                    if let mpsoc_minic::Expr::Call(name, _) = e {
-                        called.push(name.clone());
-                    }
-                });
-            }
-            for (pat, class) in hints {
-                if called.iter().any(|c| c.contains(pat)) {
-                    task.pref = Some(*class);
-                }
-            }
-        }
-    }
 }
 
 /// Clusters a fine-grained graph into at most `k` coarse tasks.
@@ -313,15 +282,6 @@ mod tests {
         let g = extract_task_graph(&u, "f", &CostModel::default()).unwrap();
         assert_eq!(coarsen(&g, 10).unwrap(), g);
         assert!(coarsen(&g, 0).is_err());
-    }
-
-    #[test]
-    fn pe_hints_annotate_matching_tasks() {
-        let u = parse("void f(int a[]) { a[0] = dct_8x8(a); a[1] = control(a); }").unwrap();
-        let mut g = extract_task_graph(&u, "f", &CostModel::default()).unwrap();
-        annotate_pe_hints(&mut g, &u, "f", &[("dct", PeClass::Dsp)]);
-        assert_eq!(g.tasks[0].pref, Some(PeClass::Dsp));
-        assert_eq!(g.tasks[1].pref, None);
     }
 
     #[test]

@@ -15,13 +15,6 @@ pub enum Error {
         /// Why.
         reason: String,
     },
-    /// A memory-locality rule was violated.
-    Locality {
-        /// The core performing the access.
-        core: usize,
-        /// The owning core of the touched region.
-        owner: usize,
-    },
     /// A named entity was not found.
     NotFound(String),
 }
@@ -32,9 +25,6 @@ impl fmt::Display for Error {
             Error::Config(m) => write!(f, "invalid configuration: {m}"),
             Error::AdmissionRejected { task, reason } => {
                 write!(f, "task `{task}` rejected by admission control: {reason}")
-            }
-            Error::Locality { core, owner } => {
-                write!(f, "core {core} accessed memory owned by core {owner}")
             }
             Error::NotFound(n) => write!(f, "`{n}` not found"),
         }
@@ -52,7 +42,7 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_concise() {
-        let e = Error::Locality { core: 1, owner: 0 };
-        assert!(e.to_string().starts_with("core 1"));
+        let e = Error::NotFound("admitted task TaskId(1)".into());
+        assert!(e.to_string().starts_with("`admitted task"));
     }
 }

@@ -9,12 +9,14 @@
 //! |---|---|
 //! | Amdahl bottlenecks, heterogeneity penalty, frequency boosting | [`scalability`] |
 //! | Time-shared + space-shared reactive scheduling | [`sched`] |
-//! | Fine-grained per-core DVFS under a power budget | [`dvfs`] |
-//! | Strict memory-locality enforcement, ownership transfer | [`locality`] |
-//! | Flat, de-coupled, asynchronously-messaging sequential components | [`msg`] |
+//! | Predictable reactive admission of parallel and sequential tasks | [`admission`] |
+//! | Scheduling-policy × boost design-space sweeps | [`sweep`] |
 //!
-//! Experiments E1 (scalability) and E2 (hybrid scheduling) in the workspace
-//! `bench` crate are built from these models.
+//! Experiments E1 (scalability), E2 (hybrid scheduling) and E10 (admission
+//! control) in the root package's `src/experiments.rs` are built from these
+//! models. Strict locality and per-core frequency boosting are properties of
+//! the simulated platform itself (`mpsoc-platform`'s `enforce_locality` and
+//! `Core::set_frequency`), not models here.
 //!
 //! ## Quickstart
 //!
@@ -38,10 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod dvfs;
 pub mod error;
-pub mod locality;
-pub mod msg;
 pub mod scalability;
 pub mod sched;
 pub mod sweep;

@@ -1,6 +1,6 @@
 //! Analytic scalability models behind Section II.A.
 //!
-//! The paper's hardware position rests on three quantitative intuitions:
+//! The paper's hardware position rests on two quantitative intuitions:
 //!
 //! 1. *Amdahl's law*: the sequential remainder of an application bounds its
 //!    speedup, so per-core *frequency boosting* of the sequential phase is
@@ -10,11 +10,8 @@
 //!    ISA-incompatible domains caps scalability by the quality of the static
 //!    split ([`heterogeneous_speedup`]) — homogeneous ISA lets work migrate
 //!    freely.
-//! 3. *Gustafson scaling* for throughput-oriented (streaming) workloads
-//!    ([`gustafson_speedup`]).
 //!
-//! Experiment E1 sweeps these models against the discrete scheduler
-//! simulation to show they agree.
+//! Experiment E1 tabulates these models.
 
 /// Classic Amdahl speedup on `n` cores for a program whose sequential
 /// fraction of total work is `serial_frac` (0..=1).
@@ -49,17 +46,6 @@ pub fn boosted_amdahl_speedup(serial_frac: f64, n: usize, boost: f64) -> f64 {
     assert!(n > 0, "need at least one core");
     assert!(boost > 0.0, "boost must be positive");
     1.0 / (serial_frac / boost + (1.0 - serial_frac) / n as f64)
-}
-
-/// Gustafson (scaled) speedup: the parallel part grows with `n`.
-///
-/// # Panics
-///
-/// Panics on out-of-range `serial_frac` or `n == 0`.
-pub fn gustafson_speedup(serial_frac: f64, n: usize) -> f64 {
-    assert!((0.0..=1.0).contains(&serial_frac), "fraction out of range");
-    assert!(n > 0, "need at least one core");
-    serial_frac + (1.0 - serial_frac) * n as f64
 }
 
 /// Speedup achievable on a *heterogeneous* platform whose `n` cores are
@@ -101,26 +87,6 @@ pub fn heterogeneous_speedup(
     1.0 / (serial_frac + t_a.max(t_b))
 }
 
-/// The core count at which adding cores stops paying: smallest `n` where
-/// the marginal speedup of doubling from `n` to `2n` drops below
-/// `threshold` (e.g. 1.1 = "less than 10 % gain from doubling").
-///
-/// # Panics
-///
-/// Panics if `threshold <= 1.0`.
-pub fn saturation_cores(serial_frac: f64, threshold: f64) -> usize {
-    assert!(threshold > 1.0, "threshold must exceed 1.0");
-    let mut n = 1usize;
-    while n < 1 << 20 {
-        let gain = amdahl_speedup(serial_frac, n * 2) / amdahl_speedup(serial_frac, n);
-        if gain < threshold {
-            return n;
-        }
-        n *= 2;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn gustafson_scales_linearly() {
-        let s1 = gustafson_speedup(0.1, 10);
-        let s2 = gustafson_speedup(0.1, 20);
-        assert!((s2 - s1 - 0.9 * 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn heterogeneous_is_capped_by_bad_partition() {
         // Perfectly balanced partition matches homogeneous.
         let hom = amdahl_speedup(0.05, 16);
@@ -178,11 +137,6 @@ mod tests {
         let rel = |n| heterogeneous_speedup(0.0, n, 0.5, 0.9) / amdahl_speedup(0.0, n);
         assert!(rel(64) < 0.6);
         assert!(rel(256) < 0.6);
-    }
-
-    #[test]
-    fn saturation_point_shrinks_with_serial_fraction() {
-        assert!(saturation_cores(0.2, 1.1) <= saturation_cores(0.02, 1.1));
     }
 
     #[test]

@@ -2,38 +2,19 @@
 //!
 //! The paper validates HOPES by generating an H.264 encoder for the Cell
 //! processor and for an ARM MPCore SMP *"from the same CIC specification"*.
-//! This example loads an architecture information file (the XML-style
-//! format of Figure 2), auto-maps the tasks, translates, executes both
-//! translations, and checks the outputs match the reference semantics.
+//! This example takes the built-in Cell-like target (a host plus three DSP
+//! workers with local stores, DMA interconnect) and MPCore-like target (four
+//! cores over shared memory, bus), auto-maps the tasks, translates, executes
+//! both translations, and checks the outputs match the reference semantics.
 //!
 //! ```text
 //! cargo run --example retarget_h264
 //! ```
 
 use mpsoc_suite::apps::h264::h264_cic_model;
-use mpsoc_suite::cic::archfile::parse_arch_file;
+use mpsoc_suite::cic::archfile::ArchInfo;
 use mpsoc_suite::cic::executor::execute;
 use mpsoc_suite::cic::translator::{auto_map, execute_translation, translate};
-
-const CELL_XML: &str = r#"
-<architecture name="cell-like" memory="distributed">
-  <pe name="ppe" class="risc" speed="1.0"/>
-  <pe name="spe0" class="dsp" speed="2.0" localwords="16384"/>
-  <pe name="spe1" class="dsp" speed="2.0" localwords="16384"/>
-  <pe name="spe2" class="dsp" speed="2.0" localwords="16384"/>
-  <interconnect kind="dma" latency="200"/>
-</architecture>
-"#;
-
-const SMP_XML: &str = r#"
-<architecture name="mpcore-like" memory="shared">
-  <pe name="cpu0"/>
-  <pe name="cpu1"/>
-  <pe name="cpu2"/>
-  <pe name="cpu3"/>
-  <interconnect kind="bus" latency="30"/>
-</architecture>
-"#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = h264_cic_model()?;
@@ -49,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reference.sinks.values().map(Vec::len).sum::<usize>()
     );
 
-    for xml in [CELL_XML, SMP_XML] {
-        let arch = parse_arch_file(xml)?;
+    for arch in [ArchInfo::cell_like(3), ArchInfo::smp_like(4)] {
         let mapping = auto_map(&model, &arch)?;
         let translation = translate(&model, &arch, &mapping)?;
         let run = execute_translation(&model, &translation, 3)?;

@@ -2,41 +2,24 @@
 //!
 //! A sequential JPEG-like frame encoder enters the flow; one recoder loop
 //! split exposes block parallelism; the task graph is mapped onto a
-//! heterogeneous RISC+DSP platform; the MVP evaluates a multi-application
-//! scenario (the encoder plus a best-effort browser); finally per-PE C code
-//! is generated.
+//! heterogeneous RISC+DSP platform; finally per-PE C code is generated.
 //!
 //! ```text
 //! cargo run --example wireless_terminal
 //! ```
 
-use mpsoc_suite::maps::anno::take_annotations;
-use mpsoc_suite::maps::arch::{ArchModel, PeClass};
+use mpsoc_suite::maps::arch::ArchModel;
 use mpsoc_suite::maps::codegen::generate;
-use mpsoc_suite::maps::concurrency::ConcurrencyGraph;
-use mpsoc_suite::maps::mapping::verify_realtime;
 use mpsoc_suite::maps::mapping::{anneal, list_schedule};
-use mpsoc_suite::maps::mvp::{simulate_mvp, MvpApp, RtClass};
-use mpsoc_suite::maps::taskgraph::{annotate_pe_hints, extract_task_graph};
+use mpsoc_suite::maps::taskgraph::extract_task_graph;
 use mpsoc_suite::minic::cost::CostModel;
 use mpsoc_suite::recoder::recoder::Recoder;
 use mpsoc_suite::recoder::transforms;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Sequential input with the paper's lightweight C-extension
-    //    annotations, + one semi-automatic partitioning action.
-    let src = mpsoc_suite::apps::jpeg::jpeg_frame_minic_source(64).replace(
-        "void encode_frame(int px[], int out[]) {\n",
-        "void encode_frame(int px[], int out[]) {\nmaps_period(60000);\nmaps_latency(30000);\n",
-    );
+    // 1. Sequential input + one semi-automatic partitioning action.
+    let src = mpsoc_suite::apps::jpeg::jpeg_frame_minic_source(64);
     let mut session = Recoder::from_source(&src)?;
-    let mut annotated = session.unit().clone();
-    let anno = take_annotations(&mut annotated, "encode_frame")?;
-    session.edit_text(&mpsoc_suite::minic::print_unit(&annotated))?;
-    println!(
-        "annotations: period {:?}, latency {:?}",
-        anno.period, anno.latency
-    );
     session.apply(|u| transforms::split_loop(u, "encode_frame", 0, 4))?;
     println!(
         "recoder: {} designer action(s), {} lines rewritten",
@@ -44,31 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.stats().lines_changed_by_transforms
     );
 
-    // 2. Task graph + PE-class annotations (the lightweight C extensions).
-    let mut graph = extract_task_graph(session.unit(), "encode_frame", &CostModel::default())?;
-    annotate_pe_hints(
-        &mut graph,
-        session.unit(),
-        "encode_frame",
-        &[("dct", PeClass::Dsp)],
-    );
+    // 2. Task graph.
+    let graph = extract_task_graph(session.unit(), "encode_frame", &CostModel::default())?;
     println!(
         "task graph: {} tasks, parallelism {:.2}",
         graph.tasks.len(),
         graph.parallelism()
     );
 
-    // 3. Concurrency graph: which applications may overlap?
-    let mut cg = ConcurrencyGraph::new();
-    let enc = cg.add_app("jpeg_encoder", graph.total_cost());
-    let browser = cg.add_app("browser", graph.total_cost() / 3);
-    let call = cg.add_app("voice_call", graph.total_cost() / 8);
-    cg.add_concurrent(enc, browser)?;
-    cg.add_concurrent(enc, call)?;
-    let (wc_load, wc_set) = cg.worst_case_load();
-    println!("worst-case concurrent load {wc_load} cy from apps {wc_set:?}");
-
-    // 4. Map onto the terminal platform (2 RISC + 2 DSP + accelerator).
+    // 3. Map onto the terminal platform (2 RISC + 2 DSP + accelerator).
     let arch = ArchModel::wireless_terminal(2, 2);
     let ls = list_schedule(&graph, &arch)?;
     let sa = anneal(&graph, &arch, 11, 500)?;
@@ -78,46 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sa.makespan,
         arch.len()
     );
-    verify_realtime("jpeg_encoder", &sa, &anno)?;
-    println!("real-time annotations verified against the static schedule");
 
-    // 5. MVP: multi-application evaluation.
-    let browser_graph = mpsoc_suite::apps::workload::random_dag(
-        &mpsoc_suite::apps::workload::DagParams::default(),
-        5,
-    );
-    let browser_assign: Vec<usize> = (0..browser_graph.tasks.len())
-        .map(|i| i % arch.len())
-        .collect();
-    let apps = vec![
-        MvpApp {
-            name: "jpeg_encoder".into(),
-            graph: graph.clone(),
-            assignment: sa.assignment.clone(),
-            rt: RtClass::Hard {
-                period: sa.makespan * 2,
-                deadline: sa.makespan * 2,
-            },
-            jobs: 4,
-        },
-        MvpApp {
-            name: "browser".into(),
-            graph: browser_graph,
-            assignment: browser_assign,
-            rt: RtClass::BestEffort,
-            jobs: 1,
-        },
-    ];
-    let mvp = simulate_mvp(&arch, &apps)?;
-    println!(
-        "MVP: encoder met {}/{} deadlines; browser latency {} cy; PE0 utilisation {:.2}",
-        mvp.apps[0].met,
-        mvp.apps[0].released,
-        mvp.apps[1].worst_latency,
-        mvp.utilization(0)
-    );
-
-    // 6. Code generation for the chosen mapping.
+    // 4. Code generation for the chosen mapping.
     let codes = generate(session.unit(), "encode_frame", &graph, &sa, &arch)?;
     println!("\ngenerated {} per-PE sources; first one:", codes.len());
     let first = &codes[0];

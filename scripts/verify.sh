@@ -58,12 +58,12 @@ doc_deny_warnings() {
 }
 
 run_examples() {
-  # clippy --all-targets only proves examples compile; these drive the
-  # `.mts` assertion path, the three `*_observed` entry points and — the
-  # one example that rewinds — the checkpoint ring, so run them and fail
-  # on a non-zero exit (observe_jpeg writes the git-ignored trace.json).
+  # clippy --all-targets only proves examples compile; run every one of
+  # them (each takes milliseconds in release) and fail on a non-zero exit
+  # (observe_jpeg writes the git-ignored trace.json).
   local ex
-  for ex in heisenbug_hunt observe_jpeg time_travel; do
+  for ex in car_radio heisenbug_hunt observe_jpeg quickstart retarget_h264 \
+    time_travel wireless_terminal; do
     cargo run --release -q --example "$ex" >/dev/null
   done
 }
@@ -106,7 +106,7 @@ stage "paper claims (experiments --smoke)" \
 # them as artifacts).
 stage "headless platform suite (mpsoc-test)" \
   cargo run --release -q -p mpsoc-apps --bin mpsoc-test
-stage "examples run (heisenbug/observe/time_travel)" run_examples
+stage "examples run (all seven)" run_examples
 # The layered benchmark (benchmark/, a workspace of its own). The smoke
 # profile runs the output checks and expected.json pins of all seven
 # workloads in a few seconds, prints "not a measurement" and emits no rates;

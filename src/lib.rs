@@ -8,9 +8,9 @@
 //! | [`obs`] | VII | metrics registry, event sinks, Chrome-trace export, PRNG |
 //! | [`platform`] | substrate | cycle-approximate MPSoC virtual platform |
 //! | [`minic`] | substrate | mini-C front end + interpreter oracle |
-//! | [`rtkernel`] | II | hybrid time/space scheduling, DVFS, locality, actors |
+//! | [`rtkernel`] | II | hybrid time/space scheduling, admission control, scalability models |
 //! | [`dataflow`] | III | CSDF graphs, buffer sizing, TT vs DD executors |
-//! | [`maps`] | IV | partitioning, mapping, MVP, code generation, OSIP |
+//! | [`maps`] | IV | partitioning, mapping, code generation, OSIP |
 //! | [`cic`] | V | Common Intermediate Code + retargetable translator |
 //! | [`explore`] | IV/V/VII | deterministic parallel sweep engine + snapshot warm starts |
 //! | [`pdl`] | I/IV | declarative `.soc` platform language, topology generator, joint mapping×topology DSE |
@@ -18,7 +18,7 @@
 //! | [`snapshot`] | VII | versioned binary checkpoint images for capture/restore |
 //! | [`vpdebug`] | VII | virtual-platform debugger, time travel, fault campaigns |
 //! | [`gdbrsp`] | VII | GDB Remote Serial Protocol server over `vpdebug` |
-//! | [`apps`] | workloads | JPEG-like, H.264-like, car-radio, generators |
+//! | [`apps`] | workloads | JPEG-like, H.264-like, car-radio, testbeds, test runner |
 //!
 //! [`experiments`] holds the paper's claims, one experiment each (E1–E13),
 //! and decides a verdict per claim. See `DESIGN.md` for the system

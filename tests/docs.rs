@@ -1,6 +1,6 @@
 //! The top-level documents stay true to the code: EXPERIMENTS.md's measured
-//! blocks are what the experiments render, and every file path the docs
-//! name exists.
+//! blocks are what the experiments render, every file path the docs name
+//! exists, and every `crate::name` module path they name resolves.
 
 use std::fs;
 use std::path::Path;
@@ -87,12 +87,10 @@ fn resolves(base: &Path, path: &str) -> bool {
     })
 }
 
-/// Every backticked file path in README.md, DESIGN.md and EXPERIMENTS.md
-/// exists, relative to the repository root or to `crates/` (the docs name
-/// crate files as `platform/src/…`). Fenced code blocks are not scanned.
-#[test]
-fn backticked_doc_paths_exist() {
-    let mut missing = Vec::new();
+/// Every backticked span outside fenced code blocks in README.md, DESIGN.md
+/// and EXPERIMENTS.md, with the `DOC:LINE` it sits on.
+fn doc_spans() -> Vec<(String, String)> {
+    let mut spans = Vec::new();
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         let text = fs::read_to_string(root().join(doc)).expect("doc reads");
         let mut fenced = false;
@@ -105,17 +103,121 @@ fn backticked_doc_paths_exist() {
                 continue;
             }
             for span in line.split('`').skip(1).step_by(2) {
-                if let Some(path) = named_path(span) {
-                    if !resolves(root(), path) && !resolves(&root().join("crates"), path) {
-                        missing.push(format!("{doc}:{}: `{span}`", n + 1));
-                    }
-                }
+                spans.push((format!("{doc}:{}", n + 1), span.to_string()));
             }
         }
     }
+    spans
+}
+
+/// Every backticked file path in the docs exists, relative to the
+/// repository root or to `crates/` (the docs name crate files as
+/// `platform/src/…`).
+#[test]
+fn backticked_doc_paths_exist() {
+    let missing: Vec<String> = doc_spans()
+        .into_iter()
+        .filter(|(_, span)| {
+            named_path(span).is_some_and(|path| {
+                !resolves(root(), path) && !resolves(&root().join("crates"), path)
+            })
+        })
+        .map(|(at, span)| format!("{at}: `{span}`"))
+        .collect();
     assert!(
         missing.is_empty(),
         "doc paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Whether `c` can be part of a Rust identifier.
+fn ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The workspace crate a backticked module path starts with, and the names
+/// it reaches into: `rtkernel::sched` is `("rtkernel", ["sched"])`,
+/// `pdl::{generate,joint_sweep}` is `("pdl", ["generate", "joint_sweep"])`,
+/// `vpdebug::run_campaign{,_delta}` is `("vpdebug", ["run_campaign"])`. An
+/// `mpsoc_` prefix is dropped; a span whose first segment is not a directory
+/// under `crates/` names no module.
+fn module_path(span: &str) -> Option<(&str, Vec<&str>)> {
+    let (krate, rest) = span.split_once("::")?;
+    let krate = krate.strip_prefix("mpsoc_").unwrap_or(krate);
+    if krate.is_empty()
+        || !krate.chars().all(ident_char)
+        || !root().join("crates").join(krate).join("src").is_dir()
+    {
+        return None;
+    }
+    let names = match rest.strip_prefix('{') {
+        Some(group) => group.split('}').next()?.split(',').map(str::trim).collect(),
+        None => vec![rest.split(|c: char| !ident_char(c)).next()?],
+    };
+    Some((krate, names))
+}
+
+/// The names a crate root declares or re-exports: the name after `pub mod`,
+/// `pub fn`, `pub struct` … and every identifier of a `pub use` statement.
+fn lib_names(lib: &str) -> Vec<String> {
+    let code = lib
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let idents = |s: &str| -> Vec<String> {
+        s.split(|c: char| !ident_char(c))
+            .filter(|w| !w.is_empty())
+            .map(String::from)
+            .collect()
+    };
+    let mut names = Vec::new();
+    for stmt in code.split(';') {
+        if let Some((_, used)) = stmt.split_once("pub use ") {
+            names.extend(idents(used));
+        }
+    }
+    let kinds = [
+        "mod", "fn", "struct", "enum", "trait", "type", "const", "static",
+    ];
+    for w in idents(&code).windows(3) {
+        if w[0] == "pub" && kinds.contains(&w[1].as_str()) {
+            names.push(w[2].clone());
+        }
+    }
+    names
+}
+
+/// Every backticked `crate::name` path in the docs resolves: `name` is a
+/// module file of `crates/<crate>/src`, or an item that crate's `lib.rs`
+/// declares or re-exports (`maps::*` names the crate). A row left behind by
+/// a deleted module fails here.
+#[test]
+fn backticked_module_paths_resolve() {
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for (at, span) in doc_spans() {
+        let Some((krate, names)) = module_path(&span) else {
+            continue;
+        };
+        let src = root().join("crates").join(krate).join("src");
+        let lib = fs::read_to_string(src.join("lib.rs")).expect("crate root reads");
+        let exported = lib_names(&lib);
+        for name in names {
+            checked += 1;
+            let found = name.is_empty()
+                || src.join(format!("{name}.rs")).exists()
+                || exported.iter().any(|e| e == name);
+            if !found {
+                missing.push(format!("{at}: `{span}` ({name})"));
+            }
+        }
+    }
+    assert!(checked > 0, "the docs name no module path");
+    assert!(
+        missing.is_empty(),
+        "doc module paths that do not resolve:\n{}",
         missing.join("\n")
     );
 }

@@ -224,40 +224,3 @@ fn dvfs_midrun_boost() {
     // But not by the full 4x: the first 100 steps ran at base clock.
     assert!(boosted.as_ps() * 3 > base.as_ps());
 }
-
-/// Locality manager + actor runtime together: ownership transfer is the
-/// sanctioned sharing channel (§II.B's messaging-based model).
-#[test]
-fn locality_with_actor_ownership_transfer() {
-    use mpsoc_suite::rtkernel::locality::MemoryManager;
-    use mpsoc_suite::rtkernel::msg::{Message, System};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let mm = Rc::new(RefCell::new(MemoryManager::new(2, 128, true)));
-    let region = mm.borrow_mut().alloc(0, 32).unwrap();
-    // Actor on "core 1" receives the region id and accesses it — but only
-    // after the producer transferred ownership inside its handler.
-    let mm_c = Rc::clone(&mm);
-    let mut sys = System::new();
-    let consumer = sys.spawn(move |m: Message, _ctx: &mut _| {
-        let r = mpsoc_suite::rtkernel::locality::RegionId::from_raw(m.data[0] as u64);
-        mm_c.borrow_mut()
-            .access(1, r)
-            .expect("ownership arrived first");
-    });
-    let mm_p = Rc::clone(&mm);
-    let producer = sys.spawn(
-        move |m: Message, ctx: &mut mpsoc_suite::rtkernel::msg::Ctx| {
-            let r = mpsoc_suite::rtkernel::locality::RegionId::from_raw(m.data[0] as u64);
-            mm_p.borrow_mut().access(0, r).unwrap();
-            mm_p.borrow_mut().transfer(r, 1).unwrap();
-            ctx.send(consumer, m);
-        },
-    );
-    sys.post(producer, Message::new(0, vec![region.into_raw() as i64]))
-        .unwrap();
-    sys.run(100).unwrap();
-    assert_eq!(mm.borrow().violations(), 0);
-    assert_eq!(mm.borrow().region(region).unwrap().owner, 1);
-}
