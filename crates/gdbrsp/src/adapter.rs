@@ -186,11 +186,12 @@ impl Target for DebugTarget {
         self.dbg.platform().num_cores()
     }
 
-    fn read_registers(&self, core: usize) -> Result<Vec<u64>> {
+    fn read_registers_into(&self, core: usize, out: &mut Vec<u64>) -> Result<()> {
         let c = self.dbg.core_regs(core)?;
-        let mut out: Vec<u64> = c.regs().iter().map(|&w| w as u64).collect();
+        out.clear();
+        out.extend(c.regs().iter().map(|&w| w as u64));
         out.push(u64::from(c.pc()));
-        Ok(out)
+        Ok(())
     }
 
     fn write_register(&mut self, core: usize, reg: usize, value: u64) -> Result<()> {
@@ -206,17 +207,19 @@ impl Target for DebugTarget {
         }
     }
 
-    fn read_mem(&self, addr: u32, len: u32) -> Result<Vec<u64>> {
+    fn read_mem_into(&self, addr: u32, len: u32, out: &mut Vec<u64>) -> Result<()> {
         if len > MAX_READ_WORDS {
             return Err(Error::Packet(format!(
                 "read of {len} words exceeds the {MAX_READ_WORDS}-word reply limit"
             )));
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for a in word_range(addr, len as usize)? {
+        let range = word_range(addr, len as usize)?;
+        out.clear();
+        out.reserve(len as usize);
+        for a in range {
             out.push(self.dbg.read_mem(a)? as u64);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn write_mem(&mut self, addr: u32, values: &[u64]) -> Result<()> {

@@ -9,10 +9,24 @@
 //! retransmission of a corrupt one with `-` (until
 //! `QStartNoAckMode` turns acknowledgements off).
 //!
-//! [`Framer`] is an incremental parser: feed it bytes as they arrive and
-//! it emits complete [`Item`]s. It never panics on hostile input — corrupt
-//! checksums, truncated escapes, and oversized payloads surface as
-//! [`Error::Frame`] values and the framer resynchronises on the next `$`.
+//! Both directions take one pass over the bytes and allocate nothing once
+//! their buffers have grown to the largest packet seen:
+//!
+//! * [`Framer`] is an incremental parser: feed it bytes as they arrive and
+//!   it verifies the checksum and unescapes the payload as it goes, into a
+//!   buffer it owns and reuses. The session serves each packet straight
+//!   from that buffer; [`Framer::push`] / [`Framer::push_bytes`] copy it
+//!   out as an owned [`Item`] for clients. The framer never panics on
+//!   hostile input — corrupt checksums, truncated escapes, and oversized
+//!   payloads surface as [`Error::Frame`] values and the framer
+//!   resynchronises on the next `$`.
+//! * A reply is written into the caller's transmit buffer as it is
+//!   produced: `$`, the payload, then `#xx`, its checksum summed over the
+//!   payload where it lies. Hex digits never collide with the framing
+//!   characters, so hex replies (`g`, `m`, `p`, `qRcmd` output) and the
+//!   numbers in stop replies are written from a table with no escape
+//!   check; only free text takes it. [`encode_packet`] is that writer's
+//!   escaping path.
 
 use crate::error::{Error, Result};
 
@@ -39,6 +53,16 @@ pub enum Item {
     Interrupt,
 }
 
+/// What one byte completed: an [`Item`] whose packet payload stays in the
+/// framer ([`Framer::payload`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Event {
+    Packet,
+    Ack,
+    Nak,
+    Interrupt,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
     /// Between packets; `+`/`-`/0x03 are meaningful, other bytes noise.
@@ -55,10 +79,15 @@ enum State {
 #[derive(Debug)]
 pub struct Framer {
     state: State,
-    /// Raw (still escaped) payload bytes of the in-flight packet.
-    raw: Vec<u8>,
+    /// Unescaped payload of the in-flight packet, or of the one just
+    /// completed. Cleared, never shrunk, at each `$`.
+    payload: Vec<u8>,
+    /// Raw (still escaped) length of the in-flight payload.
+    raw_len: usize,
     /// Running modulo-256 sum of the raw payload bytes.
     sum: u8,
+    /// The last raw byte was an escape whose escaped byte has not arrived.
+    escaped: bool,
 }
 
 impl Framer {
@@ -66,8 +95,10 @@ impl Framer {
     pub fn new() -> Self {
         Framer {
             state: State::Idle,
-            raw: Vec::new(),
+            payload: Vec::new(),
+            raw_len: 0,
             sum: 0,
+            escaped: false,
         }
     }
 
@@ -75,15 +106,36 @@ impl Framer {
     /// finished one. Errors reset the framer to idle — parsing resumes at
     /// the next `$`.
     pub fn push(&mut self, byte: u8) -> Option<Result<Item>> {
+        let event = self.feed(byte)?;
+        Some(event.map(|e| match e {
+            Event::Packet => Item::Packet(self.payload.clone()),
+            Event::Ack => Item::Ack,
+            Event::Nak => Item::Nak,
+            Event::Interrupt => Item::Interrupt,
+        }))
+    }
+
+    /// Feeds a byte slice; returns every item (or error) completed by it.
+    pub fn push_bytes(&mut self, bytes: &[u8]) -> Vec<Result<Item>> {
+        bytes.iter().filter_map(|&b| self.push(b)).collect()
+    }
+
+    /// The payload of the packet the last [`Event::Packet`] completed.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// The framer's state machine: [`push`](Framer::push) without copying
+    /// a completed packet out of [`payload`](Framer::payload).
+    pub(crate) fn feed(&mut self, byte: u8) -> Option<Result<Event>> {
         match self.state {
             State::Idle => match byte {
-                b'+' => Some(Ok(Item::Ack)),
-                b'-' => Some(Ok(Item::Nak)),
-                INTERRUPT => Some(Ok(Item::Interrupt)),
+                b'+' => Some(Ok(Event::Ack)),
+                b'-' => Some(Ok(Event::Nak)),
+                INTERRUPT => Some(Ok(Event::Interrupt)),
                 b'$' => {
                     self.state = State::Payload;
-                    self.raw.clear();
-                    self.sum = 0;
+                    self.restart();
                     None
                 }
                 // Line noise between packets is explicitly tolerated.
@@ -96,19 +148,26 @@ impl Framer {
                 }
                 b'$' => {
                     // A packet restarted mid-flight: drop the partial one.
-                    self.raw.clear();
-                    self.sum = 0;
+                    self.restart();
                     None
                 }
                 _ => {
-                    if self.raw.len() >= MAX_PAYLOAD {
+                    if self.raw_len >= MAX_PAYLOAD {
                         self.state = State::Idle;
                         return Some(Err(Error::Frame(format!(
                             "payload exceeds {MAX_PAYLOAD} bytes"
                         ))));
                     }
-                    self.raw.push(byte);
+                    self.raw_len += 1;
                     self.sum = self.sum.wrapping_add(byte);
+                    if self.escaped {
+                        self.payload.push(byte ^ 0x20);
+                        self.escaped = false;
+                    } else if byte == ESCAPE {
+                        self.escaped = true;
+                    } else {
+                        self.payload.push(byte);
+                    }
                     None
                 }
             },
@@ -138,14 +197,23 @@ impl Framer {
                         self.sum
                     ))));
                 }
-                Some(unescape(&self.raw).map(Item::Packet))
+                // The escaped byte never arrived — a truncation the
+                // checksum cannot catch when the truncated form happens to
+                // re-frame.
+                if self.escaped {
+                    return Some(Err(Error::Frame("trailing escape byte".into())));
+                }
+                Some(Ok(Event::Packet))
             }
         }
     }
 
-    /// Feeds a byte slice; returns every item (or error) completed by it.
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> Vec<Result<Item>> {
-        bytes.iter().filter_map(|&b| self.push(b)).collect()
+    /// Empties the in-flight packet at a `$`.
+    fn restart(&mut self) {
+        self.payload.clear();
+        self.raw_len = 0;
+        self.sum = 0;
+        self.escaped = false;
     }
 }
 
@@ -155,49 +223,116 @@ impl Default for Framer {
     }
 }
 
-/// Removes RSP escapes. Fails on a trailing escape byte (the escaped byte
-/// never arrived — a truncation the checksum cannot catch when the
-/// truncated form happens to re-frame).
-fn unescape(raw: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw.len());
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == ESCAPE {
-            let Some(&next) = raw.get(i + 1) else {
-                return Err(Error::Frame("trailing escape byte".into()));
-            };
-            out.push(next ^ 0x20);
-            i += 2;
-        } else {
-            out.push(raw[i]);
-            i += 1;
-        }
-    }
-    Ok(out)
-}
-
 /// Frames `payload` into a transmit-ready `$...#xx` byte vector, escaping
 /// where required.
 pub fn encode_packet(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 4);
-    out.push(b'$');
-    let mut sum = 0u8;
-    for &b in payload {
-        if matches!(b, b'$' | b'#' | b'*' | ESCAPE) {
-            let esc = b ^ 0x20;
-            out.push(ESCAPE);
-            out.push(esc);
-            sum = sum.wrapping_add(ESCAPE).wrapping_add(esc);
-        } else {
-            out.push(b);
-            sum = sum.wrapping_add(b);
-        }
-    }
-    out.push(b'#');
-    out.push(hex_digit(sum >> 4));
-    out.push(hex_digit(sum & 0xf));
+    let mut w = PacketWriter::begin(&mut out);
+    w.text(payload);
+    w.finish();
     out
 }
+
+/// One reply packet being framed straight into a transmit buffer: `$` on
+/// [`begin`](PacketWriter::begin), payload bytes as they are produced, and
+/// on [`finish`](PacketWriter::finish) `#` plus the checksum, summed over
+/// the finished payload in place.
+pub(crate) struct PacketWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Index of the first payload byte in `out` (just past the `$`).
+    start: usize,
+}
+
+impl<'a> PacketWriter<'a> {
+    /// Opens a packet at the end of `out`.
+    pub(crate) fn begin(out: &'a mut Vec<u8>) -> Self {
+        out.push(b'$');
+        let start = out.len();
+        PacketWriter { out, start }
+    }
+
+    /// Free text, escaping each framing byte.
+    pub(crate) fn text(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            if matches!(b, b'$' | b'#' | b'*' | ESCAPE) {
+                self.out.extend_from_slice(&[ESCAPE, b ^ 0x20]);
+            } else {
+                self.out.push(b);
+            }
+        }
+    }
+
+    /// `bytes` as lowercase hex digit pairs.
+    pub(crate) fn hex(&mut self, bytes: &[u8]) {
+        let digits = self.grow(bytes.len() * 2);
+        for (pair, &b) in digits.as_chunks_mut::<2>().0.iter_mut().zip(bytes) {
+            *pair = HEX_PAIRS[usize::from(b)];
+        }
+    }
+
+    /// Each word as the hex of its 8 little-endian bytes (the `g` / `m`
+    /// reply body).
+    pub(crate) fn hex_words(&mut self, words: &[u64]) {
+        let digits = self.grow(words.len() * 16);
+        for (word_digits, w) in digits.as_chunks_mut::<16>().0.iter_mut().zip(words) {
+            let pairs = word_digits.as_chunks_mut::<2>().0;
+            for (pair, b) in pairs.iter_mut().zip(w.to_le_bytes()) {
+                *pair = HEX_PAIRS[usize::from(b)];
+            }
+        }
+    }
+
+    /// `v` in lowercase hex without leading zeros (`{v:x}`).
+    pub(crate) fn num(&mut self, v: u64) {
+        let mut digits = [0u8; 16];
+        let mut i = digits.len();
+        let mut v = v;
+        loop {
+            i -= 1;
+            digits[i] = HEX_DIGITS[(v & 0xf) as usize];
+            v >>= 4;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&digits[i..]);
+    }
+
+    /// Discards the payload written so far (an error reply replaces a
+    /// partial one).
+    pub(crate) fn clear(&mut self) {
+        self.out.truncate(self.start);
+    }
+
+    /// Closes the packet with `#` and its checksum.
+    pub(crate) fn finish(self) {
+        let sum = self.out[self.start..]
+            .iter()
+            .fold(0u8, |s, &b| s.wrapping_add(b));
+        let [hi, lo] = HEX_PAIRS[usize::from(sum)];
+        self.out.extend_from_slice(&[b'#', hi, lo]);
+    }
+
+    /// `n` more payload bytes for the caller to fill.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = self.out.len();
+        self.out.resize(at + n, 0);
+        &mut self.out[at..]
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The two lowercase hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [HEX_DIGITS[b >> 4], HEX_DIGITS[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
 
 fn hex_val(b: u8) -> Option<u8> {
     match b {
@@ -208,22 +343,14 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-fn hex_digit(v: u8) -> u8 {
-    debug_assert!(v < 16);
-    if v < 10 {
-        b'0' + v
-    } else {
-        b'a' + v - 10
-    }
-}
-
 /// Hex-encodes bytes (lowercase), the RSP convention for binary payloads
 /// such as `qRcmd` command text and console output.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
-        s.push(hex_digit(b >> 4) as char);
-        s.push(hex_digit(b & 0xf) as char);
+        let [hi, lo] = HEX_PAIRS[usize::from(b)];
+        s.push(char::from(hi));
+        s.push(char::from(lo));
     }
     s
 }
@@ -234,17 +361,26 @@ pub fn to_hex(bytes: &[u8]) -> String {
 ///
 /// [`Error::Packet`] on odd length or a non-hex digit.
 pub fn from_hex(s: &str) -> Result<Vec<u8>> {
-    let b = s.as_bytes();
-    if !b.len().is_multiple_of(2) {
+    let mut out = Vec::with_capacity(s.len() / 2);
+    decode_hex_into(s.as_bytes(), &mut out)?;
+    Ok(out)
+}
+
+/// Decodes even-length hex digits into `out`, replacing its contents.
+///
+/// # Errors
+///
+/// As [`from_hex`].
+pub(crate) fn decode_hex_into(b: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
+    let (pairs, []) = b.as_chunks::<2>() else {
         return Err(Error::Packet(format!(
             "odd-length hex string ({})",
             b.len()
         )));
-    }
-    let mut out = Vec::with_capacity(b.len() / 2);
-    for pair in b.chunks_exact(2) {
-        let (hi, lo) = (hex_val(pair[0]), hex_val(pair[1]));
-        match (hi, lo) {
+    };
+    for pair in pairs {
+        match (hex_val(pair[0]), hex_val(pair[1])) {
             (Some(h), Some(l)) => out.push(h * 16 + l),
             _ => {
                 return Err(Error::Packet(format!(
@@ -254,7 +390,7 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parses a big-endian hex number (the RSP address/length convention).
@@ -263,16 +399,21 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>> {
 ///
 /// [`Error::Packet`] on empty input, a non-hex digit, or overflow past 64
 /// bits.
-pub fn parse_hex_u64(s: &str) -> Result<u64> {
+pub fn parse_hex_u64(s: &[u8]) -> Result<u64> {
+    let quoted = || String::from_utf8_lossy(s);
     if s.is_empty() {
         return Err(Error::Packet("empty hex number".into()));
     }
     if s.len() > 16 {
-        return Err(Error::Packet(format!("hex number too wide: {s:?}")));
+        return Err(Error::Packet(format!(
+            "hex number too wide: {:?}",
+            quoted()
+        )));
     }
     let mut v = 0u64;
-    for &b in s.as_bytes() {
-        let d = hex_val(b).ok_or_else(|| Error::Packet(format!("non-hex digit in {s:?}")))?;
+    for &b in s {
+        let d =
+            hex_val(b).ok_or_else(|| Error::Packet(format!("non-hex digit in {:?}", quoted())))?;
         v = (v << 4) | u64::from(d);
     }
     Ok(v)
@@ -339,14 +480,52 @@ mod tests {
         assert_eq!(items[0].clone().unwrap(), Item::Packet(b"g".to_vec()));
     }
 
+    /// The escape-free writers produce what the escaping path does.
+    #[test]
+    fn hex_and_number_writers_match_the_escaping_path() {
+        let every_byte: Vec<u8> = (0u8..=255).collect();
+        let mut hex = Vec::new();
+        let mut w = PacketWriter::begin(&mut hex);
+        w.hex(&every_byte);
+        w.finish();
+        assert_eq!(hex, encode_packet(to_hex(&every_byte).as_bytes()));
+
+        let words = [0, 1, 0x0123_4567_89ab_cdef, u64::MAX, 0x7d23_242a];
+        let mut out = Vec::new();
+        let mut w = PacketWriter::begin(&mut out);
+        w.hex_words(&words);
+        w.finish();
+        let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(out, encode_packet(to_hex(&le).as_bytes()));
+
+        for v in [0, 1, 0xf, 0x10, 0xdead, u64::from(u32::MAX), u64::MAX] {
+            let mut out = Vec::new();
+            let mut w = PacketWriter::begin(&mut out);
+            w.num(v);
+            w.finish();
+            assert_eq!(out, encode_packet(format!("{v:x}").as_bytes()), "{v:#x}");
+        }
+    }
+
+    #[test]
+    fn cleared_writer_frames_only_what_follows() {
+        let mut out = b"+".to_vec();
+        let mut w = PacketWriter::begin(&mut out);
+        w.hex_words(&[42; 3]);
+        w.clear();
+        w.text(b"E01");
+        w.finish();
+        assert_eq!(out, b"+$E01#a6");
+    }
+
     #[test]
     fn hex_helpers_round_trip() {
         assert_eq!(to_hex(b"monitor"), "6d6f6e69746f72");
         assert_eq!(from_hex("6d6f6e69746f72").unwrap(), b"monitor".to_vec());
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
-        assert_eq!(parse_hex_u64("dead").unwrap(), 0xdead);
-        assert!(parse_hex_u64("").is_err());
-        assert!(parse_hex_u64("11112222333344445").is_err());
+        assert_eq!(parse_hex_u64(b"dead").unwrap(), 0xdead);
+        assert!(parse_hex_u64(b"").is_err());
+        assert!(parse_hex_u64(b"11112222333344445").is_err());
     }
 }

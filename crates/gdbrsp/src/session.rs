@@ -1,10 +1,20 @@
 //! The RSP protocol state machine.
 //!
 //! A [`Session`] owns a [`Target`] and a [`Framer`]; feed it raw bytes
-//! from any transport with [`Session::handle_bytes`] and write back the
-//! bytes it returns. It is deliberately transport-free so the identical
-//! code path is exercised over TCP and over the in-memory duplex pipe the
-//! tests use.
+//! from any transport with [`Session::handle_bytes_into`] and write back
+//! the bytes it appended. It is deliberately transport-free so the
+//! identical code path is exercised over TCP and over the in-memory duplex
+//! pipe the tests use.
+//!
+//! A packet is served in one pass: the framer unescapes it into its own
+//! buffer, the dispatcher reads it from there, and the reply goes straight
+//! into the caller's transmit buffer — the ack, `$`, the payload as the
+//! target produces it, then `#xx` (see [`crate::packet`]). Register and
+//! memory reads fill buffers the session reuses
+//! ([`Target::read_registers_into`], [`Target::read_mem_into`]), so a warm
+//! session serves `g`, `m`, `p`, `s` and `H` without allocating.
+//! [`Session::handle_bytes`] is the same path plus one owned copy of the
+//! reply.
 //!
 //! Supported packets: `?`, `g`, `G`, `p`, `P`, `m`, `M`, `s`, `c`,
 //! `vCont`, `Z0`/`z0` (+`Z1`/`z1` aliases), `Z2`–`Z4`/`z2`–`z4`,
@@ -14,7 +24,7 @@
 
 use crate::adapter::NUM_REGS;
 use crate::error::{Error, Result};
-use crate::packet::{encode_packet, from_hex, parse_hex_u64, to_hex, Framer, Item};
+use crate::packet::{decode_hex_into, parse_hex_u64, Event, Framer, PacketWriter};
 use crate::target::{StopReason, Target, WatchKind};
 
 /// Default step budget for `c`/`vCont;c`: a resume with no stop condition
@@ -22,11 +32,24 @@ use crate::target::{StopReason, Target, WatchKind};
 /// if the user had interrupted a runaway program.
 pub const DEFAULT_CONT_BUDGET: u64 = 10_000_000;
 
+/// The `qSupported` reply.
+const SUPPORTED: &[u8] = b"PacketSize=16384;QStartNoAckMode+;swbreak+;hwbreak+;vContSupported+";
+
 /// A live protocol session over a target.
 #[derive(Debug)]
 pub struct Session<T: Target> {
-    target: T,
     framer: Framer,
+    /// Everything but the framer, so a packet still held in the framer's
+    /// buffer can be served against it.
+    dispatcher: Dispatcher<T>,
+    /// The transmit buffer [`Session::handle_bytes`] fills and copies.
+    tx: Vec<u8>,
+}
+
+/// Protocol state and the target.
+#[derive(Debug)]
+struct Dispatcher<T: Target> {
+    target: T,
     /// Acknowledgement mode: on until `QStartNoAckMode`.
     ack_mode: bool,
     /// Core selected by `Hg`/`Hc` (GDB threads are cores, ids `1..=n`).
@@ -37,240 +60,251 @@ pub struct Session<T: Target> {
     cont_budget: u64,
     /// Set once `k` or `D` is processed; the serve loop should hang up.
     finished: bool,
+    /// Reused buffer for register and memory reads and `M` data.
+    words: Vec<u64>,
+    /// Reused buffer for decoded hex arguments.
+    bytes: Vec<u8>,
 }
 
 impl<T: Target> Session<T> {
     /// A session in initial state (ack mode on, core 0 selected).
     pub fn new(target: T) -> Self {
         Session {
-            target,
             framer: Framer::new(),
-            ack_mode: true,
-            current_core: 0,
-            last_stop: None,
-            cont_budget: DEFAULT_CONT_BUDGET,
-            finished: false,
+            dispatcher: Dispatcher {
+                target,
+                ack_mode: true,
+                current_core: 0,
+                last_stop: None,
+                cont_budget: DEFAULT_CONT_BUDGET,
+                finished: false,
+                words: Vec::new(),
+                bytes: Vec::new(),
+            },
+            tx: Vec::new(),
         }
     }
 
     /// Overrides the continue step budget.
     pub fn set_cont_budget(&mut self, budget: u64) {
-        self.cont_budget = budget.max(1);
+        self.dispatcher.cont_budget = budget.max(1);
     }
 
     /// The wrapped target.
     pub fn target(&self) -> &T {
-        &self.target
+        &self.dispatcher.target
     }
 
     /// Whether the client detached or killed the session.
     pub fn finished(&self) -> bool {
-        self.finished
+        self.dispatcher.finished
     }
 
     /// Consumes raw bytes from the transport, returns bytes to send back
-    /// (acks plus reply packets).
+    /// (acks plus reply packets): [`handle_bytes_into`] a buffer the
+    /// session keeps, copied out.
+    ///
+    /// [`handle_bytes_into`]: Session::handle_bytes_into
     pub fn handle_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for item in self.framer.push_bytes(bytes) {
-            match item {
-                Ok(Item::Packet(p)) => {
-                    if self.ack_mode {
+        let mut tx = std::mem::take(&mut self.tx);
+        tx.clear();
+        self.handle_bytes_into(bytes, &mut tx);
+        let out = tx.clone();
+        self.tx = tx;
+        out
+    }
+
+    /// Consumes raw bytes from the transport and appends the bytes to send
+    /// back to `out`: for each packet, its ack, then the framed reply.
+    pub fn handle_bytes_into(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
+        let d = &mut self.dispatcher;
+        for &byte in bytes {
+            match self.framer.feed(byte) {
+                Some(Ok(Event::Packet)) => {
+                    if d.ack_mode {
                         out.push(b'+');
                     }
                     // QStartNoAckMode: the *reply* is still acked; the mode
                     // flips for subsequent packets, which matches the spec
                     // because we ack before replying.
-                    let reply = self.dispatch(&p);
-                    if let Some(reply) = reply {
-                        out.extend_from_slice(&encode_packet(&reply));
-                    }
+                    d.reply(self.framer.payload(), out);
                 }
-                Ok(Item::Ack) | Ok(Item::Nak) => {
+                Some(Ok(Event::Ack | Event::Nak)) => {
                     // We never retransmit: every reply is generated from
                     // target state that a retransmitted request would
                     // re-derive identically.
                 }
-                Ok(Item::Interrupt) => {
+                Some(Ok(Event::Interrupt)) => {
                     // Execution only happens synchronously inside `c`/`s`
                     // dispatch, so there is nothing to interrupt here.
                 }
-                Err(_) => {
-                    if self.ack_mode {
-                        out.push(b'-');
-                    }
-                }
+                Some(Err(_)) if d.ack_mode => out.push(b'-'),
+                None | Some(Err(_)) => {}
             }
         }
-        out
     }
+}
 
-    /// Handles one well-framed packet; `None` means "no reply" (only `k`).
-    fn dispatch(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        let text = String::from_utf8_lossy(packet).into_owned();
-        let reply = match self.command(&text) {
-            Ok(r) => r,
+impl<T: Target> Dispatcher<T> {
+    /// Handles one well-framed packet, appending its reply to `out`; `k`
+    /// gets none.
+    fn reply(&mut self, packet: &[u8], out: &mut Vec<u8>) {
+        if packet.first() == Some(&b'k') {
+            self.finished = true;
+            return;
+        }
+        let mut w = PacketWriter::begin(out);
+        if self.command(packet, &mut w).is_err() {
             // Error code E01: parse/target errors. GDB only displays the
             // two-digit code, so the detail also goes to the monitor
             // channel ("O" packets are only legal mid-qRcmd; keep it
             // simple and standard instead).
-            Err(_) => Reply::Text("E01".into()),
-        };
-        match reply {
-            Reply::Text(s) => Some(s.into_bytes()),
-            Reply::Raw(b) => Some(b),
-            Reply::None => None,
+            w.clear();
+            w.text(b"E01");
         }
+        w.finish();
     }
 
-    fn command(&mut self, text: &str) -> Result<Reply> {
-        let mut chars = text.chars();
-        let head = chars.next().unwrap_or('\0');
-        let rest = chars.as_str();
-        Ok(match head {
-            '?' => Reply::Text(self.stop_reply_text()),
-            'g' => {
-                let regs = self.target.read_registers(self.current_core)?;
-                let mut bytes = Vec::with_capacity(regs.len() * 8);
-                for r in regs {
-                    bytes.extend_from_slice(&r.to_le_bytes());
-                }
-                Reply::Text(to_hex(&bytes))
+    /// Writes the reply payload of `packet` (empty for an unknown one).
+    fn command(&mut self, packet: &[u8], w: &mut PacketWriter) -> Result<()> {
+        let Some((&head, rest)) = packet.split_first() else {
+            return Ok(());
+        };
+        match head {
+            b'?' => self.stop_reply(w),
+            b'g' => {
+                self.target
+                    .read_registers_into(self.current_core, &mut self.words)?;
+                w.hex_words(&self.words);
             }
-            'G' => {
-                let bytes = from_hex(rest)?;
-                if bytes.len() != NUM_REGS * 8 {
+            b'G' => {
+                decode_hex_into(rest, &mut self.bytes)?;
+                if self.bytes.len() != NUM_REGS * 8 {
                     return Err(Error::Packet(format!(
                         "G wants {} bytes, got {}",
                         NUM_REGS * 8,
-                        bytes.len()
+                        self.bytes.len()
                     )));
                 }
-                for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-                    let v = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-                    self.target.write_register(self.current_core, i, v)?;
+                for (i, chunk) in self.bytes.as_chunks::<8>().0.iter().enumerate() {
+                    self.target
+                        .write_register(self.current_core, i, u64::from_le_bytes(*chunk))?;
                 }
-                Reply::Text("OK".into())
+                w.text(b"OK");
             }
-            'p' => {
+            b'p' => {
                 let n = parse_hex_u64(rest)? as usize;
-                let regs = self.target.read_registers(self.current_core)?;
-                let v = *regs
+                self.target
+                    .read_registers_into(self.current_core, &mut self.words)?;
+                let v = *self
+                    .words
                     .get(n)
                     .ok_or_else(|| Error::Packet(format!("register {n} out of range")))?;
-                Reply::Text(to_hex(&v.to_le_bytes()))
+                w.hex(&v.to_le_bytes());
             }
-            'P' => {
-                let (n, val) = rest
-                    .split_once('=')
+            b'P' => {
+                let (n, val) = split_once(rest, b'=')
                     .ok_or_else(|| Error::Packet("P wants n=value".into()))?;
                 let n = parse_hex_u64(n)? as usize;
-                let bytes = from_hex(val)?;
-                if bytes.len() != 8 {
-                    return Err(Error::Packet("P wants an 8-byte value".into()));
-                }
-                let v = u64::from_le_bytes(bytes.try_into().expect("checked length"));
-                self.target.write_register(self.current_core, n, v)?;
-                Reply::Text("OK".into())
+                decode_hex_into(val, &mut self.bytes)?;
+                let value: [u8; 8] = self.bytes[..]
+                    .try_into()
+                    .map_err(|_| Error::Packet("P wants an 8-byte value".into()))?;
+                self.target
+                    .write_register(self.current_core, n, u64::from_le_bytes(value))?;
+                w.text(b"OK");
             }
-            'm' => {
+            b'm' => {
                 let (addr, len) = split_addr_len(rest)?;
-                let words = self.target.read_mem(addr, len)?;
-                let mut bytes = Vec::with_capacity(words.len() * 8);
-                for w in words {
-                    bytes.extend_from_slice(&w.to_le_bytes());
-                }
-                Reply::Text(to_hex(&bytes))
+                self.target.read_mem_into(addr, len, &mut self.words)?;
+                w.hex_words(&self.words);
             }
-            'M' => {
-                let (head, data) = rest
-                    .split_once(':')
+            b'M' => {
+                let (head, data) = split_once(rest, b':')
                     .ok_or_else(|| Error::Packet("M wants addr,len:data".into()))?;
                 let (addr, len) = split_addr_len(head)?;
-                let bytes = from_hex(data)?;
-                if bytes.len() != len as usize * 8 {
+                decode_hex_into(data, &mut self.bytes)?;
+                if self.bytes.len() != len as usize * 8 {
                     return Err(Error::Packet(format!(
                         "M wants {} data bytes, got {}",
                         len as usize * 8,
-                        bytes.len()
+                        self.bytes.len()
                     )));
                 }
-                let words: Vec<u64> = bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-                    .collect();
-                self.target.write_mem(addr, &words)?;
-                Reply::Text("OK".into())
+                self.words.clear();
+                self.words.extend(
+                    self.bytes
+                        .as_chunks::<8>()
+                        .0
+                        .iter()
+                        .map(|c| u64::from_le_bytes(*c)),
+                );
+                self.target.write_mem(addr, &self.words)?;
+                w.text(b"OK");
             }
-            's' => {
+            b's' => {
                 let stop = self.target.step()?;
-                self.remember(stop)
+                self.remember(stop, w);
             }
-            'c' => {
+            b'c' => {
                 let stop = self.target.cont(self.cont_budget)?;
-                self.remember(stop)
+                self.remember(stop, w);
             }
-            'v' => {
-                if rest == "Cont?" {
-                    Reply::Text("vCont;c;C;s;S".into())
-                } else if let Some(actions) = rest.strip_prefix("Cont;") {
-                    let first = actions.split(';').next().unwrap_or("");
-                    let letter = first.chars().next().unwrap_or('c');
-                    let stop = match letter {
-                        's' | 'S' => self.target.step()?,
+            b'v' => {
+                if rest == b"Cont?" {
+                    w.text(b"vCont;c;C;s;S");
+                } else if let Some(actions) = rest.strip_prefix(b"Cont;") {
+                    let first = actions.split(|&b| b == b';').next().unwrap_or(b"");
+                    let stop = match first.first() {
+                        Some(b's' | b'S') => self.target.step()?,
                         _ => self.target.cont(self.cont_budget)?,
                     };
-                    self.remember(stop)
-                } else {
-                    Reply::Text(String::new())
+                    self.remember(stop, w);
                 }
             }
-            'H' => {
+            b'H' => {
                 // Hc/Hg<tid>: select the core later register/memory
                 // operations address. tid 0 ("any") and -1 ("all") keep
-                // the current selection.
-                let tid = rest.get(1..).unwrap_or("");
-                if tid != "-1" && tid != "0" && !tid.is_empty() {
+                // the current selection. The operation letter is one
+                // ASCII byte; after anything else there is no tid.
+                let tid = match rest.split_first() {
+                    Some((op, tid)) if op.is_ascii() => tid,
+                    _ => b"",
+                };
+                if tid != b"-1" && tid != b"0" && !tid.is_empty() {
                     let id = parse_hex_u64(tid)? as usize;
                     if id < 1 || id > self.target.num_cores() {
                         return Err(Error::Packet(format!("no thread {id}")));
                     }
                     self.current_core = id - 1;
                 }
-                Reply::Text("OK".into())
+                w.text(b"OK");
             }
-            'T' => {
+            b'T' => {
                 let id = parse_hex_u64(rest)? as usize;
                 if id >= 1 && id <= self.target.num_cores() {
-                    Reply::Text("OK".into())
+                    w.text(b"OK");
                 } else {
-                    Reply::Text("E01".into())
+                    w.text(b"E01");
                 }
             }
-            'Z' | 'z' => self.z_packet(head == 'Z', rest)?,
-            'q' => self.query(rest)?,
-            'Q' => {
-                if rest == "StartNoAckMode" {
-                    self.ack_mode = false;
-                    Reply::Text("OK".into())
-                } else {
-                    Reply::Text(String::new())
-                }
+            b'Z' | b'z' => self.z_packet(head == b'Z', rest, w)?,
+            b'q' => self.query(rest, w)?,
+            b'Q' if rest == b"StartNoAckMode" => {
+                self.ack_mode = false;
+                w.text(b"OK");
             }
-            'D' => {
+            b'D' => {
                 self.finished = true;
-                Reply::Text("OK".into())
+                w.text(b"OK");
             }
-            'k' => {
-                self.finished = true;
-                Reply::None
-            }
-            _ => Reply::Text(String::new()),
-        })
+            _ => {}
+        }
+        Ok(())
     }
 
-    fn z_packet(&mut self, insert: bool, rest: &str) -> Result<Reply> {
-        let mut parts = rest.split(',');
+    fn z_packet(&mut self, insert: bool, rest: &[u8], w: &mut PacketWriter) -> Result<()> {
+        let mut parts = rest.split(|&b| b == b',');
         let (ty, addr, len) = match (parts.next(), parts.next(), parts.next()) {
             (Some(t), Some(a), Some(l)) => (t, parse_hex_u64(a)? as u32, parse_hex_u64(l)? as u32),
             _ => return Err(Error::Packet("Z/z wants type,addr,kind".into())),
@@ -278,17 +312,17 @@ impl<T: Target> Session<T> {
         match ty {
             // Software and "hardware" breakpoints are the same thing on a
             // simulated platform: a pc match with zero overhead.
-            "0" | "1" => {
+            b"0" | b"1" => {
                 if insert {
                     self.target.insert_breakpoint(addr)?;
                 } else {
                     self.target.remove_breakpoint(addr)?;
                 }
             }
-            "2" | "3" | "4" => {
+            b"2" | b"3" | b"4" => {
                 let kind = match ty {
-                    "2" => WatchKind::Write,
-                    "3" => WatchKind::Read,
+                    b"2" => WatchKind::Write,
+                    b"3" => WatchKind::Read,
                     _ => WatchKind::Access,
                 };
                 if insert {
@@ -297,93 +331,104 @@ impl<T: Target> Session<T> {
                     self.target.remove_watchpoint(kind, addr, len.max(1))?;
                 }
             }
-            _ => return Ok(Reply::Text(String::new())),
+            _ => return Ok(()),
         }
-        Ok(Reply::Text("OK".into()))
+        w.text(b"OK");
+        Ok(())
     }
 
-    fn query(&mut self, rest: &str) -> Result<Reply> {
-        if let Some(args) = rest.strip_prefix("Supported") {
-            let _ = args; // feature probes are informational
-            return Ok(Reply::Text(
-                "PacketSize=16384;QStartNoAckMode+;swbreak+;hwbreak+;vContSupported+".into(),
-            ));
-        }
-        if rest == "C" {
-            return Ok(Reply::Text(format!("QC{:x}", self.current_core + 1)));
-        }
-        if rest == "fThreadInfo" {
-            let ids: Vec<String> = (1..=self.target.num_cores())
-                .map(|id| format!("{id:x}"))
-                .collect();
-            return Ok(Reply::Text(format!("m{}", ids.join(","))));
-        }
-        if rest == "sThreadInfo" {
-            return Ok(Reply::Text("l".into()));
-        }
-        if rest == "Attached" {
-            return Ok(Reply::Text("1".into()));
-        }
-        if let Some(hex) = rest.strip_prefix("Rcmd,") {
-            let cmd_bytes = from_hex(hex)?;
-            let cmd = String::from_utf8_lossy(&cmd_bytes).into_owned();
-            return Ok(match self.target.monitor(cmd.trim()) {
-                Ok(out) if out.is_empty() => Reply::Text("OK".into()),
-                Ok(out) => Reply::Text(to_hex(out.as_bytes())),
+    fn query(&mut self, rest: &[u8], w: &mut PacketWriter) -> Result<()> {
+        // Feature probes after `qSupported` are informational.
+        if rest.starts_with(b"Supported") {
+            w.text(SUPPORTED);
+        } else if rest == b"C" {
+            w.text(b"QC");
+            w.num(self.current_core as u64 + 1);
+        } else if rest == b"fThreadInfo" {
+            w.text(b"m");
+            for id in 1..=self.target.num_cores() {
+                if id > 1 {
+                    w.text(b",");
+                }
+                w.num(id as u64);
+            }
+        } else if rest == b"sThreadInfo" {
+            w.text(b"l");
+        } else if rest == b"Attached" {
+            w.text(b"1");
+        } else if let Some(hex) = rest.strip_prefix(b"Rcmd,") {
+            decode_hex_into(hex, &mut self.bytes)?;
+            let cmd = String::from_utf8_lossy(&self.bytes);
+            match self.target.monitor(cmd.trim()) {
+                Ok(out) if out.is_empty() => w.text(b"OK"),
+                Ok(out) => w.hex(out.as_bytes()),
                 // Monitor errors carry human-readable detail; report it as
                 // console text rather than a bare E-code.
-                Err(e) => Reply::Text(to_hex(format!("error: {e}\n").as_bytes())),
-            });
+                Err(e) => w.hex(format!("error: {e}\n").as_bytes()),
+            }
         }
-        Ok(Reply::Text(String::new()))
+        Ok(())
     }
 
-    fn remember(&mut self, stop: StopReason) -> Reply {
+    fn remember(&mut self, stop: StopReason, w: &mut PacketWriter) {
         self.last_stop = Some(stop);
-        Reply::Text(self.stop_reply_text())
+        self.stop_reply(w);
     }
 
-    /// Renders the last stop as an RSP stop reply.
-    fn stop_reply_text(&self) -> String {
+    /// Writes the last stop as an RSP stop reply.
+    fn stop_reply(&self, w: &mut PacketWriter) {
         match &self.last_stop {
-            None | Some(StopReason::Step) => "S05".into(),
+            None | Some(StopReason::Step) => w.text(b"S05"),
             Some(StopReason::Breakpoint { core, .. }) => {
-                format!("T05swbreak:;thread:{:x};", core + 1)
+                w.text(b"T05swbreak:;thread:");
+                w.num(*core as u64 + 1);
+                w.text(b";");
             }
             Some(StopReason::Watch { kind, addr }) => {
-                let key = match kind {
-                    WatchKind::Write => "watch",
-                    WatchKind::Read => "rwatch",
-                    WatchKind::Access => "awatch",
+                let key: &[u8] = match kind {
+                    WatchKind::Write => b"watch",
+                    WatchKind::Read => b"rwatch",
+                    WatchKind::Access => b"awatch",
                 };
-                format!("T05{key}:{addr:x};thread:{:x};", self.current_core + 1)
+                w.text(b"T05");
+                w.text(key);
+                w.text(b":");
+                w.num(u64::from(*addr));
+                w.text(b";thread:");
+                w.num(self.current_core as u64 + 1);
+                w.text(b";");
             }
             // A signal watchpoint has no data address; plain SIGTRAP with
             // the detail available via `monitor where`.
-            Some(StopReason::SignalWatch { .. }) => "S05".into(),
-            Some(StopReason::Exited) => "W00".into(),
-            Some(StopReason::Budget) => "S02".into(),
-            Some(StopReason::Fault(_)) => "S0b".into(),
+            Some(StopReason::SignalWatch { .. }) => w.text(b"S05"),
+            Some(StopReason::Exited) => w.text(b"W00"),
+            Some(StopReason::Budget) => w.text(b"S02"),
+            Some(StopReason::Fault(_)) => w.text(b"S0b"),
         }
     }
 }
 
-/// A dispatch result: a textual reply, raw bytes, or silence (`k`).
-enum Reply {
-    Text(String),
-    #[allow(dead_code)] // reserved for binary replies (e.g. qXfer)
-    Raw(Vec<u8>),
-    None,
+/// `s` split around the first `sep`.
+fn split_once(s: &[u8], sep: u8) -> Option<(&[u8], &[u8])> {
+    let i = s.iter().position(|&b| b == sep)?;
+    Some((&s[..i], &s[i + 1..]))
 }
 
 /// Parses the `addr,len` argument form (both big-endian hex).
-fn split_addr_len(s: &str) -> Result<(u32, u32)> {
-    let (a, l) = s
-        .split_once(',')
-        .ok_or_else(|| Error::Packet(format!("expected addr,len in {s:?}")))?;
-    let word = |h: &str| {
-        u32::try_from(parse_hex_u64(h)?)
-            .map_err(|_| Error::Packet(format!("{h:?} is wider than 32 bits")))
+fn split_addr_len(s: &[u8]) -> Result<(u32, u32)> {
+    let (a, l) = split_once(s, b',').ok_or_else(|| {
+        Error::Packet(format!(
+            "expected addr,len in {:?}",
+            String::from_utf8_lossy(s)
+        ))
+    })?;
+    let word = |h: &[u8]| {
+        u32::try_from(parse_hex_u64(h)?).map_err(|_| {
+            Error::Packet(format!(
+                "{:?} is wider than 32 bits",
+                String::from_utf8_lossy(h)
+            ))
+        })
     };
     Ok((word(a)?, word(l)?))
 }
@@ -392,6 +437,7 @@ fn split_addr_len(s: &str) -> Result<(u32, u32)> {
 mod tests {
     use super::*;
     use crate::adapter::DebugTarget;
+    use crate::packet::{encode_packet, from_hex, to_hex, Item};
     use mpsoc_platform::isa::assemble;
     use mpsoc_platform::platform::PlatformBuilder;
     use mpsoc_platform::Frequency;

@@ -6,10 +6,11 @@
 //! drives the *same* trait — so a scenario scripted for CI exercises
 //! exactly the surface a live debugger attach does.
 
+use crate::adapter::NUM_REGS;
 use crate::error::Result;
 use crate::packet::MAX_PAYLOAD;
 
-/// Most words one [`Target::read_mem`] returns: a word is 16 hex digits on
+/// Most words one [`Target::read_mem_into`] reads: a word is 16 hex digits on
 /// the wire, and the reply must fit one packet of [`MAX_PAYLOAD`] bytes.
 pub const MAX_READ_WORDS: u32 = (MAX_PAYLOAD / 16) as u32;
 
@@ -72,12 +73,26 @@ pub trait Target {
     /// Number of cores (exposed to GDB as threads `1..=n`).
     fn num_cores(&self) -> usize;
 
-    /// All registers of `core`: r0..r15 then pc, as raw 64-bit values.
+    /// All registers of `core` into `out`, replacing its contents: r0..r15
+    /// then pc, as raw 64-bit values.
     ///
     /// # Errors
     ///
     /// For a bad core id.
-    fn read_registers(&self, core: usize) -> Result<Vec<u64>>;
+    fn read_registers_into(&self, core: usize, out: &mut Vec<u64>) -> Result<()>;
+
+    /// All registers of `core`, as [`read_registers_into`] fills them.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_registers_into`].
+    ///
+    /// [`read_registers_into`]: Target::read_registers_into
+    fn read_registers(&self, core: usize) -> Result<Vec<u64>> {
+        let mut out = Vec::with_capacity(NUM_REGS);
+        self.read_registers_into(core, &mut out)?;
+        Ok(out)
+    }
 
     /// Writes one register of `core` (16 = pc).
     ///
@@ -86,14 +101,29 @@ pub trait Target {
     /// For a bad core id or register number.
     fn write_register(&mut self, core: usize, reg: usize, value: u64) -> Result<()>;
 
-    /// Reads `len` words starting at word address `addr` (non-intrusive:
-    /// no cache or timing side effects).
+    /// Reads `len` words starting at word address `addr` into `out`,
+    /// replacing its contents (non-intrusive: no cache or timing side
+    /// effects). On error `out` holds some prefix of the range.
     ///
     /// # Errors
     ///
     /// For an unmapped address anywhere in the range, or a `len` above
     /// [`MAX_READ_WORDS`].
-    fn read_mem(&self, addr: u32, len: u32) -> Result<Vec<u64>>;
+    fn read_mem_into(&self, addr: u32, len: u32, out: &mut Vec<u64>) -> Result<()>;
+
+    /// Reads `len` words starting at word address `addr`, as
+    /// [`read_mem_into`] fills them.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_mem_into`].
+    ///
+    /// [`read_mem_into`]: Target::read_mem_into
+    fn read_mem(&self, addr: u32, len: u32) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        self.read_mem_into(addr, len, &mut out)?;
+        Ok(out)
+    }
 
     /// Writes consecutive words starting at word address `addr`.
     ///

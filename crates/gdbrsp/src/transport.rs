@@ -3,8 +3,8 @@
 //!
 //! The session itself is transport-free ([`crate::session`]); everything
 //! here just moves bytes. [`serve`] is the generic pump loop:
-//! read → [`Session::handle_bytes`] → write, until the peer hangs up or
-//! the client detaches.
+//! read → [`Session::handle_bytes_into`] → write, until the peer hangs up
+//! or the client detaches.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -41,12 +41,14 @@ pub trait Transport {
 /// [`Error::Io`] on transport failure; a clean hang-up is `Ok`.
 pub fn serve<T: Target, P: Transport>(session: &mut Session<T>, transport: &mut P) -> Result<()> {
     let mut buf = [0u8; 4096];
+    let mut out = Vec::new();
     loop {
         let n = transport.read(&mut buf)?;
         if n == 0 {
             return Ok(());
         }
-        let out = session.handle_bytes(&buf[..n]);
+        out.clear();
+        session.handle_bytes_into(&buf[..n], &mut out);
         if !out.is_empty() {
             transport.write_all(&out)?;
         }
@@ -134,9 +136,14 @@ struct PipeState {
     closed: bool,
 }
 
+/// A thread panicked while holding the pipe's lock: the peer is gone.
+fn poisoned<G>(_: std::sync::PoisonError<G>) -> Error {
+    Error::Io("pipe poisoned by a panicked peer".into())
+}
+
 impl Pipe {
     fn write(&self, bytes: &[u8]) -> Result<()> {
-        let mut st = self.state.lock().expect("pipe lock");
+        let mut st = self.state.lock().map_err(poisoned)?;
         if st.closed {
             return Err(Error::Io("pipe closed".into()));
         }
@@ -146,22 +153,29 @@ impl Pipe {
     }
 
     fn read(&self, buf: &mut [u8]) -> Result<usize> {
-        let mut st = self.state.lock().expect("pipe lock");
+        let mut st = self.state.lock().map_err(poisoned)?;
         while st.buf.is_empty() {
             if st.closed {
                 return Ok(0);
             }
-            st = self.readable.wait(st).expect("pipe wait");
+            st = self.readable.wait(st).map_err(poisoned)?;
         }
         let n = buf.len().min(st.buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = st.buf.pop_front().expect("checked non-empty");
-        }
+        let (front, back) = st.buf.as_slices();
+        let k = n.min(front.len());
+        buf[..k].copy_from_slice(&front[..k]);
+        buf[k..n].copy_from_slice(&back[..n - k]);
+        st.buf.drain(..n);
         Ok(n)
     }
 
+    /// Marks the pipe closed and wakes its reader. A poisoned lock is
+    /// taken anyway: closing only sets a flag, valid in any state.
     fn close(&self) {
-        let mut st = self.state.lock().expect("pipe lock");
+        let mut st = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         st.closed = true;
         self.readable.notify_all();
     }

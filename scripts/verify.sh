@@ -69,10 +69,12 @@ run_examples() {
 }
 
 platform_release_tests() {
-  cargo test --release -q -p mpsoc-snapshot -p mpsoc-platform -p mpsoc-vpdebug
+  cargo test --release -q -p mpsoc-snapshot -p mpsoc-platform -p mpsoc-vpdebug \
+    -p mpsoc-gdbrsp
   cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
     --test debugger_equivalence --test restore_in_place \
-    --test step_in_place --test step_allocations --test image_golden
+    --test step_in_place --test step_allocations --test image_golden \
+    --test rsp_allocations
 }
 
 stage "tracked files intact" check_tracked_files
@@ -94,7 +96,10 @@ stage "DSE differential tests (release)" \
 # due check — which is only ever measured in release: its crates' tests and
 # the root package's three round-trip / equivalence suites over it. And so
 # must the in-place step and the trace rings (step_in_place, step_allocations)
-# and the pinned image bytes (image_golden).
+# and the pinned image bytes (image_golden). And the GDB-RSP session: its
+# allocation counts (rsp_allocations) and the hex / framing fast paths that
+# packet_fuzz replays against the session they replaced are, like every
+# other number, only ever measured in release.
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 # The paper's claims E1-E13 in release, E13 at its smoke size: fails on any
