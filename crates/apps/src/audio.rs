@@ -10,11 +10,11 @@
 use mpsoc_dataflow::{ActorKind, Graph};
 
 /// Fixed-point fractional bits of the filter arithmetic.
-pub const FRAC: u32 = 12;
+pub(crate) const FRAC: u32 = 12;
 
 /// A 9-tap symmetric integer low-pass FIR (cutoff ~0.2 fs), Q12, with
 /// exact unity DC gain (taps sum to 4096).
-pub const FIR_TAPS: [i64; 9] = [32, 164, 484, 824, 1088, 824, 484, 164, 32];
+pub(crate) const FIR_TAPS: [i64; 9] = [32, 164, 484, 824, 1088, 824, 484, 164, 32];
 
 /// Applies the FIR to `input`, returning `input.len()` samples (zero-padded
 /// history).

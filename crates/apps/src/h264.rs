@@ -22,7 +22,7 @@ use mpsoc_cic::Result as CicResult;
 pub const B: usize = 4;
 
 /// Sum of absolute differences between two 4×4 blocks.
-pub fn sad(a: &[i64; 16], b: &[i64; 16]) -> i64 {
+pub(crate) fn sad(a: &[i64; 16], b: &[i64; 16]) -> i64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
@@ -32,7 +32,7 @@ pub fn sad(a: &[i64; 16], b: &[i64; 16]) -> i64 {
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
-pub fn motion_estimate(cur: &[i64; 16], candidates: &[[i64; 16]]) -> (usize, i64) {
+pub(crate) fn motion_estimate(cur: &[i64; 16], candidates: &[[i64; 16]]) -> (usize, i64) {
     assert!(!candidates.is_empty(), "need at least one candidate");
     let mut best = (0usize, i64::MAX);
     for (i, c) in candidates.iter().enumerate() {
@@ -46,7 +46,7 @@ pub fn motion_estimate(cur: &[i64; 16], candidates: &[[i64; 16]]) -> (usize, i64
 
 /// The H.264 4×4 forward core transform (integer butterfly), rows then
 /// columns.
-pub fn core_transform(block: &[i64; 16]) -> [i64; 16] {
+pub(crate) fn core_transform(block: &[i64; 16]) -> [i64; 16] {
     let mut tmp = [0i64; 16];
     for r in 0..B {
         let p = &block[r * B..r * B + B];
@@ -75,7 +75,7 @@ pub fn core_transform(block: &[i64; 16]) -> [i64; 16] {
 }
 
 /// Flat quantisation with step `qstep` (rounded toward zero, symmetric).
-pub fn quantize(coeffs: &[i64; 16], qstep: i64) -> [i64; 16] {
+pub(crate) fn quantize(coeffs: &[i64; 16], qstep: i64) -> [i64; 16] {
     let mut out = [0i64; 16];
     for (o, &c) in out.iter_mut().zip(coeffs) {
         *o = if c >= 0 {
@@ -88,7 +88,7 @@ pub fn quantize(coeffs: &[i64; 16], qstep: i64) -> [i64; 16] {
 }
 
 /// Number of bits of the signed exp-Golomb code of `v`.
-pub fn exp_golomb_bits(v: i64) -> u32 {
+pub(crate) fn exp_golomb_bits(v: i64) -> u32 {
     // Signed mapping: 0, 1, -1, 2, -2 ... -> 0, 1, 2, 3, 4 ...
     let code = if v > 0 {
         2 * v as u64 - 1
@@ -100,7 +100,7 @@ pub fn exp_golomb_bits(v: i64) -> u32 {
 }
 
 /// Total entropy bits of a quantised block.
-pub fn entropy_bits(q: &[i64; 16]) -> i64 {
+pub(crate) fn entropy_bits(q: &[i64; 16]) -> i64 {
     q.iter().map(|&v| exp_golomb_bits(v) as i64).sum()
 }
 

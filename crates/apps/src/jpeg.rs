@@ -17,7 +17,7 @@
 //! generated code agree exactly.
 
 /// Width/height of a coding block.
-pub const BLOCK: usize = 8;
+pub(crate) const BLOCK: usize = 8;
 
 /// Fixed-point scale of the cosine table (12 fractional bits).
 const FP: i64 = 1 << 12;
@@ -53,7 +53,7 @@ const fn build_cos_table() -> [[i64; BLOCK]; BLOCK] {
 }
 
 /// The standard JPEG luminance quantisation matrix.
-pub const QUANT: [[i64; BLOCK]; BLOCK] = [
+pub(crate) const QUANT: [[i64; BLOCK]; BLOCK] = [
     [16, 11, 10, 16, 24, 40, 51, 61],
     [12, 12, 14, 19, 26, 58, 60, 55],
     [14, 13, 16, 24, 40, 57, 69, 56],
@@ -65,14 +65,14 @@ pub const QUANT: [[i64; BLOCK]; BLOCK] = [
 ];
 
 /// Zigzag scan order of an 8×8 block.
-pub const ZIGZAG: [usize; 64] = [
+pub(crate) const ZIGZAG: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
     13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
     52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
 /// 2-D integer DCT of one 8×8 block (values pre-shifted by −128).
-pub fn dct8x8(block: &[i64; 64]) -> [i64; 64] {
+pub(crate) fn dct8x8(block: &[i64; 64]) -> [i64; 64] {
     // Rows then columns, rescaling after each pass.
     let mut tmp = [0i64; 64];
     for y in 0..BLOCK {
@@ -101,7 +101,7 @@ pub fn dct8x8(block: &[i64; 64]) -> [i64; 64] {
 }
 
 /// Quantises DCT coefficients with the [`QUANT`] matrix.
-pub fn quantize(coeffs: &[i64; 64]) -> [i64; 64] {
+pub(crate) fn quantize(coeffs: &[i64; 64]) -> [i64; 64] {
     let mut out = [0i64; 64];
     for v in 0..BLOCK {
         for u in 0..BLOCK {
@@ -119,7 +119,7 @@ pub fn quantize(coeffs: &[i64; 64]) -> [i64; 64] {
 }
 
 /// Zigzag-reorders a quantised block.
-pub fn zigzag(block: &[i64; 64]) -> [i64; 64] {
+pub(crate) fn zigzag(block: &[i64; 64]) -> [i64; 64] {
     let mut out = [0i64; 64];
     for (i, &z) in ZIGZAG.iter().enumerate() {
         out[i] = block[z];
@@ -129,7 +129,7 @@ pub fn zigzag(block: &[i64; 64]) -> [i64; 64] {
 
 /// Run-length encodes a zigzagged block as `(run, value)` pairs with a
 /// `(0, 0)` terminator — a simplified JPEG AC coding.
-pub fn rle_encode(zz: &[i64; 64]) -> Vec<(u8, i64)> {
+pub(crate) fn rle_encode(zz: &[i64; 64]) -> Vec<(u8, i64)> {
     let mut out = Vec::new();
     let mut run = 0u8;
     for &v in &zz[1..] {
@@ -162,9 +162,9 @@ pub fn synthetic_image(w: usize, h: usize) -> Vec<i64> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncodedBlock {
     /// Quantised DC coefficient.
-    pub dc: i64,
+    pub(crate) dc: i64,
     /// AC run-length pairs.
-    pub ac: Vec<(u8, i64)>,
+    pub(crate) ac: Vec<(u8, i64)>,
 }
 
 /// Encodes a whole image (dimensions must be multiples of 8).

@@ -32,7 +32,7 @@ fn page_base(page: usize) -> u32 {
 pub const PLATFORM_NAMES: [&str; 4] = ["car_radio", "jpeg", "race", "e12"];
 
 /// The software image names [`install_software`] accepts.
-pub const SOFTWARE_NAMES: [&str; 3] = ["car_radio", "jpeg", "race"];
+pub(crate) const SOFTWARE_NAMES: [&str; 3] = ["car_radio", "jpeg", "race"];
 
 /// Builds the platform registered under `name`, or `None` for an unknown
 /// name. All platforms use the calendar scheduler (the production fast
@@ -92,7 +92,7 @@ pub fn build_car_radio(mode: SchedulerMode) -> Platform {
 /// Builds the car-radio *hardware* only: cores, memories, and the 48
 /// peripherals, with no programs loaded. `examples/platforms/car_radio.soc`
 /// is the declarative replica of exactly this configuration.
-pub fn car_radio_hardware(mode: SchedulerMode) -> Platform {
+pub(crate) fn car_radio_hardware(mode: SchedulerMode) -> Platform {
     let freqs = vec![
         Frequency::mhz(100),
         Frequency::mhz(100),
@@ -125,7 +125,7 @@ pub fn car_radio_hardware(mode: SchedulerMode) -> Platform {
 /// # Errors
 ///
 /// Program-load failures when `p` does not match the expected hardware.
-pub fn install_car_radio_software(p: &mut Platform) -> Result<(), String> {
+pub(crate) fn install_car_radio_software(p: &mut Platform) -> Result<(), String> {
     let timers: Vec<usize> = (0..8).collect();
     let mboxes: Vec<usize> = (8..44).collect();
     let sems = [44, 45];
@@ -211,7 +211,7 @@ pub fn build_jpeg(mode: SchedulerMode) -> Platform {
 /// Builds the JPEG *hardware* only: 4 cores, a handoff mailbox, and a DMA
 /// engine, with no programs loaded. `examples/platforms/jpeg.soc` is the
 /// declarative replica of exactly this configuration.
-pub fn jpeg_hardware(mode: SchedulerMode) -> Platform {
+pub(crate) fn jpeg_hardware(mode: SchedulerMode) -> Platform {
     let mut p = PlatformBuilder::new()
         .cores(4, Frequency::mhz(100))
         .shared_words(4096)
@@ -230,7 +230,7 @@ pub fn jpeg_hardware(mode: SchedulerMode) -> Platform {
 /// # Errors
 ///
 /// Program-load failures when `p` does not match the expected hardware.
-pub fn install_jpeg_software(p: &mut Platform) -> Result<(), String> {
+pub(crate) fn install_jpeg_software(p: &mut Platform) -> Result<(), String> {
     let mb = 0usize;
     let dma = 1usize;
 

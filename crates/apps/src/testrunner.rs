@@ -78,7 +78,7 @@ type CmdResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 /// Default `run` step budget: generous for every committed workload but
 /// bounded, so a wedged scenario fails instead of hanging CI.
-pub const DEFAULT_BUDGET: u64 = 2_000_000;
+pub(crate) const DEFAULT_BUDGET: u64 = 2_000_000;
 
 /// The verdict for one script.
 #[derive(Clone, Debug)]

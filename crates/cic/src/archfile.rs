@@ -61,7 +61,7 @@ pub struct ArchInfo {
     /// Interconnect.
     pub interconnect: InterconnectKind,
     /// Per-transfer latency (cycles).
-    pub comm_latency: u64,
+    pub(crate) comm_latency: u64,
 }
 
 impl ArchInfo {

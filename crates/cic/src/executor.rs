@@ -51,7 +51,7 @@ pub fn execute(model: &CicModel, iterations: u64) -> Result<RunOutput> {
 /// # Errors
 ///
 /// [`Error::Exec`] on body traps or channel underflow.
-pub fn run_task(
+pub(crate) fn run_task(
     model: &CicModel,
     t: usize,
     channels: &mut [VecDeque<i64>],

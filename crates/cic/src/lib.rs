@@ -59,9 +59,9 @@ pub mod explore;
 pub mod model;
 pub mod translator;
 
-pub use crate::archfile::{ArchInfo, InterconnectKind, MemoryModel, PeInfo};
+pub use crate::archfile::ArchInfo;
 pub use crate::error::{Error, Result};
-pub use crate::executor::{execute, RunOutput};
+pub use crate::executor::execute;
 pub use crate::explore::{calibrate_task_work, explore_parallel, Candidate, Exploration};
 pub use crate::model::{from_dataflow, CicChannel, CicModel, CicTask};
-pub use crate::translator::{auto_map, execute_translation, translate, Op, PeProgram, Translation};
+pub use crate::translator::{auto_map, execute_translation, translate, Op};

@@ -147,7 +147,7 @@ impl CicModel {
     /// # Errors
     ///
     /// [`Error::Model`] if the channel topology is cyclic.
-    pub fn topo_order(&self) -> Result<Vec<usize>> {
+    pub(crate) fn topo_order(&self) -> Result<Vec<usize>> {
         let n = self.tasks.len();
         let mut indeg = vec![0usize; n];
         for c in &self.channels {

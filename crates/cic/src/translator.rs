@@ -63,7 +63,7 @@ pub struct PeProgram {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Translation {
     /// Name of the target architecture.
-    pub arch_name: String,
+    pub(crate) arch_name: String,
     /// Memory model that drove primitive selection.
     pub memory: MemoryModel,
     /// `mapping[task] = pe index`.

@@ -100,11 +100,6 @@ pub fn minimal_capacities(graph: &Graph, iterations: u64) -> Result<Vec<u32>> {
     Ok(caps)
 }
 
-/// The total buffer memory of a capacity assignment, in tokens.
-pub fn total_tokens(capacities: &[u32]) -> u64 {
-    capacities.iter().map(|&c| c as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +181,7 @@ mod tests {
         for (r, m) in req.iter().zip(&min) {
             assert!(r >= m);
         }
-        assert!(total_tokens(&min) <= total_tokens(&req));
+        assert!(min.iter().sum::<u32>() <= req.iter().sum::<u32>());
     }
 
     #[test]

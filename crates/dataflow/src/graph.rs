@@ -74,12 +74,12 @@ pub struct Channel {
 
 impl Channel {
     /// Tokens produced per full `src` iteration.
-    pub fn prod_per_iter(&self) -> u64 {
+    pub(crate) fn prod_per_iter(&self) -> u64 {
         self.prod.iter().map(|&x| x as u64).sum()
     }
 
     /// Tokens consumed per full `dst` iteration.
-    pub fn cons_per_iter(&self) -> u64 {
+    pub(crate) fn cons_per_iter(&self) -> u64 {
         self.cons.iter().map(|&x| x as u64).sum()
     }
 }
@@ -214,7 +214,7 @@ impl Graph {
     ///
     /// [`Error::NotFound`] for an unknown actor; [`Error::Config`] if
     /// `wcet` does not have exactly the actor's phase count.
-    pub fn set_actor_wcet(&mut self, id: ActorId, wcet: &[u64]) -> Result<()> {
+    pub(crate) fn set_actor_wcet(&mut self, id: ActorId, wcet: &[u64]) -> Result<()> {
         let actor = self
             .actors
             .get_mut(id.0)
@@ -331,7 +331,7 @@ impl Graph {
     /// # Errors
     ///
     /// Propagates [`repetition_vector`](Graph::repetition_vector) errors.
-    pub fn firings_per_iteration(&self) -> Result<Vec<u64>> {
+    pub(crate) fn firings_per_iteration(&self) -> Result<Vec<u64>> {
         let q = self.repetition_vector()?;
         Ok(q.iter()
             .zip(&self.actors)

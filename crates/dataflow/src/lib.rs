@@ -49,12 +49,9 @@ pub mod sizing;
 pub mod ttrigger;
 
 pub use crate::error::{Error, Result};
-pub use crate::graph::{Actor, ActorId, ActorKind, Channel, ChannelId, Graph};
+pub use crate::graph::{Actor, ActorKind, Channel, Graph};
 pub use crate::selftimed::{
-    run_self_timed, run_self_timed_observed, SelfTimedConfig, SelfTimedResult, TimeModel,
-    VaryingTimes, WcetTimes,
+    run_self_timed, run_self_timed_observed, SelfTimedConfig, VaryingTimes, WcetTimes,
 };
 pub use crate::sizing::{minimal_capacities_sweep, profile_actor_wcets};
-pub use crate::ttrigger::{
-    run_time_triggered, time_triggered_experiment, StaticSchedule, TimeTriggeredResult,
-};
+pub use crate::ttrigger::time_triggered_experiment;

@@ -53,9 +53,9 @@ impl TimeModel for WcetTimes {
 pub struct VaryingTimes {
     state: u64,
     /// Lower bound, percent of WCET.
-    pub lo_pct: u64,
+    pub(crate) lo_pct: u64,
     /// Upper bound, percent of WCET.
-    pub hi_pct: u64,
+    pub(crate) hi_pct: u64,
 }
 
 impl VaryingTimes {
@@ -136,12 +136,12 @@ pub struct SelfTimedResult {
     /// Every firing, in completion order.
     pub firings: Vec<Firing>,
     /// Completion time of the last firing.
-    pub end_time: u64,
+    pub(crate) end_time: u64,
     /// Maximum observed token count per channel (the capacity actually
     /// needed — used by buffer sizing).
-    pub max_occupancy: Vec<u32>,
+    pub(crate) max_occupancy: Vec<u32>,
     /// Completion times of sink firings, per sink actor in id order.
-    pub sink_completions: Vec<Vec<u64>>,
+    pub(crate) sink_completions: Vec<Vec<u64>>,
     /// Source firings whose start was delayed past their timer slot —
     /// non-zero means the schedule is *not* wait-free for the sources.
     pub source_blocked: u64,
@@ -718,88 +718,5 @@ mod csdf_tests {
             18,
             "3 source firings per iteration"
         );
-    }
-}
-
-impl SelfTimedResult {
-    /// End-to-end latency of iteration `k`: from the earliest start of any
-    /// firing with index `k` to the latest sink completion `k`. `None` if
-    /// the run has no sinks or too few iterations.
-    pub fn end_to_end_latency(&self, k: u64) -> Option<u64> {
-        let start = self
-            .firings
-            .iter()
-            .filter(|f| f.firing == k)
-            .map(|f| f.start)
-            .min()?;
-        let end = self
-            .sink_completions
-            .iter()
-            .filter_map(|c| c.get(k as usize).copied())
-            .max()?;
-        Some(end.saturating_sub(start))
-    }
-
-    /// Worst observed end-to-end latency across the run's iterations.
-    pub fn worst_latency(&self) -> Option<u64> {
-        let iters = self.sink_completions.iter().map(Vec::len).max()?;
-        (0..iters as u64)
-            .filter_map(|k| self.end_to_end_latency(k))
-            .max()
-    }
-}
-
-#[cfg(test)]
-mod latency_tests {
-    use super::*;
-    use crate::graph::{ActorKind, Graph};
-
-    #[test]
-    fn latency_equals_pipeline_depth() {
-        let mut g = Graph::new();
-        let s = g.add_actor("src", vec![10], ActorKind::Source { period: 1_000 });
-        let f = g.add_actor("f", vec![30], ActorKind::Regular);
-        let k = g.add_actor("snk", vec![5], ActorKind::Sink { period: 1_000 });
-        g.add_channel(s, f, vec![1], vec![1], 0).unwrap();
-        g.add_channel(f, k, vec![1], vec![1], 0).unwrap();
-        let r = run_self_timed(
-            &g,
-            &SelfTimedConfig {
-                iterations: 5,
-                ..Default::default()
-            },
-            &mut WcetTimes,
-        )
-        .unwrap();
-        assert_eq!(r.end_to_end_latency(0), Some(45));
-        assert_eq!(r.worst_latency(), Some(45));
-    }
-
-    #[test]
-    fn latency_grows_under_overrun() {
-        let g = {
-            let mut g = Graph::new();
-            let s = g.add_actor("src", vec![10], ActorKind::Source { period: 200 });
-            let f = g.add_actor("f", vec![100], ActorKind::Regular);
-            let k = g.add_actor("snk", vec![5], ActorKind::Sink { period: 200 });
-            g.add_channel(s, f, vec![1], vec![1], 0).unwrap();
-            g.add_channel(f, k, vec![1], vec![1], 0).unwrap();
-            g
-        };
-        let run = |hi: u64| {
-            let mut m = VaryingTimes::new(5, 100, hi);
-            run_self_timed(
-                &g,
-                &SelfTimedConfig {
-                    iterations: 20,
-                    ..Default::default()
-                },
-                &mut m,
-            )
-            .unwrap()
-            .worst_latency()
-            .unwrap()
-        };
-        assert!(run(200) > run(100));
     }
 }

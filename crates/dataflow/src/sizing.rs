@@ -97,7 +97,7 @@ pub fn minimal_capacities_sweep(
 /// the word at `profile_addr + a` is read for every actor `a`. A positive
 /// word `w` replaces **all** of the actor's phase WCETs with `w` (the
 /// profile measures the actor's worst observed firing; the phase count is
-/// preserved — see [`Graph::set_actor_wcet`]). Zero or negative words
+/// preserved — see `Graph::set_actor_wcet`). Zero or negative words
 /// leave the actor untouched. A snapshot restore is bit-identical to
 /// having simulated the prefix, so warm and cold prefixes yield the same
 /// re-costed graph.

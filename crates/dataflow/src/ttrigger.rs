@@ -10,8 +10,8 @@
 //! *"exceeds an unreliable worst-case execution time estimate"*: the
 //! consumer reads a buffer slot the producer has not yet (re)written, or the
 //! producer overwrites a slot not yet read. Both failure modes are counted
-//! ([`TimeTriggeredResult::corrupted_reads`],
-//! [`TimeTriggeredResult::overwritten`]), which experiment E3 compares
+//! (`TimeTriggeredResult::corrupted_reads`,
+//! `TimeTriggeredResult::overwritten`), which experiment E3 compares
 //! against the structurally corruption-free [data-driven
 //! executor](crate::selftimed).
 
@@ -60,7 +60,7 @@ impl StaticSchedule {
 /// # Errors
 ///
 /// Propagates deadlock/consistency errors from the self-timed analysis.
-pub fn derive_schedule(
+pub(crate) fn derive_schedule(
     graph: &Graph,
     capacities: &[u32],
     iterations: u64,
@@ -90,13 +90,13 @@ pub fn derive_schedule(
 pub struct TimeTriggeredResult {
     /// Tokens read before their producer had written them (stale/garbage
     /// data consumed *inside* the application).
-    pub corrupted_reads: u64,
+    pub(crate) corrupted_reads: u64,
     /// Tokens overwritten before their consumer read them.
-    pub overwritten: u64,
+    pub(crate) overwritten: u64,
     /// Firings executed.
     pub firings: u64,
     /// Completion time of the last firing.
-    pub end_time: u64,
+    pub(crate) end_time: u64,
 }
 
 impl TimeTriggeredResult {
@@ -113,7 +113,7 @@ impl TimeTriggeredResult {
 ///
 /// [`Error::Config`] when the schedule or capacity vector does not match
 /// the graph.
-pub fn run_time_triggered(
+pub(crate) fn run_time_triggered(
     graph: &Graph,
     schedule: &StaticSchedule,
     capacities: &[u32],

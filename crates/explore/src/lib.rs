@@ -15,9 +15,8 @@
 //!   re-simulating ([`Prefix::cold`]) or from a shared [`BaseImage`]
 //!   ([`Prefix::base`], hydrate once and roll back with
 //!   [`Platform::reset_to_base`]) — without the sweep caring which.
-//! * Budget ([`Sweep::max_trials`]) and early-stop ([`Sweep::run_until`])
-//!   hooks keep long sweeps bounded without sacrificing determinism, and an
-//!   optional [`MetricsRegistry`] receives `explore.trials`,
+//! * An early-stop hook ([`Sweep::run_until`]) keeps long sweeps bounded
+//!   without sacrificing determinism, and an optional [`MetricsRegistry`] receives `explore.trials`,
 //!   `explore.warm_hits`, `explore.prefix_steps`, and `explore.wall_ns`.
 
 #![warn(missing_docs)]
@@ -36,7 +35,7 @@ pub const WARM_HITS_COUNTER: &str = "explore.warm_hits";
 /// Counter accumulating prefix steps simulated by cold starts.
 pub const PREFIX_STEPS_COUNTER: &str = "explore.prefix_steps";
 /// Counter accumulating wall-clock nanoseconds spent inside sweeps.
-pub const WALL_NS_COUNTER: &str = "explore.wall_ns";
+pub(crate) const WALL_NS_COUNTER: &str = "explore.wall_ns";
 
 /// Derives `n` independent trial seeds from one master seed.
 ///
@@ -60,7 +59,6 @@ pub fn split_seeds(seed: u64, n: usize) -> Vec<u64> {
 #[derive(Clone, Copy)]
 pub struct Sweep<'a> {
     threads: usize,
-    max_trials: Option<usize>,
     metrics: Option<&'a MetricsRegistry>,
 }
 
@@ -73,20 +71,8 @@ impl<'a> Sweep<'a> {
     pub fn new(threads: usize) -> Self {
         Sweep {
             threads,
-            max_trials: None,
             metrics: None,
         }
-    }
-
-    /// Caps the number of trials evaluated (budget hook).
-    ///
-    /// The sweep evaluates trials `0..min(n, max)` — a deterministic prefix
-    /// of the trial space, so a budgeted run agrees with the front of an
-    /// unbudgeted one.
-    #[must_use]
-    pub fn max_trials(mut self, max: usize) -> Self {
-        self.max_trials = Some(max);
-        self
     }
 
     /// Attaches a metrics registry receiving `explore.trials` and
@@ -155,7 +141,6 @@ impl<'a> Sweep<'a> {
         I: Fn() -> Result<S, R> + Sync,
         F: Fn(&mut S, usize) -> R + Sync,
     {
-        let n = self.max_trials.map_or(n, |m| n.min(m));
         let start = Instant::now();
         let mut results: Vec<Option<R>> = Vec::new();
         results.resize_with(n, || None);
@@ -229,7 +214,6 @@ impl std::fmt::Debug for Sweep<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
             .field("threads", &self.threads)
-            .field("max_trials", &self.max_trials)
             .field("metrics", &self.metrics.is_some())
             .finish()
     }
@@ -431,14 +415,6 @@ mod tests {
     fn run_until_without_a_hit_returns_everything() {
         let got = Sweep::new(4).run_until(9, |i| i as u64, |_| false);
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn max_trials_takes_a_deterministic_front() {
-        let seeds = split_seeds(3, 20);
-        let full = Sweep::new(4).run(20, |i| score(seeds[i]));
-        let capped = Sweep::new(4).max_trials(7).run(20, |i| score(seeds[i]));
-        assert_eq!(capped, full[..7]);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl DebugTarget {
         &self.dbg
     }
 
-    /// The underlying debugger, mutably (program loading, time travel).
-    pub fn debugger_mut(&mut self) -> &mut Debugger {
-        &mut self.dbg
-    }
-
     /// Re-installs every breakpoint and watchpoint into the debugger's
     /// condition tables. Watchpoints are added in registration order, so a
     /// [`Stop::Watchpoint`] index is an index into `self.watches`.
@@ -194,17 +189,14 @@ impl Target for DebugTarget {
         Ok(())
     }
 
+    /// Recorded as a stimulus, so a rewind replays it.
     fn write_register(&mut self, core: usize, reg: usize, value: u64) -> Result<()> {
-        let c = self.dbg.platform_mut().core_mut(core)?;
-        if reg < Reg::COUNT {
-            c.set_reg(Reg::new(reg as u8), value as Word);
-            Ok(())
-        } else if reg == PC_REG {
-            c.debug_set_pc(value as u32);
-            Ok(())
-        } else {
-            Err(Error::Packet(format!("register {reg} out of range")))
-        }
+        let reg = match reg {
+            r if r < Reg::COUNT => Some(Reg::new(r as u8)),
+            PC_REG => None,
+            _ => return Err(Error::Packet(format!("register {reg} out of range"))),
+        };
+        Ok(self.dbg.inject_reg_write(core, reg, value as Word)?)
     }
 
     fn read_mem_into(&self, addr: u32, len: u32, out: &mut Vec<u64>) -> Result<()> {
@@ -222,9 +214,10 @@ impl Target for DebugTarget {
         Ok(())
     }
 
+    /// Recorded as stimuli, so a rewind replays them.
     fn write_mem(&mut self, addr: u32, values: &[u64]) -> Result<()> {
         for (a, &v) in word_range(addr, values.len())?.zip(values) {
-            self.dbg.platform_mut().debug_write(a, v as Word)?;
+            self.dbg.inject_mem_poke(a, v as Word)?;
         }
         Ok(())
     }
@@ -503,11 +496,11 @@ mod tests {
     #[test]
     fn monitor_trace_stats_reports_ring_and_spill() {
         let mut t = target();
-        t.debugger_mut()
+        t.dbg
             .platform_mut()
             .set_trace_budget(2 * mpsoc_platform::TRACE_RECORD_BYTES);
         for i in 1..=5 {
-            t.debugger_mut().platform_mut().debug_drive_signal("sig", i);
+            t.dbg.platform_mut().debug_drive_signal("sig", i);
         }
         let out = t.monitor("trace-stats").unwrap();
         let stats = t.debugger().trace_stats();

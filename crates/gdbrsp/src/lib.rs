@@ -69,8 +69,6 @@ pub mod transport;
 pub use crate::adapter::{parse_num, DebugTarget, NUM_REGS, PC_REG};
 pub use crate::error::{Error, Result};
 pub use crate::packet::{encode_packet, Framer, Item};
-pub use crate::session::{Session, DEFAULT_CONT_BUDGET};
+pub use crate::session::Session;
 pub use crate::target::{StopReason, Target, WatchKind};
-pub use crate::transport::{
-    duplex_pair, serve, DuplexEnd, GdbServer, RspClient, TcpTransport, Transport,
-};
+pub use crate::transport::{duplex_pair, serve, DuplexEnd, GdbServer, RspClient};

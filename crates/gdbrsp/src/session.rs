@@ -30,7 +30,7 @@ use crate::target::{StopReason, Target, WatchKind};
 /// Default step budget for `c`/`vCont;c`: a resume with no stop condition
 /// terminates in bounded host time and reports `S02` (SIGINT), exactly as
 /// if the user had interrupted a runaway program.
-pub const DEFAULT_CONT_BUDGET: u64 = 10_000_000;
+pub(crate) const DEFAULT_CONT_BUDGET: u64 = 10_000_000;
 
 /// The `qSupported` reply.
 const SUPPORTED: &[u8] = b"PacketSize=16384;QStartNoAckMode+;swbreak+;hwbreak+;vContSupported+";

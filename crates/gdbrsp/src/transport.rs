@@ -60,14 +60,14 @@ pub fn serve<T: Target, P: Transport>(session: &mut Session<T>, transport: &mut 
 
 /// TCP transport (one GDB connection).
 #[derive(Debug)]
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     stream: TcpStream,
 }
 
 impl TcpTransport {
     /// Wraps a connected stream. `TCP_NODELAY` is enabled — RSP is a
     /// ping-pong protocol and Nagle ruins its latency.
-    pub fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
         TcpTransport { stream }
     }
@@ -262,16 +262,6 @@ impl<P: Transport> RspClient<P> {
         }
     }
 
-    /// Sends a packet that gets no reply (only `k`).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] on transport failure.
-    pub fn command_no_reply(&mut self, cmd: &str) -> Result<()> {
-        self.transport.write_all(&encode_packet(cmd.as_bytes()))?;
-        Ok(())
-    }
-
     fn next_item(&mut self) -> Result<Item> {
         loop {
             if let Some(item) = self.pending.pop_front() {
@@ -350,7 +340,7 @@ mod tests {
         let mut client = RspClient::new(TcpTransport::new(stream));
         assert_eq!(client.command("?").unwrap(), "S05");
         assert_eq!(client.command("c").unwrap(), "W00");
-        client.command_no_reply("k").unwrap();
+        drop(client); // hang up: the server returns on end of stream
         handle.join().expect("server thread");
     }
 }

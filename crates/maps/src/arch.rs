@@ -20,11 +20,6 @@ pub enum PeClass {
     Accelerator,
 }
 
-impl PeClass {
-    /// All classes.
-    pub const ALL: [PeClass; 3] = [PeClass::Risc, PeClass::Dsp, PeClass::Accelerator];
-}
-
 /// One processing element.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Pe {
@@ -41,9 +36,9 @@ pub struct Pe {
 pub struct ArchModel {
     pes: Vec<Pe>,
     /// Cycles to move one data unit between two distinct PEs.
-    pub comm_cost_remote: u64,
+    pub(crate) comm_cost_remote: u64,
     /// Cycles to move one data unit within a PE (pipelined locally).
-    pub comm_cost_local: u64,
+    pub(crate) comm_cost_local: u64,
 }
 
 impl ArchModel {
@@ -146,7 +141,7 @@ impl ArchModel {
     /// on a foreign class it pays an inefficiency factor (e.g. DSP kernels
     /// on a RISC take 3×; control code on a DSP takes 2×; anything not
     /// matched to an accelerator cannot exploit it and takes 5×).
-    pub fn exec_cycles(&self, pe: usize, cost: u64, pref: Option<PeClass>) -> u64 {
+    pub(crate) fn exec_cycles(&self, pe: usize, cost: u64, pref: Option<PeClass>) -> u64 {
         let p = &self.pes[pe];
         let factor = match (pref, p.class) {
             (None, PeClass::Accelerator) => 5.0,
@@ -162,23 +157,25 @@ impl ArchModel {
     }
 
     /// Cycles to transfer `units` data units from `from` to `to`.
-    pub fn comm_cycles(&self, from: usize, to: usize, units: u64) -> u64 {
+    pub(crate) fn comm_cycles(&self, from: usize, to: usize, units: u64) -> u64 {
         if from == to {
             self.comm_cost_local * units
         } else {
             self.comm_cost_remote * units
         }
     }
-
-    /// PE index by name.
-    pub fn pe_by_name(&self, name: &str) -> Option<usize> {
-        self.pes.iter().position(|p| p.name == name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArchModel {
+        /// PE index by name.
+        pub(crate) fn pe_by_name(&self, name: &str) -> Option<usize> {
+            self.pes.iter().position(|p| p.name == name)
+        }
+    }
 
     #[test]
     fn homogeneous_builder() {

@@ -77,7 +77,7 @@ pub struct DispatchResult {
     /// Aggregate PE utilisation: useful work / (makespan × PEs).
     pub utilization: f64,
     /// Cycles the dispatcher itself was busy.
-    pub dispatcher_busy: u64,
+    pub(crate) dispatcher_busy: u64,
 }
 
 /// Simulates dispatching `n_tasks` independent tasks of `task_cycles` each
@@ -128,24 +128,24 @@ pub fn dispatch(
     })
 }
 
-/// The task granularity (cycles) at which `sched` first sustains at least
-/// `target` utilisation on `n_pes` PEs, or `None` within the probed range.
-pub fn granularity_for_utilization(n_pes: usize, sched: SchedulerKind, target: f64) -> Option<u64> {
-    let mut g = 1u64;
-    while g <= 1 << 24 {
-        if let Ok(r) = dispatch(10_000, g, n_pes, sched) {
-            if r.utilization >= target {
-                return Some(g);
-            }
-        }
-        g *= 2;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The task granularity (cycles) at which `sched` first sustains at least
+    /// `target` utilisation on `n_pes` PEs, or `None` within the probed range.
+    fn granularity_for_utilization(n_pes: usize, sched: SchedulerKind, target: f64) -> Option<u64> {
+        let mut g = 1u64;
+        while g <= 1 << 24 {
+            if let Ok(r) = dispatch(10_000, g, n_pes, sched) {
+                if r.utilization >= target {
+                    return Some(g);
+                }
+            }
+            g *= 2;
+        }
+        None
+    }
 
     #[test]
     fn coarse_tasks_saturate_either_scheduler() {

@@ -86,13 +86,8 @@ impl TaskGraph {
         }
     }
 
-    /// Predecessors of task `i`.
-    pub fn preds(&self, i: usize) -> impl Iterator<Item = &TaskEdge> {
-        self.edges.iter().filter(move |e| e.to == i)
-    }
-
     /// Successors of task `i`.
-    pub fn succs(&self, i: usize) -> impl Iterator<Item = &TaskEdge> {
+    pub(crate) fn succs(&self, i: usize) -> impl Iterator<Item = &TaskEdge> {
         self.edges.iter().filter(move |e| e.from == i)
     }
 }

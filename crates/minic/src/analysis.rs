@@ -273,7 +273,7 @@ pub struct Dependence {
     /// Dependence kind.
     pub kind: DepKind,
     /// A location that induces the dependence (one witness).
-    pub witness: MemRef,
+    pub(crate) witness: MemRef,
 }
 
 /// Builds the dependence graph over a statement sequence (commonly a
@@ -331,14 +331,6 @@ fn first_conflict(a: &BTreeSet<MemRef>, b: &BTreeSet<MemRef>) -> Option<MemRef> 
     None
 }
 
-/// Whether two statements may run in parallel (no dependence either way).
-pub fn independent(a: &Stmt, b: &Stmt) -> bool {
-    let (sa, sb) = (accesses(a), accesses(b));
-    first_conflict(&sa.writes, &sb.reads).is_none()
-        && first_conflict(&sa.reads, &sb.writes).is_none()
-        && first_conflict(&sa.writes, &sb.writes).is_none()
-}
-
 /// Analyzability report for a function body: the static properties the
 /// Source Recoder (Section VI) aims to establish — *"static analyzability
 /// without ambiguities resulting from pointers and irregular code
@@ -348,13 +340,13 @@ pub struct Analyzability {
     /// Number of pointer dereferences (each defeats dependence analysis).
     pub pointer_derefs: usize,
     /// Number of address-of operators (escape sites).
-    pub address_ofs: usize,
+    pub(crate) address_ofs: usize,
     /// Number of while-loops (unbounded control).
-    pub while_loops: usize,
+    pub(crate) while_loops: usize,
     /// Number of canonical for-loops (analyzable).
-    pub for_loops: usize,
+    pub(crate) for_loops: usize,
     /// Number of calls to functions outside the unit.
-    pub external_calls: usize,
+    pub(crate) external_calls: usize,
 }
 
 impl Analyzability {
@@ -415,7 +407,6 @@ mod tests {
     fn independent_statements_have_no_deps() {
         let b = body("void f(void) { int x = 1; int y = 2; }");
         assert!(dependences(&b).is_empty());
-        assert!(independent(&b[0], &b[1]));
     }
 
     #[test]

@@ -340,7 +340,7 @@ pub struct Function {
     /// Function name.
     pub name: String,
     /// Return type ([`Type::Int`] or [`Type::Void`]).
-    pub ret: Type,
+    pub(crate) ret: Type,
     /// Parameters in order.
     pub params: Vec<Param>,
     /// Body statements.
@@ -351,7 +351,7 @@ pub struct Function {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Unit {
     /// Global variable declarations.
-    pub globals: Vec<Stmt>,
+    pub(crate) globals: Vec<Stmt>,
     /// Function definitions in source order.
     pub functions: Vec<Function>,
 }

@@ -6,15 +6,13 @@
 //! statements; constant-bound loops multiply their body cost by the trip
 //! count, unknown bounds fall back to a configurable default.
 
-use std::collections::HashMap;
-
 use crate::ast::*;
 
 /// Tunable weights of the abstract machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Cost of +,-,logic ops.
-    pub alu: u64,
+    pub(crate) alu: u64,
     /// Cost of `*`.
     pub mul: u64,
     /// Cost of `/`, `%`.
@@ -24,9 +22,9 @@ pub struct CostModel {
     /// Call overhead (besides the callee body).
     pub call: u64,
     /// Cost assumed for calls to functions outside the unit.
-    pub external_call: u64,
+    pub(crate) external_call: u64,
     /// Trip count assumed for loops with non-constant bounds.
-    pub default_trip: u64,
+    pub(crate) default_trip: u64,
 }
 
 impl Default for CostModel {
@@ -43,19 +41,13 @@ impl Default for CostModel {
     }
 }
 
-/// Computes the cost of every function in `unit` (callees folded into call
-/// sites, recursion cut off at depth 8).
-pub fn unit_costs(unit: &Unit, model: &CostModel) -> HashMap<String, u64> {
-    let mut memo = HashMap::new();
-    for f in &unit.functions {
-        let c = function_cost(unit, f, model, &mut Vec::new());
-        memo.insert(f.name.clone(), c);
-    }
-    memo
-}
-
 /// Cost of one function body.
-pub fn function_cost(unit: &Unit, f: &Function, model: &CostModel, stack: &mut Vec<String>) -> u64 {
+pub(crate) fn function_cost(
+    unit: &Unit,
+    f: &Function,
+    model: &CostModel,
+    stack: &mut Vec<String>,
+) -> u64 {
     if stack.iter().filter(|n| **n == f.name).count() >= 2 || stack.len() > 8 {
         return model.external_call; // recursion cutoff
     }
@@ -66,7 +58,12 @@ pub fn function_cost(unit: &Unit, f: &Function, model: &CostModel, stack: &mut V
 }
 
 /// Cost of a statement sequence.
-pub fn stmts_cost(unit: &Unit, stmts: &[Stmt], model: &CostModel, stack: &mut Vec<String>) -> u64 {
+pub(crate) fn stmts_cost(
+    unit: &Unit,
+    stmts: &[Stmt],
+    model: &CostModel,
+    stack: &mut Vec<String>,
+) -> u64 {
     stmts.iter().map(|s| stmt_cost(unit, s, model, stack)).sum()
 }
 
@@ -119,7 +116,7 @@ pub fn stmt_cost(unit: &Unit, s: &Stmt, model: &CostModel, stack: &mut Vec<Strin
 }
 
 /// The trip count of a canonical for-loop, when all bounds are constant.
-pub fn trip_count(from: &Expr, to: &Expr, step: &Expr) -> Option<u64> {
+pub(crate) fn trip_count(from: &Expr, to: &Expr, step: &Expr) -> Option<u64> {
     let (f, t, s) = (from.const_eval()?, to.const_eval()?, step.const_eval()?);
     if s <= 0 || t <= f {
         return Some(0);
@@ -156,6 +153,16 @@ fn expr_cost(unit: &Unit, e: &Expr, model: &CostModel, stack: &mut Vec<String>) 
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use std::collections::HashMap;
+
+    /// The cost of every function in `unit`.
+    fn unit_costs(unit: &Unit, model: &CostModel) -> HashMap<String, u64> {
+        let cost = |f| function_cost(unit, f, model, &mut Vec::new());
+        unit.functions
+            .iter()
+            .map(|f| (f.name.clone(), cost(f)))
+            .collect()
+    }
 
     #[test]
     fn trip_count_constant_bounds() {

@@ -54,7 +54,7 @@ pub mod printer;
 pub mod symbols;
 pub mod token;
 
-pub use crate::ast::{Expr, Function, LValue, NodeId, Param, Stmt, StmtKind, Type, Unit};
+pub use crate::ast::{Expr, Function, LValue, Stmt, StmtKind, Type, Unit};
 pub use crate::error::{Error, Result};
 pub use crate::parser::parse;
 pub use crate::printer::print_unit;

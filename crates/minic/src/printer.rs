@@ -165,7 +165,7 @@ pub fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
 
 /// Renders an expression with minimal necessary parentheses (conservative:
 /// every non-leaf binary operand is parenthesised, which is always correct).
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Lit(v) => v.to_string(),
         Expr::Var(n) => n.clone(),

@@ -42,11 +42,6 @@ impl SymbolTable {
         self.symbols.get(name)
     }
 
-    /// Whether `name` denotes an array.
-    pub fn is_array(&self, name: &str) -> bool {
-        matches!(self.get(name).map(|s| s.kind), Some(SymbolKind::Array(_)))
-    }
-
     /// Iterates all visible symbols (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
         self.symbols.values()
@@ -206,7 +201,7 @@ mod tests {
         let u = parse("int g;\nint f(int x, int a[]) { int y = x; return y + g + a[0]; }").unwrap();
         let t = resolve(&u, &u.functions[0]).unwrap();
         assert_eq!(t.get("x").unwrap().kind, SymbolKind::Scalar);
-        assert!(t.is_array("a"));
+        assert!(matches!(t.get("a").unwrap().kind, SymbolKind::Array(_)));
         assert!(t.get("g").unwrap().global);
         assert_eq!(t.get("f").unwrap().kind, SymbolKind::Function);
     }

@@ -54,6 +54,6 @@ pub mod rng;
 
 pub use crate::event::{Event, EventKind, EventSink, ObsCtx};
 pub use crate::export::chrome_trace;
-pub use crate::metrics::{Counter, Gauge, MetricKind, MetricSample, MetricsRegistry};
+pub use crate::metrics::{Counter, Gauge, MetricsRegistry};
 pub use crate::ring::{Ring, RingSink};
 pub use crate::rng::XorShift64Star;

@@ -71,7 +71,7 @@ pub struct SocCore {
     /// Core class.
     pub class: CoreClass,
     /// Clock frequency in kHz (the builder's native unit).
-    pub freq_khz: u64,
+    pub(crate) freq_khz: u64,
     /// Owning cluster, if any (nested declaration or `cluster = NAME`).
     pub cluster: Option<String>,
     /// Optional per-core area override in milli-mm^2 (`area_mmm2`).
@@ -139,7 +139,7 @@ pub enum SocInterconnect {
 
 impl SocInterconnect {
     /// Converts to the platform builder's configuration type.
-    pub fn to_config(self) -> InterconnectConfig {
+    pub(crate) fn to_config(self) -> InterconnectConfig {
         match self {
             SocInterconnect::Bus {
                 latency_ns,
@@ -194,11 +194,11 @@ pub struct SocDesc {
     /// Optional area/power budget.
     pub budget: SocBudget,
     /// Span of the `memory` section (or of `platform` when defaulted).
-    pub memory_span: Span,
+    pub(crate) memory_span: Span,
     /// Span of the `interconnect` section (or of `platform` when defaulted).
-    pub interconnect_span: Span,
+    pub(crate) interconnect_span: Span,
     /// Span of the `cache` section (or of `platform` when defaulted).
-    pub cache_span: Span,
+    pub(crate) cache_span: Span,
     /// Span of the `budget` section (or of `platform` when absent).
-    pub budget_span: Span,
+    pub(crate) budget_span: Span,
 }

@@ -47,12 +47,12 @@ pub struct SocMetrics {
 
 impl SocMetrics {
     /// Area in mm^2 (for display only; comparisons use the integer form).
-    pub fn area_mm2(&self) -> f64 {
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.area_mmm2 as f64 / 1000.0
     }
 
     /// Power in mW (for display only; comparisons use the integer form).
-    pub fn power_mw(&self) -> f64 {
+    pub(crate) fn power_mw(&self) -> f64 {
         self.power_uw as f64 / 1000.0
     }
 }
@@ -66,12 +66,6 @@ fn class_coeffs(class: CoreClass) -> (u64, u64, u64) {
         CoreClass::Dsp => (1500, 700, 700),
         CoreClass::Accel => (2800, 600, 500),
     }
-}
-
-/// Exposes the class coefficients to the budgeted generator (it ranks
-/// cores by model cost when shedding them to fit a budget).
-pub(crate) fn class_cost_probe(class: CoreClass) -> (u64, u64, u64) {
-    class_coeffs(class)
 }
 
 impl SocDesc {

@@ -72,9 +72,9 @@ impl JointConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JointTrial {
     /// Seed the topology was generated from.
-    pub topology_seed: u64,
+    pub(crate) topology_seed: u64,
     /// Seed the mapping was annealed from.
-    pub mapping_seed: u64,
+    pub(crate) mapping_seed: u64,
     /// Generated platform name.
     pub platform: String,
     /// Core count of the platform.
@@ -90,7 +90,7 @@ pub struct JointTrial {
 impl JointTrial {
     /// `true` if `other` dominates this point (no worse on every
     /// objective, strictly better on at least one; all minimized).
-    pub fn dominated_by(&self, other: &JointTrial) -> bool {
+    pub(crate) fn dominated_by(&self, other: &JointTrial) -> bool {
         let no_worse = other.makespan <= self.makespan
             && other.area_mmm2 <= self.area_mmm2
             && other.power_uw <= self.power_uw;
@@ -233,7 +233,7 @@ pub fn workload() -> TaskGraph {
 /// Computes the Pareto front of `trials` over (makespan, area, power), all
 /// minimized. The front keeps trial order; exactly-equal score triples keep
 /// only their first occurrence, so the result is deterministic.
-pub fn pareto_front(trials: &[JointTrial]) -> Vec<JointTrial> {
+pub(crate) fn pareto_front(trials: &[JointTrial]) -> Vec<JointTrial> {
     let mut front = Vec::new();
     'outer: for (i, t) in trials.iter().enumerate() {
         for (j, o) in trials.iter().enumerate() {

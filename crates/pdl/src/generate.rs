@@ -4,15 +4,9 @@
 //! seed fully determines the emitted text — the joint DSE sweeps topology
 //! seeds exactly like mapping seeds. Every emitted description parses,
 //! validates, and builds (the generator's unit tests and the E13 experiment
-//! both pin this); [`generate_budgeted`] additionally emits a `budget`
-//! section and sheds the hungriest cores until the config fits, lumos-style.
+//! both pin this).
 
-use crate::ast::SocDesc;
-use crate::compile;
-use crate::error::Result;
-use crate::parser::parse;
 use mpsoc_obs::XorShift64Star;
-use mpsoc_platform::Platform;
 use std::fmt::Write as _;
 
 /// Frequencies (MHz) the generator draws from, per class.
@@ -127,134 +121,10 @@ pub fn generate(seed: u64) -> String {
     s
 }
 
-/// Generates a budget-constrained `.soc` description: like [`generate`],
-/// then repeatedly drops the highest-power core (never the last one) until
-/// the cost model fits `max_area_mm2` / `max_power_mw`, and emits the
-/// budget section so validation enforces the constraint from then on.
-pub fn generate_budgeted(seed: u64, max_area_mm2: u64, max_power_mw: u64) -> String {
-    let src = generate(seed);
-    let mut desc = parse(&src).expect("generated source parses");
-    while desc.cores.len() > 1 {
-        let m = desc.metrics();
-        if m.area_mmm2 <= max_area_mm2 * 1000 && m.power_uw <= max_power_mw * 1000 {
-            break;
-        }
-        // Shed the hungriest core (ties broken by declaration order).
-        let victim = desc
-            .cores
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, c)| {
-                let (base, per_ghz, pw) = crate::compile::class_cost_probe(c.class);
-                (pw * (c.freq_khz / 1000) + base + per_ghz, usize::MAX - i)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        desc.cores.remove(victim);
-    }
-    render(&desc, seed, Some((max_area_mm2, max_power_mw)))
-}
-
-/// Renders a description back to `.soc` text (used by the budgeted
-/// generator after shedding cores; the output round-trips through the
-/// parser).
-fn render(desc: &SocDesc, seed: u64, budget: Option<(u64, u64)>) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "// generated by mpsoc-pdl, seed {seed:#018x}");
-    let _ = writeln!(s, "platform {} {{", desc.name);
-    for cl in &desc.clusters {
-        let _ = writeln!(s, "  cluster {cl} {{ }}");
-    }
-    for c in &desc.cores {
-        let mut line = format!(
-            "  core {} {{ class = {}; freq_khz = {};",
-            c.name,
-            c.class.as_str(),
-            c.freq_khz
-        );
-        if let Some(cl) = &c.cluster {
-            let _ = write!(line, " cluster = {cl};");
-        }
-        let _ = writeln!(s, "{line} }}");
-    }
-    let _ = writeln!(
-        s,
-        "  memory {{ shared_words = {}; local_words = {}; }}",
-        desc.shared_words, desc.local_words
-    );
-    match &desc.cache {
-        None => {
-            let _ = writeln!(s, "  cache none;");
-        }
-        Some(c) => {
-            let _ = writeln!(
-                s,
-                "  cache {{ sets = {}; assoc = {}; line_words = {}; hit_cycles = {}; }}",
-                c.sets, c.assoc, c.line_words, c.hit_cycles
-            );
-        }
-    }
-    match desc.interconnect {
-        crate::ast::SocInterconnect::Bus {
-            latency_ns,
-            occupancy_ns,
-        } => {
-            let _ = writeln!(
-                s,
-                "  interconnect bus {{ latency_ns = {latency_ns}; occupancy_ns = {occupancy_ns}; }}"
-            );
-        }
-        crate::ast::SocInterconnect::Mesh {
-            width,
-            height,
-            hop_ns,
-            link_ns,
-        } => {
-            let _ = writeln!(
-                s,
-                "  interconnect mesh {{ width = {width}; height = {height}; hop_ns = {hop_ns}; link_ns = {link_ns}; }}"
-            );
-        }
-    }
-    for p in &desc.peripherals {
-        match p.kind {
-            crate::ast::SocPeriphKind::Timer => {
-                let _ = writeln!(s, "  timer {};", p.name);
-            }
-            crate::ast::SocPeriphKind::Mailbox { capacity } => {
-                let _ = writeln!(s, "  mailbox {} {{ capacity = {capacity}; }}", p.name);
-            }
-            crate::ast::SocPeriphKind::Semaphore { count } => {
-                let _ = writeln!(s, "  semaphore {} {{ count = {count}; }}", p.name);
-            }
-            crate::ast::SocPeriphKind::Dma => {
-                let _ = writeln!(s, "  dma {};", p.name);
-            }
-        }
-    }
-    if let Some((area, power)) = budget {
-        let _ = writeln!(
-            s,
-            "  budget {{ max_area_mm2 = {area}; max_power_mw = {power}; }}"
-        );
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Generates, validates, and builds the platform for `seed` in one call.
-///
-/// # Errors
-///
-/// Never fails for a well-behaved generator; the `Result` exists so tests
-/// and the DSE can pin "zero validation failures" instead of panicking.
-pub fn build_generated(seed: u64) -> Result<Platform> {
-    compile::compile(&generate(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
     #[test]
     fn hundred_plus_seeds_all_valid_and_distinct() {
@@ -285,16 +155,5 @@ mod tests {
     fn generation_is_deterministic() {
         assert_eq!(generate(42), generate(42));
         assert_ne!(generate(42), generate(43));
-    }
-
-    #[test]
-    fn budgeted_configs_fit_and_roundtrip() {
-        for seed in 0..32u64 {
-            let src = generate_budgeted(seed, 10, 2500);
-            let desc = parse(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-            desc.check_budget()
-                .unwrap_or_else(|e| panic!("seed {seed}: budget still violated: {e}"));
-            assert!(!desc.cores.is_empty());
-        }
     }
 }

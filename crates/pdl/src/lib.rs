@@ -45,9 +45,8 @@ pub mod lexer;
 pub mod parser;
 pub mod token;
 
-pub use crate::ast::{CoreClass, SocCore, SocDesc, SocInterconnect, SocPeriph, SocPeriphKind};
-pub use crate::compile::{compile, SocMetrics};
-pub use crate::dse::{joint_sweep, pareto_front, JointConfig, JointReport, JointTrial};
+pub use crate::compile::compile;
+pub use crate::dse::{joint_sweep, JointConfig, JointReport};
 pub use crate::error::{Error, Result};
-pub use crate::generate::{build_generated, generate, generate_budgeted};
+pub use crate::generate::generate;
 pub use crate::parser::parse;

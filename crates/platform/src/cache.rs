@@ -82,11 +82,6 @@ impl Cache {
         }
     }
 
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> u32 {
-        self.ways.len() as u32 * self.line_words
-    }
-
     /// Looks up (and on miss, fills) the line containing word address `addr`.
     pub fn access(&mut self, addr: u32) -> CacheOutcome {
         self.tick += 1;
@@ -112,12 +107,6 @@ impl Cache {
             *way = Some((tag, self.tick));
         }
         CacheOutcome::Miss
-    }
-
-    /// Invalidates every line (e.g. on task migration, per Section II's
-    /// locality argument).
-    pub fn flush(&mut self) {
-        self.ways.fill(None);
     }
 
     /// Lifetime hit count.
@@ -241,15 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_forgets_everything() {
-        let mut c = Cache::new(4, 1, 2);
-        c.access(10);
-        assert_eq!(c.access(10), CacheOutcome::Hit);
-        c.flush();
-        assert_eq!(c.access(10), CacheOutcome::Miss);
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut c = Cache::new(4, 1, 1);
         c.access(0);
@@ -260,9 +240,14 @@ mod tests {
         assert!((c.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
+    /// Total capacity in words.
+    fn capacity_words(c: &Cache) -> u32 {
+        c.ways.len() as u32 * c.line_words
+    }
+
     #[test]
     fn capacity_words_computed() {
-        assert_eq!(Cache::new(8, 2, 4).capacity_words(), 64);
+        assert_eq!(capacity_words(&Cache::new(8, 2, 4)), 64);
     }
 
     #[test]
@@ -326,12 +311,6 @@ mod tests {
             CacheOutcome::Miss
         }
 
-        fn flush(&mut self) {
-            for set in &mut self.sets {
-                set.fill(None);
-            }
-        }
-
         fn save(&self, w: &mut mpsoc_snapshot::Writer) {
             use mpsoc_snapshot::Snapshot as _;
             self.sets.save(w);
@@ -353,16 +332,11 @@ mod tests {
             let line_words = 1u32 << rng.u64_in(0, 3);
             let mut flat = Cache::new(num_sets, assoc, line_words);
             let mut nested = NestedCache::new(num_sets, assoc, line_words);
-            assert_eq!(flat.capacity_words(), num_sets * assoc * line_words);
+            assert_eq!(capacity_words(&flat), num_sets * assoc * line_words);
             // Addresses over a few times the capacity, so sets fill, evict
             // and re-hit.
-            let span = u64::from(flat.capacity_words()) * 3;
+            let span = u64::from(capacity_words(&flat)) * 3;
             for _ in 0..rng.usize_in(0, 600) {
-                if rng.u64_in(0, 99) == 0 {
-                    flat.flush();
-                    nested.flush();
-                    continue;
-                }
                 let addr = rng.u64_in(0, span) as u32;
                 assert_eq!(flat.access(addr), nested.access(addr), "round {round}");
             }

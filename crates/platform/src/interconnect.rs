@@ -227,7 +227,7 @@ impl Mesh {
     }
 
     /// Number of hops between two nodes under XY routing.
-    pub fn hops(&self, from: usize, to: usize) -> usize {
+    pub(crate) fn hops(&self, from: usize, to: usize) -> usize {
         let (fx, fy) = self.clamp(from);
         let (tx, ty) = self.clamp(to);
         fx.abs_diff(tx) + fy.abs_diff(ty)

@@ -35,7 +35,7 @@ impl Reg {
     /// Number of architectural registers.
     pub const COUNT: usize = 16;
     /// The conventional link register, written by [`Instr::Jal`].
-    pub const LINK: Reg = Reg(15);
+    pub(crate) const LINK: Reg = Reg(15);
 
     /// Creates a register from its index.
     ///
@@ -68,7 +68,7 @@ impl fmt::Display for Reg {
 /// One machine instruction.
 ///
 /// Cost model: every instruction has a base cost in cycles (see
-/// [`Instr::base_cycles`]); loads and stores additionally pay the memory
+/// `Instr::base_cycles`); loads and stores additionally pay the memory
 /// system's latency, which depends on the target (local store, cache
 /// hit/miss over the interconnect, peripheral page).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +132,7 @@ pub enum Instr {
 
 impl Instr {
     /// The instruction's base cost in core cycles, excluding memory latency.
-    pub fn base_cycles(self) -> u64 {
+    pub(crate) fn base_cycles(self) -> u64 {
         match self {
             Instr::Mul(..) => 3,
             Instr::Div(..) | Instr::Rem(..) => 10,
@@ -145,8 +145,8 @@ impl Instr {
 /// An assembled program: instructions plus its label table.
 ///
 /// Programs are position-independent in the sense that the program counter
-/// indexes into [`Program::instrs`]; data lives in the platform's memories,
-/// not in the program.
+/// indexes into the program's instructions; data lives in the platform's
+/// memories, not in the program.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
@@ -172,22 +172,10 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// All instructions, in order.
-    pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
-    }
-
     /// Resolves a label to its instruction address.
     pub fn label(&self, name: &str) -> Option<u32> {
         let (_, addr) = self.labels.iter().find(|(n, _)| n == name)?;
         Some(*addr)
-    }
-
-    /// Every `(label, address)` pair, sorted by address then name — the
-    /// program's symbol table, used by debuggers for function-execution
-    /// histories.
-    pub fn labels_snapshot(&self) -> Vec<(String, u32)> {
-        self.labels.clone()
     }
 }
 

@@ -68,8 +68,7 @@ pub use crate::platform::{
     Access, AccessKind, Originator, Platform, PlatformBuilder, StepEvent, StepKind,
 };
 pub use crate::signal::{
-    EventSinkSpill, Signal, SignalBoard, SignalChange, SignalHandle, TraceMode, TraceRecord,
-    TraceSpill, TraceStats, DEFAULT_TRACE_BUDGET, TRACE_RECORD_BYTES,
+    Signal, SignalBoard, SignalChange, TraceMode, TraceSpill, TraceStats, TRACE_RECORD_BYTES,
 };
 pub use crate::snapshot::BaseImage;
 pub use crate::time::{Cycles, Frequency, Time};

@@ -20,13 +20,13 @@ use crate::error::{Error, Result};
 use crate::isa::Word;
 
 /// Base word address of the local-store window.
-pub const LOCAL_BASE: u32 = 0x1000_0000;
+pub(crate) const LOCAL_BASE: u32 = 0x1000_0000;
 /// Word-address stride between consecutive cores' local stores.
-pub const LOCAL_STRIDE: u32 = 0x1_0000;
+pub(crate) const LOCAL_STRIDE: u32 = 0x1_0000;
 /// Base word address of the peripheral window.
-pub const PERIPH_BASE: u32 = 0xF000_0000;
+pub(crate) const PERIPH_BASE: u32 = 0xF000_0000;
 /// Words of register space per peripheral page.
-pub const PERIPH_PAGE: u32 = 0x100;
+pub(crate) const PERIPH_PAGE: u32 = 0x100;
 
 /// Classification of a word address by the platform memory map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,7 +91,7 @@ pub fn periph_addr(page: usize, offset: u32) -> u32 {
 /// page: small enough that a sparse-write workload dirties only a few
 /// hundred bytes per checkpoint interval, large enough that the bitmap
 /// stays one `u64` per 4096 words and page iteration is cheap.
-pub const PAGE_WORDS: usize = 64;
+pub(crate) const PAGE_WORDS: usize = 64;
 
 /// A flat word-addressable RAM with dirty-page tracking.
 ///
@@ -105,7 +105,7 @@ pub const PAGE_WORDS: usize = 64;
 /// bookkeeping, never serialized: two RAMs with equal words are
 /// bit-identical on the wire regardless of their dirty state.
 #[derive(Clone, Debug)]
-pub struct Ram {
+pub(crate) struct Ram {
     words: Vec<Word>,
     /// One bit per [`PAGE_WORDS`]-word page; bit set = page written since
     /// the last [`clear_dirty`](Ram::clear_dirty).
@@ -119,7 +119,7 @@ fn dirty_limbs(words: usize) -> usize {
 
 impl Ram {
     /// Allocates a zeroed RAM of `words` cells.
-    pub fn new(words: u32) -> Self {
+    pub(crate) fn new(words: u32) -> Self {
         Ram {
             words: vec![0; words as usize],
             dirty: vec![0; dirty_limbs(words as usize)],
@@ -167,13 +167,8 @@ impl Ram {
     }
 
     /// Number of pages currently marked dirty.
-    pub fn dirty_page_count(&self) -> usize {
+    pub(crate) fn dirty_page_count(&self) -> usize {
         self.dirty.iter().map(|l| l.count_ones() as usize).sum()
-    }
-
-    /// Total number of pages (dirty or clean) covering this RAM.
-    pub fn page_count(&self) -> usize {
-        self.words.len().div_ceil(PAGE_WORDS)
     }
 
     /// Word length of page `page` (the last page may be partial).
@@ -220,13 +215,8 @@ impl Ram {
     }
 
     /// Capacity in words.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.words.len() as u32
-    }
-
-    /// Whether the RAM has zero capacity.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 
     /// Reads the word at `offset`.
@@ -234,7 +224,7 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`Error::UnmappedAddress`] past the end of the RAM.
-    pub fn read(&self, offset: u32) -> Result<Word> {
+    pub(crate) fn read(&self, offset: u32) -> Result<Word> {
         self.words
             .get(offset as usize)
             .copied()
@@ -246,7 +236,7 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`Error::UnmappedAddress`] past the end of the RAM.
-    pub fn write(&mut self, offset: u32, value: Word) -> Result<()> {
+    pub(crate) fn write(&mut self, offset: u32, value: Word) -> Result<()> {
         match self.words.get_mut(offset as usize) {
             Some(w) => {
                 *w = value;
@@ -262,7 +252,7 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`Error::UnmappedAddress`] if the slice does not fit.
-    pub fn load(&mut self, offset: u32, data: &[Word]) -> Result<()> {
+    pub(crate) fn load(&mut self, offset: u32, data: &[Word]) -> Result<()> {
         let start = offset as usize;
         let end = start + data.len();
         if end > self.words.len() {
@@ -274,7 +264,7 @@ impl Ram {
     }
 
     /// A read-only view of the whole RAM (debugger use).
-    pub fn as_slice(&self) -> &[Word] {
+    pub(crate) fn as_slice(&self) -> &[Word] {
         &self.words
     }
 
@@ -416,7 +406,7 @@ mod tests {
     #[test]
     fn partial_last_page_has_short_len() {
         let r = Ram::new(PAGE_WORDS as u32 + 10);
-        assert_eq!(r.page_count(), 2);
+        assert_eq!(r.words.len().div_ceil(PAGE_WORDS), 2);
         assert_eq!(r.page_len(0), PAGE_WORDS);
         assert_eq!(r.page_len(1), 10);
         assert_eq!(r.page_words(1).len(), 10);

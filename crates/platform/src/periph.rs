@@ -4,7 +4,7 @@
 //! hard: *"timers, interrupt controllers, DMAs, memory controllers,
 //! memories, semaphores may not be controlled anymore by a single software
 //! stack."* The platform models each of them as a device page of
-//! word-addressed registers (see [`crate::mem::PERIPH_BASE`]), fully
+//! word-addressed registers (see `crate::mem::PERIPH_BASE`), fully
 //! inspectable without side effects via
 //! [`Platform::peripheral_snapshot`](crate::Platform::peripheral_snapshot) — the
 //! *"consistent view into the state of all cores and peripherals"* that a
@@ -14,7 +14,7 @@
 //! `Periph`, the same four the `.soc` language and the checkpoint format
 //! enumerate. A register access or event is handed the time and the
 //! [signal board](crate::signal::SignalBoard) and returns the one
-//! [`Effect`] it has on the rest of the platform (an interrupt request, a
+//! `Effect` it has on the rest of the platform (an interrupt request, a
 //! DMA transfer), if any; the platform applies it.
 
 use crate::error::{Error, Result};
@@ -25,7 +25,7 @@ use mpsoc_snapshot::{Reader, SnapError, SnapResult, Snapshot as _, Writer};
 
 /// A side effect requested by a peripheral, executed by the platform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Effect {
+pub(crate) enum Effect {
     /// Deliver interrupt `irq` to core `core`.
     RaiseIrq {
         /// Target core.
@@ -429,11 +429,11 @@ pub mod mailbox_reg {
     /// Current occupancy (read-only).
     pub const COUNT: u32 = 1;
     /// Capacity in words (read-only).
-    pub const CAP: u32 = 2;
+    pub(crate) const CAP: u32 = 2;
     /// Number of dropped pushes (read-only).
-    pub const DROPS: u32 = 3;
+    pub(crate) const DROPS: u32 = 3;
     /// Core notified on data arrival (-1 disables).
-    pub const NOTIFY: u32 = 4;
+    pub(crate) const NOTIFY: u32 = 4;
     /// Interrupt number used for notification.
     pub const IRQ: u32 = 5;
 }
@@ -593,9 +593,9 @@ pub mod semaphore_reg {
     /// Release port (write).
     pub const RELEASE: u32 = 1;
     /// Current count (read-only).
-    pub const VALUE: u32 = 2;
+    pub(crate) const VALUE: u32 = 2;
     /// Re-initialisation port (write).
-    pub const INIT: u32 = 3;
+    pub(crate) const INIT: u32 = 3;
 }
 
 impl Semaphore {
@@ -610,11 +610,6 @@ impl Semaphore {
             contentions: 0,
             stuck: false,
         }
-    }
-
-    /// How many acquire attempts failed (lock contention metric).
-    pub fn contentions(&self) -> u64 {
-        self.contentions
     }
 
     fn read(&mut self, offset: u32, now: Time, signals: &mut SignalBoard) -> Result<Word> {
@@ -698,7 +693,7 @@ impl Semaphore {
 /// | 5 | `CORE` | rw | core interrupted on completion (-1 = none) |
 /// | 6 | `IRQ`  | rw | completion interrupt number |
 ///
-/// Starting a transfer emits [`Effect::DmaCopy`]; the platform performs the
+/// Starting a transfer emits `Effect::DmaCopy`; the platform performs the
 /// timed copy (its accesses are attributed to the DMA, so Section VII's
 /// *"peripheral access watchpoints"* can catch a DMA writing a shared
 /// resource) and calls [`Dma::complete`] when done. A transfer whose range
@@ -964,7 +959,7 @@ mod tests {
         let mut s = Semaphore::new("lock0", 1);
         assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(1));
         assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(0));
-        assert_eq!(s.contentions(), 1);
+        assert_eq!(s.contentions, 1);
         assert_eq!(s.write(semaphore_reg::RELEASE, 0, T0, &mut sb), Ok(None));
         assert_eq!(s.read(semaphore_reg::TRYACQ, T0, &mut sb), Ok(1));
         assert_eq!(s.read(semaphore_reg::VALUE, T0, &mut sb), Ok(0));

@@ -383,12 +383,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Cycles charged for a local-store access.
-    pub fn local_latency_cycles(mut self, cycles: u64) -> Self {
-        self.local_latency_cycles = cycles;
-        self
-    }
-
     /// Selects the scheduler implementation (defaults to
     /// [`SchedulerMode::Calendar`]; both modes simulate identically).
     pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
@@ -659,11 +653,6 @@ impl Platform {
     /// ring or Chrome-trace exporter); returns the previous sink.
     pub fn attach_trace_spill(&mut self, sink: Box<dyn TraceSpill>) -> Option<Box<dyn TraceSpill>> {
         self.signals.attach_trace_spill(sink)
-    }
-
-    /// Detaches and returns the trace spill sink.
-    pub fn detach_trace_spill(&mut self) -> Option<Box<dyn TraceSpill>> {
-        self.signals.detach_trace_spill()
     }
 
     /// Puts `p` on the next free page; returns the page index (its

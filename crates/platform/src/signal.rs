@@ -13,10 +13,10 @@
 //! bytes grew O(steps). It is now split into two tiers, neither of which is
 //! checkpointed:
 //!
-//! * **Ring** — a byte-budgeted in-memory [`TraceRecord`] ring (the recent
+//! * **Ring** — a byte-budgeted in-memory `TraceRecord` ring (the recent
 //!   window) shared by all signals, queryable through
 //!   [`SignalBoard::recent`] / [`SignalBoard::trace_records`]. The default
-//!   budget is [`DEFAULT_TRACE_BUDGET`]; [`TraceMode::Unbounded`] retains
+//!   budget is `DEFAULT_TRACE_BUDGET`; [`TraceMode::Unbounded`] retains
 //!   everything and serves as the equivalence oracle in tests.
 //! * **Spill** — an optional streaming [`TraceSpill`] sink that receives
 //!   each record as it is evicted from the ring, so the *full* waveform can
@@ -48,8 +48,8 @@
 //! [`SignalBoard::drive`] interns the name and drives by id — the one
 //! implementation external stimuli, replay and tests go through. The
 //! built-in peripherals drive on every event or register access and hold a
-//! [`SignalHandle`] instead: the name plus the id it last resolved to.
-//! **Soundness rule:** an id is only a hint. [`SignalBoard::drive_handle`]
+//! `SignalHandle` instead: the name plus the id it last resolved to.
+//! **Soundness rule:** an id is only a hint. `SignalBoard::drive_handle`
 //! trusts it only if this board's table has that very name under that id
 //! (one short string compare) and re-interns otherwise, so a handle stays
 //! correct on any board it meets — the empty board of a unit test, the
@@ -65,7 +65,7 @@ use mpsoc_obs::event::{Event, EventSink};
 
 /// Default trace-ring byte budget of a freshly built board: room for a few
 /// thousand recent edges, independent of how long the simulation runs.
-pub const DEFAULT_TRACE_BUDGET: usize = 64 * 1024;
+pub(crate) const DEFAULT_TRACE_BUDGET: usize = 64 * 1024;
 
 /// Accounting size of one ring entry (what the byte budget counts).
 pub const TRACE_RECORD_BYTES: usize = std::mem::size_of::<TraceRecord>();
@@ -82,7 +82,7 @@ pub struct SignalChange {
 /// One edge in the shared trace ring: which signal changed, when, to what,
 /// stamped with the board-wide monotonic sequence number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
+pub(crate) struct TraceRecord {
     /// Board-wide monotonic sequence number of this edge.
     pub seq: u64,
     /// Interned signal name (resolve via the owning board).
@@ -125,7 +125,7 @@ impl Signal {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceMode {
     /// Keep at most `budget_bytes` of records; evict oldest-first into the
-    /// spill sink (if any). The default, with [`DEFAULT_TRACE_BUDGET`].
+    /// spill sink (if any). The default, with `DEFAULT_TRACE_BUDGET`.
     Bounded {
         /// Ring byte budget ([`TRACE_RECORD_BYTES`] per record).
         budget_bytes: usize,
@@ -174,11 +174,6 @@ impl<S: EventSink> EventSinkSpill<S> {
     /// Wraps `sink` as a spill target.
     pub fn new(sink: S) -> Self {
         EventSinkSpill { sink }
-    }
-
-    /// The wrapped sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 }
 
@@ -247,14 +242,14 @@ struct Slot {
 /// module docs), so a handle may be created before any board exists and
 /// moved between boards freely.
 #[derive(Clone, Debug)]
-pub struct SignalHandle {
+pub(crate) struct SignalHandle {
     name: String,
     id: u32,
 }
 
 impl SignalHandle {
     /// A handle for signal `name`, not yet resolved on any board.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         SignalHandle {
             name: name.into(),
             id: u32::MAX,
@@ -444,7 +439,12 @@ impl SignalBoard {
     /// signal over and over: no name lookup while `handle` keeps meeting
     /// the board that resolved it, and the same result on any other board
     /// (the handle is re-resolved there — see the module docs).
-    pub fn drive_handle(&mut self, handle: &mut SignalHandle, at: Time, value: Word) -> bool {
+    pub(crate) fn drive_handle(
+        &mut self,
+        handle: &mut SignalHandle,
+        at: Time,
+        value: Word,
+    ) -> bool {
         if self.slots.get(handle.id as usize).map(|s| &s.name) != Some(&handle.name) {
             handle.id = self.intern(handle.name.as_str());
         }
@@ -577,11 +577,6 @@ impl SignalBoard {
     /// backwards).
     pub fn attach_trace_spill(&mut self, sink: Box<dyn TraceSpill>) -> Option<Box<dyn TraceSpill>> {
         self.trace.sink.replace(sink)
-    }
-
-    /// Detaches and returns the spill sink.
-    pub fn detach_trace_spill(&mut self) -> Option<Box<dyn TraceSpill>> {
-        self.trace.sink.take()
     }
 
     /// Adopts the architectural half of a restored board (which signals are

@@ -36,7 +36,7 @@
 //! rings and fault campaigns that checkpoint thousands of times. The delta
 //! path makes capture/restore O(dirty state) instead:
 //!
-//! * [`Platform::capture`] clears the per-[page](crate::mem::PAGE_WORDS)
+//! * [`Platform::capture`] clears the per-page
 //!   dirty bitmaps and remembers the image's payload checksum as the
 //!   platform's *base mark*.
 //! * [`Platform::capture_delta`] serializes the small component states in
@@ -1234,7 +1234,7 @@ mod tests {
         let image = donor.capture().unwrap();
         // A 1-core, tiny-memory victim takes on the donor's full shape.
         let mut victim = PlatformBuilder::new()
-            .cores(1, Frequency::ghz(1))
+            .cores(1, Frequency::mhz(1_000))
             .shared_words(16)
             .cache(None)
             .build()
@@ -1310,7 +1310,7 @@ mod tests {
 
             // Slow path: a fresh differently-shaped platform.
             let mut slow = PlatformBuilder::new()
-                .cores(1, Frequency::ghz(1))
+                .cores(1, Frequency::mhz(1_000))
                 .shared_words(16)
                 .cache(None)
                 .build()

@@ -193,13 +193,8 @@ impl Frequency {
         Self::khz(mhz * 1_000)
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn ghz(ghz: u64) -> Self {
-        Self::khz(ghz * 1_000_000)
-    }
-
     /// The frequency in kilohertz.
-    pub fn as_khz(self) -> u64 {
+    pub(crate) fn as_khz(self) -> u64 {
         self.khz
     }
 
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn frequency_display_scales() {
-        assert_eq!(Frequency::ghz(2).to_string(), "2.000GHz");
+        assert_eq!(Frequency::mhz(2_000).to_string(), "2.000GHz");
         assert_eq!(Frequency::mhz(100).to_string(), "100.000MHz");
         assert_eq!(Frequency::khz(32).to_string(), "32kHz");
     }

@@ -12,7 +12,7 @@ pub enum Error {
     /// which analysis failed — the designer may *"concur, augment or
     /// overrule"* (Section VI), but the default is to refuse.
     Precondition(String),
-    /// The designer's manual edit did not parse.
+    /// The source text did not parse.
     Parse(String),
     /// Nothing to undo.
     NothingToUndo,
@@ -23,7 +23,7 @@ impl fmt::Display for Error {
         match self {
             Error::NotFound(n) => write!(f, "`{n}` not found"),
             Error::Precondition(m) => write!(f, "transformation precondition failed: {m}"),
-            Error::Parse(m) => write!(f, "edit does not parse: {m}"),
+            Error::Parse(m) => write!(f, "source does not parse: {m}"),
             Error::NothingToUndo => write!(f, "nothing to undo"),
         }
     }

@@ -11,10 +11,9 @@
 //!
 //! * [`recoder`] — the editor/AST union of Figure 3: document ↔ AST
 //!   synchronisation, undo, and the productivity ledger.
-//! * [`transforms`] — the transformation set from the paper's walkthrough:
-//!   loop splitting, vector (array) splitting, variable localisation,
-//!   channel-synchronisation insertion, pointer recoding, control-structure
-//!   pruning, and pipeline-stage extraction.
+//! * [`transforms`] — the three transformations the experiments run from
+//!   the paper's walkthrough: loop splitting, pointer recoding and
+//!   control-structure pruning.
 //!
 //! Every transformation refuses to run when its static preconditions fail,
 //! mirroring the paper's stance that the tool and the designer share the
@@ -41,11 +40,9 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod error;
 pub mod recoder;
 pub mod transforms;
 
-pub use crate::analysis::{shared_arrays, ArrayUse, SharedArray};
 pub use crate::error::{Error, Result};
-pub use crate::recoder::{Recoder, RecodingStats};
+pub use crate::recoder::Recoder;

@@ -7,12 +7,12 @@
 //! Preprocessor and Parser apply changes in the document to the AST, and a
 //! Code Generator synchronizes changes in the AST to the document object."*
 //!
-//! [`Recoder`] holds both representations. Manual typing enters through
-//! [`Recoder::edit_text`] (document → parser → AST); transformations enter
-//! through [`Recoder::apply`] (AST → code generator → document). Every
-//! operation is undoable, and the session keeps the productivity ledger the
-//! paper's evaluation is based on: *designer actions* vs. the *manual line
-//! edits* the same change would have required.
+//! [`Recoder`] holds both representations: a session opens from source
+//! text (document → parser → AST), and transformations enter through
+//! [`Recoder::apply`] (AST → code generator → document). Every
+//! transformation is undoable, and the session keeps the productivity
+//! ledger the paper's evaluation is based on: *designer actions* vs. the
+//! *manual line edits* the same change would have required.
 
 use mpsoc_minic::printer::print_unit;
 use mpsoc_minic::{parse, Unit};
@@ -24,13 +24,9 @@ use crate::error::{Error, Result};
 pub struct RecodingStats {
     /// Automated transformation invocations (one designer action each).
     pub automated_steps: u64,
-    /// Manual text edits performed (one designer action each).
-    pub manual_edits: u64,
     /// Source lines that changed due to automated transformations — the
     /// work a designer without the recoder would have typed by hand.
     pub lines_changed_by_transforms: u64,
-    /// Source lines changed by manual edits.
-    pub lines_changed_manually: u64,
 }
 
 impl RecodingStats {
@@ -96,28 +92,6 @@ impl Recoder {
         self.stats
     }
 
-    /// The designer types: replaces the document, reparses, and counts the
-    /// changed lines as manual effort.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Parse`] if the new text does not parse; the session is
-    /// unchanged in that case (the editor refuses to desynchronise).
-    pub fn edit_text(&mut self, new_source: &str) -> Result<()> {
-        let unit = parse(new_source)?;
-        let document = print_unit(&unit);
-        let changed = line_diff(&self.document, &document);
-        self.undo_stack.push(Snapshot {
-            unit: std::mem::take(&mut self.unit),
-            document: std::mem::take(&mut self.document),
-        });
-        self.unit = unit;
-        self.document = document;
-        self.stats.manual_edits += 1;
-        self.stats.lines_changed_manually += changed;
-        Ok(())
-    }
-
     /// Applies a transformation to the AST; on success the document is
     /// regenerated and the changed lines are credited to the ledger.
     ///
@@ -149,11 +123,6 @@ impl Recoder {
         self.unit = snap.unit;
         self.document = snap.document;
         Ok(())
-    }
-
-    /// Depth of the undo history.
-    pub fn history_len(&self) -> usize {
-        self.undo_stack.len()
     }
 }
 
@@ -209,26 +178,7 @@ mod tests {
         assert!(r.apply(|u| split_loop(u, "missing", 0, 2)).is_err());
         assert_eq!(r.document(), before);
         assert_eq!(r.stats().automated_steps, 0);
-        assert_eq!(r.history_len(), 0);
-    }
-
-    #[test]
-    fn edit_text_counts_manual_effort() {
-        let mut r = Recoder::from_source(SRC).unwrap();
-        let edited = r.document().replace("i * i", "i * i + 1");
-        r.edit_text(&edited).unwrap();
-        assert_eq!(r.stats().manual_edits, 1);
-        assert_eq!(r.stats().lines_changed_manually, 2); // one line out, one in
-                                                         // The code generator renormalises the expression's parentheses.
-        assert!(r.document().contains("(i * i) + 1"));
-    }
-
-    #[test]
-    fn bad_edit_rejected_session_unchanged() {
-        let mut r = Recoder::from_source(SRC).unwrap();
-        let before = r.document().to_string();
-        assert!(r.edit_text("void broken(").is_err());
-        assert_eq!(r.document(), before);
+        assert!(matches!(r.undo(), Err(Error::NothingToUndo)));
     }
 
     #[test]

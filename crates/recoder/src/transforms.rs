@@ -10,6 +10,10 @@
 //! expressions can be used to enhance the analyzability and
 //! synthesizability of the models."*
 //!
+//! Three of those steps are implemented: loop splitting, pointer recoding
+//! and control-structure pruning, the ones experiments E5 and E8 and the
+//! `toolflow_dse` benchmark workload run.
+//!
 //! Every transformation validates its preconditions with the mini-C
 //! dependence analyses and refuses (with an explanation) when the result
 //! could change behaviour; the test-suite checks semantic preservation with
@@ -178,311 +182,6 @@ fn clone_with_fresh_ids(stmts: &[Stmt], ids: &mut NodeIdGen) -> Vec<Stmt> {
             }
         })
         .collect()
-}
-
-/// Splits local array `array` (declared `int array[n]`) into one partition
-/// per consecutive split loop that accesses disjoint index ranges — the
-/// *vector splitting* step. Every access must be `array[<ivar>]` inside a
-/// for-loop with constant bounds; each partition becomes `array__k` indexed
-/// by `ivar - base`.
-///
-/// # Errors
-///
-/// [`Error::Precondition`] when accesses are not confined to such loops or
-/// ranges overlap.
-pub fn split_vector(unit: &mut Unit, func: &str, array: &str) -> Result<()> {
-    let mut ids = NodeIdGen::starting_at(unit.next_node_id());
-    let f = function_mut(unit, func)?;
-    // Find the declaration.
-    let decl_pos = f
-        .body
-        .iter()
-        .position(|s| matches!(&s.kind, StmtKind::Decl { name, ty: Type::Array(Some(_)), .. } if name == array))
-        .ok_or_else(|| Error::Precondition(format!("`{array}` is not a sized local array")))?;
-
-    // Collect the loops that touch the array and their ranges.
-    let mut ranges: Vec<(usize, i64, i64, String)> = Vec::new(); // (stmt idx, lo, hi, ivar)
-    for (i, s) in f.body.iter().enumerate() {
-        let set = accesses(s);
-        let touches = set.all().any(|r| {
-            matches!(r, MemRef::Array(..) | MemRef::ArrayRange(..)) && r.base() == Some(array)
-        });
-        if !touches {
-            continue;
-        }
-        let StmtKind::For { var, from, to, .. } = &s.kind else {
-            return Err(Error::Precondition(format!(
-                "`{array}` is accessed outside a top-level for-loop"
-            )));
-        };
-        let (Some(lo), Some(hi)) = (from.const_eval(), to.const_eval()) else {
-            return Err(Error::Precondition("loop bounds must be constant".into()));
-        };
-        // All subscripts must be exactly the induction variable.
-        let mut ok = true;
-        visit_exprs(s, &mut |e| {
-            if let Expr::Index(a, idx) = e {
-                if a == array && **idx != Expr::var(var.clone()) {
-                    ok = false;
-                }
-            }
-        });
-        if let StmtKind::Assign {
-            lhs: LValue::Index(a, idx),
-            ..
-        } = &s.kind
-        {
-            if a == array && **idx != Expr::var(var.clone()) {
-                ok = false;
-            }
-        }
-        if !ok {
-            return Err(Error::Precondition(format!(
-                "`{array}` subscripts must be exactly the induction variable"
-            )));
-        }
-        ranges.push((i, lo, hi, var.clone()));
-    }
-    if ranges.len() < 2 {
-        return Err(Error::Precondition(format!(
-            "`{array}` is used by fewer than two loops; nothing to split"
-        )));
-    }
-    // Group loops by identical range; ranges across groups must be disjoint.
-    let mut groups: Vec<(i64, i64, Vec<usize>)> = Vec::new();
-    for (i, lo, hi, _) in &ranges {
-        match groups
-            .iter_mut()
-            .find(|(glo, ghi, _)| glo == lo && ghi == hi)
-        {
-            Some((_, _, members)) => members.push(*i),
-            None => groups.push((*lo, *hi, vec![*i])),
-        }
-    }
-    for (a, ga) in groups.iter().enumerate() {
-        for gb in groups.iter().skip(a + 1) {
-            if ga.0 < gb.1 && gb.0 < ga.1 {
-                return Err(Error::Precondition(format!(
-                    "`{array}` ranges [{}, {}) and [{}, {}) overlap",
-                    ga.0, ga.1, gb.0, gb.1
-                )));
-            }
-        }
-    }
-
-    // Rewrite: replace the declaration with one partition per group and
-    // rebase subscripts.
-    let mut new_decls = Vec::new();
-    for (k, (lo, hi, members)) in groups.iter().enumerate() {
-        let part = format!("{array}__{k}");
-        new_decls.push(Stmt {
-            id: ids.fresh(),
-            kind: StmtKind::Decl {
-                name: part.clone(),
-                ty: Type::Array(Some((hi - lo) as usize)),
-                init: None,
-            },
-        });
-        for &mi in members {
-            rebase_array(&mut f.body[mi], array, &part, *lo);
-        }
-    }
-    f.body.splice(decl_pos..=decl_pos, new_decls);
-    Ok(())
-}
-
-fn rebase_array(stmt: &mut Stmt, array: &str, part: &str, base: i64) {
-    fn fix_expr(e: &mut Expr, array: &str, part: &str, base: i64) {
-        match e {
-            Expr::Index(a, idx) => {
-                fix_expr(idx, array, part, base);
-                if a == array {
-                    *a = part.to_string();
-                    if base != 0 {
-                        let old = std::mem::replace(&mut **idx, Expr::lit(0));
-                        **idx = Expr::bin(BinOp::Sub, old, Expr::lit(base));
-                    }
-                }
-            }
-            Expr::Un(_, x) => fix_expr(x, array, part, base),
-            Expr::Bin(_, l, r) => {
-                fix_expr(l, array, part, base);
-                fix_expr(r, array, part, base);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    fix_expr(a, array, part, base);
-                }
-            }
-            Expr::Var(a) => {
-                if a == array {
-                    *a = part.to_string();
-                }
-            }
-            Expr::Lit(_) => {}
-        }
-    }
-    fn fix_stmt(s: &mut Stmt, array: &str, part: &str, base: i64) {
-        match &mut s.kind {
-            StmtKind::Decl { init, .. } => {
-                if let Some(e) = init {
-                    fix_expr(e, array, part, base);
-                }
-            }
-            StmtKind::Assign { lhs, rhs } => {
-                if let LValue::Index(a, idx) = lhs {
-                    fix_expr(idx, array, part, base);
-                    if a == array {
-                        *a = part.to_string();
-                        if base != 0 {
-                            let old = std::mem::replace(&mut **idx, Expr::lit(0));
-                            **idx = Expr::bin(BinOp::Sub, old, Expr::lit(base));
-                        }
-                    }
-                }
-                fix_expr(rhs, array, part, base);
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                fix_expr(cond, array, part, base);
-                for t in then_branch.iter_mut().chain(else_branch.iter_mut()) {
-                    fix_stmt(t, array, part, base);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                fix_expr(cond, array, part, base);
-                for b in body.iter_mut() {
-                    fix_stmt(b, array, part, base);
-                }
-            }
-            StmtKind::For {
-                from,
-                to,
-                step,
-                body,
-                ..
-            } => {
-                fix_expr(from, array, part, base);
-                fix_expr(to, array, part, base);
-                fix_expr(step, array, part, base);
-                for b in body.iter_mut() {
-                    fix_stmt(b, array, part, base);
-                }
-            }
-            StmtKind::Return(Some(e)) => fix_expr(e, array, part, base),
-            StmtKind::Return(None) => {}
-            StmtKind::ExprStmt(e) => fix_expr(e, array, part, base),
-            StmtKind::Block(body) => {
-                for b in body.iter_mut() {
-                    fix_stmt(b, array, part, base);
-                }
-            }
-        }
-    }
-    fix_stmt(stmt, array, part, base);
-}
-
-/// Localizes scalar `var`: if it is declared at function scope but only
-/// used inside a single top-level statement, the declaration moves into
-/// that statement — the *variable access localization* step.
-///
-/// # Errors
-///
-/// [`Error::Precondition`] when the variable is used by more than one
-/// top-level statement (localisation would change semantics).
-pub fn localize_variable(unit: &mut Unit, func: &str, var: &str) -> Result<()> {
-    let f = function_mut(unit, func)?;
-    let decl_pos = f
-        .body
-        .iter()
-        .position(|s| matches!(&s.kind, StmtKind::Decl { name, ty: Type::Int, .. } if name == var))
-        .ok_or_else(|| Error::Precondition(format!("`{var}` is not a scalar declaration")))?;
-    let users: Vec<usize> = f
-        .body
-        .iter()
-        .enumerate()
-        .filter(|&(i, s)| {
-            i != decl_pos
-                && accesses(s)
-                    .all()
-                    .any(|r| matches!(r, MemRef::Scalar(n) if n == var))
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let [single] = users.as_slice() else {
-        return Err(Error::Precondition(format!(
-            "`{var}` is used by {} top-level statements; cannot localize",
-            users.len()
-        )));
-    };
-    let single = *single;
-    let decl = f.body.remove(decl_pos);
-    let target = if single > decl_pos {
-        single - 1
-    } else {
-        single
-    };
-    match &mut f.body[target].kind {
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } | StmtKind::Block(body) => {
-            body.insert(0, decl);
-        }
-        StmtKind::If { then_branch, .. } => then_branch.insert(0, decl),
-        _ => {
-            // Wrap the user and the declaration in a block.
-            let mut ids = NodeIdGen::starting_at(0);
-            let user = f.body.remove(target);
-            let id = ids.fresh();
-            f.body.insert(
-                target,
-                Stmt {
-                    id,
-                    kind: StmtKind::Block(vec![decl, user]),
-                },
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Inserts channel synchronisation around the producer/consumer pair of
-/// top-level statements (`ch_send(array)` after the producer,
-/// `ch_recv(array)` before the consumer) — the final step that makes the
-/// communication explicit so partitioning tools can cut between the two.
-///
-/// # Errors
-///
-/// [`Error::Precondition`] when `producer >= consumer` or either index is
-/// out of range.
-pub fn insert_channel_sync(
-    unit: &mut Unit,
-    func: &str,
-    producer: usize,
-    consumer: usize,
-    array: &str,
-) -> Result<()> {
-    let mut ids = NodeIdGen::starting_at(unit.next_node_id());
-    let f = function_mut(unit, func)?;
-    if producer >= consumer || consumer >= f.body.len() {
-        return Err(Error::Precondition(format!(
-            "need producer < consumer < {}",
-            f.body.len()
-        )));
-    }
-    let send = Stmt {
-        id: ids.fresh(),
-        kind: StmtKind::ExprStmt(Expr::Call("ch_send".into(), vec![Expr::var(array)])),
-    };
-    let recv = Stmt {
-        id: ids.fresh(),
-        kind: StmtKind::ExprStmt(Expr::Call("ch_recv".into(), vec![Expr::var(array)])),
-    };
-    // Insert recv first (higher index) so the producer index stays valid.
-    f.body.insert(consumer, recv);
-    f.body.insert(producer + 1, send);
-    Ok(())
 }
 
 /// Pointer recoding: rewrites dereferences of pointers with statically
@@ -763,100 +462,6 @@ fn prune_stmts(stmts: Vec<Stmt>) -> Vec<Stmt> {
     out
 }
 
-/// Extracts top-level statements `[first, last]` of `func` into a new
-/// function `new_fn`, replacing them with a call — the *structural
-/// hierarchy* step that turns a phase of the computation into a pipeline
-/// stage.
-///
-/// The extracted statements may read function parameters and write arrays
-/// among them; scalar state must stay inside the extracted region.
-///
-/// # Errors
-///
-/// [`Error::Precondition`] for bad ranges, scalar flow across the cut, or a
-/// name collision with an existing function.
-pub fn extract_stage(
-    unit: &mut Unit,
-    func: &str,
-    first: usize,
-    last: usize,
-    new_fn: &str,
-) -> Result<()> {
-    if unit.function(new_fn).is_some() {
-        return Err(Error::Precondition(format!("function `{new_fn}` exists")));
-    }
-    let mut ids = NodeIdGen::starting_at(unit.next_node_id());
-    let f = function(unit, func)?.clone();
-    if first > last || last >= f.body.len() {
-        return Err(Error::Precondition(format!(
-            "bad range [{first}, {last}] in `{func}` of {} statements",
-            f.body.len()
-        )));
-    }
-    let region = &f.body[first..=last];
-    // Scalars written in the region must not be read after it.
-    let mut written = Vec::new();
-    for s in region {
-        for w in accesses(s).writes {
-            if let MemRef::Scalar(n) = w {
-                written.push(n);
-            }
-        }
-    }
-    for s in &f.body[last + 1..] {
-        for r in accesses(s).reads {
-            if let MemRef::Scalar(n) = &r {
-                if written.contains(n) {
-                    return Err(Error::Precondition(format!(
-                        "scalar `{n}` flows out of the extracted region"
-                    )));
-                }
-            }
-        }
-    }
-    // Parameters of the new function: the original parameters that the
-    // region references (arrays and scalars alike).
-    let mut used: Vec<String> = Vec::new();
-    for s in region {
-        visit_exprs(s, &mut |e| {
-            if let Expr::Var(n) | Expr::Index(n, _) = e {
-                if !used.contains(n) {
-                    used.push(n.clone());
-                }
-            }
-        });
-        if let StmtKind::Assign { lhs, .. } = &s.kind {
-            let n = lhs.base().to_string();
-            if !used.contains(&n) {
-                used.push(n);
-            }
-        }
-    }
-    let params: Vec<Param> = f
-        .params
-        .iter()
-        .filter(|p| used.contains(&p.name))
-        .cloned()
-        .collect();
-    // Region-local declarations of names used: fine (they move along).
-    let body: Vec<Stmt> = region.to_vec();
-    let call_args: Vec<Expr> = params.iter().map(|p| Expr::var(p.name.clone())).collect();
-    let new_function = Function {
-        name: new_fn.to_string(),
-        ret: Type::Void,
-        params,
-        body,
-    };
-    let fmut = function_mut(unit, func)?;
-    let call = Stmt {
-        id: ids.fresh(),
-        kind: StmtKind::ExprStmt(Expr::Call(new_fn.to_string(), call_args)),
-    };
-    fmut.body.splice(first..=last, [call]);
-    unit.functions.push(new_function);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,9 +476,6 @@ mod tests {
         transform(&mut transformed);
         let run = |unit: &Unit| {
             let mut it = Interp::new(unit);
-            it.set_externs(Box::new(|name, _| {
-                matches!(name, "ch_send" | "ch_recv").then_some(0)
-            }));
             let buf = it.alloc_array(&[0; 32]);
             it.run(func, &[32, buf]).unwrap();
             it.read_array(buf, 32).unwrap()
@@ -921,74 +523,6 @@ mod tests {
         check_equiv(src, "f", |u| {
             split_loop(u, "f", 0, 2).unwrap();
         });
-    }
-
-    #[test]
-    fn split_vector_partitions_disjoint_ranges() {
-        let src = "void f(int n, int out[]) {\n\
-             int tmp[32];\n\
-             for (i = 0; i < 16; i = i + 1) { tmp[i] = i * 3; }\n\
-             for (i = 16; i < 32; i = i + 1) { tmp[i] = i * 5; }\n\
-             for (i = 0; i < 16; i = i + 1) { out[i] = tmp[i]; }\n\
-             for (i = 16; i < 32; i = i + 1) { out[i] = tmp[i]; }\n\
-             }";
-        check_equiv(src, "f", |u| {
-            split_vector(u, "f", "tmp").unwrap();
-        });
-        let mut u = parse(src).unwrap();
-        split_vector(&mut u, "f", "tmp").unwrap();
-        let printed = mpsoc_minic::print_unit(&u);
-        assert!(printed.contains("int tmp__0[16];"));
-        assert!(printed.contains("int tmp__1[16];"));
-        assert!(!printed.contains("int tmp[32];"));
-    }
-
-    #[test]
-    fn split_vector_rejects_overlap() {
-        let src = "void f(int n, int a[]) {\n\
-             int tmp[32];\n\
-             for (i = 0; i < 20; i = i + 1) { tmp[i] = i; }\n\
-             for (i = 10; i < 32; i = i + 1) { tmp[i] = i; }\n\
-             }";
-        let mut u = parse(src).unwrap();
-        assert!(split_vector(&mut u, "f", "tmp").is_err());
-    }
-
-    #[test]
-    fn localize_moves_decl_into_loop() {
-        let src = "void f(int n, int out[]) {\n\
-             int t;\n\
-             for (i = 0; i < 32; i = i + 1) { t = i + 1; out[i] = t; }\n\
-             }";
-        check_equiv(src, "f", |u| {
-            localize_variable(u, "f", "t").unwrap();
-        });
-        let mut u = parse(src).unwrap();
-        localize_variable(&mut u, "f", "t").unwrap();
-        assert_eq!(u.functions[0].body.len(), 1, "decl absorbed into loop");
-    }
-
-    #[test]
-    fn localize_rejects_multi_user_scalars() {
-        let src = "void f(int n, int a[]) { int t = 1; a[0] = t; a[1] = t; }";
-        let mut u = parse(src).unwrap();
-        assert!(localize_variable(&mut u, "f", "t").is_err());
-    }
-
-    #[test]
-    fn channel_sync_inserts_matched_pair() {
-        let src = "void f(int n, int out[]) {\n\
-             for (i = 0; i < 32; i = i + 1) { out[i] = i; }\n\
-             for (i = 0; i < 32; i = i + 1) { out[i] = out[i] + 1; }\n\
-             }";
-        check_equiv(src, "f", |u| {
-            insert_channel_sync(u, "f", 0, 1, "out").unwrap();
-        });
-        let mut u = parse(src).unwrap();
-        insert_channel_sync(&mut u, "f", 0, 1, "out").unwrap();
-        let printed = mpsoc_minic::print_unit(&u);
-        assert!(printed.contains("ch_send(out);"));
-        assert!(printed.contains("ch_recv(out);"));
     }
 
     #[test]
@@ -1040,29 +574,5 @@ mod tests {
         let printed = mpsoc_minic::print_unit(&u);
         assert!(!printed.contains("if"));
         assert!(!printed.contains("while"));
-    }
-
-    #[test]
-    fn extract_stage_creates_function_and_call() {
-        let src = "void f(int n, int out[]) {\n\
-             for (i = 0; i < 32; i = i + 1) { out[i] = i; }\n\
-             for (i = 0; i < 32; i = i + 1) { out[i] = out[i] * 2; }\n\
-             }";
-        check_equiv(src, "f", |u| {
-            extract_stage(u, "f", 1, 1, "scale_stage").unwrap();
-        });
-        let mut u = parse(src).unwrap();
-        extract_stage(&mut u, "f", 1, 1, "scale_stage").unwrap();
-        assert!(u.function("scale_stage").is_some());
-        let printed = mpsoc_minic::print_unit(&u);
-        assert!(printed.contains("scale_stage(out);"));
-    }
-
-    #[test]
-    fn extract_stage_rejects_scalar_outflow() {
-        let src = "void f(int n, int out[]) { int t = 3; out[0] = t; }";
-        let mut u = parse(src).unwrap();
-        let e = extract_stage(&mut u, "f", 0, 0, "stage").unwrap_err();
-        assert!(e.to_string().contains("flows out"));
     }
 }

@@ -22,8 +22,8 @@
 //!   bound, and response time must fit the deadline under the busy-period
 //!   bound for the core's admitted set.
 //!
-//! Departures release capacity, so the controller is reactive in the
-//! paper's sense. The test-suite closes the loop: every admitted set is
+//! Each request is decided as it arrives, so the controller is reactive in
+//! the paper's sense. The test-suite closes the loop: every admitted set is
 //! replayed in the [`crate::sched`] simulator and must miss nothing.
 
 use crate::error::{Error, Result};
@@ -42,7 +42,7 @@ pub struct AdmissionConfig {
     /// Per-job fixed overhead budget (switches etc.), in work units.
     pub overhead: u64,
     /// Utilisation bound per time-shared core (≤ 1.0).
-    pub util_bound: f64,
+    pub(crate) util_bound: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -106,11 +106,6 @@ impl AdmissionController {
         })
     }
 
-    /// Number of space-shared cores currently unreserved.
-    pub fn space_free(&self) -> usize {
-        self.space_free
-    }
-
     /// Admitted tasks, in admission order.
     pub fn admitted(&self) -> impl Iterator<Item = &TaskSpec> {
         self.admitted.iter().map(|(_, s, _)| s)
@@ -126,7 +121,7 @@ impl AdmissionController {
         self.admitted.iter().map(|(_, s, _)| s.clone()).collect()
     }
 
-    /// Tries to admit `spec`; on success returns a handle for departure.
+    /// Tries to admit `spec`; on success returns the admitted task's handle.
     ///
     /// # Errors
     ///
@@ -228,26 +223,6 @@ impl AdmissionController {
         self.admitted.push((id, spec, reservation));
         Ok(id)
     }
-
-    /// Releases the resources of an admitted task (application exit) —
-    /// the *reactive* half of the controller.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NotFound`] for unknown handles.
-    pub fn depart(&mut self, id: TaskId) -> Result<TaskSpec> {
-        let pos = self
-            .admitted
-            .iter()
-            .position(|(tid, _, _)| *tid == id)
-            .ok_or_else(|| Error::NotFound(format!("admitted task {id:?}")))?;
-        let (_, spec, reservation) = self.admitted.remove(pos);
-        match reservation {
-            Reservation::Gang { width } => self.space_free += width,
-            Reservation::TimeShared { core, util } => self.ts_util[core] -= util,
-        }
-        Ok(spec)
-    }
 }
 
 #[cfg(test)]
@@ -302,23 +277,8 @@ mod tests {
             .try_admit(TaskSpec::parallel("b", 0, 100, 3, 500).with_period(500, 1))
             .unwrap_err();
         assert!(matches!(e, Error::AdmissionRejected { .. }));
-        assert_eq!(ac.space_free(), 2);
+        assert_eq!(ac.space_free, 2);
         assert_eq!(ac.rejected(), 1);
-    }
-
-    #[test]
-    fn departure_frees_capacity() {
-        let mut ac = controller();
-        let id = ac
-            .try_admit(TaskSpec::parallel("a", 0, 100, 6, 500).with_period(500, 1))
-            .unwrap();
-        assert_eq!(ac.space_free(), 0);
-        ac.depart(id).unwrap();
-        assert_eq!(ac.space_free(), 6);
-        // Re-admission now succeeds: the controller is reactive.
-        ac.try_admit(TaskSpec::parallel("b", 0, 100, 5, 500).with_period(500, 1))
-            .unwrap();
-        assert!(ac.depart(id).is_err(), "double departure rejected");
     }
 
     #[test]
@@ -374,7 +334,6 @@ mod tests {
         // whatever it admits must simulate clean. This is the paper's
         // "predictable reactive" property, checked end to end.
         let mut ac = controller();
-        let mut kept = Vec::new();
         for i in 0..20u64 {
             let spec = if i % 3 == 0 {
                 TaskSpec::parallel(
@@ -389,13 +348,8 @@ mod tests {
                 TaskSpec::sequential(format!("s{i}"), 50 + (i % 6) * 30, 400)
                     .with_period(200 + (i % 9) * 30, 8)
             };
-            if let Ok(id) = ac.try_admit(spec) {
-                kept.push(id);
-            }
-            // Periodically depart the oldest to exercise reactivity.
-            if i % 7 == 6 && !kept.is_empty() {
-                ac.depart(kept.remove(0)).unwrap();
-            }
+            // A rejection is the controller's answer, not a failure.
+            let _ = ac.try_admit(spec);
         }
         assert!(ac.admitted().count() > 0);
         let r = simulate(&ac.workload(), &sim_cfg()).unwrap();

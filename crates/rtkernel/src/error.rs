@@ -15,8 +15,6 @@ pub enum Error {
         /// Why.
         reason: String,
     },
-    /// A named entity was not found.
-    NotFound(String),
 }
 
 impl fmt::Display for Error {
@@ -26,7 +24,6 @@ impl fmt::Display for Error {
             Error::AdmissionRejected { task, reason } => {
                 write!(f, "task `{task}` rejected by admission control: {reason}")
             }
-            Error::NotFound(n) => write!(f, "`{n}` not found"),
         }
     }
 }
@@ -42,7 +39,7 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_concise() {
-        let e = Error::NotFound("admitted task TaskId(1)".into());
-        assert!(e.to_string().starts_with("`admitted task"));
+        let e = Error::Config("zero cores".into());
+        assert_eq!(e.to_string(), "invalid configuration: zero cores");
     }
 }

@@ -48,8 +48,6 @@ pub mod task;
 
 pub use crate::admission::{AdmissionConfig, AdmissionController};
 pub use crate::error::{Error, Result};
-pub use crate::sched::{simulate, Policy, SimConfig, SimResult};
-pub use crate::sweep::{
-    policy_grid, profile_workload, sweep_policies, PolicyCandidate, PolicySweep,
-};
-pub use crate::task::{TaskId, TaskSpec, Workload};
+pub use crate::sched::{simulate, Policy, SimConfig};
+pub use crate::sweep::{profile_workload, sweep_policies, PolicySweep};
+pub use crate::task::{TaskSpec, Workload};

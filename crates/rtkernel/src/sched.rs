@@ -96,9 +96,9 @@ pub struct TaskStats {
     /// Jobs that missed their deadline (late or unfinished).
     pub missed: usize,
     /// Sum of response times of completed jobs (ticks).
-    pub total_response: u64,
+    pub(crate) total_response: u64,
     /// Worst observed response time (ticks).
-    pub worst_response: u64,
+    pub(crate) worst_response: u64,
 }
 
 /// Aggregate simulation result.
@@ -111,9 +111,9 @@ pub struct SimResult {
     /// Number of job switches on cores.
     pub switches: u64,
     /// Work units burned on switch overhead.
-    pub overhead_work: u64,
+    pub(crate) overhead_work: u64,
     /// Final simulation tick (== horizon).
-    pub end_tick: u64,
+    pub(crate) end_tick: u64,
 }
 
 impl SimResult {

@@ -29,7 +29,7 @@ pub struct PolicyCandidate {
 /// the winner's index.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicySweep {
-    /// All candidates, in the fixed grid order of [`policy_grid`].
+    /// All candidates, in the fixed grid order of `policy_grid`.
     pub candidates: Vec<PolicyCandidate>,
     /// Index of the winner: fewest deadline misses, then fewest busy
     /// ticks, then the earliest grid position.
@@ -50,7 +50,7 @@ impl PolicySweep {
 /// order. The grid order is part of the sweep's deterministic contract
 /// (ties in the winner selection break toward earlier grid positions).
 #[must_use]
-pub fn policy_grid(cores: usize, boosts: &[f64]) -> Vec<Policy> {
+pub(crate) fn policy_grid(cores: usize, boosts: &[f64]) -> Vec<Policy> {
     let mut grid = vec![Policy::TimeShared];
     for ts_cores in 1..cores {
         for &boost in boosts {
@@ -60,7 +60,7 @@ pub fn policy_grid(cores: usize, boosts: &[f64]) -> Vec<Policy> {
     grid
 }
 
-/// Sweeps every [`policy_grid`] candidate over `workload`, simulating each
+/// Sweeps every `policy_grid` candidate over `workload`, simulating each
 /// with `base`'s parameters and the candidate's policy.
 ///
 /// Candidates fan out through the shared [`mpsoc_explore::Sweep`] engine
@@ -116,7 +116,7 @@ pub fn sweep_policies(
 /// re-simulated from scratch or restored from a snapshot / delta base (the
 /// warm start) — and the word at `profile_addr + t` is read for every task
 /// `t`. A positive word replaces the task's declared
-/// [`serial_work`](crate::task::TaskSpec::serial_work) estimate; zero or
+/// `serial_work` estimate; zero or
 /// negative words (no measurement) leave it untouched. Because a snapshot
 /// restore is bit-identical to having simulated the prefix, warm and cold
 /// prefixes yield the same re-costed workload.

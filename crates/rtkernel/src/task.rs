@@ -21,9 +21,9 @@ pub struct TaskSpec {
     /// Human-readable name.
     pub name: String,
     /// Work units of the sequential phase of each job.
-    pub serial_work: u64,
+    pub(crate) serial_work: u64,
     /// Work units of the perfectly parallel phase of each job.
-    pub parallel_work: u64,
+    pub(crate) parallel_work: u64,
     /// Maximum number of cores the parallel phase can use.
     pub width: usize,
     /// First release tick.
@@ -35,7 +35,7 @@ pub struct TaskSpec {
     /// Number of jobs to release.
     pub jobs: usize,
     /// Scheduling priority; higher wins ties are broken by deadline.
-    pub priority: u8,
+    pub(crate) priority: u8,
 }
 
 impl TaskSpec {
@@ -83,12 +83,6 @@ impl TaskSpec {
         self
     }
 
-    /// Sets the first release tick.
-    pub fn with_arrival(mut self, arrival: u64) -> Self {
-        self.arrival = arrival;
-        self
-    }
-
     /// Sets the priority.
     pub fn with_priority(mut self, prio: u8) -> Self {
         self.priority = prio;
@@ -96,13 +90,13 @@ impl TaskSpec {
     }
 
     /// Total work of one job.
-    pub fn total_work(&self) -> u64 {
+    pub(crate) fn total_work(&self) -> u64 {
         self.serial_work + self.parallel_work
     }
 
     /// Lower bound on one job's completion ticks given `speed` units/tick
     /// and unlimited cores (the critical path).
-    pub fn critical_path_ticks(&self, speed: u64) -> u64 {
+    pub(crate) fn critical_path_ticks(&self, speed: u64) -> u64 {
         let par_per_core = self.parallel_work.div_ceil(self.width as u64);
         (self.serial_work + par_per_core).div_ceil(speed.max(1))
     }
@@ -141,7 +135,7 @@ impl Workload {
 
     /// Mutable access to the task specs in id order (used by profile-based
     /// re-costing; tasks cannot be added or removed through this view).
-    pub fn tasks_mut(&mut self) -> &mut [TaskSpec] {
+    pub(crate) fn tasks_mut(&mut self) -> &mut [TaskSpec] {
         &mut self.tasks
     }
 
@@ -153,11 +147,6 @@ impl Workload {
     /// Whether the workload is empty.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// Sum of periodic utilisations at `speed` (aperiodic tasks excluded).
-    pub fn total_utilization(&self, speed: u64) -> f64 {
-        self.tasks.iter().filter_map(|t| t.utilization(speed)).sum()
     }
 }
 
@@ -178,6 +167,14 @@ impl Extend<TaskSpec> for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TaskSpec {
+        /// Sets the first release tick.
+        pub(crate) fn with_arrival(mut self, arrival: u64) -> Self {
+            self.arrival = arrival;
+            self
+        }
+    }
 
     #[test]
     fn builders_fill_fields() {
@@ -217,7 +214,8 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(w.len(), 2);
-        assert!((w.total_utilization(1) - 0.4).abs() < 1e-12);
+        let total: f64 = w.tasks.iter().filter_map(|t| t.utilization(1)).sum();
+        assert!((total - 0.4).abs() < 1e-12);
     }
 
     #[test]

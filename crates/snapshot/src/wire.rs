@@ -53,7 +53,7 @@ impl Writer {
 
     /// Append a `u16` little-endian.
     #[inline]
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -167,7 +167,7 @@ impl<'a> Reader<'a> {
 
     /// Read a `u16` little-endian.
     #[inline]
-    pub fn get_u16(&mut self) -> SnapResult<u16> {
+    pub(crate) fn get_u16(&mut self) -> SnapResult<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }

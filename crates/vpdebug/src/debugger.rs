@@ -15,12 +15,12 @@
 //! * *"Peripheral access watchpoints allow suspending execution when a
 //!   specific core or DMA is writing to a shared resource"* —
 //!   [`Watchpoint::Access`] with an [`OriginFilter`].
-//! * Intrusive debugging for contrast: [`Debugger::halt_core`] stops one
+//! * Intrusive debugging for contrast: `Debugger::halt_core` stops one
 //!   core while *"other cores or timers continue to operate"*, which is
 //!   exactly how Heisenbugs escape (see [`crate::heisenbug`]).
 
 use mpsoc_obs::metrics::{Gauge, MetricsRegistry};
-use mpsoc_platform::isa::Word;
+use mpsoc_platform::isa::{Reg, Word};
 use mpsoc_platform::periph::mailbox_reg;
 use mpsoc_platform::platform::{Access, AccessKind, Originator, StepKind};
 use mpsoc_platform::{Core, Platform, StepEvent, Time};
@@ -279,7 +279,7 @@ impl Debugger {
     /// # Errors
     ///
     /// [`Error::Platform`] for a bad core id.
-    pub fn halt_core(&mut self, core: usize) -> Result<()> {
+    pub(crate) fn halt_core(&mut self, core: usize) -> Result<()> {
         self.platform.core_mut(core)?.debug_halt();
         Ok(())
     }
@@ -289,7 +289,7 @@ impl Debugger {
     /// # Errors
     ///
     /// [`Error::Platform`] for a bad core id.
-    pub fn resume_core(&mut self, core: usize) -> Result<()> {
+    pub(crate) fn resume_core(&mut self, core: usize) -> Result<()> {
         let now = self.platform.now();
         self.platform.core_mut(core)?.debug_resume(now);
         Ok(())
@@ -445,6 +445,13 @@ impl Debugger {
                 }
             }
             StimulusKind::MemPoke { addr, value } => p.debug_write(addr, value)?,
+            StimulusKind::RegWrite { core, reg, value } => {
+                let c = p.core_mut(core)?;
+                match reg {
+                    Some(r) => c.set_reg(r, value),
+                    None => c.debug_set_pc(value as u32),
+                }
+            }
         }
         Ok(())
     }
@@ -534,22 +541,19 @@ impl Debugger {
         self.inject(StimulusKind::MemPoke { addr, value })
     }
 
+    /// Writes register `reg` of core `core` (`None`: its pc) as an external
+    /// stimulus and records it for replay.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Platform`] for a bad core id.
+    pub fn inject_reg_write(&mut self, core: usize, reg: Option<Reg>, value: Word) -> Result<()> {
+        self.inject(StimulusKind::RegWrite { core, reg, value })
+    }
+
     /// The stimulus log recorded so far.
     pub fn stimulus_log(&self) -> &StimulusLog {
         &self.stimulus
-    }
-
-    /// Installs a previously recorded stimulus log for replay from the
-    /// current point: records at future steps will be applied as the
-    /// platform reaches them. Records at or before the current step are
-    /// considered already applied (they describe the past of the timeline
-    /// the platform is resuming).
-    pub fn set_stimulus_log(&mut self, log: StimulusLog) {
-        // Installed after a by-hand restore as a rule: re-evaluate in full.
-        self.signals_seen = None;
-        let cur = self.platform.steps();
-        self.stim_cursor = log.records().partition_point(|r| r.step <= cur);
-        self.stimulus = log;
     }
 
     /// Runs until a stop condition or `max_steps`.
@@ -570,24 +574,6 @@ impl Debugger {
     /// platform cannot observe that it was stopped).
     pub fn now(&self) -> Time {
         self.platform.now()
-    }
-
-    /// The function-execution history of one core: every time the core's
-    /// control flow entered a labelled address of its program, in order —
-    /// Section VII's *"history of function execution within the different
-    /// processes"*. Labels double as function entry points in platform
-    /// assembly.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Platform`] for a bad core id.
-    pub fn label_history(&self, core: usize) -> Result<Vec<(Time, String)>> {
-        let labels = self.platform.core(core)?.program().labels_snapshot();
-        let entered = |pc| labels.iter().filter(move |(_, addr)| *addr == pc);
-        let history = self.trace.pc_history(core).into_iter();
-        Ok(history
-            .flat_map(|(at, pc)| entered(pc).map(move |(name, _)| (at, name.clone())))
-            .collect())
     }
 }
 
@@ -965,27 +951,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn label_history_tracks_function_entries() {
-        let mut dbg = Debugger::new(platform());
-        let prog = assemble(
-            "main: movi r1, 2\n\
-             jal work\n\
-             jal work\n\
-             halt\n\
-             work: addi r1, r1, 1\n\
-             jr r15",
-        )
-        .unwrap();
-        dbg.platform_mut().load_program(0, prog, 0).unwrap();
-        while !matches!(dbg.run(1_000).unwrap(), Stop::Finished) {}
-        let hist = dbg.label_history(0).unwrap();
-        let names: Vec<&str> = hist.iter().map(|(_, n)| n.as_str()).collect();
-        assert_eq!(names, vec!["main", "work", "work"]);
-        // Times are monotone.
-        assert!(hist.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`debugger`] — run control, breakpoints, memory/signal/peripheral
 //!   access watchpoints, non-intrusive inspection, and (for contrast) the
 //!   intrusive single-core halt of real-hardware debugging.
-//! * [`trace`] — bounded execution/access history with per-core and
-//!   per-address queries.
+//! * [`trace`] — bounded execution/access history with per-address
+//!   queries (E9 finds the race's lost updates in the counter's stream).
 //! * [`heisenbug`] — the reproducible demonstration that intrusive
 //!   debugging makes a shared-memory race vanish while virtual-platform
 //!   suspension reproduces it bit-exactly (experiment E9).
@@ -24,9 +24,9 @@
 //!   deterministic forward replay giving `step-back` and
 //!   `reverse-continue` without ever simulating backwards.
 //! * [`stimulus`] — a timestamped record of external injections (mailbox
-//!   pushes, signal writes, interrupt posts) that replays through rewinds
-//!   and round-trips to disk, closing the determinism gap interactive
-//!   debugging opens.
+//!   pushes, signal writes, interrupt posts, DMA descriptors, memory and
+//!   register writes) that replays through rewinds, closing the
+//!   determinism gap interactive debugging opens.
 //! * [`campaign`] — deterministic fault-injection campaigns over a
 //!   checkpoint image: inject, run to a verdict, roll back to the base via
 //!   O(dirty-state) delta restores, sweep in parallel with bit-identical
@@ -61,14 +61,11 @@ pub mod timetravel;
 pub mod trace;
 
 pub use crate::campaign::{
-    generate_faults, run_campaign, run_campaign_delta, CampaignConfig, CampaignReport, FaultKind,
-    FaultOutcome, FaultSpace, FaultSpec, Verdict,
+    generate_faults, run_campaign, run_campaign_delta, CampaignConfig, CampaignReport, FaultSpace,
+    FaultSpec, Verdict,
 };
 pub use crate::debugger::{Breakpoint, Debugger, OriginFilter, Stop, Watchpoint};
 pub use crate::error::{Error, Result};
-pub use crate::heisenbug::{
-    build_race_platform, load_race_programs, run_race, DebugMode, RaceReport,
-};
-pub use crate::stimulus::{StimulusKind, StimulusLog, StimulusRecord};
-pub use crate::timetravel::TimeTravel;
-pub use crate::trace::{TraceBuffer, TraceEntry};
+pub use crate::heisenbug::{build_race_platform, load_race_programs, run_race, DebugMode};
+pub use crate::stimulus::StimulusKind;
+pub use crate::trace::TraceEntry;

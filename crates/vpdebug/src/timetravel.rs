@@ -86,7 +86,7 @@ impl Checkpoint {
 /// Auto-checkpoint configuration and storage, owned by a [`Debugger`] once
 /// [`Debugger::enable_time_travel`] is called.
 #[derive(Debug)]
-pub struct TimeTravel {
+pub(crate) struct TimeTravel {
     /// Steps between auto-checkpoints.
     pub(crate) interval: u64,
     /// Maximum retained checkpoint bytes (oldest delta evicted first; the
@@ -235,12 +235,6 @@ impl Debugger {
         self.time_travel.iter().flat_map(TimeTravel::checkpoints)
     }
 
-    /// Disables time travel and drops every checkpoint.
-    pub fn disable_time_travel(&mut self) {
-        self.time_travel = None;
-        self.update_ring_gauge();
-    }
-
     /// The step indices of the currently retained checkpoints (ascending).
     /// Empty when time travel is disabled.
     pub fn checkpoint_steps(&self) -> Vec<u64> {
@@ -252,25 +246,6 @@ impl Debugger {
     /// `vpdebug.ring_bytes` gauge when a metrics registry is attached.
     pub fn ring_bytes(&self) -> usize {
         self.time_travel.as_ref().map_or(0, |tt| tt.bytes)
-    }
-
-    /// Drops every retained checkpoint in favour of a fresh *base* at the
-    /// current step. Call this after mutating platform state by hand (e.g.
-    /// fault injection through [`platform_mut`](Debugger::platform_mut)) —
-    /// checkpoints ahead of such a mutation describe a future that will no
-    /// longer happen. (The recorded `inject_*` stimuli handle this
-    /// automatically and do **not** need a rebase.)
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Platform`] if the platform cannot be captured.
-    pub fn rebase_checkpoints(&mut self) -> Result<()> {
-        if let Some(tt) = &self.time_travel {
-            let (interval, budget) = (tt.interval, tt.budget_bytes);
-            let base = capture_base(&mut self.platform)?;
-            self.install_time_travel(interval, budget, base);
-        }
-        Ok(())
     }
 
     /// Captures a checkpoint now if one is due (called by
@@ -428,7 +403,7 @@ impl Debugger {
 mod tests {
     use super::Checkpoint;
     use crate::debugger::{Debugger, Stop, Watchpoint};
-    use mpsoc_platform::isa::assemble;
+    use mpsoc_platform::isa::{assemble, Reg};
     use mpsoc_platform::platform::{AccessKind, PlatformBuilder};
     use mpsoc_platform::Frequency;
 
@@ -721,12 +696,10 @@ mod tests {
         for session in 0..24 {
             let (mut new, mut old) = (build(), build());
             let mut cur = 0;
-            for op in 0..150 {
-                // Time travel goes on first, and again soon after it went
-                // off; what else happens is drawn.
+            for _ in 0..150 {
+                // Time travel goes on first; what else happens is drawn.
                 let pick = match new.time_travel {
-                    None if op == 0 || rng.u64_in(0, 2) == 0 => 99,
-                    None => rng.u64_in(0, 49),
+                    None => 99,
                     Some(_) => rng.u64_in(0, 99),
                 };
                 let arg = rng.u64_in(0, 40);
@@ -770,8 +743,6 @@ mod tests {
                         }
                     }),
                     84..=93 => quietly(&mut |d| drop(d.take_checkpoint_now())),
-                    94..=95 => quietly(&mut |d| d.rebase_checkpoints().unwrap()),
-                    96 => quietly(&mut |d| d.disable_time_travel()),
                     _ => quietly(&mut |d| d.enable_time_travel_bytes(interval, budget).unwrap()),
                 };
             }
@@ -829,22 +800,6 @@ mod tests {
         }
         assert_eq!(gauge.get(), dbg.ring_bytes() as u64);
         assert!(gauge.high_water() >= gauge.get());
-        dbg.disable_time_travel();
-        assert_eq!(gauge.get(), 0);
-    }
-
-    #[test]
-    fn rebase_drops_stale_future() {
-        let mut dbg = debugger();
-        dbg.enable_time_travel(4, 32).unwrap();
-        for _ in 0..20 {
-            dbg.step().unwrap();
-        }
-        assert!(dbg.rewind_to_step(10).unwrap());
-        // Perturb history: the old forward checkpoints are now lies.
-        dbg.platform_mut().inject_reg_flip(0, 1, 3).unwrap();
-        dbg.rebase_checkpoints().unwrap();
-        assert_eq!(dbg.checkpoint_steps(), vec![10]);
     }
 
     #[test]
@@ -896,28 +851,24 @@ mod tests {
     }
 
     #[test]
-    fn stimulus_log_round_trips_into_fresh_session() {
-        // Record a session with injections, serialize image + log, then
-        // replay both in a brand-new debugger: identical end state.
-        let build = || {
-            let mut p = PlatformBuilder::new()
-                .cores(1, Frequency::mhz(100))
-                .shared_words(256)
-                .cache(None)
-                .build()
+    fn every_stimulus_kind_replays_through_a_rewind() {
+        // Record a session with one injection of each kind, rewind behind
+        // all of them, and replay: identical end state.
+        let mut p = PlatformBuilder::new()
+            .cores(1, Frequency::mhz(100))
+            .shared_words(256)
+            .cache(None)
+            .build()
+            .unwrap();
+        let mb = p.add_mailbox("host_mb", 8);
+        let dma = p.add_dma("host_dma");
+        p.load_shared(0x30, &[11, 22, 33, 44]).unwrap();
+        let prog =
+            assemble("movi r1, 0\nloop: addi r1, r1, 1\nmovi r2, 0x20\nst r1, r2, 0\njmp loop")
                 .unwrap();
-            let mb = p.add_mailbox("host_mb", 8);
-            let dma = p.add_dma("host_dma");
-            p.load_shared(0x30, &[11, 22, 33, 44]).unwrap();
-            let prog =
-                assemble("movi r1, 0\nloop: addi r1, r1, 1\nmovi r2, 0x20\nst r1, r2, 0\njmp loop")
-                    .unwrap();
-            p.load_program(0, prog, 0).unwrap();
-            (p, mb, dma)
-        };
-        let (mut p, mb, dma) = build();
-        let image = p.capture().unwrap();
+        p.load_program(0, prog, 0).unwrap();
         let mut dbg = Debugger::new(p);
+        dbg.enable_time_travel(4, 64).unwrap();
         for _ in 0..6 {
             dbg.step().unwrap();
         }
@@ -929,21 +880,21 @@ mod tests {
         dbg.inject_signal_write("door.open", 9).unwrap();
         dbg.inject_dma_descriptor(dma, 0x30, 0x50, 4).unwrap();
         dbg.inject_mem_poke(0x60, -5).unwrap();
+        dbg.inject_reg_write(0, Some(Reg::new(1)), 1000).unwrap();
+        dbg.inject_reg_write(0, None, 1).unwrap();
         for _ in 0..6 {
             dbg.step().unwrap();
         }
+        assert_eq!(dbg.stimulus_log().len(), 7);
         let end = dbg.platform().state_checksum();
-        let log_bytes = dbg.stimulus_log().to_bytes();
+        let end_mb = dbg.peripheral(mb).unwrap();
 
-        // Fresh session: restore the step-0 image, install the log, run.
-        let (p2, _, _) = build();
-        let mut replay = Debugger::new(p2);
-        replay.platform_mut().restore_image(&image).unwrap();
-        replay.set_stimulus_log(crate::stimulus::StimulusLog::from_bytes(&log_bytes).unwrap());
-        for _ in 0..18 {
-            replay.step().unwrap();
+        assert!(dbg.rewind_to_step(2).unwrap());
+        for _ in 0..16 {
+            dbg.step().unwrap();
         }
-        assert_eq!(replay.platform().state_checksum(), end);
-        assert_eq!(replay.peripheral(mb).unwrap(), dbg.peripheral(mb).unwrap());
+        assert_eq!(dbg.platform().state_checksum(), end);
+        assert_eq!(dbg.peripheral(mb).unwrap(), end_mb);
+        assert_eq!(dbg.read_mem(0x60).unwrap(), -5);
     }
 }

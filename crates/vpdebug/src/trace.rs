@@ -8,9 +8,10 @@
 //! defect."*
 //!
 //! [`TraceBuffer`] keeps the most recent steps recorded from platform step
-//! events, each with all of its accesses, with query helpers for the two
-//! histories the paper names: per-core control flow and per-address access
-//! streams. Recording a step copies it into two flat rings and allocates
+//! events, each with all of its accesses: the per-core control flow is in
+//! its [`TraceBuffer::entries`], and [`TraceBuffer::accesses_to`] gives an
+//! address's access stream, where E9 finds the race's lost updates.
+//! Recording a step copies it into two flat rings and allocates
 //! nothing; [`TraceEntry`] is the owned form [`TraceBuffer::entries`]
 //! builds when asked.
 //!
@@ -331,28 +332,10 @@ impl TraceBuffer {
         chrome_trace(&self.to_events())
     }
 
-    /// The control-flow history of one core: `(time, pc)` pairs.
-    pub fn pc_history(&self, core: usize) -> Vec<(Time, u32)> {
-        let of_core = |rec: &StepRec| match rec.instr {
-            Some(i) if i.core == core => Some((rec.at, i.pc)),
-            _ => None,
-        };
-        self.steps.iter().filter_map(of_core).collect()
-    }
-
     /// Every access touching word address `addr`, oldest first.
     pub fn accesses_to(&self, addr: u32) -> Vec<Access> {
         let hits = self.accesses.iter().filter(|a| a.addr == addr);
         hits.copied().collect()
-    }
-
-    /// Interrupt deliveries observed: `(time, core, irq)`.
-    pub fn irq_history(&self) -> Vec<(Time, usize, u32)> {
-        let delivery = |rec: &StepRec| {
-            let i = rec.instr?;
-            Some((rec.at, i.core, i.irq?))
-        };
-        self.steps.iter().filter_map(delivery).collect()
     }
 }
 
@@ -382,11 +365,14 @@ mod tests {
         buf
     }
 
+    fn pcs(buf: &TraceBuffer) -> Vec<u32> {
+        buf.entries().filter_map(|e| e.pc).collect()
+    }
+
     #[test]
     fn pc_history_in_order() {
         let buf = traced_run("movi r1, 1\nmovi r2, 2\nhalt", 16);
-        let pcs: Vec<u32> = buf.pc_history(0).into_iter().map(|(_, pc)| pc).collect();
-        assert_eq!(pcs, vec![0, 1, 2]);
+        assert_eq!(pcs(&buf), vec![0, 1, 2]);
     }
 
     #[test]
@@ -406,12 +392,7 @@ mod tests {
         let buf = traced_run("movi r1, 1\nmovi r2, 2\nmovi r3, 3\nhalt", 2);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.dropped(), 2);
-        let pcs: Vec<u32> = buf.pc_history(0).into_iter().map(|(_, pc)| pc).collect();
-        assert_eq!(pcs, vec![2, 3]); // only the most recent survive
-    }
-
-    fn pcs(buf: &TraceBuffer) -> Vec<u32> {
-        buf.entries().filter_map(|e| e.pc).collect()
+        assert_eq!(pcs(&buf), vec![2, 3]); // only the most recent survive
     }
 
     #[test]
@@ -530,7 +511,7 @@ mod tests {
     /// The buffer this one replaced — a deque of owned entries, a `Vec` of
     /// accesses in each — kept as the oracle of the differential test.
     mod reference {
-        use super::super::{Access, StepEvent, StepKind, Time, TraceEntry};
+        use super::super::{Access, StepEvent, StepKind, TraceEntry};
         use std::collections::VecDeque;
 
         pub struct TraceBuffer {
@@ -598,30 +579,12 @@ mod tests {
                 self.entries.iter()
             }
 
-            pub fn pc_history(&self, core: usize) -> Vec<(Time, u32)> {
-                self.entries
-                    .iter()
-                    .filter(|e| e.core == Some(core))
-                    .filter_map(|e| e.pc.map(|pc| (e.at, pc)))
-                    .collect()
-            }
-
             pub fn accesses_to(&self, addr: u32) -> Vec<Access> {
                 self.entries
                     .iter()
                     .flat_map(|e| e.accesses.iter())
                     .filter(|a| a.addr == addr)
                     .copied()
-                    .collect()
-            }
-
-            pub fn irq_history(&self) -> Vec<(Time, usize, u32)> {
-                self.entries
-                    .iter()
-                    .filter_map(|e| match (e.core, e.irq) {
-                        (Some(c), Some(i)) => Some((e.at, c, i)),
-                        _ => None,
-                    })
                     .collect()
             }
         }
@@ -723,13 +686,9 @@ mod tests {
                 assert_eq!(flat.is_empty(), owned.len() == 0, "{what}");
                 assert_eq!(flat.dropped(), owned.dropped(), "{what}");
                 assert_eq!(flat.position(), owned.position(), "{what}");
-                for core in 0..4 {
-                    assert_eq!(flat.pc_history(core), owned.pc_history(core), "{what}");
-                }
                 for &addr in &hot {
                     assert_eq!(flat.accesses_to(addr), owned.accesses_to(addr), "{what}");
                 }
-                assert_eq!(flat.irq_history(), owned.irq_history(), "{what}");
             }
             // The step ring's head has been all the way round, and a step's
             // accesses have straddled the end of theirs.

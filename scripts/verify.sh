@@ -62,9 +62,9 @@ run_examples() {
   # them (each takes milliseconds in release) and fail on a non-zero exit
   # (observe_jpeg writes the git-ignored trace.json).
   local ex
-  for ex in car_radio heisenbug_hunt observe_jpeg quickstart retarget_h264 \
-    time_travel wireless_terminal; do
-    cargo run --release -q --example "$ex" >/dev/null
+  for ex in examples/*.rs; do
+    ex=${ex#examples/}
+    cargo run --release -q --example "${ex%.rs}" >/dev/null
   done
 }
 
@@ -111,7 +111,7 @@ stage "paper claims (experiments --smoke)" \
 # them as artifacts).
 stage "headless platform suite (mpsoc-test)" \
   cargo run --release -q -p mpsoc-apps --bin mpsoc-test
-stage "examples run (all seven)" run_examples
+stage "examples run (every examples/*.rs)" run_examples
 # The layered benchmark (benchmark/, a workspace of its own). The smoke
 # profile runs the output checks and expected.json pins of all seven
 # workloads in a few seconds, prints "not a measurement" and emits no rates;

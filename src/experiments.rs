@@ -23,11 +23,13 @@ use mpsoc_maps::mapping::{anneal, list_schedule};
 use mpsoc_maps::osip::{dispatch, SchedulerKind};
 use mpsoc_maps::taskgraph::extract_task_graph;
 use mpsoc_minic::cost::CostModel;
+use mpsoc_platform::platform::AccessKind;
 use mpsoc_recoder::recoder::Recoder;
 use mpsoc_recoder::transforms;
 use mpsoc_rtkernel::scalability::{amdahl_speedup, boosted_amdahl_speedup, heterogeneous_speedup};
 use mpsoc_rtkernel::sched::{simulate, Policy, SimConfig};
-use mpsoc_vpdebug::heisenbug::{run_race, DebugMode};
+use mpsoc_vpdebug::heisenbug::{build_race_platform, run_race, DebugMode, COUNTER_ADDR};
+use mpsoc_vpdebug::{Debugger, Stop};
 
 /// What an experiment concluded about its paper claim.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -463,6 +465,22 @@ fn e9_heisenbug() -> Result<Claim, Error> {
         },
     )?;
     let vp_identical = vp == plain;
+    // Section VII's trace history localises the defect: in the counter's
+    // access stream, two cores write the same value back to back — the
+    // second store overwrote an increment it never read.
+    let mut dbg = Debugger::new(build_race_platform(iters)?);
+    if dbg.run(10_000_000)? != Stop::Finished {
+        return Err("the race did not run to completion".into());
+    }
+    let stream = dbg.trace().accesses_to(COUNTER_ADDR);
+    let duplicate_writes = stream
+        .windows(2)
+        .filter(|w| {
+            w.iter().all(|a| a.kind == AccessKind::Write)
+                && w[0].value == w[1].value
+                && w[0].originator != w[1].originator
+        })
+        .count();
     let mut t = String::new();
     writeln!(
         t,
@@ -479,10 +497,17 @@ fn e9_heisenbug() -> Result<Claim, Error> {
         "  intrusive core halt       : {}",
         intrusive.lost_updates
     )?;
+    writeln!(
+        t,
+        "  same-value write pairs    : {duplicate_writes} (trace history)"
+    )?;
     // The race loses updates, the VP suspension leaves the run bit-identical,
-    // and the intrusive halt all but hides the bug.
-    let holds =
-        plain.lost_updates > 0 && vp_identical && intrusive.lost_updates < plain.lost_updates / 10;
+    // the intrusive halt all but hides the bug, and the trace shows where
+    // the updates were lost.
+    let holds = plain.lost_updates > 0
+        && vp_identical
+        && intrusive.lost_updates < plain.lost_updates / 10
+        && duplicate_writes > 0;
     Ok(Claim {
         id: "e9",
         section: "§VII",

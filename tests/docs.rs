@@ -221,3 +221,191 @@ fn backticked_module_paths_resolve() {
         missing.join("\n")
     );
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `source` with its comments removed and the braces inside string and
+/// char literals blanked, so the braces left are the code's own.
+fn strip_comments(source: &str) -> String {
+    let mut out = String::with_capacity(source.len());
+    let mut chars = source.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '/' if chars.peek() == Some(&'/') => while chars.next_if(|&n| n != '\n').is_some() {},
+            '/' if chars.peek() == Some(&'*') => {
+                chars.next();
+                let mut last = ' ';
+                for n in chars.by_ref() {
+                    if last == '*' && n == '/' {
+                        break;
+                    }
+                    last = n;
+                }
+            }
+            '"' => {
+                out.push('"');
+                while let Some(n) = chars.next() {
+                    match n {
+                        '\\' => {
+                            out.push(' ');
+                            chars.next();
+                        }
+                        '"' => break,
+                        '{' | '}' => out.push(' '),
+                        _ => out.push(n),
+                    }
+                }
+                out.push('"');
+            }
+            // A char literal (`'{'`, `'"'`, `'\''`); a lifetime has no
+            // closing quote and is copied as it is.
+            '\'' => {
+                let ahead: Vec<char> = chars.clone().take(3).collect();
+                let len = match ahead.as_slice() {
+                    ['\\', _, '\''] => 3,
+                    [_, '\'', ..] => 2,
+                    _ => 0,
+                };
+                out.push('\'');
+                for _ in 0..len {
+                    chars.next();
+                }
+                if len > 0 {
+                    out.push_str(" '");
+                }
+            }
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// `source` without its comments and `#[cfg(test)]` items: an item is
+/// skipped from its attribute to the `;` or the brace that closes it.
+fn non_test_code(source: &str) -> String {
+    let code = strip_comments(source);
+    let mut out = String::new();
+    let mut lines = code.lines();
+    while let Some(line) = lines.next() {
+        if !line.trim_start().starts_with("#[cfg(test)]") {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let mut depth = 0usize;
+        for line in lines.by_ref() {
+            let opens = line.matches('{').count();
+            let closes = line.matches('}').count();
+            let item_ends = if depth + opens == 0 {
+                !line.trim_start().starts_with('#') && line.trim_end().ends_with(';')
+            } else {
+                closes >= depth + opens
+            };
+            if item_ends {
+                break;
+            }
+            depth = depth + opens - closes;
+        }
+    }
+    out
+}
+
+/// The identifiers backticked in DESIGN.md's "Public items kept" paragraph.
+fn kept_public_items() -> Vec<String> {
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md reads");
+    let start = design
+        .find("Public items kept")
+        .expect("DESIGN.md has a \"Public items kept\" paragraph");
+    let paragraph = design[start..].split("\n\n").next().unwrap_or("");
+    paragraph
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(|span| span.split(|c: char| !ident_char(c)))
+        .filter(|w| !w.is_empty())
+        .map(String::from)
+        .collect()
+}
+
+/// Every `pub fn` in the non-test code of `crates/*/src` is named somewhere
+/// else in non-test code — any crate and its binaries, the root package's
+/// `src/`, `benchmark/src` — or is listed in DESIGN.md's "Public items kept"
+/// paragraph. Tests and examples do not count as callers. Matching is by
+/// name, so a live function is never flagged; a dead one escapes only when
+/// another item shares its name.
+#[test]
+fn every_public_fn_is_reached_or_kept() {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root().join("crates"))
+        .expect("crates/ lists")
+        .flatten()
+    {
+        rust_files(&krate.path().join("src"), &mut files);
+    }
+    let crate_files = files.len();
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("benchmark").join("src"), &mut files);
+    let code: Vec<(std::path::PathBuf, String)> = files
+        .into_iter()
+        .map(|f| {
+            let source = fs::read_to_string(&f).expect("source reads");
+            (f, non_test_code(&source))
+        })
+        .collect();
+    let mut uses = std::collections::HashMap::<&str, usize>::new();
+    for (_, text) in &code {
+        for word in text
+            .split(|c: char| !ident_char(c))
+            .filter(|w| !w.is_empty())
+        {
+            *uses.entry(word).or_default() += 1;
+        }
+    }
+    let kept = kept_public_items();
+    let mut unreached = Vec::new();
+    let mut checked = 0;
+    for (file, text) in &code[..crate_files] {
+        let words: Vec<&str> = text
+            .split(|c: char| !ident_char(c))
+            .filter(|w| !w.is_empty())
+            .collect();
+        for (i, w) in words.iter().enumerate() {
+            if *w != "pub" {
+                continue;
+            }
+            let rest = &words[i + 1..];
+            let skip = rest
+                .iter()
+                .take_while(|q| matches!(**q, "const" | "async" | "unsafe"))
+                .count();
+            let (Some(&"fn"), Some(&name)) = (rest.get(skip), rest.get(skip + 1)) else {
+                continue;
+            };
+            checked += 1;
+            if uses[name] < 2 && !kept.iter().any(|k| k == name) {
+                let file = file.strip_prefix(root()).unwrap_or(file);
+                unreached.push(format!("{}: {name}", file.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "found no public function");
+    assert!(
+        unreached.is_empty(),
+        "public functions no non-test code names (call them, delete them, or list them \
+         under DESIGN.md's \"Public items kept\"):\n{}",
+        unreached.join("\n")
+    );
+}

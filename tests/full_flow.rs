@@ -110,7 +110,7 @@ fn platform_debugger_timer_flow() {
     }
     assert!(dbg.read_mem(0x40).unwrap() >= 2);
     // The IRQ trace recorded deliveries.
-    assert!(!dbg.trace().irq_history().is_empty());
+    assert!(dbg.trace().entries().any(|e| e.irq.is_some()));
 }
 
 /// The mailbox-based message-passing style of Section II, on the real

@@ -119,3 +119,40 @@ fn rsp_session_matches_direct_vpdebug_bit_for_bit() {
         "wire and direct state checksums agree"
     );
 }
+
+/// A memory write (`M`) and a register write (`P`) made between two steps
+/// are part of the timeline: a `monitor step-back` to a step after them
+/// replays them from the checkpoint it restores.
+#[test]
+fn gdb_writes_survive_a_step_back() {
+    let platform = mpsoc_suite::apps::testbed::by_name("race").expect("race platform builds");
+    let (server_end, client_end) = duplex_pair();
+    let server = std::thread::spawn(move || {
+        let mut session = Session::new(DebugTarget::new(Debugger::new(platform)));
+        let mut end = server_end;
+        serve(&mut session, &mut end).expect("serve loop");
+    });
+    let mut gdb = RspClient::new(client_end);
+    assert_eq!(gdb.command("QStartNoAckMode").unwrap(), "OK");
+
+    let out = qrcmd_text(&gdb.command(&qrcmd("time-travel 8 32")).unwrap());
+    assert!(out.contains("time travel on"), "{out}");
+    for _ in 0..10 {
+        gdb.command("s").unwrap();
+    }
+    // An address and a register the race program never touches.
+    let word = 0x1234_5678_u64;
+    let hex = |v: u64| -> String { v.to_le_bytes().iter().map(|b| format!("{b:02x}")).collect() };
+    assert_eq!(gdb.command(&format!("M100,1:{}", hex(word))).unwrap(), "OK");
+    assert_eq!(gdb.command(&format!("P7={}", hex(word + 1))).unwrap(), "OK");
+    gdb.command("s").unwrap();
+    gdb.command("s").unwrap();
+
+    let out = qrcmd_text(&gdb.command(&qrcmd("step-back")).unwrap());
+    assert!(out.contains("at step 11"), "{out}");
+    assert_eq!(gdb.command("m100,1").unwrap(), hex(word), "the M write");
+    assert_eq!(gdb.command("p7").unwrap(), hex(word + 1), "the P write");
+
+    assert_eq!(gdb.command("D").unwrap(), "OK");
+    server.join().expect("server thread");
+}
