@@ -13,18 +13,6 @@ pub enum Error {
         /// The offending word address.
         addr: u32,
     },
-    /// A core accessed another core's private local store.
-    ///
-    /// Section II of the paper demands *"strict enforcement of locality"*;
-    /// the platform makes a violation a hard fault.
-    LocalityViolation {
-        /// The core that performed the access.
-        core: usize,
-        /// The owner of the local store that was touched.
-        owner: usize,
-        /// The offending word address.
-        addr: u32,
-    },
     /// A peripheral register address does not exist on the device.
     BadPeripheralRegister {
         /// Peripheral instance name.
@@ -79,10 +67,6 @@ impl fmt::Display for Error {
             Error::UnmappedAddress { addr } => {
                 write!(f, "unmapped word address {addr:#x}")
             }
-            Error::LocalityViolation { core, owner, addr } => write!(
-                f,
-                "core {core} violated locality of core {owner}'s local store at {addr:#x}"
-            ),
             Error::BadPeripheralRegister { peripheral, offset } => {
                 write!(f, "peripheral `{peripheral}` has no register {offset:#x}")
             }
@@ -120,14 +104,10 @@ mod tests {
 
     #[test]
     fn errors_display_meaningfully() {
-        let e = Error::LocalityViolation {
-            core: 2,
-            owner: 0,
-            addr: 0x1000_0004,
-        };
+        let e = Error::PcOutOfRange { core: 2, pc: 0x44 };
         let s = e.to_string();
         assert!(s.contains("core 2"));
-        assert!(s.contains("locality"));
+        assert!(s.contains("0x44"));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   runtime-adjustable clock [frequencies](time::Frequency) — the paper's
 //!   fine-grained DVFS requirement.
 //! * **Distributed memory** ([`mem`]): shared RAM behind the interconnect,
-//!   a private local store per core (with optional *strict locality
-//!   enforcement*), and per-core timing-model [caches](cache).
+//!   a local store per core, and per-core timing-model [caches](cache).
 //! * **Scalable interconnect** ([`interconnect`]): a contended shared bus
 //!   and a 2-D mesh NoC, so the paper's centralisation-vs-distribution
 //!   argument is measurable.

@@ -9,12 +9,8 @@
 //! | local  | `0x1000_0000 + core * 0x1_0000` | the private local store (scratchpad) of one core |
 //! | periph | `0xF000_0000 + page * 0x100` | memory-mapped peripheral registers |
 //!
-//! Per Section II's *"strict enforcement of locality"*, a core touching
-//! another core's local store faults with
-//! [`crate::error::Error::LocalityViolation`]
-//! unless the platform is configured with locality enforcement disabled
-//! (which the experiments use as the "conventional shared-everything"
-//! baseline).
+//! A core reaches its own local store at local-store latency and another
+//! core's over the interconnect, like shared RAM.
 
 use crate::error::{Error, Result};
 use crate::isa::Word;
@@ -136,11 +132,6 @@ impl Ram {
         }
     }
 
-    /// The words, given up by value (the dirty bitmap is dropped).
-    pub(crate) fn into_words(self) -> Vec<Word> {
-        self.words
-    }
-
     #[inline]
     fn mark_page(&mut self, page: usize) {
         self.dirty[page / 64] |= 1u64 << (page % 64);
@@ -167,6 +158,7 @@ impl Ram {
     }
 
     /// Number of pages currently marked dirty.
+    #[cfg(test)]
     pub(crate) fn dirty_page_count(&self) -> usize {
         self.dirty.iter().map(|l| l.count_ones() as usize).sum()
     }
@@ -206,12 +198,19 @@ impl Ram {
         self.mark_page(page);
     }
 
-    /// Copies page `page` from `baseline` (same-shaped words) and clears
-    /// nothing — used to roll dirty pages back to a base image.
-    pub(crate) fn copy_page_from(&mut self, page: usize, baseline: &[Word]) {
-        let start = page * PAGE_WORDS;
-        let end = start + self.page_len(page);
-        self.words[start..end].copy_from_slice(&baseline[start..end]);
+    /// Copies every dirty page back from `baseline` (same-shaped words) and
+    /// clears the bitmap: the RAM equals its base again, at the cost of the
+    /// pages written since, and without allocating.
+    pub(crate) fn roll_back(&mut self, baseline: &[Word]) {
+        for limb in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[limb]);
+            while bits != 0 {
+                let start = (limb * 64 + bits.trailing_zeros() as usize) * PAGE_WORDS;
+                let end = self.words.len().min(start + PAGE_WORDS);
+                self.words[start..end].copy_from_slice(&baseline[start..end]);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Capacity in words.
@@ -274,17 +273,6 @@ impl Ram {
     /// for whatever it wrote.
     pub(crate) fn words_mut(&mut self) -> &mut [Word] {
         &mut self.words
-    }
-}
-
-impl mpsoc_snapshot::Snapshot for Ram {
-    fn save(&self, w: &mut mpsoc_snapshot::Writer) {
-        // Words only: the dirty bitmap is host-side bookkeeping relative to
-        // a particular base image, so it never travels on the wire.
-        self.words.save(w);
-    }
-    fn load(r: &mut mpsoc_snapshot::Reader<'_>) -> mpsoc_snapshot::SnapResult<Self> {
-        Ok(Ram::from_words(Vec::<Word>::load(r)?))
     }
 }
 
@@ -410,18 +398,5 @@ mod tests {
         assert_eq!(r.page_len(0), PAGE_WORDS);
         assert_eq!(r.page_len(1), 10);
         assert_eq!(r.page_words(1).len(), 10);
-    }
-
-    #[test]
-    fn snapshot_load_resets_dirty() {
-        use mpsoc_snapshot::{Reader, Snapshot, Writer};
-        let mut r = Ram::new(2 * PAGE_WORDS as u32);
-        r.write(5, 42).unwrap();
-        let mut w = Writer::new();
-        r.save(&mut w);
-        let bytes = w.into_bytes();
-        let restored = <Ram as Snapshot>::load(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(restored.as_slice(), r.as_slice());
-        assert_eq!(restored.dirty_page_count(), 0);
     }
 }

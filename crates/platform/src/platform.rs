@@ -19,7 +19,7 @@ use crate::core::{Core, CoreStatus};
 use crate::error::{Error, Result};
 use crate::interconnect::{Bus, Interconnect, Mesh};
 use crate::isa::{Instr, Program, Reg, Word};
-use crate::mem::{decode, Ram, Region, LOCAL_STRIDE};
+use crate::mem::{decode, Ram, Region, LOCAL_BASE, LOCAL_STRIDE};
 use crate::periph::{Dma, Effect, Mailbox, Periph, Semaphore, Timer};
 use crate::signal::{SignalBoard, TraceMode, TraceSpill, TraceStats};
 use crate::time::{Cycles, Frequency, Time};
@@ -314,7 +314,6 @@ pub struct PlatformBuilder {
     local_words: u32,
     cache: Option<CacheConfig>,
     interconnect: InterconnectConfig,
-    enforce_locality: bool,
     local_latency_cycles: u64,
     scheduler: SchedulerMode,
 }
@@ -327,7 +326,6 @@ impl Default for PlatformBuilder {
             local_words: 16 * 1024,
             cache: Some(CacheConfig::default()),
             interconnect: InterconnectConfig::default(),
-            enforce_locality: false,
             local_latency_cycles: 2,
             scheduler: SchedulerMode::default(),
         }
@@ -376,13 +374,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Enables Section II's strict locality enforcement: a core touching a
-    /// foreign local store faults instead of paying a remote access.
-    pub fn enforce_locality(mut self, on: bool) -> Self {
-        self.enforce_locality = on;
-        self
-    }
-
     /// Selects the scheduler implementation (defaults to
     /// [`SchedulerMode::Calendar`]; both modes simulate identically).
     pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
@@ -404,6 +395,12 @@ impl PlatformBuilder {
         }
         if self.shared_words == 0 {
             return Err(Error::Config("shared memory must be non-empty".into()));
+        }
+        if self.shared_words > LOCAL_BASE {
+            return Err(Error::Config(format!(
+                "shared memory of {} words overlaps the local-store window at {LOCAL_BASE:#x}",
+                self.shared_words
+            )));
         }
         if self.local_words > LOCAL_STRIDE {
             return Err(Error::Config(format!(
@@ -474,7 +471,6 @@ impl PlatformBuilder {
             periphs: Vec::new(),
             signals: SignalBoard::new(),
             pending_dma: Vec::new(),
-            enforce_locality: self.enforce_locality,
             local_latency_cycles: self.local_latency_cycles,
             shared_words: self.shared_words,
             steps: 0,
@@ -488,8 +484,7 @@ impl PlatformBuilder {
                 accesses: Vec::new(),
             },
             base_mark: None,
-            base_shared: Vec::new(),
-            base_locals: Vec::new(),
+            base_rams: Vec::new(),
             restore_scratch: None,
         })
     }
@@ -529,7 +524,6 @@ pub struct Platform {
     pub(crate) periphs: Vec<Periph>,
     pub(crate) signals: SignalBoard,
     pub(crate) pending_dma: Vec<PendingDma>,
-    pub(crate) enforce_locality: bool,
     pub(crate) local_latency_cycles: u64,
     pub(crate) shared_words: u32,
     pub(crate) steps: u64,
@@ -548,11 +542,10 @@ pub struct Platform {
     /// first capture). `restore_delta` uses it to prove its in-place RAM
     /// fast path is rolling back from the right baseline.
     pub(crate) base_mark: Option<u64>,
-    /// The base image's shared-RAM words — the XOR baseline for delta
-    /// pages. Empty before the first capture.
-    pub(crate) base_shared: Vec<crate::isa::Word>,
-    /// Per-core base local-RAM words (same role as `base_shared`).
-    pub(crate) base_locals: Vec<Vec<crate::isa::Word>>,
+    /// The base image's RAM words, shared RAM first and then each local
+    /// store — the XOR baseline for delta pages. Empty before the first
+    /// capture.
+    pub(crate) base_rams: Vec<Vec<crate::isa::Word>>,
     /// The cores, caches, peripherals, … the last restore replaced: the
     /// next restore decodes into their buffers (see the `snapshot` module).
     /// `None` until the first restore; boxed so a platform that never
@@ -994,8 +987,7 @@ impl Platform {
     /// # Errors
     ///
     /// Propagates faults ([`Error::UnmappedAddress`],
-    /// [`Error::LocalityViolation`], [`Error::DivideByZero`],
-    /// [`Error::PcOutOfRange`]); the offending core is left in
+    /// [`Error::DivideByZero`], [`Error::PcOutOfRange`]); the offending core is left in
     /// [`CoreStatus::Faulted`] and the rest of the platform remains usable.
     /// A DMA transfer whose source or destination range does not resolve
     /// returns [`Error::UnmappedAddress`] from its completion step: nothing
@@ -1355,8 +1347,8 @@ impl Platform {
 
     /// Resolves a DMA range `[addr, addr + len)` to one RAM and a starting
     /// offset, bounds-checking the entire range once. DMA is functional
-    /// (untimed, no locality enforcement — it is the sanctioned transfer
-    /// mechanism between stores), so this replaces a per-word
+    /// (untimed — it is the sanctioned transfer mechanism between stores),
+    /// so this replaces a per-word
     /// `decode` + `Ram` bounds check pair with a single upfront check.
     fn resolve_dma_range(&self, addr: u32, len: u32) -> Result<(MemSel, usize)> {
         let sel = match decode(addr, self.shared_words, self.cores.len())? {
@@ -1472,9 +1464,6 @@ impl Platform {
                 Ok((v, cy, wall))
             }
             Region::Local { owner, offset } => {
-                if owner != core && self.enforce_locality {
-                    return Err(Error::LocalityViolation { core, owner, addr });
-                }
                 let v = self.locals[owner].read(offset)?;
                 if owner == core {
                     Ok((v, Cycles(self.local_latency_cycles), Time::ZERO))
@@ -1514,9 +1503,6 @@ impl Platform {
                 Ok(self.shared_access_cost(core, addr, start))
             }
             Region::Local { owner, offset } => {
-                if owner != core && self.enforce_locality {
-                    return Err(Error::LocalityViolation { core, owner, addr });
-                }
                 self.locals[owner].write(offset, v)?;
                 if owner == core {
                     Ok((Cycles(self.local_latency_cycles), Time::ZERO))
@@ -1844,34 +1830,8 @@ mod tests {
     }
 
     #[test]
-    fn local_store_is_private_when_enforced() {
-        let mut p = PlatformBuilder::new()
-            .cores(2, Frequency::mhz(100))
-            .shared_words(64)
-            .local_words(64)
-            .enforce_locality(true)
-            .cache(None)
-            .build()
-            .unwrap();
-        // Core 1 pokes core 0's local store.
-        let foreign = local_addr(0, 0);
-        let prog = assemble(&format!("movi r1, {foreign}\nld r2, r1, 0\nhalt")).unwrap();
-        p.load_program(1, prog, 0).unwrap();
-        let err = p.run_to_completion(10).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::LocalityViolation {
-                core: 1,
-                owner: 0,
-                ..
-            }
-        ));
-        assert_eq!(p.core(1).unwrap().status(), CoreStatus::Faulted);
-    }
-
-    #[test]
-    fn foreign_local_store_reachable_without_enforcement() {
-        let mut p = small(); // enforcement off
+    fn foreign_local_store_is_reachable() {
+        let mut p = small();
         p.debug_write(local_addr(0, 3), 99).unwrap();
         let foreign = local_addr(0, 3);
         let prog = assemble(&format!(

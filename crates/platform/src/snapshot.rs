@@ -29,25 +29,28 @@
 //! sequence counter are architectural, which is what keeps image size
 //! O(platform) instead of O(steps)).
 //!
-//! ## Delta checkpoints
+//! ## One format: a full image is a delta against the empty platform
 //!
-//! A full image serializes every RAM word, so a checkpoint costs O(memory)
-//! no matter how little actually changed — the dominant tax on time-travel
-//! rings and fault campaigns that checkpoint thousands of times. The delta
-//! path makes capture/restore O(dirty state) instead:
+//! Every image names its *base* and carries, besides the small state
+//! (cores, caches, peripherals, interconnect, signals, pending DMA — all
+//! cheap, always whole), only the RAM pages that differ from that base:
 //!
-//! * [`Platform::capture`] clears the per-page
+//! * [`Platform::capture`] writes the non-zero pages against the empty
+//!   platform, whose RAM is all zeros, so a full image costs the small
+//!   state plus the written memory, not O(memory). It clears the per-page
 //!   dirty bitmaps and remembers the image's payload checksum as the
 //!   platform's *base mark*.
-//! * [`Platform::capture_delta`] serializes the small component states in
-//!   full (cores, caches, peripherals, interconnect, signals, pending DMA —
-//!   all cheap) but only the *dirty* RAM pages, framed with the base
-//!   checksum so a delta can never be applied against the wrong base.
-//! * [`Platform::restore_delta`] rolls RAM back to the [`BaseImage`] and
-//!   applies the delta's pages — in place and O(dirty pages) when the
-//!   platform still sits on the same base, by full copy otherwise.
+//! * [`Platform::capture_delta`] writes the *dirty* pages against the
+//!   base the mark names, so a delta can never be applied against the
+//!   wrong base.
+//! * One decoder reads both. [`Platform::restore_image`],
+//!   [`Platform::from_image`] and [`BaseImage::new`] decode against zeros;
+//!   [`Platform::restore_delta`] decodes against its [`BaseImage`] and
+//!   patches RAM in place — O(dirty pages) when the platform still sits on
+//!   the same base, by full copy otherwise.
 //! * [`Platform::reset_to_base`] is the degenerate delta (no dirty pages):
-//!   the fault-campaign rollback primitive.
+//!   the fault-campaign rollback primitive. It decodes the base's small
+//!   state and stops where the RAM section starts.
 //!
 //! ## Where integrity is checked
 //!
@@ -104,12 +107,14 @@ use crate::core::Core;
 use crate::error::{Error, Result};
 use crate::interconnect::{load_interconnect, Bus, Interconnect};
 use crate::isa::{Reg, Word};
-use crate::mem::{Ram, PAGE_WORDS};
+use crate::mem::{Ram, LOCAL_BASE, LOCAL_STRIDE, PAGE_WORDS};
 use crate::periph::Periph;
 use crate::platform::{PendingDma, Platform, PlatformBuilder, SchedulerMode};
 use crate::signal::SignalBoard;
 use crate::time::{Frequency, Time};
-use mpsoc_snapshot::{fnv1a64, fnv1a64_with, Image, Reader, SnapResult, Snapshot, Writer};
+use mpsoc_snapshot::{
+    fnv1a64, fnv1a64_with, Image, Reader, SnapError, SnapResult, Snapshot, Writer,
+};
 
 /// Magic number of a platform checkpoint image (`b"MPSS"`, little-endian).
 pub const PLATFORM_IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"MPSS");
@@ -132,36 +137,21 @@ pub const PLATFORM_IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"MPSS");
 /// FNV-1a to the word-wise checksum of [`mpsoc_snapshot::Image`], and the
 /// bump is what makes a v3 image fail as a located version mismatch instead
 /// of a checksum mismatch.
-pub const PLATFORM_IMAGE_VERSION: u16 = 4;
-
-/// Magic number of a platform *delta* checkpoint (`b"MPSD"`, little-endian).
-pub const PLATFORM_DELTA_MAGIC: u32 = u32::from_le_bytes(*b"MPSD");
-
-/// Current delta checkpoint format version.
 ///
-/// v2 stores each dirty page as a token stream of XOR-against-base runs
-/// instead of raw words: a `u32` token's low bit selects a *zero run*
-/// (`run << 1`, the next `run` words equal the base) or a *literal run*
-/// (`run << 1 | 1`, followed by `run` XOR'd words). v1 deltas (raw pages)
-/// are rejected, never reinterpreted.
-///
-/// v3 tracks the full-image v3 signal encoding (value + last edge + trace
-/// sequence counter instead of unbounded history), so a delta is
-/// O(platform + dirty pages) no matter how long the run.
-///
-/// v4 tracks full-image v4: same payload, the frame's checksum function
-/// changed (and with it the base checksum a delta names its base by).
-pub const PLATFORM_DELTA_VERSION: u16 = 4;
+/// v5 is the one format for full images and deltas alike (deltas had their
+/// own magic, `MPSD`, until v4). The payload names its base — the empty
+/// platform, or a full image by its payload checksum — then gives the page
+/// geometry, the small state, and for each RAM its length and the pages
+/// that differ from the base as XOR token runs. The strict-locality flag
+/// is gone from the small state.
+pub const PLATFORM_IMAGE_VERSION: u16 = 5;
 
-/// Version-mismatch context for full images (see [`Image::open_as`]): a
-/// stale image is refused with an error naming this decoder and file.
-const IMAGE_WHAT: &str = concat!("platform full image (", file!(), ")");
-
-/// Version-mismatch context for delta images.
-const DELTA_WHAT: &str = concat!("platform delta image (", file!(), ")");
+/// Version-mismatch context (see [`Image::open_as`]): a stale image is
+/// refused with an error naming this decoder and file.
+const IMAGE_WHAT: &str = concat!("platform image (", file!(), ")");
 
 /// Maps a low-level snapshot decode error into a platform [`Error`].
-fn snap_err(e: mpsoc_snapshot::SnapError) -> Error {
+fn snap_err(e: SnapError) -> Error {
     Error::Snapshot(e.to_string())
 }
 
@@ -176,7 +166,7 @@ fn load_scheduler(r: &mut Reader<'_>) -> SnapResult<SchedulerMode> {
     match r.get_u8()? {
         0 => Ok(SchedulerMode::Calendar),
         1 => Ok(SchedulerMode::ScanReference),
-        tag => Err(mpsoc_snapshot::SnapError::BadTag {
+        tag => Err(SnapError::BadTag {
             what: "scheduler mode",
             tag: u64::from(tag),
         }),
@@ -204,14 +194,12 @@ fn load_pending_dma(r: &mut Reader<'_>) -> SnapResult<PendingDma> {
 }
 
 /// The non-RAM component states of a platform image — everything that is
-/// cheap enough to serialize in full on every checkpoint, delta or not.
-/// The fields before the RAM block in the image layout are decoded by
-/// [`decode_prefix`], the ones after it by [`decode_suffix`]; both decode
-/// *into* a state, over whatever it held.
+/// cheap enough to serialize in full in every image. [`decode_prefix`]
+/// decodes the configuration, clocks and cores, [`decode_suffix`] the
+/// devices; both decode *into* a state, over whatever it held.
 #[derive(Debug)]
 pub(crate) struct SmallState {
     scheduler: SchedulerMode,
-    enforce_locality: bool,
     local_latency_cycles: u64,
     cache_hit_cycles: u64,
     shared_words: u32,
@@ -232,7 +220,6 @@ impl SmallState {
     fn empty() -> Self {
         SmallState {
             scheduler: SchedulerMode::default(),
-            enforce_locality: false,
             local_latency_cycles: 0,
             cache_hit_cycles: 0,
             shared_words: 0,
@@ -249,22 +236,21 @@ impl SmallState {
     }
 
     /// Cross-field consistency of the non-RAM state: the simulator indexes
-    /// cores, locals and caches by core id, and a DMA completion reaches for
-    /// the engine on the transfer's page.
+    /// cores, locals and caches by core id, a DMA completion reaches for
+    /// the engine on the transfer's page, and shared RAM must end below the
+    /// local-store window the memory map puts after it.
     fn validate(&self) -> SnapResult<()> {
         if self.cores.is_empty() {
-            return Err(mpsoc_snapshot::SnapError::Malformed(
-                "image holds zero cores".into(),
-            ));
+            return Err(SnapError::Malformed("image holds zero cores".into()));
         }
         if let Some((i, c)) = (self.cores.iter().enumerate()).find(|(i, c)| c.id() != *i) {
-            return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+            return Err(SnapError::Malformed(format!(
                 "core at position {i} carries id {}",
                 c.id()
             )));
         }
         if self.caches.len() != self.cores.len() {
-            return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+            return Err(SnapError::Malformed(format!(
                 "image holds {} cores but {} caches",
                 self.cores.len(),
                 self.caches.len()
@@ -272,20 +258,25 @@ impl SmallState {
         }
         for d in &self.pending_dma {
             if !matches!(self.periphs.get(d.page), Some(Periph::Dma(_))) {
-                return Err(mpsoc_snapshot::SnapError::Malformed(format!(
+                return Err(SnapError::Malformed(format!(
                     "pending DMA transfer names page {}, which holds no DMA engine",
                     d.page
                 )));
             }
         }
+        if self.shared_words == 0 || self.shared_words > LOCAL_BASE {
+            return Err(SnapError::Malformed(format!(
+                "shared RAM of {} words does not fit below the local-store window",
+                self.shared_words
+            )));
+        }
         Ok(())
     }
 }
 
-/// Decodes the fields that precede the RAM block in the image layout.
+/// Decodes the configuration, clocks and cores of the small state.
 fn decode_prefix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
     s.scheduler = load_scheduler(r)?;
-    s.enforce_locality = r.get_bool()?;
     s.local_latency_cycles = r.get_u64()?;
     s.cache_hit_cycles = r.get_u64()?;
     s.shared_words = r.get_u32()?;
@@ -295,9 +286,9 @@ fn decode_prefix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
     s.cores.load_into(r)
 }
 
-/// Decodes the fields that follow the RAM block in the image layout. The
-/// signal board is built anew (and a mesh's link table with it); everything
-/// else reuses what `s` holds.
+/// Decodes the devices of the small state. The signal board is built anew
+/// (and a mesh's link table with it); everything else reuses what `s`
+/// holds.
 fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
     s.caches.load_into(r)?;
     s.interconnect = load_interconnect(r)?;
@@ -321,9 +312,8 @@ fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
                 p.snap_restore(r)?;
             }
             slot => {
-                let name = std::str::from_utf8(name).map_err(|e| {
-                    mpsoc_snapshot::SnapError::Malformed(format!("invalid UTF-8 string: {e}"))
-                })?;
+                let name = std::str::from_utf8(name)
+                    .map_err(|e| SnapError::Malformed(format!("invalid UTF-8 string: {e}")))?;
                 let mut p = Periph::from_kind(kind, name, page)?;
                 p.snap_restore(r)?;
                 match slot {
@@ -336,91 +326,115 @@ fn decode_suffix(r: &mut Reader<'_>, s: &mut SmallState) -> SnapResult<()> {
     Ok(())
 }
 
-/// Rejects a `page_words` trailer that does not match this build's
-/// [`PAGE_WORDS`] — deltas across different page granularities would be
-/// silently wrong.
-fn check_page_words(found: u32) -> SnapResult<()> {
-    if found as usize != PAGE_WORDS {
-        return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-            "image uses {found}-word dirty pages, this build uses {PAGE_WORDS}"
-        )));
+/// What an image's header calls its base: the empty platform, or a full
+/// image by its payload checksum.
+fn describe_base(base: Option<u64>) -> String {
+    match base {
+        None => "a full image (base: the empty platform)".into(),
+        Some(sum) => format!("a delta against base {sum:#018x}"),
     }
-    Ok(())
 }
 
-/// The RAM of a decoded full image; its small state went into the
-/// [`SmallState`] handed to [`decode_image`].
-struct DecodedRam {
-    shared: Ram,
-    locals: Vec<Ram>,
-    /// Byte offsets of the RAM block (shared + locals) within the payload.
-    ram_range: (usize, usize),
-}
-
-/// Decodes and validates a full image payload: the small state into
-/// `small`, RAM into the return value. Nothing of a [`Platform`] is touched,
-/// which keeps [`Platform::restore_image`] atomic.
-fn decode_image(payload: &[u8], small: &mut SmallState) -> SnapResult<DecodedRam> {
-    let mut r = Reader::new(payload);
-    decode_prefix(&mut r, small)?;
-    let ram_start = r.position();
-    let shared = <Ram as Snapshot>::load(&mut r)?;
-    let locals = Vec::<Ram>::load(&mut r)?;
-    let ram_end = r.position();
-    decode_suffix(&mut r, small)?;
-    check_page_words(r.get_u32()?)?;
-    r.finish()?;
-
-    small.validate()?;
-    if locals.len() != small.cores.len() {
-        return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-            "image holds {} cores but {} local stores",
-            small.cores.len(),
-            locals.len()
+/// Decodes everything up to the RAM section into `small` and validates it:
+/// the header, which must name `base`, the page geometry, which must be
+/// this build's [`PAGE_WORDS`] (pages of another size would be silently
+/// wrong), and the small state.
+fn decode_small(r: &mut Reader<'_>, base: Option<u64>, small: &mut SmallState) -> SnapResult<()> {
+    let found = Option::<u64>::load(r)?;
+    if found != base {
+        return Err(SnapError::Malformed(format!(
+            "{IMAGE_WHAT}: got {}, expected {}",
+            describe_base(found),
+            describe_base(base)
         )));
     }
-    if shared.len() != small.shared_words {
-        return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-            "shared RAM holds {} words but config says {}",
-            shared.len(),
-            small.shared_words
+    let page_words = r.get_u32()?;
+    if page_words as usize != PAGE_WORDS {
+        return Err(SnapError::Malformed(format!(
+            "image uses {page_words}-word dirty pages, this build uses {PAGE_WORDS}"
         )));
     }
-    Ok(DecodedRam {
-        shared,
-        locals,
-        ram_range: (ram_start, ram_end),
-    })
-}
-
-/// Decodes only the small (non-RAM) state of a full image payload, jumping
-/// over the RAM block recorded in `ram_range` — O(small state) regardless
-/// of memory size, and no hash: the payload is a [`BaseImage`]'s, validated
-/// when it was built. Used by [`Platform::reset_to_base`].
-fn decode_small(
-    payload: &[u8],
-    ram_range: (usize, usize),
-    small: &mut SmallState,
-) -> SnapResult<()> {
-    let mut r = Reader::new(payload);
-    decode_prefix(&mut r, small)?;
-    if r.position() != ram_range.0 {
-        return Err(mpsoc_snapshot::SnapError::Malformed(
-            "recorded RAM block offset does not match the payload".into(),
-        ));
-    }
-    r.skip(ram_range.1 - ram_range.0)?;
-    decode_suffix(&mut r, small)?;
-    check_page_words(r.get_u32()?)?;
-    r.finish()?;
+    decode_prefix(r, small)?;
+    decode_suffix(r, small)?;
     small.validate()
+}
+
+/// One RAM of a decoded payload: its length in words and, ascending, the
+/// pages that differ from the base, each whole.
+struct RamPages {
+    len: usize,
+    pages: Vec<(usize, Vec<Word>)>,
+}
+
+impl RamPages {
+    /// The words these pages make of the all-zero RAM.
+    fn into_words(self) -> Vec<Word> {
+        let mut words = vec![0; self.len];
+        for (page, data) in self.pages {
+            let start = page * PAGE_WORDS;
+            words[start..start + data.len()].copy_from_slice(&data);
+        }
+        words
+    }
+}
+
+/// Decodes and validates a whole payload against `base` (`None`: the empty
+/// platform) — the small state into `small`, RAM as the pages that differ
+/// from the base's words (zeros for the empty platform). Nothing of a
+/// [`Platform`] is touched, which is what keeps every restore atomic.
+fn decode_payload(
+    payload: &[u8],
+    base: Option<&BaseImage>,
+    small: &mut SmallState,
+) -> SnapResult<Vec<RamPages>> {
+    let mut r = Reader::new(payload);
+    decode_small(&mut r, base.map(|b| b.checksum), small)?;
+    let n_rams = r.get_len(8)?;
+    if n_rams != 1 + small.cores.len() {
+        return Err(SnapError::Malformed(format!(
+            "image holds {} cores but {n_rams} RAMs (one shared, one local store per core)",
+            small.cores.len()
+        )));
+    }
+    if let Some(b) = base.filter(|b| b.rams.len() != n_rams) {
+        return Err(SnapError::Malformed(format!(
+            "image holds {n_rams} RAMs, its base {}",
+            b.rams.len()
+        )));
+    }
+    let mut rams = Vec::with_capacity(n_rams);
+    for i in 0..n_rams {
+        let len = r.get_u32()? as usize;
+        let base_words = base.map_or(&[][..], |b| b.rams[i].as_slice());
+        if i == 0 && len != small.shared_words as usize {
+            return Err(SnapError::Malformed(format!(
+                "shared RAM holds {len} words but config says {}",
+                small.shared_words
+            )));
+        }
+        if i > 0 && len > LOCAL_STRIDE as usize {
+            return Err(SnapError::Malformed(format!(
+                "local store of {len} words exceeds the {LOCAL_STRIDE} word window"
+            )));
+        }
+        if base.is_some() && len != base_words.len() {
+            return Err(SnapError::Malformed(format!(
+                "RAM {i} holds {len} words, its base {}",
+                base_words.len()
+            )));
+        }
+        let pages = load_pages(&mut r, base_words, len)?;
+        rams.push(RamPages { len, pages });
+    }
+    r.finish()?;
+    Ok(rams)
 }
 
 /// A full platform image held in the form delta operations need: the sealed
 /// bytes (so it can still be restored or shipped whole), its payload
-/// checksum (the identity deltas are chained against), the decoded RAM
-/// words (the rollback baseline), and the payload offsets of the RAM block
-/// (so the small state can be re-decoded without touching the RAM bytes).
+/// checksum (the identity deltas are chained against), and the decoded RAM
+/// words — shared RAM first, then each core's local store — that are the
+/// rollback baseline.
 ///
 /// Construction validates the image exactly like
 /// [`Platform::restore_image`] would — frame, checksum (the image's one
@@ -431,9 +445,7 @@ fn decode_small(
 pub struct BaseImage {
     image: Vec<u8>,
     checksum: u64,
-    shared: Vec<Word>,
-    locals: Vec<Vec<Word>>,
-    ram_range: (usize, usize),
+    rams: Vec<Vec<Word>>,
 }
 
 impl std::fmt::Debug for BaseImage {
@@ -445,6 +457,17 @@ impl std::fmt::Debug for BaseImage {
     }
 }
 
+/// Opens the frame of a platform image: the payload and its checksum.
+fn open(image: &[u8]) -> Result<(&[u8], u64)> {
+    Image::open_as(
+        image,
+        PLATFORM_IMAGE_MAGIC,
+        PLATFORM_IMAGE_VERSION,
+        IMAGE_WHAT,
+    )
+    .map_err(snap_err)
+}
+
 impl BaseImage {
     /// Validates and indexes a full image produced by
     /// [`Platform::capture`].
@@ -452,22 +475,14 @@ impl BaseImage {
     /// # Errors
     ///
     /// [`Error::Snapshot`] for anything [`Platform::restore_image`] would
-    /// reject.
+    /// reject, a delta included.
     pub fn new(image: Vec<u8>) -> Result<Self> {
-        let (payload, checksum) = Image::open_as(
-            &image,
-            PLATFORM_IMAGE_MAGIC,
-            PLATFORM_IMAGE_VERSION,
-            IMAGE_WHAT,
-        )
-        .map_err(snap_err)?;
-        let d = decode_image(payload, &mut SmallState::empty()).map_err(snap_err)?;
+        let (payload, checksum) = open(&image)?;
+        let rams = decode_payload(payload, None, &mut SmallState::empty()).map_err(snap_err)?;
         Ok(BaseImage {
+            rams: rams.into_iter().map(RamPages::into_words).collect(),
             image,
             checksum,
-            shared: d.shared.into_words(),
-            locals: d.locals.into_iter().map(Ram::into_words).collect(),
-            ram_range: d.ram_range,
         })
     }
 
@@ -486,36 +501,33 @@ impl BaseImage {
         Ok(p)
     }
 
-    /// The payload [`BaseImage::new`] validated.
-    fn payload(&self) -> &[u8] {
-        &self.image[Image::HEADER_LEN..]
-    }
-
     /// The sealed full image these deltas are relative to.
     pub fn image(&self) -> &[u8] {
         &self.image
     }
 
-    /// Payload checksum — the identity a delta's frame must carry.
+    /// Payload checksum — the identity a delta's header must carry.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
 
-    /// Size of the sealed image in bytes.
+    /// Bytes this base holds: the sealed image plus the RAM words decoded
+    /// from it, eight bytes each. The second term is the platform's memory
+    /// size whether or not it is zero, so a checkpoint budget counted in
+    /// this unit depends on how big the platform is, not on how much of
+    /// its memory has been written.
     pub fn len_bytes(&self) -> usize {
-        self.image.len()
+        let words: usize = self.rams.iter().map(Vec::len).sum();
+        self.image.len() + 8 * words
     }
 
     /// Whether `platform`'s RAM shapes match this base (delta fast-path
     /// precondition, together with the base-mark check).
     fn shapes_match(&self, platform: &Platform) -> bool {
-        platform.shared.len() as usize == self.shared.len()
-            && platform.locals.len() == self.locals.len()
-            && platform
-                .locals
-                .iter()
-                .zip(&self.locals)
-                .all(|(l, b)| l.len() as usize == b.len())
+        self.rams.len() == 1 + platform.locals.len()
+            && (platform.rams())
+                .zip(&self.rams)
+                .all(|(r, b)| r.len() as usize == b.len())
     }
 }
 
@@ -530,16 +542,10 @@ fn scaffold() -> Result<Platform> {
         .build()
 }
 
-/// Word length of page `page` in a RAM of `total` words (the last page may
-/// be partial).
-fn page_len_of(total: usize, page: usize) -> usize {
-    PAGE_WORDS.min(total - page * PAGE_WORDS)
-}
-
-/// One RAM's worth of decoded delta pages: ascending `(page, words)` pairs.
-type DeltaPages = Vec<(usize, Vec<Word>)>;
-
-/// Serializes one RAM's dirty pages as XOR-against-base token streams.
+/// Serializes one RAM: its length in words and its page count (`u32`
+/// each), then `pages` as XOR-against-base token streams. `base` is the
+/// base's words for this RAM, or empty for the empty platform, whose words
+/// are all zero.
 ///
 /// Each page is `put_u32(page)` followed by tokens until the page length is
 /// covered: low bit `0` encodes a run of `token >> 1` words equal to the
@@ -551,10 +557,11 @@ type DeltaPages = Vec<(usize, Vec<Word>)>;
 /// list would not be strictly smaller (a page rewritten wholesale, or
 /// word-alternating damage where every token buys nothing) — so no page
 /// ever encodes larger than `8 + 8 * len` bytes.
-fn save_dirty_pages(ram: &Ram, base: &[Word], w: &mut Writer) {
+fn save_ram(ram: &Ram, base: &[Word], pages: &[usize], w: &mut Writer) {
     let xor = |v: Word, b: Word| ((v as u64) ^ (b as u64)) as Word;
-    w.put_u32(ram.dirty_page_count() as u32);
-    for page in ram.dirty_pages() {
+    w.put_u32(ram.len());
+    w.put_u32(pages.len() as u32);
+    for &page in pages {
         w.put_u32(page as u32);
         let words = ram.page_words(page);
         let start = page * PAGE_WORDS;
@@ -590,48 +597,51 @@ fn save_dirty_pages(ram: &Ram, base: &[Word], w: &mut Writer) {
     }
 }
 
-/// Decodes one RAM's delta page list against its baseline words, enforcing
-/// ascending page order, in-range indices, and exact page coverage by the
-/// token runs.
-fn load_dirty_pages(r: &mut Reader<'_>, base: &[Word]) -> SnapResult<DeltaPages> {
-    let total = base.len();
+/// Decodes the page list of a `len`-word RAM against its base words (empty:
+/// all zeros), enforcing ascending page order, in-range indices, and exact
+/// page coverage by the token runs.
+fn load_pages(
+    r: &mut Reader<'_>,
+    base: &[Word],
+    len: usize,
+) -> SnapResult<Vec<(usize, Vec<Word>)>> {
+    let base_word = |i: usize| base.get(i).copied().unwrap_or(0);
     let count = r.get_u32()? as usize;
-    let page_count = total.div_ceil(PAGE_WORDS);
-    let mut pages = Vec::with_capacity(count.min(page_count));
+    let page_count = len.div_ceil(PAGE_WORDS);
+    // A page takes at least eight bytes: its index and one token.
+    let mut pages = Vec::with_capacity(count.min(page_count).min(r.remaining() / 8));
     let mut prev: Option<usize> = None;
     for _ in 0..count {
         let page = r.get_u32()? as usize;
         if page >= page_count {
-            return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-                "delta page {page} out of range (RAM has {page_count} pages)"
+            return Err(SnapError::Malformed(format!(
+                "page {page} out of range (RAM has {page_count} pages)"
             )));
         }
         if prev.is_some_and(|p| p >= page) {
-            return Err(mpsoc_snapshot::SnapError::Malformed(
-                "delta pages not strictly ascending".into(),
-            ));
+            return Err(SnapError::Malformed("pages not strictly ascending".into()));
         }
         prev = Some(page);
-        let len = page_len_of(total, page);
         let start = page * PAGE_WORDS;
-        let mut words: Vec<Word> = Vec::with_capacity(len);
-        while words.len() < len {
+        let page_len = PAGE_WORDS.min(len - start);
+        let mut words: Vec<Word> = Vec::with_capacity(page_len);
+        while words.len() < page_len {
             let token = r.get_u32()? as usize;
             let run = token >> 1;
-            if run == 0 || words.len() + run > len {
-                return Err(mpsoc_snapshot::SnapError::Malformed(format!(
-                    "delta page {page}: run of {run} words overflows the page"
+            if run == 0 || words.len() + run > page_len {
+                return Err(SnapError::Malformed(format!(
+                    "page {page}: run of {run} words overflows the page"
                 )));
             }
             if token & 1 == 1 {
                 for _ in 0..run {
                     let x = r.get_i64()?;
-                    let b = base[start + words.len()];
+                    let b = base_word(start + words.len());
                     words.push(((x as u64) ^ (b as u64)) as Word);
                 }
             } else {
                 for _ in 0..run {
-                    words.push(base[start + words.len()]);
+                    words.push(base_word(start + words.len()));
                 }
             }
         }
@@ -640,29 +650,8 @@ fn load_dirty_pages(r: &mut Reader<'_>, base: &[Word]) -> SnapResult<DeltaPages>
     Ok(pages)
 }
 
-/// The RAM pages of a decoded delta image, ready to commit; its small state
-/// went into the [`SmallState`] handed to [`Platform::decode_delta`].
-struct DecodedDelta {
-    shared_pages: DeltaPages,
-    local_pages: Vec<DeltaPages>,
-}
-
-/// In-place RAM patch: roll the currently-dirty pages back to `baseline`,
-/// then apply the delta `pages`. Afterwards the dirty bitmap equals the
-/// delta's page set. O(currently dirty + delta pages).
-fn patch_ram(ram: &mut Ram, baseline: &[Word], pages: &[(usize, Vec<Word>)]) {
-    let dirty: Vec<usize> = ram.dirty_pages().collect();
-    for page in dirty {
-        ram.copy_page_from(page, baseline);
-    }
-    ram.clear_dirty();
-    for (page, words) in pages {
-        ram.write_page(*page, words);
-    }
-}
-
-/// Full-copy RAM rebuild from `baseline` plus delta `pages` (the slow path,
-/// for a platform not currently sitting on the base).
+/// Full-copy RAM rebuild from `baseline` plus `pages` (the slow path, for a
+/// platform not currently sitting on the base).
 fn rebuild_ram(baseline: &[Word], pages: &[(usize, Vec<Word>)]) -> Ram {
     let mut ram = Ram::from_words(baseline.to_vec());
     for (page, words) in pages {
@@ -672,6 +661,12 @@ fn rebuild_ram(baseline: &[Word], pages: &[(usize, Vec<Word>)]) -> Ram {
 }
 
 impl Platform {
+    /// Shared RAM, then each core's local store: the order of an image's
+    /// RAM section.
+    fn rams(&self) -> impl Iterator<Item = &Ram> {
+        std::iter::once(&self.shared).chain(&self.locals)
+    }
+
     /// Serializes the complete simulated state into a self-describing,
     /// checksummed binary image.
     ///
@@ -679,6 +674,9 @@ impl Platform {
     /// `Platform::from_image(&p.capture()?)` continues **bit-identically**
     /// to `p` — same [`StepEvent`](crate::platform::StepEvent) stream, same
     /// final memory contents — under either scheduler mode.
+    ///
+    /// The image is a delta against the empty platform: the small state
+    /// plus every RAM page that holds a non-zero word.
     ///
     /// Capturing also establishes this image as the platform's *base*: the
     /// RAM dirty bitmaps are cleared, so a later
@@ -692,59 +690,29 @@ impl Platform {
     /// the signature callers across the workspace (and `benchmark/`)
     /// already handle.
     pub fn capture(&mut self) -> Result<Vec<u8>> {
-        let mut w = Writer::new();
-        save_scheduler(self.scheduler, &mut w);
-        w.put_bool(self.enforce_locality);
-        w.put_u64(self.local_latency_cycles);
-        w.put_u64(self.cache_hit_cycles);
-        w.put_u32(self.shared_words);
-        self.now.save(&mut w);
-        w.put_u64(self.steps);
-        w.put_u64(self.dma_seq);
-        self.cores.save(&mut w);
-        self.shared.save(&mut w);
-        self.locals.save(&mut w);
-        self.save_small_suffix(&mut w);
-        w.put_u32(PAGE_WORDS as u32);
-        let (image, checksum) = Image::seal_hashed(
-            PLATFORM_IMAGE_MAGIC,
-            PLATFORM_IMAGE_VERSION,
-            &w.into_bytes(),
-        );
-        self.base_mark = Some(checksum);
-        self.shared.clear_dirty();
-        for l in &mut self.locals {
-            l.clear_dirty();
-        }
-        self.snapshot_base_words();
+        let (image, checksum) = self.seal(None);
+        self.rebase(checksum);
         Ok(image)
     }
 
-    /// The post-RAM ("suffix") component states: caches, interconnect,
-    /// signals, pending DMA, peripherals. Shared between full and delta
-    /// capture — in a delta these are serialized whole because they are
-    /// tiny next to RAM.
-    fn save_small_suffix(&self, w: &mut Writer) {
-        self.caches.save(w);
-        self.interconnect.snap_save(w);
-        self.signals.save(w);
-        w.put_usize(self.pending_dma.len());
-        for d in &self.pending_dma {
-            save_pending_dma(d, w);
-        }
-        w.put_usize(self.periphs.len());
-        for p in &self.periphs {
-            w.put_u8(p.snap_kind());
-            w.put_str(p.name());
-            p.snap_save(w);
+    /// Makes the current RAM the base the full image `checksum` names:
+    /// clears the dirty bitmaps and copies the words, as the XOR baseline of
+    /// later deltas, into the buffers the previous base held.
+    fn rebase(&mut self, checksum: u64) {
+        self.base_mark = Some(checksum);
+        self.base_rams.resize_with(1 + self.locals.len(), Vec::new);
+        let live = std::iter::once(&mut self.shared).chain(&mut self.locals);
+        for (ram, base) in live.zip(&mut self.base_rams) {
+            ram.clear_dirty();
+            base.clear();
+            base.extend_from_slice(ram.as_slice());
         }
     }
 
     /// Serializes the state *changed since the last* [`capture`]
     /// (or [`restore_image`] / [`restore_delta`], which also set the base):
     /// the small component states in full plus only the dirty RAM pages.
-    /// O(dirty state) in time and bytes — on sparse-write workloads a delta
-    /// is a few percent of a full image.
+    /// O(dirty state) in time and bytes, however large the memory.
     ///
     /// Deltas chain against the **base**, not against each other: restoring
     /// any delta needs only the [`BaseImage`] it names, never intermediate
@@ -762,89 +730,66 @@ impl Platform {
         let base = self.base_mark.ok_or_else(|| {
             Error::Snapshot("capture_delta needs a prior full capture as base".into())
         })?;
+        Ok(self.seal(Some(base)).0)
+    }
+
+    /// Seals this platform's state against `base`, returning the image and
+    /// its payload checksum: against the empty platform (`None`), every
+    /// page holding a non-zero word; against the base the mark names, every
+    /// dirty page.
+    fn seal(&self, base: Option<u64>) -> (Vec<u8>, u64) {
         let mut w = Writer::new();
-        w.put_u64(base);
+        base.save(&mut w);
         w.put_u32(PAGE_WORDS as u32);
-        save_scheduler(self.scheduler, &mut w);
-        w.put_bool(self.enforce_locality);
+        self.save_small(&mut w);
+        w.put_usize(1 + self.locals.len());
+        for (i, ram) in self.rams().enumerate() {
+            let (pages, base_words): (Vec<usize>, &[Word]) = match base {
+                None => (
+                    (ram.as_slice().chunks(PAGE_WORDS).enumerate())
+                        .filter(|(_, page)| page.iter().any(|&v| v != 0))
+                        .map(|(page, _)| page)
+                        .collect(),
+                    &[],
+                ),
+                Some(_) => (
+                    ram.dirty_pages().collect(),
+                    self.base_rams.get(i).map_or(&[], Vec::as_slice),
+                ),
+            };
+            save_ram(ram, base_words, &pages, &mut w);
+        }
+        Image::seal_hashed(
+            PLATFORM_IMAGE_MAGIC,
+            PLATFORM_IMAGE_VERSION,
+            &w.into_bytes(),
+        )
+    }
+
+    /// Writes the small state: every component but RAM, in the order
+    /// [`decode_prefix`] and then [`decode_suffix`] read it.
+    fn save_small(&self, w: &mut Writer) {
+        save_scheduler(self.scheduler, w);
         w.put_u64(self.local_latency_cycles);
         w.put_u64(self.cache_hit_cycles);
         w.put_u32(self.shared_words);
-        self.now.save(&mut w);
+        self.now.save(w);
         w.put_u64(self.steps);
         w.put_u64(self.dma_seq);
-        self.cores.save(&mut w);
-        self.save_small_suffix(&mut w);
-        save_dirty_pages(&self.shared, &self.base_shared, &mut w);
-        w.put_u32(self.locals.len() as u32);
-        for (i, l) in self.locals.iter().enumerate() {
-            let b = self.base_locals.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            save_dirty_pages(l, b, &mut w);
+        self.cores.save(w);
+        self.caches.save(w);
+        self.interconnect.snap_save(w);
+        self.signals.save(w);
+        w.put_usize(self.pending_dma.len());
+        for d in &self.pending_dma {
+            save_pending_dma(d, w);
         }
-        Ok(Image::seal(
-            PLATFORM_DELTA_MAGIC,
-            PLATFORM_DELTA_VERSION,
-            &w.into_bytes(),
-        ))
-    }
-
-    /// Decodes and validates `delta` against `base` — everything that can
-    /// fail, before anything is committed.
-    fn decode_delta(
-        base: &BaseImage,
-        delta: &[u8],
-        small: &mut SmallState,
-    ) -> Result<DecodedDelta> {
-        let (payload, _) = Image::open_as(
-            delta,
-            PLATFORM_DELTA_MAGIC,
-            PLATFORM_DELTA_VERSION,
-            DELTA_WHAT,
-        )
-        .map_err(snap_err)?;
-        let mut r = Reader::new(payload);
-        let found_base = r.get_u64().map_err(snap_err)?;
-        if found_base != base.checksum {
-            return Err(Error::Snapshot(format!(
-                "delta chained against base {found_base:#018x}, got base {:#018x}",
-                base.checksum
-            )));
+        w.put_usize(self.periphs.len());
+        for p in &self.periphs {
+            w.put_u8(p.snap_kind());
+            w.put_str(p.name());
+            p.snap_save(w);
         }
-        check_page_words(r.get_u32().map_err(snap_err)?).map_err(snap_err)?;
-        decode_prefix(&mut r, small).map_err(snap_err)?;
-        decode_suffix(&mut r, small).map_err(snap_err)?;
-        let shared_pages = load_dirty_pages(&mut r, &base.shared).map_err(snap_err)?;
-        let n_locals = r.get_u32().map_err(snap_err)? as usize;
-        if n_locals != base.locals.len() {
-            return Err(Error::Snapshot(format!(
-                "delta holds {n_locals} local stores, base holds {}",
-                base.locals.len()
-            )));
-        }
-        let mut local_pages = Vec::with_capacity(n_locals);
-        for b in &base.locals {
-            local_pages.push(load_dirty_pages(&mut r, b).map_err(snap_err)?);
-        }
-        r.finish().map_err(snap_err)?;
-        small.validate().map_err(snap_err)?;
-        if small.cores.len() != base.locals.len() {
-            return Err(Error::Snapshot(format!(
-                "delta holds {} cores, base holds {} local stores",
-                small.cores.len(),
-                base.locals.len()
-            )));
-        }
-        if small.shared_words as usize != base.shared.len() {
-            return Err(Error::Snapshot(format!(
-                "delta says {} shared words, base holds {}",
-                small.shared_words,
-                base.shared.len()
-            )));
-        }
-        Ok(DecodedDelta {
-            shared_pages,
-            local_pages,
-        })
     }
 
     /// Replaces every piece of simulated state by *base + delta*: the
@@ -864,10 +809,12 @@ impl Platform {
     /// # Errors
     ///
     /// [`Error::Snapshot`] for a corrupt delta, one chained against a
-    /// different base, or a page-granularity mismatch.
+    /// different base, a full image, or a page-granularity mismatch.
     pub fn restore_delta(&mut self, base: &BaseImage, delta: &[u8]) -> Result<()> {
-        let d = self.restore_small(|small| Self::decode_delta(base, delta, small))?;
-        self.commit_ram(base, &d.shared_pages, &d.local_pages);
+        let (payload, _) = open(delta)?;
+        let rams = self
+            .restore_small(|small| decode_payload(payload, Some(base), small).map_err(snap_err))?;
+        self.commit_ram(base, &rams);
         self.rebuild_calendar();
         Ok(())
     }
@@ -875,10 +822,10 @@ impl Platform {
     /// Rolls the platform back to `base` exactly — the degenerate delta
     /// with zero dirty pages, and the fault-campaign rollback primitive:
     /// O(small state + currently-dirty pages) when the platform is still on
-    /// this base — no clean page is touched, the RAM block is not decoded,
-    /// and no image byte is hashed: the payload was validated once, by
-    /// [`BaseImage::new`]. A platform on another base (or none) is rebuilt
-    /// from the base's decoded words by full copy.
+    /// this base — the decode stops where the RAM section starts, no clean
+    /// page is touched, and no image byte is hashed: the payload was
+    /// validated once, by [`BaseImage::new`]. A platform on another base
+    /// (or none) is rebuilt from the base's decoded words by full copy.
     ///
     /// # Errors
     ///
@@ -886,10 +833,11 @@ impl Platform {
     /// keeps every structural check, but [`BaseImage::new`] already decoded
     /// these same private bytes, so this is not expected for any `base`.
     pub fn reset_to_base(&mut self, base: &BaseImage) -> Result<()> {
+        let payload = &base.image[Image::HEADER_LEN..];
         self.restore_small(|small| {
-            decode_small(base.payload(), base.ram_range, small).map_err(snap_err)
+            decode_small(&mut Reader::new(payload), None, small).map_err(snap_err)
         })?;
-        self.commit_ram(base, &[], &[]);
+        self.commit_ram(base, &[]);
         self.rebuild_calendar();
         Ok(())
     }
@@ -915,7 +863,6 @@ impl Platform {
         let decoded = decode(&mut s);
         if decoded.is_ok() {
             self.scheduler = s.scheduler;
-            self.enforce_locality = s.enforce_locality;
             self.local_latency_cycles = s.local_latency_cycles;
             self.cache_hit_cycles = s.cache_hit_cycles;
             self.shared_words = s.shared_words;
@@ -935,46 +882,32 @@ impl Platform {
 
     /// Rebuilds RAM as *base + delta pages* and leaves the dirty bitmaps
     /// equal to the delta's page set (so the platform is again "on" the
-    /// base). Fast path: patch in place; slow path: full copy from base.
-    /// A missing entry in `local_pages` means "no dirty pages" (the
-    /// [`reset_to_base`](Platform::reset_to_base) case passes all-empty).
-    fn commit_ram(
-        &mut self,
-        base: &BaseImage,
-        shared_pages: &[(usize, Vec<Word>)],
-        local_pages: &[DeltaPages],
-    ) {
+    /// base). Fast path: roll the dirty pages back and patch in place; slow
+    /// path: full copy from base. An empty `rams` means "no pages" (the
+    /// [`reset_to_base`](Platform::reset_to_base) case).
+    fn commit_ram(&mut self, base: &BaseImage, rams: &[RamPages]) {
         let on_base = self.base_mark == Some(base.checksum) && base.shapes_match(self);
-        let local_for = |i: usize| local_pages.get(i).map(Vec::as_slice).unwrap_or(&[]);
+        let pages = |i: usize| rams.get(i).map_or(&[][..], |r| r.pages.as_slice());
         if on_base {
-            patch_ram(&mut self.shared, &base.shared, shared_pages);
-            for (i, (l, b)) in self.locals.iter_mut().zip(&base.locals).enumerate() {
-                patch_ram(l, b, local_for(i));
+            let live = std::iter::once(&mut self.shared).chain(&mut self.locals);
+            for (i, (ram, b)) in live.zip(&base.rams).enumerate() {
+                ram.roll_back(b);
+                for (page, words) in pages(i) {
+                    ram.write_page(*page, words);
+                }
             }
         } else {
-            self.shared = rebuild_ram(&base.shared, shared_pages);
-            self.locals = base
-                .locals
-                .iter()
-                .enumerate()
-                .map(|(i, b)| rebuild_ram(b, local_for(i)))
+            self.shared = rebuild_ram(&base.rams[0], pages(0));
+            self.locals = (base.rams[1..].iter().enumerate())
+                .map(|(i, b)| rebuild_ram(b, pages(i + 1)))
                 .collect();
         }
         // Re-cloning the base words every trial would defeat the delta fast
         // path, so only do it when actually rebasing onto a new base.
         if self.base_mark != Some(base.checksum) {
-            self.base_shared = base.shared.clone();
-            self.base_locals = base.locals.clone();
+            self.base_rams.clone_from(&base.rams);
         }
         self.base_mark = Some(base.checksum);
-    }
-
-    /// Records the platform's current RAM words as the XOR baseline for
-    /// subsequent [`capture_delta`](Platform::capture_delta) calls. Called
-    /// whenever the delta base moves (capture, full restore, rebase).
-    fn snapshot_base_words(&mut self) {
-        self.base_shared = self.shared.as_slice().to_vec();
-        self.base_locals = self.locals.iter().map(|l| l.as_slice().to_vec()).collect();
     }
 
     /// Restores this platform in place from an image produced by
@@ -993,20 +926,17 @@ impl Platform {
     /// # Errors
     ///
     /// [`Error::Snapshot`] for a corrupt, truncated, or version-mismatched
-    /// image, or one referencing an unknown peripheral kind.
+    /// image, a delta, or one referencing an unknown peripheral kind.
     pub fn restore_image(&mut self, image: &[u8]) -> Result<()> {
-        let (payload, checksum) = Image::open_as(
-            image,
-            PLATFORM_IMAGE_MAGIC,
-            PLATFORM_IMAGE_VERSION,
-            IMAGE_WHAT,
-        )
-        .map_err(snap_err)?;
-        let d = self.restore_small(|small| decode_image(payload, small).map_err(snap_err))?;
-        self.shared = d.shared;
-        self.locals = d.locals;
-        self.base_mark = Some(checksum);
-        self.snapshot_base_words();
+        let (payload, checksum) = open(image)?;
+        let rams =
+            self.restore_small(|small| decode_payload(payload, None, small).map_err(snap_err))?;
+        let mut rams = rams.into_iter().map(|r| Ram::from_words(r.into_words()));
+        // The decoder holds an image to one shared RAM plus a local store
+        // per core, and to at least one core.
+        self.shared = rams.next().unwrap_or_else(|| Ram::new(0));
+        self.locals = rams.collect();
+        self.rebase(checksum);
         self.rebuild_calendar();
         Ok(())
     }
@@ -1164,8 +1094,13 @@ impl Platform {
         self.now.save(&mut w);
         w.put_u64(self.steps);
         self.cores.save(&mut w);
-        self.shared.save(&mut w);
-        self.locals.save(&mut w);
+        let words = |ram: &Ram| ram.as_slice().to_vec();
+        words(&self.shared).save(&mut w);
+        self.locals
+            .iter()
+            .map(words)
+            .collect::<Vec<_>>()
+            .save(&mut w);
         fnv1a64(&w.into_bytes())
     }
 }
@@ -1173,6 +1108,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use crate::isa::assemble;
+    use crate::mem::{Ram, PAGE_WORDS};
     use crate::platform::{Platform, PlatformBuilder, SchedulerMode, StepEvent};
     use crate::time::{Frequency, Time};
 
@@ -1283,16 +1219,34 @@ mod tests {
                 p.step().unwrap();
             }
             let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
+            let at_base = p.capture_delta().unwrap();
             for _ in 0..15 {
                 p.step().unwrap();
             }
+            // An image costs its small state plus at most `8 + 8 * 64` bytes
+            // per page it carries: a delta its dirty pages, a full image its
+            // non-zero ones. The small state is what a delta with no pages
+            // costs — one taken at its base.
+            let per_page = 8 + 8 * PAGE_WORDS;
+            let dirty: usize = p.rams().map(Ram::dirty_page_count).sum();
             let delta = p.capture_delta().unwrap();
-            let full = p.capture().unwrap();
             assert!(
-                delta.len() < full.len(),
-                "delta ({}) not smaller than full ({})",
+                delta.len() <= at_base.len() + dirty * per_page,
+                "delta {} B, {dirty} dirty pages over {} B",
                 delta.len(),
-                full.len()
+                at_base.len()
+            );
+            let non_zero: usize = (p.rams())
+                .map(|r| (r.as_slice().chunks(PAGE_WORDS)).filter(|pg| pg.iter().any(|&v| v != 0)))
+                .map(Iterator::count)
+                .sum();
+            let full = p.capture().unwrap();
+            let small = p.capture_delta().unwrap();
+            assert!(
+                full.len() <= small.len() + non_zero * per_page,
+                "full image {} B, {non_zero} non-zero pages over {} B",
+                full.len(),
+                small.len()
             );
 
             // Fast path: the same platform, still on the base after more
@@ -1411,12 +1365,8 @@ mod tests {
         }
         let mark = p.state_checksum();
         let delta = p.capture_delta().unwrap();
-        let delta_payload = mpsoc_snapshot::Image::open(
-            &delta,
-            super::PLATFORM_DELTA_MAGIC,
-            super::PLATFORM_DELTA_VERSION,
-        )
-        .unwrap();
+        // The header is an `Option<u64>`: its tag byte, then the base.
+        let delta_payload = &super::open(&delta).unwrap().0[1..];
         assert_eq!(delta_payload[..8], base.checksum().to_le_bytes());
         p.step().unwrap();
         p.restore_delta(&base, &delta).unwrap();
@@ -1442,7 +1392,7 @@ mod tests {
 
     #[test]
     fn no_page_encodes_larger_than_raw_and_every_page_round_trips() {
-        use super::{load_dirty_pages, save_dirty_pages, Reader, Writer};
+        use super::{load_pages, save_ram, RamPages, Reader, Writer};
         use crate::isa::Word;
         use crate::mem::{Ram, PAGE_WORDS};
 
@@ -1453,18 +1403,20 @@ mod tests {
             for (page, words) in pages {
                 ram.write_page(*page, words);
             }
+            let dirty: Vec<usize> = ram.dirty_pages().collect();
             let mut w = Writer::new();
-            save_dirty_pages(&ram, base, &mut w);
+            save_ram(&ram, base, &dirty, &mut w);
             let bytes = w.into_bytes();
             let raw: usize = pages.iter().map(|(_, words)| 8 + 8 * words.len()).sum();
             assert!(
-                bytes.len() <= 4 + raw,
+                bytes.len() <= 8 + raw,
                 "{} B > raw {} B",
                 bytes.len(),
-                4 + raw
+                8 + raw
             );
             let mut r = Reader::new(&bytes);
-            assert_eq!(load_dirty_pages(&mut r, base).unwrap(), pages);
+            assert_eq!(r.get_u32().unwrap() as usize, base.len());
+            assert_eq!(load_pages(&mut r, base, base.len()).unwrap(), pages);
             r.finish().unwrap();
             bytes
         };
@@ -1480,7 +1432,7 @@ mod tests {
             sparse[i] ^= 0x55;
         }
         let bytes = encode(&base, &[(0, sparse)]);
-        assert!(bytes.len() < 4 + 8 + 8 * PAGE_WORDS, "{} B", bytes.len());
+        assert!(bytes.len() < 8 + 8 + 8 * PAGE_WORDS, "{} B", bytes.len());
 
         // Dense: damaged everywhere except isolated words, where every
         // zero-run token buys back exactly its own cost. The run list ties
@@ -1490,6 +1442,7 @@ mod tests {
             dense[i] = base[i];
         }
         let mut raw = Writer::new();
+        raw.put_u32(PAGE_WORDS as u32);
         raw.put_u32(1);
         raw.put_u32(0);
         raw.put_u32(((PAGE_WORDS as u32) << 1) | 1);
@@ -1522,18 +1475,32 @@ mod tests {
                 pages.push((page, words));
             }
             encode(&base, &pages);
+
+            // Against the empty platform: the pages holding a non-zero word,
+            // XORed with zeros, rebuild the RAM.
+            let mut ram = Ram::new(total as u32);
+            for (page, words) in &pages {
+                ram.write_page(*page, words);
+            }
+            let written: Vec<usize> = pages.iter().map(|(page, _)| *page).collect();
+            let mut w = Writer::new();
+            save_ram(&ram, &[], &written, &mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let len = r.get_u32().unwrap() as usize;
+            let pages = load_pages(&mut r, &[], len).unwrap();
+            r.finish().unwrap();
+            assert_eq!(RamPages { len, pages }.into_words(), ram.as_slice());
         }
     }
 
     #[test]
     fn stale_image_versions_are_rejected_with_located_errors() {
-        // Reseal a valid image/delta payload under every stale version
-        // (v0..current) — each must be refused at the frame, naming the
-        // found and expected versions and the refusing decoder, never
-        // misparsed into the platform. v3 is the case a version bump alone
-        // decides: its payload is today's, byte for byte.
-        assert_eq!(super::PLATFORM_IMAGE_VERSION, 4);
-        assert_eq!(super::PLATFORM_DELTA_VERSION, 4);
+        // Reseal a valid full image's and a valid delta's payload under
+        // every stale version (v0..current) of the one magic — each must be
+        // refused at the frame, naming the found and expected versions and
+        // the refusing decoder, never misparsed into the platform.
+        assert_eq!(super::PLATFORM_IMAGE_VERSION, 5);
         let mut p = counter_platform(SchedulerMode::Calendar);
         for _ in 0..5 {
             p.step().unwrap();
@@ -1542,48 +1509,115 @@ mod tests {
         let base = super::BaseImage::new(image.clone()).unwrap();
         p.step().unwrap();
         let delta = p.capture_delta().unwrap();
-        let img_payload = mpsoc_snapshot::Image::open(
-            &image,
-            super::PLATFORM_IMAGE_MAGIC,
-            super::PLATFORM_IMAGE_VERSION,
-        )
-        .unwrap()
-        .to_vec();
-        let delta_payload = mpsoc_snapshot::Image::open(
-            &delta,
-            super::PLATFORM_DELTA_MAGIC,
-            super::PLATFORM_DELTA_VERSION,
-        )
-        .unwrap()
-        .to_vec();
-        let before = p.state_checksum();
-        for stale in 0..super::PLATFORM_IMAGE_VERSION {
-            let old_image =
-                mpsoc_snapshot::Image::seal(super::PLATFORM_IMAGE_MAGIC, stale, &img_payload);
-            let err = p.restore_image(&old_image).unwrap_err();
+        let payload = |sealed: &[u8]| super::open(sealed).unwrap().0.to_vec();
+        let (img_payload, delta_payload) = (payload(&image), payload(&delta));
+        let located = |err: crate::error::Error, stale: u16| {
             let msg = err.to_string();
             assert!(
                 msg.contains(&format!("v{stale}"))
                     && msg.contains(&format!("v{}", super::PLATFORM_IMAGE_VERSION)),
-                "image v{stale}: error must name both versions: {msg}"
+                "v{stale}: error must name both versions: {msg}"
             );
             assert!(
-                msg.contains("platform full image") && msg.contains("snapshot.rs"),
-                "image v{stale}: error must locate the refusing decoder: {msg}"
+                msg.contains("platform image") && msg.contains("snapshot.rs"),
+                "v{stale}: error must locate the refusing decoder: {msg}"
             );
-            assert!(super::BaseImage::new(old_image).is_err());
-
-            let old_delta =
-                mpsoc_snapshot::Image::seal(super::PLATFORM_DELTA_MAGIC, stale, &delta_payload);
-            let err = p.restore_delta(&base, &old_delta).unwrap_err();
-            let msg = err.to_string();
-            assert!(
-                msg.contains("platform delta image") && msg.contains(&format!("v{stale}")),
-                "delta v{stale}: {msg}"
+        };
+        let before = p.state_checksum();
+        for stale in 0..super::PLATFORM_IMAGE_VERSION {
+            let seal = |payload: &[u8]| {
+                mpsoc_snapshot::Image::seal(super::PLATFORM_IMAGE_MAGIC, stale, payload)
+            };
+            located(p.restore_image(&seal(&img_payload)).unwrap_err(), stale);
+            located(
+                super::BaseImage::new(seal(&img_payload)).unwrap_err(),
+                stale,
+            );
+            located(
+                p.restore_delta(&base, &seal(&delta_payload)).unwrap_err(),
+                stale,
             );
         }
+        // Up to v4 a delta had a magic of its own, `MPSD`.
+        let mpsd = u32::from_le_bytes(*b"MPSD");
+        let old_delta = mpsoc_snapshot::Image::seal(mpsd, 4, &delta_payload);
+        let msg = p.restore_delta(&base, &old_delta).unwrap_err().to_string();
+        assert!(msg.contains("bad snapshot magic"), "{msg}");
         assert_eq!(p.state_checksum(), before, "rejections must not mutate");
         p.restore_delta(&base, &delta).unwrap();
+    }
+
+    #[test]
+    fn the_header_decides_full_image_or_delta() {
+        // One magic and one version for both: a delta offered where a full
+        // image belongs, or the other way round, is refused by the header's
+        // base field, with an error that locates the decoder and says what
+        // it got — and the platform is untouched.
+        let mut p = counter_platform(SchedulerMode::Calendar);
+        for _ in 0..5 {
+            p.step().unwrap();
+        }
+        let image = p.capture().unwrap();
+        let base = super::BaseImage::new(image.clone()).unwrap();
+        p.step().unwrap();
+        let delta = p.capture_delta().unwrap();
+        let before = p.state_checksum();
+        let refused = |r: crate::error::Result<()>, got: &str| match r {
+            Err(crate::error::Error::Snapshot(msg)) => assert!(
+                msg.contains("platform image") && msg.contains("snapshot.rs") && msg.contains(got),
+                "{msg}"
+            ),
+            other => panic!("expected a snapshot error saying `{got}`, got {other:?}"),
+        };
+        let a_delta = format!("got a delta against base {:#018x}", base.checksum());
+        refused(p.restore_image(&delta), &a_delta);
+        refused(Platform::from_image(&delta).map(drop), &a_delta);
+        refused(super::BaseImage::new(delta.clone()).map(drop), &a_delta);
+        refused(p.restore_delta(&base, &image), "got a full image");
+        assert_eq!(p.state_checksum(), before, "refusals must not mutate");
+        p.restore_delta(&base, &delta).unwrap();
+        p.restore_image(&image).unwrap();
+    }
+
+    #[test]
+    fn a_delta_shaped_unlike_its_base_is_refused() {
+        // Deltas of other platforms, their headers rewritten to name the
+        // base: one more core (one more RAM) than the base has, and a
+        // shared RAM of another length. Each is a located error, not a
+        // panic, and leaves the platform as it was.
+        let mut p = counter_platform(SchedulerMode::Calendar);
+        p.step().unwrap();
+        let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
+        let forged = |mut q: Platform| {
+            q.capture().unwrap();
+            q.step().unwrap();
+            let mut payload = super::open(&q.capture_delta().unwrap()).unwrap().0.to_vec();
+            payload[1..9].copy_from_slice(&base.checksum().to_le_bytes());
+            reseal(&payload)
+        };
+        let three_cores = PlatformBuilder::new()
+            .cores(3, Frequency::mhz(100))
+            .shared_words(1024)
+            .local_words(64)
+            .build()
+            .unwrap();
+        let more_shared = PlatformBuilder::new()
+            .cores(2, Frequency::mhz(100))
+            .shared_words(2048)
+            .local_words(64)
+            .build()
+            .unwrap();
+        let before = p.state_checksum();
+        for (q, needle) in [
+            (three_cores, "image holds 4 RAMs, its base 3"),
+            (more_shared, "RAM 0 holds 2048 words, its base 1024"),
+        ] {
+            match p.restore_delta(&base, &forged(q)) {
+                Err(crate::error::Error::Snapshot(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected `{needle}`, got {other:?}"),
+            }
+        }
+        assert_eq!(p.state_checksum(), before);
     }
 
     #[test]
@@ -1655,7 +1689,8 @@ mod tests {
         let payload = &delta[mpsoc_snapshot::Image::HEADER_LEN..];
         let mut scratch: Box<SmallState> = p.restore_scratch.take().unwrap();
         let mut r = Reader::new(payload);
-        r.skip(8 + 4).unwrap();
+        // The base (tag and checksum) and the page size.
+        r.skip(1 + 8 + 4).unwrap();
         // Cores, programs, labels.
         assert_eq!(
             allocations(|| decode_prefix(&mut r, &mut scratch).unwrap()),
@@ -1687,14 +1722,13 @@ mod tests {
         assert_eq!(allocations(|| drop(load_interconnect(&mut r).unwrap())), 1);
     }
 
-    /// Re-seals `payload` as a full image or a delta of the current version.
-    fn reseal(delta: bool, payload: &[u8]) -> Vec<u8> {
-        let (magic, version) = if delta {
-            (super::PLATFORM_DELTA_MAGIC, super::PLATFORM_DELTA_VERSION)
-        } else {
-            (super::PLATFORM_IMAGE_MAGIC, super::PLATFORM_IMAGE_VERSION)
-        };
-        mpsoc_snapshot::Image::seal(magic, version, payload)
+    /// Re-seals `payload` as an image of the current version.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        mpsoc_snapshot::Image::seal(
+            super::PLATFORM_IMAGE_MAGIC,
+            super::PLATFORM_IMAGE_VERSION,
+            payload,
+        )
     }
 
     /// A frame-valid full image, the base built from it, and a delta one
@@ -1729,19 +1763,16 @@ mod tests {
     /// Finds the [`Landmarks`] of a full-image or delta payload by decoding
     /// up to each of them.
     fn landmarks(payload: &[u8], is_delta: bool) -> Landmarks {
-        use super::{decode_prefix, load_interconnect, Cache, Ram, Reader, SmallState, Snapshot};
-        // A delta opens with the base checksum and the page size.
-        let prefix_at = if is_delta { 12 } else { 0 };
+        use super::{decode_prefix, load_interconnect, Cache, Reader, SmallState, Snapshot};
+        // The header: the base (a tag, and a delta's base checksum), then
+        // the page size.
+        let prefix_at = if is_delta { 1 + 8 + 4 } else { 1 + 4 };
         let mut one_core = Reader::new(payload);
-        one_core.skip(prefix_at + 46 + 8).unwrap();
+        one_core.skip(prefix_at + 45 + 8).unwrap();
         crate::core::Core::load(&mut one_core).unwrap();
         let mut r = Reader::new(payload);
         r.skip(prefix_at).unwrap();
         decode_prefix(&mut r, &mut SmallState::empty()).unwrap();
-        if !is_delta {
-            <Ram as Snapshot>::load(&mut r).unwrap();
-            Vec::<Ram>::load(&mut r).unwrap();
-        }
         let caches = r.position();
         Vec::<Option<Cache>>::load(&mut r).unwrap();
         let interconnect_tag = r.position();
@@ -1788,9 +1819,7 @@ mod tests {
                 let unvalidated = super::BaseImage {
                     image: bytes.clone(),
                     checksum: base.checksum,
-                    shared: base.shared.clone(),
-                    locals: base.locals.clone(),
-                    ram_range: base.ram_range,
+                    rams: base.rams.clone(),
                 };
                 refused(target.reset_to_base(&unvalidated), needle);
             }
@@ -1818,11 +1847,7 @@ mod tests {
             let mut bad_id = payload.to_vec();
             assert_eq!(bad_id[at.core1_id..at.core1_id + 8], 1u64.to_le_bytes());
             bad_id[at.core1_id..at.core1_id + 8].copy_from_slice(&99u64.to_le_bytes());
-            hostile.push((
-                is_delta,
-                reseal(is_delta, &bad_id),
-                "position 1 carries id 99".into(),
-            ));
+            hostile.push((is_delta, reseal(&bad_id), "position 1 carries id 99".into()));
 
             // The first cache: `caches` count, `Some` tag, set count, then
             // per set a way count and that many (all invalid, one byte
@@ -1837,11 +1862,7 @@ mod tests {
             let mut no_ways = payload[..table_at].to_vec();
             no_ways.extend(std::iter::repeat_n(0u8, sets * 8));
             no_ways.extend_from_slice(&payload[r.position()..]);
-            hostile.push((
-                is_delta,
-                reseal(is_delta, &no_ways),
-                "associativity 0".into(),
-            ));
+            hostile.push((is_delta, reseal(&no_ways), "associativity 0".into()));
 
             // The in-flight transfer, moved from the engine's page (1) to
             // the mailbox's, to the first unoccupied one, and far away.
@@ -1851,7 +1872,7 @@ mod tests {
                 ghost[at.dma0_page..at.dma0_page + 8].copy_from_slice(&page.to_le_bytes());
                 hostile.push((
                     is_delta,
-                    reseal(is_delta, &ghost),
+                    reseal(&ghost),
                     format!("names page {page}, which holds no DMA engine"),
                 ));
             }
@@ -1881,7 +1902,7 @@ mod tests {
                 bad[offset] = tag;
                 hostile.push((
                     is_delta,
-                    reseal(is_delta, &bad),
+                    reseal(&bad),
                     format!("bad tag {tag} while decoding {what}"),
                 ));
             }
@@ -1941,21 +1962,11 @@ mod tests {
         let base = super::BaseImage::new(p.capture().unwrap()).unwrap();
         p.step().unwrap();
         let delta = p.capture_delta().unwrap();
-        let payload = mpsoc_snapshot::Image::open(
-            &delta,
-            super::PLATFORM_DELTA_MAGIC,
-            super::PLATFORM_DELTA_VERSION,
-        )
-        .unwrap();
-        let mut bytes = payload.to_vec();
+        let mut bytes = super::open(&delta).unwrap().0.to_vec();
         for i in (0..bytes.len().saturating_sub(4)).step_by(4) {
             let orig = [bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]];
             bytes[i..i + 4].copy_from_slice(&[0, 0, 0, 0]);
-            let resealed = mpsoc_snapshot::Image::seal(
-                super::PLATFORM_DELTA_MAGIC,
-                super::PLATFORM_DELTA_VERSION,
-                &bytes,
-            );
+            let resealed = reseal(&bytes);
             let _ = p.restore_delta(&base, &resealed);
             bytes[i..i + 4].copy_from_slice(&orig);
         }

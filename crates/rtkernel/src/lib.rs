@@ -14,9 +14,9 @@
 //!
 //! Experiments E1 (scalability), E2 (hybrid scheduling) and E10 (admission
 //! control) in the root package's `src/experiments.rs` are built from these
-//! models. Strict locality and per-core frequency boosting are properties of
-//! the simulated platform itself (`mpsoc-platform`'s `enforce_locality` and
-//! `Core::set_frequency`), not models here.
+//! models. Per-core frequency boosting is a property of the simulated
+//! platform itself (`mpsoc-platform`'s `Core::set_frequency`), not a model
+//! here.
 //!
 //! ## Quickstart
 //!

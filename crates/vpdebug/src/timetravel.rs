@@ -13,15 +13,14 @@
 //! a full [`Platform::capture`](mpsoc_platform::Platform::capture) (which
 //! also clears the RAM dirty bitmaps), and every later checkpoint is a
 //! [`capture_delta`](mpsoc_platform::Platform::capture_delta) — only the
-//! RAM pages written since the base, plus the small component states. On a
-//! sparse-write workload a delta is a few percent of a full image, so
-//! checkpointing drops from O(memory) to O(dirty state) per interval, and
-//! a rewind restores the base plus at most one delta.
+//! RAM pages written since the base, plus the small component states. A
+//! checkpoint therefore costs O(dirty state), not O(memory), and a rewind
+//! restores the base plus at most one delta.
 //!
-//! Retention is bounded by **bytes, not count** (a delta and a full image
-//! can differ by 100x, so a count bound says nothing about memory): when
-//! the ring exceeds its byte budget the oldest delta is popped, O(1), and
-//! the rewind horizon moves forward. The base image and the newest
+//! Retention is bounded by **bytes, not count** (a delta grows with the
+//! pages written since the base, so a count bound says nothing about
+//! memory): when the ring exceeds its byte budget the oldest delta is
+//! popped, O(1), and the rewind horizon moves forward. The base image and the newest
 //! checkpoint are never evicted — the base because every delta needs it,
 //! the newest so the budget can never strand the debugger without a recent
 //! rewind target. Attach a metrics registry ([`Debugger::attach_metrics`])
@@ -98,7 +97,8 @@ pub(crate) struct TimeTravel {
     pub(crate) base_checkpoint: Checkpoint,
     /// Delta checkpoints, sorted ascending by step.
     pub(crate) deltas: VecDeque<Checkpoint>,
-    /// Bytes retained: the base image plus every delta in `deltas`.
+    /// Bytes retained: the base ([`BaseImage::len_bytes`]) plus every delta
+    /// in `deltas`.
     pub(crate) bytes: usize,
     /// No auto-checkpoint is due while the platform's step count is below
     /// this: what [`Debugger::auto_checkpoint`] learnt the last time it
@@ -186,11 +186,13 @@ impl Debugger {
     /// Enables time travel: a full-image base checkpoint is captured
     /// immediately, and from now on a *delta* auto-checkpoint is captured
     /// every `interval` steps. Retention is byte-bounded at
-    /// `max_checkpoints` times the base image size — sized so the horizon
-    /// is never shorter than the old count-bounded ring's, and usually far
-    /// longer, since deltas are much smaller than full images. Both
-    /// parameters are clamped to at least 1. For direct control of the
-    /// bound use
+    /// `max_checkpoints` times the base's [`len_bytes`](BaseImage::len_bytes):
+    /// its image plus eight bytes per RAM word, the platform's whole state,
+    /// however sparse the base image. A delta carries the small state and
+    /// the pages written since the base, so while deltas stay well below
+    /// the whole state the ring holds the base and `max_checkpoints`
+    /// deltas. Both parameters are clamped to at least 1. For direct
+    /// control of the bound use
     /// [`enable_time_travel_bytes`](Debugger::enable_time_travel_bytes).
     ///
     /// # Errors
@@ -241,8 +243,9 @@ impl Debugger {
         self.retained().map(|c| c.step).collect()
     }
 
-    /// Bytes currently held by the checkpoint ring (base image plus
-    /// deltas); 0 when time travel is disabled. Also reported on the
+    /// Bytes currently held by the checkpoint ring (the base — its image and
+    /// the RAM words decoded from it — plus deltas); 0 when time travel is
+    /// disabled. Also reported on the
     /// `vpdebug.ring_bytes` gauge when a metrics registry is attached.
     pub fn ring_bytes(&self) -> usize {
         self.time_travel.as_ref().map_or(0, |tt| tt.bytes)
@@ -500,15 +503,18 @@ mod tests {
         // by enabling with a huge budget first.
         dbg.enable_time_travel(3, usize::MAX).unwrap();
         let base_bytes = dbg.ring_bytes();
+        let at_base = dbg.platform().capture_delta().unwrap().len();
         for _ in 0..6 {
             dbg.step().unwrap();
         }
         let with_one = dbg.ring_bytes();
         let delta_bytes = with_one - base_bytes;
         assert!(delta_bytes > 0, "a delta checkpoint was captured");
+        // The program stores to one word, 0x80: a delta is what one taken
+        // at its base costs plus at most one raw page.
         assert!(
-            delta_bytes * 4 < base_bytes,
-            "delta ({delta_bytes}B) must be much smaller than base ({base_bytes}B)"
+            delta_bytes <= at_base + 8 + 8 * 64,
+            "delta ({delta_bytes}B) exceeds the small state ({at_base}B) and one page"
         );
 
         // Re-run with a budget of base + 2.5 deltas: the ring must stay
@@ -551,6 +557,32 @@ mod tests {
         .unwrap();
         p.load_program(0, prog, 0).unwrap();
         Debugger::new(p)
+    }
+
+    #[test]
+    fn the_rewind_horizon_is_max_checkpoints_deltas() {
+        // `monitor time-travel I M` keeps the base and M deltas. The strided
+        // store's RAM is all zeros at the base, so its base image is only
+        // the small state, and its deltas soon outgrow it: a budget of M
+        // base images would evict them. Counted with its RAM words, the base
+        // still bounds every delta here.
+        const I: u64 = 50;
+        const M: u64 = 8;
+        let mut dbg = strided_store_debugger();
+        dbg.enable_time_travel(I, M as usize).unwrap();
+        for _ in 0..=M * I {
+            dbg.step().unwrap();
+        }
+        let want: Vec<u64> = (0..=M).map(|k| k * I).collect();
+        assert_eq!(dbg.checkpoint_steps(), want, "nothing evicted");
+        let tt = dbg.time_travel.as_ref().unwrap();
+        let newest = tt.deltas.back().map_or(0, Checkpoint::delta_bytes);
+        assert!(
+            tt.base.image().len() < newest && newest < tt.base.len_bytes(),
+            "delta {newest}B, base image {}B, base {}B",
+            tt.base.image().len(),
+            tt.base.len_bytes()
+        );
     }
 
     #[test]

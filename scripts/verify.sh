@@ -74,7 +74,7 @@ platform_release_tests() {
   cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
     --test debugger_equivalence --test restore_in_place \
     --test step_in_place --test step_allocations --test image_golden \
-    --test rsp_allocations
+    --test rsp_allocations --test explore_equivalence --test trace_equivalence
 }
 
 stage "tracked files intact" check_tracked_files

@@ -12,14 +12,17 @@
 //! thread count, and the delta fault campaign must equal the full-image
 //! campaign verdict for verdict.
 
+use std::collections::BTreeSet;
+
 use mpsoc_suite::apps::testbed::{build_car_radio, build_jpeg};
 use mpsoc_suite::cic::explore::{calibrate_task_work, explore_parallel};
 use mpsoc_suite::explore::Prefix;
 use mpsoc_suite::maps::mapping::{anneal_multi, profile_task_costs};
 use mpsoc_suite::obs::rng::XorShift64Star;
 use mpsoc_suite::platform::isa::assemble;
+use mpsoc_suite::platform::mem::periph_addr;
 use mpsoc_suite::platform::platform::{
-    InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,
+    AccessKind, InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,
 };
 use mpsoc_suite::platform::{BaseImage, Frequency, Time};
 use mpsoc_suite::vpdebug::campaign::{
@@ -31,6 +34,25 @@ fn run_steps(p: &mut Platform, n: u64) {
     for _ in 0..n {
         let ev = p.step().expect("platform steps");
         let done = ev.is_idle();
+        p.recycle(ev);
+        if done {
+            break;
+        }
+    }
+}
+
+/// Steps `p` like [`run_steps`], adding the page (word address / 64) of
+/// every RAM word a core or DMA engine writes to `pages`: the set the dirty
+/// bitmaps track, seen from outside.
+fn run_noting_writes(p: &mut Platform, n: u64, pages: &mut BTreeSet<u32>) {
+    for _ in 0..n {
+        let ev = p.step().expect("platform steps");
+        let done = ev.is_idle();
+        pages.extend(
+            (ev.accesses.iter())
+                .filter(|a| a.kind == AccessKind::Write && a.addr < periph_addr(0, 0))
+                .map(|a| a.addr / 64),
+        );
         p.recycle(ev);
         if done {
             break;
@@ -86,15 +108,19 @@ fn delta_restore_is_bit_identical_for_random_run_lengths() {
             run_steps(&mut p, 400);
             let mut base =
                 BaseImage::new(p.capture().expect("base captures")).expect("base decodes");
-            // What makes the delta path worth having: a representative
-            // working set costs at most a quarter of the full image.
-            run_steps(&mut p, 256);
+            // What makes the delta path worth having: a delta costs what a
+            // delta taken at its base costs (the small state) plus at most
+            // a raw page, `8 + 8 * 64` bytes, per page written since.
+            let at_base = p.capture_delta().expect("delta captures");
+            let mut written = BTreeSet::new();
+            run_noting_writes(&mut p, 256, &mut written);
             let delta = p.capture_delta().expect("delta captures");
             assert!(
-                delta.len() * 4 <= base.image().len(),
-                "delta {}B exceeds 25% of the full image {}B",
+                delta.len() <= at_base.len() + written.len() * (8 + 8 * 64),
+                "delta {}B, {} pages written over {}B",
                 delta.len(),
-                base.image().len()
+                written.len(),
+                at_base.len()
             );
             for _ in 0..3 {
                 run_steps(&mut p, rng.u64_in(1, 300));

@@ -18,9 +18,7 @@ use mpsoc_suite::platform::isa::assemble;
 use mpsoc_suite::platform::platform::{
     CacheConfig, InterconnectConfig, Platform, PlatformBuilder, SchedulerMode,
 };
-use mpsoc_suite::platform::snapshot::{
-    PLATFORM_DELTA_MAGIC, PLATFORM_DELTA_VERSION, PLATFORM_IMAGE_MAGIC, PLATFORM_IMAGE_VERSION,
-};
+use mpsoc_suite::platform::snapshot::{PLATFORM_IMAGE_MAGIC, PLATFORM_IMAGE_VERSION};
 use mpsoc_suite::platform::{BaseImage, Core, CoreStatus, Frequency, SignalBoard, Time};
 use mpsoc_suite::snapshot::{Image, Reader, Snapshot};
 
@@ -103,7 +101,8 @@ fn renamed_page0(p: &mut Platform) -> Option<Vec<u8>> {
         .to_vec();
     let mut needle = (name.len() as u64).to_le_bytes().to_vec();
     needle.extend_from_slice(name.as_bytes());
-    // The peripheral block is the last place the name can occur.
+    // The peripheral block is the last place the name can occur: the RAM
+    // pages after it hold the testbed's data words.
     let at = (0..payload.len() - needle.len())
         .rev()
         .find(|&i| payload[i..].starts_with(&needle))?;
@@ -120,8 +119,8 @@ fn renamed_page0(p: &mut Platform) -> Option<Vec<u8>> {
 /// peripheral, plus one seeded cut anywhere.
 fn truncation_points(payload: &[u8], rng: &mut XorShift64Star) -> [usize; 4] {
     let mut r = Reader::new(payload);
-    // Base checksum and page size; scheduler .. `dma_seq`.
-    r.skip(8 + 4 + 46).unwrap();
+    // The base (tag and checksum) and page size; scheduler .. `dma_seq`.
+    r.skip(1 + 8 + 4 + 45).unwrap();
     // Core count, then core 0 up to its program: id, registers, pc,
     // status, frequency; then a few bytes into the instruction table.
     let in_program = r.position() + 8 + (8 + 16 * 8 + 4 + 1 + 8) + 8 + 3;
@@ -152,12 +151,12 @@ fn fingerprint(p: &Platform) -> (u64, Vec<u8>) {
 fn failed_restores_change_nothing(live: &mut Platform, base: &BaseImage, rng: &mut XorShift64Star) {
     let delta = live.capture_delta().expect("delta captures");
     let payload =
-        Image::open(&delta, PLATFORM_DELTA_MAGIC, PLATFORM_DELTA_VERSION).expect("own delta opens");
+        Image::open(&delta, PLATFORM_IMAGE_MAGIC, PLATFORM_IMAGE_VERSION).expect("own delta opens");
     let before = fingerprint(live);
     for cut in truncation_points(payload, rng) {
         let cut_short = Image::seal(
-            PLATFORM_DELTA_MAGIC,
-            PLATFORM_DELTA_VERSION,
+            PLATFORM_IMAGE_MAGIC,
+            PLATFORM_IMAGE_VERSION,
             &payload[..cut],
         );
         assert!(
