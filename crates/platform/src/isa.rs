@@ -140,6 +140,48 @@ impl Instr {
             _ => 1,
         }
     }
+
+    /// The registers the instruction reads and writes, as bit masks over
+    /// `r0`–`r15` (bit `i` is `ri`). A register in both sets, like `r1` in
+    /// `addi r1, r1, 3`, is read before it is written. Address and branch
+    /// operands count as reads; [`Instr::Jal`] writes the link register.
+    pub fn reg_use(self) -> RegUse {
+        let bit = |r: Reg| 1u16 << r.0;
+        let (reads, writes) = match self {
+            Instr::Nop | Instr::Halt | Instr::Wfi | Instr::Rti | Instr::Jmp(_) => (0, 0),
+            Instr::Movi(d, _) => (0, bit(d)),
+            Instr::Mov(d, s) | Instr::Addi(d, s, _) | Instr::Ld(d, s, _) => (bit(s), bit(d)),
+            Instr::Add(d, s, t)
+            | Instr::Sub(d, s, t)
+            | Instr::Mul(d, s, t)
+            | Instr::Div(d, s, t)
+            | Instr::Rem(d, s, t)
+            | Instr::And(d, s, t)
+            | Instr::Or(d, s, t)
+            | Instr::Xor(d, s, t)
+            | Instr::Shl(d, s, t)
+            | Instr::Shr(d, s, t)
+            | Instr::Slt(d, s, t)
+            | Instr::Seq(d, s, t) => (bit(s) | bit(t), bit(d)),
+            Instr::St(v, a, _)
+            | Instr::Beq(v, a, _)
+            | Instr::Bne(v, a, _)
+            | Instr::Blt(v, a, _) => (bit(v) | bit(a), 0),
+            Instr::Jal(_) => (0, bit(Reg::LINK)),
+            Instr::Jr(s) => (bit(s), 0),
+        };
+        RegUse { reads, writes }
+    }
+}
+
+/// The register read and write sets of one instruction ([`Instr::reg_use`]),
+/// as bit masks over `r0`–`r15`: bit `i` stands for `ri`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegUse {
+    /// Registers whose values the instruction reads.
+    pub reads: u16,
+    /// Registers the instruction writes.
+    pub writes: u16,
 }
 
 /// An assembled program: instructions plus its label table.
@@ -649,6 +691,53 @@ mod tests {
             Instr::Div(Reg::new(0), Reg::new(0), Reg::new(1)).base_cycles(),
             10
         );
+    }
+
+    #[test]
+    fn reg_use_names_every_operand_of_every_instruction() {
+        let set = |regs: &[u8]| regs.iter().fold(0u16, |m, &r| m | 1 << r);
+        // (source line, registers read, registers written)
+        let cases: [(&str, &[u8], &[u8]); 28] = [
+            ("nop", &[], &[]),
+            ("halt", &[], &[]),
+            ("wfi", &[], &[]),
+            ("rti", &[], &[]),
+            ("jmp 0", &[], &[]),
+            ("movi r4, 9", &[], &[4]),
+            ("mov r4, r5", &[5], &[4]),
+            ("addi r1, r1, 3", &[1], &[1]),
+            ("addi r2, r3, 3", &[3], &[2]),
+            ("ld r6, r7, 1", &[7], &[6]),
+            ("add r1, r2, r3", &[2, 3], &[1]),
+            ("sub r1, r2, r3", &[2, 3], &[1]),
+            ("mul r1, r2, r3", &[2, 3], &[1]),
+            ("div r1, r2, r3", &[2, 3], &[1]),
+            ("rem r1, r2, r3", &[2, 3], &[1]),
+            ("and r1, r2, r3", &[2, 3], &[1]),
+            ("or r1, r2, r3", &[2, 3], &[1]),
+            ("xor r1, r1, r1", &[1], &[1]),
+            ("shl r1, r2, r3", &[2, 3], &[1]),
+            ("shr r1, r2, r3", &[2, 3], &[1]),
+            ("slt r1, r2, r3", &[2, 3], &[1]),
+            ("seq r0, r14, r15", &[14, 15], &[0]),
+            ("st r8, r9, 2", &[8, 9], &[]),
+            ("beq r1, r2, 0", &[1, 2], &[]),
+            ("bne r3, r0, 0", &[3, 0], &[]),
+            ("blt r4, r5, 0", &[4, 5], &[]),
+            ("jal 0", &[], &[15]),
+            ("jr r12", &[12], &[]),
+        ];
+        for (src, reads, writes) in cases {
+            let instr = assemble(src).unwrap().fetch(0).unwrap();
+            assert_eq!(
+                instr.reg_use(),
+                RegUse {
+                    reads: set(reads),
+                    writes: set(writes)
+                },
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -5,17 +5,40 @@
 //! site, then for every fault in a generated list rehydrate a private
 //! platform from the image ([`Platform::from_image`]), inject the fault,
 //! run to a verdict, and classify the outcome. Rollback is free — the next
-//! trial just rehydrates the image again.
+//! trial just rehydrates the image again. That is [`run_campaign`], the
+//! oracle.
 //!
-//! [`run_campaign_delta`] is the fast path over the same contract: the
-//! image is validated — hashed and decoded — once per campaign, into a
-//! [`BaseImage`]; the golden run and each worker hydrate a platform from it
-//! ([`BaseImage::hydrate`]) and workers roll back between trials with
-//! [`Platform::reset_to_base`], which re-decodes the small component state,
-//! rewrites only the RAM pages the previous trial dirtied, and hashes
-//! nothing — O(dirty state) per trial instead of O(memory).
-//! Both runners produce bit-identical reports for the same inputs;
-//! [`run_campaign`] stays as the oracle the fast path is checked against.
+//! [`run_campaign_delta`] is the fast path over the same contract, and
+//! simulates each distinct fault the workload can observe exactly once:
+//!
+//! * The image is validated — hashed and decoded — once per call, into a
+//!   [`BaseImage`]. The golden (fault-free) run hydrates from it and records
+//!   the first use of every core register (from each retired instruction's
+//!   read and write sets, [`Instr::reg_use`](mpsoc_platform::isa::Instr::reg_use))
+//!   and the first access to every word it touches (from
+//!   [`StepEvent::accesses`], core and DMA accesses in order).
+//! * A register or RAM flip whose target the golden run writes before it
+//!   reads, or never uses, is **dead**: the trial would retire the same
+//!   instructions and make the same accesses as the golden run, so it
+//!   takes the golden run's steps and final state. Its verdict is
+//!   `Masked`, except that a flip of a word the run never touches is still
+//!   in place at the end — the verdict reads the golden final state with
+//!   that one word flipped, so a flip of the detect flag is `Detected` and
+//!   one inside the output region is `SilentCorruption` when the region's
+//!   checksum moves. A fault whose injection could fail (a core or address
+//!   that does not exist) is never dead, so it errors exactly as in
+//!   [`run_campaign`].
+//! * Of the remaining faults, only the first occurrence of each
+//!   [`FaultKind`] in the call is simulated; a repeat takes that outcome
+//!   under its own [`FaultSpec`]. A trial is a pure function of the base
+//!   image and the fault, so the copy is what simulating it again gives.
+//! * The simulated trials fan out over the workers, each of which hydrates
+//!   **one** platform and rolls it back between trials with
+//!   [`Platform::reset_to_base`], which re-decodes the small component
+//!   state, rewrites only the RAM pages the previous trial dirtied, and
+//!   hashes nothing — O(dirty state) per trial instead of O(memory).
+//!
+//! Both runners produce bit-identical reports for the same inputs.
 //!
 //! Either runner first checks that [`CampaignConfig::detect_addr`] and the
 //! output region are readable RAM on the hydrated platform
@@ -26,10 +49,10 @@
 //!
 //! * the fault list comes from a seeded [`XorShift64Star`]
 //!   ([`generate_faults`]);
-//! * every trial runs in its own platform from the same image;
-//! * the parallel sweep partitions the fault list into contiguous chunks,
-//!   one scoped thread each, and merges results **in chunk order** — so the
-//!   verdict table is bit-identical at any thread count.
+//! * every trial starts from the same image;
+//! * the parallel sweep partitions its trials into contiguous chunks, one
+//!   scoped thread each, and the report is assembled **in fault-list
+//!   order** — so the verdict table is bit-identical at any thread count.
 //!
 //! Verdicts follow the standard fault-injection taxonomy: a fault is
 //! [`Detected`](Verdict::Detected) when the workload's own checking code
@@ -38,14 +61,18 @@
 //! differs from the golden run without detection, and
 //! [`Masked`](Verdict::Masked) when the fault had no observable effect.
 
+use std::collections::HashMap;
+
 use mpsoc_obs::metrics::MetricsRegistry;
 use mpsoc_obs::rng::XorShift64Star;
+use mpsoc_platform::isa::Reg;
+use mpsoc_platform::platform::{AccessKind, StepEvent, StepKind};
 use mpsoc_platform::{BaseImage, Platform};
 
 use crate::error::{Error, Result};
 
 /// One parameterized fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Single-event upset in a register file.
     RegFlip {
@@ -218,8 +245,17 @@ pub struct FaultSpace {
 }
 
 /// Generates `n` faults from `space`, deterministically from `seed`: the
-/// same arguments always yield the same list on every host.
+/// same arguments always yield the same list on every host. A space in
+/// which no fault class has a target (no cores, an empty memory range, no
+/// DMA and no peripheral pages) yields an empty list, whatever `n` is.
 pub fn generate_faults(seed: u64, n: usize, space: &FaultSpace) -> Vec<FaultSpec> {
+    if space.cores == 0
+        && space.mem_lo > space.mem_hi
+        && space.dma_pages.is_empty()
+        && space.periph_pages.is_empty()
+    {
+        return Vec::new();
+    }
     let mut rng = XorShift64Star::new(seed);
     let mut faults = Vec::with_capacity(n);
     for id in 0..n {
@@ -277,33 +313,29 @@ fn apply_fault(p: &mut Platform, kind: FaultKind) -> mpsoc_platform::Result<bool
     }
 }
 
-/// Runs `p` for up to `budget` steps or until idle; `Ok(false)` means the
-/// platform trapped (a crash verdict), with the step count either way.
-fn run_budget(p: &mut Platform, budget: u64) -> (u64, bool) {
+/// Runs `p` for up to `budget` steps or until idle, showing every non-idle
+/// step to `observe`; `Ok(false)` means the platform trapped (a crash
+/// verdict), with the step count either way.
+fn run_budget(p: &mut Platform, budget: u64, mut observe: impl FnMut(&StepEvent)) -> (u64, bool) {
     let mut steps = 0;
     while steps < budget {
         if p.step_in_place().is_err() {
             return (steps, false);
         }
-        if p.last_event().is_idle() {
+        let ev = p.last_event();
+        if ev.is_idle() {
             break;
         }
+        observe(ev);
         steps += 1;
     }
     (steps, true)
 }
 
-/// Shared tail of a trial on an already-positioned platform: inject, run
-/// to budget, classify.
-fn finish_trial(
-    p: &mut Platform,
-    spec: FaultSpec,
-    cfg: CampaignConfig,
-    golden: u64,
-) -> Result<FaultOutcome> {
-    let applied = apply_fault(p, spec.kind).map_err(Error::from)?;
-    let (steps, clean) = run_budget(p, cfg.budget_steps);
-    let verdict = if !clean {
+/// Classifies the state a trial left `p` in; `clean` is false when the
+/// trial trapped.
+fn classify(p: &Platform, cfg: CampaignConfig, golden: u64, clean: bool) -> Result<Verdict> {
+    Ok(if !clean {
         Verdict::Crash
     } else if p.debug_read(cfg.detect_addr).map_err(Error::from)? != 0 {
         Verdict::Detected
@@ -315,10 +347,22 @@ fn finish_trial(
         Verdict::SilentCorruption
     } else {
         Verdict::Masked
-    };
+    })
+}
+
+/// Shared tail of a trial on an already-positioned platform: inject, run
+/// to budget, classify.
+fn finish_trial(
+    p: &mut Platform,
+    spec: FaultSpec,
+    cfg: CampaignConfig,
+    golden: u64,
+) -> Result<FaultOutcome> {
+    let applied = apply_fault(p, spec.kind).map_err(Error::from)?;
+    let (steps, clean) = run_budget(p, cfg.budget_steps, |_| {});
     Ok(FaultOutcome {
         spec,
-        verdict,
+        verdict: classify(p, cfg, golden, clean)?,
         steps,
         applied,
     })
@@ -350,23 +394,113 @@ fn check_addresses(p: &Platform, cfg: CampaignConfig) -> Result<()> {
         .try_for_each(|i| readable("output region", cfg.output_addr.saturating_add(i)))
 }
 
-/// Validates the campaign addresses and the fault-free baseline on
-/// `golden_p`, a platform freshly hydrated from the campaign image, and
-/// returns the golden output checksum.
-fn golden_baseline(mut golden_p: Platform, cfg: CampaignConfig) -> Result<u64> {
-    check_addresses(&golden_p, cfg)?;
-    let (_, clean) = run_budget(&mut golden_p, cfg.budget_steps);
+/// Validates the campaign addresses and the fault-free baseline on `p`, a
+/// platform freshly hydrated from the campaign image, showing every step of
+/// the run to `observe`. Returns the golden output checksum and the steps
+/// the run took.
+fn golden_run(
+    p: &mut Platform,
+    cfg: CampaignConfig,
+    observe: impl FnMut(&StepEvent),
+) -> Result<(u64, u64)> {
+    check_addresses(p, cfg)?;
+    let (steps, clean) = run_budget(p, cfg.budget_steps, observe);
     if !clean {
         return Err(Error::Platform("golden run crashed".into()));
     }
-    if golden_p.debug_read(cfg.detect_addr).map_err(Error::from)? != 0 {
+    if p.debug_read(cfg.detect_addr).map_err(Error::from)? != 0 {
         return Err(Error::Platform(
             "golden run self-detected an error; baseline is unhealthy".into(),
         ));
     }
-    golden_p
+    let checksum = p
         .region_checksum(cfg.output_addr, cfg.output_words)
-        .map_err(Error::from)
+        .map_err(Error::from)?;
+    Ok((checksum, steps))
+}
+
+/// [`golden_run`] for the oracle, which keeps nothing but the checksum.
+fn golden_baseline(mut golden_p: Platform, cfg: CampaignConfig) -> Result<u64> {
+    golden_run(&mut golden_p, cfg, |_| {}).map(|(checksum, _)| checksum)
+}
+
+/// What the golden run of [`run_campaign_delta`] used: per core, the
+/// registers whose first use reads them; per word it accessed, whether the
+/// first access reads it. O(words touched + 16 × cores), not O(memory).
+struct GoldenUse {
+    /// Per core, the registers read before they are written.
+    live_regs: Vec<u16>,
+    /// Per core, the registers used at all so far.
+    used_regs: Vec<u16>,
+    /// Every word the run accessed: `true` when its first access reads it.
+    first_read: HashMap<u32, bool>,
+}
+
+impl GoldenUse {
+    fn new(cores: usize) -> Self {
+        GoldenUse {
+            live_regs: vec![0; cores],
+            used_regs: vec![0; cores],
+            first_read: HashMap::new(),
+        }
+    }
+
+    fn record(&mut self, ev: &StepEvent) {
+        if let StepKind::Instr { core, instr, .. } = ev.kind {
+            let u = instr.reg_use();
+            self.live_regs[core] |= u.reads & !self.used_regs[core];
+            self.used_regs[core] |= u.reads | u.writes;
+        }
+        for a in &ev.accesses {
+            self.first_read
+                .entry(a.addr)
+                .or_insert(a.kind == AccessKind::Read);
+        }
+    }
+
+    /// The outcome of `spec` without a simulation, when it flips a register
+    /// or RAM word the golden run never reads before overwriting it; `None`
+    /// when the fault must be simulated. `p` is the platform the golden run
+    /// (`steps` long, output checksum `golden`) finished on, and is left as
+    /// it was found.
+    fn dead_outcome(
+        &self,
+        p: &mut Platform,
+        spec: FaultSpec,
+        cfg: CampaignConfig,
+        golden: u64,
+        steps: u64,
+    ) -> Result<Option<FaultOutcome>> {
+        let verdict = match spec.kind {
+            FaultKind::RegFlip { core, reg, .. } => match self.live_regs.get(core) {
+                Some(live) if live >> (reg % Reg::COUNT as u8) & 1 == 0 => Verdict::Masked,
+                _ => return Ok(None),
+            },
+            // Only mapped RAM: anything else fails to inject, and must fail
+            // where the oracle does.
+            FaultKind::MemFlip { addr, bit } if p.debug_read(addr).is_ok() => {
+                match self.first_read.get(&addr) {
+                    Some(true) => return Ok(None),
+                    Some(false) => Verdict::Masked,
+                    // Never accessed: the trial ends in the golden final
+                    // state with this one word still flipped.
+                    None => {
+                        p.inject_mem_flip(addr, bit).map_err(Error::from)?;
+                        let v = classify(p, cfg, golden, true);
+                        p.inject_mem_flip(addr, bit).map_err(Error::from)?;
+                        v?
+                    }
+                }
+            }
+            _ => return Ok(None),
+        };
+        Ok(Some(FaultOutcome {
+            spec,
+            verdict,
+            steps,
+            applied: true,
+        }))
+    }
 }
 
 /// Bumps the `campaign.*` counters for a finished report.
@@ -418,43 +552,87 @@ pub fn run_campaign(
     Ok(report)
 }
 
+/// How [`run_campaign_delta`] gets one fault's outcome.
+enum Plan {
+    /// From the golden run: the fault is dead.
+    Dead(FaultOutcome),
+    /// From the sweep's trial with this index, which simulated the first
+    /// occurrence of the fault's kind.
+    Trial(usize),
+}
+
 /// Runs a full campaign exactly like [`run_campaign`] — same golden run,
-/// same verdicts, bit-identical [`CampaignReport`] — but with O(dirty
-/// state) rollback: `image` is hashed and decoded once, into a
-/// [`BaseImage`] that the golden run and each engine worker hydrate **one**
-/// platform from; the shared [`mpsoc_explore::Prefix`] resets it to the
-/// base between trials ([`Platform::reset_to_base`]), rewriting only the
-/// RAM pages the previous trial touched instead of checksumming and
-/// decoding the whole image again. On sparse-write workloads this makes
-/// per-trial rollback cost proportional to what the trial did, not to how
-/// much memory the platform has.
+/// same verdicts, bit-identical [`CampaignReport`] at any thread count —
+/// but simulates only what the report depends on (see the
+/// [module docs](self)): `image` is hashed and decoded once, into a
+/// [`BaseImage`]; the golden run records which registers and words it
+/// reads first; a flip it never reads gets its outcome from the golden run,
+/// and of the other faults each distinct [`FaultKind`] is simulated once.
+/// Simulated trials run on one platform per engine worker, which the
+/// shared [`mpsoc_explore::Prefix`] resets to the base between trials
+/// ([`Platform::reset_to_base`]), rewriting only the RAM pages the previous
+/// trial touched.
+///
+/// With `metrics`, bumps the `campaign.*` counters of [`run_campaign`]
+/// plus `simulated` (trials run), `dead` (outcomes taken from the golden
+/// run) and `duplicate` (outcomes copied from an earlier identical fault);
+/// the three sum to the fault count. `explore.warm_hits` counts one
+/// rollback per *simulated* trial plus one hydration per worker.
 ///
 /// # Errors
 ///
-/// As [`run_campaign`].
+/// As [`run_campaign`], and for the same fault: the first in list order.
 pub fn run_campaign_delta(
     image: &[u8],
     faults: &[FaultSpec],
     cfg: CampaignConfig,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<CampaignReport> {
+    let mut plans = Vec::with_capacity(faults.len());
+    let mut trials: Vec<FaultSpec> = Vec::with_capacity(faults.len());
+    let mut first_trial: HashMap<FaultKind, usize> = HashMap::with_capacity(faults.len());
     let base = BaseImage::new(image.to_vec()).map_err(Error::from)?;
-    let golden = golden_baseline(base.hydrate().map_err(Error::from)?, cfg)?;
+    // The plan is made on the platform the golden run finished on, which
+    // goes out of scope before the sweep.
+    let golden = {
+        let mut p = base.hydrate().map_err(Error::from)?;
+        let mut uses = GoldenUse::new(p.num_cores());
+        let (golden, steps) = golden_run(&mut p, cfg, |ev| uses.record(ev))?;
+        for &spec in faults {
+            plans.push(match uses.dead_outcome(&mut p, spec, cfg, golden, steps)? {
+                Some(outcome) => Plan::Dead(outcome),
+                None => Plan::Trial(*first_trial.entry(spec.kind).or_insert_with(|| {
+                    trials.push(spec);
+                    trials.len() - 1
+                })),
+            });
+        }
+        golden
+    };
+
     let mut prefix = mpsoc_explore::Prefix::base(&base);
     if let Some(m) = metrics {
         prefix = prefix.metrics(m);
     }
     let prefix = &prefix;
-    let outcomes: Vec<FaultOutcome> = mpsoc_explore::Sweep::new(cfg.threads)
-        .run_stateful(
-            faults.len(),
-            || prefix.materialize().map_err(|e| Err(Error::from(e))),
-            |p, i| {
-                prefix.rewind(p).map_err(Error::from)?;
-                finish_trial(p, faults[i], cfg, golden)
-            },
-        )
-        .into_iter()
+    let results: Vec<Result<FaultOutcome>> = mpsoc_explore::Sweep::new(cfg.threads).run_stateful(
+        trials.len(),
+        || prefix.materialize().map_err(|e| Err(Error::from(e))),
+        |p, i| {
+            prefix.rewind(p).map_err(Error::from)?;
+            finish_trial(p, trials[i], cfg, golden)
+        },
+    );
+    let dead = plans.iter().filter(|p| matches!(p, Plan::Dead(_))).count();
+    // In fault order, so the error returned is the oracle's: a dead fault
+    // cannot fail, and a repeat fails as its first occurrence did.
+    let outcomes: Vec<FaultOutcome> = faults
+        .iter()
+        .zip(plans)
+        .map(|(&spec, plan)| match plan {
+            Plan::Dead(outcome) => Ok(outcome),
+            Plan::Trial(i) => results[i].clone().map(|o| FaultOutcome { spec, ..o }),
+        })
         .collect::<Result<_>>()?;
 
     let report = CampaignReport {
@@ -464,6 +642,10 @@ pub fn run_campaign_delta(
     };
     if let Some(m) = metrics {
         bump_counters(m, &report);
+        m.counter("campaign.simulated").add(trials.len() as u64);
+        m.counter("campaign.dead").add(dead as u64);
+        m.counter("campaign.duplicate")
+            .add((faults.len() - trials.len() - dead) as u64);
     }
     Ok(report)
 }
@@ -671,6 +853,18 @@ mod tests {
     }
 
     #[test]
+    fn generate_faults_on_an_empty_space_returns_no_faults() {
+        let empty = FaultSpace {
+            cores: 0,
+            periph_pages: vec![],
+            dma_pages: vec![],
+            mem_lo: 1,
+            mem_hi: 0,
+        };
+        assert_eq!(generate_faults(7, 10, &empty), vec![]);
+    }
+
+    #[test]
     fn campaign_counters_feed_obs() {
         let image = fault_site_image();
         let faults = [FaultSpec {
@@ -684,5 +878,179 @@ mod tests {
         run_campaign(&image, &faults, config(1), Some(&registry)).unwrap();
         assert_eq!(registry.counter("campaign.trials").get(), 1);
         assert_eq!(registry.counter("campaign.masked").get(), 1);
+
+        // The delta runner also says how it got each outcome: 0x300 is never
+        // touched (dead), the second r1 flip repeats the first.
+        let r1 = FaultKind::RegFlip {
+            core: 0,
+            reg: 1,
+            bit: 2,
+        };
+        let faults = specs(&[faults[0].kind, r1, r1]);
+        let registry = MetricsRegistry::new();
+        run_campaign_delta(&image, &faults, config(2), Some(&registry)).unwrap();
+        let count = |name| registry.counter(name).get();
+        assert_eq!(count("campaign.trials"), 3);
+        assert_eq!(count("campaign.masked"), 1);
+        assert_eq!(count("campaign.detected"), 2);
+        assert_eq!(count("campaign.simulated"), 1);
+        assert_eq!(count("campaign.dead"), 1);
+        assert_eq!(count("campaign.duplicate"), 1);
+    }
+
+    fn specs(kinds: &[FaultKind]) -> Vec<FaultSpec> {
+        (0..)
+            .zip(kinds)
+            .map(|(id, &kind)| FaultSpec { id, kind })
+            .collect()
+    }
+
+    /// Runs `kinds` through both runners on `fault_site_image` and checks
+    /// that the reports are equal; returns the delta runner's report and its
+    /// `simulated` / `dead` / `duplicate` counters.
+    fn pruned(kinds: &[FaultKind], cfg: CampaignConfig) -> (CampaignReport, [u64; 3]) {
+        let image = fault_site_image();
+        let faults = specs(kinds);
+        let registry = MetricsRegistry::new();
+        let delta = run_campaign_delta(&image, &faults, cfg, Some(&registry)).unwrap();
+        assert_eq!(delta, run_campaign(&image, &faults, cfg, None).unwrap());
+        let count = |name| registry.counter(name).get();
+        let counts = [
+            count("campaign.simulated"),
+            count("campaign.dead"),
+            count("campaign.duplicate"),
+        ];
+        (delta, counts)
+    }
+
+    /// The steps of the fault-free run from `fault_site_image`.
+    fn golden_steps(cfg: CampaignConfig) -> u64 {
+        let mut p = Platform::from_image(&fault_site_image()).unwrap();
+        golden_run(&mut p, cfg, |_| {}).unwrap().1
+    }
+
+    #[test]
+    fn a_register_written_before_it_is_read_is_not_simulated() {
+        // The rest of the program starts with `movi r4, 0x200`.
+        let (report, counts) = pruned(
+            &[FaultKind::RegFlip {
+                core: 0,
+                reg: 4,
+                bit: 3,
+            }],
+            config(1),
+        );
+        assert_eq!(counts, [0, 1, 0]);
+        let o = report.outcomes[0];
+        assert_eq!(o.verdict, Verdict::Masked);
+        assert!(o.applied);
+        assert_eq!(o.steps, golden_steps(config(1)));
+    }
+
+    #[test]
+    fn a_register_read_before_it_is_written_is_simulated() {
+        // The loop's `addi r1, r1, 3` reads r1 before writing it.
+        let (report, counts) = pruned(
+            &[FaultKind::RegFlip {
+                core: 0,
+                reg: 1,
+                bit: 2,
+            }],
+            config(1),
+        );
+        assert_eq!(counts, [1, 0, 0]);
+        assert_eq!(report.outcomes[0].verdict, Verdict::Detected);
+    }
+
+    #[test]
+    fn an_untouched_word_in_the_output_region_is_computed_not_assumed() {
+        // Only 0x200 of the four output words is ever written.
+        let cfg = CampaignConfig {
+            output_words: 4,
+            ..config(1)
+        };
+        let (report, counts) = pruned(
+            &[
+                FaultKind::MemFlip {
+                    addr: 0x202,
+                    bit: 5,
+                },
+                FaultKind::MemFlip {
+                    addr: 0x200,
+                    bit: 5,
+                },
+            ],
+            cfg,
+        );
+        assert_eq!(counts, [0, 2, 0]);
+        assert_eq!(report.outcomes[0].verdict, Verdict::SilentCorruption);
+        assert_eq!(report.outcomes[1].verdict, Verdict::Masked);
+        assert!(report.outcomes.iter().all(|o| o.applied));
+    }
+
+    #[test]
+    fn a_flip_of_an_untouched_detect_flag_is_detected() {
+        // 0x220 is never accessed; 0x210, the program's own flag, is
+        // written before it is read.
+        let cfg = CampaignConfig {
+            detect_addr: 0x220,
+            ..config(1)
+        };
+        let flip = |addr| FaultKind::MemFlip { addr, bit: 0 };
+        let (report, counts) = pruned(&[flip(0x220)], cfg);
+        assert_eq!(counts, [0, 1, 0]);
+        assert_eq!(report.outcomes[0].verdict, Verdict::Detected);
+        let (report, counts) = pruned(&[flip(0x210)], config(1));
+        assert_eq!(counts, [0, 1, 0]);
+        assert_eq!(report.outcomes[0].verdict, Verdict::Masked);
+    }
+
+    #[test]
+    fn a_fault_that_cannot_be_injected_is_still_an_error() {
+        // 2048 shared words: 0x800 is unmapped, and there is no core 7.
+        // The first failing fault in list order is the one reported.
+        let image = fault_site_image();
+        let bad_word = FaultKind::MemFlip {
+            addr: 0x800,
+            bit: 0,
+        };
+        let bad_core = FaultKind::RegFlip {
+            core: 7,
+            reg: 4,
+            bit: 0,
+        };
+        let dead = FaultKind::MemFlip {
+            addr: 0x300,
+            bit: 0,
+        };
+        for kinds in [[dead, bad_word, bad_core], [dead, bad_core, bad_word]] {
+            let faults = specs(&kinds);
+            let oracle = run_campaign(&image, &faults, config(1), None);
+            assert!(oracle.is_err());
+            for threads in [1, 2] {
+                assert_eq!(
+                    run_campaign_delta(&image, &faults, config(threads), None),
+                    oracle
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_fault_is_simulated_once() {
+        let r1 = FaultKind::RegFlip {
+            core: 0,
+            reg: 1,
+            bit: 2,
+        };
+        let r3 = FaultKind::RegFlip {
+            core: 0,
+            reg: 3,
+            bit: 40,
+        };
+        let (report, counts) = pruned(&[r1, r3, r1, r1, r3], config(2));
+        assert_eq!(counts, [2, 0, 3]);
+        let ids: Vec<u32> = report.outcomes.iter().map(|o| o.spec.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
     }
 }

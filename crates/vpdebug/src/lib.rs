@@ -30,7 +30,8 @@
 //! * [`campaign`] — deterministic fault-injection campaigns over a
 //!   checkpoint image: inject, run to a verdict, roll back to the base via
 //!   O(dirty-state) delta restores, sweep in parallel with bit-identical
-//!   results at any thread count.
+//!   results at any thread count; each distinct fault the golden run can
+//!   observe is simulated once, the rest answered from that run.
 //!
 //! ## Quickstart
 //!

@@ -18,13 +18,23 @@ esac
 
 STAGE_NAMES=()
 STAGE_SECS=()
+# A stage that hangs (a test or tool that never returns) fails after this
+# long instead of wedging CI. Every stage runs in well under it.
+STAGE_TIMEOUT=30m
 
 stage() {
   local name="$1"
   shift
   echo "== $name =="
-  local t0=$SECONDS
-  "$@"
+  local t0=$SECONDS rc=0
+  # The stage runs in a child shell with the same strict options, so the
+  # shell functions below (exported with `export -f`) fail as they would
+  # here; `timeout` signals the stage's whole process group.
+  timeout --kill-after=1m "$STAGE_TIMEOUT" bash -euo pipefail -c '"$@"' "$name" "$@" || rc=$?
+  if [ "$rc" -eq 124 ]; then
+    echo "error: stage \"$name\" did not finish within $STAGE_TIMEOUT" >&2
+  fi
+  [ "$rc" -eq 0 ] || exit "$rc"
   STAGE_NAMES+=("$name")
   STAGE_SECS+=($((SECONDS - t0)))
 }
@@ -77,6 +87,8 @@ platform_release_tests() {
     --test rsp_allocations --test explore_equivalence --test trace_equivalence
 }
 
+export -f check_tracked_files doc_deny_warnings run_examples platform_release_tests
+
 stage "tracked files intact" check_tracked_files
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
@@ -99,7 +111,10 @@ stage "DSE differential tests (release)" \
 # and the pinned image bytes (image_golden). And the GDB-RSP session: its
 # allocation counts (rsp_allocations) and the hex / framing fast paths that
 # packet_fuzz replays against the session they replaced are, like every
-# other number, only ever measured in release.
+# other number, only ever measured in release. And the fault campaign's
+# pruning — dead register and RAM flips answered from the golden run,
+# repeated faults simulated once — whose E12 fault-population test against
+# the unpruned oracle (explore_equivalence) is the campaign's exactness check.
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 # The paper's claims E1-E13 in release, E13 at its smoke size: fails on any

@@ -403,6 +403,57 @@ mod campaign_flow {
         )
     }
 
+    /// E12's fault target stepped to its fault site, eight steps into the
+    /// DMA stream, and the fault space over its components.
+    fn e12_fault_site() -> (Vec<u8>, FaultSpace) {
+        let (mut p, timer, mailbox, dma) = mpsoc_suite::apps::testbed::build_e12();
+        while !p.dma_in_flight(dma) {
+            p.step().unwrap();
+        }
+        for _ in 0..8 {
+            p.step().unwrap();
+        }
+        let space = FaultSpace {
+            cores: 2,
+            periph_pages: vec![timer, mailbox],
+            dma_pages: vec![dma],
+            mem_lo: 0x100,
+            mem_hi: 0x2FF,
+        };
+        (p.capture().unwrap(), space)
+    }
+
+    /// The delta runner skips dead faults and repeats; over a population of
+    /// E12 faults its whole report must still be the oracle's, at every
+    /// thread count, and the skipping must have happened.
+    #[test]
+    fn pruned_campaign_report_equals_the_oracle_over_a_fault_population() {
+        let (image, space) = e12_fault_site();
+        let cfg = |threads| CampaignConfig {
+            budget_steps: 20_000,
+            output_addr: 0x200,
+            output_words: 0x60,
+            detect_addr: 0x210,
+            threads,
+        };
+        let registry = MetricsRegistry::new();
+        for seed in 1..=20u64 {
+            let faults = generate_faults(seed, 100, &space);
+            let oracle = run_campaign(&image, &faults, cfg(1), None).unwrap();
+            for threads in [1, 2, 4] {
+                let m = (threads == 1).then_some(&registry);
+                let delta = run_campaign_delta(&image, &faults, cfg(threads), m).unwrap();
+                assert_eq!(delta, oracle, "seed {seed}, {threads} threads");
+            }
+        }
+        let count = |name| registry.counter(name).get();
+        assert_eq!(
+            count("campaign.simulated") + count("campaign.dead") + count("campaign.duplicate"),
+            2_000
+        );
+        assert!(count("campaign.dead") > 0 && count("campaign.duplicate") > 0);
+    }
+
     #[test]
     fn campaign_is_thread_count_invariant_and_delta_agrees() {
         let image = fault_site_image();
