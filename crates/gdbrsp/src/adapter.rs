@@ -275,6 +275,8 @@ impl Target for DebugTarget {
             ["step-back"] => {
                 if self.dbg.step_back()? {
                     Ok(format!("at step {}\n", self.dbg.platform().steps()))
+                } else if self.dbg.checkpoint_steps().is_empty() {
+                    Ok(format!("cannot step back: {TIME_TRAVEL_OFF}\n"))
                 } else {
                     Ok("cannot step back: at origin or past the rewind horizon\n".into())
                 }
@@ -286,6 +288,9 @@ impl Target for DebugTarget {
                         "stopped at step {}: {reason:?}\n",
                         self.dbg.platform().steps()
                     ))
+                }
+                None if self.dbg.checkpoint_steps().is_empty() => {
+                    Ok(format!("no earlier stop: {TIME_TRAVEL_OFF}\n"))
                 }
                 None => Ok("no earlier stop within the rewind horizon\n".into()),
             },
@@ -376,6 +381,11 @@ impl Target for DebugTarget {
         }
     }
 }
+
+/// Why `step-back` and `reverse-continue` find nothing to rewind to on a
+/// debugger that keeps no checkpoints.
+const TIME_TRAVEL_OFF: &str =
+    "time travel is off (enable it with `monitor time-travel INTERVAL MAX`)";
 
 const MONITOR_HELP: &str = "\
 monitor commands:
@@ -472,9 +482,22 @@ mod tests {
             t.monitor("checkpoint").is_err(),
             "checkpoints need time travel enabled"
         );
+        // With time travel off, both rewinds say so and name the command
+        // that turns it on — not the rewind horizon, which does not exist.
         let refused = t.monitor("step-back").unwrap();
-        assert!(refused.contains("cannot step back"), "{refused}");
+        assert!(refused.starts_with("cannot step back"), "{refused}");
+        for out in [refused, t.monitor("reverse-continue").unwrap()] {
+            assert!(out.contains("time travel is off"), "{out}");
+            assert!(out.contains("monitor time-travel"), "{out}");
+            assert!(!out.contains("horizon"), "{out}");
+        }
         t.monitor("time-travel 4 16").unwrap();
+        // At the origin with time travel on, the horizon is the reason.
+        let refused = t.monitor("step-back").unwrap();
+        assert!(refused.starts_with("cannot step back"), "{refused}");
+        assert!(refused.contains("rewind horizon"), "{refused}");
+        let none = t.monitor("reverse-continue").unwrap();
+        assert!(none.contains("within the rewind horizon"), "{none}");
         for _ in 0..10 {
             t.step().unwrap();
         }

@@ -81,6 +81,7 @@ pub struct MetricSample {
     pub high_water: u64,
 }
 
+#[derive(Clone)]
 enum Entry {
     Counter(Counter),
     Gauge(Gauge),
@@ -91,7 +92,9 @@ enum Entry {
 /// Names are dotted paths by convention (`"noc.transfers"`,
 /// `"sched.deadline_misses"`). Asking for an existing name returns a handle
 /// to the same underlying metric; asking for an existing name *of the other
-/// kind* panics, since that is always an instrumentation bug.
+/// kind* panics, since that is always an instrumentation bug — after the
+/// registry's lock is released, so the registry stays usable by whoever
+/// catches the panic.
 #[derive(Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<(String, Entry)>>,
@@ -103,24 +106,34 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The entry registered as `name`, of whichever kind, or `new` freshly
+    /// registered under it. The lock is held only in here: nothing in here
+    /// panics, so no caller can poison it.
+    fn entry(&self, name: &str, new: impl FnOnce() -> Entry) -> Entry {
+        let mut entries = self.entries.lock().unwrap();
+        if let Some((_, entry)) = entries.iter().find(|(n, _)| n == name) {
+            return entry.clone();
+        }
+        let entry = new();
+        entries.push((name.to_string(), entry.clone()));
+        entry
+    }
+
     /// Returns the counter named `name`, creating it at zero if absent.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a gauge.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut entries = self.entries.lock().unwrap();
-        if let Some((_, entry)) = entries.iter().find(|(n, _)| n == name) {
-            match entry {
-                Entry::Counter(c) => return c.clone(),
-                Entry::Gauge(_) => panic!("metric {name:?} is a gauge, not a counter"),
-            }
-        }
-        let c = Counter {
-            value: Arc::new(AtomicU64::new(0)),
+        let new = || {
+            Entry::Counter(Counter {
+                value: Arc::new(AtomicU64::new(0)),
+            })
         };
-        entries.push((name.to_string(), Entry::Counter(c.clone())));
-        c
+        match self.entry(name, new) {
+            Entry::Counter(c) => c,
+            Entry::Gauge(_) => panic!("metric {name:?} is a gauge, not a counter"),
+        }
     }
 
     /// Returns the gauge named `name`, creating it at zero if absent.
@@ -129,19 +142,16 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a counter.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut entries = self.entries.lock().unwrap();
-        if let Some((_, entry)) = entries.iter().find(|(n, _)| n == name) {
-            match entry {
-                Entry::Gauge(g) => return g.clone(),
-                Entry::Counter(_) => panic!("metric {name:?} is a counter, not a gauge"),
-            }
-        }
-        let g = Gauge {
-            value: Arc::new(AtomicU64::new(0)),
-            high_water: Arc::new(AtomicU64::new(0)),
+        let new = || {
+            Entry::Gauge(Gauge {
+                value: Arc::new(AtomicU64::new(0)),
+                high_water: Arc::new(AtomicU64::new(0)),
+            })
         };
-        entries.push((name.to_string(), Entry::Gauge(g.clone())));
-        g
+        match self.entry(name, new) {
+            Entry::Gauge(g) => g,
+            Entry::Counter(_) => panic!("metric {name:?} is a counter, not a gauge"),
+        }
     }
 
     /// Number of registered metrics.
@@ -219,6 +229,24 @@ mod tests {
             assert!(now > last, "counter must only increase");
             last = now;
         }
+    }
+
+    #[test]
+    fn a_kind_conflict_leaves_the_registry_usable() {
+        let reg = MetricsRegistry::new();
+        reg.counter("c").add(2);
+        reg.gauge("g").set(5);
+        assert!(std::panic::catch_unwind(|| reg.gauge("c")).is_err());
+        assert!(std::panic::catch_unwind(|| reg.counter("g")).is_err());
+        // Nothing was registered by the refused calls, and every later
+        // call — the same names, other names, reads — still works.
+        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.counter("c").get(), 2);
+        assert_eq!(reg.gauge("g").high_water(), 5);
+        reg.counter("d").inc();
+        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["c", "d", "g"]);
+        assert!(reg.dump().contains("g 5 (hwm 5)"));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum CacheOutcome {
 /// assert_eq!(c.access(0x100), CacheOutcome::Miss);
 /// assert_eq!(c.access(0x101), CacheOutcome::Hit); // same line
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Cache {
     /// `(tag, last-use tick)` per way, `None` = invalid way; set-major: set
     /// `s` owns `ways[s * assoc..(s + 1) * assoc]`. One buffer, so a restore
@@ -127,6 +127,32 @@ impl Cache {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        let mut c = Cache::new(1, 1, 1);
+        c.clone_from(self);
+        c
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Cache {
+            ways,
+            num_sets,
+            assoc,
+            line_words,
+            hits,
+            misses,
+            tick,
+        } = src;
+        self.ways.clone_from(ways);
+        self.num_sets = *num_sets;
+        self.assoc = *assoc;
+        self.line_words = *line_words;
+        self.hits = *hits;
+        self.misses = *misses;
+        self.tick = *tick;
     }
 }
 

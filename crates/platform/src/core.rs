@@ -32,7 +32,7 @@ pub enum CoreStatus {
 
 /// One processor core: architectural registers plus clocking and interrupt
 /// state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Core {
     id: usize,
     regs: [Word; Reg::COUNT],
@@ -248,6 +248,47 @@ impl mpsoc_snapshot::Snapshot for CoreStatus {
                 tag: u64::from(tag),
             }),
         }
+    }
+}
+
+impl Clone for Core {
+    fn clone(&self) -> Self {
+        let mut c = Core::new(self.id, self.freq);
+        c.clone_from(self);
+        c
+    }
+    // Every field, the program into the instruction and label buffers this
+    // core already owns: a restore that reinstalls a decoded state copies
+    // it over the cores it replaces without allocating.
+    fn clone_from(&mut self, src: &Self) {
+        let Core {
+            id,
+            regs,
+            pc,
+            status,
+            freq,
+            program,
+            irq_pending,
+            irq_enabled,
+            irq_vector,
+            saved_pc,
+            retired,
+            next_ready,
+            pre_debug,
+        } = src;
+        self.id = *id;
+        self.regs = *regs;
+        self.pc = *pc;
+        self.status = *status;
+        self.freq = *freq;
+        self.program.clone_from(program);
+        self.irq_pending = *irq_pending;
+        self.irq_enabled = *irq_enabled;
+        self.irq_vector = *irq_vector;
+        self.saved_pc = *saved_pc;
+        self.retired = *retired;
+        self.next_ready = *next_ready;
+        self.pre_debug = *pre_debug;
     }
 }
 

@@ -20,12 +20,28 @@ use mpsoc_snapshot::{Reader, SnapError, SnapResult, Snapshot as _, Writer};
 /// The interconnect carrying memory transactions from an initiator (core or
 /// DMA) to the shared memory / a remote node: one of the two models, chosen
 /// by the platform's configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Interconnect {
     /// One shared bus.
     Bus(Bus),
     /// A 2-D mesh.
     Mesh(Mesh),
+}
+
+impl Clone for Interconnect {
+    fn clone(&self) -> Self {
+        match self {
+            Interconnect::Bus(b) => Interconnect::Bus(b.clone()),
+            Interconnect::Mesh(m) => Interconnect::Mesh(m.clone()),
+        }
+    }
+    // A mesh copied over a mesh keeps its link table's buffer.
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (Interconnect::Mesh(m), Interconnect::Mesh(src)) => m.clone_from(src),
+            (this, src) => *this = src.clone(),
+        }
+    }
 }
 
 impl Interconnect {
@@ -184,7 +200,7 @@ impl Bus {
 /// along Y; each hop pays `hop_latency` and occupies the traversed
 /// directed link for `link_occupancy`. Node indices ≥ `w*h` (e.g. the
 /// shared-memory controller) are mapped onto the last node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mesh {
     w: usize,
     h: usize,
@@ -194,6 +210,32 @@ pub struct Mesh {
     links: Vec<Time>,
     transfers: u64,
     contention: Time,
+}
+
+impl Clone for Mesh {
+    fn clone(&self) -> Self {
+        let mut m = Mesh::new(1, 1, self.hop_latency, self.link_occupancy);
+        m.clone_from(self);
+        m
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Mesh {
+            w,
+            h,
+            hop_latency,
+            link_occupancy,
+            links,
+            transfers,
+            contention,
+        } = src;
+        self.w = *w;
+        self.h = *h;
+        self.hop_latency = *hop_latency;
+        self.link_occupancy = *link_occupancy;
+        self.links.clone_from(links);
+        self.transfers = *transfers;
+        self.contention = *contention;
+    }
 }
 
 impl Mesh {

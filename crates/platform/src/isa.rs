@@ -189,7 +189,7 @@ pub struct RegUse {
 /// Programs are position-independent in the sense that the program counter
 /// indexes into the program's instructions; data lives in the platform's
 /// memories, not in the program.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
     /// The symbol table, strictly ascending by address then name — the
@@ -360,6 +360,27 @@ fn save_branch(w: &mut mpsoc_snapshot::Writer, op: u8, a: Reg, b: Reg, target: u
     a.save(w);
     b.save(w);
     w.put_u32(target);
+}
+
+impl Clone for Program {
+    fn clone(&self) -> Self {
+        let mut p = Program::default();
+        p.clone_from(self);
+        p
+    }
+    // Reuses the instruction buffer and, label by label, the name strings
+    // (a tuple's `clone_from` would clone each name anew).
+    fn clone_from(&mut self, src: &Self) {
+        let Program { instrs, labels } = src;
+        self.instrs.clone_from(instrs);
+        self.labels.truncate(labels.len());
+        for ((name, addr), (src_name, src_addr)) in self.labels.iter_mut().zip(labels) {
+            name.clone_from(src_name);
+            *addr = *src_addr;
+        }
+        let have = self.labels.len();
+        self.labels.extend_from_slice(&labels[have..]);
+    }
 }
 
 impl mpsoc_snapshot::Snapshot for Program {

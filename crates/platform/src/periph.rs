@@ -54,7 +54,7 @@ pub(crate) enum Effect {
 /// which never perturbs state — the essence of non-intrusive inspection.
 ///
 /// [`snapshot`]: Periph::snapshot
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Periph {
     /// A periodic interval timer.
     Timer(Timer),
@@ -64,6 +64,28 @@ pub(crate) enum Periph {
     Semaphore(Semaphore),
     /// A block-copy engine.
     Dma(Dma),
+}
+
+impl Clone for Periph {
+    fn clone(&self) -> Self {
+        match self {
+            Periph::Timer(d) => Periph::Timer(d.clone()),
+            Periph::Mailbox(d) => Periph::Mailbox(d.clone()),
+            Periph::Semaphore(d) => Periph::Semaphore(d.clone()),
+            Periph::Dma(d) => Periph::Dma(d.clone()),
+        }
+    }
+    // A device copied over one of its own kind keeps its buffers: the name,
+    // the signal handle's name, a mailbox's FIFO.
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (Periph::Timer(d), Periph::Timer(s)) => d.clone_from(s),
+            (Periph::Mailbox(d), Periph::Mailbox(s)) => d.clone_from(s),
+            (Periph::Semaphore(d), Periph::Semaphore(s)) => d.clone_from(s),
+            (Periph::Dma(d), Periph::Dma(s)) => d.clone_from(s),
+            (this, src) => *this = src.clone(),
+        }
+    }
 }
 
 /// `$body` with `$dev` bound to the device inside `$periph`, whichever of
@@ -236,7 +258,7 @@ fn bad_reg(name: &str, offset: u32) -> Error {
 ///
 /// Each expiry raises `IRQ` on `CORE`, pulses the signal
 /// `"<name>.tick"`, and re-arms.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Timer {
     name: String,
     /// `"<name>.tick"`, driven on every expiry: formatted once, and
@@ -264,6 +286,36 @@ pub mod timer_reg {
     pub const CORE: u32 = 3;
     /// Interrupt number raised on each tick.
     pub const IRQ: u32 = 4;
+}
+
+impl Clone for Timer {
+    fn clone(&self) -> Self {
+        let mut d = Timer::new("");
+        d.clone_from(self);
+        d
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Timer {
+            name,
+            tick_sig,
+            period_ns,
+            enabled,
+            count,
+            core,
+            irq,
+            next_fire,
+            stuck,
+        } = src;
+        self.name.clone_from(name);
+        self.tick_sig.clone_from(tick_sig);
+        self.period_ns = *period_ns;
+        self.enabled = *enabled;
+        self.count = *count;
+        self.core = *core;
+        self.irq = *irq;
+        self.next_fire = *next_fire;
+        self.stuck = *stuck;
+    }
 }
 
 impl Timer {
@@ -408,7 +460,7 @@ impl Timer {
 /// The signal `"<name>.avail"` carries the current occupancy, enabling
 /// data-driven task activation (Section III) and watchpoints on message
 /// arrival.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mailbox {
     name: String,
     /// `"<name>.avail"`, driven on every push/pop.
@@ -436,6 +488,34 @@ pub mod mailbox_reg {
     pub(crate) const NOTIFY: u32 = 4;
     /// Interrupt number used for notification.
     pub const IRQ: u32 = 5;
+}
+
+impl Clone for Mailbox {
+    fn clone(&self) -> Self {
+        let mut d = Mailbox::new("", 1);
+        d.clone_from(self);
+        d
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Mailbox {
+            name,
+            avail_sig,
+            fifo,
+            capacity,
+            drops,
+            notify_core,
+            irq,
+            stuck,
+        } = src;
+        self.name.clone_from(name);
+        self.avail_sig.clone_from(avail_sig);
+        self.fifo.clone_from(fifo);
+        self.capacity = *capacity;
+        self.drops = *drops;
+        self.notify_core = *notify_core;
+        self.irq = *irq;
+        self.stuck = *stuck;
+    }
 }
 
 impl Mailbox {
@@ -574,7 +654,7 @@ impl Mailbox {
 /// Because a register *read* performs the acquire, the operation is a single
 /// bus transaction and therefore atomic across cores — exactly how MPSoC
 /// spinlock peripherals work.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Semaphore {
     name: String,
     /// `"<name>.held"`, driven on every acquire/release.
@@ -596,6 +676,30 @@ pub mod semaphore_reg {
     pub(crate) const VALUE: u32 = 2;
     /// Re-initialisation port (write).
     pub(crate) const INIT: u32 = 3;
+}
+
+impl Clone for Semaphore {
+    fn clone(&self) -> Self {
+        let mut d = Semaphore::new("", 0);
+        d.clone_from(self);
+        d
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Semaphore {
+            name,
+            held_sig,
+            count,
+            acquires,
+            contentions,
+            stuck,
+        } = src;
+        self.name.clone_from(name);
+        self.held_sig.clone_from(held_sig);
+        self.count = *count;
+        self.acquires = *acquires;
+        self.contentions = *contentions;
+        self.stuck = *stuck;
+    }
 }
 
 impl Semaphore {
@@ -699,7 +803,7 @@ impl Semaphore {
 /// resource) and calls [`Dma::complete`] when done. A transfer whose range
 /// does not resolve copies nothing: the completion step returns the fault
 /// and the engine falls idle (no completion counted, no IRQ).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dma {
     name: String,
     /// `"<name>.busy"`, driven on every start/completion.
@@ -732,6 +836,40 @@ pub mod dma_reg {
     pub const CORE: u32 = 5;
     /// Completion interrupt number.
     pub const IRQ: u32 = 6;
+}
+
+impl Clone for Dma {
+    fn clone(&self) -> Self {
+        let mut d = Dma::new("", 0);
+        d.clone_from(self);
+        d
+    }
+    fn clone_from(&mut self, src: &Self) {
+        let Dma {
+            name,
+            busy_sig,
+            page,
+            src,
+            dst,
+            len,
+            busy,
+            core,
+            irq,
+            completed,
+            stuck,
+        } = src;
+        self.name.clone_from(name);
+        self.busy_sig.clone_from(busy_sig);
+        self.page = *page;
+        self.src = *src;
+        self.dst = *dst;
+        self.len = *len;
+        self.busy = *busy;
+        self.core = *core;
+        self.irq = *irq;
+        self.completed = *completed;
+        self.stuck = *stuck;
+    }
 }
 
 impl Dma {

@@ -486,11 +486,12 @@ impl PlatformBuilder {
             base_mark: None,
             base_rams: Vec::new(),
             restore_scratch: None,
+            restore_slot: None,
         })
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct PendingDma {
     pub(crate) finish: Time,
     pub(crate) page: usize,
@@ -551,6 +552,11 @@ pub struct Platform {
     /// `None` until the first restore; boxed so a platform that never
     /// restores carries one pointer.
     pub(crate) restore_scratch: Option<Box<crate::snapshot::SmallState>>,
+    /// The decoded form of the image the last `restore_delta` or
+    /// `reset_to_base` installed, which a restore of the same bytes
+    /// reinstalls without decoding them (see the `snapshot` module). `None`
+    /// until the first such restore; boxed like `restore_scratch`.
+    pub(crate) restore_slot: Option<Box<crate::snapshot::Remembered>>,
 }
 
 impl Platform {
@@ -795,9 +801,19 @@ impl Platform {
     /// re-examines it) and every in-flight DMA completion is re-pushed at
     /// its original finish time. Used by the `snapshot` module after a
     /// restore, because the calendar is derived state that is never
-    /// serialized.
+    /// serialized. The heap and the per-page vectors are emptied, not
+    /// replaced, so a restore reuses their buffers.
     pub(crate) fn rebuild_calendar(&mut self) {
-        self.calendar = Calendar::default();
+        let Calendar {
+            heap,
+            periph_gen,
+            periph_dirty,
+            dirty_periphs,
+        } = &mut self.calendar;
+        heap.clear();
+        periph_gen.clear();
+        periph_dirty.clear();
+        dirty_periphs.clear();
         for page in 0..self.periphs.len() {
             self.calendar.mark_periph(page);
         }

@@ -241,10 +241,30 @@ struct Slot {
 /// hint [`SignalBoard::drive_handle`] re-checks, never an authority (see the
 /// module docs), so a handle may be created before any board exists and
 /// moved between boards freely.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct SignalHandle {
     name: String,
     id: u32,
+}
+
+impl Clone for SignalHandle {
+    fn clone(&self) -> Self {
+        let SignalHandle { name, id } = self;
+        SignalHandle {
+            name: name.clone(),
+            id: *id,
+        }
+    }
+    // The id is a hint (see the module docs): a handle copied over one for
+    // the same name keeps its own, resolved on the board it is driven on,
+    // instead of taking one resolved on another board or on none.
+    fn clone_from(&mut self, src: &Self) {
+        let SignalHandle { name, id } = src;
+        if self.name != *name {
+            self.name.clone_from(name);
+            self.id = *id;
+        }
+    }
 }
 
 impl SignalHandle {
@@ -598,6 +618,32 @@ impl SignalBoard {
         for (name, sig) in restored.iter() {
             let id = self.intern(name);
             self.slots[id as usize].signal = Some(*sig);
+        }
+        self.trace.rewind_to(restored.trace.next_seq);
+    }
+
+    /// Writes to `ids` the id on this board of each of `restored`'s slots,
+    /// in `restored`'s id order, interning the names this board has not
+    /// met: what [`adopt_by_id`](SignalBoard::adopt_by_id) takes, so that a
+    /// restore installing one decoded board again and again looks its names
+    /// up once.
+    pub(crate) fn intern_all(&mut self, restored: &SignalBoard, ids: &mut Vec<u32>) {
+        ids.clear();
+        ids.extend(restored.slots.iter().map(|s| self.intern(s.name.as_str())));
+    }
+
+    /// [`adopt`](SignalBoard::adopt) with the names looked up already:
+    /// `ids` is what [`intern_all`](SignalBoard::intern_all) wrote for
+    /// `restored` on this board, and stays right as long as the board
+    /// lives, because its ids do.
+    pub(crate) fn adopt_by_id(&mut self, restored: &SignalBoard, ids: &[u32]) {
+        debug_assert_eq!(ids.len(), restored.slots.len());
+        for slot in &mut self.slots {
+            slot.signal = None;
+        }
+        for (slot, &id) in restored.slots.iter().zip(ids) {
+            debug_assert_eq!(self.slots[id as usize].name, slot.name);
+            self.slots[id as usize].signal = slot.signal;
         }
         self.trace.rewind_to(restored.trace.next_seq);
     }

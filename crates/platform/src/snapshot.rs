@@ -69,6 +69,16 @@
 //! architectural state, its values are pinned outside this crate, and it
 //! does not change with an image version.
 //!
+//! The one check that is skipped on purpose is a repeat's. A platform
+//! remembers the decoded form of the last image [`Platform::restore_delta`]
+//! or [`Platform::reset_to_base`] installed (see "The restore slot" below),
+//! and a later call whose input equals the remembered bytes, byte for byte,
+//! against a base with the same checksum, reinstalls it with no frame hash,
+//! no decode and no validation: those bytes were verified when they were
+//! first decoded, and the comparison is with them, not with a checksum or a
+//! length. An input that differs in any byte — a corrupted copy of the
+//! remembered delta included — takes the full path and its checks.
+//!
 //! ## What a restore allocates
 //!
 //! A restore pays for what changed, not for what exists. The small state is
@@ -81,26 +91,61 @@
 //! five numbers; a mesh allocates its link table), which leaves the decoded
 //! signal board as the one part still built anew. The state decoded into
 //! is the platform's *scratch*: the `SmallState` its previous restore
-//! replaced, kept (boxed, one pointer in [`Platform`]) instead of dropped.
-//! A restore decodes into the scratch, validates it, and only then swaps it
-//! with the live fields, so
+//! replaced, kept (boxed, one pointer in [`Platform`]) instead of dropped —
+//! or, for `restore_delta` and `reset_to_base`, the restore slot described
+//! below, which the scratch is then copied from. A restore decodes,
+//! validates, and only then swaps the scratch with the live fields, so
 //!
 //! * a failed decode still leaves the platform untouched — it wrote to the
-//!   scratch only;
+//!   scratch or the slot only;
 //! * it cannot leak into a later restore either: the next decode overwrites
-//!   the scratch in full, because every `load_into` and every
+//!   its target in full, because every `load_into` and every
 //!   `snap_restore` replaces all of its target whatever that held — which
 //!   is also why a differently shaped scratch (another core count, another
 //!   peripheral on the page) is harmless;
-//! * from a platform's second restore on one base on, `restore_delta` and
-//!   `reset_to_base` allocate nothing for cores, programs, labels, caches or
-//!   unchanged peripherals (a unit test counts);
+//! * from a platform's second restore on one base on, a decode allocates
+//!   nothing for cores, programs, labels, caches or unchanged peripherals
+//!   (a unit test counts);
 //! * a fresh decode — [`Platform::restore_image`] on a new platform,
 //!   [`BaseImage::new`] — is the same code over an empty scratch, not a
 //!   second decoder.
 //!
+//! ## The restore slot
+//!
+//! A step-back restores the nearest checkpoint and replays forward, so one
+//! rewind after another restores the same delta; a fault campaign resets
+//! to the same base before every trial. [`Platform::restore_delta`] and
+//! [`Platform::reset_to_base`] therefore decode *into the platform's
+//! slot*, not into the scratch: one boxed record (beside the scratch) of
+//! the last image they installed — its bytes (a whole sealed delta, or the
+//! head of the base's payload up to its RAM section, which is all
+//! `reset_to_base` reads), what they were decoded as and against which
+//! base, the decoded `SmallState`, the decoded RAM pages, and the id on the
+//! live signal board of each decoded signal. Whether the slot was just
+//! filled or already held the input, the install is the same: every
+//! component is copied from the slot into the scratch through its
+//! `clone_from` (the types that own buffers — `Core`, `Program`, `Cache`,
+//! the interconnect, every peripheral, a peripheral's signal handle —
+//! implement it field by field, destructuring the source with no `..`, so
+//! a new field does not compile until it is copied), the scratch is
+//! swapped with the live fields as above, signal values are set by id
+//! (`SignalBoard::adopt_by_id`), then RAM is committed and the calendar
+//! rebuilt. So
+//!
+//! * a *hit* — the same bytes against the same base — costs the copy, a
+//!   `memcmp` of the bytes, the RAM rollback and the calendar, and
+//!   allocates nothing once the scratch has the slot's shape (a unit test
+//!   counts);
+//! * a *miss* costs what a restore cost before, plus that copy and a copy
+//!   of the bytes; a decode that fails leaves the platform untouched and
+//!   the slot empty;
+//! * [`Platform::restore_image`] and [`Platform::from_image`] neither read
+//!   nor fill the slot: their callers build a platform per image.
+//!
 //! `tests/restore_in_place.rs` holds one long-lived platform to a freshly
-//! built one through seeded sequences of all of the above.
+//! built one through seeded sequences of all of the above, restores of the
+//! remembered delta and base among them, and a remembered delta with one
+//! byte flipped, which must be refused.
 
 use crate::cache::Cache;
 use crate::core::Core;
@@ -235,6 +280,40 @@ impl SmallState {
         }
     }
 
+    /// Copies `src` over this state through every component's `clone_from`,
+    /// so a state of the same shape takes it without allocating — all of it
+    /// but the signal board, which a restore installs into the live board
+    /// straight from `src` ([`SignalBoard::adopt_by_id`]).
+    fn copy_from(&mut self, src: &SmallState) {
+        let SmallState {
+            scheduler,
+            local_latency_cycles,
+            cache_hit_cycles,
+            shared_words,
+            now,
+            steps,
+            dma_seq,
+            cores,
+            caches,
+            interconnect,
+            signals: _,
+            pending_dma,
+            periphs,
+        } = src;
+        self.scheduler = *scheduler;
+        self.local_latency_cycles = *local_latency_cycles;
+        self.cache_hit_cycles = *cache_hit_cycles;
+        self.shared_words = *shared_words;
+        self.now = *now;
+        self.steps = *steps;
+        self.dma_seq = *dma_seq;
+        self.cores.clone_from(cores);
+        self.caches.clone_from(caches);
+        self.interconnect.clone_from(interconnect);
+        self.pending_dma.clone_from(pending_dma);
+        self.periphs.clone_from(periphs);
+    }
+
     /// Cross-field consistency of the non-RAM state: the simulator indexes
     /// cores, locals and caches by core id, a DMA completion reaches for
     /// the engine on the transfer's page, and shared RAM must end below the
@@ -361,6 +440,7 @@ fn decode_small(r: &mut Reader<'_>, base: Option<u64>, small: &mut SmallState) -
 
 /// One RAM of a decoded payload: its length in words and, ascending, the
 /// pages that differ from the base, each whole.
+#[derive(Debug)]
 struct RamPages {
     len: usize,
     pages: Vec<(usize, Vec<Word>)>,
@@ -375,6 +455,60 @@ impl RamPages {
             words[start..start + data.len()].copy_from_slice(&data);
         }
         words
+    }
+}
+
+/// What a remembered image was decoded from, besides its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    /// A sealed delta, restored against the base with this payload
+    /// checksum ([`Platform::restore_delta`]).
+    Delta(u64),
+    /// The small state at the head of the payload of the base with this
+    /// checksum ([`Platform::reset_to_base`]).
+    Base(u64),
+}
+
+/// The decoded form of the last image [`Platform::restore_delta`] or
+/// [`Platform::reset_to_base`] installed on a platform: a restore of the
+/// same bytes against the same base reinstalls it instead of decoding them
+/// again (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Remembered {
+    /// What `bytes` were decoded as; `None` while nothing is held — before
+    /// the first decode, and after one that failed part-way through `small`.
+    source: Option<Source>,
+    /// The bytes the decode read: the whole sealed delta, or the base's
+    /// payload up to its RAM section.
+    bytes: Vec<u8>,
+    small: SmallState,
+    /// A delta's RAM pages; none for a base.
+    rams: Vec<RamPages>,
+    /// The id on the platform's signal board of each signal in
+    /// `small.signals` ([`SignalBoard::intern_all`]).
+    signal_ids: Vec<u32>,
+}
+
+impl Remembered {
+    fn empty() -> Self {
+        Remembered {
+            source: None,
+            bytes: Vec::new(),
+            small: SmallState::empty(),
+            rams: Vec::new(),
+            signal_ids: Vec::new(),
+        }
+    }
+
+    /// Whether decoding `input` as `source` gives what is held: byte for
+    /// byte the input held — for a base, the head of its payload the
+    /// decode reads, RAM pages excluded.
+    fn holds(&self, source: Source, input: &[u8]) -> bool {
+        self.source == Some(source)
+            && match source {
+                Source::Delta(_) => input == self.bytes.as_slice(),
+                Source::Base(_) => input.starts_with(&self.bytes),
+            }
     }
 }
 
@@ -811,12 +945,11 @@ impl Platform {
     /// [`Error::Snapshot`] for a corrupt delta, one chained against a
     /// different base, a full image, or a page-granularity mismatch.
     pub fn restore_delta(&mut self, base: &BaseImage, delta: &[u8]) -> Result<()> {
-        let (payload, _) = open(delta)?;
-        let rams = self
-            .restore_small(|small| decode_payload(payload, Some(base), small).map_err(snap_err))?;
-        self.commit_ram(base, &rams);
-        self.rebuild_calendar();
-        Ok(())
+        self.restore_remembered(base, Source::Delta(base.checksum), delta, |small| {
+            let (payload, _) = open(delta)?;
+            let rams = decode_payload(payload, Some(base), small).map_err(snap_err)?;
+            Ok((rams, delta.len()))
+        })
     }
 
     /// Rolls the platform back to `base` exactly — the degenerate delta
@@ -834,10 +967,55 @@ impl Platform {
     /// these same private bytes, so this is not expected for any `base`.
     pub fn reset_to_base(&mut self, base: &BaseImage) -> Result<()> {
         let payload = &base.image[Image::HEADER_LEN..];
-        self.restore_small(|small| {
-            decode_small(&mut Reader::new(payload), None, small).map_err(snap_err)
-        })?;
-        self.commit_ram(base, &[]);
+        self.restore_remembered(base, Source::Base(base.checksum), payload, |small| {
+            let mut r = Reader::new(payload);
+            decode_small(&mut r, None, small).map_err(snap_err)?;
+            Ok((Vec::new(), r.position()))
+        })
+    }
+
+    /// The one body of [`restore_delta`](Platform::restore_delta) and
+    /// [`reset_to_base`](Platform::reset_to_base): unless this platform's
+    /// remembered image holds `input` decoded as `source` already, `decode`
+    /// decodes and validates it into the remembered state — returning the
+    /// RAM pages and how many bytes of `input` it read — and that state is
+    /// then installed through [`restore_small`](Platform::restore_small)
+    /// and `commit_ram` either way. A failed decode leaves the platform
+    /// untouched and nothing remembered.
+    fn restore_remembered(
+        &mut self,
+        base: &BaseImage,
+        source: Source,
+        input: &[u8],
+        decode: impl FnOnce(&mut SmallState) -> Result<(Vec<RamPages>, usize)>,
+    ) -> Result<()> {
+        let mut slot = (self.restore_slot.take()).unwrap_or_else(|| Box::new(Remembered::empty()));
+        if !slot.holds(source, input) {
+            slot.source = None;
+            let (rams, read) = match decode(&mut slot.small) {
+                Ok(decoded) => decoded,
+                Err(e) => {
+                    self.restore_slot = Some(slot);
+                    return Err(e);
+                }
+            };
+            slot.rams = rams;
+            slot.bytes.clear();
+            slot.bytes.extend_from_slice(&input[..read]);
+            self.signals
+                .intern_all(&slot.small.signals, &mut slot.signal_ids);
+            slot.source = Some(source);
+        }
+        let held = &*slot;
+        self.restore_small(
+            |s| {
+                s.copy_from(&held.small);
+                Ok(())
+            },
+            |board, _| board.adopt_by_id(&held.small.signals, &held.signal_ids),
+        )?;
+        self.commit_ram(base, &held.rams);
+        self.restore_slot = Some(slot);
         self.rebuild_calendar();
         Ok(())
     }
@@ -850,14 +1028,19 @@ impl Platform {
     /// replaced becomes the buffers the next restore decodes into instead
     /// of being dropped.
     ///
-    /// The signal board is *adopted*, not swapped: the image carries only
-    /// architectural signal state (values, last edges, trace sequence
-    /// counter), so the live board keeps its host-side trace tier — ring,
-    /// spill sink, budget, counters — reconciled to the restored sequence
-    /// counter. An in-place time-travel rewind therefore keeps the recent
-    /// window from before the checkpoint, and deterministic replay
-    /// re-records the truncated future identically without re-spilling.
-    fn restore_small<T>(&mut self, decode: impl FnOnce(&mut SmallState) -> Result<T>) -> Result<T> {
+    /// The signal board is *adopted*, not swapped (`adopt` gets the live
+    /// board and the decoded state): the image carries only architectural
+    /// signal state (values, last edges, trace sequence counter), so the
+    /// live board keeps its host-side trace tier — ring, spill sink,
+    /// budget, counters — reconciled to the restored sequence counter. An
+    /// in-place time-travel rewind therefore keeps the recent window from
+    /// before the checkpoint, and deterministic replay re-records the
+    /// truncated future identically without re-spilling.
+    fn restore_small<T>(
+        &mut self,
+        decode: impl FnOnce(&mut SmallState) -> Result<T>,
+        adopt: impl FnOnce(&mut SignalBoard, &SmallState),
+    ) -> Result<T> {
         use std::mem::swap;
         let mut s = (self.restore_scratch.take()).unwrap_or_else(|| Box::new(SmallState::empty()));
         let decoded = decode(&mut s);
@@ -872,7 +1055,7 @@ impl Platform {
             swap(&mut self.cores, &mut s.cores);
             swap(&mut self.caches, &mut s.caches);
             swap(&mut self.interconnect, &mut s.interconnect);
-            self.signals.adopt(&s.signals);
+            adopt(&mut self.signals, &s);
             swap(&mut self.pending_dma, &mut s.pending_dma);
             swap(&mut self.periphs, &mut s.periphs);
         }
@@ -929,8 +1112,10 @@ impl Platform {
     /// image, a delta, or one referencing an unknown peripheral kind.
     pub fn restore_image(&mut self, image: &[u8]) -> Result<()> {
         let (payload, checksum) = open(image)?;
-        let rams =
-            self.restore_small(|small| decode_payload(payload, None, small).map_err(snap_err))?;
+        let rams = self.restore_small(
+            |small| decode_payload(payload, None, small).map_err(snap_err),
+            |board, s| board.adopt(&s.signals),
+        )?;
         let mut rams = rams.into_iter().map(|r| Ram::from_words(r.into_words()));
         // The decoder holds an image to one shared RAM plus a local store
         // per core, and to at least one core.
@@ -1685,6 +1870,27 @@ mod tests {
         let delta = p.capture_delta().unwrap();
         p.restore_delta(&base, &delta).unwrap();
         p.reset_to_base(&base).unwrap();
+
+        // A restore of the image the previous restore decoded — the same
+        // delta, the same base — is a hit: its decoded state is reinstalled,
+        // and that allocates nothing, however far the platform ran since.
+        let run = |p: &mut Platform| {
+            for _ in 0..300 {
+                let ev = p.step().unwrap();
+                p.recycle(ev);
+            }
+        };
+        let delta_again = |p: &mut Platform| p.restore_delta(&base, &delta).unwrap();
+        let base_again = |p: &mut Platform| p.reset_to_base(&base).unwrap();
+        let restores: [&dyn Fn(&mut Platform); 2] = [&delta_again, &base_again];
+        for restore in restores {
+            // The miss that remembers the image, then a first hit.
+            restore(&mut p);
+            run(&mut p);
+            restore(&mut p);
+            run(&mut p);
+            assert_eq!(allocations(|| restore(&mut p)), 0);
+        }
 
         let payload = &delta[mpsoc_snapshot::Image::HEADER_LEN..];
         let mut scratch: Box<SmallState> = p.restore_scratch.take().unwrap();

@@ -84,7 +84,8 @@ platform_release_tests() {
   cargo test --release -q --test delta_roundtrip --test snapshot_roundtrip \
     --test debugger_equivalence --test restore_in_place \
     --test step_in_place --test step_allocations --test image_golden \
-    --test rsp_allocations --test explore_equivalence --test trace_equivalence
+    --test rsp_allocations --test explore_equivalence --test trace_equivalence \
+    --test rsp_session
 }
 
 export -f check_tracked_files doc_deny_warnings run_examples platform_release_tests
@@ -115,6 +116,10 @@ stage "DSE differential tests (release)" \
 # pruning — dead register and RAM flips answered from the golden run,
 # repeated faults simulated once — whose E12 fault-population test against
 # the unpruned oracle (explore_equivalence) is the campaign's exactness check.
+# And `monitor step-back` over the wire (rsp_session), the path the
+# debug_rewind workload times: a step-back that restores the checkpoint the
+# previous one restored reinstalls the platform's restore slot — the decoded
+# state it remembers — instead of decoding the delta again.
 stage "platform differential tests (release)" platform_release_tests
 stage "cargo doc (deny warnings)" doc_deny_warnings
 # The paper's claims E1-E13 in release, E13 at its smoke size: fails on any

@@ -9,6 +9,9 @@
 //! full restores of differently shaped platforms, one long-lived platform
 //! is byte-for-byte the platform [`BaseImage::hydrate`] plus the same
 //! restore builds from nothing — and a failed restore changes nothing.
+//! A platform also remembers the decoded form of the last delta or base it
+//! restored and reinstalls it for the same bytes, so the sequence restores
+//! those again, and a copy of the last delta with one byte flipped.
 
 use mpsoc_suite::apps::testbed;
 use mpsoc_suite::obs::rng::XorShift64Star;
@@ -195,9 +198,13 @@ fn a_long_lived_platform_equals_a_fresh_one_after_every_restore() {
         let mut fresh = bases[cur].hydrate().unwrap();
         // Deltas captured so far, with the base each one names.
         let mut deltas: Vec<(usize, Vec<u8>)> = Vec::new();
+        // What `live`'s last `restore_delta` and `reset_to_base` installed,
+        // for the operations that install it again.
+        let mut last_delta: Option<(usize, Vec<u8>)> = None;
+        let mut last_reset: Option<usize> = None;
 
-        for op in 0..70 {
-            let what = match rng.u64_in(0, 10) {
+        for op in 0..90 {
+            let what = match rng.u64_in(0, 13) {
                 0..=2 => {
                     let n = rng.u64_in(0, 300);
                     run_steps(&mut live, n);
@@ -228,17 +235,54 @@ fn a_long_lived_platform_equals_a_fresh_one_after_every_restore() {
                     "capture_delta".to_string()
                 }
                 4 | 5 if !deltas.is_empty() => {
-                    let (b, delta) = &deltas[rng.usize_in(0, deltas.len() - 1)];
+                    let (b, delta) = deltas[rng.usize_in(0, deltas.len() - 1)].clone();
+                    live.restore_delta(&bases[b], &delta).unwrap();
+                    fresh = bases[b].hydrate().unwrap();
+                    fresh.restore_delta(&bases[b], &delta).unwrap();
+                    cur = b;
+                    last_delta = Some((b, delta));
+                    format!("restore_delta onto base {b}")
+                }
+                11 if last_delta.is_some() => {
+                    // The same bytes again, whatever ran since: a platform
+                    // that remembers what it decoded must install all of it.
+                    let (b, delta) = last_delta.as_ref().unwrap();
                     live.restore_delta(&bases[*b], delta).unwrap();
                     fresh = bases[*b].hydrate().unwrap();
                     fresh.restore_delta(&bases[*b], delta).unwrap();
                     cur = *b;
-                    format!("restore_delta onto base {b}")
+                    format!("the same restore_delta onto base {b} again")
+                }
+                12 if last_reset.is_some() => {
+                    cur = last_reset.unwrap();
+                    live.reset_to_base(&bases[cur]).unwrap();
+                    fresh = bases[cur].hydrate().unwrap();
+                    format!("the same reset_to_base {cur} again")
+                }
+                13 if last_delta.is_some() => {
+                    // One byte of the last restored delta flipped: the copy
+                    // has its length and all but one of its bytes, and must
+                    // be refused like any corrupt delta.
+                    let (b, delta) = last_delta.as_ref().unwrap();
+                    let mut bad = delta.clone();
+                    let at = rng.usize_in(0, bad.len() - 1);
+                    bad[at] ^= rng.u64_in(1, 255) as u8;
+                    let before = fingerprint(&live);
+                    assert!(
+                        live.restore_delta(&bases[*b], &bad).is_err(),
+                        "{name} op {op}: a delta with byte {at} flipped restored"
+                    );
+                    assert!(
+                        fingerprint(&live) == before,
+                        "{name} op {op}: byte {at} left a mark"
+                    );
+                    format!("restore_delta of the last delta, byte {at} flipped")
                 }
                 6 => {
                     cur = rng.usize_in(0, bases.len() - 1);
                     live.reset_to_base(&bases[cur]).unwrap();
                     fresh = bases[cur].hydrate().unwrap();
+                    last_reset = Some(cur);
                     format!("reset_to_base {cur}")
                 }
                 7 => {
