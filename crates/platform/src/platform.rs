@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 /// counters, so the per-step cost of metrics is an atomic add, not a name
 /// lookup. Created by [`Platform::attach_metrics`].
 #[derive(Clone, Debug)]
-struct PlatformMetrics {
+pub(crate) struct PlatformMetrics {
     instr_retired: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -270,7 +270,7 @@ struct CalKey {
 /// pushed. Stale entries surface at the heap top eventually and are popped
 /// without effect.
 #[derive(Debug, Default)]
-struct Calendar {
+pub(crate) struct Calendar {
     heap: BinaryHeap<Reverse<CalKey>>,
     periph_gen: Vec<u64>,
     periph_dirty: Vec<bool>,
@@ -487,6 +487,7 @@ impl PlatformBuilder {
             base_rams: Vec::new(),
             restore_scratch: None,
             restore_slot: None,
+            parked: None,
         })
     }
 }
@@ -528,16 +529,16 @@ pub struct Platform {
     pub(crate) local_latency_cycles: u64,
     pub(crate) shared_words: u32,
     pub(crate) steps: u64,
-    metrics: Option<PlatformMetrics>,
+    pub(crate) metrics: Option<PlatformMetrics>,
     pub(crate) scheduler: SchedulerMode,
-    calendar: Calendar,
+    pub(crate) calendar: Calendar,
     /// Next DMA schedule sequence number (see [`PendingDma::seq`]).
     pub(crate) dma_seq: u64,
     /// What the last step did, written in place by the step itself: host-side
     /// scratch, never captured, hashed or restored. Its `accesses` buffer is
     /// reused from step to step ([`step`](Platform::step) moves it out,
     /// [`recycle`](Platform::recycle) moves it back).
-    event: StepEvent,
+    pub(crate) event: StepEvent,
     /// Payload checksum of the base image the RAM dirty bitmaps are
     /// relative to (set by `capture`/`restore_image`, `None` before the
     /// first capture). `restore_delta` uses it to prove its in-place RAM
@@ -557,6 +558,10 @@ pub struct Platform {
     /// reinstalls without decoding them (see the `snapshot` module). `None`
     /// until the first such restore; boxed like `restore_scratch`.
     pub(crate) restore_slot: Option<Box<crate::snapshot::Remembered>>,
+    /// The simulated state [`swap_parked`](Platform::swap_parked) exchanges
+    /// with the live one (see the `snapshot` module). `None` until the
+    /// first swap; boxed like `restore_scratch`.
+    pub(crate) parked: Option<Box<crate::snapshot::Parked>>,
 }
 
 impl Platform {

@@ -293,6 +293,20 @@ struct TraceStore {
     spilled: u64,
     evicted: u64,
     sink: Option<Box<dyn TraceSpill>>,
+    /// What the last [`park_to`](TraceStore::park_to) took off the ring;
+    /// boxed, as only a platform that parks states ever has one.
+    cut: Option<Box<Cut>>,
+}
+
+/// The records a [`TraceStore::park_to`] took off the ring's tail, oldest
+/// first, and the sequence counter it left. While the counter still reads
+/// `at` no edge has been recorded since, and the next rewind or park puts
+/// them back first: a parked state swapped in and straight out again, or
+/// swapped in and then restored over, costs the ring nothing.
+#[derive(Clone, Debug, Default)]
+struct Cut {
+    records: VecDeque<TraceRecord>,
+    at: u64,
 }
 
 impl fmt::Debug for TraceStore {
@@ -321,6 +335,7 @@ impl Clone for TraceStore {
             spilled: self.spilled,
             evicted: self.evicted,
             sink: None,
+            cut: self.cut.clone(),
         }
     }
 }
@@ -367,10 +382,43 @@ impl TraceStore {
     /// identically); older records stay, so the recent window survives an
     /// in-place rewind.
     fn rewind_to(&mut self, next_seq: u64) {
+        self.uncut();
         while self.records.back().is_some_and(|r| r.seq >= next_seq) {
             self.records.pop_back();
         }
         self.next_seq = next_seq;
+    }
+
+    /// [`rewind_to`](TraceStore::rewind_to) for a parked state swapped in
+    /// ([`SignalBoard::exchange_values`]): the records from its future
+    /// leave the ring as they would on a restore, but are kept aside — the
+    /// cut — until an edge is recorded, because the state swapped in may
+    /// only be passing through.
+    fn park_to(&mut self, next_seq: u64) {
+        self.uncut();
+        let cut = self.cut.get_or_insert_with(Box::default);
+        while let Some(r) = self.records.pop_back() {
+            if r.seq < next_seq {
+                self.records.push_back(r);
+                break;
+            }
+            cut.records.push_front(r);
+        }
+        self.next_seq = next_seq;
+        cut.at = next_seq;
+    }
+
+    /// Puts the cut back at the ring's tail if no edge has been recorded
+    /// since it was made (the records it holds then still follow the
+    /// ring's), and forgets it either way.
+    fn uncut(&mut self) {
+        if let Some(cut) = &mut self.cut {
+            if self.next_seq == cut.at {
+                self.records.append(&mut cut.records);
+            } else {
+                cut.records.clear();
+            }
+        }
     }
 
     fn stats(&self) -> TraceStats {
@@ -582,6 +630,7 @@ impl SignalBoard {
     /// Switches the retention policy. Shrinking the budget (or leaving
     /// [`TraceMode::Unbounded`]) evicts immediately down to the new budget.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
+        self.trace.cut = None;
         self.trace.mode = mode;
         self.trace.enforce_budget(&self.slots);
     }
@@ -646,6 +695,40 @@ impl SignalBoard {
             self.slots[id as usize].signal = slot.signal;
         }
         self.trace.rewind_to(restored.trace.next_seq);
+    }
+
+    /// A board for [`exchange_values`](SignalBoard::exchange_values) that
+    /// holds no values yet, with this board's sequence counter, so that
+    /// exchanging it in takes no record off this board's ring: the
+    /// parked state before anything is parked.
+    pub(crate) fn empty_parked(&self) -> SignalBoard {
+        let mut parked = SignalBoard::new();
+        parked.trace.next_seq = self.trace.next_seq;
+        parked
+    }
+
+    /// Exchanges the architectural half of this board — each signal's
+    /// value and last edge, and the sequence counter — with `parked`, a
+    /// board used for its values only: its slot `i` holds what this board's
+    /// id `i` held when it was parked (a slot it lacks, an id interned
+    /// since, was never driven there). The host-side half stays with this
+    /// board: names, and the trace tier — ring, spill sink, budget and
+    /// counters — with the ring reconciled to the swapped-in sequence
+    /// counter as a restore reconciles it. The swap for
+    /// [`Platform::swap_parked`](crate::Platform::swap_parked): no
+    /// allocation once `parked` has a slot for every id.
+    pub(crate) fn exchange_values(&mut self, parked: &mut SignalBoard) {
+        if parked.slots.len() < self.slots.len() {
+            parked.slots.resize_with(self.slots.len(), || Slot {
+                name: String::new(),
+                signal: None,
+            });
+        }
+        for (live, held) in self.slots.iter_mut().zip(&mut parked.slots) {
+            std::mem::swap(&mut live.signal, &mut held.signal);
+        }
+        let seq = std::mem::replace(&mut parked.trace.next_seq, self.trace.next_seq);
+        self.trace.park_to(seq);
     }
 }
 

@@ -142,6 +142,48 @@
 //! * [`Platform::restore_image`] and [`Platform::from_image`] neither read
 //!   nor fill the slot: their callers build a platform per image.
 //!
+//! [`Platform::capture_base`] fills the slot too: it decodes the image it
+//! captures into the slot as the base it is, so the first rollback onto a
+//! freshly captured base is a hit, not a second decode of what capturing
+//! already decoded.
+//!
+//! ## The parked state
+//!
+//! A platform holds, boxed beside the scratch and the slot, one more
+//! simulated state, which [`Platform::swap_parked`] exchanges with the live
+//! one — the time-travel debugger parks the state a step-back leaves and
+//! replays the next step-back from it. Nothing is copied: the buffers
+//! change places. What is exchanged is every piece of simulated state and
+//! the host-side bookkeeping that is exact only for it:
+//!
+//! * the cores, caches, interconnect, peripherals and pending DMA, and the
+//!   scalars a restore sets (configuration, time, step count, DMA
+//!   sequence);
+//! * shared and local RAM with their dirty bitmaps, and the base mark they
+//!   are relative to;
+//! * the event calendar, which is derived state, but exact for the state it
+//!   came with — so it is swapped rather than rebuilt;
+//! * of the signal board, the architectural half: each signal's value and
+//!   last edge, exchanged by board id with a board that holds values only,
+//!   and the trace sequence counter.
+//!
+//! What stays with the live platform is host-side: the metrics handles,
+//! the last step's event, the restore scratch and slot, the base's RAM
+//! words (one copy, whichever state is live), and the signal board's names
+//! and trace tier — ring, spill sink, budget and counters. The ring is
+//! reconciled to the swapped-in sequence counter as a restore reconciles it,
+//! except that the records it gives up are kept aside until an edge is
+//! recorded, and a restore or swap before then puts them back first: a
+//! restore straight after a swap leaves the ring as the restore alone
+//! would, and a swap undone leaves it as it was. `swap_parked` destructures
+//! the platform with no `..`, so a new field does not compile until it is
+//! given a side.
+//!
+//! Until the first swap the parked state is empty — no cores, no memory —
+//! marked as sitting on the live state's base and at its signal sequence
+//! counter; a restore after swapping it in rebuilds its RAM from the
+//! base's words, O(memory), once.
+//!
 //! `tests/restore_in_place.rs` holds one long-lived platform to a freshly
 //! built one through seeded sequences of all of the above, restores of the
 //! remembered delta and base among them, and a remembered delta with one
@@ -154,7 +196,7 @@ use crate::interconnect::{load_interconnect, Bus, Interconnect};
 use crate::isa::{Reg, Word};
 use crate::mem::{Ram, LOCAL_BASE, LOCAL_STRIDE, PAGE_WORDS};
 use crate::periph::Periph;
-use crate::platform::{PendingDma, Platform, PlatformBuilder, SchedulerMode};
+use crate::platform::{Calendar, PendingDma, Platform, PlatformBuilder, SchedulerMode};
 use crate::signal::SignalBoard;
 use crate::time::{Frequency, Time};
 use mpsoc_snapshot::{
@@ -512,6 +554,39 @@ impl Remembered {
     }
 }
 
+/// The simulated state [`Platform::swap_parked`] exchanges with the live
+/// one (see "The parked state" in the module docs): the small state, whose
+/// signal board holds values by the live board's ids only, RAM with its
+/// dirty bitmaps and base mark, and the event calendar. Empty — no cores,
+/// no memory — until the first swap puts a state here.
+#[derive(Debug)]
+pub(crate) struct Parked {
+    small: SmallState,
+    shared: Ram,
+    locals: Vec<Ram>,
+    base_mark: Option<u64>,
+    calendar: Calendar,
+}
+
+impl Parked {
+    /// The empty state, marked as sitting on `live`'s base and at `live`'s
+    /// signal sequence counter: its RAM is none of the base's words, so a
+    /// restore onto that base rebuilds it but keeps `live`'s copy of the
+    /// base's words, which are still that base's; and swapping it in cuts
+    /// nothing off the signal ring, which the restore then reconciles.
+    fn empty(live: &Platform) -> Self {
+        let mut small = SmallState::empty();
+        small.signals = live.signals.empty_parked();
+        Parked {
+            small,
+            shared: Ram::new(0),
+            locals: Vec::new(),
+            base_mark: live.base_mark,
+            calendar: Calendar::default(),
+        }
+    }
+}
+
 /// Decodes and validates a whole payload against `base` (`None`: the empty
 /// platform) — the small state into `small`, RAM as the pages that differ
 /// from the base's words (zeros for the empty platform). Nothing of a
@@ -523,6 +598,16 @@ fn decode_payload(
 ) -> SnapResult<Vec<RamPages>> {
     let mut r = Reader::new(payload);
     decode_small(&mut r, base.map(|b| b.checksum), small)?;
+    decode_rams(r, base, small)
+}
+
+/// The RAM section of a payload, read by `r` from where the small state
+/// `small` (decoded already) ends: see [`decode_payload`].
+fn decode_rams(
+    mut r: Reader<'_>,
+    base: Option<&BaseImage>,
+    small: &SmallState,
+) -> SnapResult<Vec<RamPages>> {
     let n_rams = r.get_len(8)?;
     if n_rams != 1 + small.cores.len() {
         return Err(SnapError::Malformed(format!(
@@ -611,13 +696,26 @@ impl BaseImage {
     /// [`Error::Snapshot`] for anything [`Platform::restore_image`] would
     /// reject, a delta included.
     pub fn new(image: Vec<u8>) -> Result<Self> {
-        let (payload, checksum) = open(&image)?;
-        let rams = decode_payload(payload, None, &mut SmallState::empty()).map_err(snap_err)?;
-        Ok(BaseImage {
+        let (_, checksum) = open(&image)?;
+        let decoded = BaseImage::decode(image, checksum, &mut SmallState::empty());
+        decoded.map(|(base, _)| base).map_err(snap_err)
+    }
+
+    /// Decodes the payload of the full image `image`, whose frame checksum
+    /// `checksum` is known good, into a base: the small state into `small`,
+    /// RAM into the base's words. Also returns how many payload bytes the
+    /// small state took — what [`Platform::reset_to_base`] reads.
+    fn decode(image: Vec<u8>, checksum: u64, small: &mut SmallState) -> SnapResult<(Self, usize)> {
+        let mut r = Reader::new(&image[Image::HEADER_LEN..]);
+        decode_small(&mut r, None, small)?;
+        let head = r.position();
+        let rams = decode_rams(r, None, small)?;
+        let base = BaseImage {
             rams: rams.into_iter().map(RamPages::into_words).collect(),
             image,
             checksum,
-        })
+        };
+        Ok((base, head))
     }
 
     /// A new platform in exactly this image's state — what
@@ -827,6 +925,36 @@ impl Platform {
         let (image, checksum) = self.seal(None);
         self.rebase(checksum);
         Ok(image)
+    }
+
+    /// [`capture`](Platform::capture) as a [`BaseImage`]: what
+    /// `BaseImage::new(p.capture()?)` gives, without hashing the image a
+    /// second time, and with the small state it decodes kept in this
+    /// platform's restore slot (see the module docs) instead of thrown
+    /// away — so the first [`reset_to_base`](Platform::reset_to_base) onto
+    /// the base reinstalls it rather than decoding it again.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Snapshot`] if the image does not decode, which a capture
+    /// of this build never gives.
+    pub fn capture_base(&mut self) -> Result<BaseImage> {
+        let (image, checksum) = self.seal(None);
+        self.rebase(checksum);
+        let mut slot = (self.restore_slot.take()).unwrap_or_else(|| Box::new(Remembered::empty()));
+        slot.source = None;
+        let decoded = BaseImage::decode(image, checksum, &mut slot.small);
+        if let Ok((base, head)) = &decoded {
+            slot.rams.clear();
+            slot.bytes.clear();
+            slot.bytes
+                .extend_from_slice(&base.image[Image::HEADER_LEN..][..*head]);
+            self.signals
+                .intern_all(&slot.small.signals, &mut slot.signal_ids);
+            slot.source = Some(Source::Base(checksum));
+        }
+        self.restore_slot = Some(slot);
+        decoded.map(|(base, _)| base).map_err(snap_err)
     }
 
     /// Makes the current RAM the base the full image `checksum` names:
@@ -1061,6 +1189,100 @@ impl Platform {
         }
         self.restore_scratch = Some(s);
         decoded
+    }
+
+    /// Exchanges this platform's simulated state with its parked state:
+    /// afterwards the platform is in the state last parked, and the parked
+    /// state is the one the platform was in. Calling it twice in a row
+    /// changes nothing. Nothing is copied, decoded or allocated — the
+    /// buffers themselves change places — except on the first call, which
+    /// parks the live state and brings in an empty one: no cores, no
+    /// memory, which a restore ([`reset_to_base`](Platform::reset_to_base),
+    /// [`restore_delta`](Platform::restore_delta),
+    /// [`restore_image`](Platform::restore_image)) must fill before the
+    /// platform is stepped.
+    ///
+    /// What is exchanged and what stays is listed in the module docs ("The
+    /// parked state"). In short: every piece of simulated state goes, with
+    /// the RAM dirty bitmaps, the base mark and the event calendar, which
+    /// are exact for the state they came with; the host side stays —
+    /// metrics, the last step's event, the restore scratch and slot, the
+    /// base's RAM words, and the signal board's names and trace tier, whose
+    /// ring is reconciled to the swapped-in sequence counter as a restore
+    /// reconciles it. This is the time-travel debugger's step-back: park
+    /// the state the user stands on, swap in the one the previous step-back
+    /// left, and replay a few steps from it instead of restoring a
+    /// checkpoint.
+    pub fn swap_parked(&mut self) {
+        use std::mem::swap;
+        let mut parked = (self.parked.take()).unwrap_or_else(|| Box::new(Parked::empty(self)));
+        let Parked {
+            small,
+            shared: parked_shared,
+            locals: parked_locals,
+            base_mark: parked_mark,
+            calendar: parked_calendar,
+        } = &mut *parked;
+        // No `..`: a new field of either struct does not compile until it
+        // is given a side.
+        let Platform {
+            now,
+            cores,
+            shared,
+            locals,
+            caches,
+            cache_hit_cycles,
+            interconnect,
+            periphs,
+            signals,
+            pending_dma,
+            local_latency_cycles,
+            shared_words,
+            steps,
+            scheduler,
+            calendar,
+            dma_seq,
+            base_mark,
+            metrics: _,
+            event: _,
+            base_rams: _,
+            restore_scratch: _,
+            restore_slot: _,
+            parked: _,
+        } = self;
+        let SmallState {
+            scheduler: parked_scheduler,
+            local_latency_cycles: parked_local_latency,
+            cache_hit_cycles: parked_hit_cycles,
+            shared_words: parked_shared_words,
+            now: parked_now,
+            steps: parked_steps,
+            dma_seq: parked_dma_seq,
+            cores: parked_cores,
+            caches: parked_caches,
+            interconnect: parked_interconnect,
+            signals: parked_signals,
+            pending_dma: parked_pending_dma,
+            periphs: parked_periphs,
+        } = small;
+        swap(scheduler, parked_scheduler);
+        swap(local_latency_cycles, parked_local_latency);
+        swap(cache_hit_cycles, parked_hit_cycles);
+        swap(shared_words, parked_shared_words);
+        swap(now, parked_now);
+        swap(steps, parked_steps);
+        swap(dma_seq, parked_dma_seq);
+        swap(cores, parked_cores);
+        swap(caches, parked_caches);
+        swap(interconnect, parked_interconnect);
+        signals.exchange_values(parked_signals);
+        swap(pending_dma, parked_pending_dma);
+        swap(periphs, parked_periphs);
+        swap(shared, parked_shared);
+        swap(locals, parked_locals);
+        swap(base_mark, parked_mark);
+        swap(calendar, parked_calendar);
+        self.parked = Some(parked);
     }
 
     /// Rebuilds RAM as *base + delta pages* and leaves the dirty bitmaps
@@ -1892,6 +2114,17 @@ mod tests {
             assert_eq!(allocations(|| restore(&mut p)), 0);
         }
 
+        // A base captured by the platform itself is remembered as decoded:
+        // the first rollback onto it is already a hit.
+        let again = p.capture_base().unwrap();
+        run(&mut p);
+        assert_eq!(allocations(|| p.reset_to_base(&again).unwrap()), 0);
+        let twin = super::BaseImage::new(again.image().to_vec()).unwrap();
+        assert_eq!(
+            (again.checksum(), again.rams.clone()),
+            (twin.checksum(), twin.rams)
+        );
+
         let payload = &delta[mpsoc_snapshot::Image::HEADER_LEN..];
         let mut scratch: Box<SmallState> = p.restore_scratch.take().unwrap();
         let mut r = Reader::new(payload);
@@ -2151,6 +2384,129 @@ mod tests {
         assert_eq!(fresh.signals().value("s"), 3);
         assert!(fresh.signals().recent("s").is_empty());
         assert_eq!(fresh.state_checksum(), p.state_checksum());
+    }
+
+    /// The signal-trace ring as `(seq, name, edge)` records, oldest first.
+    fn ring(p: &Platform) -> Vec<(u64, String, crate::signal::SignalChange)> {
+        (p.signals().trace_records())
+            .map(|(seq, name, change)| (seq, name.to_string(), change))
+            .collect()
+    }
+
+    /// car_radio, `steps` steps in, each taken by this crate's platform (so
+    /// two of them hold the same signal-trace history).
+    fn car_radio(steps: u64) -> Platform {
+        let mut donor = mpsoc_apps::testbed::by_name("car_radio").unwrap();
+        let mut p = Platform::from_image(&donor.capture().unwrap()).unwrap();
+        for _ in 0..steps {
+            p.step_in_place().unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn swapping_the_parked_state_in_and_out_changes_nothing() {
+        let mut p = car_radio(3000);
+        let base = p.capture_base().unwrap();
+        for _ in 0..500 {
+            p.step_in_place().unwrap();
+        }
+        let seen = |p: &Platform| {
+            let stats = p.trace_stats();
+            (
+                p.state_checksum(),
+                p.capture_delta().unwrap(),
+                ring(p),
+                stats,
+            )
+        };
+        let before = seen(&p);
+        // The first swap brings in the empty state, whose sequence counter
+        // is the live one's.
+        let seq = p.trace_stats().next_seq;
+        p.swap_parked();
+        assert_eq!(
+            (p.num_cores(), p.steps(), p.trace_stats().next_seq),
+            (0, 0, seq)
+        );
+        p.swap_parked();
+        assert_eq!(seen(&p), before);
+        // Parked while the platform goes back to the base, and swapped in
+        // again: the state is whole, though the restore dropped the ring's
+        // records after the base, which nothing brings back.
+        p.swap_parked();
+        p.reset_to_base(&base).unwrap();
+        p.swap_parked();
+        let after = seen(&p);
+        assert_eq!((&after.0, &after.1), (&before.0, &before.1));
+        assert_eq!(after.3.next_seq, before.3.next_seq);
+        // With a state parked: swapped in and straight out again.
+        p.swap_parked();
+        assert_eq!(p.steps(), 3000);
+        p.swap_parked();
+        assert_eq!(seen(&p), after);
+    }
+
+    #[test]
+    fn a_parked_state_swapped_back_in_continues_exactly() {
+        // `p` parks its state and runs another one for a while; swapped
+        // back in, its state — calendar, dirty pages and base mark
+        // included — carries on step for step as `twin`, which never left.
+        let mut p = car_radio(3000);
+        let base = p.capture_base().unwrap();
+        let mut twin = base.hydrate().unwrap();
+        for _ in 0..700 {
+            p.step_in_place().unwrap();
+            twin.step_in_place().unwrap();
+        }
+        p.swap_parked();
+        p.reset_to_base(&base).unwrap();
+        for _ in 0..300 {
+            p.step_in_place().unwrap();
+        }
+        p.swap_parked();
+        for step in 0..2000 {
+            let (ev, twin_ev) = (p.step().unwrap(), twin.step().unwrap());
+            assert_eq!(ev, twin_ev, "step {step} after the swap");
+            if step % 250 == 0 {
+                assert_eq!(p.state_checksum(), twin.state_checksum());
+                assert_eq!(p.capture_delta().unwrap(), twin.capture_delta().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_restore_into_the_parked_state_reconciles_the_ring_as_a_restore() {
+        // Swapping a state in and restoring over it leaves the signal ring
+        // as the restore alone leaves it: the records the swap took off,
+        // back to the older parked state, are put back first.
+        let run_to = |p: &mut Platform, step: u64| {
+            while p.steps() < step {
+                p.step_in_place().unwrap();
+            }
+        };
+        let mut p = car_radio(3000);
+        let base = p.capture_base().unwrap();
+        run_to(&mut p, 3200);
+        let at_3200 = p.capture_delta().unwrap();
+        // Park the state at 3200, and go on from a restored copy of it.
+        p.swap_parked();
+        p.restore_delta(&base, &at_3200).unwrap();
+        let mut alone = car_radio(3200);
+        assert_eq!(ring(&p), ring(&alone));
+        run_to(&mut p, 3500);
+        let at_3500 = p.capture_delta().unwrap();
+        run_to(&mut p, 3800);
+        run_to(&mut alone, 3800);
+        // Back to 3500 through the parked state at 3200.
+        p.swap_parked();
+        assert_eq!(p.steps(), 3200);
+        p.restore_delta(&base, &at_3500).unwrap();
+        alone.restore_delta(&base, &at_3500).unwrap();
+        assert_eq!(p.state_checksum(), alone.state_checksum());
+        assert_eq!(ring(&p), ring(&alone));
+        assert_eq!(p.trace_stats(), alone.trace_stats());
+        assert!(ring(&p).last().is_some_and(|r| r.0 > 0));
     }
 
     #[test]

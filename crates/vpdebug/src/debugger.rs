@@ -19,7 +19,7 @@
 //!   core while *"other cores or timers continue to operate"*, which is
 //!   exactly how Heisenbugs escape (see [`crate::heisenbug`]).
 
-use mpsoc_obs::metrics::{Gauge, MetricsRegistry};
+use mpsoc_obs::metrics::{Counter, Gauge, MetricsRegistry};
 use mpsoc_platform::isa::{Reg, Word};
 use mpsoc_platform::periph::mailbox_reg;
 use mpsoc_platform::platform::{Access, AccessKind, Originator, StepKind};
@@ -147,9 +147,24 @@ pub struct Debugger {
     /// current timeline. Checkpoints store it; rewinds restore it — the
     /// invariant that makes replay apply each record exactly once.
     pub(crate) stim_cursor: usize,
-    /// Checkpoint-ring occupancy gauge, when a metrics registry is
-    /// attached.
-    pub(crate) ring_gauge: Option<Gauge>,
+    /// Handles into the attached metrics registry, if any.
+    pub(crate) metrics: Option<Box<DebuggerMetrics>>,
+}
+
+/// A debugger's handles into an attached metrics registry
+/// ([`Debugger::attach_metrics`]).
+#[derive(Debug)]
+pub(crate) struct DebuggerMetrics {
+    /// `vpdebug.ring_bytes`: checkpoint-ring occupancy.
+    pub(crate) ring_bytes: Gauge,
+    /// `vpdebug.rewind_replayed_steps`: steps re-executed by rewinds.
+    pub(crate) replayed_steps: Counter,
+    /// `vpdebug.rewinds_from_park`: rewinds that replayed from the state
+    /// the previous rewind parked.
+    pub(crate) rewinds_from_park: Counter,
+    /// `vpdebug.rewinds_from_checkpoint`: rewinds that restored a
+    /// checkpoint.
+    pub(crate) rewinds_from_checkpoint: Counter,
 }
 
 impl Debugger {
@@ -165,25 +180,33 @@ impl Debugger {
             time_travel: None,
             stimulus: StimulusLog::new(),
             stim_cursor: 0,
-            ring_gauge: None,
+            metrics: None,
         }
     }
 
     /// Attaches `registry` to the debugger: the checkpoint ring's byte
     /// occupancy is reported on the `vpdebug.ring_bytes` gauge (current
-    /// value plus high-water mark). The platform's own counters are a
-    /// separate concern — attach the registry to the platform too if you
-    /// want both.
+    /// value plus high-water mark), and what rewinds replay on three
+    /// counters — `vpdebug.rewind_replayed_steps`, the steps re-executed,
+    /// and `vpdebug.rewinds_from_park` / `vpdebug.rewinds_from_checkpoint`,
+    /// where each rewind replayed from (see [`crate::timetravel`]). The
+    /// platform's own counters are a separate concern — attach the registry
+    /// to the platform too if you want both.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        let g = registry.gauge("vpdebug.ring_bytes");
-        g.set(self.ring_bytes() as u64);
-        self.ring_gauge = Some(g);
+        let metrics = DebuggerMetrics {
+            ring_bytes: registry.gauge("vpdebug.ring_bytes"),
+            replayed_steps: registry.counter("vpdebug.rewind_replayed_steps"),
+            rewinds_from_park: registry.counter("vpdebug.rewinds_from_park"),
+            rewinds_from_checkpoint: registry.counter("vpdebug.rewinds_from_checkpoint"),
+        };
+        metrics.ring_bytes.set(self.ring_bytes() as u64);
+        self.metrics = Some(Box::new(metrics));
     }
 
     /// Pushes the current ring occupancy to the attached gauge, if any.
     pub(crate) fn update_ring_gauge(&self) {
-        if let Some(g) = &self.ring_gauge {
-            g.set(self.ring_bytes() as u64);
+        if let Some(m) = &self.metrics {
+            m.ring_bytes.set(self.ring_bytes() as u64);
         }
     }
 
@@ -191,11 +214,13 @@ impl Debugger {
     /// `restore_image`, fault hooks). The caller may change signals — or the
     /// step count — behind the debugger's back, so the next step
     /// re-evaluates every signal watchpoint instead of trusting the edge
-    /// counter, and searches the checkpoint ring for whether one is due.
+    /// counter, searches the checkpoint ring for whether one is due, and
+    /// the next rewind does not replay from the state the last one parked.
     pub fn platform_mut(&mut self) -> &mut Platform {
         self.signals_seen = None;
         if let Some(tt) = &mut self.time_travel {
             tt.forget_due_bound();
+            tt.forget_park();
         }
         &mut self.platform
     }
@@ -212,20 +237,33 @@ impl Debugger {
 
     /// Adds a breakpoint; returns its index.
     pub fn add_breakpoint(&mut self, core: usize, pc: u32) -> usize {
+        self.conditions_changed();
         self.breakpoints.push(Breakpoint { core, pc });
         self.breakpoints.len() - 1
     }
 
     /// Adds a watchpoint; returns its index.
     pub fn add_watchpoint(&mut self, wp: Watchpoint) -> usize {
+        self.conditions_changed();
         self.watchpoints.push(wp);
         self.watchpoints.len() - 1
     }
 
     /// Removes every breakpoint and watchpoint.
     pub fn clear_conditions(&mut self) {
+        self.conditions_changed();
         self.breakpoints.clear();
         self.watchpoints.clear();
+    }
+
+    /// The stop conditions are about to change, and with them what a replay
+    /// records as it goes (a stop skips the signal-edge bookkeeping), so
+    /// the state the last rewind parked no longer equals a replay onto its
+    /// step.
+    fn conditions_changed(&mut self) {
+        if let Some(tt) = &mut self.time_travel {
+            tt.forget_park();
+        }
     }
 
     /// Non-intrusive inspection: registers of `core`.
@@ -457,15 +495,17 @@ impl Debugger {
     }
 
     /// Applies a stimulus now and records it: drops any not-yet-applied
-    /// future records and any checkpoints ahead of the current step (both
-    /// describe a timeline this injection just diverged from), then appends
-    /// the record with the current step and marks it applied.
+    /// future records and any checkpoints ahead of the current step, and
+    /// forgets the state the last rewind parked (all describe a timeline
+    /// this injection just diverged from), then appends the record with the
+    /// current step and marks it applied.
     fn inject(&mut self, kind: StimulusKind) -> Result<()> {
         self.apply_stimulus(&kind)?;
         let step = self.platform.steps();
         self.stimulus.truncate(self.stim_cursor);
         if let Some(tt) = &mut self.time_travel {
             tt.drop_checkpoints_after(step);
+            tt.forget_park();
         }
         self.update_ring_gauge();
         self.stimulus.push(StimulusRecord { step, kind });

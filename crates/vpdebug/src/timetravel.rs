@@ -41,25 +41,51 @@
 //! replaced, so stepping back and forth over one base allocates next to
 //! nothing.
 //!
-//! A step-back costs one restore plus the replay from the checkpoint to
-//! the target step: on average half an interval of steps, 127.5 at
-//! `monitor time-travel 256 64`. The checkpoint a step-back needs changes
-//! only once every `interval` steps back, so step-backs in a row mostly
-//! restore the delta the previous one restored — and the platform
-//! remembers the decoded form of the last delta or base it restored and
-//! reinstalls it for the same bytes, without hashing or decoding them. On
-//! car_radio that is about 3 µs where a decode is about 20, which leaves
-//! the replay (about 15 µs) the larger part of a step-back.
+//! A step-back replays forward from the nearest state it can: the
+//! checkpoint at or before the target, or — nearer, when it may be used —
+//! the state the previous rewind left the user on. A rewind never
+//! overwrites the state it leaves: it swaps it out and parks it inside the
+//! platform ([`Platform::swap_parked`]), and the next rewind swaps it back
+//! in and replays from there when it lies on the current timeline, at or
+//! before both the target and the user's step, and no earlier than the
+//! nearest checkpoint at or before the target. Otherwise the checkpoint
+//! is restored into the swapped-in state's buffers, and replayed from.
+//! "Overshoot, then step back" — a few steps forward, one back, again and
+//! again — therefore replays the few steps since the last step-back
+//! instead of half an interval (127.5 steps on average at
+//! `monitor time-travel 256 64`), with no restore, copy or allocation: on
+//! car_radio a step-back went from ~20 µs to under 1. The parked state is
+//! forgotten — its buffers kept, for the next restore to fill — by
+//! everything that may take it off the current timeline or make it differ
+//! from a replay onto its step: an injection, a change behind
+//! [`Debugger::platform_mut`], a change of stop conditions, a fresh ring.
+//! The state the user stands on at such a change was reached before it
+//! too, so the next rewind parks it as unusable. A session's first
+//! step-back swaps with an empty parked state and rebuilds its memory,
+//! O(memory) once.
+//!
+//! Step-backs in a row, like a repeated GDB `reverse-stepi`, find the park
+//! ahead of the target and keep the checkpoint's cost: one restore plus
+//! the replay from the checkpoint. The checkpoint a step-back needs
+//! changes only once every `interval` steps back, so they mostly restore
+//! the delta the previous one restored — and the platform remembers the
+//! decoded form of the last delta or base it restored and reinstalls it
+//! for the same bytes, without hashing or decoding them (about 3 µs on
+//! car_radio where a decode is about 20), which leaves the replay the
+//! larger part.
 //!
 //! Each checkpoint also carries the host-side debugger state that must
 //! rewind with it, O(signals) at most: the trace buffer's *position* (see
 //! [`crate::trace`] for what history survives a rewind), the signal-edge
 //! bookkeeping, and the stimulus-log cursor (see [`crate::stimulus`]) — so
 //! replay re-applies recorded external injections exactly once, at the
-//! steps they originally happened.
+//! steps they originally happened. The parked state carries the same
+//! state for its step, and a rewind swaps it with the debugger's.
+//!
+//! [`Platform::swap_parked`]: mpsoc_platform::Platform::swap_parked
 
 use mpsoc_platform::isa::Word;
-use mpsoc_platform::{BaseImage, Platform};
+use mpsoc_platform::BaseImage;
 use std::collections::VecDeque;
 
 use crate::debugger::{Debugger, Stop};
@@ -92,6 +118,26 @@ impl Checkpoint {
     }
 }
 
+/// The platform state the last rewind swapped out — parked inside the
+/// platform ([`Platform::swap_parked`]) — with the debugger-side state a
+/// [`Checkpoint`] carries for its step.
+///
+/// [`Platform::swap_parked`]: mpsoc_platform::Platform::swap_parked
+#[derive(Debug, Default)]
+pub(crate) struct Park {
+    /// The parked state's step count while it lies on the current timeline,
+    /// so that a rewind may replay from it; `None` before the first rewind
+    /// and after anything that may have moved it off
+    /// ([`TimeTravel::forget_park`]).
+    pub(crate) step: Option<u64>,
+    /// As [`Checkpoint::trace_pos`].
+    trace_pos: u64,
+    /// As [`Checkpoint::prev_signals`].
+    prev_signals: Vec<Word>,
+    /// As [`Checkpoint::stim_applied`].
+    stim_applied: usize,
+}
+
 /// Auto-checkpoint configuration and storage, owned by a [`Debugger`] once
 /// [`Debugger::enable_time_travel`] is called.
 #[derive(Debug)]
@@ -117,6 +163,13 @@ pub(crate) struct TimeTravel {
     /// or the step count may have changed under it (see
     /// [`forget_due_bound`](TimeTravel::forget_due_bound)).
     pub(crate) not_due_before: u64,
+    /// The state the last rewind left behind.
+    pub(crate) park: Park,
+    /// The live state may be off the current timeline, or unequal to a
+    /// replay onto its step: set with [`forget_park`](TimeTravel::forget_park)
+    /// and consumed by the next rewind, which then parks the state it
+    /// leaves as unusable.
+    live_off_timeline: bool,
 }
 
 /// A [`Checkpoint`] of `$dbg`'s debugger-side state around `$delta`. A macro:
@@ -133,10 +186,18 @@ macro_rules! checkpoint_now {
     };
 }
 
-/// Captures and validates a fresh base image at `platform`'s current step.
-fn capture_base(platform: &mut Platform) -> Result<BaseImage> {
-    let image = platform.capture().map_err(Error::from)?;
-    BaseImage::new(image).map_err(Error::from)
+/// The newest checkpoint at or before `step` among the base checkpoint
+/// and the deltas (sorted ascending by step).
+fn nearest<'a>(
+    base: &'a Checkpoint,
+    deltas: &'a VecDeque<Checkpoint>,
+    step: u64,
+) -> Option<&'a Checkpoint> {
+    let after = deltas.partition_point(|c| c.step <= step);
+    match after.checked_sub(1) {
+        Some(i) => deltas.get(i),
+        None => Some(base).filter(|c| c.step <= step),
+    }
 }
 
 impl TimeTravel {
@@ -147,11 +208,20 @@ impl TimeTravel {
 
     /// The newest retained checkpoint at or before `step`.
     fn at_or_before(&self, step: u64) -> Option<&Checkpoint> {
-        let after = self.deltas.partition_point(|c| c.step <= step);
-        match after.checked_sub(1) {
-            Some(i) => self.deltas.get(i),
-            None => Some(&self.base_checkpoint).filter(|c| c.step <= step),
-        }
+        nearest(&self.base_checkpoint, &self.deltas, step)
+    }
+
+    /// Stops the next rewind from replaying from the parked state, and the
+    /// one after it from replaying from the state the next rewind parks:
+    /// for everything that may leave both off the current timeline, or
+    /// unequal to a replay onto their step — an injection, a by-hand change
+    /// behind [`Debugger::platform_mut`], a change of stop conditions. The
+    /// live state was reached before the change, so it is no more usable
+    /// than the parked one. The platform keeps the parked buffers, which
+    /// the next rewind restores a checkpoint into.
+    pub(crate) fn forget_park(&mut self) {
+        self.park.step = None;
+        self.live_off_timeline = true;
     }
 
     /// Forgets [`not_due_before`](TimeTravel::not_due_before), so the next
@@ -210,7 +280,7 @@ impl Debugger {
     /// [`Error::Platform`] if the platform cannot be captured (a registered
     /// peripheral without snapshot support).
     pub fn enable_time_travel(&mut self, interval: u64, max_checkpoints: usize) -> Result<()> {
-        let base = capture_base(&mut self.platform)?;
+        let base = self.platform.capture_base()?;
         let budget = max_checkpoints.max(1).saturating_mul(base.len_bytes());
         self.install_time_travel(interval, budget, base);
         Ok(())
@@ -224,7 +294,7 @@ impl Debugger {
     ///
     /// As [`enable_time_travel`](Debugger::enable_time_travel).
     pub fn enable_time_travel_bytes(&mut self, interval: u64, budget_bytes: usize) -> Result<()> {
-        let base = capture_base(&mut self.platform)?;
+        let base = self.platform.capture_base()?;
         self.install_time_travel(interval, budget_bytes.max(1), base);
         Ok(())
     }
@@ -238,6 +308,8 @@ impl Debugger {
             base_checkpoint: checkpoint_now!(self, None),
             deltas: VecDeque::new(),
             not_due_before: 0,
+            park: Park::default(),
+            live_off_timeline: false,
         });
         self.update_ring_gauge();
     }
@@ -320,36 +392,84 @@ impl Debugger {
         Ok(fresh)
     }
 
-    /// Travels to the state exactly after `target` platform steps: restores
-    /// the nearest checkpoint at or before `target` (the base plus at most
-    /// one delta), then deterministically re-executes forward.
+    /// Travels to the state exactly after `target` platform steps,
+    /// deterministically re-executing forward to it from one of two states:
+    /// the one the previous rewind left the user on, parked in the
+    /// platform, if it lies on the current timeline at or before both
+    /// `target` and the current step, and no earlier than the nearest
+    /// checkpoint at or before `target`; else that checkpoint (the base
+    /// plus at most one delta), restored into the parked state's buffers.
+    /// Either way the state the user stands on now is parked in its place
+    /// ([`Platform::swap_parked`]).
     /// Returns `false` (platform untouched) when time travel is off or
     /// every retained checkpoint lies beyond `target`.
     ///
     /// # Errors
     ///
     /// [`Error::Platform`] for an unrestorable image (never expected for
-    /// images the debugger captured itself).
+    /// images the debugger captured itself); the platform is then untouched.
+    ///
+    /// [`Platform::swap_parked`]: mpsoc_platform::Platform::swap_parked
     pub fn rewind_to_step(&mut self, target: u64) -> Result<bool> {
         let Some(tt) = &mut self.time_travel else {
             return Ok(false);
         };
         tt.forget_due_bound();
-        let Some(cp) = tt.at_or_before(target) else {
+        let TimeTravel {
+            base,
+            base_checkpoint,
+            deltas,
+            park,
+            live_off_timeline,
+            ..
+        } = tt;
+        let Some(cp) = nearest(base_checkpoint, deltas, target) else {
             return Ok(false);
         };
-        match &cp.delta {
-            None => self.platform.reset_to_base(&tt.base),
-            Some(delta) => self.platform.restore_delta(&tt.base, delta),
+        // The park must lie between the checkpoint and the target, and
+        // behind the user too: from a park ahead of the user, history would
+        // restart there.
+        let here = self.platform.steps();
+        let from_park = park
+            .step
+            .is_some_and(|at| at >= cp.step && at <= target.min(here));
+        self.platform.swap_parked();
+        if !from_park {
+            let restored = match &cp.delta {
+                None => self.platform.reset_to_base(base),
+                Some(delta) => self.platform.restore_delta(base, delta),
+            };
+            if let Err(e) = restored {
+                // A failed restore leaves the swapped-in state untouched:
+                // swapping back undoes the rewind.
+                self.platform.swap_parked();
+                return Err(e.into());
+            }
         }
-        .map_err(Error::from)?;
-        self.trace.rewind_to(cp.trace_pos);
-        self.prev_signals.clone_from(&cp.prev_signals);
-        // The restore changed signals without regard to the edge counter.
+        // The state swapped out is the new park, with its debugger side.
+        let parked_pos = std::mem::replace(&mut park.trace_pos, self.trace.position());
+        std::mem::swap(&mut park.prev_signals, &mut self.prev_signals);
+        std::mem::swap(&mut park.stim_applied, &mut self.stim_cursor);
+        park.step = (!std::mem::take(live_off_timeline)).then_some(here);
+        if from_park {
+            self.trace.rewind_to(parked_pos);
+        } else {
+            self.trace.rewind_to(cp.trace_pos);
+            self.prev_signals.clone_from(&cp.prev_signals);
+            self.stim_cursor = cp.stim_applied;
+        }
+        // The swap changed signals without regard to the edge counter.
         self.signals_seen = None;
-        self.stim_cursor = cp.stim_applied;
+        let replayed = target.saturating_sub(self.platform.steps());
         while self.platform.steps() < target {
             let _ = self.step_evaluated()?;
+        }
+        if let Some(m) = &self.metrics {
+            m.replayed_steps.add(replayed);
+            match from_park {
+                true => m.rewinds_from_park.inc(),
+                false => m.rewinds_from_checkpoint.inc(),
+            }
         }
         Ok(true)
     }
@@ -938,5 +1058,246 @@ mod tests {
         assert_eq!(dbg.platform().state_checksum(), end);
         assert_eq!(dbg.peripheral(mb).unwrap(), end_mb);
         assert_eq!(dbg.read_mem(0x60).unwrap(), -5);
+    }
+
+    /// `dbg`'s rewinds by where they replayed from: `(park, checkpoint)`.
+    fn rewinds(registry: &mpsoc_obs::metrics::MetricsRegistry) -> (u64, u64) {
+        let count = |name: &str| registry.counter(name).get();
+        (
+            count("vpdebug.rewinds_from_park"),
+            count("vpdebug.rewinds_from_checkpoint"),
+        )
+    }
+
+    #[test]
+    fn step_backs_after_steps_forward_replay_from_the_park_exactly() {
+        let registry = mpsoc_obs::metrics::MetricsRegistry::new();
+        let mut dbg = debugger();
+        dbg.attach_metrics(&registry);
+        dbg.enable_time_travel(1000, 8).unwrap();
+        let mut checksums = vec![dbg.platform().state_checksum()];
+        // One step forward, recording the state it reached.
+        let record = |dbg: &mut Debugger, checksums: &mut Vec<u64>| {
+            dbg.step().unwrap();
+            checksums.truncate(dbg.platform().steps() as usize);
+            checksums.push(dbg.platform().state_checksum());
+        };
+        for _ in 0..40 {
+            record(&mut dbg, &mut checksums);
+        }
+        // The first step-back has no park to replay from; each later one
+        // replays from the state the previous one left, three steps back.
+        for round in 0..20 {
+            for _ in 0..4 {
+                record(&mut dbg, &mut checksums);
+            }
+            assert!(dbg.step_back().unwrap());
+            let at = dbg.platform().steps() as usize;
+            assert_eq!(at, 40 + 3 * (round + 1));
+            assert_eq!(dbg.platform().state_checksum(), checksums[at]);
+        }
+        assert_eq!(rewinds(&registry), (19, 1));
+        let replayed = registry.counter("vpdebug.rewind_replayed_steps").get();
+        assert_eq!(replayed, 43 + 19 * 2, "43 from the base, then 2 each");
+        // One step forward and one back: the park is the target's next
+        // step, one too far.
+        for _ in 0..3 {
+            record(&mut dbg, &mut checksums);
+            assert!(dbg.step_back().unwrap());
+            assert_eq!(dbg.platform().steps(), 100);
+            assert_eq!(dbg.platform().state_checksum(), checksums[100]);
+        }
+        assert_eq!(rewinds(&registry), (19, 4));
+        // Twice back in a row: the park is ahead of the second target.
+        assert!(dbg.step_back().unwrap());
+        assert!(dbg.step_back().unwrap());
+        let at = dbg.platform().steps() as usize;
+        assert_eq!(dbg.platform().state_checksum(), checksums[at]);
+        assert_eq!(rewinds(&registry), (19, 6));
+    }
+
+    #[test]
+    fn a_change_behind_platform_mut_is_not_undone_by_the_park() {
+        let registry = mpsoc_obs::metrics::MetricsRegistry::new();
+        let mut dbg = debugger();
+        dbg.attach_metrics(&registry);
+        dbg.enable_time_travel(64, 8).unwrap();
+        dbg.run(30).unwrap();
+        // Parks step 30, then a write by hand at step 29, kept by a
+        // checkpoint taken there.
+        assert!(dbg.step_back().unwrap());
+        dbg.platform_mut().debug_write(0x90, 1234).unwrap();
+        assert!(dbg.take_checkpoint_now().unwrap());
+        dbg.step().unwrap();
+        let at_30 = dbg.platform().state_checksum();
+        dbg.step().unwrap();
+        // Back to 30: the parked step-30 state never saw the write; a
+        // replay from the checkpoint at 29 does.
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.platform().steps(), 30);
+        assert_eq!(dbg.read_mem(0x90).unwrap(), 1234);
+        assert_eq!(dbg.platform().state_checksum(), at_30);
+        assert_eq!(rewinds(&registry), (0, 2));
+    }
+
+    #[test]
+    fn a_change_behind_platform_mut_is_not_redone_by_the_park() {
+        let mut dbg = debugger();
+        dbg.enable_time_travel(64, 8).unwrap();
+        dbg.run(30).unwrap();
+        // A write by hand at step 30 that no checkpoint keeps: the
+        // step-back to 30 replays from the base and undoes it, and parks
+        // the step-31 state, which has it.
+        dbg.platform_mut().debug_write(0x90, 1234).unwrap();
+        dbg.step().unwrap();
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.read_mem(0x90).unwrap(), 0);
+        let mut checksums = Vec::new();
+        for _ in 0..4 {
+            dbg.step().unwrap();
+            checksums.push(dbg.platform().state_checksum());
+        }
+        // Back to 33: the undone write must not come back from the park.
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.platform().steps(), 33);
+        assert_eq!(dbg.read_mem(0x90).unwrap(), 0);
+        assert_eq!(dbg.platform().state_checksum(), checksums[2]);
+    }
+
+    #[test]
+    fn an_injection_is_not_undone_by_the_park() {
+        let mut dbg = debugger();
+        dbg.enable_time_travel(64, 8).unwrap();
+        dbg.run(30).unwrap();
+        assert!(dbg.step_back().unwrap()); // parks step 30
+        dbg.inject_mem_poke(0x90, 77).unwrap();
+        dbg.step().unwrap();
+        let at_30 = dbg.platform().state_checksum();
+        dbg.step().unwrap();
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.read_mem(0x90).unwrap(), 77);
+        assert_eq!(dbg.platform().state_checksum(), at_30);
+    }
+
+    /// A debugger over a core that pushes into a mailbox and pops it
+    /// again, so the mailbox's `avail` signal rises in the very step of the
+    /// store; with time travel on and two watchpoints: one on that store
+    /// (index 0), one on `avail`. Returns it stopped by the store.
+    fn stopped_on_a_mailbox_store() -> Debugger {
+        let mut p = PlatformBuilder::new()
+            .cores(1, Frequency::mhz(100))
+            .shared_words(256)
+            .cache(None)
+            .build()
+            .unwrap();
+        let mb = p.add_mailbox("mb", 4);
+        let data = mpsoc_platform::mem::periph_addr(mb, mpsoc_platform::periph::mailbox_reg::DATA);
+        let prog = assemble(&format!(
+            "movi r4, {data}\nloop: addi r1, r1, 1\nst r1, r4, 0\n\
+             addi r5, r5, 1\nld r2, r4, 0\njmp loop"
+        ))
+        .unwrap();
+        p.load_program(0, prog, 0).unwrap();
+        let mut dbg = Debugger::new(p);
+        dbg.enable_time_travel(1000, 8).unwrap();
+        dbg.add_watchpoint(Watchpoint::Access {
+            lo: data,
+            hi: data,
+            kind: Some(AccessKind::Write),
+            origin: crate::debugger::OriginFilter::Any,
+        });
+        dbg.add_watchpoint(avail());
+        assert!(matches!(
+            dbg.run(100).unwrap(),
+            Stop::Watchpoint { index: 0, .. }
+        ));
+        assert_eq!(dbg.signal("mb.avail"), 1);
+        dbg
+    }
+
+    fn avail() -> Watchpoint {
+        Watchpoint::Signal {
+            name: "mb.avail".into(),
+            value: None,
+        }
+    }
+
+    /// The `avail` watchpoint alone, as index 0, reporting the edge.
+    const AVAIL_EDGE: Stop = Stop::Watchpoint {
+        index: 0,
+        access: None,
+    };
+
+    #[test]
+    fn new_stop_conditions_are_not_undone_by_the_park() {
+        // The store stops the run before the signal bookkeeping, so the
+        // state parked by the step-back has not seen `avail` rise.
+        let mut dbg = stopped_on_a_mailbox_store();
+        let k = dbg.platform().steps();
+        assert!(dbg.step_back().unwrap());
+        // Without the access watchpoint, stepping over the store reports
+        // the edge at once, and the step after it is quiet.
+        dbg.clear_conditions();
+        dbg.add_watchpoint(avail());
+        assert_eq!(dbg.run(1).unwrap(), AVAIL_EDGE);
+        assert_eq!(dbg.run(1).unwrap(), Stop::Budget);
+        // Back onto the store and over it again: still quiet, as a replay
+        // under these conditions has it.
+        assert!(dbg.rewind_to_step(k).unwrap());
+        assert_eq!(dbg.run(1).unwrap(), Stop::Budget);
+    }
+
+    #[test]
+    fn a_state_reached_under_old_stop_conditions_is_not_parked_as_usable() {
+        // The conditions change while the user stands on the store, whose
+        // signal bookkeeping the stop skipped; the step-back parks that
+        // state.
+        let mut dbg = stopped_on_a_mailbox_store();
+        let k = dbg.platform().steps();
+        dbg.clear_conditions();
+        dbg.add_watchpoint(avail());
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.run(1).unwrap(), AVAIL_EDGE);
+        assert_eq!(dbg.run(1).unwrap(), Stop::Budget);
+        // Back onto the store and over it again: quiet, as a replay under
+        // these conditions has it, not the stale edge of the parked state.
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.platform().steps(), k);
+        assert_eq!(dbg.run(1).unwrap(), Stop::Budget);
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_user_and_the_park_where_they_were() {
+        let registry = mpsoc_obs::metrics::MetricsRegistry::new();
+        let mut dbg = debugger();
+        dbg.attach_metrics(&registry);
+        dbg.enable_time_travel(8, 64).unwrap();
+        dbg.run(29).unwrap();
+        assert!(dbg.step_back().unwrap()); // from the checkpoint at 24
+        dbg.step().unwrap();
+        let at_29 = dbg.platform().state_checksum();
+        dbg.step().unwrap();
+        let at_30 = dbg.platform().state_checksum();
+        // Corrupt the checkpoint at 24 (its frame checksum), then go back
+        // to 26, before the park at 29: from that checkpoint, which fails.
+        let flip = |dbg: &mut Debugger| {
+            let tt = dbg.time_travel.as_mut().unwrap();
+            let cp = tt.deltas.iter_mut().find(|c| c.step == 24).unwrap();
+            let delta = cp.delta.as_mut().unwrap();
+            let last = delta.len() - 1;
+            delta[last] ^= 1;
+        };
+        flip(&mut dbg);
+        assert!(dbg.rewind_to_step(26).is_err());
+        assert_eq!(dbg.platform().steps(), 30);
+        assert_eq!(dbg.platform().state_checksum(), at_30);
+        assert_eq!(rewinds(&registry), (0, 1));
+        // The park is still the step-29 state, and still replayed from.
+        flip(&mut dbg);
+        assert!(dbg.step_back().unwrap());
+        assert_eq!(dbg.platform().state_checksum(), at_29);
+        assert_eq!(rewinds(&registry), (1, 1));
+        dbg.step().unwrap();
+        assert_eq!(dbg.platform().state_checksum(), at_30);
     }
 }

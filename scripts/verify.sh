@@ -121,6 +121,10 @@ stage "DSE differential tests (release)" \
 # previous one restored reinstalls the platform's restore slot — the decoded
 # state it remembers — instead of decoding the delta again.
 stage "platform differential tests (release)" platform_release_tests
+# The mutation gate: every deliberate bug listed in tests/mutants.txt must
+# fail the test named with it, in a debug build of a copy of the sources
+# under target/mutants/ (about half a minute warm on 2 vCPUs).
+stage "mutation gate (tests/mutants.txt)" bash scripts/mutants.sh
 stage "cargo doc (deny warnings)" doc_deny_warnings
 # The paper's claims E1-E13 in release, E13 at its smoke size: fails on any
 # claim not reproduced and writes target/experiments.json (uploaded by CI).

@@ -9,13 +9,16 @@
 //! signal refreshed on every step, full images and cloned host state at every
 //! checkpoint. Seeded sessions on car_radio / race / e12 mix random
 //! breakpoints, access and signal watchpoints (one added while stopped on a
-//! breakpoint), recorded stimulus injections, `step_back` and
-//! `reverse_continue`.
+//! breakpoint), recorded stimulus injections, `step_back`,
+//! `reverse_continue`, rewinds to steps on both sides of the state the last
+//! rewind parked, and the rhythm that replays from that parked state: a few
+//! steps forward, one back, again and again. After every operation the
+//! platforms' signal-trace rings must match too.
 //!
 //! Plus the trace-through-rewind contract: a rewind leaves the execution
-//! trace equal to a forward-only run's at that step, short only of entries
-//! the 4096-step ring had already evicted; a rewind behind every retained
-//! entry restarts history at the restored checkpoint.
+//! trace and the signal edges equal to a forward-only run's at that step,
+//! short only of entries the 4096-step ring had already evicted; a rewind
+//! behind every retained entry restarts history at the restored checkpoint.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,6 +26,7 @@ use mpsoc_suite::apps::testbed;
 use mpsoc_suite::obs::rng::XorShift64Star;
 use mpsoc_suite::platform::isa::Word;
 use mpsoc_suite::platform::platform::{Access, AccessKind, Platform, StepKind};
+use mpsoc_suite::platform::SignalChange;
 use mpsoc_suite::vpdebug::{Debugger, OriginFilter, StimulusKind, Stop, TraceEntry, Watchpoint};
 
 /// One reference checkpoint: a full image plus the cloned host-side state.
@@ -318,6 +322,24 @@ struct Pair {
     dbg: Debugger,
     reference: Reference,
     what: String,
+    /// The step the last rewind left: where the debugger parked the state
+    /// it rewound from.
+    left: u64,
+}
+
+/// A platform's signal-trace ring, `(seq, name, edge)` per record, plus the
+/// trace numbers a rewind must carry over: the sequence counter and the
+/// budget.
+fn signal_ring(p: &Platform) -> (Vec<(u64, String, SignalChange)>, u64, Option<usize>) {
+    let records = p.signals().trace_records();
+    let stats = p.trace_stats();
+    (
+        records
+            .map(|(seq, name, c)| (seq, name.to_string(), c))
+            .collect(),
+        stats.next_seq,
+        stats.budget_bytes,
+    )
 }
 
 impl Pair {
@@ -330,6 +352,7 @@ impl Pair {
             dbg,
             reference,
             what: format!("{name} seed {seed:#x}"),
+            left: 0,
         }
     }
 
@@ -349,6 +372,12 @@ impl Pair {
             ref_steps,
             "{}: retained checkpoints after {op}",
             self.what
+        );
+        assert!(
+            signal_ring(d) == signal_ring(r),
+            "{}: signal-trace ring after {op} at step {}",
+            self.what,
+            d.steps()
         );
     }
 
@@ -383,12 +412,33 @@ impl Pair {
     }
 
     fn step_back(&mut self) {
+        self.left = self.dbg.platform().steps();
         let got = self.dbg.step_back().expect("debugger steps back");
         assert_eq!(got, self.reference.step_back(), "{}: step_back", self.what);
         self.check("step_back");
     }
 
+    fn rewind_to_step(&mut self, target: u64) {
+        self.left = self.dbg.platform().steps();
+        let got = self.dbg.rewind_to_step(target).expect("debugger rewinds");
+        let want = self.reference.rewind_to_step(target);
+        assert_eq!(got, want, "{}: rewind_to_step({target})", self.what);
+        self.check("rewind_to_step");
+    }
+
+    /// The park rhythm: one to six steps forward, then one back, one to
+    /// eight times over.
+    fn steps_then_back(&mut self, rng: &mut XorShift64Star) {
+        for _ in 0..rng.u64_in(1, 8) {
+            for _ in 0..rng.u64_in(1, 6) {
+                self.run(1);
+            }
+            self.step_back();
+        }
+    }
+
     fn reverse_continue(&mut self) {
+        self.left = self.dbg.platform().steps();
         let got = self.dbg.reverse_continue().expect("debugger reverses");
         let want = self.reference.reverse_continue();
         assert_eq!(got, want, "{}: reverse_continue stop", self.what);
@@ -445,7 +495,7 @@ fn session(name: &str, seed: u64, ops: usize) {
     random_conditions(&mut pair, &mut rng, &c);
     let mut watched_after_break = false;
     for _ in 0..ops {
-        match rng.u64_in(0, 99) {
+        match rng.u64_in(0, 119) {
             0..=44 => {
                 let stop = pair.run(rng.u64_in(1, 300));
                 if matches!(stop, Stop::Breakpoint { .. }) && !watched_after_break {
@@ -485,9 +535,21 @@ fn session(name: &str, seed: u64, ops: usize) {
                 };
                 pair.inject(kind);
             }
-            _ => {
+            85..=99 => {
                 pair.clear_conditions();
                 random_conditions(&mut pair, &mut rng, &c);
+            }
+            100..=109 => pair.steps_then_back(&mut rng),
+            _ => {
+                // Around the parked step, on both sides of it, or anywhere
+                // up to a little past the current step.
+                let (left, cur) = (pair.left, pair.dbg.platform().steps());
+                let target = match rng.u64_in(0, 2) {
+                    0 => left.saturating_sub(rng.u64_in(0, 3)),
+                    1 => left + rng.u64_in(0, 3),
+                    _ => rng.u64_in(0, cur + 3),
+                };
+                pair.rewind_to_step(target);
             }
         }
     }
@@ -523,6 +585,7 @@ fn sessions_match_with_an_evicted_signal_ring() {
     let mut rng = XorShift64Star::new(0x0E71C7);
     let mut pair = Pair::new("car_radio", 0x0E71C7, 40);
     pair.dbg.platform_mut().set_trace_budget(0);
+    pair.reference.platform.set_trace_budget(0);
     for name in &c.signals {
         pair.add_watchpoint(Watchpoint::Signal {
             name: name.clone(),
@@ -533,6 +596,9 @@ fn sessions_match_with_an_evicted_signal_ring() {
         pair.run(rng.u64_in(1, 60));
         if rng.chance_pct(25) {
             pair.step_back();
+        }
+        if rng.chance_pct(25) {
+            pair.steps_then_back(&mut rng);
         }
     }
 }
@@ -601,4 +667,49 @@ fn trace_after_a_rewind_past_eviction_is_a_suffix_then_restarts() {
     assert_eq!(got.len(), 40);
     assert_eq!(got, forward[&1_000][960..]);
     assert_eq!(dbg.trace().dropped(), 960);
+}
+
+/// Step-backs that replay from the state the previous one parked leave the
+/// execution trace and the signal edges a forward-only run holds at that
+/// step — and so does the one after a long run forward, which restores a
+/// checkpoint over the parked state.
+#[test]
+fn trace_after_step_backs_from_the_park_equals_the_forward_run() {
+    let car_radio = || testbed::by_name("car_radio").expect("known testbed");
+    let mut forward = Debugger::new(car_radio());
+    forward
+        .enable_time_travel_bytes(64, usize::MAX)
+        .expect("time travel enables");
+    let mut seen = BTreeMap::new();
+    for _ in 0..2_400 {
+        assert_eq!(forward.step().expect("steps"), None);
+        let at = forward.platform().steps();
+        seen.insert(at, (entries(&forward), signal_ring(forward.platform())));
+    }
+    let mut dbg = Debugger::new(car_radio());
+    dbg.enable_time_travel_bytes(64, usize::MAX)
+        .expect("time travel enables");
+    let mut rounds = 0;
+    for leg in [1_000, 1_700] {
+        assert_eq!(
+            dbg.run(leg - dbg.platform().steps()).expect("runs"),
+            Stop::Budget
+        );
+        for _ in 0..60 {
+            for _ in 0..4 {
+                assert_eq!(dbg.step().expect("steps"), None);
+            }
+            assert!(dbg.step_back().expect("steps back"));
+            let at = dbg.platform().steps();
+            let (trace, ring) = &seen[&at];
+            assert_eq!(&entries(&dbg), trace, "trace at step {at}");
+            assert!(
+                signal_ring(dbg.platform()) == *ring,
+                "signal edges at step {at}"
+            );
+            rounds += 1;
+        }
+    }
+    assert_eq!(rounds, 120);
+    assert!(dbg.platform().steps() < 2_400);
 }

@@ -191,3 +191,47 @@ fn sinks_and_counters_compose_across_layers_in_one_stream() {
     assert!(json.contains("\"args\":{\"name\":\"dataflow\"}"));
     assert!(json.contains("\"args\":{\"name\":\"rtkernel\"}"));
 }
+
+/// The debugger's rewind counters on `debug_rewind`'s rhythm — car_radio,
+/// `monitor time-travel 256 64`, a long run, then four steps forward and
+/// one back, 256 times: a step-back replays from the state the previous
+/// one parked, two steps, except the first and those whose steps forward
+/// took a checkpoint past the park, which restore the nearest checkpoint
+/// and replay from there.
+#[test]
+fn rewind_counters_show_step_backs_replaying_from_the_park() {
+    use mpsoc_suite::apps::testbed;
+    use mpsoc_suite::vpdebug::{Debugger, Stop};
+    let registry = MetricsRegistry::new();
+    let mut dbg = Debugger::new(testbed::by_name("car_radio").expect("the testbed"));
+    dbg.attach_metrics(&registry);
+    dbg.enable_time_travel(256, 64)
+        .expect("time travel enables");
+    assert_eq!(dbg.run(20_000).expect("runs"), Stop::Budget);
+    for _ in 0..256 {
+        for _ in 0..4 {
+            assert_eq!(dbg.step().expect("steps"), None);
+        }
+        assert!(dbg.step_back().expect("steps back"));
+    }
+    let count = |name: &str| registry.counter(name).get();
+    let from_park = count("vpdebug.rewinds_from_park");
+    let from_checkpoint = count("vpdebug.rewinds_from_checkpoint");
+    assert_eq!(from_park + from_checkpoint, 256);
+    // 768 steps past 20,000 take three checkpoints at most.
+    let taken = dbg
+        .checkpoint_steps()
+        .iter()
+        .filter(|&&s| s > 20_000)
+        .count();
+    assert!(taken <= 3, "{taken} checkpoints taken");
+    assert!(
+        from_checkpoint <= 1 + taken as u64,
+        "{from_checkpoint} of 256 from a checkpoint, {taken} checkpoints taken"
+    );
+    let replayed = count("vpdebug.rewind_replayed_steps");
+    assert!(
+        replayed <= 3 * 256,
+        "{replayed} steps replayed by 256 rewinds"
+    );
+}

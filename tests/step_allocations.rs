@@ -8,6 +8,7 @@
 //! flat rings that stop growing once they hold the retained history.
 
 use mpsoc_suite::apps::testbed;
+use mpsoc_suite::obs::metrics::MetricsRegistry;
 use mpsoc_suite::platform::platform::{Platform, StepEvent, StepKind};
 use mpsoc_suite::platform::Time;
 use mpsoc_suite::vpdebug::{Debugger, Stop};
@@ -122,4 +123,46 @@ fn the_debugger_allocates_nothing_once_its_trace_ring_is_full() {
     assert_eq!(stop.expect("ran").expect("runs"), Stop::Budget);
     assert_eq!(dbg.platform().steps(), WARM_UP + MEASURED);
     assert_eq!(allocated, 0, "over {MEASURED} steps");
+}
+
+#[test]
+fn a_warm_step_back_allocates_nothing() {
+    // `debug_rewind`'s rhythm: four steps forward, one back. Each step-back
+    // swaps the state it leaves with the one the previous step-back left
+    // and replays two steps from there; once the first few have grown the
+    // buffers a swap moves between, none allocates. (The steps forward are
+    // not counted: every 256th takes a checkpoint, which owns its bytes.
+    // Nor are the step-backs that restore such a new checkpoint, because
+    // it lies past the parked state: they decode it.)
+    let registry = MetricsRegistry::new();
+    let mut dbg = Debugger::new(testbed::by_name("car_radio").expect("the testbed"));
+    dbg.attach_metrics(&registry);
+    dbg.enable_time_travel(256, 64)
+        .expect("time travel enables");
+    assert_eq!(dbg.run(20_000).expect("runs"), Stop::Budget);
+    let from_park = registry.counter("vpdebug.rewinds_from_park");
+    // The allocations of one round's step-back, if it replayed from the
+    // parked state.
+    let round = |dbg: &mut Debugger| {
+        for _ in 0..4 {
+            assert_eq!(dbg.step().expect("steps"), None);
+        }
+        let parked = from_park.get();
+        let mut moved = false;
+        let allocated = allocations(|| moved = dbg.step_back().expect("steps back"));
+        assert!(moved);
+        (from_park.get() > parked).then_some(allocated)
+    };
+    for _ in 0..8 {
+        round(&mut dbg);
+    }
+    let warm: Vec<u64> = (0..200).filter_map(|_| round(&mut dbg)).collect();
+    assert!(warm.len() >= 197, "{} of 200 from the park", warm.len());
+    assert_eq!(
+        warm.iter().sum::<u64>(),
+        0,
+        "over {} step-backs",
+        warm.len()
+    );
+    assert_eq!(dbg.platform().steps(), 20_000 + 208 * 3);
 }
